@@ -483,7 +483,7 @@ fn perf(quick: bool) -> Vec<PerfRow> {
             assert_eq!(
                 sharded.telemetry.counter("hot_path_allocs"),
                 0,
-                "scaling/w{workers}: the sharded grant path must stay allocation-free"
+                "scaling/w{workers}: racecheck is off, so its access-vector pool cannot miss"
             );
             let mut push = |key: String, report: &RunReport, wall: Duration| {
                 let mut row = runtime_metrics(key, report, wall);
@@ -841,6 +841,13 @@ const GATED_METRICS: &[&str] = &[
 /// the gate only under `--gate-wall`.
 const GATED_THROUGHPUT: &[&str] = &["grants_per_sec_per_worker"];
 
+/// Identical runs reproduce `fsyncs` only to within this many: a durable
+/// checkpoint (one fsync) is due every N retirements but taken at the end
+/// of the retirement *batch* that crosses the mark, and batch boundaries
+/// depend on worker timing — so the marks drift by an entry and a run can
+/// end with one checkpoint more or fewer.
+const FSYNCS_SLACK: f64 = 1.0;
+
 /// Rows whose counters depend on wall-clock injection timing; never gated.
 const UNGATED_ROWS: &[&str] = &["recovery/w4"];
 
@@ -870,13 +877,14 @@ fn gate_failures(
             if *base <= 0.0 {
                 continue;
             }
+            let slack = if *name == "fsyncs" { FSYNCS_SLACK } else { 0.0 };
             if throughput {
                 if *v < base * (1.0 - pct / 100.0) {
                     failures.push(format!(
                         "{bkey}: {v} fell more than {pct}% under baseline {base}"
                     ));
                 }
-            } else if *v > base * (1.0 + pct / 100.0) {
+            } else if *v > base * (1.0 + pct / 100.0) + slack {
                 failures.push(format!(
                     "{bkey}: {v} regressed more than {pct}% over baseline {base}"
                 ));

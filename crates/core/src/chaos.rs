@@ -13,10 +13,10 @@
 //! Trigger semantics on the runtime engine:
 //!
 //! * [`ChaosTrigger::AtGrant`]`(n)` fires under the engine lock immediately
-//!   after the `n`-th grant — while that grant's deferred-checksum WAL
-//!   record is still unsealed, so [`VictimSelector::Newest`] victimizes a
-//!   sub-thread **mid-WAL-append**, and [`VictimSelector::Holder`] one
-//!   inside a critical section.
+//!   after the `n`-th grant — its WAL record appended, its checkpoint not
+//!   yet captured — so [`VictimSelector::Newest`] victimizes a sub-thread
+//!   **between WAL append and step start**, and
+//!   [`VictimSelector::Holder`] one inside a critical section.
 //! * [`ChaosTrigger::MidRecovery`]`(n)` fires after the `n`-th recovery
 //!   session completes its plan but **before the recovery pass drains** —
 //!   the injected exception is handled in the same quiesced recovery pass,
@@ -50,7 +50,7 @@ pub enum VictimSelector {
     /// The oldest candidate in program order.
     Oldest,
     /// The youngest candidate — at a grant trigger this is the sub-thread
-    /// granted that very cycle, whose WAL record is still unsealed.
+    /// granted that very cycle, whose step has not started.
     Newest,
     /// A sub-thread currently holding a lock (falls back to oldest when no
     /// lock is held).

@@ -71,7 +71,8 @@ pub fn affected_set(
 
     let mut affected: BTreeSet<SubThreadId> = BTreeSet::new();
     affected.insert(culprit);
-    let mut tainted_resources: BTreeSet<ResourceId> = culprit_entry.resources.clone();
+    let mut tainted_resources: BTreeSet<ResourceId> =
+        culprit_entry.resources.iter().copied().collect();
     let mut tainted_threads: BTreeSet<ThreadId> = BTreeSet::new();
     tainted_threads.insert(culprit_entry.thread());
 

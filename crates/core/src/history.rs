@@ -38,6 +38,14 @@ pub trait Checkpoint {
     /// Records the state needed to re-execute from this point.
     fn checkpoint(&self) -> Self::Snapshot;
 
+    /// Records the state into `snapshot`, a retired sub-thread's snapshot
+    /// the runtime hands back for reuse. The default replaces it with a
+    /// fresh [`Checkpoint::checkpoint`]; override it where overwriting in
+    /// place saves an allocation (a `Vec` mod set keeps its buffer).
+    fn checkpoint_into(&self, snapshot: &mut Self::Snapshot) {
+        *snapshot = self.checkpoint();
+    }
+
     /// Reinstates previously checkpointed state. May be called repeatedly
     /// with the same snapshot if exceptions strike during re-execution.
     fn restore(&mut self, snapshot: &Self::Snapshot);
@@ -63,6 +71,9 @@ impl<T: Clone + Send + 'static> Checkpoint for Vec<T> {
     type Snapshot = Vec<T>;
     fn checkpoint(&self) -> Vec<T> {
         self.clone()
+    }
+    fn checkpoint_into(&self, snapshot: &mut Vec<T>) {
+        snapshot.clone_from(self);
     }
     fn restore(&mut self, snapshot: &Vec<T>) {
         self.clone_from(snapshot);
@@ -95,6 +106,10 @@ impl<A: Checkpoint, B: Checkpoint> Checkpoint for (A, B) {
     type Snapshot = (A::Snapshot, B::Snapshot);
     fn checkpoint(&self) -> Self::Snapshot {
         (self.0.checkpoint(), self.1.checkpoint())
+    }
+    fn checkpoint_into(&self, snapshot: &mut Self::Snapshot) {
+        self.0.checkpoint_into(&mut snapshot.0);
+        self.1.checkpoint_into(&mut snapshot.1);
     }
     fn restore(&mut self, snapshot: &Self::Snapshot) {
         self.0.restore(&snapshot.0);
@@ -302,6 +317,17 @@ mod tests {
         pair.1.clear();
         pair.restore(&snap);
         assert_eq!(pair, (7, vec![1]));
+    }
+
+    #[test]
+    fn checkpoint_into_overwrites_a_recycled_snapshot_in_place() {
+        let pair = (7u64, vec![1u8, 2, 3]);
+        let mut recycled = (0u64, Vec::with_capacity(64));
+        recycled.1.extend_from_slice(&[9; 40]);
+        let buf = recycled.1.as_ptr();
+        pair.checkpoint_into(&mut recycled);
+        assert_eq!(recycled, pair.checkpoint());
+        assert_eq!(recycled.1.as_ptr(), buf, "the Vec mod set keeps its buffer");
     }
 
     #[test]

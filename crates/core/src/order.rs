@@ -1004,13 +1004,23 @@ mod tests {
     /// be one the publisher actually published, epochs must never run
     /// backwards within a reader, and the ticket attached to a snapshot must
     /// be at least as new as the snapshot's epoch.
+    ///
+    /// Readers and publisher leave a barrier together, and the publisher
+    /// keeps publishing past its quota until every reader has reported an
+    /// observation: on a single CPU the whole quota fits into the
+    /// publisher's first time slice, and a reader scheduled only after the
+    /// publisher had stopped would have raced nothing.
     #[test]
     fn gate_interleaving_stress() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        use std::sync::Barrier;
 
-        const PUBLICATIONS: u32 = 20_000;
+        const PUBLICATIONS: u64 = 20_000;
+        const READERS: usize = 4;
         let gate = Arc::new(OrderGate::new());
         let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(READERS + 1));
+        let reported = Arc::new(AtomicUsize::new(0));
 
         // The full publication log is a pure function of the index, so
         // readers can validate observations without sharing mutable state:
@@ -1020,13 +1030,16 @@ mod tests {
             (h != 6).then(|| ThreadId::new(h as u32))
         };
 
-        let readers: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let gate = Arc::clone(&gate);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
+                let reported = Arc::clone(&reported);
                 std::thread::spawn(move || {
                     let mut last_epoch = 0u32;
                     let mut observations = 0u64;
+                    start.wait();
                     while !stop.load(Ordering::Acquire) {
                         let s = gate.snapshot();
                         // Epochs are monotone while the publisher is live
@@ -1058,20 +1071,31 @@ mod tests {
                             );
                         }
                         observations += 1;
+                        if observations == 1 {
+                            reported.fetch_add(1, Ordering::Release);
+                        }
                     }
                     observations
                 })
             })
             .collect();
 
-        for i in 0..u64::from(PUBLICATIONS) {
-            gate.publish(expected_holder(i), SubThreadId::new(i));
+        start.wait();
+        let mut published = 0u64;
+        while published < PUBLICATIONS || reported.load(Ordering::Acquire) < READERS {
+            gate.publish(expected_holder(published), SubThreadId::new(published));
+            published += 1;
+            if published >= PUBLICATIONS {
+                // Past the quota only the stragglers matter: let them run.
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Release);
-        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0);
-        assert_eq!(gate.epoch(), PUBLICATIONS);
-        assert_eq!(gate.next_ticket(), SubThreadId::new(u64::from(PUBLICATIONS) - 1));
+        for r in readers {
+            assert!(r.join().unwrap() > 0, "every reader raced the publisher");
+        }
+        assert_eq!(u64::from(gate.epoch()), published);
+        assert_eq!(gate.next_ticket(), SubThreadId::new(published - 1));
     }
 
     #[test]

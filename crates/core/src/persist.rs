@@ -20,7 +20,7 @@
 //! there is nothing serializable to snapshot. Following the *command
 //! logging* end of the logging spectrum ("Fast Failure Recovery for
 //! Main-Memory DBMSs on Multicores"), the durable log records **what the
-//! runtime did** (WAL appends/seals/undos/prunes and the retirement
+//! runtime did** (WAL appends/undos/prunes and the retirement
 //! order), not the program state. Recovery is deterministic
 //! re-execution of the job spec, *verified* step-by-step against the
 //! durable retire prefix: the restarted run must retire the same
@@ -135,7 +135,7 @@ fn unescape(text: &str) -> Option<String> {
 }
 
 /// One durable log record. The vocabulary mirrors the in-memory WAL's
-/// lifecycle (append → seal → undo|prune) plus the retirement order and
+/// lifecycle (append → undo|prune) plus the retirement order and
 /// checkpoint anchors that restart verification needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DurableRecord {
@@ -147,21 +147,22 @@ pub enum DurableRecord {
         /// whatever the embedder needs to rebuild the job).
         text: String,
     },
-    /// Mirror of a WAL append. `checksum` is 0 when the in-memory
-    /// append was deferred; the matching [`DurableRecord::Seal`]
-    /// carries the late hash.
+    /// Mirror of a WAL append, carrying the record's integrity checksum.
+    /// (Images written before the checksum moved inline carry 0 here and
+    /// a later [`DurableRecord::Seal`].)
     Append {
         /// Log sequence number of the mirrored WAL record.
         lsn: u64,
         /// Sub-thread the operation was performed on behalf of.
         subthread: u64,
-        /// Integrity checksum (0 = deferred, sealed later).
+        /// The WAL record's integrity checksum.
         checksum: u64,
         /// Stable `Debug` rendering of the runtime operation.
         op: String,
     },
-    /// Late checksum attach for a deferred append (off-critical-section
-    /// sealing, mirrored durably).
+    /// Legacy: the late checksum of an `Append` written with checksum 0.
+    /// The engine no longer emits it; it stays in the vocabulary so images
+    /// from older runs load, and it never enters the WAL ledger.
     Seal {
         /// LSN of the append being sealed.
         lsn: u64,
@@ -1026,6 +1027,50 @@ mod tests {
         assert_eq!(img.prunes, 1);
         assert!(img.ledger_balanced());
         assert_eq!(be.stats().fsyncs, 1);
+    }
+
+    /// An image written when appends carried checksum 0 and a later `seal`
+    /// line (spelled out as text: this is the on-disk format old runs
+    /// left behind) loads to the same ledger verdict as the same run
+    /// logged today, one line fewer per append.
+    #[test]
+    fn legacy_seal_lines_load_to_the_same_ledger_verdict() {
+        let line = |payload: &str| format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
+        let run = |legacy: bool| {
+            let mut text = line("spec job%20A");
+            for (lsn, st) in [(0u64, 3u64), (1, 4), (2, 4)] {
+                let sum = if legacy { 0 } else { 0xfeed_0000 + lsn };
+                text += &line(&format!("append {lsn} {st} {sum:016x} FetchAdd(A{st},%20old%200)"));
+                if legacy {
+                    text += &line(&format!("seal {lsn} {:016x}", 0xfeed_0000 + lsn));
+                }
+            }
+            text += &line("undo 0");
+            text += &line("prune 4 2");
+            text += &line("retire 4 2 1 1 0000000000001234");
+            text
+        };
+        let load = |text: String| {
+            let dir = unique_temp_dir("persist-legacy-seal");
+            fs::create_dir_all(dir.join("segments")).unwrap();
+            fs::write(dir.join("segments").join("seg-00000000.log"), text).unwrap();
+            let img = FileBackend::open(&dir).unwrap().load().unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+            img
+        };
+        let (old, new) = (load(run(true)), load(run(false)));
+        assert!(!old.truncated && !new.truncated, "every line parses");
+        assert_eq!(old.seals, 3);
+        assert_eq!(new.seals, 0);
+        assert_eq!(old.prefix_records, new.prefix_records + 3);
+        assert_eq!(
+            (old.appends, old.undos, old.prunes, old.ledger_balanced()),
+            (new.appends, new.undos, new.prunes, new.ledger_balanced())
+        );
+        assert_eq!((new.appends, new.undos, new.prunes), (3, 1, 2));
+        assert!(new.ledger_balanced());
+        assert_eq!(old.spec, new.spec);
+        assert_eq!(old.retires, new.retires);
     }
 
     #[test]

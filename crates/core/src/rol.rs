@@ -9,9 +9,9 @@
 
 use crate::error::{GprsError, Result};
 use crate::exception::Exception;
-use crate::ids::{Lsn, ResourceId, SubThreadId, ThreadId};
+use crate::ids::{LockId, Lsn, ResourceId, SubThreadId, ThreadId};
 use crate::subthread::SubThread;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Execution status of an in-flight sub-thread.
@@ -39,6 +39,104 @@ impl fmt::Display for SubThreadStatus {
     }
 }
 
+/// A sub-thread's dependence aliases: a sorted set that holds up to
+/// [`ResourceSet::INLINE`] ids inside the ROL entry and moves to the heap
+/// beyond that. Almost every sub-thread touches one resource (its opening
+/// lock, atomic or channel) and a nested acquisition adds one or two, so
+/// opening a sub-thread allocates nothing. Iteration is in ascending id
+/// order, which keeps everything derived from it (recovery plans, race
+/// reports) deterministic.
+#[derive(Clone)]
+pub struct ResourceSet {
+    len: usize,
+    inline: [ResourceId; Self::INLINE],
+    /// All members once `len > INLINE` (then `inline` is stale).
+    spill: Vec<ResourceId>,
+}
+
+impl ResourceSet {
+    /// Members held without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// An empty set.
+    pub fn new() -> Self {
+        ResourceSet {
+            len: 0,
+            inline: [ResourceId::Lock(LockId::new(0)); Self::INLINE],
+            spill: Vec::new(),
+        }
+    }
+
+    /// The members, ascending.
+    pub fn as_slice(&self) -> &[ResourceId] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Adds a member; `false` if it was already present.
+    pub fn insert(&mut self, r: ResourceId) -> bool {
+        let Err(at) = self.as_slice().binary_search(&r) else {
+            return false;
+        };
+        if self.len < Self::INLINE {
+            self.inline.copy_within(at..self.len, at + 1);
+            self.inline[at] = r;
+        } else {
+            if self.len == Self::INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.insert(at, r);
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Whether `r` is a member.
+    pub fn contains(&self, r: &ResourceId) -> bool {
+        self.as_slice().binary_search(r).is_ok()
+    }
+
+    /// Removes every member (a spilled set keeps its heap capacity).
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+
+    /// Iterates the members, ascending.
+    pub fn iter(&self) -> std::slice::Iter<'_, ResourceId> {
+        self.as_slice().iter()
+    }
+}
+
+impl Default for ResourceSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for ResourceSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for ResourceSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a ResourceSet {
+    type Item = &'a ResourceId;
+    type IntoIter = std::slice::Iter<'a, ResourceId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// One reorder-list entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RolEntry {
@@ -48,7 +146,7 @@ pub struct RolEntry {
     pub status: SubThreadStatus,
     /// Dependence aliases accumulated during execution: every lock acquired
     /// and atomic/channel/barrier touched (`§3.4`, selective restart).
-    pub resources: BTreeSet<ResourceId>,
+    pub resources: ResourceSet,
     /// The exception attributed to this sub-thread, if any.
     pub exception: Option<Exception>,
     /// First WAL record written on behalf of this sub-thread, for pruning.
@@ -57,7 +155,7 @@ pub struct RolEntry {
 
 impl RolEntry {
     fn new(descriptor: SubThread) -> Self {
-        let mut resources = BTreeSet::new();
+        let mut resources = ResourceSet::new();
         if let Some(r) = descriptor.opening_op.and_then(|op| op.resource()) {
             resources.insert(r);
         }
@@ -341,7 +439,7 @@ impl ReorderList {
 mod tests {
     use super::*;
     use crate::exception::{Exception, ExceptionKind};
-    use crate::ids::{ContextId, GroupId, LockId};
+    use crate::ids::{AtomicId, ContextId, GroupId};
     use crate::subthread::{SubThreadKind, SyncOp};
 
     fn st(id: u64, thread: u32) -> SubThread {
@@ -389,6 +487,30 @@ mod tests {
         rol.insert(st_with_lock(0, 0, 7)).unwrap();
         let e = rol.get(SubThreadId::new(0)).unwrap();
         assert!(e.resources.contains(&ResourceId::Lock(LockId::new(7))));
+    }
+
+    #[test]
+    fn resource_set_matches_a_btree_set_across_the_spill() {
+        use std::collections::BTreeSet;
+        let ids = [9u64, 2, 7, 2, 5, 11, 3, 7, 1];
+        let mut small = ResourceSet::new();
+        let mut model = BTreeSet::new();
+        for (i, &raw) in ids.iter().enumerate() {
+            let r = if i % 2 == 0 {
+                ResourceId::Lock(LockId::new(raw))
+            } else {
+                ResourceId::Atomic(AtomicId::new(raw))
+            };
+            assert_eq!(small.insert(r), model.insert(r));
+            assert!(small.contains(&r));
+            assert!(small.iter().eq(model.iter()), "ascending, like the BTreeSet");
+        }
+        assert!(model.len() > ResourceSet::INLINE, "the sequence crosses the spill");
+        assert!(!small.contains(&ResourceId::Lock(LockId::new(4))));
+        small.clear();
+        assert!(small.iter().next().is_none());
+        assert!(small.insert(ResourceId::Lock(LockId::new(4))));
+        assert_eq!(small.as_slice(), [ResourceId::Lock(LockId::new(4))]);
     }
 
     #[test]

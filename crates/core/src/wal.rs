@@ -17,6 +17,7 @@ use crate::ids::{Lsn, SubThreadId};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
 
 /// One log record: an operation performed on behalf of a sub-thread.
 #[derive(Debug, Clone)]
@@ -31,26 +32,58 @@ pub struct WalRecord<Op> {
     checksum: u64,
 }
 
-impl<Op: Debug> WalRecord<Op> {
-    /// The integrity checksum of a record with the given fields. Public so
-    /// a runtime can compute it *off* its critical section (the `Debug`
-    /// serialization dominates append cost) and attach it later with
-    /// [`WriteAheadLog::seal`].
-    ///
-    /// The `Debug` rendering of `op` streams straight into the hasher —
-    /// no intermediate `String` — so an append costs no heap allocation.
-    pub fn checksum_of(lsn: Lsn, subthread: SubThreadId, op: &Op) -> u64 {
-        struct HashWriter<'a, H: Hasher>(&'a mut H);
-        impl<H: Hasher> std::fmt::Write for HashWriter<'_, H> {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                self.0.write(s.as_bytes());
-                Ok(())
-            }
+/// The integrity fold: one multiply-mix round per word the op hashes, so a
+/// record's checksum costs a few nanoseconds and is computed inline at
+/// append. It detects damage to a retained record (a flipped field, a
+/// record filed under the wrong LSN or sub-thread); it is not a defence
+/// against crafted collisions, which a log the process writes for itself
+/// does not face.
+struct Fold(u64);
+
+impl Fold {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(Self::MUL).rotate_left(29);
+    }
+}
+
+impl Hasher for Fold {
+    fn finish(&self) -> u64 {
+        // Final avalanche, so the low-entropy last word reaches every bit.
+        let h = self.0;
+        (h ^ (h >> 32)).wrapping_mul(Self::MUL)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
         }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        lsn.raw().hash(&mut h);
-        subthread.raw().hash(&mut h);
-        let _ = std::fmt::Write::write_fmt(&mut HashWriter(&mut h), format_args!("{op:?}"));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+}
+
+impl<Op: Hash> WalRecord<Op> {
+    /// The integrity checksum of a record with the given fields: a fold
+    /// over `(lsn, subthread, op)` through `Op`'s [`Hash`] — no formatting,
+    /// no heap allocation.
+    pub fn checksum_of(lsn: Lsn, subthread: SubThreadId, op: &Op) -> u64 {
+        let mut h = Fold(Fold::SEED);
+        h.word(lsn.raw());
+        h.word(subthread.raw());
+        op.hash(&mut h);
         h.finish()
     }
 
@@ -67,7 +100,7 @@ impl<Op: Debug> WalRecord<Op> {
 /// use gprs_core::wal::WriteAheadLog;
 /// use gprs_core::ids::SubThreadId;
 ///
-/// #[derive(Debug, Clone, PartialEq)]
+/// #[derive(Debug, Clone, PartialEq, Hash)]
 /// enum Op { Enqueue(u32), Dequeue(u32) }
 ///
 /// let mut wal = WriteAheadLog::new();
@@ -87,7 +120,7 @@ pub struct WriteAheadLog<Op> {
     pruned: u64,
 }
 
-impl<Op: Clone + Debug + Send> WriteAheadLog<Op> {
+impl<Op: Clone + Debug + Hash + Send> WriteAheadLog<Op> {
     /// Creates an empty log.
     pub fn new() -> Self {
         WriteAheadLog {
@@ -115,43 +148,6 @@ impl<Op: Clone + Debug + Send> WriteAheadLog<Op> {
         self.next_lsn = self.next_lsn.next();
         self.appended += 1;
         lsn
-    }
-
-    /// Appends an operation *without* computing its checksum (stored as 0,
-    /// an unsealed sentinel). The caller computes
-    /// [`WalRecord::checksum_of`] off the critical section — the `Debug`
-    /// formatting is the expensive part of an append — and attaches it with
-    /// [`WriteAheadLog::seal`] before the record can be verified.
-    ///
-    /// The write-ahead discipline is unchanged: the record (LSN, sub-thread,
-    /// op) is durable immediately; only the integrity hash arrives late.
-    pub fn append_deferred(&mut self, subthread: SubThreadId, op: Op) -> Lsn {
-        let lsn = self.next_lsn;
-        self.records.push_back(WalRecord {
-            lsn,
-            subthread,
-            op,
-            checksum: 0,
-        });
-        self.next_lsn = self.next_lsn.next();
-        self.appended += 1;
-        lsn
-    }
-
-    /// Attaches the checksum computed off the critical section to a record
-    /// appended with [`WriteAheadLog::append_deferred`]. Returns `false`
-    /// when the record was already pruned or undone — a sealed-too-late
-    /// no-op, not an error (its content was consumed or discarded whole).
-    pub fn seal(&mut self, lsn: Lsn, checksum: u64) -> bool {
-        // Records are kept in LSN order (append order, prunes preserve it),
-        // so a binary search finds the slot without a scan.
-        match self.records.binary_search_by_key(&lsn.raw(), |r| r.lsn.raw()) {
-            Ok(ix) => {
-                self.records[ix].checksum = checksum;
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// Iterates, newest-first, over the records of the squashed sub-threads —
@@ -194,13 +190,15 @@ impl<Op: Clone + Debug + Send> WriteAheadLog<Op> {
         removed
     }
 
-    /// Prunes the records of a whole batch of retired sub-threads in one
+    /// Prunes the records of a whole run of retired sub-threads in one
     /// pass — batched retirement's amortization of the per-sub-thread
-    /// `retain` scan. Returns the number of records removed.
-    pub fn prune_retired_batch(&mut self, retired: &BTreeSet<SubThreadId>) -> u64 {
-        if retired.is_empty() {
-            return 0;
-        }
+    /// `retain` scan. The run is given as the id range of the retiring ROL
+    /// prefix: retirement pops a contiguous prefix of the reorder list and
+    /// every other id inside that range already left the log (squashed ids
+    /// had their records taken for undo), so range membership equals
+    /// membership in the retiring set. Returns the number of records
+    /// removed.
+    pub fn prune_retired_batch(&mut self, retired: RangeInclusive<SubThreadId>) -> u64 {
         let before = self.records.len();
         self.records.retain(|r| !retired.contains(&r.subthread));
         let removed = (before - self.records.len()) as u64;
@@ -271,7 +269,7 @@ impl<Op: Clone + Debug + Send> WriteAheadLog<Op> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     enum TestOp {
         Push(u32),
         Pop(u32),
@@ -346,33 +344,29 @@ mod tests {
     }
 
     #[test]
-    fn deferred_append_seals_later() {
-        let mut wal = WriteAheadLog::new();
-        let lsn = wal.append_deferred(SubThreadId::new(0), TestOp::Push(1));
-        assert!(!wal.iter().next().unwrap().is_intact(), "unsealed");
-        let sum = WalRecord::checksum_of(lsn, SubThreadId::new(0), &TestOp::Push(1));
-        assert!(wal.seal(lsn, sum));
-        assert!(wal.iter().next().unwrap().is_intact());
-        wal.verify().unwrap();
+    fn checksum_covers_lsn_subthread_variant_and_field() {
+        let sum = |lsn: u64, st: u64, op: &TestOp| {
+            WalRecord::checksum_of(Lsn::new(lsn), SubThreadId::new(st), op)
+        };
+        let base = sum(3, 5, &TestOp::Push(7));
+        assert_eq!(base, sum(3, 5, &TestOp::Push(7)), "a pure function of the fields");
+        assert_ne!(base, sum(4, 5, &TestOp::Push(7)), "lsn");
+        assert_ne!(base, sum(3, 6, &TestOp::Push(7)), "sub-thread");
+        assert_ne!(base, sum(3, 5, &TestOp::Pop(7)), "variant");
+        assert_ne!(base, sum(3, 5, &TestOp::Push(8)), "field");
+        // Swapping two fields' values is damage too.
+        assert_ne!(sum(3, 5, &TestOp::Push(7)), sum(5, 3, &TestOp::Push(7)));
     }
 
     #[test]
-    fn seal_after_prune_is_a_noop() {
-        let mut wal = WriteAheadLog::new();
-        let lsn = wal.append_deferred(SubThreadId::new(3), TestOp::Pop(2));
-        wal.prune_retired(SubThreadId::new(3));
-        assert!(!wal.seal(lsn, 42));
-    }
-
-    #[test]
-    fn seal_finds_records_after_interior_prunes() {
+    fn a_record_moved_to_another_slot_fails_verification() {
+        // The checksum binds the op to its LSN and sub-thread: the same op
+        // appended twice gets two different checksums.
         let mut wal = WriteAheadLog::new();
         wal.append(SubThreadId::new(0), TestOp::Push(1));
-        let lsn = wal.append_deferred(SubThreadId::new(1), TestOp::Push(2));
-        wal.append(SubThreadId::new(0), TestOp::Push(3));
-        wal.prune_retired(SubThreadId::new(0));
-        let sum = WalRecord::checksum_of(lsn, SubThreadId::new(1), &TestOp::Push(2));
-        assert!(wal.seal(lsn, sum));
+        wal.append(SubThreadId::new(0), TestOp::Push(1));
+        let sums: Vec<u64> = wal.iter().map(|r| r.checksum).collect();
+        assert_ne!(sums[0], sums[1]);
         wal.verify().unwrap();
     }
 
@@ -384,12 +378,12 @@ mod tests {
             a.append(SubThreadId::new(i % 5), TestOp::Push(i as u32));
             b.append(SubThreadId::new(i % 5), TestOp::Push(i as u32));
         }
-        let removed_a = a.prune_retired(SubThreadId::new(1)) + a.prune_retired(SubThreadId::new(3));
-        let removed_b = b.prune_retired_batch(&set(&[1, 3]));
+        let removed_a = (1..=3).map(|i| a.prune_retired(SubThreadId::new(i))).sum::<u64>();
+        let removed_b = b.prune_retired_batch(SubThreadId::new(1)..=SubThreadId::new(3));
         assert_eq!(removed_a, removed_b);
         assert_eq!(a.pruned(), b.pruned());
         assert!(a.iter().zip(b.iter()).all(|(x, y)| x.lsn == y.lsn));
-        assert_eq!(b.prune_retired_batch(&BTreeSet::new()), 0);
+        assert_eq!(b.prune_retired_batch(SubThreadId::new(7)..=SubThreadId::new(9)), 0);
     }
 
     #[test]

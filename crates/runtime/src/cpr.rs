@@ -647,7 +647,7 @@ impl CprInner {
         let mut inputs = BTreeMap::new();
         let mut states = BTreeMap::new();
         for (&tid, t) in &self.threads {
-            programs.insert(tid, t.program.as_ref().expect("quiesced").save());
+            programs.insert(tid, t.program.as_ref().expect("quiesced").save_into(None));
             wants.insert(tid, t.pending.as_ref().map(CprWant::snapshot));
             inputs.insert(
                 tid,

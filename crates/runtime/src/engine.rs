@@ -20,8 +20,7 @@ use crate::report::RunStats;
 use gprs_core::chaos::{ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
 use gprs_core::exception::{Exception, ExceptionScope};
 use gprs_core::ids::{
-    AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, Lsn, ResourceId, SubThreadId,
-    ThreadId,
+    AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, ResourceId, SubThreadId, ThreadId,
 };
 use gprs_core::order::{OrderEnforcer, OrderGate, ScheduleKind};
 use gprs_core::persist::{merkle_root, CheckpointMeta, DurableRecord, PersistBackend, CHUNK_SIZE};
@@ -33,7 +32,8 @@ use gprs_telemetry::{
     spsc, RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TraceEvent,
 };
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -177,6 +177,9 @@ pub(crate) struct ThreadRec {
     pub final_st: Option<SubThreadId>,
     /// The parent continuation sub-thread that spawned this thread.
     pub spawned_by: Option<SubThreadId>,
+    /// A retired sub-thread's checkpoint box, kept for this thread's next
+    /// grant to overwrite (see [`HistoryStore::prune_retired_batch`]).
+    pub spare_snap: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl std::fmt::Debug for ThreadRec {
@@ -256,13 +259,24 @@ impl std::fmt::Debug for HistoryStore {
 }
 
 impl HistoryStore {
-    /// Drops every snapshot belonging to a batch of retired sub-threads in
-    /// one retain pass per store (vs. one pass per sub-thread).
-    pub fn prune_retired_batch(&mut self, retired: &BTreeSet<SubThreadId>) {
-        if retired.is_empty() {
-            return;
+    /// Drops every snapshot belonging to a retiring run of sub-threads —
+    /// given as the id range of the ROL prefix being retired, see
+    /// [`WriteAheadLog::prune_retired_batch`] — in one pass per store. A
+    /// pruned thread checkpoint's box goes back to its thread, whose next
+    /// grant overwrites it in place instead of allocating a new one.
+    pub fn prune_retired_batch(
+        &mut self,
+        retired: RangeInclusive<SubThreadId>,
+        threads: &mut BTreeMap<ThreadId, ThreadRec>,
+    ) {
+        for (_, _, thread, snap) in self
+            .thread_snaps
+            .extract_if(.., |(_, s, _, _)| retired.contains(s))
+        {
+            if let Some(rec) = threads.get_mut(&thread) {
+                rec.spare_snap = Some(snap);
+            }
         }
-        self.thread_snaps.retain(|(_, s, _, _)| !retired.contains(s));
         self.lock_snaps.retain(|(_, s, _, _)| !retired.contains(s));
         self.block_snaps.retain(|(_, s, _, _)| !retired.contains(s));
     }
@@ -294,9 +308,9 @@ pub(crate) struct StepTask {
     /// meaningful when `lock_out` is set). Reserved *before* `snap_seq` so
     /// undo order matches the old under-lock capture order.
     pub lock_snap_seq: u64,
-    /// A deferred WAL record to checksum off-lock: the reserved LSN plus a
-    /// copy of the logged operation.
-    pub seal: Option<(Lsn, RtOp)>,
+    /// The thread's recycled checkpoint box, if it has one (see
+    /// [`ThreadRec::spare_snap`]).
+    pub spare_snap: Option<Box<dyn std::any::Any + Send>>,
 }
 
 /// State captured by a worker outside the engine lock, handed back through
@@ -320,8 +334,6 @@ pub(crate) enum HandOff {
         lock: LockId,
         snap: Box<dyn Recoverable>,
     },
-    /// The checksum for a WAL record appended with a deferred checksum.
-    Seal { lsn: Lsn, checksum: u64 },
 }
 
 /// Everything behind the runtime mutex.
@@ -375,8 +387,8 @@ pub(crate) struct Inner {
     /// Plain accesses recorded by running bodies, per sub-thread in program
     /// order (consumed by the detector at retirement).
     pub plain_accesses: BTreeMap<SubThreadId, Vec<(ResourceId, AccessKind)>>,
-    /// Recycled access vectors for `plain_accesses` (bounded pool; misses
-    /// count as `hot_path_allocs`).
+    /// Recycled access vectors for `plain_accesses` (bounded pool; its
+    /// misses are what `hot_path_allocs` counts).
     pub access_pool: Vec<Vec<(ResourceId, AccessKind)>>,
     /// Reusable batch buffer for [`Inner::retire_ready`].
     pub retire_scratch: Vec<RolEntry>,
@@ -443,8 +455,8 @@ pub(crate) struct VerifyState {
 /// Cursor state for a [`ChaosPlan`] being executed against this engine.
 ///
 /// Grant-keyed events fire under the engine lock right after the matching
-/// grant — while that grant's deferred-checksum WAL record is still
-/// unsealed, so `Newest` victims are hit mid-WAL-append and `Holder`
+/// grant — its WAL record appended, its checkpoint not yet captured — so
+/// `Newest` victims are hit between WAL append and step start and `Holder`
 /// victims inside critical sections. Recovery-keyed events fire from REX
 /// after the matching recovery session, before the pending queue drains —
 /// the injected exception is recovered in the same quiesced pass
@@ -713,6 +725,7 @@ impl Inner {
                 registered: true,
                 final_st: None,
                 spawned_by,
+                spare_snap: None,
             },
         );
         self.live += 1;
@@ -869,8 +882,8 @@ impl Inner {
 
     /// Fires any chaos events due at the current grant count. Runs under
     /// the engine lock immediately after a grant, so `Newest` resolves to
-    /// the sub-thread granted this very cycle (whose deferred-checksum WAL
-    /// record is still unsealed) and `Holder` to a live critical section.
+    /// the sub-thread granted this very cycle (whose checkpoint hand-off is
+    /// still in flight) and `Holder` to a live critical section.
     pub(crate) fn chaos_tick_grant(&mut self) {
         let Some(mut cs) = self.chaos.take() else {
             return;
@@ -1182,12 +1195,13 @@ impl Inner {
         let mut entries = std::mem::take(&mut self.retire_scratch);
         entries.clear();
         self.rol.retire_ready_into(&mut entries);
-        if !entries.is_empty() {
-            let mut batch: BTreeSet<SubThreadId> = BTreeSet::new();
+        if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+            // The batch is a contiguous ROL prefix, so its id range stands
+            // for it: every other id in the range already left the stores.
+            let batch = first.id()..=last.id();
             for entry in &entries {
                 let id = entry.id();
                 let thread = entry.thread();
-                batch.insert(id);
                 self.stats.retired += 1;
                 self.retired_hash
                     .record(thread.raw(), entry.descriptor.kind.tag());
@@ -1257,8 +1271,8 @@ impl Inner {
                     });
                 }
             }
-            let pruned = self.wal.prune_retired_batch(&batch);
-            self.hist.prune_retired_batch(&batch);
+            let pruned = self.wal.prune_retired_batch(batch.clone());
+            self.hist.prune_retired_batch(batch, &mut self.threads);
             if self.telemetry.enabled() {
                 self.telemetry.metrics.wal_prunes.add_serialized(pruned);
                 self.telemetry
@@ -1384,8 +1398,7 @@ impl Inner {
     }
 
     /// Folds one off-lock captured hand-off into the bookkeeping (see
-    /// [`HandOff`]). A seal for an already-pruned record is a benign no-op:
-    /// the sub-thread retired before its producer's next lock acquisition.
+    /// [`HandOff`]).
     pub(crate) fn apply_handoff(&mut self, h: HandOff) {
         match h {
             HandOff::ThreadSnap {
@@ -1400,18 +1413,6 @@ impl Inner {
                 lock,
                 snap,
             } => self.hist.lock_snaps.push((seq, stid, lock, snap)),
-            HandOff::Seal { lsn, checksum } => {
-                let _ = self.wal.seal(lsn, checksum);
-                if self.cfg.persist.is_some() {
-                    // Mirrored even when the in-memory seal no-op'd (the
-                    // record already retired): the loader tolerates a
-                    // dangling durable seal the same way.
-                    self.durable_record(&DurableRecord::Seal {
-                        lsn: lsn.raw(),
-                        checksum,
-                    });
-                }
-            }
         }
     }
 
@@ -1475,27 +1476,6 @@ impl Inner {
         }
         self.wal.append(stid, op);
         self.trace_wal_append(worker, stid);
-    }
-
-    /// Appends a WAL record with a deferred checksum (the expensive part of
-    /// record construction), returning the reserved LSN plus a copy of the
-    /// operation so the granted worker can compute and hand back the
-    /// checksum outside the lock. Used only on the hot grant arms.
-    fn wal_append_deferred(&mut self, worker: usize, stid: SubThreadId, op: RtOp) -> (Lsn, RtOp) {
-        let lsn = self.wal.append_deferred(stid, op.clone());
-        if self.cfg.persist.is_some() {
-            // Deferred checksum durably too: checksum 0 now, the matching
-            // `Seal` record carries the late hash.
-            let text = format!("{op:?}");
-            self.durable_record(&DurableRecord::Append {
-                lsn: lsn.raw(),
-                subthread: stid.raw(),
-                checksum: 0,
-                op: text,
-            });
-        }
-        self.trace_wal_append(worker, stid);
-        (lsn, op)
     }
 
     /// Mirrors one record into the durable backend; a persistence failure
@@ -1823,6 +1803,7 @@ impl Inner {
                         registered: true,
                         final_st: None,
                         spawned_by: Some(stid),
+                        spare_snap: None,
                     },
                 );
                 self.enforcer
@@ -1851,7 +1832,7 @@ impl Inner {
                     self.redo_locks.pop_front();
                 }
                 let lock = m.id();
-                let seal = self.wal_append_deferred(worker, stid, RtOp::LockAcquire { lock });
+                self.wal_append(worker, stid, RtOp::LockAcquire { lock });
                 let l = self.locks.get_mut(&lock).expect("registered lock");
                 l.holder = Some(stid);
                 let data = l.data.take().expect("lock data present when free");
@@ -1880,13 +1861,12 @@ impl Inner {
                     Some((lock, data)),
                 );
                 task.lock_snap_seq = lock_snap_seq;
-                task.seal = Some(seal);
                 Some(task)
             }
             Step::Push(c, value) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
                 let chan = c.id();
-                let seal = self.wal_append_deferred(worker, stid, RtOp::Push {
+                self.wal_append(worker, stid, RtOp::Push {
                     chan,
                     item: value.clone(),
                 });
@@ -1908,10 +1888,7 @@ impl Inner {
                     OpeningWant::Push(chan, value),
                     worker,
                 );
-                let mut task =
-                    self.make_task(holder, stid, snap_seq, None, None, None, None, None);
-                task.seal = Some(seal);
-                Some(task)
+                Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
             }
             Step::Pop(c) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1921,7 +1898,7 @@ impl Inner {
                     .get_mut(&chan)
                     .and_then(|ch| ch.items.pop_front())
                     .expect("grantability checked non-empty");
-                let seal = self.wal_append_deferred(
+                self.wal_append(
                     worker,
                     stid,
                     RtOp::Pop {
@@ -1946,10 +1923,7 @@ impl Inner {
                     OpeningWant::Pop(chan),
                     worker,
                 );
-                let mut task =
-                    self.make_task(holder, stid, snap_seq, Some(item), None, None, None, None);
-                task.seal = Some(seal);
-                Some(task)
+                Some(self.make_task(holder, stid, snap_seq, Some(item), None, None, None, None))
             }
             Step::FetchAdd(a, delta) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1959,7 +1933,7 @@ impl Inner {
                 let slot = self.atomics.get_mut(&a).expect("registered atomic");
                 let old = *slot;
                 *slot = old.wrapping_add(delta);
-                let seal = self.wal_append_deferred(worker, stid, RtOp::FetchAdd { atomic: a, old });
+                self.wal_append(worker, stid, RtOp::FetchAdd { atomic: a, old });
                 let snap_seq = self.open_subthread(
                     stid,
                     holder,
@@ -1968,10 +1942,7 @@ impl Inner {
                     OpeningWant::FetchAdd(a, delta),
                     worker,
                 );
-                let mut task =
-                    self.make_task(holder, stid, snap_seq, None, Some(old), None, None, None);
-                task.seal = Some(seal);
-                Some(task)
+                Some(self.make_task(holder, stid, snap_seq, None, Some(old), None, None, None))
             }
             Step::Spawn(SpawnSpec {
                 program,
@@ -2174,6 +2145,7 @@ impl Inner {
     ) -> StepTask {
         let rec = self.threads.get_mut(&thread).expect("thread exists");
         let program = rec.program.take().expect("program present at grant");
+        let spare_snap = rec.spare_snap.take();
         StepTask {
             thread,
             stid,
@@ -2185,7 +2157,7 @@ impl Inner {
             lock_out,
             snap_seq,
             lock_snap_seq: 0,
-            seal: None,
+            spare_snap,
         }
     }
 
@@ -2827,12 +2799,12 @@ pub(crate) fn coop_decide(
 }
 
 /// Runs one granted step outside the engine lock. Before the step, the
-/// off-critical-section state capture happens here: the thread checkpoint,
-/// the critical section's lock snapshot, and the deferred WAL checksum are
-/// produced without the lock and handed back through this worker's SPSC
-/// buffer (drained at its next seek). Nothing touches the program or the
-/// checked-out lock data between grant and this point, so the snapshots are
-/// bit-identical to ones taken under the lock.
+/// off-critical-section state capture happens here: the thread checkpoint
+/// and the critical section's lock snapshot are produced without the lock
+/// and handed back through this worker's SPSC buffer (drained at its next
+/// seek). Nothing touches the program or the checked-out lock data between
+/// grant and this point, so the snapshots are bit-identical to ones taken
+/// under the lock.
 pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask) -> StepOutcome {
     let StepTask {
         thread,
@@ -2845,7 +2817,7 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
         lock_out,
         snap_seq,
         lock_snap_seq,
-        seal,
+        spare_snap,
     } = task;
     publish_handoff(
         shared,
@@ -2854,7 +2826,7 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
             seq: snap_seq,
             stid,
             thread,
-            snap: program.save(),
+            snap: program.save_into(spare_snap),
         },
     );
     if let Some((lock, data)) = &lock_out {
@@ -2868,10 +2840,6 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
                 snap: data.clone_box(),
             },
         );
-    }
-    if let Some((lsn, op)) = seal {
-        let checksum = WalRecord::checksum_of(lsn, stid, &op);
-        publish_handoff(shared, worker_ix, HandOff::Seal { lsn, checksum });
     }
     let mut ctx = StepCtx::new(
         crate::ctx::CtxBackend::Gprs(shared.clone()),
@@ -2915,7 +2883,7 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
 
 /// Pushes one hand-off into the worker's SPSC buffer, falling back to a
 /// locked apply if the buffer is full (cannot happen at the sized capacity —
-/// at most three entries exist per in-flight task — but stay correct).
+/// at most two entries exist per in-flight task — but stay correct).
 fn publish_handoff(shared: &SharedRef, worker_ix: usize, h: HandOff) {
     if let Err(h) = shared.handoffs[worker_ix].push(h) {
         shared.inner.lock().apply_handoff(h);

@@ -10,6 +10,7 @@
 use crate::program::Payload;
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, LockId, SubThreadId, ThreadId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// One undoable runtime operation.
 #[derive(Clone)]
@@ -67,5 +68,154 @@ impl fmt::Debug for RtOp {
             RtOp::Alloc { block } => write!(f, "Alloc(#{block})"),
             RtOp::Free { block, data } => write!(f, "Free(#{block}, {} bytes)", data.len()),
         }
+    }
+}
+
+/// What the WAL's integrity checksum covers: the variant and the fields
+/// the `Debug` rendering above shows (the durable log's `append` lines
+/// carry that rendering next to the checksum). A payload is an opaque
+/// shared pointer and a freed block is covered by its length, as there.
+impl Hash for RtOp {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            RtOp::Push { chan, item: _ } => chan.hash(h),
+            RtOp::Pop {
+                chan,
+                item: _,
+                producer,
+            } => (chan, producer).hash(h),
+            RtOp::FetchAdd { atomic, old } | RtOp::PlainStore { atomic, old } => {
+                (atomic, old).hash(h)
+            }
+            RtOp::LockAcquire { lock } => lock.hash(h),
+            RtOp::LockRelease { lock, holder } => (lock, holder).hash(h),
+            RtOp::BarrierArrive { barrier, thread } => (barrier, thread).hash(h),
+            RtOp::SpawnChild { child: thread } | RtOp::ThreadExit { thread } => thread.hash(h),
+            RtOp::Alloc { block } => block.hash(h),
+            RtOp::Free { block, data } => (block, data.len()).hash(h),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gprs_core::ids::Lsn;
+    use gprs_core::wal::{WalRecord, WriteAheadLog};
+    use std::sync::Arc;
+
+    fn sum(lsn: u64, st: u64, op: &RtOp) -> u64 {
+        WalRecord::checksum_of(Lsn::new(lsn), SubThreadId::new(st), op)
+    }
+
+    /// Every variant twice: a base value, then one value per field with
+    /// only that field changed.
+    fn variants() -> Vec<(RtOp, Vec<RtOp>)> {
+        let item: Payload = Arc::new(0u8);
+        let (c, a, l, b, t, s) = (
+            ChannelId::new,
+            AtomicId::new,
+            LockId::new,
+            BarrierId::new,
+            ThreadId::new,
+            SubThreadId::new,
+        );
+        let push = |chan| RtOp::Push {
+            chan,
+            item: item.clone(),
+        };
+        let pop = |chan, producer| RtOp::Pop {
+            chan,
+            item: item.clone(),
+            producer,
+        };
+        vec![
+            (push(c(1)), vec![push(c(2))]),
+            (
+                pop(c(1), Some(s(4))),
+                vec![pop(c(2), Some(s(4))), pop(c(1), Some(s(5))), pop(c(1), None)],
+            ),
+            (
+                RtOp::FetchAdd { atomic: a(1), old: 7 },
+                vec![
+                    RtOp::FetchAdd { atomic: a(2), old: 7 },
+                    RtOp::FetchAdd { atomic: a(1), old: 8 },
+                ],
+            ),
+            (
+                RtOp::PlainStore { atomic: a(1), old: 7 },
+                vec![
+                    RtOp::PlainStore { atomic: a(2), old: 7 },
+                    RtOp::PlainStore { atomic: a(1), old: 8 },
+                ],
+            ),
+            (
+                RtOp::LockAcquire { lock: l(1) },
+                vec![RtOp::LockAcquire { lock: l(2) }],
+            ),
+            (
+                RtOp::LockRelease { lock: l(1), holder: s(3) },
+                vec![
+                    RtOp::LockRelease { lock: l(2), holder: s(3) },
+                    RtOp::LockRelease { lock: l(1), holder: s(4) },
+                ],
+            ),
+            (
+                RtOp::BarrierArrive { barrier: b(1), thread: t(2) },
+                vec![
+                    RtOp::BarrierArrive { barrier: b(2), thread: t(2) },
+                    RtOp::BarrierArrive { barrier: b(1), thread: t(3) },
+                ],
+            ),
+            (
+                RtOp::SpawnChild { child: t(1) },
+                vec![RtOp::SpawnChild { child: t(2) }],
+            ),
+            (
+                RtOp::ThreadExit { thread: t(1) },
+                vec![RtOp::ThreadExit { thread: t(2) }],
+            ),
+            (RtOp::Alloc { block: 1 }, vec![RtOp::Alloc { block: 2 }]),
+            (
+                RtOp::Free { block: 1, data: vec![0; 4] },
+                vec![
+                    RtOp::Free { block: 2, data: vec![0; 4] },
+                    RtOp::Free { block: 1, data: vec![0; 5] },
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn checksum_moves_with_lsn_subthread_variant_and_every_field() {
+        let all = variants();
+        for (base, changed) in &all {
+            let want = sum(3, 5, base);
+            assert_eq!(want, sum(3, 5, &base.clone()), "{base:?}: pure function");
+            assert_ne!(want, sum(4, 5, base), "{base:?}: lsn");
+            assert_ne!(want, sum(3, 6, base), "{base:?}: sub-thread");
+            for other in changed {
+                assert_ne!(want, sum(3, 5, other), "{base:?} vs {other:?}");
+            }
+        }
+        // Variants whose fields coincide still differ by the variant.
+        let sums: std::collections::BTreeSet<u64> =
+            all.iter().map(|(base, _)| sum(3, 5, base)).collect();
+        assert_eq!(sums.len(), all.len(), "one checksum per variant");
+    }
+
+    #[test]
+    fn a_damaged_record_is_named_by_verify() {
+        let mut wal = WriteAheadLog::new();
+        for (i, (op, _)) in variants().into_iter().enumerate() {
+            wal.append(SubThreadId::new(i as u64), op);
+        }
+        wal.verify().expect("fresh records are intact");
+        assert!(wal.corrupt_for_testing(Lsn::new(6)));
+        assert_eq!(
+            wal.verify(),
+            Err(gprs_core::error::GprsError::WalCorruption { lsn: Lsn::new(6) })
+        );
     }
 }

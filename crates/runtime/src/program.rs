@@ -174,7 +174,10 @@ where
 /// Object-safe erasure of [`ThreadProgram`] + [`Checkpoint`].
 pub(crate) trait DynThread: Send {
     fn step(&mut self, ctx: &mut crate::ctx::StepCtx<'_>) -> Step;
-    fn save(&self) -> Box<dyn Any + Send>;
+    /// Checkpoints the program. `spare` is a retired sub-thread's snapshot
+    /// box of this same program, overwritten in place when present — the
+    /// steady state, so a grant's checkpoint allocates no box.
+    fn save_into(&self, spare: Option<Box<dyn Any + Send>>) -> Box<dyn Any + Send>;
     fn restore_from(&mut self, snap: &(dyn Any + Send));
 }
 
@@ -187,8 +190,14 @@ where
         ThreadProgram::step(self, ctx)
     }
 
-    fn save(&self) -> Box<dyn Any + Send> {
-        Box::new(self.checkpoint())
+    fn save_into(&self, spare: Option<Box<dyn Any + Send>>) -> Box<dyn Any + Send> {
+        match spare.map(|b| b.downcast::<P::Snapshot>()) {
+            Some(Ok(mut snap)) => {
+                self.checkpoint_into(&mut snap);
+                snap
+            }
+            _ => Box::new(self.checkpoint()),
+        }
     }
 
     fn restore_from(&mut self, snap: &(dyn Any + Send)) {

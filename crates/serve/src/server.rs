@@ -53,9 +53,22 @@ fn parse_submit(args: &[&str]) -> Result<JobSpec, String> {
     JobSpec::parse_args(args)
 }
 
+/// Sends the response built in `out` as one write and empties it.
+fn send(output: &mut impl Write, out: &mut String) -> std::io::Result<()> {
+    output.write_all(out.as_bytes())?;
+    output.flush()?;
+    out.clear();
+    Ok(())
+}
+
 /// Runs one client session: reads requests from `input` line by line,
 /// writes one JSON response line per request to `output`. Returns `true`
 /// if the client requested a server-wide shutdown.
+///
+/// Every response goes out as **one** write, newline included. A line
+/// split into two small writes meets Nagle's algorithm on the second and
+/// the peer's delayed ACK on the first: ~40 ms per round trip for any
+/// client that does not ask for quick ACKs.
 ///
 /// Malformed input never kills the connection: a line that is not valid
 /// UTF-8 is decoded lossily and answered (like any other unparseable
@@ -77,6 +90,8 @@ pub fn serve_session(
     let mut reaped: Vec<u64> = Vec::new();
     let mut shutdown = false;
     let mut buf = Vec::new();
+    // The bytes of the response being built.
+    let mut out = String::new();
     loop {
         buf.clear();
         if input.read_until(b'\n', &mut buf)? == 0 {
@@ -106,8 +121,18 @@ pub fn serve_session(
                 let drained = pending.len() as u64;
                 for ticket in pending.drain(..) {
                     reaped.push(ticket.id());
-                    let outcome = ticket.wait();
-                    writeln!(output, "{}", outcome.to_json())?;
+                    let outcome = match ticket.try_wait() {
+                        Some(outcome) => outcome,
+                        None => {
+                            // About to block: send the reports already
+                            // gathered, so they keep streaming behind a
+                            // long job; finished jobs share one write.
+                            send(&mut output, &mut out)?;
+                            ticket.wait()
+                        }
+                    };
+                    out.push_str(&outcome.to_json());
+                    out.push('\n');
                 }
                 ok_line(&[("drained", drained)])
             }
@@ -140,8 +165,9 @@ pub fn serve_session(
             ["quit"] => break,
             [cmd, ..] => err_line(&format!("unknown command {cmd:?}")),
         };
-        writeln!(output, "{response}")?;
-        output.flush()?;
+        out.push_str(&response);
+        out.push('\n');
+        send(&mut output, &mut out)?;
         if shutdown {
             break;
         }
@@ -204,6 +230,10 @@ impl Server {
             let handle = self.pool.handle();
             let stop = self.stop.clone();
             let addr = self.local_addr();
+            // Responses are whole lines in single writes; nothing is gained
+            // by the kernel holding one back to coalesce it. Best effort:
+            // a socket that refuses the option is merely slower.
+            let _ = stream.set_nodelay(true);
             sessions.push(std::thread::spawn(move || {
                 let reader = BufReader::new(stream.try_clone().expect("clone stream"));
                 match serve_session(&handle, reader, stream) {

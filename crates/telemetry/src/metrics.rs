@@ -227,8 +227,11 @@ pub struct Metrics {
     /// Wakeups after which the woken thread found nothing to do and went
     /// back to sleep (thundering-herd / shard-collision waste).
     pub wakeups_spurious: Counter,
-    /// Fresh heap allocations on pooled hot paths (access vectors, WAL
-    /// buffers) — pool misses; steady state should hold this constant.
+    /// Misses of the race detector's access-vector pool (a fresh `Vec` for
+    /// a sub-thread's plain accesses); 0 whenever racecheck is off. It
+    /// does **not** count the grant path's allocations — those are
+    /// counted for real, by a `#[global_allocator]`, in
+    /// `tests/alloc_budget.rs`.
     pub hot_path_allocs: Counter,
     /// Durable WAL segments sealed (fsync'd and closed) by the
     /// persistence backend.

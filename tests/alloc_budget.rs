@@ -1,0 +1,277 @@
+//! The grant → checkpoint → deposit → retire cycle's heap-allocation
+//! budget, counted by a `#[global_allocator]` rather than claimed by a
+//! counter the engine increments itself.
+//!
+//! Each program is run at `N` and at `2N` rounds; set-up (builder, worker
+//! threads, telemetry rings, report) allocates the same in both, so the
+//! difference is what `N` more rounds cost. One `#[test]` holds every
+//! measurement: the allocator counts the whole process, and a second test
+//! running beside it would be counted too.
+
+use gprs_runtime::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, with the caller's `new_size` obligations.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const THREADS: usize = 8;
+const WORKERS: usize = 2;
+
+/// One logical thread fetch-adding its own atomic `rounds` times (the
+/// `chain` workload of gprsbench and perfsuite).
+struct Chain {
+    atomic: AtomicHandle,
+    rounds: u32,
+    done: u32,
+}
+
+/// `rounds` critical sections on one shared counter.
+struct Locker {
+    mutex: MutexHandle<u64>,
+    rounds: u32,
+    done: u32,
+    holding: bool,
+}
+
+/// Pushes `rounds` values, then exits.
+struct Producer {
+    chan: ChannelHandle<u32>,
+    rounds: u32,
+    done: u32,
+}
+
+/// Pops `rounds` values, then exits with their sum.
+struct Consumer {
+    chan: ChannelHandle<u32>,
+    rounds: u32,
+    done: u32,
+    sum: u64,
+    popping: bool,
+}
+
+macro_rules! checkpoint_field {
+    ($ty:ty, $field:ident : $snap:ty) => {
+        impl Checkpoint for $ty {
+            type Snapshot = $snap;
+            fn checkpoint(&self) -> $snap {
+                self.$field
+            }
+            fn restore(&mut self, s: &$snap) {
+                self.$field = *s;
+            }
+        }
+    };
+}
+checkpoint_field!(Chain, done: u32);
+checkpoint_field!(Producer, done: u32);
+
+impl Checkpoint for Locker {
+    type Snapshot = (u32, bool);
+    fn checkpoint(&self) -> (u32, bool) {
+        (self.done, self.holding)
+    }
+    fn restore(&mut self, s: &(u32, bool)) {
+        (self.done, self.holding) = *s;
+    }
+}
+
+impl Checkpoint for Consumer {
+    type Snapshot = (u32, u64, bool);
+    fn checkpoint(&self) -> (u32, u64, bool) {
+        (self.done, self.sum, self.popping)
+    }
+    fn restore(&mut self, s: &(u32, u64, bool)) {
+        (self.done, self.sum, self.popping) = *s;
+    }
+}
+
+impl ThreadProgram for Chain {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+        if self.done == self.rounds {
+            return Step::exit_unit();
+        }
+        self.done += 1;
+        self.atomic.fetch_add(1)
+    }
+}
+
+impl ThreadProgram for Locker {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.holding {
+            ctx.with_lock(&self.mutex, |n| *n += 1);
+            self.holding = false;
+        }
+        if self.done == self.rounds {
+            return Step::exit_unit();
+        }
+        self.done += 1;
+        self.holding = true;
+        self.mutex.lock()
+    }
+}
+
+impl ThreadProgram for Producer {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+        if self.done == self.rounds {
+            return Step::exit_unit();
+        }
+        self.done += 1;
+        self.chan.push(self.done)
+    }
+}
+
+impl ThreadProgram for Consumer {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.popping {
+            self.sum += u64::from(ctx.popped::<u32>());
+            self.popping = false;
+        }
+        if self.done == self.rounds {
+            return Step::exit(self.sum);
+        }
+        self.done += 1;
+        self.popping = true;
+        self.chan.pop()
+    }
+}
+
+/// Allocations made by building and running one program, and the
+/// sub-threads the run retired.
+fn measure(build: impl FnOnce(&mut GprsBuilder)) -> (u64, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut b = GprsBuilder::new().workers(WORKERS);
+    build(&mut b);
+    let report = b.build().run().expect("run completes");
+    let retired = report.telemetry.retired_count;
+    drop(report);
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, retired)
+}
+
+fn chains(rounds: u32) -> (u64, u64) {
+    measure(|b| {
+        for _ in 0..THREADS {
+            let atomic = b.atomic(0);
+            b.thread(
+                Chain {
+                    atomic,
+                    rounds,
+                    done: 0,
+                },
+                GroupId::new(0),
+                1,
+            );
+        }
+    })
+}
+
+fn lockers(rounds: u32) -> (u64, u64) {
+    measure(|b| {
+        let mutex = b.mutex(0u64);
+        for _ in 0..THREADS {
+            let locker = Locker {
+                mutex,
+                rounds,
+                done: 0,
+                holding: false,
+            };
+            b.thread(locker, GroupId::new(0), 1);
+        }
+    })
+}
+
+fn push_pop_pair(rounds: u32) -> (u64, u64) {
+    measure(|b| {
+        let chan = b.channel::<u32>();
+        b.thread(
+            Producer {
+                chan,
+                rounds,
+                done: 0,
+            },
+            GroupId::new(0),
+            1,
+        );
+        let consumer = Consumer {
+            chan,
+            rounds,
+            done: 0,
+            sum: 0,
+            popping: false,
+        };
+        b.thread(consumer, GroupId::new(1), 1);
+    })
+}
+
+/// What `N` more rounds cost: `(allocations, sub-threads)` of a `2N`-round
+/// run minus those of an `N`-round run, each side the fewest allocations
+/// of a few runs. Timing only ever adds allocations to a run (a worker
+/// preempted while its thread has two unretired sub-threads costs a second
+/// checkpoint box; a larger retirement batch than any before grows the
+/// batch buffer), so the fewest is what the cycle itself makes.
+fn marginal(run: fn(u32) -> (u64, u64), n: u32) -> (u64, u64) {
+    let fewest = |rounds| (0..5).map(|_| run(rounds)).min().expect("five runs");
+    let ((a1, r1), (a2, r2)) = (fewest(n), fewest(2 * n));
+    (a2.saturating_sub(a1), r2 - r1)
+}
+
+#[test]
+fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
+    const N: u32 = 2_000;
+    // Warm the process once (lazy statics, thread-local set-up).
+    let _ = chains(N);
+
+    // 8 fetch-add chains: the steady-state cycle allocates nothing — the
+    // checkpoint box is recycled, the ROL entry's alias set is inline, and
+    // retirement prunes by id range.
+    let (extra, subthreads) = marginal(chains, N);
+    assert_eq!(subthreads, u64::from(N) * THREADS as u64);
+    assert_eq!(
+        extra, 0,
+        "{subthreads} more chain sub-threads cost {extra} more allocations"
+    );
+
+    // A mutex critical section adds the box its undo snapshot of the
+    // protected value lives in (`Recoverable::clone_box`): measured 1.00
+    // allocations per sub-thread; budget 1.25.
+    let (extra, subthreads) = marginal(lockers, N);
+    assert_eq!(subthreads, u64::from(N) * THREADS as u64);
+    assert!(
+        extra * 4 <= subthreads * 5,
+        "{subthreads} more critical sections cost {extra} more allocations (budget 1.25 each)"
+    );
+
+    // A push/pop pair: the pushed value's `Arc` (1 per push, 0.5 per
+    // sub-thread), plus, whenever the push is still unretired when its
+    // item is popped, the dependence edge's list and map node. Measured
+    // 0.5 on one CPU and up to 0.95 on two; budget 1.5 per sub-thread.
+    let (extra, subthreads) = marginal(push_pop_pair, N);
+    assert_eq!(subthreads, 2 * u64::from(N));
+    assert!(
+        extra * 2 <= subthreads * 3,
+        "{subthreads} more push/pop sub-threads cost {extra} more allocations (budget 1.5 each)"
+    );
+}

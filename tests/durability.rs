@@ -125,6 +125,22 @@ fn completed_run_leaves_a_balanced_consistent_image() {
             "checkpoint digest matches the retire prefix it covers"
         );
     }
+    // The WAL checksum is computed inline at append, so every durable
+    // `append` line carries it and no `seal` line follows.
+    assert_eq!(image.seals, 0, "the engine emits no seal records");
+    let mut appends = 0u64;
+    for entry in std::fs::read_dir(dir.join("segments")).expect("segment dir") {
+        let text = std::fs::read_to_string(entry.expect("segment entry").path()).expect("segment");
+        for line in text.lines() {
+            if let Some(DurableRecord::Append { lsn, checksum, .. }) =
+                DurableRecord::decode_line(line)
+            {
+                assert_ne!(checksum, 0, "append of lsn {lsn} carries its checksum");
+                appends += 1;
+            }
+        }
+    }
+    assert_eq!(appends, image.appends, "every append line was inspected");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

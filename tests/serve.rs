@@ -347,6 +347,61 @@ fn socket_driver_streams_golden_identical_reports() {
     }
 }
 
+/// A plain `TcpStream` client — no `TCP_QUICKACK`, no `TCP_NODELAY` of its
+/// own — pays no delayed-ACK timer per round trip. A response split into
+/// two small writes (line, then newline) stalls on the second until the
+/// client's ~40 ms delayed ACK of the first: 20 submit/wait round trips
+/// then take ≥ 1.6 s (two stalls each), against a few milliseconds when
+/// every response is one write on a no-delay socket.
+#[test]
+fn a_plain_client_round_trip_costs_no_delayed_ack() {
+    use gprs_serve::server::Server;
+    const ROUND_TRIPS: u32 = 20;
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        PoolConfig {
+            workers: 2,
+            quantum: 16,
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let server_thread = std::thread::spawn(move || server.run().expect("server runs"));
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut line = String::new();
+    let mut exchange = |request: &str, responses: usize| {
+        stream.write_all(request.as_bytes()).expect("send request");
+        for _ in 0..responses {
+            line.clear();
+            reader.read_line(&mut line).expect("read response");
+            assert!(line.ends_with('\n'), "whole line: {line:?}");
+        }
+        line.clone()
+    };
+    // One untimed round trip absorbs the pool's first-job set-up.
+    exchange("submit fetchadd 1\n", 1);
+    exchange("wait\n", 2);
+    let t0 = std::time::Instant::now();
+    for i in 0..ROUND_TRIPS {
+        let ack = exchange(&format!("submit fetchadd {}\n", i + 2), 1);
+        assert!(ack.contains("\"ok\":true"), "{ack}");
+        // The report line and the summary line.
+        let summary = exchange("wait\n", 2);
+        assert!(summary.contains("\"drained\":1"), "{summary}");
+    }
+    let wall = t0.elapsed();
+    exchange("shutdown\n", 1);
+    server_thread.join().expect("server thread");
+    assert!(
+        wall < std::time::Duration::from_millis(u64::from(ROUND_TRIPS) * 40 / 2),
+        "{ROUND_TRIPS} submit/wait round trips took {wall:?}: a delayed-ACK stall per response"
+    );
+}
+
 /// Sharded jobs take the blocking drive path — no session, no quantum
 /// slicing — yet every report still matches the *unsharded* solo twin
 /// bit-for-bit and carries the per-domain ledger. Sharding a workload
