@@ -749,11 +749,12 @@ impl<T> EdgeQueue<T> {
     /// Whether a consumer waiting on this edge can never be satisfied:
     /// empty *and* closed.
     pub fn is_starved(&self) -> bool {
-        // Read `pushed` first: a racing close-after-push can only make
-        // this spuriously false (benign: the caller re-checks), never
-        // spuriously true.
-        let pushed = self.pushed.load(Ordering::Acquire);
-        self.is_closed() && self.popped.load(Ordering::Acquire) == pushed
+        // Read `closed` first: every push happens-before the close, so once
+        // the close is observed `pushed` is final. (Reading `pushed` first
+        // let a push-then-close slip in between and compare a stale count
+        // against `popped` — spuriously starved with tokens in flight.)
+        self.is_closed()
+            && self.popped.load(Ordering::Acquire) == self.pushed.load(Ordering::Acquire)
     }
 
     /// Tokens currently in flight (pushed, not yet popped).

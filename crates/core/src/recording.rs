@@ -780,6 +780,122 @@ impl OrderingPolicy for ReplaySchedule {
     }
 }
 
+/// Refusal for a run armed to both record and replay: its footer digests
+/// could never differ from the tape that drove it.
+pub const RECORD_AND_REPLAY: &str = "cannot record and replay in the same run";
+
+/// The verifying half of a replay, held by whichever engine follows the
+/// tape: a cursor that checks every turn-consuming event the live run
+/// performs against the recording, plus the run-level checks around it
+/// (drive mode, tape exhaustion, final digests). Every check returns the
+/// divergence message for the engine to fail with — never a panic.
+#[derive(Debug)]
+pub struct ReplayVerifier {
+    rec: Arc<Recording>,
+    verified: usize,
+}
+
+impl ReplayVerifier {
+    /// A verifier at the start of `rec`.
+    pub fn new(rec: Arc<Recording>) -> Self {
+        ReplayVerifier { rec, verified: 0 }
+    }
+
+    /// Events verified so far (the live run's event position).
+    pub fn verified(&self) -> usize {
+        self.verified
+    }
+
+    /// The ordering policy that makes the token follow this tape.
+    pub fn schedule(&self) -> ReplaySchedule {
+        ReplaySchedule::from_recording(&self.rec)
+    }
+
+    /// A recording replayed under another drive mode would verify
+    /// event-for-event yet reproduce none of the original context
+    /// interleaving: refused before the first grant.
+    pub fn check_mode(&self, mode: DriveMode) -> Option<String> {
+        (self.rec.header.mode != mode).then(|| {
+            format!(
+                "replay mode mismatch: recording was captured in {} mode \
+                 but this run drives in {mode} mode",
+                self.rec.header.mode
+            )
+        })
+    }
+
+    /// Checks the live run's next event against the tape and advances past
+    /// it on a match.
+    pub fn check_event(&mut self, thread: u32, kind: u8) -> Option<String> {
+        let pos = self.verified;
+        match self.rec.events.get(pos) {
+            Some(e) if e.thread == thread && e.kind == kind => {
+                self.verified += 1;
+                None
+            }
+            Some(e) => Some(format!(
+                "replay divergence at event {pos}: recording expects \
+                 (thread {}, {}) but the live run performed (thread {thread}, {})",
+                e.thread,
+                event_kind_name(e.kind),
+                event_kind_name(kind),
+            )),
+            None => Some(format!(
+                "replay divergence: live run performed event {pos} \
+                 (thread {thread}, {}) past the end of the {}-event recording",
+                event_kind_name(kind),
+                self.rec.events.len(),
+            )),
+        }
+    }
+
+    /// The terminal message when the tape has run out while `live` threads
+    /// remain: expected (and informative) for recordings of failed runs, a
+    /// divergence otherwise. `None` while events remain.
+    pub fn exhausted(&self, live: usize) -> Option<String> {
+        let n = self.verified;
+        if n < self.rec.events.len() {
+            return None;
+        }
+        Some(match &self.rec.outcome {
+            RecordedOutcome::Poisoned(orig) => format!(
+                "replay reached the end of a failed recording after {n} \
+                 events (original failure: {orig})"
+            ),
+            RecordedOutcome::Complete => format!(
+                "replay divergence: recording ended after {n} events but the \
+                 live run still has {live} live threads"
+            ),
+        })
+    }
+
+    /// Self-verification of a replay that ran to completion: it must have
+    /// consumed the whole tape and reproduced both footer digests.
+    pub fn check_final(&self, sched_hash: u64, retired_hash: u64) -> Option<String> {
+        let rec = &self.rec;
+        if self.verified != rec.events.len() {
+            return Some(format!(
+                "replay divergence: live run finished after {} events but \
+                 the recording has {}",
+                self.verified,
+                rec.events.len()
+            ));
+        }
+        for (which, live, recorded) in [
+            ("schedule", sched_hash, rec.sched_hash),
+            ("retired", retired_hash, rec.retired_hash),
+        ] {
+            if live != recorded {
+                return Some(format!(
+                    "replay self-verification failed: {which} hash {live:016x} \
+                     != recorded {recorded:016x}"
+                ));
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use crate::ops::RtOp;
 use crate::program::{DynThread, Payload, SpawnSpec, Step};
 use crate::report::RunStats;
 use gprs_core::chaos::{ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
-use gprs_core::exception::{Exception, ExceptionScope};
+use gprs_core::exception::{Exception, ExceptionKind, ExceptionScope};
 use gprs_core::ids::{
     AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, ResourceId, SubThreadId, ThreadId,
 };
@@ -425,21 +425,10 @@ pub(crate) struct Inner {
     pub recorder: Option<gprs_core::recording::Recorder>,
     /// Destination of the sealed recording.
     pub record_path: Option<std::path::PathBuf>,
-    /// Replay verifier state when this run re-executes a recording (armed
-    /// by `GprsBuilder::replay`); the enforcer's policy is a
+    /// Replay verifier when this run re-executes a recording (armed by
+    /// `GprsBuilder::replay`); the enforcer's policy is the verifier's
     /// [`gprs_core::recording::ReplaySchedule`] over the same event stream.
-    pub replay: Option<ReplayState>,
-}
-
-/// Replay verification: every turn-consuming event the live run performs is
-/// checked against the recorded stream at the same position; the first
-/// mismatch poisons the run with a named divergence (never silently, never
-/// by panicking).
-#[derive(Debug)]
-pub(crate) struct ReplayState {
-    pub rec: std::sync::Arc<gprs_core::recording::Recording>,
-    /// Events verified so far (the live run's event position).
-    pub verified: usize,
+    pub replay: Option<gprs_core::recording::ReplayVerifier>,
 }
 
 /// The durable retire prefix a resumed run re-verifies during replay:
@@ -613,11 +602,18 @@ impl Shared {
     }
 
     /// Broadcast to every waiter class — finish, poison, and
-    /// post-recovery, where any waiter may have become runnable.
+    /// post-recovery, where any waiter may have become runnable. Callers
+    /// hold the engine lock, so (as in [`Shared::wake_one_seeker`]) a class
+    /// with no sleepers is skipped outright: a session, whose single
+    /// context never parks, finishes without a single wake syscall.
     pub fn wake_all(&self) {
-        self.cv.notify_all();
-        for shard in &self.lock_shards {
-            shard.notify_all();
+        if self.cv_sleepers.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
+        }
+        for (shard, sleepers) in self.lock_shards.iter().zip(&self.shard_sleepers) {
+            if sleepers.load(Ordering::Relaxed) > 0 {
+                shard.notify_all();
+            }
         }
     }
 }
@@ -630,8 +626,9 @@ impl std::fmt::Debug for Shared {
 
 pub(crate) type SharedRef = Arc<Shared>;
 
-/// What a worker decided to do after inspecting the state.
-enum Decision {
+/// What a driver should do after one scheduling decision (see [`decide`]).
+pub(crate) enum Decision {
+    /// Run this step (off-lock) and feed its outcome back.
     Run {
         task: StepTask,
         /// Deferred peer wake, decided under the lock but issued after it
@@ -641,6 +638,12 @@ enum Decision {
         /// immediate stall on the still-held mutex.
         wake_peer: bool,
     },
+    /// Solo driver only — grant budget exhausted: the deposit was folded
+    /// in, recovery (if any was pending) has completed, and nothing is in
+    /// flight — the job's precise state is parked in [`Inner`] and can be
+    /// resumed later.
+    Parked,
+    /// The program finished (or poisoned).
     Finished,
 }
 
@@ -743,37 +746,22 @@ impl Inner {
     /// replay verifier. Under replay, the first event that does not match
     /// the recorded stream poisons the run with a named divergence.
     pub(crate) fn record_event(&mut self, thread: ThreadId, kind: u8) {
-        use gprs_core::recording::event_kind_name;
         if let Some(r) = self.recorder.as_mut() {
             r.record_event(thread.raw(), kind);
         }
-        let Some(rs) = self.replay.as_mut() else {
-            return;
-        };
-        let pos = rs.verified;
-        match rs.rec.events.get(pos) {
-            Some(e) if e.thread == thread.raw() && e.kind == kind => rs.verified += 1,
-            Some(e) => {
-                let (et, ek) = (e.thread, e.kind);
-                self.poison(format!(
-                    "replay divergence at event {pos}: recording expects \
-                     (thread {et}, {}) but the live run performed \
-                     (thread {}, {})",
-                    event_kind_name(ek),
-                    thread.raw(),
-                    event_kind_name(kind),
-                ));
-            }
-            None => {
-                let total = rs.rec.events.len();
-                self.poison(format!(
-                    "replay divergence: live run performed event {pos} \
-                     (thread {}, {}) past the end of the {total}-event recording",
-                    thread.raw(),
-                    event_kind_name(kind),
-                ));
-            }
+        if let Some(msg) = self
+            .replay
+            .as_mut()
+            .and_then(|v| v.check_event(thread.raw(), kind))
+        {
+            self.poison(msg);
         }
+    }
+
+    /// The event position a replay-divergence poison names (`None` on live
+    /// runs).
+    pub(crate) fn replay_pos(&self) -> Option<usize> {
+        self.replay.as_ref().map(|v| v.verified())
     }
 
     /// Replay sanity gate, checked before the token holder's want is
@@ -781,8 +769,7 @@ impl Inner {
     /// live, registered thread, so anything else is a divergence to poison
     /// on (not an `expect` to die on).
     pub(crate) fn replay_holder_gate(&self, holder: ThreadId) -> Option<String> {
-        let rs = self.replay.as_ref()?;
-        let pos = rs.verified;
+        let pos = self.replay_pos()?;
         match self.threads.get(&holder) {
             None => Some(format!(
                 "replay divergence at event {pos}: recorded thread {} was \
@@ -797,29 +784,6 @@ impl Inner {
             )),
             Some(_) => None,
         }
-    }
-
-    /// The loud terminal message when the replay tape runs out while live
-    /// threads remain: expected (and informative) for recordings of
-    /// poisoned runs, a divergence otherwise.
-    pub(crate) fn replay_exhausted_msg(&self) -> Option<String> {
-        use gprs_core::recording::RecordedOutcome;
-        let rs = self.replay.as_ref()?;
-        if rs.verified < rs.rec.events.len() {
-            return None;
-        }
-        Some(match &rs.rec.outcome {
-            RecordedOutcome::Poisoned(orig) => format!(
-                "replay reached the end of a failed recording after \
-                 {} events (original failure: {orig})",
-                rs.verified
-            ),
-            RecordedOutcome::Complete => format!(
-                "replay divergence: recording ended after {} events but the \
-                 live run still has {} live threads",
-                rs.verified, self.live
-            ),
-        })
     }
 
     /// Seals the recorder (if armed) into a finished [`Recording`] carrying
@@ -839,40 +803,6 @@ impl Inner {
             path,
             recorder.finish(self.sched_hash.digest(), self.retired_hash.digest(), outcome),
         ))
-    }
-
-    /// Post-run replay self-verification: a clean replay must have consumed
-    /// the whole tape and reproduced both footer digests bit-identically.
-    /// Returns the failure message, if any.
-    pub(crate) fn replay_verify_final(&self) -> Option<String> {
-        let rs = self.replay.as_ref()?;
-        if self.poisoned.is_some() {
-            return None; // already diagnosed
-        }
-        if rs.verified != rs.rec.events.len() {
-            return Some(format!(
-                "replay divergence: live run finished after {} events but \
-                 the recording has {}",
-                rs.verified,
-                rs.rec.events.len()
-            ));
-        }
-        let (sched, retired) = (self.sched_hash.digest(), self.retired_hash.digest());
-        if sched != rs.rec.sched_hash {
-            return Some(format!(
-                "replay self-verification failed: schedule hash {sched:016x} \
-                 != recorded {:016x}",
-                rs.rec.sched_hash
-            ));
-        }
-        if retired != rs.rec.retired_hash {
-            return Some(format!(
-                "replay self-verification failed: retired hash {retired:016x} \
-                 != recorded {:016x}",
-                rs.rec.retired_hash
-            ));
-        }
-        None
     }
 
     pub(crate) fn bump(&mut self) {
@@ -927,13 +857,37 @@ impl Inner {
         self.chaos = Some(cs);
     }
 
+    /// Raises one global exception on `context`, attributed to `culprit`
+    /// when a sub-thread is running there: the culprit is marked excepted
+    /// right away (an excepted entry cannot retire out from under the
+    /// pending exception) and a `PendingException` is queued. A culpritless
+    /// exception is counted ignored by REX, like the paper's exceptions
+    /// arriving on idle contexts. The one raise path of the controller's
+    /// injections and the chaos overlay.
+    pub(crate) fn raise(&mut self, kind: ExceptionKind, context: u32, culprit: Option<SubThreadId>) {
+        let exception = Exception::global(kind, ContextId::new(context), 0);
+        if let Some(c) = culprit {
+            if self.rol.mark_excepted(c, exception.clone()).is_err() {
+                // The culprit was picked from live state under this lock, so
+                // it can be gone only when the schedule state is already off
+                // the rails; degrade loudly instead of panicking with the
+                // engine lock held.
+                self.poison(format!(
+                    "exception culprit {} vanished from the ROL before the \
+                     exception landed (divergent replay or corrupted \
+                     schedule state)",
+                    c.raw()
+                ));
+                return;
+            }
+        }
+        self.pending_exceptions
+            .push_back(PendingException { exception, culprit });
+        self.bump();
+    }
+
     /// Delivers one chaos event: `burst` exceptions aimed by the victim
-    /// selector, each at a distinct candidate. Mirrors
-    /// `Controller::inject_on`: the culprit is marked excepted right away
-    /// (an excepted entry cannot retire out from under the pending
-    /// exception) and a `PendingException` is queued. Victimless global
-    /// exceptions keep a `None` culprit and are counted ignored by REX,
-    /// like the paper's exceptions arriving on idle contexts.
+    /// selector, each at a distinct candidate.
     fn chaos_fire(&mut self, ev: &ChaosEvent, in_recovery: bool) {
         let mut taken: Vec<SubThreadId> = Vec::new();
         for _ in 0..ev.burst.max(1) {
@@ -952,28 +906,9 @@ impl Inner {
                     VictimSelector::Context(c) => c,
                     _ => 0,
                 });
-            let exception = Exception::global(ev.kind, ContextId::new(context), 0);
-            if let Some(v) = victim {
-                taken.push(v);
-                if self.rol.mark_excepted(v, exception.clone()).is_err() {
-                    // The selector races retirement only when the schedule
-                    // state is already off the rails (e.g. a divergent
-                    // replay); degrade loudly instead of unwinding a worker.
-                    self.poison(format!(
-                        "chaos victim {} vanished from the ROL before the \
-                         exception landed (divergent replay or corrupted \
-                         schedule state)",
-                        v.raw()
-                    ));
-                    continue;
-                }
-            }
-            self.pending_exceptions.push_back(PendingException {
-                exception,
-                culprit: victim,
-            });
+            taken.extend(victim);
+            self.raise(ev.kind, context, victim);
         }
-        self.bump();
     }
 
     /// Picks the next distinct victim for a burst member. At a grant
@@ -1019,7 +954,7 @@ impl Inner {
 
     // ---- sharded-execution hooks (see `crate::shard`) ----------------
 
-    /// Drains cross-shard input at the top of every seek: in-edge tokens
+    /// Drains cross-shard input at the top of every decision: in-edge tokens
     /// into the local channel replicas and hub-released barrier
     /// generations into local releases. Returns `true` when a peer domain
     /// aborted the run.
@@ -1183,7 +1118,7 @@ impl Inner {
     pub(crate) fn shard_peers_done(&self) -> bool {
         self.shard
             .as_ref()
-            .is_some_and(|ctx| ctx.hub.peers_done(ctx.domain))
+            .is_some_and(|ctx| ctx.hub.peers_done())
     }
 
     /// Retires the maximal run of completed head sub-threads as one batch:
@@ -2233,7 +2168,7 @@ impl Inner {
 }
 
 /// A finished step, carried from the off-lock execution back to the deposit
-/// performed at the head of the worker's next [`seek`] — so deposit and the
+/// performed at the head of the driver's next [`decide`] — so deposit and the
 /// follow-on grant share a single lock acquisition (the grant fast path).
 pub(crate) enum StepOutcome {
     Done {
@@ -2252,29 +2187,59 @@ pub(crate) enum StepOutcome {
     },
 }
 
-/// The worker loop body: repeatedly grant + run until the program finishes.
-/// Each iteration folds the previous step's deposit into the next grant
-/// search, so the common cadence is one lock acquisition per step.
+/// The pool driver: repeatedly grant + run until the program finishes. Each
+/// iteration folds the previous step's deposit into the next grant search,
+/// so the common cadence is one lock acquisition per step.
 pub(crate) fn worker_loop(shared: &SharedRef, worker_ix: usize) {
     let mut finished: Option<StepOutcome> = None;
     loop {
-        match seek(shared, worker_ix, finished.take()) {
-            Decision::Finished => return,
+        match decide::<POOL>(shared, worker_ix, finished.take(), true) {
             Decision::Run { task, wake_peer } => {
                 if wake_peer {
-                    // The guard dropped when `seek` returned; the woken
+                    // The guard dropped when `decide` returned; the woken
                     // peer can acquire the lock without colliding with us.
                     shared.cv.notify_one();
                 }
                 finished = Some(execute_task(shared, worker_ix, task));
             }
+            Decision::Finished => return,
+            Decision::Parked => unreachable!("pool workers have no grant budget"),
         }
     }
 }
 
-/// One lock acquisition: drain this worker's hand-off buffer, deposit the
-/// finished step (if any), then search for the next grant.
-fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> Decision {
+/// [`decide`]'s wait policy for a pool worker ([`worker_loop`]): a state in
+/// which the token must wait parks the worker on the scheduler condvar —
+/// bounded for edge-connected shard domains — until a peer's deposit,
+/// recovery or finish changes it.
+pub(crate) const POOL: bool = false;
+/// [`decide`]'s wait policy for the single external context of a
+/// [`crate::session::GprsSession`]: it never blocks. With exactly one
+/// driving context there is no peer whose progress a wait could observe, so
+/// every would-wait state is a genuine deadlock (or, under replay, a
+/// divergence) and poisons the run.
+pub(crate) const SOLO: bool = true;
+
+/// One scheduling decision under one lock acquisition, for every driver:
+/// drain this context's hand-off buffer, deposit the finished step (if
+/// any), run pending recovery once the machine is quiescent, then grant the
+/// token holder's next step. Drivers differ only in the compile-time wait
+/// policy ([`POOL`] or [`SOLO`]) and in `may_grant`, the solo driver's
+/// grant budget: once it is spent the decision is [`Decision::Parked`] —
+/// returned only after the deposit is applied and any pending recovery has
+/// run, with `running` empty, so a parked job's ROL/WAL/history state is
+/// exactly the precise-restart state the paper's machinery maintains, and
+/// resuming is just calling this function again.
+///
+/// Kept out of line: fused into a driver's loop (where the step also runs)
+/// the pool instantiation measured 3–4 % slower on `gprsbench`'s `chain`.
+#[inline(never)]
+pub(crate) fn decide<const SOLO: bool>(
+    shared: &SharedRef,
+    worker_ix: usize,
+    finished: Option<StepOutcome>,
+    may_grant: bool,
+) -> Decision {
     // Advisory pre-lock read of the published grant frontier: if the token
     // already rests on the thread whose step we just finished, our deposit
     // feeds our own grant (fast path) and no peer needs waking; otherwise
@@ -2288,7 +2253,7 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
     while let Some(h) = shared.handoffs[worker_ix].pop() {
         g.apply_handoff(h);
     }
-    // Whether a grant below is reached from this worker's own deposit in
+    // Whether a grant below is reached from this context's own deposit in
     // the same lock acquisition, without a condvar sleep in between.
     let mut fast = false;
     match finished {
@@ -2305,10 +2270,10 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
             if let Some(lock) = released {
                 shared.wake_lock_shard(lock, &g.telemetry);
             }
-            if prenotify {
-                // Overlap a peer's seek with ours only when the frontier
-                // thread already has a deposit armed; a frontier whose
-                // step is still in flight fuses with its own deposit.
+            if prenotify && shared.cv_sleepers.load(Ordering::Relaxed) > 0 {
+                // Overlap a parked peer's seek with ours only when the
+                // frontier thread already has a deposit armed; a frontier
+                // whose step is still in flight fuses with its own deposit.
                 let armed = g
                     .enforcer
                     .holder()
@@ -2344,22 +2309,35 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
     // wake forever. Isolated domains — and unsharded runs — keep
     // indefinite waits and pay nothing.
     let edge_wait = g.shard.as_ref().is_some_and(|c| c.has_cross_edges());
+    // The one place the wait policies differ. The argument is the solo
+    // driver's poison text for the site; the default serves every site
+    // that waits for a step in flight, which a single driver — it deposits
+    // before deciding — never has.
     macro_rules! wait_here {
-        ($g:ident) => {{
-            if woke_idle && $g.telemetry.enabled() {
-                $g.telemetry.metrics.wakeups_spurious.inc_serialized();
-            }
-            fast = false;
-            woke_idle = true;
-            shared.cv_sleepers.fetch_add(1, Ordering::Relaxed);
-            if edge_wait {
-                let _ = shared
-                    .cv
-                    .wait_for(&mut $g, std::time::Duration::from_micros(200));
+        () => {
+            wait_here!("cooperative driver found the token parked on a running step")
+        };
+        ($stuck:expr) => {{
+            if SOLO {
+                let stuck = $stuck;
+                g.poison(stuck);
             } else {
-                shared.cv.wait(&mut $g);
+                if woke_idle && g.telemetry.enabled() {
+                    g.telemetry.metrics.wakeups_spurious.inc_serialized();
+                }
+                fast = false;
+                woke_idle = true;
+                shared.cv_sleepers.fetch_add(1, Ordering::Relaxed);
+                if edge_wait {
+                    let _ = shared
+                        .cv
+                        .wait_for(&mut g, std::time::Duration::from_micros(200));
+                } else {
+                    shared.cv.wait(&mut g);
+                }
+                shared.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
             }
-            shared.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
+            continue;
         }};
     }
     loop {
@@ -2404,8 +2382,7 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
                 shared.wake_all();
                 continue;
             }
-            wait_here!(g);
-            continue;
+            wait_here!();
         }
         if !inner.pending_exceptions.is_empty() {
             // Depositing workers see this flag themselves; the last one to
@@ -2425,9 +2402,11 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
             shared.wake_all();
             break Decision::Finished;
         }
+        if !may_grant {
+            break Decision::Parked;
+        }
         if inner.exclusive.is_some() {
-            wait_here!(g);
-            continue;
+            wait_here!();
         }
         let Some(holder) = inner.enforcer.holder() else {
             if inner.running.is_empty() && inner.live > 0 {
@@ -2440,30 +2419,25 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
                     // retirement, with acquire/release ordering).
                     if inner.shard_peers_done() {
                         let _ = inner.shard_poll();
-                        if inner.enforcer.holder().is_some() {
-                            continue;
+                        if inner.enforcer.holder().is_none() {
+                            inner.poison(
+                                "deadlock: cross-shard barrier never released \
+                                 (barrier participants mismatch across domains?)",
+                            );
                         }
-                        inner.poison(
-                            "deadlock: cross-shard barrier never released \
-                             (barrier participants mismatch across domains?)",
-                        );
                         continue;
                     }
-                    wait_here!(g);
-                    continue;
+                    wait_here!();
                 }
-                let msg = inner.replay_exhausted_msg().unwrap_or_else(|| {
+                let exhausted = inner.replay.as_ref().and_then(|v| v.exhausted(inner.live));
+                inner.poison(exhausted.unwrap_or_else(|| {
                     "deadlock: live threads remain but none is runnable \
                      (barrier participants mismatch?)"
                         .into()
-                });
-                inner.poison(msg);
-                shared.done.store(true, Ordering::Release);
-                shared.wake_all();
-                break Decision::Finished;
+                }));
+                continue;
             }
-            wait_here!(g);
-            continue;
+            wait_here!();
         };
         if inner.replay.is_some() {
             if let Some(msg) = inner.replay_holder_gate(holder) {
@@ -2514,8 +2488,7 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
         let Some(want) = rec.pending.as_ref() else {
             // The holder's step is still running: the token waits, and the
             // holder's own deposit will reach this point fast-path.
-            wait_here!(g);
-            continue;
+            wait_here!();
         };
         match inner.poll_or_wait(holder, want) {
             Some(false) => {
@@ -2526,33 +2499,39 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
                 woke_idle = false;
                 if inner.pass_streak > inner.enforcer.live_threads() * 2 + 4 {
                     if inner.running.is_empty() {
-                        let msg = if let Some(rs) = inner.replay.as_ref() {
-                            format!(
-                                "replay divergence at event {}: recorded \
+                        inner.poison(match inner.replay_pos() {
+                            Some(pos) => format!(
+                                "replay divergence at event {pos}: recorded \
                                  thread {} polls an operation the recording \
                                  granted (channel starvation under replay)",
-                                rs.verified,
                                 holder.raw()
-                            )
-                        } else {
-                            "deadlock: every runnable thread is polling \
-                             (channel starvation or join cycle)"
-                                .into()
-                        };
-                        inner.poison(msg);
-                        shared.done.store(true, Ordering::Release);
-                        shared.wake_all();
-                        break Decision::Finished;
+                            ),
+                            None => "deadlock: every runnable thread is polling \
+                                     (channel starvation or join cycle)"
+                                .into(),
+                        });
+                        continue;
                     }
-                    wait_here!(g);
+                    wait_here!();
                 }
                 continue;
             }
             None => {
                 // Token waits here (lock busy / quiescence gate). A deposit
-                // that changes either wakes one seeker.
-                wait_here!(g);
-                continue;
+                // that changes either wakes one seeker. With one context
+                // the blocking condition can only be our own state, and we
+                // just deposited — so it can never clear.
+                wait_here!(match inner.replay_pos() {
+                    Some(pos) => format!(
+                        "replay divergence at event {pos}: recorded thread {} \
+                         blocks on an operation the recording granted",
+                        holder.raw()
+                    ),
+                    None => format!(
+                        "deadlock: token of {holder} waits on a condition no \
+                         single-context execution can satisfy"
+                    ),
+                });
             }
             Some(true) => {}
         }
@@ -2574,14 +2553,13 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
                 // deposit armed (a holder whose step is still running will
                 // reach the frontier itself, fused with its own deposit,
                 // so waking anyone for it is a guaranteed spurious wakeup).
-                let armed = inner
-                    .enforcer
-                    .holder()
-                    .and_then(|h| inner.threads.get(&h))
-                    .is_some_and(|r| r.pending.is_some());
-                let wake_peer = armed
-                    && shared.cv_sleepers.load(Ordering::Relaxed) > 0
-                    && shared.spare_cpu();
+                let wake_peer = shared.cv_sleepers.load(Ordering::Relaxed) > 0
+                    && shared.spare_cpu()
+                    && inner
+                        .enforcer
+                        .holder()
+                        .and_then(|h| inner.threads.get(&h))
+                        .is_some_and(|r| r.pending.is_some());
                 if wake_peer && inner.telemetry.enabled() {
                     inner.telemetry.metrics.wakeups_issued.inc_serialized();
                 }
@@ -2598,211 +2576,11 @@ fn seek(shared: &SharedRef, worker_ix: usize, finished: Option<StepOutcome>) -> 
     }
 }
 
-/// What a cooperative driver should do next (see
-/// [`crate::session::GprsSession`]).
-pub(crate) enum CoopDecision {
-    /// Run this step (off-lock) and feed its outcome back.
-    Run(StepTask),
-    /// Grant budget exhausted: the deposit was folded in, recovery (if any
-    /// was pending) has completed, and nothing is in flight — the job's
-    /// precise state is parked in [`Inner`] and can be resumed later.
-    Parked,
-    /// The program finished (or poisoned).
-    Finished,
-}
-
-/// One cooperative scheduling decision for a session driven by a single
-/// external thread: fold `finished` in, then grant the next step if
-/// `allow_grant`. The mirror of [`seek`] for run-to-quantum execution,
-/// with two structural differences:
-///
-/// * **Never blocks.** With exactly one driving context there is no peer
-///   whose progress a condvar wait could observe, so every would-wait state
-///   (busy lock, quiescence gate, token parked on a running step) is a
-///   genuine deadlock and poisons the run — the same conclusion the
-///   multi-worker loop reaches via its pass-streak heuristic.
-/// * **Parks only at quiescent points.** `Parked` is returned after the
-///   deposit is applied and any pending recovery has run, with `running`
-///   empty — so a parked job's ROL/WAL/history state is exactly the
-///   precise-restart state the paper's machinery maintains, and resuming
-///   is just calling this function again.
-pub(crate) fn coop_decide(
-    shared: &SharedRef,
-    finished: Option<StepOutcome>,
-    allow_grant: bool,
-) -> CoopDecision {
-    let mut g = shared.inner.lock();
-    while let Some(h) = shared.handoffs[0].pop() {
-        g.apply_handoff(h);
-    }
-    let mut fast = false;
-    match finished {
-        Some(StepOutcome::Done {
-            thread,
-            stid,
-            program,
-            result,
-            leftover_lock,
-            staged,
-        }) => {
-            g.deposit(thread, stid, program, result, leftover_lock, staged);
-            fast = true;
-        }
-        Some(StepOutcome::Panicked {
-            thread,
-            stid,
-            leftover_lock,
-            msg,
-        }) => {
-            g.running.remove(&stid);
-            if let Some((lock, data)) = leftover_lock {
-                g.return_lock(stid, lock, data);
-            }
-            g.poison(format!("step of {thread} panicked: {msg}"));
-        }
-        None => {}
-    }
-    loop {
-        let inner = &mut *g;
-        if inner.poisoned.is_some() {
-            shared.done.store(true, Ordering::Release);
-            break CoopDecision::Finished;
-        }
-        if inner.recovering {
-            debug_assert!(inner.running.is_empty(), "single driver deposits before deciding");
-            crate::rex::perform_recovery(inner);
-            inner.recovering = false;
-            inner.bump();
-            continue;
-        }
-        if !inner.pending_exceptions.is_empty() {
-            inner.recovering = true;
-            continue;
-        }
-        // Same ordering as the worker loop: the finish check runs after the
-        // recovery gates so a trailing-grant exception is never dropped.
-        if inner.live == 0 && inner.running.is_empty() {
-            shared.done.store(true, Ordering::Release);
-            break CoopDecision::Finished;
-        }
-        if !allow_grant {
-            break CoopDecision::Parked;
-        }
-        debug_assert!(inner.exclusive.is_none(), "exclusive step deposited before deciding");
-        let Some(holder) = inner.enforcer.holder() else {
-            let msg = inner.replay_exhausted_msg().unwrap_or_else(|| {
-                "deadlock: live threads remain but none is runnable \
-                 (barrier participants mismatch?)"
-                    .into()
-            });
-            inner.poison(msg);
-            shared.done.store(true, Ordering::Release);
-            break CoopDecision::Finished;
-        };
-        if inner.replay.is_some() {
-            if let Some(msg) = inner.replay_holder_gate(holder) {
-                inner.poison(msg);
-                continue;
-            }
-        }
-        let Some(rec) = inner.threads.get(&holder) else {
-            inner.poison(format!(
-                "token holder thread {} has no record (divergent replay or \
-                 corrupted schedule state)",
-                holder.raw()
-            ));
-            continue;
-        };
-        if rec.state == ThState::Done {
-            if inner.enforcer.deregister_thread(holder).is_err() {
-                inner.poison(format!(
-                    "token holder thread {} is done but was never registered \
-                     (divergent replay or corrupted schedule state)",
-                    holder.raw()
-                ));
-            }
-            continue;
-        }
-        let Some(want) = rec.pending.as_ref() else {
-            // Single driver: a holder without a pending want would mean a
-            // step is in flight, which cannot happen here.
-            inner.poison("cooperative driver found the token parked on a running step");
-            shared.done.store(true, Ordering::Release);
-            break CoopDecision::Finished;
-        };
-        match inner.poll_or_wait(holder, want) {
-            Some(false) => {
-                inner.enforcer.pass_turn(holder);
-                inner.stats.polls += 1;
-                inner.pass_streak += 1;
-                if inner.pass_streak > inner.enforcer.live_threads() * 2 + 4 {
-                    let msg = if let Some(rp) = inner.replay.as_ref() {
-                        format!(
-                            "replay divergence at event {}: recorded thread {} \
-                             polls an operation the recording granted (channel \
-                             starvation under replay)",
-                            rp.verified,
-                            holder.raw()
-                        )
-                    } else {
-                        "deadlock: every runnable thread is polling \
-                         (channel starvation or join cycle)"
-                            .into()
-                    };
-                    inner.poison(msg);
-                    shared.done.store(true, Ordering::Release);
-                    break CoopDecision::Finished;
-                }
-                continue;
-            }
-            None => {
-                // With one context the blocking condition (a busy lock, a
-                // non-quiescent serialized gate) can only be our own state,
-                // and we just deposited — so it can never clear.
-                let msg = if let Some(rp) = inner.replay.as_ref() {
-                    format!(
-                        "replay divergence at event {}: recorded thread {} \
-                         blocks on an operation the recording granted",
-                        rp.verified,
-                        holder.raw()
-                    )
-                } else {
-                    format!(
-                        "deadlock: token of {holder} waits on a condition no \
-                         single-context execution can satisfy"
-                    )
-                };
-                inner.poison(msg);
-                shared.done.store(true, Ordering::Release);
-                break CoopDecision::Finished;
-            }
-            Some(true) => {}
-        }
-        inner.pass_streak = 0;
-        match inner.grant(holder, 0) {
-            Some(task) => {
-                inner.stats.grants += 1;
-                debug_assert_eq!(
-                    shared.gate.holder(),
-                    inner.enforcer.holder(),
-                    "gate mirrors the enforcer after every grant"
-                );
-                inner.chaos_tick_grant();
-                if fast && inner.telemetry.enabled() {
-                    inner.telemetry.metrics.fast_path_grants.inc_serialized();
-                }
-                break CoopDecision::Run(task);
-            }
-            None => continue,
-        }
-    }
-}
-
 /// Runs one granted step outside the engine lock. Before the step, the
 /// off-critical-section state capture happens here: the thread checkpoint
 /// and the critical section's lock snapshot are produced without the lock
 /// and handed back through this worker's SPSC buffer (drained at its next
-/// seek). Nothing touches the program or the checked-out lock data between
+/// decision). Nothing touches the program or the checked-out lock data between
 /// grant and this point, so the snapshots are bit-identical to ones taken
 /// under the lock.
 pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask) -> StepOutcome {

@@ -74,14 +74,14 @@ pub(crate) mod shard;
 
 pub use crate::shard::ShardedGprs;
 
-use crate::engine::{Inner, PendingException, RunConfig, Shared, SharedRef};
+use crate::engine::{Inner, RunConfig, Shared, SharedRef};
 use crate::handles::{
     AtomicHandle, BarrierHandle, ChannelHandle, FileHandle, MutexHandle, RawChannel, RawMutex,
 };
 use crate::program::ThreadProgram;
 use crate::report::{RunError, RunReport};
-use gprs_core::exception::{Exception, ExceptionKind};
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, ThreadId};
+use gprs_core::exception::ExceptionKind;
+use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
 use gprs_core::order::ScheduleKind;
 use gprs_core::persist::{DurableImage, DurableRecord, PersistBackend};
 use gprs_telemetry::{Telemetry, TelemetryConfig};
@@ -97,18 +97,9 @@ pub const DEFAULT_DURABLE_CKPT_EVERY: u64 = 64;
 /// Configures and assembles a GPRS runtime.
 #[derive(Debug)]
 pub struct GprsBuilder {
-    schedule: ScheduleKind,
-    workers: usize,
-    recovery: RecoveryPolicy,
-    telemetry: TelemetryConfig,
-    racecheck: bool,
     analyze: bool,
     elide: bool,
     model: Option<gprs_core::workload::Workload>,
-    job_id: u64,
-    submit_seq: u64,
-    persist: Option<Arc<dyn PersistBackend>>,
-    durable_ckpt_every: u64,
     durable_spec: Option<String>,
     resume_prefix: Vec<(u32, u8, u64)>,
     shard_plan_json: Option<String>,
@@ -117,6 +108,8 @@ pub struct GprsBuilder {
     record_spec: Option<String>,
     chaos_text: Option<String>,
     replay_rec: Option<Arc<gprs_core::recording::Recording>>,
+    /// The engine under construction; its `cfg` is the configuration the
+    /// setters below edit in place.
     inner: Inner,
     next_lock: u64,
     next_chan: u64,
@@ -148,18 +141,9 @@ impl GprsBuilder {
             elide_cells: Arc::new(std::collections::BTreeSet::new()),
         };
         GprsBuilder {
-            schedule: cfg.schedule,
-            workers: cfg.workers,
-            recovery: cfg.recovery,
-            telemetry: cfg.telemetry,
-            racecheck: cfg.racecheck,
             analyze: false,
             elide: false,
             model: None,
-            job_id: 0,
-            submit_seq: 0,
-            persist: None,
-            durable_ckpt_every: DEFAULT_DURABLE_CKPT_EVERY,
             durable_spec: None,
             resume_prefix: Vec::new(),
             shard_plan_json: None,
@@ -179,19 +163,19 @@ impl GprsBuilder {
 
     /// Number of OS workers (hardware contexts).
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+        self.inner.cfg.workers = n.max(1);
         self
     }
 
     /// The deterministic ordering schedule.
     pub fn schedule(mut self, kind: ScheduleKind) -> Self {
-        self.schedule = kind;
+        self.inner.cfg.schedule = kind;
         self
     }
 
     /// The recovery policy.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
+        self.inner.cfg.recovery = policy;
         self
     }
 
@@ -202,8 +186,8 @@ impl GprsBuilder {
     /// both at 0; a serving layer assigns them at admission so streamed
     /// reports can be matched to their submissions.
     pub fn job(mut self, id: u64, seq: u64) -> Self {
-        self.job_id = id;
-        self.submit_seq = seq;
+        self.inner.cfg.job_id = id;
+        self.inner.cfg.submit_seq = seq;
         self
     }
 
@@ -211,13 +195,13 @@ impl GprsBuilder {
     /// the report alongside the streaming schedule hash (determinism
     /// diagnostics; 0 — the default — keeps none).
     pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.telemetry.raw_trace_cap = cap;
+        self.inner.cfg.telemetry.raw_trace_cap = cap;
         self
     }
 
     /// Full telemetry configuration (event rings, metrics, raw trace).
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry = cfg;
+        self.inner.cfg.telemetry = cfg;
         self
     }
 
@@ -228,7 +212,7 @@ impl GprsBuilder {
     /// a selective restart whose culprit's thread raced escalates to a
     /// basic restart (the race broke the dependence-closure assumption).
     pub fn racecheck(mut self, on: bool) -> Self {
-        self.racecheck = on;
+        self.inner.cfg.racecheck = on;
         self
     }
 
@@ -287,7 +271,7 @@ impl GprsBuilder {
     /// Without a backend (the default) nothing changes — every durable
     /// hook is behind one branch, keeping the volatile hot paths intact.
     pub fn durable(mut self, backend: Arc<dyn PersistBackend>) -> Self {
-        self.persist = Some(backend);
+        self.inner.cfg.persist = Some(backend);
         self
     }
 
@@ -305,7 +289,7 @@ impl GprsBuilder {
     /// outstanding log with one fsync, so smaller is more durable and
     /// slower.
     pub fn durable_checkpoint_every(mut self, n: u64) -> Self {
-        self.durable_ckpt_every = n.max(1);
+        self.inner.cfg.durable_ckpt_every = n.max(1);
         self
     }
 
@@ -458,85 +442,175 @@ impl GprsBuilder {
 
     /// Finalizes the configuration.
     pub fn build(mut self) -> Gprs {
-        // Ahead-of-run static analysis: run before the detector is (re)built
-        // so the verdict can arm or elide it.
-        let analysis = if self.analyze || self.elide {
-            self.model.as_ref().map(gprs_analyze::analyze)
+        let model = self.model.take();
+        let analysis = self.verdict(model.as_ref());
+        Gprs {
+            shared: Arc::new(Shared::new(self.finish(analysis.as_ref()))),
+            analysis,
+        }
+    }
+
+    /// Finalizes the configuration into a sharded runtime: one engine —
+    /// one `OrderGate`, reorder list, WAL and checkpoint store — per domain
+    /// of the shard plan, with cross-domain channel and barrier edges
+    /// rendezvousing through a lock-free hub. The plan comes from an
+    /// attached [`shard_plan_artifact`](Self::shard_plan_artifact) (re-
+    /// validated against the model) or is derived fresh from the
+    /// [`model`](Self::model)'s interference proof. A plan that collapses to
+    /// one domain *is* [`build`](Self::build): same engine, same hashes,
+    /// every feature `build` composes with.
+    ///
+    /// Multi-domain execution composes with analysis-driven WAL elision and
+    /// the full telemetry stack, but not with features that assume one
+    /// global retirement stream: durable persistence/resume, schedule
+    /// record/replay and the dynamic race detector are rejected at build
+    /// time (the error surfaces from [`ShardedGprs::run`]).
+    pub fn build_sharded(mut self) -> ShardedGprs {
+        let Some(model) = self.model.take() else {
+            return ShardedGprs::failed(
+                "sharded execution requires an attached model (GprsBuilder::model)".into(),
+            );
+        };
+        // Resolve the shard plan: committed artifact (re-validated, loud
+        // failure on staleness) or fresh derivation from the model.
+        let plan = match self.shard_plan_json.take() {
+            Some(text) => {
+                let plan = match gprs_analyze::ShardPlan::from_json(&text) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        return ShardedGprs::failed(format!(
+                            "stale shard plan for {:?}: unreadable artifact: {e}",
+                            model.name
+                        ))
+                    }
+                };
+                if let Err(e) = plan.validate_against(&model) {
+                    return ShardedGprs::failed(e);
+                }
+                plan
+            }
+            None => gprs_analyze::shard_plan(&model),
+        };
+        let exec = plan.coalesce_for_execution(&model);
+        let resources = match shard::map_resources(&self.inner, &model, &exec) {
+            Ok(r) => r,
+            Err(e) => return ShardedGprs::failed(e),
+        };
+        if exec.domains.len() <= 1 {
+            self.model = Some(model);
+            let Gprs { shared, analysis } = self.build();
+            return ShardedGprs {
+                engines: vec![shared],
+                hub: None,
+                analysis,
+                error: None,
+            };
+        }
+        let analysis = self.verdict(Some(&model));
+        if let Some(msg) = self.multi_domain_refusal() {
+            return ShardedGprs::failed(msg.into());
+        }
+        shard::assemble(self.finish(analysis.as_ref()), &model, &exec, &resources, analysis)
+    }
+
+    /// Why this configuration cannot run as several order domains, if it
+    /// cannot — every by-name sharded refusal, consulted once, after
+    /// [`verdict`](Self::verdict) settled whether the race detector runs.
+    fn multi_domain_refusal(&self) -> Option<&'static str> {
+        let cfg = &self.inner.cfg;
+        if cfg.persist.is_some() {
+            Some("sharded execution does not support durable persistence")
+        } else if !self.resume_prefix.is_empty() {
+            Some("sharded execution does not support durable resume")
+        } else if self.record_path.is_some() || self.replay_rec.is_some() {
+            Some(
+                "sharded execution does not support schedule record/replay \
+                 (per-domain gates have no single global grant order)",
+            )
+        } else if cfg.racecheck {
+            Some(
+                "sharded execution does not support the dynamic race detector \
+                 (per-domain detectors cannot order cross-shard accesses)",
+            )
         } else {
             None
-        };
-        if let Some(rep) = &analysis {
-            if self.analyze {
-                if rep.race_free() {
-                    self.racecheck = false;
-                } else if rep.advice == gprs_analyze::RecoveryAdvice::HybridCpr {
-                    self.racecheck = true;
-                }
+        }
+    }
+
+    /// First half of finalisation — the ahead-of-run static analysis and
+    /// what its verdict decides: whether the dynamic race detector runs and
+    /// which WAL undo records are elided.
+    fn verdict(
+        &mut self,
+        model: Option<&gprs_core::workload::Workload>,
+    ) -> Option<gprs_analyze::AnalysisReport> {
+        if !(self.analyze || self.elide) {
+            return None;
+        }
+        let rep = gprs_analyze::analyze(model?);
+        let cfg = &mut self.inner.cfg;
+        if self.analyze {
+            if rep.race_free() {
+                cfg.racecheck = false;
+            } else if rep.advice == gprs_analyze::RecoveryAdvice::HybridCpr {
+                cfg.racecheck = true;
             }
         }
         // WAL elision trusts the dead-store proof only under a race-free
         // verdict: a racy model means the trace-level summaries may not
         // describe the actual access pattern, so keep every undo record.
-        let elide_cells = match &analysis {
-            Some(rep) if self.elide && rep.race_free() => {
-                Arc::new(rep.restart.dead_cells.iter().copied().collect())
-            }
-            _ => Arc::new(std::collections::BTreeSet::new()),
+        if self.elide && rep.race_free() {
+            cfg.elide_cells = Arc::new(rep.restart.dead_cells.iter().copied().collect());
+        }
+        Some(rep)
+    }
+
+    /// Second half of finalisation: arms record/replay, resume
+    /// verification and the durable epoch, then rebuilds what
+    /// `Inner::new` sized for the default configuration — telemetry
+    /// facade, race detector, order enforcer — for the final one.
+    fn finish(mut self, analysis: Option<&gprs_analyze::AnalysisReport>) -> Inner {
+        use gprs_core::recording::{
+            DriveMode, Recorder, RecordingHeader, ReplayVerifier, RECORD_AND_REPLAY,
         };
-        self.inner.cfg = RunConfig {
-            schedule: self.schedule,
-            workers: self.workers,
-            recovery: self.recovery,
-            telemetry: self.telemetry,
-            racecheck: self.racecheck,
-            job_id: self.job_id,
-            submit_seq: self.submit_seq,
-            persist: self.persist.take(),
-            durable_ckpt_every: self.durable_ckpt_every,
-            elide_cells,
-        };
+        let mut inner = self.inner;
         // Record/replay arming. One run cannot both follow and produce a
         // tape, and a replayed run must not mutate a durable epoch or
         // verify a resume prefix (both assume a live schedule): reject the
         // combinations loudly instead of guessing a precedence.
         if self.record_path.is_some() && self.replay_rec.is_some() {
-            self.inner
-                .poison("cannot record and replay in the same run");
+            inner.poison(RECORD_AND_REPLAY);
             self.record_path = None;
             self.replay_rec = None;
         }
         if self.replay_rec.is_some()
-            && (self.inner.cfg.persist.is_some() || !self.resume_prefix.is_empty())
+            && (inner.cfg.persist.is_some() || !self.resume_prefix.is_empty())
         {
-            self.inner.poison(
+            inner.poison(
                 "replay does not compose with durable persistence or resume \
                  (a replayed run must not rewrite the durable epoch)",
             );
             self.replay_rec = None;
         }
-        if let Some(path) = self.record_path.take() {
-            let (workload, seed) =
-                self.record_meta.take().unwrap_or_else(|| ("custom".into(), 0));
-            self.inner.recorder =
-                Some(gprs_core::recording::Recorder::new(gprs_core::recording::RecordingHeader {
-                    workload,
-                    seed,
-                    // Provisional: stamped for real when the drive mode is
-                    // known, at `Gprs::run` / `Gprs::into_session`.
-                    mode: gprs_core::recording::DriveMode::Pool,
-                    schedule: self.schedule.tag().to_string(),
-                    workers: self.workers as u32,
-                    spec: self.record_spec.take(),
-                    chaos: self.chaos_text.take(),
-                }));
-            self.inner.record_path = Some(path);
+        if let Some(path) = self.record_path {
+            let (workload, seed) = self.record_meta.unwrap_or_else(|| ("custom".into(), 0));
+            inner.recorder = Some(Recorder::new(RecordingHeader {
+                workload,
+                seed,
+                // Provisional: stamped for real when the drive mode is
+                // known, at `Gprs::run` / `Gprs::into_session`.
+                mode: DriveMode::Pool,
+                schedule: inner.cfg.schedule.tag().to_string(),
+                workers: inner.cfg.workers as u32,
+                spec: self.record_spec,
+                chaos: self.chaos_text,
+            }));
+            inner.record_path = Some(path);
         }
-        if let Some(rec) = self.replay_rec.take() {
-            self.inner.replay = Some(engine::ReplayState { rec, verified: 0 });
-        }
+        inner.replay = self.replay_rec.map(ReplayVerifier::new);
         if !self.resume_prefix.is_empty() {
-            self.inner.verify = Some(engine::VerifyState {
-                expected: std::mem::take(&mut self.resume_prefix),
+            inner.verify = Some(engine::VerifyState {
+                expected: self.resume_prefix,
                 pos: 0,
             });
         }
@@ -544,24 +618,22 @@ impl GprsBuilder {
         // records start (a resumed run supersedes the prior epoch) and is
         // synced immediately so even a run killed before its first
         // retirement leaves a well-formed epoch on disk.
-        if let Some(p) = self.inner.cfg.persist.clone() {
+        if let Some(p) = inner.cfg.persist.clone() {
             let spec = DurableRecord::Spec {
-                text: self.durable_spec.take().unwrap_or_default(),
+                text: self.durable_spec.unwrap_or_default(),
             };
             if let Err(e) = p.record(&spec).and_then(|()| p.sync()) {
-                self.inner.poison(format!("durable persistence failed: {e}"));
+                inner.poison(format!("durable persistence failed: {e}"));
             }
         }
-        // The telemetry facade was sized for the default config; rebuild it
-        // for the final worker count and switches. Likewise the detector,
-        // which `Inner::new` created from the default (off) config.
-        self.inner.telemetry = Arc::new(Telemetry::new(&self.telemetry, self.workers));
-        self.inner.racecheck = self
+        inner.telemetry = Arc::new(Telemetry::new(&inner.cfg.telemetry, inner.cfg.workers));
+        inner.racecheck = inner
+            .cfg
             .racecheck
             .then(gprs_core::racecheck::RaceDetector::new);
-        if let Some(rep) = &analysis {
-            let elided = rep.race_free() && self.inner.racecheck.is_none();
-            let tel = &self.inner.telemetry;
+        if let Some(rep) = analysis {
+            let elided = rep.race_free() && inner.racecheck.is_none();
+            let tel = &inner.telemetry;
             if tel.enabled() {
                 let m = &tel.metrics;
                 m.analysis_runs.inc();
@@ -590,132 +662,19 @@ impl GprsBuilder {
         // the enforcer with the final schedule — or, under replay, with the
         // tape itself as the ordering policy (the recorded grant order IS
         // the schedule; wasted polls hold the cursor in place).
-        let mut enforcer = match self.inner.replay.as_ref() {
-            Some(rs) => gprs_core::order::OrderEnforcer::new(Box::new(
-                gprs_core::recording::ReplaySchedule::from_recording(&rs.rec),
-            )),
-            None => gprs_core::order::OrderEnforcer::with_schedule(self.schedule),
+        let mut enforcer = match inner.replay.as_ref() {
+            Some(v) => gprs_core::order::OrderEnforcer::new(Box::new(v.schedule())),
+            None => gprs_core::order::OrderEnforcer::with_schedule(inner.cfg.schedule),
         };
-        for (tid, rec) in &self.inner.threads {
+        for (tid, rec) in &inner.threads {
             enforcer
                 .register_thread(*tid, rec.group, rec.weight)
                 .expect("unique ids");
         }
-        self.inner.enforcer = enforcer;
         // `Shared::new` mirrors the final enforcer's grant frontier into
-        // the lock-free gate, so it must run after the re-seed above.
-        Gprs {
-            shared: Arc::new(Shared::new(self.inner)),
-            analysis,
-        }
-    }
-
-    /// Finalizes the configuration into a sharded runtime: one engine —
-    /// one `OrderGate`, reorder list, WAL and checkpoint store — per domain
-    /// of the shard plan, with cross-domain channel and barrier edges
-    /// rendezvousing through a lock-free hub. The plan comes from an
-    /// attached [`shard_plan_artifact`](Self::shard_plan_artifact) (re-
-    /// validated against the model) or is derived fresh from the
-    /// [`model`](Self::model)'s interference proof. A single-domain plan
-    /// degenerates to the unmodified engine, bit-identical to
-    /// [`build`](Self::build).
-    ///
-    /// Sharded execution composes with analysis-driven WAL elision and the
-    /// full telemetry stack, but not with features that assume one global
-    /// retirement stream: durable persistence/resume and the dynamic race
-    /// detector are rejected at build time (the error surfaces from
-    /// [`ShardedGprs::run`]).
-    pub fn build_sharded(mut self) -> ShardedGprs {
-        let Some(model) = self.model.clone() else {
-            return ShardedGprs::failed(
-                "sharded execution requires an attached model (GprsBuilder::model)".into(),
-            );
-        };
-        if self.persist.is_some() {
-            return ShardedGprs::failed(
-                "sharded execution does not support durable persistence".into(),
-            );
-        }
-        if !self.resume_prefix.is_empty() {
-            return ShardedGprs::failed(
-                "sharded execution does not support durable resume".into(),
-            );
-        }
-        if self.record_path.is_some() || self.replay_rec.is_some() {
-            return ShardedGprs::failed(
-                "sharded execution does not support schedule record/replay \
-                 (per-domain gates have no single global grant order)"
-                    .into(),
-            );
-        }
-        // Resolve the shard plan: committed artifact (re-validated, loud
-        // failure on staleness) or fresh derivation from the model.
-        let plan = match self.shard_plan_json.take() {
-            Some(text) => {
-                let plan = match gprs_analyze::ShardPlan::from_json(&text) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        return ShardedGprs::failed(format!(
-                            "stale shard plan for {:?}: unreadable artifact: {e}",
-                            model.name
-                        ))
-                    }
-                };
-                if let Err(e) = plan.validate_against(&model) {
-                    return ShardedGprs::failed(e);
-                }
-                plan
-            }
-            None => gprs_analyze::shard_plan(&model),
-        };
-        let exec = plan.coalesce_for_execution(&model);
-        // Same ahead-of-run analysis as `build`, but a verdict that would
-        // arm the dynamic detector is a hard error: per-domain detectors
-        // cannot see cross-shard races, so a maybe-racy model must not run
-        // sharded.
-        let analysis = if self.analyze || self.elide {
-            Some(gprs_analyze::analyze(&model))
-        } else {
-            None
-        };
-        if let Some(rep) = &analysis {
-            if self.analyze && !rep.race_free()
-                && rep.advice == gprs_analyze::RecoveryAdvice::HybridCpr
-            {
-                self.racecheck = true;
-            }
-        }
-        if self.racecheck {
-            return ShardedGprs::failed(
-                "sharded execution does not support the dynamic race detector \
-                 (per-domain detectors cannot order cross-shard accesses)"
-                    .into(),
-            );
-        }
-        let elide_cells = match &analysis {
-            Some(rep) if self.elide && rep.race_free() => {
-                Arc::new(rep.restart.dead_cells.iter().copied().collect())
-            }
-            _ => Arc::new(std::collections::BTreeSet::new()),
-        };
-        self.inner.cfg = RunConfig {
-            schedule: self.schedule,
-            workers: self.workers,
-            recovery: self.recovery,
-            telemetry: self.telemetry,
-            racecheck: false,
-            job_id: self.job_id,
-            submit_seq: self.submit_seq,
-            persist: None,
-            durable_ckpt_every: self.durable_ckpt_every,
-            elide_cells,
-        };
-        // Mirror `build`'s facade rebuild: the telemetry was sized for the
-        // default config. `assemble` re-derives per-domain facades from
-        // this cfg; the single-domain shortcut uses this one as-is.
-        self.inner.telemetry = Arc::new(Telemetry::new(&self.telemetry, self.workers));
-        self.inner.racecheck = None;
-        shard::assemble(self.inner, &model, &exec, self.workers, analysis)
+        // the lock-free gate, so it must run after this re-seed.
+        inner.enforcer = enforcer;
+        inner
     }
 }
 
@@ -728,30 +687,6 @@ pub struct Gprs {
 }
 
 impl Gprs {
-    /// Stamps the recorder with the actual drive mode, and rejects a
-    /// cross-mode replay loudly: a pool recording replayed through a
-    /// session (or vice versa) would verify event-for-event yet reproduce
-    /// none of the original run's context interleaving, so the mismatch
-    /// poisons before the first grant instead of silently "succeeding".
-    fn stamp_mode(&self, mode: gprs_core::recording::DriveMode) {
-        let mut inner = self.shared.inner.lock();
-        if let Some(r) = inner.recorder.as_mut() {
-            r.set_mode(mode);
-        }
-        let mismatch = inner.replay.as_ref().and_then(|rs| {
-            (rs.rec.header.mode != mode).then(|| {
-                format!(
-                    "replay mode mismatch: recording was captured in {} mode \
-                     but this run drives in {} mode",
-                    rs.rec.header.mode, mode
-                )
-            })
-        });
-        if let Some(msg) = mismatch {
-            inner.poison(msg);
-        }
-    }
-
     /// A controller for injecting exceptions while the program runs.
     pub fn controller(&self) -> Controller {
         Controller {
@@ -766,22 +701,11 @@ impl Gprs {
     /// Returns [`RunError::Poisoned`] if a step panicked or the program
     /// deadlocked (ill-formed barrier participation or channel starvation).
     pub fn run(self) -> Result<RunReport, RunError> {
-        self.stamp_mode(gprs_core::recording::DriveMode::Pool);
-        let workers = self.shared.inner.lock().cfg.workers;
-        let mut joins = Vec::with_capacity(workers);
-        for ix in 0..workers {
-            let shared = self.shared.clone();
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("gprs-worker-{ix}"))
-                    .spawn(move || crate::engine::worker_loop(&shared, ix))
-                    .expect("spawn worker"),
-            );
-        }
-        for j in joins {
-            j.join().expect("workers do not panic");
-        }
-        collect_report(&self.shared, self.analysis)
+        let mut report = run_pools(std::slice::from_ref(&self.shared))?
+            .pop()
+            .expect("one report per engine");
+        report.analysis = self.analysis;
+        Ok(report)
     }
 
     /// Converts the runtime into a cooperative [`session::GprsSession`]
@@ -792,7 +716,7 @@ impl Gprs {
     /// has exactly one driving context (determinism hashes are
     /// worker-count-independent, so reports still match pooled runs).
     pub fn into_session(self) -> session::GprsSession {
-        self.stamp_mode(gprs_core::recording::DriveMode::Session);
+        stamp_mode(&self.shared, gprs_core::recording::DriveMode::Session);
         session::GprsSession {
             shared: self.shared,
             analysis: self.analysis,
@@ -802,14 +726,49 @@ impl Gprs {
     }
 }
 
-/// Drains the engine's final state into a [`RunReport`]. Shared by
-/// [`Gprs::run`] (after the pool joins) and
-/// [`session::GprsSession::finish`] (after the driver observes
+/// Stamps the recorder with the actual drive mode, and rejects a cross-mode
+/// replay loudly: a pool recording replayed through a session (or vice
+/// versa) would verify event-for-event yet reproduce none of the original
+/// run's context interleaving, so the mismatch poisons before the first
+/// grant instead of silently "succeeding".
+fn stamp_mode(shared: &Shared, mode: gprs_core::recording::DriveMode) {
+    let mut inner = shared.inner.lock();
+    if let Some(r) = inner.recorder.as_mut() {
+        r.set_mode(mode);
+    }
+    if let Some(msg) = inner.replay.as_ref().and_then(|v| v.check_mode(mode)) {
+        inner.poison(msg);
+    }
+}
+
+/// The pool runner behind [`Gprs::run`] and [`ShardedGprs::run`]: spawns
+/// every engine's workers, joins them all, and collects one report per
+/// engine, in order (the first poisoned engine's diagnostic wins).
+pub(crate) fn run_pools(engines: &[SharedRef]) -> Result<Vec<RunReport>, RunError> {
+    let mut joins = Vec::new();
+    for (d, shared) in engines.iter().enumerate() {
+        stamp_mode(shared, gprs_core::recording::DriveMode::Pool);
+        for ix in 0..shared.workers {
+            let shared = shared.clone();
+            joins.push(
+                std::thread::Builder::new()
+                    .name(format!("gprs-worker-{d}.{ix}"))
+                    .spawn(move || crate::engine::worker_loop(&shared, ix))
+                    .expect("spawn worker"),
+            );
+        }
+    }
+    for j in joins {
+        j.join().expect("workers do not panic");
+    }
+    engines.iter().map(collect_report).collect()
+}
+
+/// Drains the engine's final state into a [`RunReport`] (its `analysis` is
+/// the caller's to attach). Shared by [`run_pools`] (after the pools join)
+/// and [`session::GprsSession::finish`] (after the driver observes
 /// completion), so both execution modes report identically.
-pub(crate) fn collect_report(
-    shared: &SharedRef,
-    analysis: Option<gprs_analyze::AnalysisReport>,
-) -> Result<RunReport, RunError> {
+pub(crate) fn collect_report(shared: &SharedRef) -> Result<RunReport, RunError> {
     let mut inner = shared.inner.lock();
     if let Some(p) = inner.cfg.persist.clone() {
         // Group-commit the epoch's tail and mirror the backend's
@@ -827,8 +786,11 @@ pub(crate) fn collect_report(
     // final digests — a hash mismatch with an event-for-event match means
     // the recording was tampered with or the program diverged outside the
     // schedule, and either deserves a loud failure.
-    if let Some(msg) = inner.replay_verify_final() {
-        inner.poison(msg);
+    if inner.poisoned.is_none() {
+        let (sched, retired) = (inner.sched_hash.digest(), inner.retired_hash.digest());
+        if let Some(msg) = inner.replay.as_ref().and_then(|v| v.check_final(sched, retired)) {
+            inner.poison(msg);
+        }
     }
     // Seal and write the recording BEFORE the poison early-return: a
     // recording of a failed run is the whole point of time-travel
@@ -867,7 +829,7 @@ pub(crate) fn collect_report(
         files,
         telemetry,
         first_race,
-        analysis,
+        analysis: None,
         shards: Vec::new(),
     })
 }
@@ -890,17 +852,7 @@ impl Controller {
             .iter()
             .find(|(_, &w)| w == context as usize)
             .map(|(&s, _)| s);
-        let exception = Exception::global(kind, ContextId::new(context), 0);
-        if let Some(c) = culprit {
-            // Attribute immediately: an excepted entry cannot retire, so
-            // the culprit is still rollback-able when recovery quiesces.
-            g.rol
-                .mark_excepted(c, exception.clone())
-                .expect("running sub-thread is in the ROL");
-        }
-        g.pending_exceptions
-            .push_back(PendingException { exception, culprit });
-        g.bump();
+        g.raise(kind, context, culprit);
         drop(g);
         self.shared.cv.notify_all();
     }
@@ -910,19 +862,10 @@ impl Controller {
     /// running). Returns whether a culprit was found.
     pub fn inject_on_busy(&self, kind: ExceptionKind) -> bool {
         let mut g = self.shared.inner.lock();
-        let culprit = g.running.iter().map(|(&s, &w)| (s, w)).min();
-        let Some((stid, worker)) = culprit else {
+        let Some((stid, worker)) = g.running.iter().map(|(&s, &w)| (s, w)).min() else {
             return false;
         };
-        let exception = Exception::global(kind, ContextId::new(worker as u32), 0);
-        g.rol
-            .mark_excepted(stid, exception.clone())
-            .expect("running sub-thread is in the ROL");
-        g.pending_exceptions.push_back(PendingException {
-            exception,
-            culprit: Some(stid),
-        });
-        g.bump();
+        g.raise(kind, worker as u32, Some(stid));
         drop(g);
         self.shared.cv.notify_all();
         true

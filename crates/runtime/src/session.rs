@@ -21,7 +21,7 @@
 //! order** of a solo [`Gprs::run`] — multi-tenancy cannot leak into
 //! determinism, which `gprs-serve`'s golden tests assert per job.
 
-use crate::engine::{coop_decide, execute_task, CoopDecision, SharedRef, StepOutcome};
+use crate::engine::{decide, execute_task, Decision, SharedRef, StepOutcome, SOLO};
 use crate::report::{RunError, RunReport};
 use crate::Controller;
 
@@ -142,13 +142,13 @@ impl GprsSession {
         let mut budget = max_grants.max(1);
         let mut finished: Option<StepOutcome> = None;
         loop {
-            match coop_decide(&self.shared, finished.take(), budget > 0) {
-                CoopDecision::Run(task) => {
+            match decide::<SOLO>(&self.shared, 0, finished.take(), budget > 0) {
+                Decision::Run { task, .. } => {
                     budget -= 1;
                     finished = Some(execute_task(&self.shared, 0, task));
                 }
-                CoopDecision::Parked => return QuantumOutcome::Yielded,
-                CoopDecision::Finished => {
+                Decision::Parked => return QuantumOutcome::Yielded,
+                Decision::Finished => {
                     self.done = true;
                     return QuantumOutcome::Finished;
                 }
@@ -216,7 +216,7 @@ impl GprsSession {
         let g = self.shared.inner.lock();
         PreciseState {
             grants: g.stats.grants,
-            replayed: g.replay.as_ref().map(|rs| rs.verified as u64),
+            replayed: g.replay_pos().map(|pos| pos as u64),
             schedule_digest: g.sched_hash.digest(),
             retired_digest: g.retired_hash.digest(),
             live_threads: g.live as u64,
@@ -259,7 +259,9 @@ impl GprsSession {
     /// # Errors
     /// [`RunError::Poisoned`] if a step panicked or the program deadlocked.
     pub fn finish(self) -> Result<RunReport, RunError> {
-        crate::collect_report(&self.shared, self.analysis)
+        let mut report = crate::collect_report(&self.shared)?;
+        report.analysis = self.analysis;
+        Ok(report)
     }
 }
 

@@ -199,8 +199,7 @@ impl EdgeHub {
         self.wake_all();
     }
 
-    pub fn peers_done(&self, me: usize) -> bool {
-        let _ = me;
+    pub fn peers_done(&self) -> bool {
         self.finished.load(Ordering::Acquire) >= self.domains.saturating_sub(1)
     }
 }
@@ -214,7 +213,7 @@ pub(crate) struct ShardCtx {
     /// forwarded here (value = edge queue + consumer domain).
     pub out_edges: BTreeMap<ChannelId, (Arc<EdgeQueue<Payload>>, usize)>,
     /// Cross-domain channels this domain consumes from: drained into the
-    /// local channel at the top of every seek.
+    /// local channel at the top of every decision.
     pub in_edges: BTreeMap<ChannelId, Arc<EdgeQueue<Payload>>>,
     /// Barriers whose participants span domains; releases come from the hub.
     pub edge_barriers: BTreeSet<BarrierId>,
@@ -308,28 +307,12 @@ impl ShardedGprs {
                 hub.register_member(d, Arc::downgrade(shared));
             }
         }
-        let mut joins = Vec::new();
-        for (d, shared) in self.engines.iter().enumerate() {
-            for ix in 0..shared.workers {
-                let s = shared.clone();
-                joins.push(
-                    std::thread::Builder::new()
-                        .name(format!("gprs-shard{d}-worker{ix}"))
-                        .spawn(move || crate::engine::worker_loop(&s, ix))
-                        .expect("spawn worker"),
-                );
-            }
-        }
-        for j in joins {
-            j.join().expect("workers do not panic");
-        }
-        let mut reports = Vec::new();
-        let mut summaries = Vec::new();
-        for (d, shared) in self.engines.iter().enumerate() {
-            let report = crate::collect_report(shared, None)?;
-            summaries.push(summary_of(d, &report));
-            reports.push(report);
-        }
+        let reports = crate::run_pools(&self.engines)?;
+        let summaries = reports
+            .iter()
+            .enumerate()
+            .map(|(d, r)| summary_of(d, r))
+            .collect();
         Ok(merge_reports(reports, summaries, self.analysis))
     }
 }
@@ -431,14 +414,46 @@ fn merge_reports(
 }
 
 /// Where each model resource lives, per execution domain.
-struct ResourceMap {
+pub(crate) struct ResourceMap {
     /// Resource -> execution domains whose threads touch it.
     touched: BTreeMap<ResourceId, BTreeSet<usize>>,
     /// Channel -> (producer domains, consumer domains).
     chan_ends: BTreeMap<ChannelId, (BTreeSet<usize>, BTreeSet<usize>)>,
 }
 
-fn map_resources(model: &Workload, exec: &ShardPlan) -> Result<ResourceMap, String> {
+/// Validates the execution plan against the builder's engine — model and
+/// plan must cover exactly the registered threads: the plan's domains are
+/// only sound for the topology the analysis saw — and maps every model
+/// resource to the domains that touch it.
+pub(crate) fn map_resources(
+    base: &Inner,
+    model: &Workload,
+    exec: &ShardPlan,
+) -> Result<ResourceMap, String> {
+    let model_threads: BTreeSet<ThreadId> = model.threads.iter().map(|t| t.thread).collect();
+    let live_threads: BTreeSet<ThreadId> = base.threads.keys().copied().collect();
+    if model_threads != live_threads {
+        return Err(format!(
+            "stale shard plan for {:?}: the attached model describes threads {:?} \
+             but the builder registered {:?}",
+            model.name,
+            model_threads.iter().map(|t| t.raw()).collect::<Vec<_>>(),
+            live_threads.iter().map(|t| t.raw()).collect::<Vec<_>>(),
+        ));
+    }
+    let plan_threads: BTreeSet<ThreadId> = exec
+        .domains
+        .iter()
+        .flat_map(|d| d.threads.iter().copied())
+        .collect();
+    if plan_threads != live_threads {
+        return Err(format!(
+            "stale shard plan for {:?}: plan covers {} thread(s), run has {}",
+            model.name,
+            plan_threads.len(),
+            live_threads.len(),
+        ));
+    }
     let mut spec_of = BTreeMap::new();
     for spec in &model.threads {
         spec_of.insert(spec.thread, spec);
@@ -495,60 +510,16 @@ fn map_resources(model: &Workload, exec: &ShardPlan) -> Result<ResourceMap, Stri
     Ok(ResourceMap { touched, chan_ends })
 }
 
-/// Validates the execution plan against the built engine and splits it into
-/// per-domain engines wired through an [`EdgeHub`]. `base` must be the
-/// fully configured single-engine state (cfg set, threads registered).
+/// Splits the fully configured single-engine state `base` (cfg final,
+/// threads registered) along the plan's two or more execution domains into
+/// per-domain engines wired through an [`EdgeHub`].
 pub(crate) fn assemble(
     mut base: Inner,
     model: &Workload,
     exec: &ShardPlan,
-    total_workers: usize,
+    resources: &ResourceMap,
     analysis: Option<gprs_analyze::AnalysisReport>,
 ) -> ShardedGprs {
-    // The model must cover exactly the registered threads: the plan's
-    // domains are only sound for the topology the analysis saw.
-    let model_threads: BTreeSet<ThreadId> = model.threads.iter().map(|t| t.thread).collect();
-    let live_threads: BTreeSet<ThreadId> = base.threads.keys().copied().collect();
-    if model_threads != live_threads {
-        return ShardedGprs::failed(format!(
-            "stale shard plan for {:?}: the attached model describes threads {:?} \
-             but the builder registered {:?}",
-            model.name,
-            model_threads.iter().map(|t| t.raw()).collect::<Vec<_>>(),
-            live_threads.iter().map(|t| t.raw()).collect::<Vec<_>>(),
-        ));
-    }
-    let plan_threads: BTreeSet<ThreadId> = exec
-        .domains
-        .iter()
-        .flat_map(|d| d.threads.iter().copied())
-        .collect();
-    if plan_threads != live_threads {
-        return ShardedGprs::failed(format!(
-            "stale shard plan for {:?}: plan covers {} thread(s), run has {}",
-            model.name,
-            plan_threads.len(),
-            live_threads.len(),
-        ));
-    }
-
-    let resources = match map_resources(model, exec) {
-        Ok(r) => r,
-        Err(e) => return ShardedGprs::failed(e),
-    };
-
-    // Single-domain plans run the unmodified engine: identical grant order,
-    // hashes and goldens to an unsharded run of the same program.
-    if exec.domains.len() <= 1 {
-        reseed_enforcer(&mut base);
-        return ShardedGprs {
-            engines: vec![Arc::new(Shared::new(base))],
-            hub: None,
-            analysis,
-            error: None,
-        };
-    }
-
     // Cross-domain rendezvous: SPSC channels and whole-domain barriers.
     let mut hub = EdgeHub::new(exec.domains.len());
     let mut spec_of = BTreeMap::new();
@@ -611,7 +582,7 @@ pub(crate) fn assemble(
     }
     let hub = Arc::new(hub);
 
-    let workers_per_domain = (total_workers / exec.domains.len()).max(1);
+    let workers_per_domain = (base.cfg.workers / exec.domains.len()).max(1);
     let mut engines = Vec::with_capacity(exec.domains.len());
     for (dix, dom) in exec.domains.iter().enumerate() {
         let mut cfg = base.cfg.clone();
@@ -720,16 +691,4 @@ pub(crate) fn assemble(
         analysis,
         error: None,
     }
-}
-
-/// Re-seeds an engine's enforcer with its final schedule, mirroring
-/// [`crate::GprsBuilder::build`] for the single-domain shortcut.
-fn reseed_enforcer(inner: &mut Inner) {
-    let mut enforcer = gprs_core::order::OrderEnforcer::with_schedule(inner.cfg.schedule);
-    for (tid, rec) in &inner.threads {
-        enforcer
-            .register_thread(*tid, rec.group, rec.weight)
-            .expect("unique ids");
-    }
-    inner.enforcer = enforcer;
 }

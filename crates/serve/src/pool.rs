@@ -270,6 +270,16 @@ impl Shared {
         self.cv.notify_one();
     }
 
+    /// Wakes every parked worker to re-read `phase` and `unfinished`. Held
+    /// under the queue lock — the lock a worker holds from checking those
+    /// two until it is parked — so the wake cannot fall in between and be
+    /// lost (a worker parked past a lost shutdown wake never exits, and
+    /// the pool's join hangs).
+    fn wake_workers(&self) {
+        let _q = self.queue.lock();
+        self.cv.notify_all();
+    }
+
     fn stats(&self) -> PoolStats {
         let m = &self.metrics;
         PoolStats {
@@ -516,7 +526,7 @@ impl ServePool {
 
     fn stop(mut self, phase: u8) -> PoolStats {
         self.shared.phase.store(phase, Ordering::Release);
-        self.shared.cv.notify_all();
+        self.shared.wake_workers();
         for j in self.joins.drain(..) {
             j.join().expect("pool workers do not panic");
         }
@@ -530,7 +540,7 @@ impl Drop for ServePool {
             return;
         }
         self.shared.phase.store(DRAIN, Ordering::Release);
-        self.shared.cv.notify_all();
+        self.shared.wake_workers();
         for j in self.joins.drain(..) {
             j.join().expect("pool workers do not panic");
         }
@@ -836,6 +846,6 @@ fn publish(
     job.done_cv.notify_all();
     if shared.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last job done: wake any workers sleeping through a drain.
-        shared.cv.notify_all();
+        shared.wake_workers();
     }
 }

@@ -39,8 +39,8 @@ use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::{DurableRecord, PersistBackend};
 use gprs_core::racecheck::{resource_code, OpenEdge, RaceDetector, RetireInfo};
 use gprs_core::recording::{
-    event_kind_name, DriveMode, RecordedOutcome, Recorder, Recording, RecordingHeader,
-    ReplaySchedule, EVT_ARRIVE, EVT_EXIT,
+    DriveMode, RecordedOutcome, Recorder, Recording, RecordingHeader, ReplayVerifier, EVT_ARRIVE,
+    EVT_EXIT, RECORD_AND_REPLAY,
 };
 use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
@@ -425,8 +425,8 @@ struct Gprs<'a> {
     /// and written to `record_path` when the result is sealed.
     recorder: Option<Recorder>,
     record_path: Option<std::path::PathBuf>,
-    /// Replay verifier: `(recording, events verified so far)`.
-    replay: Option<(Arc<Recording>, usize)>,
+    /// Replay verifier over the tape that drives this run.
+    replay: Option<ReplayVerifier>,
 }
 
 impl<'a> Gprs<'a> {
@@ -435,8 +435,9 @@ impl<'a> Gprs<'a> {
         // Under replay the tape itself is the ordering policy: the token
         // follows the recorded grant order, and wasted polls hold the
         // cursor in place (`ReplaySchedule::pass` is a no-op).
-        let mut enforcer = match &cfg.replay {
-            Some(rec) => OrderEnforcer::new(Box::new(ReplaySchedule::from_recording(rec))),
+        let replay = cfg.replay.clone().map(ReplayVerifier::new);
+        let mut enforcer = match &replay {
+            Some(v) => OrderEnforcer::new(Box::new(v.schedule())),
             None => OrderEnforcer::with_schedule(cfg.schedule),
         };
         let mut threads = Vec::with_capacity(w.threads.len());
@@ -512,7 +513,7 @@ impl<'a> Gprs<'a> {
                 })
             }),
             record_path: cfg.record.as_ref().map(|(p, _)| p.clone()),
-            replay: cfg.replay.clone().map(|rec| (rec, 0)),
+            replay,
         };
         if let Some(p) = &g.persist {
             let spec = DurableRecord::Spec {
@@ -576,31 +577,12 @@ impl<'a> Gprs<'a> {
         if let Some(r) = self.recorder.as_mut() {
             r.record_event(thread.raw(), kind);
         }
-        let Some((rec, verified)) = self.replay.as_mut() else {
-            return;
-        };
-        let pos = *verified;
-        match rec.events.get(pos) {
-            Some(e) if e.thread == thread.raw() && e.kind == kind => *verified += 1,
-            Some(e) => {
-                self.res.replay_divergence = Some(format!(
-                    "replay divergence at event {pos}: recording expects \
-                     (thread {}, {}) but the live run performed (thread {}, {})",
-                    e.thread,
-                    event_kind_name(e.kind),
-                    thread.raw(),
-                    event_kind_name(kind),
-                ));
-            }
-            None => {
-                self.res.replay_divergence = Some(format!(
-                    "replay divergence: live run performed event {pos} \
-                     (thread {}, {}) past the end of the {}-event recording",
-                    thread.raw(),
-                    event_kind_name(kind),
-                    rec.events.len(),
-                ));
-            }
+        if let Some(msg) = self
+            .replay
+            .as_mut()
+            .and_then(|v| v.check_event(thread.raw(), kind))
+        {
+            self.res.replay_divergence = Some(msg);
         }
     }
 
@@ -625,27 +607,10 @@ impl<'a> Gprs<'a> {
         // consuming the whole tape, or whose final digests disagree with
         // the recorded footer, diverged even if every verified event
         // matched — demote it to a named failure.
-        if let Some((rec, verified)) = self.replay.take() {
+        if let Some(v) = self.replay.take() {
             if self.res.replay_divergence.is_none() && self.res.completed {
-                if verified < rec.events.len() {
-                    self.res.replay_divergence = Some(format!(
-                        "replay divergence: live run finished after {verified} \
-                         events but the recording has {}",
-                        rec.events.len()
-                    ));
-                } else if rec.sched_hash != self.sched_hash.digest()
-                    || rec.retired_hash != self.retired_hash.digest()
-                {
-                    self.res.replay_divergence = Some(format!(
-                        "replay divergence: recorded final digests \
-                         ({:016x}, {:016x}) do not match the replayed run \
-                         ({:016x}, {:016x})",
-                        rec.sched_hash,
-                        rec.retired_hash,
-                        self.sched_hash.digest(),
-                        self.retired_hash.digest(),
-                    ));
-                }
+                self.res.replay_divergence =
+                    v.check_final(self.sched_hash.digest(), self.retired_hash.digest());
             }
             if self.res.replay_divergence.is_some() {
                 self.res.completed = false;
@@ -1435,23 +1400,9 @@ impl<'a> Gprs<'a> {
                 return false;
             }
             let Some(holder) = self.enforcer.holder() else {
-                if let Some((rec, verified)) = self.replay.as_ref() {
-                    if *verified >= rec.events.len() {
-                        let msg = match &rec.outcome {
-                            RecordedOutcome::Poisoned(orig) => format!(
-                                "replay reached the end of a failed recording \
-                                 after {verified} events (original failure: {orig})"
-                            ),
-                            RecordedOutcome::Complete => format!(
-                                "replay divergence: recording ended after \
-                                 {verified} events but the live run still has \
-                                 {} live threads",
-                                self.live
-                            ),
-                        };
-                        self.replay_abort(msg);
-                        return false;
-                    }
+                if let Some(msg) = self.replay.as_ref().and_then(|v| v.exhausted(self.live)) {
+                    self.replay_abort(msg);
+                    return false;
                 }
                 // Everyone deregistered (barrier deadlock in an ill-formed
                 // trace): DNC.
@@ -1534,8 +1485,7 @@ impl<'a> Gprs<'a> {
                     // queue means the tape lies about this schedule — and
                     // since `ReplaySchedule::pass` holds the cursor, passing
                     // here would spin forever. Abort by name instead.
-                    if let Some((_, verified)) = self.replay.as_ref() {
-                        let pos = *verified;
+                    if let Some(pos) = self.replay.as_ref().map(ReplayVerifier::verified) {
                         self.replay_abort(format!(
                             "replay divergence at event {pos}: recorded \
                              thread {} polls an empty channel the recording \
@@ -1671,20 +1621,12 @@ impl<'a> Gprs<'a> {
         if self.recorder.is_some() && self.replay.is_some() {
             self.recorder = None;
             self.record_path = None;
-            self.replay_abort("cannot record and replay in the same run".to_string());
+            self.replay_abort(RECORD_AND_REPLAY.to_string());
             return self.finish_result();
         }
-        if let Some((rec, _)) = &self.replay {
-            if rec.header.mode != DriveMode::Sim {
-                let msg = format!(
-                    "replay mode mismatch: recording was captured in {} mode \
-                     but this run drives in {} mode",
-                    rec.header.mode,
-                    DriveMode::Sim
-                );
-                self.replay_abort(msg);
-                return self.finish_result();
-            }
+        if let Some(msg) = self.replay.as_ref().and_then(|v| v.check_mode(DriveMode::Sim)) {
+            self.replay_abort(msg);
+            return self.finish_result();
         }
         let poll_cost = self.cfg.costs.poll.max(1);
         loop {

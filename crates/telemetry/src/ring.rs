@@ -93,18 +93,22 @@ impl EventRing {
     /// Requires writer quiescence (see module docs); takes `&self` because
     /// integrations hold the ring behind an `Arc`.
     pub fn snapshot(&self) -> Vec<TimedEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Appends the live events, oldest first, to `out` (same contract as
+    /// [`EventRing::snapshot`]).
+    fn snapshot_into(&self, out: &mut Vec<TimedEvent>) {
         let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len();
-        let live = head.min(cap);
-        let start = head - live;
-        (start..head)
-            .map(|ix| {
-                let slot = &self.slots[ix % cap];
-                // SAFETY: indices in [start, head) were fully written by the
-                // (now quiescent) writer; TimedEvent is Copy.
-                unsafe { (*slot.get()).assume_init() }
-            })
-            .collect()
+        let start = head - head.min(self.slots.len());
+        out.extend((start..head).map(|ix| {
+            let slot = &self.slots[ix & self.mask];
+            // SAFETY: indices in [start, head) were fully written by the
+            // (now quiescent) writer; TimedEvent is Copy.
+            unsafe { (*slot.get()).assume_init() }
+        }));
     }
 }
 
@@ -137,14 +141,17 @@ impl RingSet {
 
     /// Merges all rings into one trace totally ordered by sequence number.
     ///
-    /// Requires writer quiescence on every ring.
+    /// Requires writer quiescence on every ring. One exactly sized
+    /// allocation, sorted in place: every run's report drains, so a
+    /// temporary here is the trace's size in freshly faulted pages inside
+    /// each `run()`. Sequence numbers are unique per facade; the worker
+    /// keeps a tie in ring order.
     pub fn drain(&self) -> Vec<TimedEvent> {
-        let mut all: Vec<TimedEvent> = self
-            .rings
-            .iter()
-            .flat_map(|r| r.snapshot())
-            .collect();
-        all.sort_by_key(|e| e.seq);
+        let mut all = Vec::with_capacity(self.rings.iter().map(EventRing::len).sum());
+        for r in &self.rings {
+            r.snapshot_into(&mut all);
+        }
+        all.sort_unstable_by_key(|e| (e.seq, e.worker));
         all
     }
 }
@@ -202,6 +209,23 @@ mod tests {
         let all = set.drain();
         assert_eq!(all.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(set.dropped(), 0);
+    }
+
+    #[test]
+    fn drain_of_a_wrapped_ring_is_one_exact_allocation_in_sequence_order() {
+        let set = RingSet::new(1, 4);
+        for seq in [0, 2, 4, 6, 8, 10] {
+            set.ring(0).push(ev(seq, 0));
+        }
+        set.ring(7).push(ev(5, 7));
+        set.ring(7).push(ev(9, 7));
+        let all = set.drain();
+        assert_eq!(
+            all.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![4, 5, 6, 8, 9, 10]
+        );
+        assert_eq!(all.capacity(), all.len());
+        assert_eq!(set.dropped(), 2);
     }
 
     #[test]
