@@ -79,6 +79,25 @@ pub(crate) struct RunConfig {
     pub elide_cells: Arc<std::collections::BTreeSet<AtomicId>>,
 }
 
+/// The paper's defaults: balance-aware (basic) ordering, selective restart,
+/// 4 workers.
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            schedule: ScheduleKind::BalanceBasic,
+            workers: 4,
+            recovery: RecoveryPolicy::Selective,
+            telemetry: TelemetryConfig::default(),
+            racecheck: false,
+            job_id: 0,
+            submit_seq: 0,
+            persist: None,
+            durable_ckpt_every: crate::DEFAULT_DURABLE_CKPT_EVERY,
+            elide_cells: Arc::default(),
+        }
+    }
+}
+
 /// Ring index for events recorded outside a known worker (retirement on the
 /// deposit path, recovery, controller injections). [`Telemetry::record`]
 /// clamps it to the external ring; all such recording happens under the
@@ -529,12 +548,14 @@ pub(crate) struct Shared {
     pub shard_sleepers: [AtomicUsize; LOCK_SHARDS],
     /// Configured worker count (for the spare-CPU wake heuristic).
     pub workers: usize,
-    /// Hardware parallelism at construction. Waking a peer to overlap
-    /// seeking/stepping only helps when a CPU is free to run it; on an
-    /// oversubscribed host the wake merely preempts the worker that would
-    /// have reached the work itself (same adaptive idea as spin-then-park
-    /// mutexes, which also consult the CPU count).
-    pub cpus: usize,
+    /// Hardware parallelism of the pool run driving this engine, stamped
+    /// by `run_pools` (the lookup costs more than building an engine); a
+    /// session's single context never parks and never reads it. Waking a
+    /// peer to overlap seeking/stepping only helps when a CPU is free to
+    /// run it; on an oversubscribed host the wake merely preempts the
+    /// worker that would have reached the work itself (same adaptive idea
+    /// as spin-then-park mutexes, which also consult the CPU count).
+    pub cpus: AtomicUsize,
 }
 
 impl Shared {
@@ -551,7 +572,7 @@ impl Shared {
             cv_sleepers: AtomicUsize::new(0),
             shard_sleepers: std::array::from_fn(|_| AtomicUsize::new(0)),
             workers,
-            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpus: AtomicUsize::new(1),
         }
     }
 
@@ -564,7 +585,7 @@ impl Shared {
     pub fn spare_cpu(&self) -> bool {
         self.workers
             .saturating_sub(self.cv_sleepers.load(Ordering::Relaxed))
-            < self.cpus
+            < self.cpus.load(Ordering::Relaxed)
     }
 
     /// Which shard a nested waiter for `lock` parks on.
@@ -648,8 +669,14 @@ pub(crate) enum Decision {
 }
 
 impl Inner {
-    pub fn new(cfg: RunConfig) -> Self {
-        let enforcer = OrderEnforcer::with_schedule(cfg.schedule);
+    /// An engine for the final `cfg`. Its ordering policy is the configured
+    /// schedule — or, under replay, the tape itself (the recorded grant
+    /// order IS the schedule; wasted polls hold the cursor in place).
+    pub fn new(cfg: RunConfig, replay: Option<gprs_core::recording::ReplayVerifier>) -> Self {
+        let enforcer = match &replay {
+            Some(v) => OrderEnforcer::new(Box::new(v.schedule())),
+            None => OrderEnforcer::with_schedule(cfg.schedule),
+        };
         let telemetry = Arc::new(Telemetry::new(&cfg.telemetry, cfg.workers));
         let racecheck = cfg.racecheck.then(RaceDetector::new);
         Inner {
@@ -699,7 +726,7 @@ impl Inner {
             shard: None,
             recorder: None,
             record_path: None,
-            replay: None,
+            replay,
         }
     }
 

@@ -78,13 +78,14 @@ use crate::engine::{Inner, RunConfig, Shared, SharedRef};
 use crate::handles::{
     AtomicHandle, BarrierHandle, ChannelHandle, FileHandle, MutexHandle, RawChannel, RawMutex,
 };
-use crate::program::ThreadProgram;
+use crate::program::{DynThread, ThreadProgram};
 use crate::report::{RunError, RunReport};
 use gprs_core::exception::ExceptionKind;
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
 use gprs_core::order::ScheduleKind;
 use gprs_core::persist::{DurableImage, DurableRecord, PersistBackend};
-use gprs_telemetry::{Telemetry, TelemetryConfig};
+use gprs_telemetry::TelemetryConfig;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -95,7 +96,7 @@ pub use crate::engine::RecoveryPolicy;
 pub const DEFAULT_DURABLE_CKPT_EVERY: u64 = 64;
 
 /// Configures and assembles a GPRS runtime.
-#[derive(Debug)]
+#[derive(Default)]
 pub struct GprsBuilder {
     analyze: bool,
     elide: bool,
@@ -108,19 +109,22 @@ pub struct GprsBuilder {
     record_spec: Option<String>,
     chaos_text: Option<String>,
     replay_rec: Option<Arc<gprs_core::recording::Recording>>,
-    /// The engine under construction; its `cfg` is the configuration the
-    /// setters below edit in place.
-    inner: Inner,
-    next_lock: u64,
-    next_chan: u64,
-    next_atomic: u64,
-    next_barrier: u64,
-    next_file: u64,
+    /// The configuration the setters below edit in place.
+    cfg: RunConfig,
+    chaos: Option<engine::ChaosState>,
+    /// What the program registered, an id being a position; `finish`
+    /// constructs the engine that owns it, once the configuration is final.
+    threads: Vec<(Box<dyn DynThread>, GroupId, u32)>,
+    locks: BTreeMap<LockId, engine::LockRec>,
+    chans: BTreeMap<ChannelId, engine::ChanRec>,
+    atomics: BTreeMap<AtomicId, u64>,
+    barriers: BTreeMap<BarrierId, engine::BarrierRec>,
+    files: BTreeMap<u64, engine::FileRec>,
 }
 
-impl Default for GprsBuilder {
-    fn default() -> Self {
-        Self::new()
+impl std::fmt::Debug for GprsBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "GprsBuilder {{ cfg: {:?}, .. }}", self.cfg)
     }
 }
 
@@ -128,54 +132,24 @@ impl GprsBuilder {
     /// A builder with the paper's defaults: balance-aware (basic) ordering,
     /// selective restart, 4 workers.
     pub fn new() -> Self {
-        let cfg = RunConfig {
-            schedule: ScheduleKind::BalanceBasic,
-            workers: 4,
-            recovery: RecoveryPolicy::Selective,
-            telemetry: TelemetryConfig::default(),
-            racecheck: false,
-            job_id: 0,
-            submit_seq: 0,
-            persist: None,
-            durable_ckpt_every: DEFAULT_DURABLE_CKPT_EVERY,
-            elide_cells: Arc::new(std::collections::BTreeSet::new()),
-        };
-        GprsBuilder {
-            analyze: false,
-            elide: false,
-            model: None,
-            durable_spec: None,
-            resume_prefix: Vec::new(),
-            shard_plan_json: None,
-            record_path: None,
-            record_meta: None,
-            record_spec: None,
-            chaos_text: None,
-            replay_rec: None,
-            inner: Inner::new(cfg),
-            next_lock: 0,
-            next_chan: 0,
-            next_atomic: 0,
-            next_barrier: 0,
-            next_file: 0,
-        }
+        Self::default()
     }
 
     /// Number of OS workers (hardware contexts).
     pub fn workers(mut self, n: usize) -> Self {
-        self.inner.cfg.workers = n.max(1);
+        self.cfg.workers = n.max(1);
         self
     }
 
     /// The deterministic ordering schedule.
     pub fn schedule(mut self, kind: ScheduleKind) -> Self {
-        self.inner.cfg.schedule = kind;
+        self.cfg.schedule = kind;
         self
     }
 
     /// The recovery policy.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.inner.cfg.recovery = policy;
+        self.cfg.recovery = policy;
         self
     }
 
@@ -186,8 +160,8 @@ impl GprsBuilder {
     /// both at 0; a serving layer assigns them at admission so streamed
     /// reports can be matched to their submissions.
     pub fn job(mut self, id: u64, seq: u64) -> Self {
-        self.inner.cfg.job_id = id;
-        self.inner.cfg.submit_seq = seq;
+        self.cfg.job_id = id;
+        self.cfg.submit_seq = seq;
         self
     }
 
@@ -195,13 +169,13 @@ impl GprsBuilder {
     /// the report alongside the streaming schedule hash (determinism
     /// diagnostics; 0 — the default — keeps none).
     pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.inner.cfg.telemetry.raw_trace_cap = cap;
+        self.cfg.telemetry.raw_trace_cap = cap;
         self
     }
 
     /// Full telemetry configuration (event rings, metrics, raw trace).
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.inner.cfg.telemetry = cfg;
+        self.cfg.telemetry = cfg;
         self
     }
 
@@ -212,7 +186,7 @@ impl GprsBuilder {
     /// a selective restart whose culprit's thread raced escalates to a
     /// basic restart (the race broke the dependence-closure assumption).
     pub fn racecheck(mut self, on: bool) -> Self {
-        self.inner.cfg.racecheck = on;
+        self.cfg.racecheck = on;
         self
     }
 
@@ -271,7 +245,7 @@ impl GprsBuilder {
     /// Without a backend (the default) nothing changes — every durable
     /// hook is behind one branch, keeping the volatile hot paths intact.
     pub fn durable(mut self, backend: Arc<dyn PersistBackend>) -> Self {
-        self.inner.cfg.persist = Some(backend);
+        self.cfg.persist = Some(backend);
         self
     }
 
@@ -289,7 +263,7 @@ impl GprsBuilder {
     /// outstanding log with one fsync, so smaller is more durable and
     /// slower.
     pub fn durable_checkpoint_every(mut self, n: u64) -> Self {
-        self.inner.cfg.durable_ckpt_every = n.max(1);
+        self.cfg.durable_ckpt_every = n.max(1);
         self
     }
 
@@ -315,7 +289,7 @@ impl GprsBuilder {
     /// fire while the matching recovery pass is still in flight,
     /// exercising overlapping DEX→REX recovery. An empty plan is a no-op.
     pub fn chaos(mut self, plan: &gprs_core::chaos::ChaosPlan) -> Self {
-        self.inner.chaos = (!plan.is_empty()).then(|| engine::ChaosState::new(plan));
+        self.chaos = (!plan.is_empty()).then(|| engine::ChaosState::new(plan));
         // Keep the plan's canonical text so an armed recorder can stamp the
         // injection overlay into its header (replay must re-arm the same
         // faults to reproduce the schedule).
@@ -365,9 +339,8 @@ impl GprsBuilder {
 
     /// Registers a mutex owning `init`.
     pub fn mutex<T: Clone + Send + 'static>(&mut self, init: T) -> MutexHandle<T> {
-        let id = LockId::new(self.next_lock);
-        self.next_lock += 1;
-        self.inner.locks.insert(
+        let id = LockId::new(self.locks.len() as u64);
+        self.locks.insert(
             id,
             engine::LockRec {
                 holder: None,
@@ -382,9 +355,8 @@ impl GprsBuilder {
 
     /// Registers a FIFO channel.
     pub fn channel<T: Send + Sync + 'static>(&mut self) -> ChannelHandle<T> {
-        let id = ChannelId::new(self.next_chan);
-        self.next_chan += 1;
-        self.inner.chans.insert(id, engine::ChanRec::default());
+        let id = ChannelId::new(self.chans.len() as u64);
+        self.chans.insert(id, engine::ChanRec::default());
         ChannelHandle {
             raw: RawChannel(id),
             _t: PhantomData,
@@ -393,17 +365,15 @@ impl GprsBuilder {
 
     /// Registers an atomic `u64`.
     pub fn atomic(&mut self, init: u64) -> AtomicHandle {
-        let id = AtomicId::new(self.next_atomic);
-        self.next_atomic += 1;
-        self.inner.atomics.insert(id, init);
+        let id = AtomicId::new(self.atomics.len() as u64);
+        self.atomics.insert(id, init);
         AtomicHandle(id)
     }
 
     /// Registers a barrier for `participants` threads.
     pub fn barrier(&mut self, participants: u32) -> BarrierHandle {
-        let id = BarrierId::new(self.next_barrier);
-        self.next_barrier += 1;
-        self.inner.barriers.insert(
+        let id = BarrierId::new(self.barriers.len() as u64);
+        self.barriers.insert(
             id,
             engine::BarrierRec {
                 participants,
@@ -417,9 +387,8 @@ impl GprsBuilder {
 
     /// Registers a recoverable output file.
     pub fn file(&mut self, name: impl Into<String>) -> FileHandle {
-        let id = self.next_file;
-        self.next_file += 1;
-        self.inner.files.insert(
+        let id = self.files.len() as u64;
+        self.files.insert(
             id,
             engine::FileRec {
                 name: name.into(),
@@ -437,7 +406,8 @@ impl GprsBuilder {
         P: ThreadProgram,
         P::Snapshot: Sized,
     {
-        self.inner.add_thread(Box::new(program), group, weight, None)
+        self.threads.push((Box::new(program), group, weight));
+        ThreadId::new(self.threads.len() as u32 - 1)
     }
 
     /// Finalizes the configuration.
@@ -492,7 +462,7 @@ impl GprsBuilder {
             None => gprs_analyze::shard_plan(&model),
         };
         let exec = plan.coalesce_for_execution(&model);
-        let resources = match shard::map_resources(&self.inner, &model, &exec) {
+        let resources = match shard::map_resources(self.threads.len() as u32, &model, &exec) {
             Ok(r) => r,
             Err(e) => return ShardedGprs::failed(e),
         };
@@ -517,8 +487,7 @@ impl GprsBuilder {
     /// cannot — every by-name sharded refusal, consulted once, after
     /// [`verdict`](Self::verdict) settled whether the race detector runs.
     fn multi_domain_refusal(&self) -> Option<&'static str> {
-        let cfg = &self.inner.cfg;
-        if cfg.persist.is_some() {
+        if self.cfg.persist.is_some() {
             Some("sharded execution does not support durable persistence")
         } else if !self.resume_prefix.is_empty() {
             Some("sharded execution does not support durable resume")
@@ -527,7 +496,7 @@ impl GprsBuilder {
                 "sharded execution does not support schedule record/replay \
                  (per-domain gates have no single global grant order)",
             )
-        } else if cfg.racecheck {
+        } else if self.cfg.racecheck {
             Some(
                 "sharded execution does not support the dynamic race detector \
                  (per-domain detectors cannot order cross-shard accesses)",
@@ -548,7 +517,7 @@ impl GprsBuilder {
             return None;
         }
         let rep = gprs_analyze::analyze(model?);
-        let cfg = &mut self.inner.cfg;
+        let cfg = &mut self.cfg;
         if self.analyze {
             if rep.race_free() {
                 cfg.racecheck = false;
@@ -565,32 +534,48 @@ impl GprsBuilder {
         Some(rep)
     }
 
-    /// Second half of finalisation: arms record/replay, resume
-    /// verification and the durable epoch, then rebuilds what
-    /// `Inner::new` sized for the default configuration — telemetry
-    /// facade, race detector, order enforcer — for the final one.
+    /// Second half of finalisation: constructs the engine (telemetry
+    /// facade, race detector, order enforcer) once, for the final
+    /// configuration, moves the registered program into it, and arms
+    /// record/replay, resume verification and the durable epoch.
     fn finish(mut self, analysis: Option<&gprs_analyze::AnalysisReport>) -> Inner {
         use gprs_core::recording::{
             DriveMode, Recorder, RecordingHeader, ReplayVerifier, RECORD_AND_REPLAY,
         };
-        let mut inner = self.inner;
         // Record/replay arming. One run cannot both follow and produce a
         // tape, and a replayed run must not mutate a durable epoch or
         // verify a resume prefix (both assume a live schedule): reject the
         // combinations loudly instead of guessing a precedence.
-        if self.record_path.is_some() && self.replay_rec.is_some() {
-            inner.poison(RECORD_AND_REPLAY);
+        let refused = if self.replay_rec.is_none() {
+            None
+        } else if self.record_path.is_some() {
+            Some(RECORD_AND_REPLAY)
+        } else if self.cfg.persist.is_some() || !self.resume_prefix.is_empty() {
+            Some(
+                "replay does not compose with durable persistence or resume \
+                 (a replayed run must not rewrite the durable epoch)",
+            )
+        } else {
+            None
+        };
+        if refused.is_some() {
             self.record_path = None;
             self.replay_rec = None;
         }
-        if self.replay_rec.is_some()
-            && (inner.cfg.persist.is_some() || !self.resume_prefix.is_empty())
-        {
-            inner.poison(
-                "replay does not compose with durable persistence or resume \
-                 (a replayed run must not rewrite the durable epoch)",
-            );
-            self.replay_rec = None;
+        let mut inner = Inner {
+            chans: self.chans,
+            locks: self.locks,
+            atomics: self.atomics,
+            barriers: self.barriers,
+            files: self.files,
+            chaos: self.chaos,
+            ..Inner::new(self.cfg, self.replay_rec.map(ReplayVerifier::new))
+        };
+        for (program, group, weight) in self.threads {
+            inner.add_thread(program, group, weight, None);
+        }
+        if let Some(msg) = refused {
+            inner.poison(msg);
         }
         if let Some(path) = self.record_path {
             let (workload, seed) = self.record_meta.unwrap_or_else(|| ("custom".into(), 0));
@@ -607,7 +592,6 @@ impl GprsBuilder {
             }));
             inner.record_path = Some(path);
         }
-        inner.replay = self.replay_rec.map(ReplayVerifier::new);
         if !self.resume_prefix.is_empty() {
             inner.verify = Some(engine::VerifyState {
                 expected: self.resume_prefix,
@@ -626,11 +610,6 @@ impl GprsBuilder {
                 inner.poison(format!("durable persistence failed: {e}"));
             }
         }
-        inner.telemetry = Arc::new(Telemetry::new(&inner.cfg.telemetry, inner.cfg.workers));
-        inner.racecheck = inner
-            .cfg
-            .racecheck
-            .then(gprs_core::racecheck::RaceDetector::new);
         if let Some(rep) = analysis {
             let elided = rep.race_free() && inner.racecheck.is_none();
             let tel = &inner.telemetry;
@@ -658,22 +637,6 @@ impl GprsBuilder {
                 );
             }
         }
-        // The schedule may have changed after threads registered: re-seed
-        // the enforcer with the final schedule — or, under replay, with the
-        // tape itself as the ordering policy (the recorded grant order IS
-        // the schedule; wasted polls hold the cursor in place).
-        let mut enforcer = match inner.replay.as_ref() {
-            Some(v) => gprs_core::order::OrderEnforcer::new(Box::new(v.schedule())),
-            None => gprs_core::order::OrderEnforcer::with_schedule(inner.cfg.schedule),
-        };
-        for (tid, rec) in &inner.threads {
-            enforcer
-                .register_thread(*tid, rec.group, rec.weight)
-                .expect("unique ids");
-        }
-        // `Shared::new` mirrors the final enforcer's grant frontier into
-        // the lock-free gate, so it must run after this re-seed.
-        inner.enforcer = enforcer;
         inner
     }
 }
@@ -745,8 +708,12 @@ fn stamp_mode(shared: &Shared, mode: gprs_core::recording::DriveMode) {
 /// every engine's workers, joins them all, and collects one report per
 /// engine, in order (the first poisoned engine's diagnostic wins).
 pub(crate) fn run_pools(engines: &[SharedRef]) -> Result<Vec<RunReport>, RunError> {
+    // Once per run: a `sched_getaffinity` plus cgroup file reads. Not a
+    // static either — the affinity mask can change between runs.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut joins = Vec::new();
     for (d, shared) in engines.iter().enumerate() {
+        shared.cpus.store(cpus, std::sync::atomic::Ordering::Relaxed);
         stamp_mode(shared, gprs_core::recording::DriveMode::Pool);
         for ix in 0..shared.workers {
             let shared = shared.clone();

@@ -426,12 +426,12 @@ pub(crate) struct ResourceMap {
 /// only sound for the topology the analysis saw — and maps every model
 /// resource to the domains that touch it.
 pub(crate) fn map_resources(
-    base: &Inner,
+    registered: u32,
     model: &Workload,
     exec: &ShardPlan,
 ) -> Result<ResourceMap, String> {
     let model_threads: BTreeSet<ThreadId> = model.threads.iter().map(|t| t.thread).collect();
-    let live_threads: BTreeSet<ThreadId> = base.threads.keys().copied().collect();
+    let live_threads: BTreeSet<ThreadId> = (0..registered).map(ThreadId::new).collect();
     if model_threads != live_threads {
         return Err(format!(
             "stale shard plan for {:?}: the attached model describes threads {:?} \
@@ -587,7 +587,7 @@ pub(crate) fn assemble(
     for (dix, dom) in exec.domains.iter().enumerate() {
         let mut cfg = base.cfg.clone();
         cfg.workers = workers_per_domain;
-        let mut inner = Inner::new(cfg);
+        let mut inner = Inner::new(cfg, None);
         inner.next_thread = base.next_thread;
         for &tid in &dom.threads {
             let rec = base.threads.remove(&tid).expect("thread set validated");

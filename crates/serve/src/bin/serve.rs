@@ -135,7 +135,7 @@ fn main() -> ExitCode {
                 }
                 None => serve_session(
                     &handle,
-                    std::io::stdin().lock(),
+                    BufReader::new(std::io::stdin()),
                     std::io::stdout().lock(),
                 ),
             };

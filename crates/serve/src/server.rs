@@ -23,7 +23,7 @@
 use crate::pool::{JobTicket, PoolConfig, ServeHandle, ServePool};
 use crate::spec::JobSpec;
 use gprs_telemetry::JsonWriter;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,8 +53,33 @@ fn parse_submit(args: &[&str]) -> Result<JobSpec, String> {
     JobSpec::parse_args(args)
 }
 
-/// Sends the response built in `out` as one write and empties it.
+/// Job ids a connection has already reported, as coalesced inclusive
+/// ranges. Ids are handed out at `submit` and reported in submission
+/// order, so they arrive ascending and — other connections aside —
+/// contiguous: a connection that reports a million jobs keeps one pair.
+#[derive(Default)]
+struct Reaped(Vec<(u64, u64)>);
+
+impl Reaped {
+    fn insert(&mut self, id: u64) {
+        debug_assert!(self.0.last().is_none_or(|&(_, last)| last < id), "ids ascend");
+        match self.0.last_mut() {
+            Some((_, last)) if *last + 1 == id => *last = id,
+            _ => self.0.push((id, id)),
+        }
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        let after = self.0.partition_point(|&(first, _)| first <= id);
+        after > 0 && id <= self.0[after - 1].1
+    }
+}
+
+/// Sends the responses gathered in `out` as one write and empties it.
 fn send(output: &mut impl Write, out: &mut String) -> std::io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
     output.write_all(out.as_bytes())?;
     output.flush()?;
     out.clear();
@@ -65,10 +90,18 @@ fn send(output: &mut impl Write, out: &mut String) -> std::io::Result<()> {
 /// writes one JSON response line per request to `output`. Returns `true`
 /// if the client requested a server-wide shutdown.
 ///
-/// Every response goes out as **one** write, newline included. A line
-/// split into two small writes meets Nagle's algorithm on the second and
-/// the peer's delayed ACK on the first: ~40 ms per round trip for any
-/// client that does not ask for quick ACKs.
+/// Responses gather in one buffer and go out in **one** write when the
+/// session is about to block: no further complete request line is already
+/// buffered, a `wait` reaches an unfinished job, or the session ends. A
+/// client that pipelines `submit`s ahead of a `wait` costs one or two
+/// writes, not one per line, while a client that sends one request and
+/// reads its answer still gets it at once; the byte stream is the same
+/// either way. No line is ever split: a line in two small writes meets
+/// Nagle's algorithm on the second and the peer's delayed ACK on the first,
+/// ~40 ms per round trip for any client that does not ask for quick ACKs.
+///
+/// `input` is a [`BufReader`] because the rule needs to ask "is a line
+/// buffered?" without blocking, which `impl BufRead` cannot.
 ///
 /// Malformed input never kills the connection: a line that is not valid
 /// UTF-8 is decoded lossily and answered (like any other unparseable
@@ -81,18 +114,22 @@ fn send(output: &mut impl Write, out: &mut String) -> std::io::Result<()> {
 /// client as `{"ok":false,...}` lines instead.
 pub fn serve_session(
     handle: &ServeHandle,
-    mut input: impl BufRead,
+    mut input: BufReader<impl Read>,
     mut output: impl Write,
 ) -> std::io::Result<bool> {
     let mut pending: Vec<JobTicket> = Vec::new();
     // Job ids already reported (or cancelled-and-reported) on this
     // connection — a later `cancel` of one is "stale", not "unknown".
-    let mut reaped: Vec<u64> = Vec::new();
+    let mut reaped = Reaped::default();
     let mut shutdown = false;
     let mut buf = Vec::new();
-    // The bytes of the response being built.
+    // The responses not yet sent.
     let mut out = String::new();
-    loop {
+    while !shutdown {
+        if !input.buffer().contains(&b'\n') {
+            // The next read may block on the client: answer it first.
+            send(&mut output, &mut out)?;
+        }
         buf.clear();
         if input.read_until(b'\n', &mut buf)? == 0 {
             break;
@@ -120,13 +157,13 @@ pub fn serve_session(
             ["wait"] => {
                 let drained = pending.len() as u64;
                 for ticket in pending.drain(..) {
-                    reaped.push(ticket.id());
+                    reaped.insert(ticket.id());
                     let outcome = match ticket.try_wait() {
                         Some(outcome) => outcome,
                         None => {
-                            // About to block: send the reports already
-                            // gathered, so they keep streaming behind a
-                            // long job; finished jobs share one write.
+                            // About to block on the job: send what is
+                            // gathered, so reports keep streaming behind
+                            // a long job; finished jobs share one write.
                             send(&mut output, &mut out)?;
                             ticket.wait()
                         }
@@ -142,7 +179,7 @@ pub fn serve_session(
                         ticket.cancel();
                         ok_line(&[("job_id", id)])
                     }
-                    None if reaped.contains(&id) => {
+                    None if reaped.contains(id) => {
                         err_line(&format!("job {id} was already reported on this connection"))
                     }
                     None => err_line(&format!("job {id} is not pending on this connection")),
@@ -167,11 +204,8 @@ pub fn serve_session(
         };
         out.push_str(&response);
         out.push('\n');
-        send(&mut output, &mut out)?;
-        if shutdown {
-            break;
-        }
     }
+    send(&mut output, &mut out)?;
     // Connection over: any reports the client never asked for are dropped,
     // but the jobs themselves drain normally inside the pool.
     Ok(shutdown)
@@ -221,16 +255,23 @@ impl Server {
     /// # Panics
     /// Panics if a connection-handler thread panicked.
     pub fn run(self) -> std::io::Result<()> {
-        let mut sessions = Vec::new();
+        let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::Acquire) {
                 break;
             }
             let stream = stream?;
+            // Join the connections that ended since the last accept, so a
+            // long-lived server holds handles only for the live ones.
+            let (ended, live) = sessions.into_iter().partition(|s| s.is_finished());
+            sessions = live;
+            for s in ended {
+                s.join().expect("session threads do not panic");
+            }
             let handle = self.pool.handle();
             let stop = self.stop.clone();
             let addr = self.local_addr();
-            // Responses are whole lines in single writes; nothing is gained
+            // Responses are whole lines in whole writes; nothing is gained
             // by the kernel holding one back to coalesce it. Best effort:
             // a socket that refuses the option is merely slower.
             let _ = stream.set_nodelay(true);
@@ -282,7 +323,7 @@ mod tests {
         let handle = pool.handle();
         let script = "submit fetchadd 3\nsubmit mutex 5 fault=2\nwait\nstats\nquit\n";
         let mut out = Vec::new();
-        let shutdown = serve_session(&handle, script.as_bytes(), &mut out).unwrap();
+        let shutdown = serve_session(&handle, BufReader::new(script.as_bytes()), &mut out).unwrap();
         assert!(!shutdown);
         let text = String::from_utf8_lossy(&out);
         let lines: Vec<&str> = text.lines().collect();
@@ -293,6 +334,111 @@ mod tests {
         assert!(lines[3].contains("\"retired_hash\""));
         assert!(lines[5].contains("\"submitted\":2"));
         pool.shutdown();
+    }
+
+    /// A client's requests, one line per `read`: what a server sees of a
+    /// client that awaits each answer before sending the next request.
+    struct LineByLine<'a>(std::str::SplitInclusive<'a, char>);
+
+    impl Read for LineByLine<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let line = self.0.next().unwrap_or("").as_bytes();
+            buf[..line.len()].copy_from_slice(line);
+            Ok(line.len())
+        }
+    }
+
+    /// Keeps every `write` apart, so a test sees the write boundaries.
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The flush rule moves write boundaries and nothing else: a script
+    /// that arrives whole is answered in a few writes (one more only where
+    /// a `wait` blocks on an unfinished job), the same script arriving a
+    /// line at a time gets every answer before the next line is read, and
+    /// the two byte streams are identical.
+    #[test]
+    fn responses_are_held_only_while_requests_are_buffered() {
+        const SCRIPT: &str = "submit fetchadd 3\nsubmit mutex 5 fault=2\nbogus\nwait\n\
+                              cancel 1\nsubmit histogram 4\nwait\nquit\n";
+        fn run(input: BufReader<impl Read>) -> Vec<Vec<u8>> {
+            // A pool per run: job ids restart at 1, so the streams compare.
+            let pool = ServePool::start(PoolConfig {
+                workers: 2,
+                quantum: 16,
+                ..Default::default()
+            });
+            let mut out = Writes(Vec::new());
+            let shutdown = serve_session(&pool.handle(), input, &mut out).unwrap();
+            assert!(!shutdown);
+            pool.shutdown();
+            out.0
+        }
+        let whole = run(BufReader::new(SCRIPT.as_bytes()));
+        let stepped = run(BufReader::new(LineByLine(SCRIPT.split_inclusive('\n'))));
+        assert_eq!(
+            String::from_utf8_lossy(&whole.concat()),
+            String::from_utf8_lossy(&stepped.concat())
+        );
+        assert_eq!(whole.concat().iter().filter(|&&b| b == b'\n').count(), 10);
+        for write in whole.iter().chain(&stepped) {
+            assert_eq!(write.last(), Some(&b'\n'), "a write ends on a whole line");
+        }
+        // Whole: at most one write per unfinished job a `wait` met, and the
+        // last. Stepped: at least one per answered request (`quit` has none).
+        assert!(whole.len() <= 4, "{} writes", whole.len());
+        assert!(stepped.len() >= 7, "{} writes", stepped.len());
+    }
+
+    /// Reports stream ahead of a `wait` that blocks. The script arrives
+    /// whole, so the server has every reason to hold its answers, and
+    /// still the first report is written before the `wait` has seen its
+    /// last job finish — the pool's one worker needs ~100 times longer
+    /// for the backlog than the session needs to submit it.
+    #[test]
+    fn reports_stream_ahead_of_a_wait_blocked_on_later_jobs() {
+        let pool = ServePool::start(PoolConfig {
+            workers: 1,
+            quantum: 1,
+            ..Default::default()
+        });
+        let mut script = String::new();
+        for seed in 0..500 {
+            script.push_str(&format!("submit pbzip {seed} fault=3\n"));
+        }
+        script.push_str("wait\nquit\n");
+        let mut out = Writes(Vec::new());
+        serve_session(&pool.handle(), BufReader::new(script.as_bytes()), &mut out).unwrap();
+        pool.shutdown();
+        let first = |needle: &str| {
+            let holds = |w: &Vec<u8>| String::from_utf8_lossy(w).contains(needle);
+            out.0.iter().position(holds).expect(needle)
+        };
+        assert!(
+            first("\"status\":") < first("\"drained\":500"),
+            "the first report waited for the whole backlog"
+        );
+    }
+
+    #[test]
+    fn reaped_ids_coalesce_into_ranges() {
+        let mut reaped = Reaped::default();
+        for id in [1, 2, 3, 5, 6, 9] {
+            reaped.insert(id);
+        }
+        assert_eq!(reaped.0, [(1, 3), (5, 6), (9, 9)]);
+        for id in 0..=10 {
+            assert_eq!(reaped.contains(id), [1, 2, 3, 5, 6, 9].contains(&id), "{id}");
+        }
     }
 
     /// Satellite robustness sweep: malformed lines (including invalid
@@ -319,7 +465,7 @@ mod tests {
         script.extend_from_slice(b"cancel 1\n"); // reaped id
         script.extend_from_slice(b"submit fetchadd 4\nwait\nquit\n"); // still serving
         let mut out = Vec::new();
-        let shutdown = serve_session(&handle, script.as_slice(), &mut out).unwrap();
+        let shutdown = serve_session(&handle, BufReader::new(script.as_slice()), &mut out).unwrap();
         assert!(!shutdown);
         let text = String::from_utf8_lossy(&out);
         let lines: Vec<&str> = text.lines().collect();
@@ -361,7 +507,7 @@ mod tests {
         let handle = pool.handle();
         let script = "submit na\u{1}ïve\"🚀 3\nwait\nquit\n";
         let mut out = Vec::new();
-        let shutdown = serve_session(&handle, script.as_bytes(), &mut out).unwrap();
+        let shutdown = serve_session(&handle, BufReader::new(script.as_bytes()), &mut out).unwrap();
         assert!(!shutdown);
         let text = String::from_utf8_lossy(&out);
         let lines: Vec<&str> = text.lines().collect();

@@ -4,23 +4,30 @@
 //!
 //! Each program is run at `N` and at `2N` rounds; set-up (builder, worker
 //! threads, telemetry rings, report) allocates the same in both, so the
-//! difference is what `N` more rounds cost. One `#[test]` holds every
-//! measurement: the allocator counts the whole process, and a second test
-//! running beside it would be counted too.
+//! difference is what `N` more rounds cost. Set-up has a budget of its own:
+//! what building one served job into a session may allocate. The allocator
+//! counts the whole process, and a test running beside another would be
+//! counted too, so the tests take turns under [`TURN`].
 
 use gprs_runtime::prelude::*;
+use gprs_serve::{build_job, JobSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for (a `realloc` counts its whole new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static TURN: Mutex<()> = Mutex::new(());
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -30,6 +37,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: as for `dealloc`, with the caller's `new_size` obligations.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -241,6 +249,7 @@ fn marginal(run: fn(u32) -> (u64, u64), n: u32) -> (u64, u64) {
 #[test]
 fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
     const N: u32 = 2_000;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Warm the process once (lazy statics, thread-local set-up).
     let _ = chains(N);
 
@@ -274,4 +283,31 @@ fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
         extra * 2 <= subthreads * 3,
         "{subthreads} more push/pop sub-threads cost {extra} more allocations (budget 1.5 each)"
     );
+}
+
+/// A served job's engine is constructed once: one telemetry facade (five
+/// rings of 192 KiB, the whole of the budget), one enforcer, the program.
+/// Before construct-once this build asked for ≈ 1.9 MiB — a facade for the
+/// default configuration, thrown away for one for the final configuration.
+#[test]
+fn building_a_served_job_stays_within_its_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = JobSpec::new("fetchadd", 3);
+    let build = |id| build_job(&spec, id, id).expect("fetchadd builds").into_session();
+    drop(build(1)); // warm the process
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let mut session = build(2);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    // Measured: 25 allocations, 968 KiB (960 KiB of it the rings).
+    assert!(bytes <= 1024 * 1024, "one build asked for {bytes} bytes");
+    assert!(allocations <= 40, "one build made {allocations} allocations");
+    // What was built is a whole engine: it runs, and reports under its id.
+    while session.run_quantum(16) == QuantumOutcome::Yielded {}
+    let report = session.finish().expect("the job completes");
+    assert_eq!(report.job_id, 2);
+    assert!(report.telemetry.retired_count > 0);
 }

@@ -289,23 +289,35 @@ fn long_jobs_cannot_starve_small_tenants() {
     );
 }
 
+/// A socket server on an ephemeral port and its address. A client's
+/// `shutdown` request ends the thread.
+fn boot_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let cfg = PoolConfig {
+        workers: 2,
+        quantum: 16,
+        ..Default::default()
+    };
+    let server = gprs_serve::server::Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr();
+    (addr, std::thread::spawn(move || server.run().expect("server runs")))
+}
+
+/// A client whose reads give up after ten seconds: a server that sat on a
+/// response fails the test instead of hanging it.
+fn connect(addr: std::net::SocketAddr) -> (std::net::TcpStream, BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set a read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
 /// The socket driver round-trips a mixed batch: every streamed report's
 /// retired hash equals the solo golden, in submission order.
 #[test]
 fn socket_driver_streams_golden_identical_reports() {
-    use gprs_serve::server::Server;
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        PoolConfig {
-            workers: 2,
-            quantum: 16,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run().expect("server runs"));
+    let (addr, server_thread) = boot_server();
 
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     let mut script = String::new();
@@ -355,20 +367,8 @@ fn socket_driver_streams_golden_identical_reports() {
 /// every response is one write on a no-delay socket.
 #[test]
 fn a_plain_client_round_trip_costs_no_delayed_ack() {
-    use gprs_serve::server::Server;
     const ROUND_TRIPS: u32 = 20;
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        PoolConfig {
-            workers: 2,
-            quantum: 16,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run().expect("server runs"));
+    let (addr, server_thread) = boot_server();
 
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
@@ -400,6 +400,69 @@ fn a_plain_client_round_trip_costs_no_delayed_ack() {
         wall < std::time::Duration::from_millis(u64::from(ROUND_TRIPS) * 40 / 2),
         "{ROUND_TRIPS} submit/wait round trips took {wall:?}: a delayed-ACK stall per response"
     );
+}
+
+/// The server holds responses only while further requests are already
+/// buffered, so how a script is cut into writes moves the server's write
+/// boundaries and not one byte of the stream: sent whole, or a line at a
+/// time with every answer read before the next line, a fresh server
+/// answers the same.
+#[test]
+fn a_script_sent_whole_or_line_by_line_reads_the_same_bytes() {
+    // (request, response lines it produces)
+    const SCRIPT: [(&str, usize); 9] = [
+        ("submit fetchadd 3\n", 1),
+        ("submit mutex 5 fault=2\n", 1),
+        ("submit nosuch 1\n", 1),
+        ("wait\n", 3),
+        ("cancel 2\n", 1),
+        ("submit histogram 4\n", 1),
+        ("submit pbzip 2 fault=1\n", 1),
+        ("wait\n", 3),
+        ("shutdown\n", 1),
+    ];
+    let run = |stepped: bool| -> String {
+        let (addr, server) = boot_server();
+        let (mut stream, mut reader) = connect(addr);
+        let mut stream_text = String::new();
+        if stepped {
+            for (request, responses) in SCRIPT {
+                stream.write_all(request.as_bytes()).expect("send a line");
+                for _ in 0..responses {
+                    reader.read_line(&mut stream_text).expect("read a response");
+                }
+            }
+        } else {
+            let whole: String = SCRIPT.iter().map(|(request, _)| *request).collect();
+            stream.write_all(whole.as_bytes()).expect("send the script");
+        }
+        // The server hangs up after `shutdown`: whatever is left, then EOF.
+        std::io::Read::read_to_string(&mut reader, &mut stream_text).expect("read to EOF");
+        server.join().expect("server thread");
+        stream_text
+    };
+    let (whole, stepped) = (run(false), run(true));
+    assert_eq!(whole, stepped);
+    let lines: usize = SCRIPT.iter().map(|(_, responses)| responses).sum();
+    assert_eq!(whole.lines().count(), lines, "{whole}");
+}
+
+/// A client that sends one `submit` and reads its ack before sending
+/// anything else gets the ack: with nothing further buffered the server
+/// answers before it reads again, so neither side waits on the other.
+#[test]
+fn a_lone_submit_is_acked_before_the_client_sends_anything_else() {
+    let (addr, server) = boot_server();
+    let (mut stream, mut reader) = connect(addr);
+    let mut line = String::new();
+    stream.write_all(b"submit fetchadd 1\n").expect("send submit");
+    reader.read_line(&mut line).expect("the ack arrives unprompted");
+    assert!(line.contains("\"job_id\":1"), "{line}");
+    stream.write_all(b"wait\nshutdown\n").expect("send the rest");
+    line.clear();
+    std::io::Read::read_to_string(&mut reader, &mut line).expect("read to EOF");
+    assert_eq!(line.lines().count(), 3, "{line}");
+    server.join().expect("server thread");
 }
 
 /// Sharded jobs take the blocking drive path — no session, no quantum
