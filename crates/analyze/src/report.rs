@@ -9,6 +9,7 @@ use crate::shard::ShardPlan;
 use gprs_core::ids::{AtomicId, GroupId, LockId, ThreadId};
 use gprs_core::workload::Workload;
 use gprs_telemetry::json::JsonWriter;
+use gprs_telemetry::{Telemetry, TraceEvent};
 use std::fmt;
 
 /// Diagnostic severity, ordered `Info < Warning < Error`.
@@ -305,6 +306,46 @@ impl AnalysisReport {
     /// dynamic race detector while staying eligible for selective restart.
     pub fn race_free(&self) -> bool {
         self.advice == RecoveryAdvice::Selective && self.errors() == 0
+    }
+
+    /// Whether the dynamic race detector runs, given what the caller
+    /// `requested`: a proven-DRF verdict makes the vector-clock detector
+    /// pure overhead; a potential race makes it mandatory (the hybrid
+    /// policy needs to know which threads are racy).
+    pub fn racecheck(&self, requested: bool) -> bool {
+        if self.race_free() {
+            false
+        } else {
+            self.advice == RecoveryAdvice::HybridCpr || requested
+        }
+    }
+
+    /// Records the verdict in `tel`: the `analysis_*` counters and one
+    /// `AnalysisVerdict` event. `racecheck` is whether the detector ended
+    /// up armed (see [`AnalysisReport::racecheck`]).
+    pub fn trace_verdict(&self, tel: &Telemetry, racecheck: bool) {
+        if !tel.enabled() {
+            return;
+        }
+        let elided = self.race_free() && !racecheck;
+        let m = &tel.metrics;
+        m.analysis_runs.inc();
+        m.analysis_cells.add(self.cells.len() as u64);
+        m.analysis_potential_races.add(self.potential_races() as u64);
+        m.analysis_diagnostics.add(self.diagnostics.len() as u64);
+        if elided {
+            m.analysis_racecheck_elided.inc();
+        }
+        tel.record(
+            gprs_core::ledger::EXTERNAL_RING,
+            TraceEvent::AnalysisVerdict {
+                cells: self.cells.len() as u32,
+                potential_races: self.potential_races() as u32,
+                diagnostics: self.diagnostics.len() as u32,
+                advice: (self.advice == RecoveryAdvice::HybridCpr) as u8,
+                elided: elided as u8,
+            },
+        );
     }
 
     /// Serializes the report into `w` as one JSON object.

@@ -1,7 +1,9 @@
-//! The tracked performance suite: wall-time + counter baselines for the
-//! runtime's grant/checkpoint/retire/recovery paths at 1/2/4/8 workers,
-//! the sharded-order-domain scaling sweep at 8/16/32 workers, and the
-//! simulator's recovery hot loop, plus golden determinism hashes.
+//! The deterministic half of performance tracking: golden determinism
+//! hashes, and counter baselines for the runtime's grant/checkpoint/retire/
+//! recovery paths at 1/2/4/8 workers, the sharded-order-domain sweep at
+//! 8/16/32 workers and the simulator's recovery loop. Nothing here reads a
+//! clock — every wall-clock question belongs to `gprsbench`, which repeats
+//! its samples and reports their spread.
 //!
 //! Two artifacts live under `crates/bench/goldens/` and are committed:
 //!
@@ -9,11 +11,10 @@
 //!   paper workloads on the simulator (fault-free and seeded injection) and
 //!   for real-runtime programs across 1/2/4/8 workers. Any drift is a
 //!   determinism regression and fails the run (exit 1).
-//! * `baseline_perf.txt` — recorded perf numbers; reruns report speedups
-//!   against them (informational locally, tracked by `BENCH_perf.json`).
+//! * `baseline_perf.txt` — recorded counts, what `--gate` compares against.
 //!
-//! `BENCH_perf.json` (workspace root) is the machine-readable trajectory
-//! point: current numbers, the committed baseline, and derived ratios.
+//! `BENCH_perf.json` (workspace root) is the machine-readable snapshot: the
+//! determinism hashes and the current counts.
 //!
 //! Flags: `--quick` shrinks the perf sections (determinism parameters are
 //! fixed so goldens match in every mode; the perf baseline switches to
@@ -21,13 +22,9 @@
 //! rewrites both golden files from the current run; `--bless-baseline`
 //! rewrites only the perf baseline; `--out <path>` overrides the JSON
 //! path; `--gate <pct>` fails (exit 2) when a deterministic count metric
-//! regresses more than `pct`% over the committed baseline, and
-//! `--gate-wall` opts wall time — plus the scaling sweep's per-worker
-//! grant throughput, gated in the decrease direction — into the gate (off
-//! by default: wall clocks are not comparable across machines).
+//! regresses more than `pct`% over the committed baseline.
 
 use gprs_bench::{injector, print_table};
-use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::prelude::*;
 use gprs_sim::gprs::{run_gprs, GprsSimConfig};
 use gprs_telemetry::JsonWriter;
@@ -37,7 +34,7 @@ use gprs_workloads::programs::{
     HistogramWorker,
 };
 use gprs_workloads::traces::{build, TraceParams, PROGRAMS};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Micro-programs
@@ -130,18 +127,6 @@ fn heavy_run(workers: usize, threads: u32, rounds: u32, payload: usize) -> RunRe
         );
     }
     b.build().run().unwrap()
-}
-
-fn cpr_chain_run(workers: usize, threads: u32, rounds: u32) -> Duration {
-    let mut b = CprBuilder::new().workers(workers).checkpoint_every(32);
-    for _ in 0..threads {
-        let a = b.atomic(0);
-        b.thread(Chain { atomic: a, rounds, done: 0 }, GroupId::new(0), 1);
-    }
-    let cpr = b.build();
-    let t0 = Instant::now();
-    cpr.run().unwrap();
-    t0.elapsed()
 }
 
 /// Periodic `inject_on_busy` storm, as the end-to-end tests do.
@@ -243,18 +228,15 @@ struct PerfRow {
     metrics: Vec<(&'static str, f64)>,
 }
 
-fn runtime_metrics(key: String, report: &RunReport, wall: Duration) -> PerfRow {
+fn runtime_metrics(key: String, report: &RunReport) -> PerfRow {
     let t = &report.telemetry;
-    let secs = wall.as_secs_f64().max(1e-9);
     let grants = t.counter("grants") as f64;
     let fast = t.counter("fast_path_grants") as f64;
     let batch_mean = t.histogram("retire_batch").map_or(0.0, |h| h.mean());
     PerfRow {
         key,
         metrics: vec![
-            ("wall_ns", wall.as_nanos() as f64),
             ("grants", grants),
-            ("grants_per_sec", grants / secs),
             ("fast_path_grants", fast),
             ("fast_path_share", if grants > 0.0 { fast / grants } else { 0.0 }),
             ("wakeups_issued", t.counter("wakeups_issued") as f64),
@@ -439,26 +421,19 @@ fn perf(quick: bool) -> Vec<PerfRow> {
     // worker counts. This is the path the OrderGate fast path targets.
     let rounds = if quick { 128 } else { 1024 };
     for workers in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
         let report = chain_run(workers, 8, rounds);
-        let wall = t0.elapsed();
-        rows.push(runtime_metrics(
-            format!("grant_retire/w{workers}"),
-            &report,
-            wall,
-        ));
-        eprintln!("  perf grant_retire/w{workers} done ({wall:?})");
+        rows.push(runtime_metrics(format!("grant_retire/w{workers}"), &report));
+        eprintln!("  perf grant_retire/w{workers} done");
     }
 
     // Sharded scaling push: beacon gives the planner one provable order
     // domain per worker, so the sharded build fans out into independent
     // OrderGate/ROL/WAL stacks while the unsharded twin serializes every
     // grant through a single gate. Swept past the single-gate design point
-    // (w8/w16/w32); the headline metric is `grants_per_sec_per_worker` no
-    // longer collapsing as the worker count doubles. Retired-order
-    // equivalence and the allocation-free hot path are asserted here — a
-    // scaling row that cheats on precision or mallocs per grant must fail
-    // the suite, not just drift a gauge.
+    // (w8/w16/w32). Retired-order equivalence and the allocation-free hot
+    // path are asserted here — a scaling row that cheats on precision or
+    // mallocs per grant must fail the suite, not just drift a gauge. Whether
+    // the fan-out *pays* is `gprsbench`'s `beacon-sharded` workload.
     {
         let rounds = if quick { 24u32 } else { 160 };
         for workers in [8usize, 16, 32] {
@@ -466,16 +441,13 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 let mut b = GprsBuilder::new().workers(workers);
                 let _ = build_beacon(&mut b, workers, rounds);
                 b = b.model(beacon_model(workers, rounds));
-                let t0 = Instant::now();
-                let r = if sharded {
+                if sharded {
                     b.build_sharded().run().unwrap()
                 } else {
                     b.build().run().unwrap()
-                };
-                (r, t0.elapsed())
+                }
             };
-            let (plain, plain_wall) = run(false);
-            let (sharded, shard_wall) = run(true);
+            let (plain, sharded) = (run(false), run(true));
             assert_eq!(
                 sharded.telemetry.retired_hash, plain.telemetry.retired_hash,
                 "scaling/w{workers}: sharded retirement diverged from the unsharded twin"
@@ -485,23 +457,15 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 0,
                 "scaling/w{workers}: racecheck is off, so its access-vector pool cannot miss"
             );
-            let mut push = |key: String, report: &RunReport, wall: Duration| {
-                let mut row = runtime_metrics(key, report, wall);
-                let gps = row
-                    .metrics
-                    .iter()
-                    .find(|(n, _)| *n == "grants_per_sec")
-                    .map_or(0.0, |(_, v)| *v);
-                row.metrics
-                    .push(("grants_per_sec_per_worker", gps / workers as f64));
+            let mut push = |key: String, report: &RunReport| {
+                let mut row = runtime_metrics(key, report);
                 row.metrics.push(("domains", report.shards.len() as f64));
                 rows.push(row);
             };
-            push(format!("scaling_unsharded/w{workers}"), &plain, plain_wall);
-            push(format!("scaling_sharded/w{workers}"), &sharded, shard_wall);
+            push(format!("scaling_unsharded/w{workers}"), &plain);
+            push(format!("scaling_sharded/w{workers}"), &sharded);
             eprintln!(
-                "  perf scaling/w{workers} done (sharded {shard_wall:?} over {} domains \
-                 vs unsharded {plain_wall:?})",
+                "  perf scaling/w{workers} done ({} domains)",
                 sharded.shards.len()
             );
         }
@@ -511,19 +475,13 @@ fn perf(quick: bool) -> Vec<PerfRow> {
     // the off-critical-section hand-off is meant to hide.
     let heavy_rounds = if quick { 48 } else { 256 };
     for workers in [1usize, 4] {
-        let t0 = Instant::now();
         let report = heavy_run(workers, 4, heavy_rounds, 16 * 1024);
-        let wall = t0.elapsed();
-        rows.push(runtime_metrics(
-            format!("checkpoint/w{workers}"),
-            &report,
-            wall,
-        ));
-        eprintln!("  perf checkpoint/w{workers} done ({wall:?})");
+        rows.push(runtime_metrics(format!("checkpoint/w{workers}"), &report));
+        eprintln!("  perf checkpoint/w{workers} done");
     }
 
     // Recovery path under an injection storm (wall-clock injection timing
-    // makes this row a throughput probe, not a determinism golden).
+    // makes this row a smoke run, neither gated nor a determinism golden).
     {
         let rounds = if quick { 256 } else { 1024 };
         let mut b = GprsBuilder::new().workers(4);
@@ -533,34 +491,19 @@ fn perf(quick: bool) -> Vec<PerfRow> {
         }
         let gprs = b.build();
         let inj = storm(gprs.controller(), Duration::from_micros(400));
-        let t0 = Instant::now();
         let report = gprs.run().unwrap();
-        let wall = t0.elapsed();
         inj.join().unwrap();
-        rows.push(runtime_metrics("recovery/w4".to_string(), &report, wall));
-        eprintln!("  perf recovery/w4 done ({wall:?})");
+        rows.push(runtime_metrics("recovery/w4".to_string(), &report));
+        eprintln!("  perf recovery/w4 done");
     }
 
-    // CPR baseline executor on the identical chain program: keeps the
-    // Fig. 8/10 comparison honest once both executors drop notify_all.
-    {
-        let rounds = if quick { 128 } else { 1024 };
-        let wall = cpr_chain_run(4, 8, rounds);
-        rows.push(PerfRow {
-            key: "cpr_chain/w4".to_string(),
-            metrics: vec![("wall_ns", wall.as_nanos() as f64)],
-        });
-        eprintln!("  perf cpr_chain/w4 done ({wall:?})");
-    }
-
-    // Multi-tenant serving throughput: a shared pool drains thousands of
-    // queued small jobs (fetchadd/mutex/histogram specs, varied seeds),
-    // swept across pool widths. The 16-grant quantum makes the larger
-    // specs yield and re-enter the FIFO, so the park/requeue/migrate path
-    // is on the measured path. `jobs` and `quanta` are deterministic
-    // counts — the grant sequence per job and the quantum fix how many
-    // scheduling quanta the backlog costs — so both are gated; jobs/sec is
-    // the tracked wall-clock figure.
+    // Multi-tenant serving: a shared pool drains thousands of queued small
+    // jobs (fetchadd/mutex/histogram specs, varied seeds), swept across
+    // pool widths. The 16-grant quantum makes the larger specs yield and
+    // re-enter the FIFO, so the park/requeue/migrate path is exercised.
+    // `jobs` and `quanta` are deterministic counts — the grant sequence per
+    // job and the quantum fix how many scheduling quanta the backlog costs
+    // — so both are gated.
     {
         use gprs_serve::{JobSpec, PoolConfig, ServePool};
         let jobs = if quick { 200 } else { 2000 };
@@ -571,7 +514,6 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 ..Default::default()
             });
             let handle = pool.handle();
-            let t0 = Instant::now();
             let mut tickets = Vec::with_capacity(jobs);
             for i in 0..jobs {
                 // Every fourth job is a histogram (hundreds of grants);
@@ -596,29 +538,22 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 );
                 completed += 1;
             }
-            let wall = t0.elapsed();
             let stats = pool.shutdown();
-            let secs = wall.as_secs_f64().max(1e-9);
             rows.push(PerfRow {
                 key: format!("serve_throughput/w{workers}"),
                 metrics: vec![
-                    ("wall_ns", wall.as_nanos() as f64),
                     ("jobs", completed as f64),
-                    ("jobs_per_sec", completed as f64 / secs),
                     ("quanta", stats.quanta as f64),
                     ("yields", stats.yields as f64),
                 ],
             });
-            eprintln!("  perf serve_throughput/w{workers} done ({wall:?}, {jobs} jobs)");
+            eprintln!("  perf serve_throughput/w{workers} done ({jobs} jobs)");
         }
     }
 
     // Durable WAL path: the same 8-chain grant/retire program with the
-    // file backend armed, swept across worker counts. The delta against
-    // the grant_retire/w* rows is the cost of durable mirroring
-    // (checksummed appends, segment sealing, group-commit fsyncs). Every
-    // durable hook is gated on `cfg.persist`, so the in-memory rows above
-    // must not move when this section's code changes.
+    // file backend armed, swept across worker counts: how many segments
+    // seal and how many group-commit fsyncs the mirror issues.
     {
         use gprs_core::persist::{unique_temp_dir, FileBackend};
         use std::sync::Arc;
@@ -635,18 +570,15 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 let a = b.atomic(0);
                 b.thread(Chain { atomic: a, rounds, done: 0 }, GroupId::new(0), 1);
             }
-            let t0 = Instant::now();
             let report = b.build().run().unwrap();
-            let wall = t0.elapsed();
-            let mut row =
-                runtime_metrics(format!("durable_wal/w{workers}"), &report, wall);
+            let mut row = runtime_metrics(format!("durable_wal/w{workers}"), &report);
             let t = &report.telemetry;
             row.metrics
                 .push(("wal_segments_sealed", t.counter("wal_segments_sealed") as f64));
             row.metrics.push(("fsyncs", t.counter("fsyncs") as f64));
             rows.push(row);
             let _ = std::fs::remove_dir_all(&dir);
-            eprintln!("  perf durable_wal/w{workers} done ({wall:?})");
+            eprintln!("  perf durable_wal/w{workers} done");
         }
     }
 
@@ -662,7 +594,7 @@ fn perf(quick: bool) -> Vec<PerfRow> {
         use gprs_core::workload::{Segment, SimOp, ThreadSpec};
         let rounds = if quick { 48u32 } else { 256 };
 
-        let mut elide_row = |key: &str, report: RunReport, wall: Duration, off: &RunReport| {
+        let mut elide_row = |key: &str, report: RunReport, off: &RunReport| {
             assert_eq!(
                 report.telemetry.retired_hash, off.telemetry.retired_hash,
                 "{key}: WAL elision changed the retired order"
@@ -671,7 +603,7 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 report.telemetry.counter("wal_records_elided") > 0,
                 "{key}: the elision row must actually elide"
             );
-            let mut row = runtime_metrics(key.to_string(), &report, wall);
+            let mut row = runtime_metrics(key.to_string(), &report);
             let t = &report.telemetry;
             row.metrics
                 .push(("wal_appends", t.counter("wal_appends") as f64));
@@ -680,7 +612,7 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 t.counter("wal_records_elided") as f64,
             ));
             rows.push(row);
-            eprintln!("  perf {key} done ({wall:?})");
+            eprintln!("  perf {key} done");
         };
 
         // Pure beacon: every plain store is a proven dead store.
@@ -689,18 +621,14 @@ fn perf(quick: bool) -> Vec<PerfRow> {
             let run = |elide: bool| {
                 let mut b = GprsBuilder::new().workers(4);
                 let _ = build_beacon_rounds(&mut b, &shape);
-                let t0 = Instant::now();
-                let r = b
-                    .model(beacon_model_rounds(&shape))
+                b.model(beacon_model_rounds(&shape))
                     .elide(elide)
                     .build()
                     .run()
-                    .unwrap();
-                (r, t0.elapsed())
+                    .unwrap()
             };
-            let (off, _) = run(false);
-            let (on, wall) = run(true);
-            elide_row("elide_wal/beacon", on, wall, &off);
+            let off = run(false);
+            elide_row("elide_wal/beacon", run(true), &off);
         }
 
         // Mixed program: beacon workers share the machine with fetch-add
@@ -736,13 +664,10 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                         1,
                     );
                 }
-                let t0 = Instant::now();
-                let r = b.model(model.clone()).elide(elide).build().run().unwrap();
-                (r, t0.elapsed())
+                b.model(model.clone()).elide(elide).build().run().unwrap()
             };
-            let (off, _) = run(false);
-            let (on, wall) = run(true);
-            elide_row("elide_wal/beacon_mixed", on, wall, &off);
+            let off = run(false);
+            elide_row("elide_wal/beacon_mixed", run(true), &off);
         }
 
         // Simulator checkpoint elision: dedup and pbzip2 have the largest
@@ -751,9 +676,7 @@ fn perf(quick: bool) -> Vec<PerfRow> {
         for name in ["dedup", "pbzip2"] {
             let w = build(name, &TraceParams::paper().scaled(sim_scale));
             let off = run_gprs(&w, &GprsSimConfig::balance_aware(8));
-            let t0 = Instant::now();
             let on = run_gprs(&w, &GprsSimConfig::balance_aware(8).with_elision(true));
-            let wall = t0.elapsed();
             assert_eq!(
                 on.telemetry.retired_hash, off.telemetry.retired_hash,
                 "elide_ckpt/{name}: checkpoint elision changed the retired order"
@@ -762,7 +685,6 @@ fn perf(quick: bool) -> Vec<PerfRow> {
             rows.push(PerfRow {
                 key: format!("elide_ckpt/{name}"),
                 metrics: vec![
-                    ("wall_ns", wall.as_nanos() as f64),
                     ("checkpoints", on.checkpoints as f64),
                     ("checkpoints_elided", on.checkpoints_elided as f64),
                     (
@@ -772,38 +694,31 @@ fn perf(quick: bool) -> Vec<PerfRow> {
                 ],
             });
             eprintln!(
-                "  perf elide_ckpt/{name} done ({wall:?}, {} of {} boundaries elided)",
+                "  perf elide_ckpt/{name} done ({} of {} boundaries elided)",
                 on.checkpoints_elided,
                 on.checkpoints + on.checkpoints_elided
             );
         }
     }
 
-    // Simulator recovery hot loop (`affected_set`/`plan_recovery`): host
-    // wall time of injected sim runs — the O(window) rescan shows up here.
+    // Simulator recovery loop (`squash_scope`/`plan_recovery`) under the
+    // seeded injector: how many sessions ran and what they squashed.
     let scale = if quick { 0.05 } else { 0.15 };
     for name in ["canneal", "dedup"] {
         let w = build(name, &TraceParams::paper().scaled(scale));
         let info = gprs_workloads::traces::info(name);
         let cfg = GprsSimConfig::balance_aware(24)
             .with_exceptions(injector(info.fig10_high_rate, 24, 0x5EED));
-        let t0 = Instant::now();
         let r = run_gprs(&w, &cfg);
-        let wall = t0.elapsed();
         rows.push(PerfRow {
             key: format!("sim_recovery/{name}"),
             metrics: vec![
-                ("wall_ns", wall.as_nanos() as f64),
                 ("recoveries", r.telemetry.counter("recovery_sessions") as f64),
                 ("squashed", r.squashed as f64),
                 ("subthreads", r.subthreads as f64),
-                (
-                    "subthreads_per_sec",
-                    r.subthreads as f64 / wall.as_secs_f64().max(1e-9),
-                ),
             ],
         });
-        eprintln!("  perf sim_recovery/{name} done ({wall:?})");
+        eprintln!("  perf sim_recovery/{name} done");
     }
 
     rows
@@ -814,7 +729,6 @@ fn perf(quick: bool) -> Vec<PerfRow> {
 
 /// Count metrics that are a deterministic function of the program and
 /// seed, hence comparable across machines and eligible for `--gate`.
-/// Wall-clock and derived-throughput metrics join only with `--gate-wall`.
 const GATED_METRICS: &[&str] = &[
     "grants",
     "checkpoints",
@@ -835,12 +749,6 @@ const GATED_METRICS: &[&str] = &[
     "domains",
 ];
 
-/// Throughput metrics gate in the *decrease* direction — a sharded
-/// scaling row falling under its recorded per-worker grant rate is the
-/// regression the sweep exists to catch. Wall-clock-derived, so they join
-/// the gate only under `--gate-wall`.
-const GATED_THROUGHPUT: &[&str] = &["grants_per_sec_per_worker"];
-
 /// Identical runs reproduce `fsyncs` only to within this many: a durable
 /// checkpoint (one fsync) is due every N retirements but taken at the end
 /// of the retirement *batch* that crosses the mark, and batch boundaries
@@ -851,23 +759,14 @@ const FSYNCS_SLACK: f64 = 1.0;
 /// Rows whose counters depend on wall-clock injection timing; never gated.
 const UNGATED_ROWS: &[&str] = &["recovery/w4"];
 
-fn gate_failures(
-    rows: &[PerfRow],
-    baseline: &[(String, f64)],
-    pct: f64,
-    gate_wall: bool,
-) -> Vec<String> {
+fn gate_failures(rows: &[PerfRow], baseline: &[(String, f64)], pct: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for row in rows {
         if UNGATED_ROWS.contains(&row.key.as_str()) {
             continue;
         }
         for (name, v) in &row.metrics {
-            let throughput = gate_wall && GATED_THROUGHPUT.contains(name);
-            let gated = throughput
-                || GATED_METRICS.contains(name)
-                || (gate_wall && *name == "wall_ns");
-            if !gated {
+            if !GATED_METRICS.contains(name) {
                 continue;
             }
             let bkey = format!("{}.{}", row.key, name);
@@ -878,13 +777,7 @@ fn gate_failures(
                 continue;
             }
             let slack = if *name == "fsyncs" { FSYNCS_SLACK } else { 0.0 };
-            if throughput {
-                if *v < base * (1.0 - pct / 100.0) {
-                    failures.push(format!(
-                        "{bkey}: {v} fell more than {pct}% under baseline {base}"
-                    ));
-                }
-            } else if *v > base * (1.0 + pct / 100.0) + slack {
+            if *v > base * (1.0 + pct / 100.0) + slack {
                 failures.push(format!(
                     "{bkey}: {v} regressed more than {pct}% over baseline {base}"
                 ));
@@ -903,7 +796,6 @@ fn write_json(
     goldens: &[Golden],
     drift: &[String],
     rows: &[PerfRow],
-    baseline: &[(String, f64)],
 ) {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -927,14 +819,6 @@ fn write_json(
         for (name, v) in &row.metrics {
             w.key(name).f64(*v);
         }
-        for (name, v) in &row.metrics {
-            let bkey = format!("{}.{}", row.key, name);
-            if let Some((_, base)) = baseline.iter().find(|(k, _)| *k == bkey) {
-                if *base > 0.0 {
-                    w.key(&format!("{name}_vs_baseline")).f64(v / base);
-                }
-            }
-        }
         w.end_object();
     }
     w.end_object();
@@ -952,7 +836,6 @@ fn main() {
         .position(|a| a == "--gate")
         .and_then(|i| args.get(i + 1))
         .map(|s| s.parse().expect("--gate <pct>"));
-    let gate_wall = args.iter().any(|a| a == "--gate-wall");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -1033,29 +916,15 @@ fn main() {
     let mut table = Vec::new();
     for row in &rows {
         let get = |n: &str| row.metrics.iter().find(|(m, _)| *m == n).map(|(_, v)| *v);
-        let gps = get("grants_per_sec");
-        let speedup = gps.and_then(|v| {
-            baseline
-                .iter()
-                .find(|(k, _)| *k == format!("{}.grants_per_sec", row.key))
-                .filter(|(_, b)| *b > 0.0)
-                .map(|(_, b)| v / b)
-        });
         table.push(vec![
             row.key.clone(),
-            format!("{:.2}", get("wall_ns").unwrap_or(0.0) / 1e6),
-            gps.map_or("-".into(), |v| format!("{v:.0}")),
+            get("grants").map_or("-".into(), |v| format!("{v:.0}")),
             get("fast_path_share").map_or("-".into(), |v| format!("{:.1}%", v * 100.0)),
-            speedup.map_or("-".into(), |s| format!("{s:.2}x")),
         ]);
     }
-    print_table(
-        "perfsuite",
-        &["path", "wall (ms)", "grants/s", "fast-path", "vs baseline"],
-        &table,
-    );
+    print_table("perfsuite", &["path", "grants", "fast-path"], &table);
 
-    write_json(&out, quick, &goldens, &drift, &rows, &baseline);
+    write_json(&out, quick, &goldens, &drift, &rows);
     println!("\nwrote {}", out.display());
 
     if !drift.is_empty() {
@@ -1070,7 +939,7 @@ fn main() {
                 baseline_path.display()
             );
         } else {
-            let failures = gate_failures(&rows, &baseline, pct, gate_wall);
+            let failures = gate_failures(&rows, &baseline, pct);
             for f in &failures {
                 eprintln!("PERF GATE: {f}");
             }

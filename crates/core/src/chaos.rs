@@ -153,36 +153,6 @@ impl ChaosPlan {
         self.events.is_empty()
     }
 
-    /// Grant-triggered events, sorted by grant count.
-    pub fn grant_events(&self) -> Vec<ChaosEvent> {
-        let mut v: Vec<ChaosEvent> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.trigger, ChaosTrigger::AtGrant(_)))
-            .cloned()
-            .collect();
-        v.sort_by_key(|e| match e.trigger {
-            ChaosTrigger::AtGrant(n) => n,
-            ChaosTrigger::MidRecovery(_) => unreachable!("filtered"),
-        });
-        v
-    }
-
-    /// Recovery-triggered events, sorted by session ordinal.
-    pub fn recovery_events(&self) -> Vec<ChaosEvent> {
-        let mut v: Vec<ChaosEvent> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.trigger, ChaosTrigger::MidRecovery(_)))
-            .cloned()
-            .collect();
-        v.sort_by_key(|e| match e.trigger {
-            ChaosTrigger::MidRecovery(n) => n,
-            ChaosTrigger::AtGrant(_) => unreachable!("filtered"),
-        });
-        v
-    }
-
     /// Total exceptions the plan delivers (bursts included).
     pub fn total_exceptions(&self) -> u64 {
         self.events.iter().map(|e| e.burst.max(1) as u64).sum()
@@ -322,6 +292,59 @@ fn parse_victim(s: &str) -> Option<VictimSelector> {
     })
 }
 
+/// A plan being executed: its grant-keyed and recovery-keyed events, each
+/// sorted by trigger, and how far each list has fired. The engines share
+/// the cursor and keep only what firing an event *means* to them.
+#[derive(Debug, Clone)]
+pub struct ChaosCursor {
+    grant: Vec<(u64, ChaosEvent)>,
+    next_grant: usize,
+    recovery: Vec<(u64, ChaosEvent)>,
+    next_recovery: usize,
+}
+
+impl ChaosCursor {
+    /// A cursor at the start of `plan`.
+    pub fn new(plan: &ChaosPlan) -> Self {
+        let mut grant = Vec::new();
+        let mut recovery = Vec::new();
+        for e in &plan.events {
+            match e.trigger {
+                ChaosTrigger::AtGrant(n) => grant.push((n, e.clone())),
+                ChaosTrigger::MidRecovery(n) => recovery.push((n, e.clone())),
+            }
+        }
+        grant.sort_by_key(|&(n, _)| n);
+        recovery.sort_by_key(|&(n, _)| n);
+        ChaosCursor {
+            grant,
+            next_grant: 0,
+            recovery,
+            next_recovery: 0,
+        }
+    }
+
+    /// The next unfired grant-keyed event due once `grants` grants have
+    /// been issued; call until `None`.
+    pub fn due_at_grant(&mut self, grants: u64) -> Option<ChaosEvent> {
+        Self::pop_due(&self.grant, &mut self.next_grant, grants)
+    }
+
+    /// The next unfired recovery-keyed event due once `sessions` recovery
+    /// sessions have completed; call until `None`.
+    pub fn due_after_session(&mut self, sessions: u64) -> Option<ChaosEvent> {
+        Self::pop_due(&self.recovery, &mut self.next_recovery, sessions)
+    }
+
+    fn pop_due(list: &[(u64, ChaosEvent)], next: &mut usize, count: u64) -> Option<ChaosEvent> {
+        let (n, ev) = list.get(*next)?;
+        (*n <= count).then(|| {
+            *next += 1;
+            ev.clone()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,23 +386,16 @@ mod tests {
             .with(ChaosEvent::mid_recovery(2))
             .with(ChaosEvent::at_grant(3))
             .with(ChaosEvent::mid_recovery(1));
-        let grants: Vec<u64> = plan
-            .grant_events()
-            .iter()
-            .map(|e| match e.trigger {
-                ChaosTrigger::AtGrant(n) => n,
-                _ => unreachable!(),
-            })
+        let mut cursor = ChaosCursor::new(&plan);
+        assert_eq!(cursor.due_at_grant(2), None);
+        assert_eq!(cursor.due_at_grant(5).map(|e| e.trigger), Some(ChaosTrigger::AtGrant(3)));
+        assert_eq!(cursor.due_at_grant(5), None, "grant 9 is not due at 5");
+        assert_eq!(cursor.due_at_grant(9).map(|e| e.trigger), Some(ChaosTrigger::AtGrant(9)));
+        assert_eq!(cursor.due_at_grant(100), None, "each event fires once");
+        // Both recovery events are due after the second session, in order.
+        let due: Vec<ChaosTrigger> = std::iter::from_fn(|| cursor.due_after_session(2))
+            .map(|e| e.trigger)
             .collect();
-        assert_eq!(grants, vec![3, 9]);
-        let recs: Vec<u64> = plan
-            .recovery_events()
-            .iter()
-            .map(|e| match e.trigger {
-                ChaosTrigger::MidRecovery(n) => n,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(recs, vec![1, 2]);
+        assert_eq!(due, [ChaosTrigger::MidRecovery(1), ChaosTrigger::MidRecovery(2)]);
     }
 }

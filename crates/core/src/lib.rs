@@ -21,12 +21,15 @@
 //! * [`order`] — deterministic token schedules: round-robin and the paper's
 //!   balance-aware (basic/weighted) schemes, plus the order enforcer.
 //! * [`rol`] — the reorder list: the in-flight window, retirement, status.
-//! * [`history`] — the [`history::Checkpoint`] trait and the history buffer
-//!   of per-sub-thread saved state.
+//! * [`history`] — the [`history::Checkpoint`] trait: what a sub-thread
+//!   saves at its boundary.
 //! * [`wal`] — the ARIES-inspired write-ahead log for runtime self-recovery.
-//! * [`deps`] — lock/atomic-alias dependence tracking for selective restart.
+//! * [`deps`] — the taint closure of selective restart: lock/atomic
+//!   aliases plus the engine's provenance edges.
 //! * [`recovery`] — recovery planning: basic, selective, discard-all,
-//!   instruction- vs sub-thread-precision.
+//!   hybrid escalation, instruction- vs sub-thread-precision.
+//! * [`ledger`] — the run ledger: hashes, recorder, replay verifier, race
+//!   detector, durable mirror and telemetry behind one set of event hooks.
 //! * [`exception`] — the discretionary-exception model and Poisson injector
 //!   (with scripted-arrival overlays for chaos campaigns).
 //! * [`chaos`] — deterministic fault-injection plans consumed by the real
@@ -75,6 +78,7 @@ pub mod error;
 pub mod exception;
 pub mod history;
 pub mod ids;
+pub mod ledger;
 pub mod model;
 pub mod order;
 pub mod persist;
@@ -88,18 +92,19 @@ pub mod workload;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::chaos::{ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
-    pub use crate::deps::{affected_set, DependencePolicy};
+    pub use crate::chaos::{ChaosCursor, ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
+    pub use crate::deps::{affected_set, DependencePolicy, NoProvenance, Provenance};
     pub use crate::error::{GprsError, Result};
     pub use crate::exception::{
         Exception, ExceptionInjector, ExceptionKind, ExceptionScope, InjectorConfig,
         ScriptedArrival,
     };
-    pub use crate::history::{Checkpoint, HistoryBuffer};
+    pub use crate::history::Checkpoint;
     pub use crate::ids::{
         AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, Lsn, ResourceId, SubThreadId,
         ThreadId,
     };
+    pub use crate::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
     pub use crate::model::{CostParams, Scheme};
     pub use crate::order::{
         BalanceAware, EdgeQueue, OrderEnforcer, OrderingPolicy, RoundRobin, ScheduleKind,
@@ -113,7 +118,9 @@ pub mod prelude {
         first_divergence, DriveMode, RecordedEvent, RecordedOutcome, Recorder, Recording,
         RecordingDiff, RecordingError, RecordingHeader, ReplaySchedule,
     };
-    pub use crate::recovery::{plan_recovery, Precision, RecoveryMode, RecoveryPlan};
+    pub use crate::recovery::{
+        plan_recovery, squash_scope, Precision, RecoveryMode, RecoveryPlan, SquashScope,
+    };
     pub use crate::rol::{ReorderList, RolEntry, SubThreadStatus};
     pub use crate::subthread::{Boundary, SubThread, SubThreadGenerator, SubThreadKind, SyncOp};
     pub use crate::wal::{WalRecord, WriteAheadLog};

@@ -21,11 +21,10 @@
 //!   instruction; otherwise only *sub-thread-precise* restart is possible
 //!   and the culprit re-executes from its checkpoint.
 
-use crate::deps::{affected_set, unaffected_count, DependencePolicy};
+use crate::deps::{affected_set, DependencePolicy, NoProvenance, Provenance};
 use crate::error::{GprsError, Result};
-use crate::ids::SubThreadId;
+use crate::ids::{SubThreadId, ThreadId};
 use crate::rol::{ReorderList, SubThreadStatus};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Which sub-threads a recovery squashes.
@@ -86,11 +85,6 @@ pub struct RecoveryPlan {
 }
 
 impl RecoveryPlan {
-    /// The squashed ids as a set, for history-buffer / WAL walks.
-    pub fn squash_set(&self) -> BTreeSet<SubThreadId> {
-        self.squash.iter().copied().collect()
-    }
-
     /// Total sub-threads whose work is discarded.
     pub fn discarded(&self) -> usize {
         self.squash.len()
@@ -110,7 +104,54 @@ impl fmt::Display for RecoveryPlan {
     }
 }
 
-/// Computes a recovery plan for an excepted sub-thread.
+/// Which sub-threads one recovery squashes — what both engines' restart
+/// paths act on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SquashScope {
+    /// The squashed sub-threads, oldest first; the culprit leads unless
+    /// [`RecoveryMode::DiscardAll`] reached past it.
+    pub ids: Vec<SubThreadId>,
+    /// Hybrid escalation: the culprit's thread, when a selective restart
+    /// was widened to the basic suffix because that thread participated in
+    /// a data race — plain accesses may have leaked its state outside the
+    /// closure.
+    pub escalated: Option<ThreadId>,
+}
+
+/// Applies `mode` to the excepting `culprit`: the basic younger suffix, the
+/// whole list, or the dependence closure over the engine's `edges` —
+/// escalated to the basic suffix when `racy` says the culprit's thread
+/// raced.
+///
+/// # Errors
+/// [`GprsError::UnknownSubThread`] — the culprit is not in the ROL.
+pub fn squash_scope(
+    rol: &ReorderList,
+    culprit: SubThreadId,
+    mode: RecoveryMode,
+    edges: &impl Provenance,
+    racy: impl FnOnce(ThreadId) -> bool,
+) -> Result<SquashScope> {
+    let entry = rol
+        .get(culprit)
+        .ok_or(GprsError::UnknownSubThread(culprit))?;
+    let selective = matches!(mode, RecoveryMode::Selective(_));
+    let escalated = Some(entry.thread()).filter(|&t| selective && racy(t));
+    let ids = match mode {
+        RecoveryMode::Selective(policy) if escalated.is_none() => {
+            affected_set(rol, culprit, policy, edges)?
+        }
+        RecoveryMode::DiscardAll => rol.iter().map(|e| e.id()).collect(),
+        _ => std::iter::once(culprit)
+            .chain(rol.iter_younger(culprit).map(|e| e.id()))
+            .collect(),
+    };
+    Ok(SquashScope { ids, escalated })
+}
+
+/// Computes a recovery plan for an excepted sub-thread from the reorder
+/// list alone — [`squash_scope`] with no engine-observed edges and no race
+/// detector.
 ///
 /// # Errors
 ///
@@ -152,35 +193,15 @@ pub fn plan_recovery(
         return Err(GprsError::NotExcepted(culprit));
     }
 
-    let mut squash: Vec<SubThreadId> = match mode {
-        RecoveryMode::Basic => rol.squash_suffix(culprit),
-        RecoveryMode::DiscardAll => {
-            let mut all: Vec<SubThreadId> = rol.iter().map(|e| e.id()).collect();
-            all.reverse();
-            all
-        }
-        RecoveryMode::Selective(policy) => {
-            let mut affected: Vec<SubThreadId> =
-                affected_set(rol, culprit, policy)?.into_iter().collect();
-            affected.reverse();
-            affected
-        }
-    };
-
+    let mut restart = squash_scope(rol, culprit, mode, &NoProvenance, |_| false)?.ids;
     let resume_culprit = precision == Precision::Instruction && mode != RecoveryMode::DiscardAll;
     if resume_culprit {
-        squash.retain(|&id| id != culprit);
+        restart.retain(|&id| id != culprit);
     }
-
-    let mut restart: Vec<SubThreadId> = squash.clone();
-    restart.reverse();
-
-    let squash_ids: BTreeSet<SubThreadId> = squash.iter().copied().collect();
-    let mut unaffected = unaffected_count(rol, &squash_ids);
-    if resume_culprit {
-        // The culprit is neither squashed nor unaffected; it resumes.
-        unaffected = unaffected.saturating_sub(1);
-    }
+    let mut squash = restart.clone();
+    squash.reverse();
+    // The culprit, when it resumes, is neither squashed nor unaffected.
+    let unaffected = rol.len() - squash.len() - usize::from(resume_culprit);
 
     Ok(RecoveryPlan {
         culprit,

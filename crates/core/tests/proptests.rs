@@ -185,28 +185,95 @@ proptest! {
             Exception::global(ExceptionKind::SoftFault, ContextId::new(0), 0),
         ).unwrap();
 
-        let direct = affected_set(&rol, SubThreadId::new(culprit), DependencePolicy::Direct).unwrap();
-        let trans = affected_set(&rol, SubThreadId::new(culprit), DependencePolicy::Transitive).unwrap();
-        prop_assert!(direct.is_subset(&trans));
-        prop_assert!(direct.contains(&SubThreadId::new(culprit)));
-        // Nothing older than the culprit is ever affected.
-        for id in &trans {
-            prop_assert!(id.raw() >= culprit);
-        }
+        let culprit_id = SubThreadId::new(culprit);
+        let direct = affected_set(&rol, culprit_id, DependencePolicy::Direct, &NoProvenance).unwrap();
+        let trans = affected_set(&rol, culprit_id, DependencePolicy::Transitive, &NoProvenance).unwrap();
+        prop_assert!(direct.iter().all(|d| trans.contains(d)));
+        prop_assert_eq!(direct[0], culprit_id);
+        // Oldest first, and nothing older than the culprit is ever affected.
+        prop_assert!(trans.windows(2).all(|w| w[0] < w[1]));
+        prop_assert_eq!(trans[0], culprit_id);
         // Transitive is bounded by the basic-recovery suffix.
         prop_assert!(trans.len() as u64 <= n - culprit);
 
         // Recovery plans agree with the sets.
-        let plan = plan_recovery(&rol, SubThreadId::new(culprit),
+        let plan = plan_recovery(&rol, culprit_id,
             RecoveryMode::Selective(DependencePolicy::Transitive), Precision::SubThread).unwrap();
-        prop_assert_eq!(plan.squash_set(), trans);
-        let basic = plan_recovery(&rol, SubThreadId::new(culprit),
+        prop_assert_eq!(&plan.restart, &trans);
+        let basic = plan_recovery(&rol, culprit_id,
             RecoveryMode::Basic, Precision::SubThread).unwrap();
         prop_assert_eq!(basic.squash.len() as u64, n - culprit);
         // squash (youngest-first) and restart (oldest-first) mirror each other.
         let mut restart = basic.restart.clone();
         restart.reverse();
         prop_assert_eq!(restart, basic.squash);
+    }
+
+    /// With no provenance the closure is the alias + same-thread set the
+    /// pre-PR-18 `affected_set` computed (restated here as the reference),
+    /// on channel-free reorder lists.
+    #[test]
+    fn no_provenance_closure_is_alias_plus_same_thread(
+        n in 2u64..24, culprit_ix in 0u64..24,
+        locks in vec(0u64..4, 24), threads in vec(0u32..6, 24),
+    ) {
+        let culprit = culprit_ix % n;
+        let mut rol = ReorderList::new();
+        for i in 0..n {
+            rol.insert(make_subthread(i, threads[i as usize], locks[i as usize])).unwrap();
+        }
+        for policy in [DependencePolicy::Direct, DependencePolicy::Transitive] {
+            let mut expect = vec![culprit];
+            let mut tainted_threads = BTreeSet::from([threads[culprit as usize]]);
+            let mut tainted_locks = BTreeSet::from([locks[culprit as usize]]);
+            for i in culprit + 1..n {
+                let (t, l) = (threads[i as usize], locks[i as usize]);
+                if tainted_threads.contains(&t) || tainted_locks.contains(&l) {
+                    expect.push(i);
+                    if policy == DependencePolicy::Transitive {
+                        tainted_threads.insert(t);
+                        tainted_locks.insert(l);
+                    }
+                }
+            }
+            let got = affected_set(&rol, SubThreadId::new(culprit), policy, &NoProvenance).unwrap();
+            prop_assert_eq!(got.iter().map(|s| s.raw()).collect::<Vec<_>>(), expect);
+        }
+    }
+
+    /// Whatever edges the engine supplies, the closure stays between
+    /// `{culprit}` and the basic suffix, and adding an edge never shrinks it.
+    #[test]
+    fn provenance_edges_only_grow_the_closure(
+        n in 2u64..20, culprit_ix in 0u64..20,
+        locks in vec(0u64..6, 20), threads in vec(0u32..8, 20),
+        edges in vec((0u64..20, 0u64..20), 0..12),
+    ) {
+        struct Edges(std::collections::BTreeMap<SubThreadId, Vec<SubThreadId>>);
+        impl Provenance for Edges {
+            fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
+                self.0.get(&producer).map_or(&[], Vec::as_slice)
+            }
+        }
+        let culprit = SubThreadId::new(culprit_ix % n);
+        let mut rol = ReorderList::new();
+        for i in 0..n {
+            rol.insert(make_subthread(i, threads[i as usize], locks[i as usize])).unwrap();
+        }
+        let suffix: Vec<SubThreadId> = std::iter::once(culprit)
+            .chain(rol.iter_younger(culprit).map(|e| e.id()))
+            .collect();
+        let mut so_far = Edges(Default::default());
+        let mut prev = affected_set(&rol, culprit, DependencePolicy::Transitive, &so_far).unwrap();
+        // Producer -> younger consumer, as an engine records them.
+        for (a, b) in edges.into_iter().map(|(a, b)| (a.min(b) % n, a.max(b) % n)) {
+            so_far.0.entry(SubThreadId::new(a)).or_default().push(SubThreadId::new(b));
+            let next = affected_set(&rol, culprit, DependencePolicy::Transitive, &so_far).unwrap();
+            prop_assert_eq!(next[0], culprit);
+            prop_assert!(next.iter().all(|id| suffix.contains(id)));
+            prop_assert!(prev.iter().all(|id| next.contains(id)), "an edge shrank the closure");
+            prev = next;
+        }
     }
 }
 

@@ -22,11 +22,11 @@
 //! comparison; the benches drive both executors over the same programs.
 
 use crate::ctx::{CtxBackend, StepCtx};
-use crate::engine::EXTERNAL_RING;
+use gprs_core::ledger::EXTERNAL_RING;
 use crate::handles::Recoverable;
 use crate::program::{DynThread, Payload, SpawnSpec, Step, ThreadProgram};
 use crate::report::{RunError, RunStats};
-use gprs_core::chaos::{ChaosEvent, ChaosPlan, ChaosTrigger};
+use gprs_core::chaos::{ChaosCursor, ChaosEvent, ChaosPlan};
 use gprs_core::exception::ExceptionScope;
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, SubThreadId, ThreadId};
 use gprs_telemetry::{
@@ -139,31 +139,13 @@ pub(crate) struct CprInner {
     rollbacks: u64,
     telemetry: Arc<Telemetry>,
     poisoned: Option<String>,
-    chaos: Option<CprChaosState>,
-}
-
-/// Chaos-plan cursor for the CPR baseline (see [`gprs_core::chaos`]).
-/// Every global exception is a whole-machine rollback under CPR, so the
-/// plan's victim selector is irrelevant here; only trigger, scope and
-/// burst apply. `MidRecovery(n)` events queue their rollback at the end
-/// of the `n`-th rollback, while the machine is still quiesced — the
-/// worker loop performs the overlapping rollback before granting again.
-struct CprChaosState {
-    grant_events: Vec<ChaosEvent>,
-    next_grant: usize,
-    recovery_events: Vec<ChaosEvent>,
-    next_recovery: usize,
-}
-
-impl CprChaosState {
-    fn new(plan: &ChaosPlan) -> Self {
-        CprChaosState {
-            grant_events: plan.grant_events(),
-            next_grant: 0,
-            recovery_events: plan.recovery_events(),
-            next_recovery: 0,
-        }
-    }
+    /// Chaos-plan cursor (see [`gprs_core::chaos`]). Every global exception
+    /// is a whole-machine rollback under CPR, so the plan's victim selector
+    /// is irrelevant here; only trigger, scope and burst apply.
+    /// `MidRecovery(n)` events queue their rollback at the end of the `n`-th
+    /// rollback, while the machine is still quiesced — the worker loop
+    /// performs the overlapping rollback before granting again.
+    chaos: Option<ChaosCursor>,
 }
 
 /// Shared state of a CPR run. Two waiter classes, two condvars: workers
@@ -381,7 +363,7 @@ impl CprBuilder {
     /// of [`crate::GprsBuilder::chaos`]); every global event requests a
     /// whole-machine rollback. An empty plan is a no-op.
     pub fn chaos(mut self, plan: &ChaosPlan) -> Self {
-        self.inner.chaos = (!plan.is_empty()).then(|| CprChaosState::new(plan));
+        self.inner.chaos = (!plan.is_empty()).then(|| ChaosCursor::new(plan));
         self
     }
 
@@ -702,48 +684,24 @@ impl CprInner {
         }
     }
 
-    /// Fires chaos events due at the current grant count (see
-    /// [`CprChaosState`]). Global events request rollbacks; local ones are
-    /// handled precisely on the faulting context (counted, no rollback).
+    /// Fires chaos events due at the current grant count. Global events
+    /// request rollbacks; local ones are handled precisely on the faulting
+    /// context (counted, no rollback).
     fn chaos_tick_grant(&mut self) {
-        let Some(mut cs) = self.chaos.take() else {
-            return;
-        };
-        while let Some(ev) = cs.grant_events.get(cs.next_grant) {
-            let due = match ev.trigger {
-                ChaosTrigger::AtGrant(n) => n <= self.stats.grants,
-                ChaosTrigger::MidRecovery(_) => unreachable!("grant_events filtered"),
-            };
-            if !due {
-                break;
-            }
-            let ev = ev.clone();
-            cs.next_grant += 1;
+        let grants = self.stats.grants;
+        while let Some(ev) = self.chaos.as_mut().and_then(|c| c.due_at_grant(grants)) {
             self.chaos_fire(&ev);
         }
-        self.chaos = Some(cs);
     }
 
     /// Fires chaos events keyed to the rollback that just completed, while
     /// the machine is still quiesced — the requested rollback overlaps the
     /// one in flight (recovery-during-recovery on the baseline).
     fn chaos_tick_rollback(&mut self) {
-        let Some(mut cs) = self.chaos.take() else {
-            return;
-        };
-        while let Some(ev) = cs.recovery_events.get(cs.next_recovery) {
-            let due = match ev.trigger {
-                ChaosTrigger::MidRecovery(n) => n <= self.rollbacks,
-                ChaosTrigger::AtGrant(_) => unreachable!("recovery_events filtered"),
-            };
-            if !due {
-                break;
-            }
-            let ev = ev.clone();
-            cs.next_recovery += 1;
+        let rollbacks = self.rollbacks;
+        while let Some(ev) = self.chaos.as_mut().and_then(|c| c.due_after_session(rollbacks)) {
             self.chaos_fire(&ev);
         }
-        self.chaos = Some(cs);
     }
 
     /// Mirrors [`CprController::inject`] for each burst member.

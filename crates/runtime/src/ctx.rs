@@ -196,8 +196,8 @@ impl StepCtx<'_> {
                 g.bump();
                 // Targeted wakeups: nested waiters parked on this lock's
                 // shard, plus one seeker in case the token waits on it.
-                shared.wake_lock_shard(lock, &g.telemetry);
-                shared.wake_one_seeker(&g.telemetry);
+                shared.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.wake_one_seeker(g.ledger.telemetry());
             }
             CtxBackend::Cpr(shared) => {
                 shared.release_lock(lock, data);
@@ -239,8 +239,8 @@ impl StepCtx<'_> {
                         if let Some(d) = g.try_nested_acquire(self.stid, lock) {
                             break d;
                         }
-                        if woke && g.telemetry.enabled() {
-                            g.telemetry.metrics.wakeups_spurious.inc();
+                        if woke && g.ledger.telemetry().enabled() {
+                            g.ledger.telemetry().metrics.wakeups_spurious.inc();
                         }
                         // Wait on the lock's shard, not the scheduler
                         // queue: only releases of (a shard-mate of) this
@@ -260,8 +260,8 @@ impl StepCtx<'_> {
                 let mut g = shared.inner.lock();
                 g.return_lock(self.stid, lock, data);
                 g.bump();
-                shared.wake_lock_shard(lock, &g.telemetry);
-                shared.wake_one_seeker(&g.telemetry);
+                shared.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.wake_one_seeker(g.ledger.telemetry());
                 out
             }
             CtxBackend::Cpr(shared) => {

@@ -17,20 +17,19 @@ use crate::handles::Recoverable;
 use crate::ops::RtOp;
 use crate::program::{DynThread, Payload, SpawnSpec, Step};
 use crate::report::RunStats;
-use gprs_core::chaos::{ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
+use gprs_core::chaos::{ChaosCursor, ChaosEvent, VictimSelector};
 use gprs_core::exception::{Exception, ExceptionKind, ExceptionScope};
 use gprs_core::ids::{
     AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, ResourceId, SubThreadId, ThreadId,
 };
+use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger, EXTERNAL_RING};
 use gprs_core::order::{OrderEnforcer, OrderGate, ScheduleKind};
-use gprs_core::persist::{merkle_root, CheckpointMeta, DurableRecord, PersistBackend, CHUNK_SIZE};
-use gprs_core::racecheck::{resource_code, AccessKind, OpenEdge, RaceDetector, RetireInfo};
+use gprs_core::persist::PersistBackend;
+use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
-use gprs_core::wal::{WalRecord, WriteAheadLog};
-use gprs_telemetry::{
-    spsc, RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TraceEvent,
-};
+use gprs_core::wal::WriteAheadLog;
+use gprs_telemetry::{spsc, Telemetry, TelemetryConfig};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::RangeInclusive;
@@ -98,11 +97,6 @@ impl Default for RunConfig {
     }
 }
 
-/// Ring index for events recorded outside a known worker (retirement on the
-/// deposit path, recovery, controller injections). [`Telemetry::record`]
-/// clamps it to the external ring; all such recording happens under the
-/// engine lock, so the ring's single-writer contract holds.
-pub(crate) const EXTERNAL_RING: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ThState {
@@ -257,8 +251,8 @@ pub(crate) struct FileRec {
 }
 
 /// Snapshot store — the runtime's history buffer. Data-bearing rather than
-/// closure-bearing (unlike [`gprs_core::history::HistoryBuffer`]) so that
-/// recovery can apply snapshots against [`Inner`] while holding its lock.
+/// closure-bearing so that recovery can apply snapshots against [`Inner`]
+/// while holding its lock.
 #[derive(Default)]
 pub(crate) struct HistoryStore {
     pub seq: u64,
@@ -391,18 +385,10 @@ pub(crate) struct Inner {
     pub epoch: u64,
     pub pass_streak: usize,
     pub stats: RunStats,
-    /// Shared event-ring + metrics facade (Arc so contexts/controllers can
-    /// record without the engine lock if ever needed).
-    pub telemetry: Arc<Telemetry>,
-    /// Streaming digest of the grant order; owned here because grants are
-    /// serialized by this lock.
-    pub sched_hash: ScheduleHash,
-    /// Streaming digest of per-thread retirement sequences.
-    pub retired_hash: RetiredOrderHash,
-    /// Opt-in bounded raw grant trace (`TelemetryConfig::raw_trace_cap`).
-    pub raw_trace: Vec<(SubThreadId, ThreadId)>,
-    /// Happens-before race detector, driven at retirement (opt-in).
-    pub racecheck: Option<RaceDetector>,
+    /// Everything that watches the order this engine produces: hashes,
+    /// recorder / replay verifier, race detector, durable mirror, telemetry.
+    /// Its hooks are called under this lock, which is what serializes them.
+    pub ledger: RunLedger,
     /// Plain accesses recorded by running bodies, per sub-thread in program
     /// order (consumed by the detector at retirement).
     pub plain_accesses: BTreeMap<SubThreadId, Vec<(ResourceId, AccessKind)>>,
@@ -426,79 +412,14 @@ pub(crate) struct Inner {
     /// is a prefix, and an honest footer lets a replay classify reaching
     /// the tape's end as a reproduction instead of a divergence.
     pub cancelled_note: Option<String>,
-    /// Deterministic chaos-injection plan state (see
-    /// [`gprs_core::chaos::ChaosPlan`]); `None` outside chaos runs.
-    pub chaos: Option<ChaosState>,
-    /// Restart-as-recovery verifier: the durable retire prefix a resumed
-    /// run must reproduce step-by-step (see [`gprs_core::persist`]).
-    pub verify: Option<VerifyState>,
-    /// Retired count at the last durable checkpoint.
-    pub last_durable_ckpt: u64,
+    /// Cursor over the deterministic chaos-injection plan (see
+    /// [`gprs_core::chaos::ChaosPlan`]); `None` outside chaos runs. Fired
+    /// by [`Inner::chaos_tick_grant`] and [`Inner::chaos_tick_recovery`].
+    pub chaos: Option<ChaosCursor>,
     /// Sharded-execution context when this engine runs as one order domain
     /// of a [`crate::shard::ShardedGprs`]; `None` for ordinary runs (every
     /// sharded hook is gated on one `is_some` branch).
     pub shard: Option<crate::shard::ShardCtx>,
-    /// Streaming schedule recorder (armed by `GprsBuilder::record`). Fed
-    /// one event per turn-consuming grant/arrival/exit; sealed and written
-    /// to `record_path` at `collect_report`.
-    pub recorder: Option<gprs_core::recording::Recorder>,
-    /// Destination of the sealed recording.
-    pub record_path: Option<std::path::PathBuf>,
-    /// Replay verifier when this run re-executes a recording (armed by
-    /// `GprsBuilder::replay`); the enforcer's policy is the verifier's
-    /// [`gprs_core::recording::ReplaySchedule`] over the same event stream.
-    pub replay: Option<gprs_core::recording::ReplayVerifier>,
-}
-
-/// The durable retire prefix a resumed run re-verifies during replay:
-/// at retirement index `pos` the replay must retire a sub-thread of
-/// `expected[pos]`'s `(thread, kind tag, running digest)` or the run is
-/// poisoned — divergence from the durable log is never silent.
-#[derive(Debug, Default)]
-pub(crate) struct VerifyState {
-    pub expected: Vec<(u32, u8, u64)>,
-    pub pos: usize,
-}
-
-/// Cursor state for a [`ChaosPlan`] being executed against this engine.
-///
-/// Grant-keyed events fire under the engine lock right after the matching
-/// grant — its WAL record appended, its checkpoint not yet captured — so
-/// `Newest` victims are hit between WAL append and step start and `Holder`
-/// victims inside critical sections. Recovery-keyed events fire from REX
-/// after the matching recovery session, before the pending queue drains —
-/// the injected exception is recovered in the same quiesced pass
-/// (overlapping DEX→REX).
-pub(crate) struct ChaosState {
-    grant_events: Vec<ChaosEvent>,
-    next_grant: usize,
-    recovery_events: Vec<ChaosEvent>,
-    next_recovery: usize,
-    /// Recovery sessions completed (culprits processed by REX).
-    sessions: u64,
-}
-
-impl ChaosState {
-    pub fn new(plan: &ChaosPlan) -> Self {
-        ChaosState {
-            grant_events: plan.grant_events(),
-            next_grant: 0,
-            recovery_events: plan.recovery_events(),
-            next_recovery: 0,
-            sessions: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for ChaosState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosState")
-            .field("grant_events", &self.grant_events.len())
-            .field("next_grant", &self.next_grant)
-            .field("recovery_events", &self.recovery_events.len())
-            .field("sessions", &self.sessions)
-            .finish()
-    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -669,19 +590,12 @@ pub(crate) enum Decision {
 }
 
 impl Inner {
-    /// An engine for the final `cfg`. Its ordering policy is the configured
-    /// schedule — or, under replay, the tape itself (the recorded grant
-    /// order IS the schedule; wasted polls hold the cursor in place).
-    pub fn new(cfg: RunConfig, replay: Option<gprs_core::recording::ReplayVerifier>) -> Self {
-        let enforcer = match &replay {
-            Some(v) => OrderEnforcer::new(Box::new(v.schedule())),
-            None => OrderEnforcer::with_schedule(cfg.schedule),
-        };
-        let telemetry = Arc::new(Telemetry::new(&cfg.telemetry, cfg.workers));
-        let racecheck = cfg.racecheck.then(RaceDetector::new);
+    /// An engine for the final `cfg`, observed by `ledger`, which also
+    /// knows whether the configured schedule or a replayed tape orders it.
+    pub fn new(cfg: RunConfig, ledger: RunLedger) -> Self {
         Inner {
+            enforcer: ledger.enforcer(cfg.schedule),
             cfg,
-            enforcer,
             threads: BTreeMap::new(),
             next_thread: 0,
             rol: ReorderList::new(),
@@ -708,11 +622,7 @@ impl Inner {
             epoch: 0,
             pass_streak: 0,
             stats: RunStats::default(),
-            telemetry,
-            sched_hash: ScheduleHash::new(),
-            retired_hash: RetiredOrderHash::new(),
-            raw_trace: Vec::new(),
-            racecheck,
+            ledger,
             plain_accesses: BTreeMap::new(),
             access_pool: Vec::new(),
             retire_scratch: Vec::new(),
@@ -721,12 +631,7 @@ impl Inner {
             poisoned: None,
             cancelled_note: None,
             chaos: None,
-            verify: None,
-            last_durable_ckpt: 0,
             shard: None,
-            recorder: None,
-            record_path: None,
-            replay,
         }
     }
 
@@ -768,27 +673,12 @@ impl Inner {
         }
     }
 
-    /// Feeds one turn-consuming event (a grant's sub-thread kind, or the
-    /// structural `EVT_ARRIVE`/`EVT_EXIT` tags) to the recorder and/or the
-    /// replay verifier. Under replay, the first event that does not match
-    /// the recorded stream poisons the run with a named divergence.
-    pub(crate) fn record_event(&mut self, thread: ThreadId, kind: u8) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.record_event(thread.raw(), kind);
-        }
-        if let Some(msg) = self
-            .replay
-            .as_mut()
-            .and_then(|v| v.check_event(thread.raw(), kind))
-        {
+    /// Turns what a ledger hook returned into this engine's poison.
+    #[inline]
+    pub(crate) fn poison_on(&mut self, reason: Poison) {
+        if let Some(msg) = reason {
             self.poison(msg);
         }
-    }
-
-    /// The event position a replay-divergence poison names (`None` on live
-    /// runs).
-    pub(crate) fn replay_pos(&self) -> Option<usize> {
-        self.replay.as_ref().map(|v| v.verified())
     }
 
     /// Replay sanity gate, checked before the token holder's want is
@@ -796,7 +686,7 @@ impl Inner {
     /// live, registered thread, so anything else is a divergence to poison
     /// on (not an `expect` to die on).
     pub(crate) fn replay_holder_gate(&self, holder: ThreadId) -> Option<String> {
-        let pos = self.replay_pos()?;
+        let pos = self.ledger.replay_pos()?;
         match self.threads.get(&holder) {
             None => Some(format!(
                 "replay divergence at event {pos}: recorded thread {} was \
@@ -813,25 +703,6 @@ impl Inner {
         }
     }
 
-    /// Seals the recorder (if armed) into a finished [`Recording`] carrying
-    /// the run's final hash digests and outcome, with its destination path.
-    pub(crate) fn take_recording(
-        &mut self,
-    ) -> Option<(std::path::PathBuf, gprs_core::recording::Recording)> {
-        use gprs_core::recording::RecordedOutcome;
-        let recorder = self.recorder.take()?;
-        let path = self.record_path.take()?;
-        let outcome = match (&self.poisoned, &self.cancelled_note) {
-            (Some(msg), _) => RecordedOutcome::Poisoned(msg.clone()),
-            (None, Some(note)) => RecordedOutcome::Poisoned(note.clone()),
-            (None, None) => RecordedOutcome::Complete,
-        };
-        Some((
-            path,
-            recorder.finish(self.sched_hash.digest(), self.retired_hash.digest(), outcome),
-        ))
-    }
-
     pub(crate) fn bump(&mut self) {
         self.epoch += 1;
         self.pass_streak = 0;
@@ -842,22 +713,10 @@ impl Inner {
     /// the sub-thread granted this very cycle (whose checkpoint hand-off is
     /// still in flight) and `Holder` to a live critical section.
     pub(crate) fn chaos_tick_grant(&mut self) {
-        let Some(mut cs) = self.chaos.take() else {
-            return;
-        };
-        while let Some(ev) = cs.grant_events.get(cs.next_grant) {
-            let due = match ev.trigger {
-                ChaosTrigger::AtGrant(n) => n <= self.stats.grants,
-                ChaosTrigger::MidRecovery(_) => unreachable!("grant_events filtered"),
-            };
-            if !due {
-                break;
-            }
-            let ev = ev.clone();
-            cs.next_grant += 1;
+        let grants = self.stats.grants;
+        while let Some(ev) = self.chaos.as_mut().and_then(|c| c.due_at_grant(grants)) {
             self.chaos_fire(&ev, false);
         }
-        self.chaos = Some(cs);
     }
 
     /// Fires chaos events keyed to the recovery session that just finished
@@ -865,23 +724,10 @@ impl Inner {
     /// pending queue drains, so the injected exception is recovered by the
     /// same quiesced pass — overlapping DEX→REX.
     pub(crate) fn chaos_tick_recovery(&mut self) {
-        let Some(mut cs) = self.chaos.take() else {
-            return;
-        };
-        cs.sessions += 1;
-        while let Some(ev) = cs.recovery_events.get(cs.next_recovery) {
-            let due = match ev.trigger {
-                ChaosTrigger::MidRecovery(n) => n <= cs.sessions,
-                ChaosTrigger::AtGrant(_) => unreachable!("recovery_events filtered"),
-            };
-            if !due {
-                break;
-            }
-            let ev = ev.clone();
-            cs.next_recovery += 1;
+        let sessions = self.stats.recoveries;
+        while let Some(ev) = self.chaos.as_mut().and_then(|c| c.due_after_session(sessions)) {
             self.chaos_fire(&ev, true);
         }
-        self.chaos = Some(cs);
     }
 
     /// Raises one global exception on `context`, attributed to `culprit`
@@ -1163,30 +1009,19 @@ impl Inner {
             let batch = first.id()..=last.id();
             for entry in &entries {
                 let id = entry.id();
-                let thread = entry.thread();
                 self.stats.retired += 1;
-                self.retired_hash
-                    .record(thread.raw(), entry.descriptor.kind.tag());
-                if self.cfg.persist.is_some() || self.verify.is_some() {
-                    self.durable_on_retire(
-                        id.raw(),
-                        thread.raw(),
-                        entry.descriptor.kind.tag(),
-                    );
-                }
-                if self.telemetry.enabled() {
-                    self.telemetry.metrics.retired.inc_serialized();
-                    self.telemetry.record(
-                        EXTERNAL_RING,
-                        TraceEvent::Retire {
-                            subthread: id.raw(),
-                            thread: thread.raw(),
-                        },
-                    );
-                }
-                if self.racecheck.is_some() {
-                    self.race_retire(entry);
-                }
+                // What the race detector needs beyond the entry itself (the
+                // ledger reads the locks and atomics touched off that).
+                let racecheck = self.ledger.racecheck();
+                let accesses = self.plain_accesses.remove(&id).unwrap_or_default();
+                let facts = racecheck.then(|| RetireFacts {
+                    open: self.open_edge(id),
+                    accesses: &accesses,
+                    arrival: self.race_arrivals.remove(&id),
+                });
+                let reason = self.ledger.retired(EXTERNAL_RING, entry, facts);
+                self.poison_on(reason);
+                self.recycle_access_vec(accesses);
                 if self.shard.is_some() {
                     self.shard_on_retire(id);
                 }
@@ -1216,67 +1051,30 @@ impl Inner {
                     file.staged = staged;
                 }
             }
-            if self.cfg.persist.is_some() {
-                // Count the records each retiring sub-thread prunes (one
-                // extra pass over the retained log, durable mode only) so
-                // the durable ledger mirrors the in-memory one.
-                let mut counts: BTreeMap<SubThreadId, u64> = BTreeMap::new();
-                for r in self.wal.iter() {
-                    if batch.contains(&r.subthread) {
-                        *counts.entry(r.subthread).or_insert(0) += 1;
-                    }
-                }
-                for (stid, count) in counts {
-                    self.durable_record(&DurableRecord::Prune {
-                        subthread: stid.raw(),
-                        count,
-                    });
-                }
-            }
+            let owners = self.wal.iter().map(|r| r.subthread);
+            let reason = self.ledger.mirror_prunes(owners.filter(|s| batch.contains(s)));
+            self.poison_on(reason);
             let pruned = self.wal.prune_retired_batch(batch.clone());
             self.hist.prune_retired_batch(batch, &mut self.threads);
-            if self.telemetry.enabled() {
-                self.telemetry.metrics.wal_prunes.add_serialized(pruned);
-                self.telemetry
-                    .metrics
-                    .retire_batch
-                    .record_serialized(entries.len() as u64);
-                if pruned > 0 {
-                    self.telemetry.record(
-                        EXTERNAL_RING,
-                        TraceEvent::WalPrune {
-                            subthread: entries[0].id().raw(),
-                            records: pruned,
-                        },
-                    );
-                }
-            }
+            let reason = self.ledger.batch_retired(
+                first.id(),
+                entries.len(),
+                pruned,
+                self.cfg.durable_ckpt_every,
+            );
+            self.poison_on(reason);
         }
         entries.clear();
         self.retire_scratch = entries;
-        if self.cfg.persist.is_some()
-            && self.stats.retired - self.last_durable_ckpt >= self.cfg.durable_ckpt_every
-        {
-            self.durable_checkpoint();
-        }
         self.stats.rol_peak = self.stats.rol_peak.max(self.rol.peak_occupancy());
-        if self.telemetry.enabled() {
-            self.telemetry
-                .metrics
-                .rol_occupancy_hw
-                .observe_serialized(self.rol.peak_occupancy() as u64);
-        }
+        self.ledger.rol_peak(self.rol.peak_occupancy());
     }
 
-    /// Feeds one retiring sub-thread to the race detector: its opening
-    /// happens-before edge (from the opening want), the locks/atomics it
-    /// touched (from the ROL entry's dependence aliases), the plain
-    /// accesses its body recorded, and any barrier-arrival contribution.
-    /// Runs at retirement — in the deterministic total order — so the race
-    /// stream is identical across runs and worker counts.
-    fn race_retire(&mut self, entry: &RolEntry) {
-        let id = entry.id();
-        let open = match self.opening.get(&id).map(|o| &o.want) {
+    /// The happens-before edge the opening want of retiring sub-thread `id`
+    /// acquires. Retirement runs in the deterministic total order, so the
+    /// race stream is identical across runs and worker counts.
+    fn open_edge(&mut self, id: SubThreadId) -> Option<OpenEdge> {
+        match self.opening.get(&id).map(|o| &o.want) {
             Some(OpeningWant::Push(c, _)) => Some(OpenEdge::ChanPush(*c)),
             Some(OpeningWant::Pop(c)) => Some(OpenEdge::ChanPop {
                 chan: *c,
@@ -1291,43 +1089,10 @@ impl Inner {
             }
             Some(OpeningWant::JoinParent(t)) => Some(OpenEdge::Join { child: *t }),
             Some(OpeningWant::SerializedRun) => Some(OpenEdge::Serialized),
-            // Lock and atomic acquire edges come from `sync_resources`.
+            // Lock and atomic acquire edges come from the entry's aliases.
             Some(OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _) | OpeningWant::Start)
             | None => None,
-        };
-        let accesses = self.plain_accesses.remove(&id).unwrap_or_default();
-        let sync_resources: Vec<ResourceId> = entry
-            .resources
-            .iter()
-            .filter(|r| matches!(r, ResourceId::Lock(_) | ResourceId::Atomic(_)))
-            .copied()
-            .collect();
-        let arrival = self.race_arrivals.remove(&id);
-        let races = self.racecheck.as_mut().expect("racecheck on").retire(RetireInfo {
-            id,
-            thread: entry.thread(),
-            open,
-            sync_resources: &sync_resources,
-            accesses: &accesses,
-            arrival,
-        });
-        if !races.is_empty() {
-            self.stats.races += races.len() as u64;
-            if self.telemetry.enabled() {
-                self.telemetry.metrics.races_detected.add_serialized(races.len() as u64);
-                for race in &races {
-                    self.telemetry.record(
-                        EXTERNAL_RING,
-                        TraceEvent::RaceDetected {
-                            subthread: race.current.subthread.raw(),
-                            prior: race.prior.subthread.raw(),
-                            resource: resource_code(race.resource),
-                        },
-                    );
-                }
-            }
         }
-        self.recycle_access_vec(accesses);
     }
 
     /// Returns a consumed plain-access vector to the bounded pool.
@@ -1348,8 +1113,9 @@ impl Inner {
                 let v = match self.access_pool.pop() {
                     Some(v) => v,
                     None => {
-                        if self.telemetry.enabled() {
-                            self.telemetry.metrics.hot_path_allocs.inc_serialized();
+                        let tel = self.ledger.telemetry();
+                        if tel.enabled() {
+                            tel.metrics.hot_path_allocs.inc_serialized();
                         }
                         Vec::new()
                     }
@@ -1383,7 +1149,7 @@ impl Inner {
     /// access is recorded for the happens-before check at retirement.
     pub(crate) fn plain_load(&mut self, stid: SubThreadId, atomic: AtomicId) -> u64 {
         let v = *self.atomics.get(&atomic).expect("registered atomic");
-        if self.racecheck.is_some() {
+        if self.ledger.racecheck() {
             self.record_plain_access(stid, ResourceId::Atomic(atomic), AccessKind::Read);
         }
         v
@@ -1410,133 +1176,22 @@ impl Inner {
             // so the undo record would be pure WAL traffic. Control
             // records (locks, channels, fetch-adds) are never elided —
             // recovery's replay correctness depends on them.
-            if self.telemetry.enabled() {
-                self.telemetry.metrics.wal_records_elided.inc_serialized();
-            }
+            self.ledger.wal_elided();
         } else {
             self.wal_append(worker, stid, RtOp::PlainStore { atomic, old });
         }
-        if self.racecheck.is_some() {
+        if self.ledger.racecheck() {
             self.record_plain_access(stid, ResourceId::Atomic(atomic), AccessKind::Write);
         }
     }
 
-    /// Appends a WAL record and traces it.
+    /// Appends a WAL record, showing it to the ledger first (the durable
+    /// mirror is written ahead of the in-memory append).
     fn wal_append(&mut self, worker: usize, stid: SubThreadId, op: RtOp) {
-        if self.cfg.persist.is_some() {
-            // Mirror durably before the in-memory append consumes `op`:
-            // same write-ahead discipline, one storage layer further out.
-            let lsn = self.wal.next_lsn();
-            let checksum = WalRecord::checksum_of(lsn, stid, &op);
-            let text = format!("{op:?}");
-            self.durable_record(&DurableRecord::Append {
-                lsn: lsn.raw(),
-                subthread: stid.raw(),
-                checksum,
-                op: text,
-            });
-        }
+        let (lsn, outstanding) = (self.wal.next_lsn(), self.wal.len() + 1);
+        let reason = self.ledger.wal_appended(worker, stid, lsn, &op, outstanding);
+        self.poison_on(reason);
         self.wal.append(stid, op);
-        self.trace_wal_append(worker, stid);
-    }
-
-    /// Mirrors one record into the durable backend; a persistence failure
-    /// poisons the run (durability was requested — losing it silently
-    /// would fake precise restartability).
-    pub(crate) fn durable_record(&mut self, rec: &DurableRecord) {
-        let Some(p) = self.cfg.persist.clone() else {
-            return;
-        };
-        if let Err(e) = p.record(rec) {
-            self.poison(format!("durable persistence failed: {e}"));
-        }
-    }
-
-    /// One retirement's durable/verification work: checks the resumed
-    /// prefix (restart-as-recovery) and mirrors a `Retire` record. Called
-    /// only when persistence or verification is armed.
-    fn durable_on_retire(&mut self, subthread: u64, thread: u32, kind: u8) {
-        let digest = self.retired_hash.digest();
-        let mut verified = false;
-        let mut mismatch = None;
-        if let Some(v) = &mut self.verify {
-            if v.pos < v.expected.len() {
-                let exp = v.expected[v.pos];
-                v.pos += 1;
-                if exp == (thread, kind, digest) {
-                    verified = true;
-                } else {
-                    mismatch = Some((v.pos, exp));
-                }
-            }
-        }
-        if let Some((pos, (et, ek, ed))) = mismatch {
-            self.poison(format!(
-                "durable prefix divergence at retirement {pos}: replay retired \
-                 (thread {thread}, kind {kind}, digest {digest:016x}) but the durable \
-                 log recorded (thread {et}, kind {ek}, digest {ed:016x})"
-            ));
-            return;
-        }
-        if verified && self.telemetry.enabled() {
-            self.telemetry.metrics.recovered_prefix_len.inc_serialized();
-        }
-        if self.cfg.persist.is_some() {
-            self.durable_record(&DurableRecord::Retire {
-                subthread,
-                thread,
-                kind,
-                retired: self.stats.retired,
-                digest,
-            });
-        }
-    }
-
-    /// Writes a durable checkpoint: the retire-prefix metadata, chunked
-    /// into the content-addressed store under a merkle root, anchored by a
-    /// `Checkpoint` record, then group-committed with one fsync.
-    fn durable_checkpoint(&mut self) {
-        let Some(p) = self.cfg.persist.clone() else {
-            return;
-        };
-        self.last_durable_ckpt = self.stats.retired;
-        let meta = CheckpointMeta {
-            retired: self.stats.retired,
-            digest: self.retired_hash.digest(),
-            threads: self.retired_hash.splits(),
-        };
-        let blob = meta.encode();
-        let mut chunks = Vec::with_capacity(blob.len().div_ceil(CHUNK_SIZE));
-        for chunk in blob.chunks(CHUNK_SIZE) {
-            match p.put_chunk(chunk) {
-                Ok(h) => chunks.push(h),
-                Err(e) => {
-                    self.poison(format!("durable checkpoint failed: {e}"));
-                    return;
-                }
-            }
-        }
-        let rec = DurableRecord::Checkpoint {
-            root: merkle_root(&chunks),
-            retired: meta.retired,
-            digest: meta.digest,
-            chunks,
-        };
-        if let Err(e) = p.record(&rec).and_then(|()| p.sync()) {
-            self.poison(format!("durable checkpoint failed: {e}"));
-        }
-    }
-
-    fn trace_wal_append(&mut self, worker: usize, stid: SubThreadId) {
-        if self.telemetry.enabled() {
-            self.telemetry.metrics.wal_appends.inc_serialized();
-            self.telemetry
-                .metrics
-                .wal_outstanding_hw
-                .observe_serialized(self.wal.len() as u64);
-            self.telemetry
-                .record(worker, TraceEvent::WalAppend { subthread: stid.raw() });
-        }
     }
 
     /// Creates the sub-thread record for a fresh grant. Returns the history
@@ -1566,41 +1221,11 @@ impl Inner {
         let rec = self.threads.get_mut(&thread).expect("thread exists");
         rec.current_st = Some(stid);
         self.running.insert(stid, worker);
-        self.sched_hash.record(stid.raw(), thread.raw());
-        self.record_event(thread, kind.tag());
-        if self.raw_trace.len() < self.cfg.telemetry.raw_trace_cap {
-            self.raw_trace.push((stid, thread));
-        }
         self.stats.subthreads += 1;
-        if self.telemetry.enabled() {
-            self.telemetry.metrics.subthreads_created.inc_serialized();
-            self.telemetry.metrics.grants.inc_serialized();
-            // The per-grant thread snapshot above is this sub-thread's
-            // history-buffer checkpoint; snapshot sizes are opaque boxes.
-            self.telemetry.metrics.checkpoints.inc_serialized();
-            self.telemetry.record(
-                worker,
-                TraceEvent::SubThreadCreate {
-                    subthread: stid.raw(),
-                    thread: thread.raw(),
-                    kind: kind.tag(),
-                },
-            );
-            self.telemetry.record(
-                worker,
-                TraceEvent::Grant {
-                    subthread: stid.raw(),
-                    thread: thread.raw(),
-                },
-            );
-            self.telemetry.record(
-                worker,
-                TraceEvent::CheckpointTaken {
-                    subthread: stid.raw(),
-                    bytes: 0,
-                },
-            );
-        }
+        // The thread snapshot reserved above is this sub-thread's
+        // history-buffer checkpoint; snapshot sizes are opaque boxes.
+        let reason = self.ledger.granted(worker, stid, thread, kind, Checkpointed::Opaque);
+        self.poison_on(reason);
         snap_seq
     }
 
@@ -1873,7 +1498,7 @@ impl Inner {
                     if self.rol.contains(p) {
                         self.edges.entry(p).or_default().push(stid);
                     }
-                    if self.racecheck.is_some() {
+                    if self.ledger.racecheck() {
                         self.race_pop_src.insert(stid, p);
                     }
                 }
@@ -1965,7 +1590,8 @@ impl Inner {
                 // a recorded event — it mutates schedule state, so replay
                 // must reproduce it in order.
                 self.enforcer.consume_turn(holder);
-                self.record_event(holder, gprs_core::recording::EVT_ARRIVE);
+                let reason = self.ledger.structural(holder, gprs_core::recording::EVT_ARRIVE);
+                self.poison_on(reason);
                 let rec = self.threads.get_mut(&holder).expect("holder");
                 rec.state = ThState::Parked(b);
                 rec.registered = false;
@@ -1989,7 +1615,7 @@ impl Inner {
                 }
                 let forming_gen = bar.gen + 1;
                 let full = bar.waiting.len() as u32 == bar.participants;
-                if let Some(det) = self.racecheck.as_mut() {
+                if self.ledger.racecheck() {
                     // The arrival-ending sub-thread's close clock belongs to
                     // the forming generation. If it already retired, its
                     // thread's clock *is* that close clock — contribute it
@@ -2000,7 +1626,7 @@ impl Inner {
                         Some(prev) => {
                             self.race_arrivals.insert(prev, (b, forming_gen));
                         }
-                        None => det.contribute_arrival(holder, b, forming_gen),
+                        None => self.ledger.arrived_after_retire(holder, b, forming_gen),
                     }
                 }
                 let cross = self
@@ -2040,7 +1666,8 @@ impl Inner {
                 // Exit: consumes the turn but opens no sub-thread (recorded
                 // like the barrier arrival above).
                 self.enforcer.consume_turn(holder);
-                self.record_event(holder, gprs_core::recording::EVT_EXIT);
+                let reason = self.ledger.structural(holder, gprs_core::recording::EVT_EXIT);
+                self.poison_on(reason);
                 let rec = self.threads.get_mut(&holder).expect("holder");
                 rec.state = ThState::Done;
                 rec.registered = false;
@@ -2295,7 +1922,7 @@ pub(crate) fn decide<const SOLO: bool>(
             let released = leftover_lock.as_ref().map(|(l, _)| *l);
             g.deposit(thread, stid, program, result, leftover_lock, staged);
             if let Some(lock) = released {
-                shared.wake_lock_shard(lock, &g.telemetry);
+                shared.wake_lock_shard(lock, g.ledger.telemetry());
             }
             if prenotify && shared.cv_sleepers.load(Ordering::Relaxed) > 0 {
                 // Overlap a parked peer's seek with ours only when the
@@ -2307,7 +1934,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     .and_then(|h| g.threads.get(&h))
                     .is_some_and(|r| r.pending.is_some());
                 if armed && shared.spare_cpu() {
-                    shared.wake_one_seeker(&g.telemetry);
+                    shared.wake_one_seeker(g.ledger.telemetry());
                 }
             }
             fast = true;
@@ -2321,7 +1948,7 @@ pub(crate) fn decide<const SOLO: bool>(
             g.running.remove(&stid);
             if let Some((lock, data)) = leftover_lock {
                 g.return_lock(stid, lock, data);
-                shared.wake_lock_shard(lock, &g.telemetry);
+                shared.wake_lock_shard(lock, g.ledger.telemetry());
             }
             g.poison(format!("step of {thread} panicked: {msg}"));
         }
@@ -2349,8 +1976,8 @@ pub(crate) fn decide<const SOLO: bool>(
                 let stuck = $stuck;
                 g.poison(stuck);
             } else {
-                if woke_idle && g.telemetry.enabled() {
-                    g.telemetry.metrics.wakeups_spurious.inc_serialized();
+                if woke_idle && g.ledger.telemetry().enabled() {
+                    g.ledger.telemetry().metrics.wakeups_spurious.inc_serialized();
                 }
                 fast = false;
                 woke_idle = true;
@@ -2456,7 +2083,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     }
                     wait_here!();
                 }
-                let exhausted = inner.replay.as_ref().and_then(|v| v.exhausted(inner.live));
+                let exhausted = inner.ledger.replay_exhausted(inner.live);
                 inner.poison(exhausted.unwrap_or_else(|| {
                     "deadlock: live threads remain but none is runnable \
                      (barrier participants mismatch?)"
@@ -2466,11 +2093,9 @@ pub(crate) fn decide<const SOLO: bool>(
             }
             wait_here!();
         };
-        if inner.replay.is_some() {
-            if let Some(msg) = inner.replay_holder_gate(holder) {
-                inner.poison(msg);
-                continue;
-            }
+        if let Some(msg) = inner.replay_holder_gate(holder) {
+            inner.poison(msg);
+            continue;
         }
         if inner.shard.is_some() {
             // Domain fence: a step touching a resource the plan mapped
@@ -2526,7 +2151,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 woke_idle = false;
                 if inner.pass_streak > inner.enforcer.live_threads() * 2 + 4 {
                     if inner.running.is_empty() {
-                        inner.poison(match inner.replay_pos() {
+                        inner.poison(match inner.ledger.replay_pos() {
                             Some(pos) => format!(
                                 "replay divergence at event {pos}: recorded \
                                  thread {} polls an operation the recording \
@@ -2548,7 +2173,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 // that changes either wakes one seeker. With one context
                 // the blocking condition can only be our own state, and we
                 // just deposited — so it can never clear.
-                wait_here!(match inner.replay_pos() {
+                wait_here!(match inner.ledger.replay_pos() {
                     Some(pos) => format!(
                         "replay divergence at event {pos}: recorded thread {} \
                          blocks on an operation the recording granted",
@@ -2572,8 +2197,8 @@ pub(crate) fn decide<const SOLO: bool>(
                     "gate mirrors the enforcer after every grant"
                 );
                 inner.chaos_tick_grant();
-                if fast && inner.telemetry.enabled() {
-                    inner.telemetry.metrics.fast_path_grants.inc_serialized();
+                if fast && inner.ledger.telemetry().enabled() {
+                    inner.ledger.telemetry().metrics.fast_path_grants.inc_serialized();
                 }
                 // Hand the new frontier to a parked peer only when it is
                 // provably usable: the next holder must already have a
@@ -2587,8 +2212,8 @@ pub(crate) fn decide<const SOLO: bool>(
                         .holder()
                         .and_then(|h| inner.threads.get(&h))
                         .is_some_and(|r| r.pending.is_some());
-                if wake_peer && inner.telemetry.enabled() {
-                    inner.telemetry.metrics.wakeups_issued.inc_serialized();
+                if wake_peer && inner.ledger.telemetry().enabled() {
+                    inner.ledger.telemetry().metrics.wakeups_issued.inc_serialized();
                 }
                 break Decision::Run { task, wake_peer };
             }

@@ -80,10 +80,12 @@ use crate::handles::{
 };
 use crate::program::{DynThread, ThreadProgram};
 use crate::report::{RunError, RunReport};
+use gprs_core::chaos::ChaosCursor;
 use gprs_core::exception::ExceptionKind;
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
+use gprs_core::ledger::RunLedger;
 use gprs_core::order::ScheduleKind;
-use gprs_core::persist::{DurableImage, DurableRecord, PersistBackend};
+use gprs_core::persist::{DurableImage, PersistBackend};
 use gprs_telemetry::TelemetryConfig;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -111,7 +113,7 @@ pub struct GprsBuilder {
     replay_rec: Option<Arc<gprs_core::recording::Recording>>,
     /// The configuration the setters below edit in place.
     cfg: RunConfig,
-    chaos: Option<engine::ChaosState>,
+    chaos: Option<ChaosCursor>,
     /// What the program registered, an id being a position; `finish`
     /// constructs the engine that owns it, once the configuration is final.
     threads: Vec<(Box<dyn DynThread>, GroupId, u32)>,
@@ -289,7 +291,7 @@ impl GprsBuilder {
     /// fire while the matching recovery pass is still in flight,
     /// exercising overlapping DEX→REX recovery. An empty plan is a no-op.
     pub fn chaos(mut self, plan: &gprs_core::chaos::ChaosPlan) -> Self {
-        self.chaos = (!plan.is_empty()).then(|| engine::ChaosState::new(plan));
+        self.chaos = (!plan.is_empty()).then(|| ChaosCursor::new(plan));
         // Keep the plan's canonical text so an armed recorder can stamp the
         // injection overlay into its header (replay must re-arm the same
         // faults to reproduce the schedule).
@@ -519,11 +521,7 @@ impl GprsBuilder {
         let rep = gprs_analyze::analyze(model?);
         let cfg = &mut self.cfg;
         if self.analyze {
-            if rep.race_free() {
-                cfg.racecheck = false;
-            } else if rep.advice == gprs_analyze::RecoveryAdvice::HybridCpr {
-                cfg.racecheck = true;
-            }
+            cfg.racecheck = rep.racecheck(cfg.racecheck);
         }
         // WAL elision trusts the dead-store proof only under a race-free
         // verdict: a racy model means the trace-level summaries may not
@@ -534,33 +532,48 @@ impl GprsBuilder {
         Some(rep)
     }
 
-    /// Second half of finalisation: constructs the engine (telemetry
-    /// facade, race detector, order enforcer) once, for the final
-    /// configuration, moves the registered program into it, and arms
-    /// record/replay, resume verification and the durable epoch.
-    fn finish(mut self, analysis: Option<&gprs_analyze::AnalysisReport>) -> Inner {
-        use gprs_core::recording::{
-            DriveMode, Recorder, RecordingHeader, ReplayVerifier, RECORD_AND_REPLAY,
-        };
-        // Record/replay arming. One run cannot both follow and produce a
-        // tape, and a replayed run must not mutate a durable epoch or
+    /// Second half of finalisation: constructs the run ledger (telemetry
+    /// facade, race detector, record/replay, resume verification, the durable
+    /// epoch) and the engine it observes, once, for the final configuration,
+    /// and moves the registered program into the engine.
+    fn finish(self, analysis: Option<&gprs_analyze::AnalysisReport>) -> Inner {
+        use gprs_core::recording::{DriveMode, RecordingHeader};
+        let mut ledger =
+            RunLedger::new(&self.cfg.telemetry, self.cfg.workers, 0, self.cfg.racecheck);
+        let record = self.record_path.map(|path| {
+            let (workload, seed) = self.record_meta.unwrap_or_else(|| ("custom".into(), 0));
+            let header = RecordingHeader {
+                workload,
+                seed,
+                // Provisional: stamped for real when the drive mode is
+                // known, at `Gprs::run` / `Gprs::into_session`.
+                mode: DriveMode::Pool,
+                schedule: self.cfg.schedule.tag().to_string(),
+                workers: self.cfg.workers as u32,
+                spec: self.record_spec,
+                chaos: self.chaos_text,
+            };
+            (header, path)
+        });
+        // One run cannot both follow and produce a tape (the ledger refuses
+        // that), and a replayed run must not mutate a durable epoch or
         // verify a resume prefix (both assume a live schedule): reject the
         // combinations loudly instead of guessing a precedence.
-        let refused = if self.replay_rec.is_none() {
-            None
-        } else if self.record_path.is_some() {
-            Some(RECORD_AND_REPLAY)
-        } else if self.cfg.persist.is_some() || !self.resume_prefix.is_empty() {
-            Some(
+        let durable = self.cfg.persist.is_some() || !self.resume_prefix.is_empty();
+        let refused = match (&record, &self.replay_rec) {
+            (None, Some(_)) if durable => Some(
                 "replay does not compose with durable persistence or resume \
-                 (a replayed run must not rewrite the durable epoch)",
-            )
-        } else {
-            None
+                 (a replayed run must not rewrite the durable epoch)"
+                    .to_string(),
+            ),
+            _ => ledger.arm_tape(record, self.replay_rec),
         };
-        if refused.is_some() {
-            self.record_path = None;
-            self.replay_rec = None;
+        ledger.arm_resume(self.resume_prefix);
+        let epoch = self.cfg.persist.clone().and_then(|backend| {
+            ledger.open_epoch(backend, self.durable_spec.unwrap_or_default())
+        });
+        if let Some(rep) = analysis {
+            rep.trace_verdict(ledger.telemetry(), ledger.racecheck());
         }
         let mut inner = Inner {
             chans: self.chans,
@@ -569,74 +582,12 @@ impl GprsBuilder {
             barriers: self.barriers,
             files: self.files,
             chaos: self.chaos,
-            ..Inner::new(self.cfg, self.replay_rec.map(ReplayVerifier::new))
+            ..Inner::new(self.cfg, ledger)
         };
         for (program, group, weight) in self.threads {
             inner.add_thread(program, group, weight, None);
         }
-        if let Some(msg) = refused {
-            inner.poison(msg);
-        }
-        if let Some(path) = self.record_path {
-            let (workload, seed) = self.record_meta.unwrap_or_else(|| ("custom".into(), 0));
-            inner.recorder = Some(Recorder::new(RecordingHeader {
-                workload,
-                seed,
-                // Provisional: stamped for real when the drive mode is
-                // known, at `Gprs::run` / `Gprs::into_session`.
-                mode: DriveMode::Pool,
-                schedule: inner.cfg.schedule.tag().to_string(),
-                workers: inner.cfg.workers as u32,
-                spec: self.record_spec,
-                chaos: self.chaos_text,
-            }));
-            inner.record_path = Some(path);
-        }
-        if !self.resume_prefix.is_empty() {
-            inner.verify = Some(engine::VerifyState {
-                expected: self.resume_prefix,
-                pos: 0,
-            });
-        }
-        // Open the durable epoch: the Spec record marks where this run's
-        // records start (a resumed run supersedes the prior epoch) and is
-        // synced immediately so even a run killed before its first
-        // retirement leaves a well-formed epoch on disk.
-        if let Some(p) = inner.cfg.persist.clone() {
-            let spec = DurableRecord::Spec {
-                text: self.durable_spec.unwrap_or_default(),
-            };
-            if let Err(e) = p.record(&spec).and_then(|()| p.sync()) {
-                inner.poison(format!("durable persistence failed: {e}"));
-            }
-        }
-        if let Some(rep) = analysis {
-            let elided = rep.race_free() && inner.racecheck.is_none();
-            let tel = &inner.telemetry;
-            if tel.enabled() {
-                let m = &tel.metrics;
-                m.analysis_runs.inc();
-                m.analysis_cells.add(rep.cells.len() as u64);
-                m.analysis_potential_races.add(rep.potential_races() as u64);
-                m.analysis_diagnostics.add(rep.diagnostics.len() as u64);
-                if elided {
-                    m.analysis_racecheck_elided.inc();
-                }
-                tel.record(
-                    usize::MAX, // external ring: not attributable to a worker
-                    gprs_telemetry::TraceEvent::AnalysisVerdict {
-                        cells: rep.cells.len() as u32,
-                        potential_races: rep.potential_races() as u32,
-                        diagnostics: rep.diagnostics.len() as u32,
-                        advice: matches!(
-                            rep.advice,
-                            gprs_analyze::RecoveryAdvice::HybridCpr
-                        ) as u8,
-                        elided: elided as u8,
-                    },
-                );
-            }
-        }
+        inner.poison_on(refused.or(epoch));
         inner
     }
 }
@@ -696,12 +647,8 @@ impl Gprs {
 /// grant instead of silently "succeeding".
 fn stamp_mode(shared: &Shared, mode: gprs_core::recording::DriveMode) {
     let mut inner = shared.inner.lock();
-    if let Some(r) = inner.recorder.as_mut() {
-        r.set_mode(mode);
-    }
-    if let Some(msg) = inner.replay.as_ref().and_then(|v| v.check_mode(mode)) {
-        inner.poison(msg);
-    }
+    let reason = inner.ledger.set_mode(mode);
+    inner.poison_on(reason);
 }
 
 /// The pool runner behind [`Gprs::run`] and [`ShardedGprs::run`]: spawns
@@ -737,39 +684,14 @@ pub(crate) fn run_pools(engines: &[SharedRef]) -> Result<Vec<RunReport>, RunErro
 /// completion), so both execution modes report identically.
 pub(crate) fn collect_report(shared: &SharedRef) -> Result<RunReport, RunError> {
     let mut inner = shared.inner.lock();
-    if let Some(p) = inner.cfg.persist.clone() {
-        // Group-commit the epoch's tail and mirror the backend's
-        // operational counters into the report.
-        if let Err(e) = p.sync() {
-            inner.poison(format!("durable persistence failed: {e}"));
-        }
-        if inner.telemetry.enabled() {
-            let s = p.stats();
-            inner.telemetry.metrics.wal_segments_sealed.add(s.segments_sealed);
-            inner.telemetry.metrics.fsyncs.add(s.fsyncs);
-        }
-    }
-    // A replay that consumed the whole tape must also land on the recorded
-    // final digests — a hash mismatch with an event-for-event match means
-    // the recording was tampered with or the program diverged outside the
-    // schedule, and either deserves a loud failure.
-    if inner.poisoned.is_none() {
-        let (sched, retired) = (inner.sched_hash.digest(), inner.retired_hash.digest());
-        if let Some(msg) = inner.replay.as_ref().and_then(|v| v.check_final(sched, retired)) {
-            inner.poison(msg);
-        }
-    }
-    // Seal and write the recording BEFORE the poison early-return: a
-    // recording of a failed run is the whole point of time-travel
-    // debugging, so the file must exist exactly when the report does not.
-    if let Some((path, rec)) = inner.take_recording() {
-        if let Err(e) = rec.save(&path) {
-            inner.poison(format!(
-                "failed to write recording to {}: {e}",
-                path.display()
-            ));
-        }
-    }
+    // Seal BEFORE the poison early-return: a recording of a failed run is
+    // the whole point of time-travel debugging, so the file must exist
+    // exactly when the report does not.
+    let inner = &mut *inner;
+    let reason = inner
+        .ledger
+        .seal(inner.poisoned.as_deref(), inner.cancelled_note.as_deref());
+    inner.poison_on(reason);
     if let Some(msg) = inner.poisoned.take() {
         return Err(RunError::Poisoned(msg));
     }
@@ -778,16 +700,9 @@ pub(crate) fn collect_report(shared: &SharedRef) -> Result<RunReport, RunError> 
         .iter()
         .map(|(&id, f)| (id, (f.name.clone(), f.committed.clone())))
         .collect();
-    let raw_trace = std::mem::take(&mut inner.raw_trace);
-    let telemetry = inner.telemetry.summarize(
-        &inner.sched_hash,
-        &inner.retired_hash,
-        raw_trace.iter().map(|&(s, t)| (s.raw(), t.raw())).collect(),
-    );
-    let first_race = inner
-        .racecheck
-        .as_ref()
-        .and_then(|det| det.first_race().cloned());
+    let telemetry = inner.ledger.summarize();
+    let (races, first_race) = inner.ledger.races();
+    inner.stats.races = races;
     Ok(RunReport {
         job_id: inner.cfg.job_id,
         submit_seq: inner.cfg.submit_seq,

@@ -21,12 +21,14 @@
 //!    sub-thread, so normal granting re-executes exactly the discarded
 //!    work while every unaffected sub-thread continues untouched.
 
-use crate::engine::{Inner, OpeningWant, PendingWant, RecoveryPolicy, ThState, EXTERNAL_RING};
+use crate::engine::{Inner, OpeningWant, PendingWant, RecoveryPolicy, ThState};
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::RtOp;
 use crate::program::{DynThread, Step};
-use gprs_core::ids::{BarrierId, ResourceId, SubThreadId, ThreadId};
-use gprs_telemetry::TraceEvent;
+use gprs_core::deps::{DependencePolicy, Provenance};
+use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
+use gprs_core::ledger::EXTERNAL_RING;
+use gprs_core::recovery::{squash_scope, RecoveryMode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -53,27 +55,12 @@ pub(crate) fn perform_recovery(inner: &mut Inner) {
             continue;
         }
         let started = std::time::Instant::now();
-        if inner.telemetry.enabled() {
-            inner.telemetry.metrics.recovery_sessions.inc();
-            inner
-                .telemetry
-                .record(EXTERNAL_RING, TraceEvent::RecoveryBegin { culprit: culprit.raw() });
-        }
+        inner.ledger.recovery_begin(EXTERNAL_RING, culprit);
         let squashed = recover_one(inner, culprit);
-        if inner.telemetry.enabled() {
-            inner
-                .telemetry
-                .metrics
-                .recovery_duration
-                .record(started.elapsed().as_nanos() as u64);
-            inner.telemetry.record(
-                EXTERNAL_RING,
-                TraceEvent::RecoveryEnd {
-                    culprit: culprit.raw(),
-                    squashed,
-                },
-            );
-        }
+        let host_ns = started.elapsed().as_nanos() as u64;
+        inner
+            .ledger
+            .recovery_end(EXTERNAL_RING, culprit, squashed, Some(host_ns));
         // Chaos overlap point: a `MidRecovery(n)` event keyed to this
         // session queues its exceptions now, while this pass still holds
         // the quiesced machine — the loop re-pops and recovers them in the
@@ -142,29 +129,6 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     // lock held. Dropping a vanished id instead keeps recovery total.
     affected.retain(|&id| inner.rol.contains(id));
     inner.stats.squashed += affected.len() as u64;
-    if inner.telemetry.enabled() {
-        inner.telemetry.metrics.squashed.add(affected.len() as u64);
-        inner
-            .telemetry
-            .metrics
-            .squashed_per_recovery
-            .record(affected.len() as u64);
-        for &id in &affected {
-            // `retain` above guarantees presence; degrade (skip the trace
-            // event) rather than panic with the state lock held if a
-            // divergent replay ever breaks that.
-            let Some(thread) = inner.rol.get(id).map(|e| e.thread()) else {
-                continue;
-            };
-            inner.telemetry.record(
-                EXTERNAL_RING,
-                TraceEvent::Squash {
-                    subthread: id.raw(),
-                    thread: thread.raw(),
-                },
-            );
-        }
-    }
 
     // Oldest affected sub-thread per thread: the point each thread rolls
     // back to (recorded before entries leave the ROL).
@@ -178,6 +142,7 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
             ));
             continue;
         };
+        inner.ledger.squashed(EXTERNAL_RING, id, t);
         oldest_per_thread.entry(t).or_insert(id);
     }
 
@@ -226,17 +191,8 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     let records = inner.wal.take_undo_records(&squash_set);
     let mut reclaimed: BTreeMap<ThreadId, Box<dyn DynThread>> = BTreeMap::new();
     for rec in records {
-        if inner.telemetry.enabled() {
-            inner.telemetry.metrics.wal_undos.inc();
-            inner
-                .telemetry
-                .record(EXTERNAL_RING, TraceEvent::WalUndo { subthread: rec.subthread.raw() });
-        }
-        if inner.cfg.persist.is_some() {
-            inner.durable_record(&gprs_core::persist::DurableRecord::Undo {
-                lsn: rec.lsn.raw(),
-            });
-        }
+        let reason = inner.ledger.wal_undone(rec.subthread, rec.lsn);
+        inner.poison_on(reason);
         undo_op(inner, rec.subthread, rec.op, &mut reclaimed);
     }
 
@@ -259,17 +215,13 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
         }
         inner.arrival_gen.remove(&id);
         inner.edges.remove(&id);
-        // Race-detector provenance of squashed work: the re-execution will
-        // re-record it. The detector's clocks themselves are never rewound
-        // (extra happens-before edges only mask races — the safe side).
+        // Race-detector facts of squashed work: the re-execution will
+        // re-record them.
         if let Some(v) = inner.plain_accesses.remove(&id) {
             inner.recycle_access_vec(v);
         }
         inner.race_pop_src.remove(&id);
         inner.race_arrivals.remove(&id);
-        if let Some(det) = inner.racecheck.as_mut() {
-            det.forget_subthread(id);
-        }
     }
     for gen_key in &undone_gens {
         inner.gens.remove(gen_key);
@@ -290,12 +242,7 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
         inner.opening.remove(&id);
     }
     for (t, opening) in openings {
-        if inner.telemetry.enabled() {
-            inner.telemetry.metrics.restarts.inc();
-            inner
-                .telemetry
-                .record(EXTERNAL_RING, TraceEvent::Restart { thread: t.raw() });
-        }
+        inner.ledger.restarted(t);
         reinstate(inner, t, opening, &undone_gens, &mut reclaimed);
     }
     debug_assert!(
@@ -306,19 +253,42 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     affected.len() as u64
 }
 
+/// The provenance edges this engine tracks, for the dependence closure:
+/// item consumers and spawn/join descendants (`edges`), and barrier
+/// generations — an arrival taints the continuations its release opened.
+struct RtProvenance<'a>(&'a Inner);
+
+impl Provenance for RtProvenance<'_> {
+    fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
+        self.0.edges.get(&producer).map_or(&[], Vec::as_slice)
+    }
+
+    fn arrived(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
+        self.0.arrival_gen.get(&id).copied()
+    }
+
+    fn resumed(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
+        match self.0.opening.get(&id)?.want {
+            OpeningWant::Resume(b, gen) => Some((b, gen)),
+            _ => None,
+        }
+    }
+}
+
 /// Computes the ascending affected set of `culprit` under the configured
-/// policy.
-///
-/// Hybrid escalation: selective restart is only sound when the culprit's
-/// data flowed exclusively through observed synchronization. If the race
-/// detector saw the culprit's thread participate in a data race, plain
-/// accesses may have leaked its state to sub-threads outside the dependence
-/// closure — so the restart widens to the basic younger-suffix squash.
+/// policy (escalated to the basic suffix when the race detector saw the
+/// culprit's thread race — see [`squash_scope`]).
 fn affected_set(inner: &mut Inner, culprit: SubThreadId) -> Vec<SubThreadId> {
+    let mode = match inner.cfg.recovery {
+        RecoveryPolicy::Basic => RecoveryMode::Basic,
+        RecoveryPolicy::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
+    };
+    let racy = |t| inner.ledger.is_racy_thread(t);
+    let scope = squash_scope(&inner.rol, culprit, mode, &RtProvenance(inner), racy);
     // `perform_recovery` re-validated the culprit against the ROL, but a
     // vanished culprit must squash nothing and poison — not panic a
     // recovery pass that holds the whole quiesced machine.
-    let Some(culprit_thread) = inner.rol.get(culprit).map(|e| e.thread()) else {
+    let Ok(scope) = scope else {
         inner.poison(format!(
             "recovery: culprit sub-thread {} vanished from the ROL \
              (divergent replay or corrupted schedule state)",
@@ -326,80 +296,11 @@ fn affected_set(inner: &mut Inner, culprit: SubThreadId) -> Vec<SubThreadId> {
         ));
         return Vec::new();
     };
-    let escalate = inner.cfg.recovery == RecoveryPolicy::Selective
-        && inner
-            .racecheck
-            .as_ref()
-            .is_some_and(|det| det.is_racy_thread(culprit_thread));
-    if escalate {
+    if let Some(thread) = scope.escalated {
         inner.stats.hybrid_escalations += 1;
-        if inner.telemetry.enabled() {
-            inner.telemetry.metrics.hybrid_escalations.inc();
-            inner.telemetry.record(
-                EXTERNAL_RING,
-                TraceEvent::HybridEscalation {
-                    culprit: culprit.raw(),
-                    thread: culprit_thread.raw(),
-                },
-            );
-        }
+        inner.ledger.escalated(culprit, thread);
     }
-    if inner.cfg.recovery == RecoveryPolicy::Basic || escalate {
-        let mut suffix = inner.rol.squash_suffix(culprit);
-        suffix.reverse(); // ascending
-        return suffix;
-    }
-    let Some(culprit_entry) = inner.rol.get(culprit) else {
-        return Vec::new(); // checked above; unreachable
-    };
-    let mut affected: BTreeSet<SubThreadId> = BTreeSet::new();
-    affected.insert(culprit);
-    let mut tainted_threads: BTreeSet<ThreadId> = BTreeSet::new();
-    tainted_threads.insert(culprit_entry.thread());
-    let mut tainted_aliases: BTreeSet<ResourceId> = BTreeSet::new();
-    for r in &culprit_entry.resources {
-        if !matches!(r, ResourceId::Channel(_)) {
-            tainted_aliases.insert(*r);
-        }
-    }
-    let mut dependents: BTreeSet<SubThreadId> = BTreeSet::new();
-    if let Some(es) = inner.edges.get(&culprit) {
-        dependents.extend(es.iter().copied());
-    }
-    let mut tainted_gens: BTreeSet<(BarrierId, u64)> = BTreeSet::new();
-    if let Some(g) = inner.arrival_gen.get(&culprit) {
-        tainted_gens.insert(*g);
-    }
-
-    // Taint flows old → young only, so one ascending pass suffices.
-    for e in inner.rol.iter_younger(culprit) {
-        let id = e.id();
-        let same_thread = tainted_threads.contains(&e.thread());
-        let shares_alias = e.resources.iter().any(|r| {
-            !matches!(r, ResourceId::Channel(_)) && tainted_aliases.contains(r)
-        });
-        let is_dependent = dependents.contains(&id);
-        let tainted_resume = match inner.opening.get(&id).map(|o| &o.want) {
-            Some(OpeningWant::Resume(b, gen)) => tainted_gens.contains(&(*b, *gen)),
-            _ => false,
-        };
-        if same_thread || shares_alias || is_dependent || tainted_resume {
-            affected.insert(id);
-            tainted_threads.insert(e.thread());
-            for r in &e.resources {
-                if !matches!(r, ResourceId::Channel(_)) {
-                    tainted_aliases.insert(*r);
-                }
-            }
-            if let Some(es) = inner.edges.get(&id) {
-                dependents.extend(es.iter().copied());
-            }
-            if let Some(g) = inner.arrival_gen.get(&id) {
-                tainted_gens.insert(*g);
-            }
-        }
-    }
-    affected.into_iter().collect()
+    scope.ids
 }
 
 /// Applies the inverse of one logged runtime operation.

@@ -214,11 +214,12 @@ impl GprsSession {
     /// replay driver wants to inspect the reconstructed world.
     pub fn precise_state(&self) -> PreciseState {
         let g = self.shared.inner.lock();
+        let (schedule_digest, retired_digest) = g.ledger.digests();
         PreciseState {
             grants: g.stats.grants,
-            replayed: g.replay_pos().map(|pos| pos as u64),
-            schedule_digest: g.sched_hash.digest(),
-            retired_digest: g.retired_hash.digest(),
+            replayed: g.ledger.replay_pos().map(|pos| pos as u64),
+            schedule_digest,
+            retired_digest,
             live_threads: g.live as u64,
             threads: g
                 .threads

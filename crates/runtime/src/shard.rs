@@ -35,6 +35,7 @@ use std::sync::{Arc, Weak};
 
 use gprs_analyze::ShardPlan;
 use gprs_core::ids::{BarrierId, ChannelId, ResourceId, SubThreadId, ThreadId};
+use gprs_core::ledger::RunLedger;
 use gprs_core::order::EdgeQueue;
 use gprs_core::workload::{SimOp, Workload};
 
@@ -587,7 +588,8 @@ pub(crate) fn assemble(
     for (dix, dom) in exec.domains.iter().enumerate() {
         let mut cfg = base.cfg.clone();
         cfg.workers = workers_per_domain;
-        let mut inner = Inner::new(cfg, None);
+        let ledger = RunLedger::new(&cfg.telemetry, cfg.workers, 0, false);
+        let mut inner = Inner::new(cfg, ledger);
         inner.next_thread = base.next_thread;
         for &tid in &dom.threads {
             let rec = base.threads.remove(&tid).expect("thread set validated");

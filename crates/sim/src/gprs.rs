@@ -33,24 +33,20 @@
 use crate::costs::MechCosts;
 use crate::result::SimResult;
 use crate::workload::{SimOp, Workload};
+use gprs_core::deps::{DependencePolicy, Provenance};
 use gprs_core::exception::{ExceptionInjector, InjectorConfig};
-use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId, ThreadId};
+use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
+use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger, EXTERNAL_RING};
 use gprs_core::order::{OrderEnforcer, ScheduleKind};
-use gprs_core::persist::{DurableRecord, PersistBackend};
-use gprs_core::racecheck::{resource_code, OpenEdge, RaceDetector, RetireInfo};
-use gprs_core::recording::{
-    DriveMode, RecordedOutcome, Recorder, Recording, RecordingHeader, ReplayVerifier, EVT_ARRIVE,
-    EVT_EXIT, RECORD_AND_REPLAY,
-};
-use gprs_core::rol::{ReorderList, RolEntry};
+use gprs_core::persist::PersistBackend;
+use gprs_core::racecheck::{AccessKind, OpenEdge};
+use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
+use gprs_core::recovery::{squash_scope, RecoveryMode};
+use gprs_core::rol::ReorderList;
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
-use gprs_telemetry::{RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TraceEvent};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use gprs_telemetry::TelemetryConfig;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Ring index for events not attributable to a simulated context; routed to
-/// the external ring by [`Telemetry::record`].
-const EXTERNAL_RING: usize = usize::MAX;
 
 /// Which sub-threads recovery squashes (the simulator-level counterpart of
 /// [`gprs_core::recovery::RecoveryMode`], with channel provenance).
@@ -101,7 +97,8 @@ pub struct GprsSimConfig {
     /// the simulator records `Spec`/`Retire` records and a final sync but
     /// never resumes from its log — simulated runs are cheap to re-run,
     /// and the record stream lets durability tooling compare a sim's
-    /// retirement ledger against a real-runtime log.
+    /// retirement ledger against a real-runtime log. A backend error fails
+    /// the run by name (`durable persistence failed: …`), as on the runtime.
     pub persist: Option<Arc<dyn PersistBackend>>,
     /// Record the run's complete grant schedule into this file, stamped
     /// with the given workload seed (see
@@ -231,73 +228,6 @@ struct Body {
     seg_ix: usize,
 }
 
-/// Incrementally maintained indexes over the in-window (granted, not yet
-/// retired or squashed) sub-threads.
-///
-/// Recovery used to rediscover dependence sharers by rescanning the whole
-/// reorder-list window per taint step (`affected_set`) and by sweeping every
-/// live body per rewind target (`plan_recovery`). Both queries are now index
-/// lookups; the index is updated at the three window transitions — grant,
-/// retire, squash — and `affected_set` cross-checks its answer against the
-/// original rescan in debug builds.
-#[derive(Debug, Default)]
-struct WindowIndex {
-    /// Non-channel dependence alias -> in-window sub-threads holding it.
-    /// Channels are excluded for the same reason `affected_set` skips them:
-    /// the runtime undoes pops by returning items, so the channel id is not
-    /// a taint alias (item provenance is tracked via `consumers`).
-    by_resource: HashMap<ResourceId, std::collections::BTreeSet<SubThreadId>>,
-    /// Sim thread index -> in-window sub-threads it owns.
-    by_thread: Vec<std::collections::BTreeSet<SubThreadId>>,
-}
-
-impl WindowIndex {
-    fn new(threads: usize) -> Self {
-        WindowIndex {
-            by_resource: HashMap::new(),
-            by_thread: vec![std::collections::BTreeSet::new(); threads],
-        }
-    }
-
-    /// Registers a freshly granted sub-thread under its thread and every
-    /// non-channel alias it holds.
-    fn insert<'r>(
-        &mut self,
-        sid: SubThreadId,
-        th: usize,
-        resources: impl IntoIterator<Item = &'r ResourceId>,
-    ) {
-        self.by_thread[th].insert(sid);
-        for r in resources {
-            if !matches!(r, ResourceId::Channel(_)) {
-                self.by_resource.entry(*r).or_default().insert(sid);
-            }
-        }
-    }
-
-    /// Deregisters a sub-thread leaving the window (retired or squashed).
-    /// `resources` must be the same alias set it was registered under.
-    fn remove<'r>(
-        &mut self,
-        sid: SubThreadId,
-        th: usize,
-        resources: impl IntoIterator<Item = &'r ResourceId>,
-    ) {
-        self.by_thread[th].remove(&sid);
-        for r in resources {
-            if matches!(r, ResourceId::Channel(_)) {
-                continue;
-            }
-            if let Some(set) = self.by_resource.get_mut(r) {
-                set.remove(&sid);
-                if set.is_empty() {
-                    self.by_resource.remove(r);
-                }
-            }
-        }
-    }
-}
-
 /// Where a rewound thread re-enters its trace after a squash. The sim
 /// re-executes squashed sub-threads as fresh grants (new sequence numbers),
 /// so recovery rewinds each affected thread to its oldest squashed
@@ -362,6 +292,18 @@ struct GThread {
     current_st: Option<SubThreadId>,
 }
 
+/// Channel-item provenance for the dependence closure: producer sub-thread
+/// -> consumers of its pushed items. Lists can retain retired ids (only the
+/// producer's own entry is dropped at its retirement); the closure walks the
+/// reorder list, so ids outside the window never match.
+struct Items<'a>(&'a HashMap<SubThreadId, Vec<SubThreadId>>);
+
+impl Provenance for Items<'_> {
+    fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
+        self.0.get(&producer).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Runs a workload on the GPRS engine.
 ///
 /// # Examples
@@ -388,8 +330,9 @@ struct Gprs<'a> {
     threads: Vec<GThread>,
     ctxs: Vec<u64>,
     bodies: HashMap<SubThreadId, Body>,
-    /// Resource/thread lookup over the live window (see [`WindowIndex`]).
-    windex: WindowIndex,
+    /// Sim thread index -> its in-window (granted, not yet retired or
+    /// squashed) sub-threads: a rewind sweeps only its own thread's bodies.
+    by_thread: Vec<BTreeSet<SubThreadId>>,
     rol: ReorderList,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
@@ -404,9 +347,6 @@ struct Gprs<'a> {
     /// rewind undoes a release.
     barrier_gen: HashMap<BarrierId, u64>,
     injector: Option<ExceptionInjector>,
-    /// Happens-before detector, driven at retirement (total order), so the
-    /// first race reported is deterministic across runs and context counts.
-    race: Option<RaceDetector>,
     /// Ahead-of-run static analysis report, carried into the result.
     analysis: Option<gprs_analyze::AnalysisReport>,
     latency: u64,
@@ -414,32 +354,49 @@ struct Gprs<'a> {
     live: usize,
     finish: u64,
     res: SimResult,
-    tel: Telemetry,
-    sched_hash: ScheduleHash,
-    retired_hash: RetiredOrderHash,
-    raw_trace: Vec<(u64, u32)>,
-    /// Durable mirror of the retirement stream (observability only; a
-    /// persistence error silently disarms it for the rest of the run).
-    persist: Option<Arc<dyn PersistBackend>>,
-    /// Streaming schedule recorder (`GprsSimConfig::with_record`), sealed
-    /// and written to `record_path` when the result is sealed.
-    recorder: Option<Recorder>,
-    record_path: Option<std::path::PathBuf>,
-    /// Replay verifier over the tape that drives this run.
-    replay: Option<ReplayVerifier>,
+    /// Everything that watches the order this engine produces — the same
+    /// ledger the runtime feeds. A reason it returns lands in
+    /// [`SimResult::replay_divergence`] and ends the run as a DNC.
+    ledger: RunLedger,
 }
 
 impl<'a> Gprs<'a> {
     fn new(w: &'a Workload, cfg: &'a GprsSimConfig) -> Self {
         let scheme = format!("GPRS-{}", cfg.schedule.tag());
-        // Under replay the tape itself is the ordering policy: the token
-        // follows the recorded grant order, and wasted polls hold the
-        // cursor in place (`ReplaySchedule::pass` is a no-op).
-        let replay = cfg.replay.clone().map(ReplayVerifier::new);
-        let mut enforcer = match &replay {
-            Some(v) => OrderEnforcer::new(Box::new(v.schedule())),
-            None => OrderEnforcer::with_schedule(cfg.schedule),
-        };
+        // Static pre-pass: its verdict decides whether the detector runs.
+        let analysis = cfg.analysis.then(|| gprs_analyze::analyze(w));
+        let racecheck = analysis
+            .as_ref()
+            .map_or(cfg.racecheck, |rep| rep.racecheck(cfg.racecheck));
+        // Hashes are domain-separated by workload name: structurally
+        // identical programs (swaptions vs. histogram) must not collide.
+        let mut ledger = RunLedger::new(
+            &cfg.telemetry,
+            cfg.contexts.max(1) as usize,
+            gprs_telemetry::name_seed(&w.name),
+            racecheck,
+        );
+        let record = cfg.record.as_ref().map(|(path, seed)| {
+            let header = RecordingHeader {
+                workload: w.name.clone(),
+                seed: *seed,
+                mode: DriveMode::Sim,
+                schedule: cfg.schedule.tag().to_string(),
+                workers: cfg.contexts,
+                spec: None,
+                chaos: None,
+            };
+            (header, path.clone())
+        });
+        let refused = ledger.arm_tape(record, cfg.replay.clone());
+        let epoch = cfg
+            .persist
+            .clone()
+            .and_then(|p| ledger.open_epoch(p, format!("sim {}", w.name)));
+        if let Some(rep) = &analysis {
+            rep.trace_verdict(ledger.telemetry(), ledger.racecheck());
+        }
+        let mut enforcer = ledger.enforcer(cfg.schedule);
         let mut threads = Vec::with_capacity(w.threads.len());
         for t in &w.threads {
             enforcer
@@ -461,23 +418,17 @@ impl<'a> Gprs<'a> {
             .as_ref()
             .map(|e| e.detection_latency)
             .unwrap_or(0);
-        // Static pre-pass: a proven-DRF verdict makes the vector-clock
-        // detector pure overhead; a potential race makes it mandatory (the
-        // hybrid policy needs to know which threads are racy).
-        let analysis = cfg.analysis.then(|| gprs_analyze::analyze(w));
-        let racecheck = match &analysis {
-            Some(rep) if rep.race_free() => false,
-            Some(rep) if rep.advice == gprs_analyze::RecoveryAdvice::HybridCpr => true,
-            _ => cfg.racecheck,
-        };
-        let mut g = Gprs {
+        let mut res = SimResult::new(w.name.clone(), scheme);
+        // A refused or unopenable run never starts: `run` seals it as is.
+        res.replay_divergence = refused.or(epoch);
+        Gprs {
             w,
             cfg,
             enforcer,
             threads,
             ctxs: vec![0; cfg.contexts.max(1) as usize],
             bodies: HashMap::new(),
-            windex: WindowIndex::new(w.threads.len()),
+            by_thread: vec![BTreeSet::new(); w.threads.len()],
             rol: ReorderList::new(),
             locks: HashMap::new(),
             chans: HashMap::new(),
@@ -487,102 +438,21 @@ impl<'a> Gprs<'a> {
             barrier_participants: w.barrier_participants().into_iter().collect(),
             barrier_gen: HashMap::new(),
             injector,
-            race: racecheck.then(RaceDetector::new),
             analysis,
             latency,
             token_time: 0,
             live: w.threads.len(),
             finish: 0,
-            res: SimResult::new(w.name.clone(), scheme),
-            tel: Telemetry::new(&cfg.telemetry, cfg.contexts.max(1) as usize),
-            // Domain-separated by workload name: structurally identical
-            // programs (swaptions vs. histogram) must not collide.
-            sched_hash: ScheduleHash::seeded(gprs_telemetry::name_seed(&w.name)),
-            retired_hash: RetiredOrderHash::seeded(gprs_telemetry::name_seed(&w.name)),
-            raw_trace: Vec::new(),
-            persist: cfg.persist.clone(),
-            recorder: cfg.record.as_ref().map(|(_, seed)| {
-                Recorder::new(RecordingHeader {
-                    workload: w.name.clone(),
-                    seed: *seed,
-                    mode: DriveMode::Sim,
-                    schedule: cfg.schedule.tag().to_string(),
-                    workers: cfg.contexts,
-                    spec: None,
-                    chaos: None,
-                })
-            }),
-            record_path: cfg.record.as_ref().map(|(p, _)| p.clone()),
-            replay,
-        };
-        if let Some(p) = &g.persist {
-            let spec = DurableRecord::Spec {
-                text: format!("sim {}", g.w.name),
-            };
-            if p.record(&spec).is_err() {
-                g.persist = None;
-            }
-        }
-        if let Some(rep) = &g.analysis {
-            let elided = rep.race_free() && g.race.is_none();
-            if g.tel.enabled() {
-                let m = &g.tel.metrics;
-                m.analysis_runs.inc();
-                m.analysis_cells.add(rep.cells.len() as u64);
-                m.analysis_potential_races.add(rep.potential_races() as u64);
-                m.analysis_diagnostics.add(rep.diagnostics.len() as u64);
-                if elided {
-                    m.analysis_racecheck_elided.inc();
-                }
-                g.tel.record(
-                    EXTERNAL_RING,
-                    TraceEvent::AnalysisVerdict {
-                        cells: rep.cells.len() as u32,
-                        potential_races: rep.potential_races() as u32,
-                        diagnostics: rep.diagnostics.len() as u32,
-                        advice: matches!(rep.advice, gprs_analyze::RecoveryAdvice::HybridCpr)
-                            as u8,
-                        elided: elided as u8,
-                    },
-                );
-            }
-        }
-        g
-    }
-
-    /// Mirrors one retirement into the durable log, in the same record
-    /// shape the real runtime writes (so the two ledgers are comparable).
-    fn durable_retire(&mut self, retired: &RolEntry) {
-        let rec = DurableRecord::Retire {
-            subthread: retired.id().raw(),
-            thread: retired.thread().raw(),
-            kind: retired.descriptor.kind.tag(),
-            retired: self.rol.retired(),
-            digest: self.retired_hash.digest(),
-        };
-        if let Some(p) = &self.persist {
-            if p.record(&rec).is_err() {
-                self.persist = None;
-            }
+            res,
+            ledger,
         }
     }
 
-    /// Feeds one turn-consuming event (a grant's sub-thread kind, or the
-    /// structural `EVT_ARRIVE`/`EVT_EXIT` tags) to the recorder and/or the
-    /// replay verifier — the simulator twin of the runtime engine's hook.
-    /// Under replay the first mismatching event sets
-    /// [`SimResult::replay_divergence`]; the token loop aborts to DNC on
-    /// its next iteration.
-    fn record_event(&mut self, thread: ThreadId, kind: u8) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.record_event(thread.raw(), kind);
-        }
-        if let Some(msg) = self
-            .replay
-            .as_mut()
-            .and_then(|v| v.check_event(thread.raw(), kind))
-        {
-            self.res.replay_divergence = Some(msg);
+    /// Turns what a ledger hook returned into this run's failure (the first
+    /// reason stands): the token loop aborts to DNC on its next iteration.
+    fn fail_on(&mut self, reason: Poison) {
+        if self.res.replay_divergence.is_none() {
+            self.res.replay_divergence = reason;
         }
     }
 
@@ -593,53 +463,21 @@ impl<'a> Gprs<'a> {
         self.res.finish_cycles = self.cfg.time_cap_cycles;
     }
 
-    /// Seals the telemetry summary and race verdict into the result (every
-    /// exit path).
+    /// Seals the ledger — durable tail, final replay verification, the
+    /// recording — then the telemetry summary and race verdict into the result
+    /// (every exit path). What the seal finds wrong demotes the run to a DNC.
     fn finish_result(mut self) -> SimResult {
-        if let Some(p) = self.persist.take() {
-            let _ = p.sync();
+        let failure = self.res.replay_divergence.clone().or_else(|| {
+            (!self.res.completed).then(|| "did not complete within the time cap".to_string())
+        });
+        let reason = self.ledger.seal(failure.as_deref(), None);
+        self.fail_on(reason);
+        if self.res.replay_divergence.is_some() {
+            self.res.completed = false;
+            self.res.finish_cycles = self.cfg.time_cap_cycles;
         }
-        if let Some(d) = &self.race {
-            self.res.races = d.races();
-            self.res.first_race = d.first_race().cloned();
-        }
-        // Final replay verification: a run that "completed" without
-        // consuming the whole tape, or whose final digests disagree with
-        // the recorded footer, diverged even if every verified event
-        // matched — demote it to a named failure.
-        if let Some(v) = self.replay.take() {
-            if self.res.replay_divergence.is_none() && self.res.completed {
-                self.res.replay_divergence =
-                    v.check_final(self.sched_hash.digest(), self.retired_hash.digest());
-            }
-            if self.res.replay_divergence.is_some() {
-                self.res.completed = false;
-                self.res.finish_cycles = self.cfg.time_cap_cycles;
-            }
-        }
-        // Seal and write the recording — for DNC runs too: a recording of
-        // a failed run is what time-travel debugging exists for.
-        if let (Some(r), Some(path)) = (self.recorder.take(), self.record_path.take()) {
-            let outcome = if self.res.completed {
-                RecordedOutcome::Complete
-            } else {
-                RecordedOutcome::Poisoned(
-                    "did not complete within the time cap".to_string(),
-                )
-            };
-            let rec = r.finish(self.sched_hash.digest(), self.retired_hash.digest(), outcome);
-            if let Err(e) = rec.save(&path) {
-                // The run itself is fine; the missing artifact must still
-                // be loud. Demote to DNC with a named reason.
-                self.res.completed = false;
-                self.res.replay_divergence = Some(format!(
-                    "failed to write recording to {}: {e}",
-                    path.display()
-                ));
-            }
-        }
-        let raw = std::mem::take(&mut self.raw_trace);
-        self.res.telemetry = self.tel.summarize(&self.sched_hash, &self.retired_hash, raw);
+        (self.res.races, self.res.first_race) = self.ledger.races();
+        self.res.telemetry = self.ledger.summarize();
         self.res.analysis = self.analysis.take();
         self.res
     }
@@ -716,37 +554,13 @@ impl<'a> Gprs<'a> {
         }
         self.ctxs[ctx] = end;
 
-        let (tid, bytes) = (spec.thread, seg.ckpt_bytes);
-        self.sched_hash.record(stid.raw(), tid.raw());
-        self.record_event(tid, kind.tag());
-        if self.raw_trace.len() < self.cfg.telemetry.raw_trace_cap {
-            self.raw_trace.push((stid.raw(), tid.raw()));
-        }
-        if self.tel.enabled() {
-            let m = &self.tel.metrics;
-            m.subthreads_created.inc();
-            m.grants.inc();
-            if elide {
-                m.checkpoints_elided.inc();
-            } else {
-                m.checkpoints.inc();
-                m.checkpoint_bytes.add(bytes);
-                m.checkpoint_size.record(bytes);
-            }
-            self.tel.record(
-                ctx,
-                TraceEvent::SubThreadCreate {
-                    subthread: stid.raw(),
-                    thread: tid.raw(),
-                    kind: kind.tag(),
-                },
-            );
-            self.tel.record(ctx, TraceEvent::Grant { subthread: stid.raw(), thread: tid.raw() });
-            if !elide {
-                self.tel
-                    .record(ctx, TraceEvent::CheckpointTaken { subthread: stid.raw(), bytes });
-            }
-        }
+        let checkpoint = if elide {
+            Checkpointed::Elided
+        } else {
+            Checkpointed::Bytes(seg.ckpt_bytes)
+        };
+        let reason = self.ledger.granted(ctx, stid, spec.thread, kind, checkpoint);
+        self.fail_on(reason);
 
         let descriptor = SubThread::new(stid, spec.thread, spec.group, kind, opening_op);
         self.rol.insert(descriptor).expect("grants are in order");
@@ -768,10 +582,7 @@ impl<'a> Gprs<'a> {
                 seg_ix: body_seg_ix,
             },
         );
-        // The alias set is final here: the sim only attaches resources at
-        // grant time (opening op + the nested lock above).
-        let entry = self.rol.get(stid).expect("just inserted");
-        self.windex.insert(stid, th, &entry.resources);
+        self.by_thread[th].insert(stid);
         let t = &mut self.threads[th];
         t.current_st = Some(stid);
         t.request_at = end;
@@ -785,51 +596,45 @@ impl<'a> Gprs<'a> {
                 .expect("current sub-thread is in the ROL");
         }
         for retired in self.rol.retire_ready() {
-            self.retired_hash
-                .record(retired.thread().raw(), retired.descriptor.kind.tag());
-            if self.persist.is_some() {
-                self.durable_retire(&retired);
+            let id = retired.id();
+            let body = self.bodies.remove(&id);
+            let ring = body.map_or(EXTERNAL_RING, |b| b.ctx);
+            let raced = body.filter(|_| self.ledger.racecheck());
+            let accesses = raced.map_or_else(Vec::new, |b| self.plain_accesses(&b));
+            let facts = raced.map(|b| self.race_facts(id, &b, &accesses));
+            let reason = self.ledger.retired(ring, &retired, facts);
+            self.fail_on(reason);
+            if let Some(body) = body {
+                self.by_thread[body.thread].remove(&id);
             }
-            if self.race.is_some() {
-                self.race_retire(&retired);
-            }
-            if self.tel.enabled() {
-                self.tel.metrics.retired.inc();
-                let ctx = self.bodies.get(&retired.id()).map_or(EXTERNAL_RING, |b| b.ctx);
-                self.tel.record(
-                    ctx,
-                    TraceEvent::Retire {
-                        subthread: retired.id().raw(),
-                        thread: retired.thread().raw(),
-                    },
-                );
-            }
-            if let Some(body) = self.bodies.remove(&retired.id()) {
-                // A retiring entry's resources are intact (only squash
-                // clears them), so deregistering by them matches insert.
-                self.windex.remove(retired.id(), body.thread, &retired.resources);
-            }
-            self.consumers.remove(&retired.id());
-            self.pop_sources.remove(&retired.id());
+            self.consumers.remove(&id);
+            self.pop_sources.remove(&id);
         }
         self.res.rol_peak = self.res.rol_peak.max(self.rol.peak_occupancy());
-        if self.tel.enabled() {
-            self.tel
-                .metrics
-                .rol_occupancy_hw
-                .observe(self.rol.peak_occupancy() as u64);
-        }
+        self.ledger.rol_peak(self.rol.peak_occupancy());
     }
 
-    /// Feeds one retiring sub-thread to the happens-before detector,
-    /// translating trace-level structure into acquire/release edges. Runs in
-    /// retired (total) order, so race reports are deterministic across runs
-    /// and context counts.
-    fn race_retire(&mut self, entry: &gprs_core::rol::RolEntry) {
-        let id = entry.id();
-        let Some(body) = self.bodies.get(&id).copied() else {
-            return;
-        };
+    /// The plain accesses the body of a sub-thread performs, in program order.
+    fn plain_accesses(&self, body: &Body) -> Vec<(ResourceId, AccessKind)> {
+        let seg = &self.w.threads[body.thread].segments[body.seg_ix];
+        seg.plain.map_or_else(Vec::new, |(a, kind)| {
+            kind.accesses()
+                .iter()
+                .map(|&k| (ResourceId::Atomic(a), k))
+                .collect()
+        })
+    }
+
+    /// What the race detector needs to know about retiring sub-thread `id`
+    /// beyond its reorder-list entry: trace-level structure translated into
+    /// acquire/release edges. Retirement runs in total order, so race
+    /// reports are deterministic across runs and context counts.
+    fn race_facts<'f>(
+        &self,
+        id: SubThreadId,
+        body: &Body,
+        accesses: &'f [(ResourceId, AccessKind)],
+    ) -> RetireFacts<'f> {
         let spec = &self.w.threads[body.thread];
         let open = match body.kind {
             SubThreadKind::ChannelAccess => match spec.segments[body.seg_ix - 1].op {
@@ -850,196 +655,39 @@ impl<'a> Gprs<'a> {
                     gen: self.arrival_gen(body.thread, arrival, barrier),
                 })
             }
-            // Lock and atomic acquire edges are covered by `sync_resources`.
+            // Lock and atomic acquire edges come from the entry's aliases.
             _ => None,
         };
-        let sync: Vec<ResourceId> = entry
-            .resources
-            .iter()
-            .copied()
-            .filter(|r| matches!(r, ResourceId::Lock(_) | ResourceId::Atomic(_)))
-            .collect();
-        let seg = &spec.segments[body.seg_ix];
-        let accesses: Vec<(ResourceId, gprs_core::racecheck::AccessKind)> = seg
-            .plain
-            .map(|(a, kind)| {
-                kind.accesses()
-                    .iter()
-                    .map(|&k| (ResourceId::Atomic(a), k))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let arrival = match seg.op {
+        let arrival = match spec.segments[body.seg_ix].op {
             SimOp::Barrier { barrier } => {
                 Some((barrier, self.arrival_gen(body.thread, body.seg_ix, barrier)))
             }
             _ => None,
         };
-        let thread = spec.thread;
-        let detector = self.race.as_mut().expect("guarded by caller");
-        let races = detector.retire(RetireInfo {
-            id,
-            thread,
+        RetireFacts {
             open,
-            sync_resources: &sync,
-            accesses: &accesses,
+            accesses,
             arrival,
-        });
-        if !races.is_empty() && self.tel.enabled() {
-            self.tel.metrics.races_detected.add(races.len() as u64);
-            for r in &races {
-                self.tel.record(
-                    body.ctx,
-                    TraceEvent::RaceDetected {
-                        subthread: r.current.subthread.raw(),
-                        prior: r.prior.subthread.raw(),
-                        resource: resource_code(r.resource),
-                    },
-                );
-            }
         }
     }
 
-    /// The affected set of `culprit`: same-thread successors, consumers of
-    /// its pushed items, and younger lock/atomic-alias sharers — closed
-    /// transitively. When the culprit's thread has participated in a
-    /// detected data race, provenance-based selective scope is unsound
-    /// (racy plain accesses leave no alias trail), so recovery escalates to
-    /// basic scope for this session — the hybrid policy.
+    /// The affected set of `culprit`, oldest first: same-thread successors,
+    /// consumers of its pushed items, and younger lock/atomic-alias sharers —
+    /// closed transitively by [`squash_scope`] over this engine's item
+    /// provenance, or the whole younger suffix under basic scope and for a
+    /// culprit whose thread raced (the hybrid policy).
     fn affected_set(&self, culprit: SubThreadId) -> Vec<SubThreadId> {
-        let escalate = self.cfg.recovery == RecoveryScope::Selective
-            && self.race.as_ref().is_some_and(|d| {
-                self.bodies
-                    .get(&culprit)
-                    .is_some_and(|b| d.is_racy_thread(self.w.threads[b.thread].thread))
-            });
-        if escalate {
-            self.note_escalation(culprit);
-            return self.rol.squash_suffix(culprit);
+        let mode = match self.cfg.recovery {
+            RecoveryScope::Basic => RecoveryMode::Basic,
+            RecoveryScope::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
+        };
+        let racy = |t| self.ledger.is_racy_thread(t);
+        let scope = squash_scope(&self.rol, culprit, mode, &Items(&self.consumers), racy)
+            .expect("culprit body implies ROL entry");
+        if let Some(thread) = scope.escalated {
+            self.ledger.escalated(culprit, thread);
         }
-        if self.cfg.recovery == RecoveryScope::Basic {
-            return self.rol.squash_suffix(culprit);
-        }
-        // Worklist closure over the window index. Taint flows old -> young
-        // only, so a tainted sub-thread `x` contributes exactly the
-        // *younger* in-window entries that share its thread, a non-channel
-        // alias, or consumed one of its items. That is equivalent to the
-        // original single ascending ROL pass (an entry older than its
-        // tainter was visited before the tainter's taint existed), but each
-        // step costs index lookups instead of an O(window) rescan.
-        let mut affected: std::collections::BTreeSet<SubThreadId> =
-            std::collections::BTreeSet::new();
-        let mut pending: std::collections::BTreeSet<SubThreadId> =
-            std::collections::BTreeSet::new();
-        pending.insert(culprit);
-        while let Some(x) = pending.pop_first() {
-            if !affected.insert(x) {
-                continue;
-            }
-            let younger = (std::ops::Bound::Excluded(x), std::ops::Bound::Unbounded);
-            if let Some(body) = self.bodies.get(&x) {
-                pending.extend(
-                    self.windex.by_thread[body.thread]
-                        .range(younger)
-                        .filter(|c| !affected.contains(c)),
-                );
-            }
-            if let Some(e) = self.rol.get(x) {
-                for r in &e.resources {
-                    // Channels are runtime-managed: a pop is undone by
-                    // returning the item to the front, so the channel id
-                    // itself is not a taint alias — item provenance
-                    // (`consumers`, below) is.
-                    if matches!(r, gprs_core::ids::ResourceId::Channel(_)) {
-                        continue;
-                    }
-                    if let Some(sharers) = self.windex.by_resource.get(r) {
-                        pending
-                            .extend(sharers.range(younger).filter(|c| !affected.contains(c)));
-                    }
-                }
-            }
-            if let Some(cs) = self.consumers.get(&x) {
-                // Consumer lists can retain retired ids (only the producer's
-                // own map entry is dropped at its retirement), so gate on
-                // window membership like the ascending pass did.
-                pending.extend(cs.iter().filter(|&&c| {
-                    c > x && !affected.contains(&c) && self.bodies.contains_key(&c)
-                }));
-            }
-        }
-        let affected: Vec<SubThreadId> = affected.into_iter().collect();
-        debug_assert_eq!(
-            affected,
-            self.affected_set_rescan(culprit),
-            "window-index closure diverged from the ROL rescan"
-        );
-        affected
-    }
-
-    /// The original O(window) taint pass over the reorder list, kept as the
-    /// debug-build oracle for the index-driven closure in
-    /// [`Gprs::affected_set`].
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn affected_set_rescan(&self, culprit: SubThreadId) -> Vec<SubThreadId> {
-        let mut affected: std::collections::BTreeSet<SubThreadId> =
-            std::collections::BTreeSet::new();
-        affected.insert(culprit);
-        let mut tainted_threads: std::collections::BTreeSet<ThreadId> =
-            std::collections::BTreeSet::new();
-        let mut tainted_resources: std::collections::BTreeSet<gprs_core::ids::ResourceId> =
-            std::collections::BTreeSet::new();
-        let mut tainted_items: std::collections::BTreeSet<SubThreadId> =
-            std::collections::BTreeSet::new();
-        if let Some(e) = self.rol.get(culprit) {
-            tainted_threads.insert(e.thread());
-            for r in &e.resources {
-                if !matches!(r, gprs_core::ids::ResourceId::Channel(_)) {
-                    tainted_resources.insert(*r);
-                }
-            }
-        }
-        tainted_items.insert(culprit);
-        // Single ascending pass: taint flows old -> young only.
-        for e in self.rol.iter_younger(culprit) {
-            let id = e.id();
-            let same_thread = tainted_threads.contains(&e.thread());
-            let shares_alias = e.resources.iter().any(|r| {
-                !matches!(r, gprs_core::ids::ResourceId::Channel(_))
-                    && tainted_resources.contains(r)
-            });
-            let consumed_tainted = tainted_items
-                .iter()
-                .any(|p| self.consumers.get(p).is_some_and(|c| c.contains(&id)));
-            if same_thread || shares_alias || consumed_tainted {
-                affected.insert(id);
-                tainted_threads.insert(e.thread());
-                tainted_items.insert(id);
-                for r in &e.resources {
-                    if !matches!(r, gprs_core::ids::ResourceId::Channel(_)) {
-                        tainted_resources.insert(*r);
-                    }
-                }
-            }
-        }
-        affected.into_iter().collect()
-    }
-
-    /// Records a hybrid Selective-to-Basic escalation in telemetry (the
-    /// counters are atomic, so this works from the `&self` scope pass).
-    fn note_escalation(&self, culprit: SubThreadId) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.tel.metrics.hybrid_escalations.inc();
-        let thread = self.bodies[&culprit].thread;
-        self.tel.record(
-            EXTERNAL_RING,
-            TraceEvent::HybridEscalation {
-                culprit: culprit.raw(),
-                thread: self.w.threads[thread].thread.raw(),
-            },
-        );
+        scope.ids
     }
 
     /// Which release of barrier `b` the arrival at segment `arrival_ix` of
@@ -1099,15 +747,15 @@ impl<'a> Gprs<'a> {
         &self,
         affected: &[SubThreadId],
     ) -> (
-        std::collections::BTreeSet<SubThreadId>,
+        BTreeSet<SubThreadId>,
         BTreeMap<usize, Rewind>,
-        std::collections::BTreeSet<(BarrierId, u64)>,
+        BTreeSet<(BarrierId, u64)>,
     ) {
-        let mut squash: std::collections::BTreeSet<SubThreadId> =
+        let mut squash: BTreeSet<SubThreadId> =
             affected.iter().copied().collect();
         let mut targets: BTreeMap<usize, Rewind> = BTreeMap::new();
-        let mut undone: std::collections::BTreeSet<(BarrierId, u64)> =
-            std::collections::BTreeSet::new();
+        let mut undone: BTreeSet<(BarrierId, u64)> =
+            BTreeSet::new();
         loop {
             let mut changed = false;
             // Oldest squashed sub-thread per thread decides the rewind.
@@ -1123,14 +771,12 @@ impl<'a> Gprs<'a> {
                     changed = true;
                 }
             }
-            // Everything the rewind re-executes must be squashed. The
-            // window index partitions live bodies by thread, so each target
-            // sweeps only its own thread's in-window sub-threads instead of
-            // every live body.
+            // Everything the rewind re-executes must be squashed: each
+            // target sweeps its own thread's in-window sub-threads.
             for (&th, &tgt) in &targets {
-                for &sid in &self.windex.by_thread[th] {
+                for &sid in &self.by_thread[th] {
                     let body = &self.bodies[&sid];
-                    debug_assert_eq!(body.thread, th, "window index out of sync");
+                    debug_assert_eq!(body.thread, th, "by_thread out of sync");
                     if body.seg_ix >= tgt.reexec_start() && squash.insert(sid) {
                         changed = true;
                     }
@@ -1239,11 +885,7 @@ impl<'a> Gprs<'a> {
                 .mark_excepted(culprit, e)
                 .expect("culprit body implies ROL entry");
             let affected = self.affected_set(culprit);
-            if self.tel.enabled() {
-                self.tel.metrics.recovery_sessions.inc();
-                self.tel
-                    .record(victim, TraceEvent::RecoveryBegin { culprit: culprit.raw() });
-            }
+            self.ledger.recovery_begin(victim, culprit);
             let (squash, targets, undone) = self.plan_recovery(&affected);
             let culprit_th = self.bodies[&culprit].thread;
             // Remove squashed entries youngest-first, undoing channel
@@ -1270,27 +912,12 @@ impl<'a> Gprs<'a> {
                         }
                     }
                 }
-                // Deregister before `mark_squashed` clears the entry's
-                // accumulated aliases — the index must be unwound with the
-                // same set it was registered under.
-                let entry = self.rol.get(sid).expect("squashed in ROL");
-                self.windex.remove(sid, body.thread, &entry.resources);
+                self.by_thread[body.thread].remove(&sid);
                 self.rol.mark_squashed(sid).expect("squashed in ROL");
                 self.rol.remove_squashed(sid).expect("just marked squashed");
                 self.consumers.remove(&sid);
-                if let Some(d) = self.race.as_mut() {
-                    d.forget_subthread(sid);
-                }
-                if self.tel.enabled() {
-                    self.tel.metrics.squashed.inc();
-                    self.tel.record(
-                        body.ctx,
-                        TraceEvent::Squash {
-                            subthread: sid.raw(),
-                            thread: self.w.threads[body.thread].thread.raw(),
-                        },
-                    );
-                }
+                self.ledger
+                    .squashed(body.ctx, sid, self.w.threads[body.thread].thread);
             }
             for list in self.consumers.values_mut() {
                 list.retain(|c| !squash.contains(c));
@@ -1360,27 +987,10 @@ impl<'a> Gprs<'a> {
                         .register_thread(spec.thread, spec.group, spec.weight)
                         .expect("was deregistered");
                 }
-                if self.tel.enabled() {
-                    self.tel.metrics.restarts.inc();
-                    self.tel.record(
-                        EXTERNAL_RING,
-                        TraceEvent::Restart { thread: self.w.threads[th].thread.raw() },
-                    );
-                }
+                self.ledger.restarted(self.w.threads[th].thread);
             }
-            if self.tel.enabled() {
-                self.tel
-                    .metrics
-                    .squashed_per_recovery
-                    .record(squash.len() as u64);
-                self.tel.record(
-                    victim,
-                    TraceEvent::RecoveryEnd {
-                        culprit: culprit.raw(),
-                        squashed: squash.len() as u64,
-                    },
-                );
-            }
+            self.ledger
+                .recovery_end(victim, culprit, squash.len() as u64, None);
             if now > self.cfg.time_cap_cycles {
                 return false;
             }
@@ -1400,7 +1010,7 @@ impl<'a> Gprs<'a> {
                 return false;
             }
             let Some(holder) = self.enforcer.holder() else {
-                if let Some(msg) = self.replay.as_ref().and_then(|v| v.exhausted(self.live)) {
+                if let Some(msg) = self.ledger.replay_exhausted(self.live) {
                     self.replay_abort(msg);
                     return false;
                 }
@@ -1485,7 +1095,7 @@ impl<'a> Gprs<'a> {
                     // queue means the tape lies about this schedule — and
                     // since `ReplaySchedule::pass` holds the cursor, passing
                     // here would spin forever. Abort by name instead.
-                    if let Some(pos) = self.replay.as_ref().map(ReplayVerifier::verified) {
+                    if let Some(pos) = self.ledger.replay_pos() {
                         self.replay_abort(format!(
                             "replay divergence at event {pos}: recorded \
                              thread {} polls an empty channel the recording \
@@ -1578,7 +1188,8 @@ impl<'a> Gprs<'a> {
                     // Structural turn-consuming event: recorded/verified
                     // like a grant, with the `EVT_ARRIVE` tag (no
                     // sub-thread opens here in either engine).
-                    self.record_event(holder, EVT_ARRIVE);
+                    let reason = self.ledger.structural(holder, EVT_ARRIVE);
+                    self.fail_on(reason);
                     self.threads[th].op_ix = op_ix + 1;
                     self.threads[th].in_barrier = true;
                     self.enforcer.deregister_thread(holder).expect("registered");
@@ -1603,7 +1214,8 @@ impl<'a> Gprs<'a> {
                     }
                 }
                 SimOp::End => {
-                    self.record_event(holder, EVT_EXIT);
+                    let reason = self.ledger.structural(holder, EVT_EXIT);
+                    self.fail_on(reason);
                     self.threads[th].done = true;
                     self.live -= 1;
                     self.finish = self.finish.max(now);
@@ -1615,17 +1227,12 @@ impl<'a> Gprs<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        // Record + replay in one run would write a recording whose footer
-        // digests can never differ from the tape that drove it — a useless
-        // artifact that looks authoritative. Refuse loudly instead.
-        if self.recorder.is_some() && self.replay.is_some() {
-            self.recorder = None;
-            self.record_path = None;
-            self.replay_abort(RECORD_AND_REPLAY.to_string());
-            return self.finish_result();
-        }
-        if let Some(msg) = self.replay.as_ref().and_then(|v| v.check_mode(DriveMode::Sim)) {
-            self.replay_abort(msg);
+        let refused = self.ledger.set_mode(DriveMode::Sim);
+        self.fail_on(refused);
+        if self.res.replay_divergence.is_some() {
+            // Refused at construction (record + replay in one run, a
+            // durable epoch that would not open) or a cross-mode tape.
+            self.res.finish_cycles = self.cfg.time_cap_cycles;
             return self.finish_result();
         }
         let poll_cost = self.cfg.costs.poll.max(1);
@@ -1673,7 +1280,7 @@ mod tests {
     use crate::costs::{secs_to_cycles, CYCLES_PER_SEC};
     use crate::free::{run_free, FreeRunConfig};
     use crate::workload::{Segment, ThreadSpec};
-    use gprs_core::ids::GroupId;
+    use gprs_core::ids::{GroupId, ThreadId};
 
     fn spec(th: u32, group: u32, weight: u32, segs: Vec<Segment>) -> ThreadSpec {
         ThreadSpec::new(ThreadId::new(th), GroupId::new(group), weight, segs)
@@ -1856,6 +1463,61 @@ mod tests {
             r.telemetry.retired_count,
         );
         assert!(backend.stats().fsyncs >= 1, "finish issues the final sync");
+    }
+
+    /// A mirror whose log stops accepting records after `ok` of them must
+    /// fail the run by name — the runtime's policy — not be disarmed in
+    /// silence while the run reports `completed` (what PR 18's parent did).
+    #[test]
+    fn a_failing_persist_backend_fails_the_run_by_name() {
+        use gprs_core::persist::{
+            DurableImage, DurableRecord, MemoryBackend, PersistBackend, PersistError, PersistStats,
+        };
+        #[derive(Debug)]
+        struct Flaky {
+            inner: MemoryBackend,
+            ok: usize,
+        }
+        impl PersistBackend for Flaky {
+            fn record(&self, rec: &DurableRecord) -> Result<(), PersistError> {
+                if self.inner.record_count() >= self.ok {
+                    return Err(PersistError::Io("log device gone".into()));
+                }
+                self.inner.record(rec)
+            }
+            fn put_chunk(&self, bytes: &[u8]) -> Result<u64, PersistError> {
+                self.inner.put_chunk(bytes)
+            }
+            fn get_chunk(&self, hash: u64) -> Option<Vec<u8>> {
+                self.inner.get_chunk(hash)
+            }
+            fn sync(&self) -> Result<(), PersistError> {
+                self.inner.sync()
+            }
+            fn stats(&self) -> PersistStats {
+                self.inner.stats()
+            }
+            fn load(&self) -> Result<DurableImage, PersistError> {
+                self.inner.load()
+            }
+        }
+        let w = data_parallel(4, 1_000_000);
+        // 0: the epoch's `Spec` fails, the run never starts; 3: the third
+        // retirement's record fails mid-run.
+        for ok in [0, 3] {
+            let backend = std::sync::Arc::new(Flaky {
+                inner: MemoryBackend::new(),
+                ok,
+            });
+            let r = run_gprs(&w, &GprsSimConfig::balance_aware(4).with_persist(backend.clone()));
+            assert!(!r.completed, "ok={ok}: a run whose mirror failed must not complete");
+            let why = r.replay_divergence.as_deref().expect("named reason");
+            assert!(
+                why.starts_with("durable persistence failed:") && why.contains("log device gone"),
+                "ok={ok}: {why}"
+            );
+            assert_eq!(backend.inner.record_count(), ok);
+        }
     }
 
     #[test]
