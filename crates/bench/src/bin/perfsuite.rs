@@ -551,9 +551,9 @@ fn perf(quick: bool) -> Vec<PerfRow> {
         }
     }
 
-    // Durable WAL path: the same 8-chain grant/retire program with the
-    // file backend armed, swept across worker counts: how many segments
-    // seal and how many group-commit fsyncs the mirror issues.
+    // Durable path: the same 8-chain grant/retire program with the file
+    // backend armed, swept across worker counts: how many segments seal
+    // and how many group-commit fsyncs the retirement log issues.
     {
         use gprs_core::persist::{unique_temp_dir, FileBackend};
         use std::sync::Arc;

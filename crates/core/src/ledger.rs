@@ -5,14 +5,14 @@
 //! append / undo / prune, retirement, squash, restart). [`RunLedger`] owns
 //! the observers of that stream: the determinism hashes, the bounded raw
 //! grant trace, the schedule recorder and replay verifier, the race detector,
-//! the durable mirror and the telemetry facade. An engine calls one plain
-//! method per event.
+//! the durable log of the retirement order and the telemetry facade. An
+//! engine calls one plain method per event.
 //!
 //! **Event-order contract.** Within one grant: [`RunLedger::wal_appended`]
 //! (if the opening operation logs a record), then [`RunLedger::granted`],
 //! which traces `SubThreadCreate`, `Grant`, `CheckpointTaken`. Within one
 //! retirement [`RunLedger::retired`] folds the retired hash, checks and
-//! mirrors the durable prefix, traces `Retire`, then feeds the detector.
+//! logs the durable prefix, traces `Retire`, then feeds the detector.
 //! Counter names and this order are what `artifacts/*.telemetry.json` pin.
 //!
 //! **Observers return a reason, engines poison.** A hook that finds the run
@@ -22,7 +22,7 @@
 //! steer the schedule otherwise: the only policy input is
 //! [`RunLedger::enforcer`], read once at construction.
 
-use crate::ids::{BarrierId, Lsn, ResourceId, SubThreadId, ThreadId};
+use crate::ids::{BarrierId, ResourceId, SubThreadId, ThreadId};
 use crate::persist::{merkle_root, CheckpointMeta, DurableRecord, PersistBackend, CHUNK_SIZE};
 use crate::racecheck::{resource_code, AccessKind, OpenEdge, Race, RaceDetector, RetireInfo};
 use crate::order::{OrderEnforcer, ScheduleKind};
@@ -32,14 +32,10 @@ use crate::recording::{
 };
 use crate::rol::RolEntry;
 use crate::subthread::SubThreadKind;
-use crate::wal::WalRecord;
 use gprs_telemetry::{
     Counter, Metrics, RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig,
     TelemetrySummary, TraceEvent,
 };
-use std::collections::BTreeMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -151,7 +147,7 @@ impl RunLedger {
         });
     }
 
-    /// Arms the durable mirror and opens its epoch: the `Spec` record marks
+    /// Arms the durable log and opens its epoch: the `Spec` record marks
     /// where this run's records start (a resumed run supersedes the prior
     /// epoch) and is synced immediately, so even a run killed before its
     /// first retirement leaves a well-formed epoch behind.
@@ -283,33 +279,15 @@ impl RunLedger {
         verifier.check_event(thread.raw(), kind)
     }
 
-    /// A WAL record `op` is being appended for `id` under `lsn`, leaving
-    /// `outstanding` records in the log. Called *before* the in-memory
-    /// append consumes `op`: the durable mirror keeps the same write-ahead
-    /// discipline, one storage layer further out.
-    #[must_use]
-    pub fn wal_appended<Op: Hash + Debug>(
-        &mut self,
-        ring: usize,
-        id: SubThreadId,
-        lsn: Lsn,
-        op: &Op,
-        outstanding: usize,
-    ) -> Poison {
-        let poison = self.persist.is_some().then(|| DurableRecord::Append {
-            lsn: lsn.raw(),
-            subthread: id.raw(),
-            checksum: WalRecord::checksum_of(lsn, id, op),
-            op: format!("{op:?}"),
-        });
-        let poison = poison.and_then(|rec| self.mirror(&rec));
+    /// A WAL record was appended for `id`, leaving `outstanding` records in
+    /// the log.
+    pub fn wal_appended(&self, ring: usize, id: SubThreadId, outstanding: usize) {
         let tel = &self.telemetry;
         if tel.enabled() {
             tel.metrics.wal_appends.inc_serialized();
             tel.metrics.wal_outstanding_hw.observe_serialized(outstanding as u64);
             tel.record(ring, TraceEvent::WalAppend { subthread: id.raw() });
         }
-        poison
     }
 
     /// A WAL append was skipped: the record was statically proven dead.
@@ -319,45 +297,22 @@ impl RunLedger {
         }
     }
 
-    /// Recovery consumed `id`'s record `lsn` for undo.
-    #[must_use]
-    pub fn wal_undone(&mut self, id: SubThreadId, lsn: Lsn) -> Poison {
+    /// Recovery consumed one of `id`'s records for undo.
+    pub fn wal_undone(&self, id: SubThreadId) {
         let subthread = id.raw();
         self.note(EXTERNAL_RING, |m| &m.wal_undos, TraceEvent::WalUndo { subthread });
-        self.mirror(&DurableRecord::Undo { lsn: lsn.raw() })
     }
 
-    /// Mirrors the prunes a retiring batch is about to perform, given the
-    /// owner of every record it will drop: one `Prune` per sub-thread, so
-    /// the durable ledger balances like the in-memory one. The pass over
-    /// `owners` runs in durable mode only.
-    #[must_use]
-    pub fn mirror_prunes(&mut self, owners: impl Iterator<Item = SubThreadId>) -> Poison {
-        self.persist.as_ref()?;
-        let mut counts: BTreeMap<SubThreadId, u64> = BTreeMap::new();
-        for owner in owners {
-            *counts.entry(owner).or_insert(0) += 1;
-        }
-        counts.into_iter().find_map(|(id, count)| {
-            self.mirror(&DurableRecord::Prune {
-                subthread: id.raw(),
-                count,
-            })
-        })
-    }
+    /// Retirements between a durable run's checkpoints, each of which
+    /// group-commits the records before it with one fsync.
+    pub const CKPT_EVERY: u64 = 64;
 
     /// A batch of `len` head sub-threads starting at `first` retired and
     /// `pruned` WAL records went with it. A durable run writes a checkpoint
-    /// once `ckpt_every` retirements have passed since the last one.
+    /// once [`Self::CKPT_EVERY`] retirements have passed since the last.
     #[inline]
     #[must_use]
-    pub fn batch_retired(
-        &mut self,
-        first: SubThreadId,
-        len: usize,
-        pruned: u64,
-        ckpt_every: u64,
-    ) -> Poison {
+    pub fn batch_retired(&mut self, first: SubThreadId, len: usize, pruned: u64) -> Poison {
         let tel = &self.telemetry;
         if tel.enabled() {
             tel.metrics.wal_prunes.add_serialized(pruned);
@@ -367,7 +322,7 @@ impl RunLedger {
                 tel.record(EXTERNAL_RING, TraceEvent::WalPrune { subthread, records });
             }
         }
-        if self.persist.is_some() && self.retired - self.last_ckpt >= ckpt_every {
+        if self.persist.is_some() && self.retired - self.last_ckpt >= Self::CKPT_EVERY {
             return self.checkpoint();
         }
         None
@@ -466,7 +421,7 @@ impl RunLedger {
     }
 
     /// One retirement's durable work: checks the resumed prefix
-    /// (restart-as-recovery) and mirrors a `Retire` record.
+    /// (restart-as-recovery) and logs a `Retire` record.
     fn durable_retire(&mut self, subthread: u64, thread: u32, kind: u8) -> Poison {
         let digest = self.retired_hash.digest();
         if let Some(v) = self.verify.as_mut().filter(|v| v.pos < v.expected.len()) {
@@ -484,20 +439,16 @@ impl RunLedger {
                 self.telemetry.metrics.recovered_prefix_len.inc_serialized();
             }
         }
-        self.mirror(&DurableRecord::Retire {
+        // A persistence failure is a poison: durability was requested, and
+        // losing it silently would fake precise restartability.
+        let rec = DurableRecord::Retire {
             subthread,
             thread,
             kind,
             retired: self.retired,
             digest,
-        })
-    }
-
-    /// Mirrors one record into the durable backend, if one is armed. A
-    /// persistence failure is a poison: durability was requested, and
-    /// losing it silently would fake precise restartability.
-    fn mirror(&self, rec: &DurableRecord) -> Poison {
-        self.persist.as_ref()?.record(rec).err().map(persistence_failed)
+        };
+        self.persist.as_ref()?.record(&rec).err().map(persistence_failed)
     }
 
     /// The reorder list's occupancy high-water mark, as of now.
@@ -575,7 +526,7 @@ impl RunLedger {
     /// Closes the books on a run that ended with `failure` (its poison, or
     /// why it did not complete) or else with `prefix_note` (why a run that
     /// did not fail still stopped early — a cancel): group-commits the
-    /// durable tail and mirrors the backend's counters, holds a replay that
+    /// durable tail and copies the backend's counters, holds a replay that
     /// consumed the whole tape to the recorded final digests, and writes the
     /// recording — for failed runs too, that being what time-travel
     /// debugging exists for, with a footer that says so: a replay reaching
@@ -838,16 +789,15 @@ mod tests {
         let mut l = ledger();
         named(l.open_epoch(Arc::new(DeadBackend), String::new()));
         let id = SubThreadId::new(0);
-        named(l.wal_appended(0, id, Lsn::new(0), &7u64, 1));
-        named(l.wal_undone(id, Lsn::new(0)));
-        named(l.mirror_prunes([id, id].into_iter()));
-        named(l.retired(0, &entry(0, 0, Initial), None));
-        let ckpt = l.batch_retired(id, 1, 0, 1).expect("a failed checkpoint poisons");
+        for n in 0..RunLedger::CKPT_EVERY {
+            named(l.retired(0, &entry(n, 0, Initial), None));
+        }
+        let ckpt = l.batch_retired(id, 1, 0).expect("a failed checkpoint poisons");
         assert!(ckpt.starts_with("durable checkpoint failed:"), "{ckpt}");
         named(l.seal(None, None));
         // With no backend armed the same hooks are silent.
         let mut plain = ledger();
-        assert_eq!(plain.wal_appended(0, id, Lsn::new(0), &7u64, 1), None);
-        assert_eq!(plain.batch_retired(id, 1, 0, 1), None);
+        assert_eq!(plain.retired(0, &entry(0, 0, Initial), None), None);
+        assert_eq!(plain.batch_retired(id, 1, 0), None);
     }
 }

@@ -29,7 +29,8 @@
 //! * [`recovery`] — recovery planning: basic, selective, discard-all,
 //!   hybrid escalation, instruction- vs sub-thread-precision.
 //! * [`ledger`] — the run ledger: hashes, recorder, replay verifier, race
-//!   detector, durable mirror and telemetry behind one set of event hooks.
+//!   detector, durable retirement log and telemetry behind one set of
+//!   event hooks.
 //! * [`exception`] — the discretionary-exception model and Poisson injector
 //!   (with scripted-arrival overlays for chaos campaigns).
 //! * [`chaos`] — deterministic fault-injection plans consumed by the real

@@ -1,13 +1,13 @@
-//! Pluggable durable persistence for the runtime's WAL and checkpoints —
-//! the storage layer that lets a *restarted process* recover.
+//! Pluggable durable persistence for the retirement stream — the storage
+//! layer that lets a *restarted process* recover.
 //!
 //! Everything else in this crate assumes the process survives the
 //! exception: the WAL ([`crate::wal`]) and history buffer
 //! ([`crate::history`]) live in memory and die with it. This module adds a
-//! [`PersistBackend`] trait the runtime mirrors its recovery-relevant
-//! state through, with two implementations:
+//! [`PersistBackend`] trait the run ledger ([`crate::ledger`]) logs the
+//! retirement order through, with two implementations:
 //!
-//! * [`MemoryBackend`] — an in-process mirror with identical record
+//! * [`MemoryBackend`] — an in-process log with identical record
 //!   semantics, used by unit tests and in-process crash *simulation*
 //!   (drop the engine, keep the backend, resume).
 //! * [`FileBackend`] — checksummed, segmented, fsync'd log files plus a
@@ -19,16 +19,30 @@
 //! Sub-thread programs are arbitrary closures over arbitrary state —
 //! there is nothing serializable to snapshot. Following the *command
 //! logging* end of the logging spectrum ("Fast Failure Recovery for
-//! Main-Memory DBMSs on Multicores"), the durable log records **what the
-//! runtime did** (WAL appends/undos/prunes and the retirement
-//! order), not the program state. Recovery is deterministic
-//! re-execution of the job spec, *verified* step-by-step against the
-//! durable retire prefix: the restarted run must retire the same
-//! `(thread, kind)` sequence with the same running order-hash digests,
-//! or it is poisoned instead of silently diverging. GPRS's deterministic
-//! total order is what makes this sound — the same spec replays to the
-//! same retirement sequence on any worker count (the committed
-//! determinism goldens pin exactly this).
+//! Main-Memory DBMSs on Multicores"), the durable log records the job's
+//! **spec and the order it retired in**, not the program state. Recovery
+//! is deterministic re-execution of the spec, *verified* step-by-step
+//! against the durable retire prefix: the restarted run must retire the
+//! same `(thread, kind)` sequence with the same running order-hash
+//! digests, or it is poisoned instead of silently diverging. GPRS's
+//! deterministic total order is what makes this sound — the same spec
+//! replays to the same retirement sequence on any worker count (the
+//! committed determinism goldens pin exactly this).
+//!
+//! # What is written is what is read
+//!
+//! | record | written | read by |
+//! |---|---|---|
+//! | `spec` | once per epoch, synced | `GprsBuilder::resume`, `gprs-serve --durable-resume`, the pool's job adoption: which job to rebuild |
+//! | `retire` | one per retirement | [`RunLedger::arm_resume`](crate::ledger::RunLedger::arm_resume): the `(thread, kind, digest)` prefix the re-execution must reproduce |
+//! | `ckpt` | every 64 retirements, then one `sync` | the loader's merkle check ([`DurableImage::checkpoint`]); its `sync` is the group commit of the retires before it |
+//!
+//! The in-memory WAL is *not* mirrored: a restarted process rebuilds it by
+//! re-executing, so nothing would ever load such records. Commits before
+//! PR 19 did mirror it (`append`, `seal`, `undo`, `prune` lines); the
+//! loader still accepts those four tags — an intact line is skipped, a
+//! damaged one is damage like any other — so old directories load to the
+//! same spec, retire prefix and checkpoint.
 //!
 //! # Segment format
 //!
@@ -38,11 +52,15 @@
 //! <fnv1a-of-payload:016x> <payload>
 //! ```
 //!
-//! A torn tail write fails the line checksum, and the loader truncates
-//! to the newest consistent prefix — precisely the "newest consistent
-//! prefix of the ROL" the restart resumes from. Segments seal (fsync +
-//! close) every [`FileBackend::with_segment_cap`] records so corruption
-//! stays bounded per file.
+//! A torn tail write fails the line checksum. Damage ends the **epoch it
+//! is in**: the loader drops everything from the damaged line up to the
+//! next `spec` record, which opens a new epoch (and supersedes the old one
+//! anyway) — so the run that resumed after a torn tail keeps its own
+//! durable progress, and damage with no later `spec` truncates to the
+//! newest consistent prefix, the "newest consistent prefix of the ROL" the
+//! restart resumes from. Segments seal (fsync + close) every
+//! [`FileBackend::with_segment_cap`] records so corruption stays bounded
+//! per file.
 //!
 //! # Checkpoints: a content-addressed merkle store
 //!
@@ -52,7 +70,9 @@
 //! their merkle root. The loader refetches the chunks by hash, verifies
 //! each leaf and the recombined root, and only then trusts the
 //! checkpoint — an unverifiable checkpoint is *dropped* (the log records
-//! still replay) rather than trusted.
+//! still replay) rather than trusted. Recovery itself never consults the
+//! checkpoint (it re-verifies from retirement 0); the store stays because
+//! the benchmark's backend decorator implements and reads it.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -105,9 +125,9 @@ pub fn merkle_root(leaves: &[u64]) -> u64 {
     level[0]
 }
 
-/// Percent-escapes the three bytes that would break the line-oriented
-/// record encoding: `%`, `\n`, `\r`.
-fn escape(text: &str, out: &mut String) {
+/// Percent-escapes the three bytes that would break a line-oriented
+/// encoding: `%`, `\n`, `\r`. Shared with the recording format.
+pub(crate) fn escape(text: &str, out: &mut String) {
     for ch in text.chars() {
         match ch {
             '%' => out.push_str("%25"),
@@ -118,7 +138,7 @@ fn escape(text: &str, out: &mut String) {
     }
 }
 
-fn unescape(text: &str) -> Option<String> {
+pub(crate) fn unescape(text: &str) -> Option<String> {
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars();
     while let Some(c) = chars.next() {
@@ -134,9 +154,25 @@ fn unescape(text: &str) -> Option<String> {
     Some(out)
 }
 
-/// One durable log record. The vocabulary mirrors the in-memory WAL's
-/// lifecycle (append → undo|prune) plus the retirement order and
-/// checkpoint anchors that restart verification needs.
+/// Frames `payload` as one checksummed line, `<fnv1a:016x> <payload>\n` —
+/// the framing of durable segments and of recordings.
+pub(crate) fn frame_line(out: &mut String, payload: &str) {
+    let _ = writeln!(out, "{:016x} {payload}", fnv1a(payload.as_bytes()));
+}
+
+/// The payload of a framed line (no trailing newline), or what is wrong
+/// with the frame.
+pub(crate) fn unframe_line(line: &str) -> Result<&str, &'static str> {
+    let (crc, payload) = line.split_once(' ').ok_or("missing checksum field")?;
+    let crc = u64::from_str_radix(crc, 16).map_err(|_| "unparseable checksum")?;
+    if crc != fnv1a(payload.as_bytes()) {
+        return Err("line checksum mismatch (torn or edited line)");
+    }
+    Ok(payload)
+}
+
+/// One durable log record: exactly what restart-as-recovery reads back
+/// (see the module docs' table).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DurableRecord {
     /// The job spec this epoch re-executes from. Doubles as the epoch
@@ -146,40 +182,6 @@ pub enum DurableRecord {
         /// Opaque spec text (the serve submit line, a workload name —
         /// whatever the embedder needs to rebuild the job).
         text: String,
-    },
-    /// Mirror of a WAL append, carrying the record's integrity checksum.
-    /// (Images written before the checksum moved inline carry 0 here and
-    /// a later [`DurableRecord::Seal`].)
-    Append {
-        /// Log sequence number of the mirrored WAL record.
-        lsn: u64,
-        /// Sub-thread the operation was performed on behalf of.
-        subthread: u64,
-        /// The WAL record's integrity checksum.
-        checksum: u64,
-        /// Stable `Debug` rendering of the runtime operation.
-        op: String,
-    },
-    /// Legacy: the late checksum of an `Append` written with checksum 0.
-    /// The engine no longer emits it; it stays in the vocabulary so images
-    /// from older runs load, and it never enters the WAL ledger.
-    Seal {
-        /// LSN of the append being sealed.
-        lsn: u64,
-        /// The computed integrity checksum.
-        checksum: u64,
-    },
-    /// A WAL record consumed for undo during a recovery session.
-    Undo {
-        /// LSN of the undone record.
-        lsn: u64,
-    },
-    /// WAL records pruned when a sub-thread retired.
-    Prune {
-        /// The retired sub-thread.
-        subthread: u64,
-        /// Number of WAL records pruned for it.
-        count: u64,
     },
     /// One sub-thread retired from the ROL head — the durable unit of
     /// the precise prefix a restart verifies against.
@@ -218,24 +220,6 @@ impl DurableRecord {
                 out.push_str("spec ");
                 escape(text, out);
             }
-            DurableRecord::Append {
-                lsn,
-                subthread,
-                checksum,
-                op,
-            } => {
-                let _ = write!(out, "append {lsn} {subthread} {checksum:016x} ");
-                escape(op, out);
-            }
-            DurableRecord::Seal { lsn, checksum } => {
-                let _ = write!(out, "seal {lsn} {checksum:016x}");
-            }
-            DurableRecord::Undo { lsn } => {
-                let _ = write!(out, "undo {lsn}");
-            }
-            DurableRecord::Prune { subthread, count } => {
-                let _ = write!(out, "prune {subthread} {count}");
-            }
             DurableRecord::Retire {
                 subthread,
                 thread,
@@ -263,54 +247,22 @@ impl DurableRecord {
     pub fn encode_line(&self) -> String {
         let mut payload = String::with_capacity(64);
         self.encode_payload(&mut payload);
-        let crc = fnv1a(payload.as_bytes());
         let mut line = String::with_capacity(payload.len() + 18);
-        let _ = writeln!(line, "{crc:016x} {payload}");
+        frame_line(&mut line, &payload);
         line
     }
 
-    /// Decodes one line (without trailing newline). Returns `None` on a
-    /// checksum mismatch or any structural damage — the loader treats
-    /// that as the torn tail and truncates there.
-    pub fn decode_line(line: &str) -> Option<DurableRecord> {
-        let (crc_hex, payload) = line.split_once(' ')?;
-        let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-        if fnv1a(payload.as_bytes()) != crc {
-            return None;
-        }
+    /// Decodes one line (without trailing newline). `None` on a checksum
+    /// mismatch or any structural damage — the loader ends the epoch
+    /// there. `Some(None)` for an intact line carrying one of the legacy
+    /// tags (`append`, `seal`, `undo`, `prune`): accepted, nothing to load.
+    pub fn decode_line(line: &str) -> Option<Option<DurableRecord>> {
+        let payload = unframe_line(line).ok()?;
         let (tag, rest) = payload.split_once(' ').unwrap_or((payload, ""));
-        match tag {
-            "spec" => Some(DurableRecord::Spec {
+        let rec = match tag {
+            "spec" => DurableRecord::Spec {
                 text: unescape(rest)?,
-            }),
-            "append" => {
-                let mut it = rest.splitn(4, ' ');
-                let lsn = it.next()?.parse().ok()?;
-                let subthread = it.next()?.parse().ok()?;
-                let checksum = u64::from_str_radix(it.next()?, 16).ok()?;
-                let op = unescape(it.next().unwrap_or(""))?;
-                Some(DurableRecord::Append {
-                    lsn,
-                    subthread,
-                    checksum,
-                    op,
-                })
-            }
-            "seal" => {
-                let mut it = rest.split(' ');
-                let lsn = it.next()?.parse().ok()?;
-                let checksum = u64::from_str_radix(it.next()?, 16).ok()?;
-                Some(DurableRecord::Seal { lsn, checksum })
-            }
-            "undo" => Some(DurableRecord::Undo {
-                lsn: rest.parse().ok()?,
-            }),
-            "prune" => {
-                let mut it = rest.split(' ');
-                let subthread = it.next()?.parse().ok()?;
-                let count = it.next()?.parse().ok()?;
-                Some(DurableRecord::Prune { subthread, count })
-            }
+            },
             "retire" => {
                 let mut it = rest.split(' ');
                 let subthread = it.next()?.parse().ok()?;
@@ -318,13 +270,13 @@ impl DurableRecord {
                 let kind = it.next()?.parse().ok()?;
                 let retired = it.next()?.parse().ok()?;
                 let digest = u64::from_str_radix(it.next()?, 16).ok()?;
-                Some(DurableRecord::Retire {
+                DurableRecord::Retire {
                     subthread,
                     thread,
                     kind,
                     retired,
                     digest,
-                })
+                }
             }
             "ckpt" => {
                 let mut it = rest.split(' ');
@@ -339,15 +291,19 @@ impl DurableRecord {
                 if it.next().is_some() {
                     return None;
                 }
-                Some(DurableRecord::Checkpoint {
+                DurableRecord::Checkpoint {
                     root,
                     retired,
                     digest,
                     chunks,
-                })
+                }
             }
-            _ => None,
-        }
+            // The WAL-mirror lines older commits wrote and nothing ever
+            // loaded: no record is built for them any more.
+            "append" | "seal" | "undo" | "prune" => return Some(None),
+            _ => return None,
+        };
+        Some(Some(rec))
     }
 }
 
@@ -468,17 +424,10 @@ pub struct DurableImage {
     pub retires: Vec<RetireRec>,
     /// The newest checkpoint whose merkle root and chunks verified.
     pub checkpoint: Option<CheckpointMeta>,
-    /// `Append` records in the epoch.
-    pub appends: u64,
-    /// `Undo` records in the epoch.
-    pub undos: u64,
-    /// WAL records pruned in the epoch (sum of `Prune.count`).
-    pub prunes: u64,
-    /// `Seal` records in the epoch.
-    pub seals: u64,
     /// Valid records loaded in the current epoch.
     pub prefix_records: u64,
-    /// Whether the loader truncated a torn/corrupt tail.
+    /// Whether the loader met damage (a torn tail, a flipped bit) and
+    /// dropped the rest of the epoch it was in.
     pub truncated: bool,
     /// Checkpoint records whose merkle verification failed (dropped).
     pub dropped_checkpoints: u64,
@@ -502,10 +451,6 @@ impl DurableImage {
                         ..DurableImage::default()
                     };
                 }
-                DurableRecord::Append { .. } => img.appends += 1,
-                DurableRecord::Seal { .. } => img.seals += 1,
-                DurableRecord::Undo { .. } => img.undos += 1,
-                DurableRecord::Prune { count, .. } => img.prunes += count,
                 DurableRecord::Retire {
                     subthread,
                     thread,
@@ -553,12 +498,6 @@ impl DurableImage {
     /// The durable retire-prefix length.
     pub fn retired_len(&self) -> u64 {
         self.retires.len() as u64
-    }
-
-    /// Whether the epoch's WAL ledger balances — true only when the
-    /// previous run retired everything it appended (i.e. completed).
-    pub fn ledger_balanced(&self) -> bool {
-        self.appends == self.undos + self.prunes
     }
 }
 
@@ -835,26 +774,27 @@ impl PersistBackend for FileBackend {
         names.sort();
         let mut records = Vec::new();
         let mut truncated = false;
-        'segments: for name in &names {
+        // Inside a damaged epoch: everything from the damaged line to the
+        // next `Spec` is discarded, across segments. A later `Spec` is a
+        // resumed run's own epoch and loads; with none, what is left is
+        // the newest consistent prefix.
+        let mut damaged = false;
+        for name in &names {
             let path = seg_dir.join(name);
             let bytes = fs::read(&path)
                 .map_err(|e| PersistError::Io(format!("read {}: {e}", path.display())))?;
             // A torn tail may not even be UTF-8; lossy conversion feeds
             // the per-line checksum, which rejects the damage.
             let text = String::from_utf8_lossy(&bytes);
-            for line in text.split('\n') {
-                if line.is_empty() {
-                    continue;
-                }
+            for line in text.split('\n').filter(|l| !l.is_empty()) {
                 match DurableRecord::decode_line(line) {
-                    Some(rec) => records.push(rec),
-                    None => {
-                        // Newest consistent prefix: everything from the
-                        // first damaged line on is discarded, across
-                        // this and all later segments.
-                        truncated = true;
-                        break 'segments;
+                    None => (truncated, damaged) = (true, true),
+                    Some(Some(spec @ DurableRecord::Spec { .. })) => {
+                        damaged = false;
+                        records.push(spec);
                     }
+                    Some(rec) if !damaged => records.extend(rec),
+                    Some(_) => {}
                 }
             }
         }
@@ -908,39 +848,32 @@ pub fn unique_temp_dir(tag: &str) -> PathBuf {
 mod tests {
     use super::*;
 
+    fn retire(n: u64) -> DurableRecord {
+        DurableRecord::Retire {
+            subthread: 10 + n,
+            thread: (n % 3) as u32,
+            kind: 1,
+            retired: n,
+            digest: 0x1234 * n,
+        }
+    }
+
     fn sample_records() -> Vec<DurableRecord> {
         vec![
             DurableRecord::Spec {
                 text: "submit fetchadd 7 0 0\nwith %25 tricks\r".into(),
             },
-            DurableRecord::Append {
-                lsn: 0,
-                subthread: 3,
-                checksum: 0,
-                op: "Enq { q: 1, item: 2 }".into(),
+            retire(1),
+            retire(2),
+            DurableRecord::Checkpoint {
+                root: merkle_root(&[0xaa, 0xbb]),
+                retired: 2,
+                digest: 0x2468,
+                chunks: vec![0xaa, 0xbb],
             },
-            DurableRecord::Seal {
-                lsn: 0,
-                checksum: 0xdead_beef,
-            },
-            DurableRecord::Undo { lsn: 0 },
-            DurableRecord::Append {
-                lsn: 1,
-                subthread: 4,
-                checksum: 77,
-                op: "Lock { l: 9 }".into(),
-            },
-            DurableRecord::Prune {
-                subthread: 4,
-                count: 1,
-            },
-            DurableRecord::Retire {
-                subthread: 4,
-                thread: 2,
-                kind: 1,
-                retired: 1,
-                digest: 0x1234,
-            },
+            retire(3),
+            retire(4),
+            retire(5),
         ]
     }
 
@@ -948,8 +881,8 @@ mod tests {
     fn record_lines_roundtrip() {
         for rec in sample_records() {
             let line = rec.encode_line();
-            let decoded = DurableRecord::decode_line(line.trim_end_matches('\n')).unwrap();
-            assert_eq!(decoded, rec, "roundtrip of {rec:?}");
+            let decoded = DurableRecord::decode_line(line.trim_end_matches('\n'));
+            assert_eq!(decoded, Some(Some(rec)));
         }
     }
 
@@ -964,6 +897,9 @@ mod tests {
         assert!(DurableRecord::decode_line(&flipped).is_none());
         assert!(DurableRecord::decode_line("").is_none());
         assert!(DurableRecord::decode_line("zzzz nonsense").is_none());
+        let mut unknown = String::new();
+        frame_line(&mut unknown, "fsck 1 2");
+        assert!(DurableRecord::decode_line(unknown.trim_end()).is_none(), "intact, unknown tag");
     }
 
     #[test]
@@ -1007,13 +943,11 @@ mod tests {
     fn memory_backend_roundtrips_an_epoch() {
         let be = MemoryBackend::new();
         be.record(&DurableRecord::Spec { text: "job A".into() }).unwrap();
-        for rec in sample_records().into_iter().skip(1) {
-            be.record(&rec).unwrap();
-        }
+        be.record(&retire(1)).unwrap();
         let meta = CheckpointMeta {
             retired: 1,
             digest: 0x1234,
-            threads: vec![(2, 1)],
+            threads: vec![(1, 1)],
         };
         let ckpt = store_checkpoint(&be, &meta);
         be.record(&ckpt).unwrap();
@@ -1022,66 +956,85 @@ mod tests {
         assert_eq!(img.spec.as_deref(), Some("job A"));
         assert_eq!(img.retired_len(), 1);
         assert_eq!(img.checkpoint, Some(meta));
-        assert_eq!(img.appends, 2);
-        assert_eq!(img.undos, 1);
-        assert_eq!(img.prunes, 1);
-        assert!(img.ledger_balanced());
+        assert_eq!(img.prefix_records, 3);
         assert_eq!(be.stats().fsyncs, 1);
     }
 
-    /// An image written when appends carried checksum 0 and a later `seal`
-    /// line (spelled out as text: this is the on-disk format old runs
-    /// left behind) loads to the same ledger verdict as the same run
-    /// logged today, one line fewer per append.
+    /// A directory written when the engines still mirrored the WAL — spelled
+    /// out as text: `append` with checksum 0 plus a later `seal` (before the
+    /// checksum moved inline), `append` carrying its checksum, `undo`,
+    /// `prune` — loads to the same image as the same run logged today,
+    /// where only `spec` / `retire` / `ckpt` lines exist. A *damaged* legacy
+    /// line is damage: the epoch ends there.
     #[test]
-    fn legacy_seal_lines_load_to_the_same_ledger_verdict() {
-        let line = |payload: &str| format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
-        let run = |legacy: bool| {
+    fn legacy_wal_mirror_lines_load_to_the_same_image() {
+        let line = |payload: &str| {
+            let mut out = String::new();
+            frame_line(&mut out, payload);
+            out
+        };
+        let dir = unique_temp_dir("persist-legacy");
+        let be = FileBackend::open(&dir).unwrap();
+        let meta = CheckpointMeta {
+            retired: 2,
+            digest: 0x2468,
+            threads: vec![(1, 1), (2, 1)],
+        };
+        let ckpt = store_checkpoint(&be, &meta).encode_line();
+        let run = |legacy: bool, damage_at: Option<u64>| {
             let mut text = line("spec job%20A");
-            for (lsn, st) in [(0u64, 3u64), (1, 4), (2, 4)] {
-                let sum = if legacy { 0 } else { 0xfeed_0000 + lsn };
-                text += &line(&format!("append {lsn} {st} {sum:016x} FetchAdd(A{st},%20old%200)"));
+            for n in 1..=3u64 {
                 if legacy {
-                    text += &line(&format!("seal {lsn} {:016x}", 0xfeed_0000 + lsn));
+                    let sum = if n == 1 { 0 } else { 0xfeed_0000 + n };
+                    let mut append =
+                        line(&format!("append {n} {} {sum:016x} FetchAdd(A{n},%20old%200)", 10 + n));
+                    if damage_at == Some(n) {
+                        append = append.replace("FetchAdd", "FetchSub");
+                    }
+                    text += &append;
+                    if n == 1 {
+                        text += &line(&format!("seal {n} {:016x}", 0xfeed_0000 + n));
+                    }
+                    if n == 2 {
+                        text += &line("append 9 12 00000000000000aa Lock(L1)");
+                        text += &line("undo 9");
+                    }
+                    text += &line(&format!("prune {} 1", 10 + n));
+                }
+                text += &retire(n).encode_line();
+                if n == 2 {
+                    text += &ckpt;
                 }
             }
-            text += &line("undo 0");
-            text += &line("prune 4 2");
-            text += &line("retire 4 2 1 1 0000000000001234");
             text
         };
         let load = |text: String| {
-            let dir = unique_temp_dir("persist-legacy-seal");
-            fs::create_dir_all(dir.join("segments")).unwrap();
             fs::write(dir.join("segments").join("seg-00000000.log"), text).unwrap();
-            let img = FileBackend::open(&dir).unwrap().load().unwrap();
-            fs::remove_dir_all(&dir).unwrap();
-            img
+            be.load().unwrap()
         };
-        let (old, new) = (load(run(true)), load(run(false)));
-        assert!(!old.truncated && !new.truncated, "every line parses");
-        assert_eq!(old.seals, 3);
-        assert_eq!(new.seals, 0);
-        assert_eq!(old.prefix_records, new.prefix_records + 3);
-        assert_eq!(
-            (old.appends, old.undos, old.prunes, old.ledger_balanced()),
-            (new.appends, new.undos, new.prunes, new.ledger_balanced())
-        );
-        assert_eq!((new.appends, new.undos, new.prunes), (3, 1, 2));
-        assert!(new.ledger_balanced());
-        assert_eq!(old.spec, new.spec);
-        assert_eq!(old.retires, new.retires);
+        let (old, new) = (load(run(true, None)), load(run(false, None)));
+        assert_eq!(old, new, "the legacy lines change nothing that is loaded");
+        assert!(!new.truncated);
+        assert_eq!(new.spec.as_deref(), Some("job A"));
+        assert_eq!(new.retired_len(), 3);
+        assert_eq!(new.checkpoint, Some(meta));
+
+        let torn = load(run(true, Some(3)));
+        assert!(torn.truncated, "a damaged append is damage");
+        assert_eq!(torn.retires, new.retires[..2], "the epoch ends at the damaged line");
+        assert_eq!(torn.checkpoint, new.checkpoint);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_new_spec_opens_a_new_epoch() {
         let be = MemoryBackend::new();
         be.record(&DurableRecord::Spec { text: "old".into() }).unwrap();
-        be.record(&DurableRecord::Undo { lsn: 0 }).unwrap();
+        be.record(&retire(1)).unwrap();
         be.record(&DurableRecord::Spec { text: "new".into() }).unwrap();
         let img = be.load().unwrap();
         assert_eq!(img.spec.as_deref(), Some("new"));
-        assert_eq!(img.undos, 0, "old epoch's records are superseded");
+        assert_eq!(img.retired_len(), 0, "old epoch's records are superseded");
         assert_eq!(img.prefix_records, 1);
     }
 
@@ -1098,7 +1051,7 @@ mod tests {
         let img = be.load().unwrap();
         assert_eq!(img.prefix_records, recs.len() as u64);
         assert!(!img.truncated);
-        assert_eq!(img.retires.len(), 1);
+        assert_eq!(img.retires.len(), 5);
 
         // A second backend over the same dir appends a fresh epoch.
         drop(be);

@@ -21,7 +21,7 @@
 //! the cursor in place and the engine re-polls until the recorded event
 //! becomes grantable (or poisons loudly on genuine divergence).
 //!
-//! The on-disk format follows the [`crate::persist`] idiom: one checksummed
+//! The on-disk format shares [`crate::persist`]'s framing: one checksummed
 //! text line per record (`<fnv1a:016x> <payload>`), percent-escaped free
 //! text, and a mandatory `end` footer whose absence names the recording
 //! truncated instead of silently replaying a prefix.
@@ -29,7 +29,7 @@
 use crate::error::{GprsError, Result};
 use crate::ids::{GroupId, ThreadId};
 use crate::order::OrderingPolicy;
-use crate::persist::fnv1a;
+use crate::persist::{escape, fnv1a, frame_line, unescape, unframe_line};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -317,64 +317,32 @@ impl Recorder {
     }
 }
 
-fn escape(text: &str, out: &mut String) {
-    for ch in text.chars() {
-        match ch {
-            '%' => out.push_str("%25"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape(text: &str) -> Option<String> {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?;
-        let lo = chars.next()?;
-        let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-        out.push(byte as char);
-    }
-    Some(out)
-}
-
-fn push_line(out: &mut String, payload: &str) {
-    use fmt::Write as _;
-    let _ = writeln!(out, "{:016x} {payload}", fnv1a(payload.as_bytes()));
-}
-
 impl Recording {
     /// Serializes the recording as checksummed text lines.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 40);
-        push_line(&mut out, &format!("gprs-recording v{RECORDING_VERSION}"));
+        frame_line(&mut out, &format!("gprs-recording v{RECORDING_VERSION}"));
         let mut esc = String::new();
         escape(&self.header.workload, &mut esc);
-        push_line(&mut out, &format!("workload {esc}"));
-        push_line(&mut out, &format!("seed {}", self.header.seed));
-        push_line(&mut out, &format!("mode {}", self.header.mode));
+        frame_line(&mut out, &format!("workload {esc}"));
+        frame_line(&mut out, &format!("seed {}", self.header.seed));
+        frame_line(&mut out, &format!("mode {}", self.header.mode));
         esc.clear();
         escape(&self.header.schedule, &mut esc);
-        push_line(&mut out, &format!("schedule {esc}"));
-        push_line(&mut out, &format!("workers {}", self.header.workers));
+        frame_line(&mut out, &format!("schedule {esc}"));
+        frame_line(&mut out, &format!("workers {}", self.header.workers));
         if let Some(spec) = &self.header.spec {
             esc.clear();
             escape(spec, &mut esc);
-            push_line(&mut out, &format!("spec {esc}"));
+            frame_line(&mut out, &format!("spec {esc}"));
         }
         if let Some(chaos) = &self.header.chaos {
             esc.clear();
             escape(chaos, &mut esc);
-            push_line(&mut out, &format!("chaos {esc}"));
+            frame_line(&mut out, &format!("chaos {esc}"));
         }
         for (pos, e) in self.events.iter().enumerate() {
-            push_line(
+            frame_line(
                 &mut out,
                 &format!("evt {pos} {} {} {:016x}", e.thread, e.kind, e.digest),
             );
@@ -387,7 +355,7 @@ impl Recording {
                 format!("poisoned {esc}")
             }
         };
-        push_line(
+        frame_line(
             &mut out,
             &format!(
                 "end {} {:016x} {:016x} {outcome}",
@@ -406,32 +374,22 @@ impl Recording {
     /// A [`RecordingError`] naming the exact damage.
     pub fn parse(text: &str) -> std::result::Result<Recording, RecordingError> {
         let mut lines = text.lines().enumerate();
-        let mut next_payload = |what: &str| -> std::result::Result<Option<(usize, String)>, RecordingError> {
+        let mut next_payload = || -> std::result::Result<Option<(usize, &str)>, RecordingError> {
             let Some((ix, raw)) = lines.next() else {
                 return Ok(None);
             };
             let line = ix + 1;
-            let (ck, payload) = raw.split_once(' ').ok_or(RecordingError::Corrupt {
+            let payload = unframe_line(raw).map_err(|reason| RecordingError::Corrupt {
                 line,
-                reason: format!("missing checksum field in {what}"),
+                reason: reason.into(),
             })?;
-            let ck = u64::from_str_radix(ck, 16).map_err(|_| RecordingError::Corrupt {
-                line,
-                reason: "unparseable checksum".into(),
-            })?;
-            if ck != fnv1a(payload.as_bytes()) {
-                return Err(RecordingError::Corrupt {
-                    line,
-                    reason: "line checksum mismatch (torn or edited line)".into(),
-                });
-            }
-            Ok(Some((line, payload.to_string())))
+            Ok(Some((line, payload)))
         };
 
-        let (line, banner) = next_payload("banner")?.ok_or(RecordingError::Truncated { events: 0 })?;
+        let (line, banner) = next_payload()?.ok_or(RecordingError::Truncated { events: 0 })?;
         if banner != format!("gprs-recording v{RECORDING_VERSION}") {
             return Err(if banner.starts_with("gprs-recording") {
-                RecordingError::Version(banner)
+                RecordingError::Version(banner.into())
             } else {
                 RecordingError::Corrupt {
                     line,
@@ -453,7 +411,7 @@ impl Recording {
         let mut digest = digest_seed();
         let mut footer: Option<(u64, u64, u64, RecordedOutcome)> = None;
 
-        while let Some((line, payload)) = next_payload("record")? {
+        while let Some((line, payload)) = next_payload()? {
             let corrupt = |reason: String| RecordingError::Corrupt { line, reason };
             let mut it = payload.splitn(2, ' ');
             let tag = it.next().unwrap_or_default();

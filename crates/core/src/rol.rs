@@ -358,14 +358,6 @@ impl ReorderList {
         }
     }
 
-    /// The oldest excepted entry, if any (basic recovery waits for the
-    /// excepted entry to reach the head; selective restart acts immediately).
-    pub fn oldest_excepted(&self) -> Option<&RolEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.status == SubThreadStatus::Excepted)
-    }
-
     /// Iterates over all in-flight entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &RolEntry> {
         self.entries.iter()
@@ -374,19 +366,6 @@ impl ReorderList {
     /// Iterates over entries strictly younger than `id`, oldest first.
     pub fn iter_younger(&self, id: SubThreadId) -> impl Iterator<Item = &RolEntry> {
         self.entries.iter().filter(move |e| e.id() > id)
-    }
-
-    /// Ids of every entry at or younger than `id`, youngest first — the
-    /// reverse-ROL restore order of basic recovery.
-    pub fn squash_suffix(&self, id: SubThreadId) -> Vec<SubThreadId> {
-        let mut ids: Vec<SubThreadId> = self
-            .entries
-            .iter()
-            .filter(|e| e.id() >= id)
-            .map(|e| e.id())
-            .collect();
-        ids.reverse();
-        ids
     }
 
     /// Removes a squashed entry from the middle of the list.
@@ -539,7 +518,6 @@ mod tests {
         rol.insert(st(0, 0)).unwrap();
         rol.mark_excepted(SubThreadId::new(0), exc()).unwrap();
         assert!(rol.retire_head().is_err());
-        assert_eq!(rol.oldest_excepted().unwrap().id(), SubThreadId::new(0));
     }
 
     #[test]
@@ -560,19 +538,6 @@ mod tests {
         // A squashed sub-thread can complete after re-execution.
         rol.mark_completed(SubThreadId::new(0)).unwrap();
         assert_eq!(rol.retire_ready().len(), 1);
-    }
-
-    #[test]
-    fn squash_suffix_is_youngest_first() {
-        let mut rol = ReorderList::new();
-        for i in 0..5 {
-            rol.insert(st(i, 0)).unwrap();
-        }
-        let suffix = rol.squash_suffix(SubThreadId::new(2));
-        assert_eq!(
-            suffix,
-            [4, 3, 2].map(SubThreadId::new).to_vec()
-        );
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl<Op: Hash> WalRecord<Op> {
 /// // Squash ST1: its operations come back newest-first for undoing.
 /// let mut squashed = std::collections::BTreeSet::new();
 /// squashed.insert(SubThreadId::new(1));
-/// let undo: Vec<_> = wal.undo_records(&squashed).map(|r| r.op.clone()).collect();
+/// let undo: Vec<_> = wal.take_undo_records(&squashed).into_iter().map(|r| r.op).collect();
 /// assert_eq!(undo, [Op::Dequeue(7)]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -150,20 +150,8 @@ impl<Op: Clone + Debug + Hash + Send> WriteAheadLog<Op> {
         lsn
     }
 
-    /// Iterates, newest-first, over the records of the squashed sub-threads —
-    /// the reverse undo walk of `§3.4`.
-    pub fn undo_records<'a>(
-        &'a self,
-        squashed: &'a BTreeSet<SubThreadId>,
-    ) -> impl Iterator<Item = &'a WalRecord<Op>> + 'a {
-        self.records
-            .iter()
-            .rev()
-            .filter(move |r| squashed.contains(&r.subthread))
-    }
-
-    /// Removes the records of the squashed sub-threads (after their undo has
-    /// been applied), returning them newest-first.
+    /// Removes the records of the squashed sub-threads, returning them
+    /// newest-first — the reverse undo walk of `§3.4`.
     pub fn take_undo_records(&mut self, squashed: &BTreeSet<SubThreadId>) -> Vec<WalRecord<Op>> {
         let mut taken = Vec::new();
         let mut kept = VecDeque::with_capacity(self.records.len());
@@ -258,11 +246,6 @@ impl<Op: Clone + Debug + Hash + Send> WriteAheadLog<Op> {
     pub fn pruned(&self) -> u64 {
         self.pruned
     }
-
-    /// The sequence number the next append will receive.
-    pub fn next_lsn(&self) -> Lsn {
-        self.next_lsn
-    }
 }
 
 #[cfg(test)]
@@ -287,7 +270,7 @@ mod tests {
         let b = wal.append(SubThreadId::new(0), TestOp::Pop(1));
         assert_eq!(a, Lsn::new(0));
         assert_eq!(b, Lsn::new(1));
-        assert_eq!(wal.next_lsn(), Lsn::new(2));
+        assert_eq!(wal.append(SubThreadId::new(1), TestOp::Push(2)), Lsn::new(2));
     }
 
     #[test]
@@ -297,8 +280,9 @@ mod tests {
         wal.append(SubThreadId::new(1), TestOp::Push(2));
         wal.append(SubThreadId::new(1), TestOp::Alloc(3));
         wal.append(SubThreadId::new(2), TestOp::Push(4));
-        let ops: Vec<_> = wal.undo_records(&set(&[1])).map(|r| r.op.clone()).collect();
+        let ops: Vec<_> = wal.take_undo_records(&set(&[1])).into_iter().map(|r| r.op).collect();
         assert_eq!(ops, [TestOp::Alloc(3), TestOp::Push(2)]);
+        assert_eq!(wal.len(), 2, "the other sub-threads' records stay");
     }
 
     #[test]
@@ -390,7 +374,6 @@ mod tests {
     fn undo_with_no_matching_subthreads_is_empty() {
         let mut wal = WriteAheadLog::new();
         wal.append(SubThreadId::new(0), TestOp::Push(1));
-        assert_eq!(wal.undo_records(&set(&[5])).count(), 0);
         assert!(wal.take_undo_records(&set(&[5])).is_empty());
         assert_eq!(wal.len(), 1);
     }

@@ -61,13 +61,10 @@ pub(crate) struct RunConfig {
     pub job_id: u64,
     /// Monotonic submission sequence number (serve layer; 0 solo).
     pub submit_seq: u64,
-    /// Durable persistence backend mirroring the WAL/checkpoint state
+    /// Durable persistence backend the retirement order is logged through
     /// (`None` — the default — keeps today's volatile behaviour and hot
     /// paths: every durable hook is gated on one `is_some` branch).
     pub persist: Option<Arc<dyn PersistBackend>>,
-    /// Retirements between durable checkpoints (ignored without
-    /// [`RunConfig::persist`]).
-    pub durable_ckpt_every: u64,
     /// Cells whose `PlainStore` WAL undo records are statically proven
     /// dead (write-only across the attached model: no plain load, no
     /// `Update`, no synchronizing fetch-add ever observes the value).
@@ -91,7 +88,6 @@ impl Default for RunConfig {
             job_id: 0,
             submit_seq: 0,
             persist: None,
-            durable_ckpt_every: crate::DEFAULT_DURABLE_CKPT_EVERY,
             elide_cells: Arc::default(),
         }
     }
@@ -386,7 +382,7 @@ pub(crate) struct Inner {
     pub pass_streak: usize,
     pub stats: RunStats,
     /// Everything that watches the order this engine produces: hashes,
-    /// recorder / replay verifier, race detector, durable mirror, telemetry.
+    /// recorder / replay verifier, race detector, durable log, telemetry.
     /// Its hooks are called under this lock, which is what serializes them.
     pub ledger: RunLedger,
     /// Plain accesses recorded by running bodies, per sub-thread in program
@@ -1051,17 +1047,9 @@ impl Inner {
                     file.staged = staged;
                 }
             }
-            let owners = self.wal.iter().map(|r| r.subthread);
-            let reason = self.ledger.mirror_prunes(owners.filter(|s| batch.contains(s)));
-            self.poison_on(reason);
             let pruned = self.wal.prune_retired_batch(batch.clone());
             self.hist.prune_retired_batch(batch, &mut self.threads);
-            let reason = self.ledger.batch_retired(
-                first.id(),
-                entries.len(),
-                pruned,
-                self.cfg.durable_ckpt_every,
-            );
+            let reason = self.ledger.batch_retired(first.id(), entries.len(), pruned);
             self.poison_on(reason);
         }
         entries.clear();
@@ -1185,13 +1173,10 @@ impl Inner {
         }
     }
 
-    /// Appends a WAL record, showing it to the ledger first (the durable
-    /// mirror is written ahead of the in-memory append).
+    /// Appends a WAL record and tells the ledger.
     fn wal_append(&mut self, worker: usize, stid: SubThreadId, op: RtOp) {
-        let (lsn, outstanding) = (self.wal.next_lsn(), self.wal.len() + 1);
-        let reason = self.ledger.wal_appended(worker, stid, lsn, &op, outstanding);
-        self.poison_on(reason);
         self.wal.append(stid, op);
+        self.ledger.wal_appended(worker, stid, self.wal.len());
     }
 
     /// Creates the sub-thread record for a fresh grant. Returns the history

@@ -93,10 +93,6 @@ use std::sync::Arc;
 
 pub use crate::engine::RecoveryPolicy;
 
-/// Default retirements between durable checkpoints (see
-/// [`GprsBuilder::durable_checkpoint_every`]).
-pub const DEFAULT_DURABLE_CKPT_EVERY: u64 = 64;
-
 /// Configures and assembles a GPRS runtime.
 #[derive(Default)]
 pub struct GprsBuilder {
@@ -241,11 +237,12 @@ impl GprsBuilder {
     }
 
     /// Attaches a durable persistence backend (see
-    /// [`gprs_core::persist`]): the runtime's WAL traffic, retirement
-    /// order and periodic checkpoints are mirrored through it so a run
-    /// killed mid-flight can restart in a fresh process and recover.
-    /// Without a backend (the default) nothing changes — every durable
-    /// hook is behind one branch, keeping the volatile hot paths intact.
+    /// [`gprs_core::persist`]): the job's spec, its retirement order and a
+    /// checkpoint anchor every [`RunLedger::CKPT_EVERY`] retirements (one
+    /// group-commit fsync each) are logged through it, so a run killed
+    /// mid-flight can restart in a fresh process and recover. Without a
+    /// backend (the default) nothing changes — every durable hook is
+    /// behind one branch, keeping the volatile hot paths intact.
     pub fn durable(mut self, backend: Arc<dyn PersistBackend>) -> Self {
         self.cfg.persist = Some(backend);
         self
@@ -257,15 +254,6 @@ impl GprsBuilder {
     /// [`durable`](Self::durable) backend is attached.
     pub fn durable_spec(mut self, text: impl Into<String>) -> Self {
         self.durable_spec = Some(text.into());
-        self
-    }
-
-    /// Retirements between durable checkpoints (default
-    /// [`DEFAULT_DURABLE_CKPT_EVERY`]). Each checkpoint group-commits the
-    /// outstanding log with one fsync, so smaller is more durable and
-    /// slower.
-    pub fn durable_checkpoint_every(mut self, n: u64) -> Self {
-        self.cfg.durable_ckpt_every = n.max(1);
         self
     }
 

@@ -49,6 +49,8 @@ pub(crate) enum RtOp {
     Free { block: u64, data: Vec<u8> },
 }
 
+/// Hand-written because a [`Payload`] is an opaque shared pointer with no
+/// `Debug` of its own; [`gprs_core::wal::WriteAheadLog`] asks for the bound.
 impl fmt::Debug for RtOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -71,10 +73,9 @@ impl fmt::Debug for RtOp {
     }
 }
 
-/// What the WAL's integrity checksum covers: the variant and the fields
-/// the `Debug` rendering above shows (the durable log's `append` lines
-/// carry that rendering next to the checksum). A payload is an opaque
-/// shared pointer and a freed block is covered by its length, as there.
+/// What the WAL's integrity checksum covers: the variant and every field
+/// that identifies the operation. A payload is an opaque shared pointer,
+/// so it is left out, and a freed block is covered by its length.
 impl Hash for RtOp {
     fn hash<H: Hasher>(&self, h: &mut H) {
         std::mem::discriminant(self).hash(h);

@@ -191,8 +191,7 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     let records = inner.wal.take_undo_records(&squash_set);
     let mut reclaimed: BTreeMap<ThreadId, Box<dyn DynThread>> = BTreeMap::new();
     for rec in records {
-        let reason = inner.ledger.wal_undone(rec.subthread, rec.lsn);
-        inner.poison_on(reason);
+        inner.ledger.wal_undone(rec.subthread);
         undo_op(inner, rec.subthread, rec.op, &mut reclaimed);
     }
 

@@ -13,13 +13,14 @@
 //!   real socket, and verify every streamed report's retired hash is
 //!   bit-identical to the same spec run solo. Exits nonzero on mismatch.
 //! * `--durable-run DIR <workload> <seed> [key=value...] [--crash-after N]`
-//!   — run one job logging into DIR's durable WAL/checkpoint store; with
-//!   `--crash-after N` the process kills itself (SIGKILL) after N quanta,
-//!   leaving DIR exactly as a crash would.
-//! * `--durable-resume DIR [--expect-golden]` — load DIR, resume the job
-//!   (restart *is* recovery), print the final report line; with
-//!   `--expect-golden` exit nonzero unless the retired hash is
-//!   bit-identical to the same spec run solo in-memory.
+//!   — run one job logging into DIR's durable log and checkpoint store;
+//!   with `--crash-after N` the process kills itself (SIGKILL) after N
+//!   quanta, leaving DIR exactly as a crash would.
+//! * `--durable-resume DIR [--expect-golden] [--crash-after N]` — load DIR,
+//!   resume the job (restart *is* recovery), print the final report line;
+//!   with `--expect-golden` exit nonzero unless the retired hash is
+//!   bit-identical to the same spec run solo in-memory. `--crash-after N`
+//!   kills the resumed process the same way, so a job can die twice.
 //!
 //! `--listen` and `--batch` also accept `--durable DIR`: every admitted
 //! job gets its own durable directory under DIR and unfinished jobs are
@@ -30,6 +31,7 @@ use gprs_serve::server::{serve_session, Server};
 use gprs_serve::spec::{build_job_durable, build_solo, JobSpec, WORKLOADS};
 use gprs_core::persist::{FileBackend, PersistBackend};
 use gprs_runtime::report::RunReport;
+use gprs_runtime::Gprs;
 use gprs_runtime::session::QuantumOutcome;
 use gprs_telemetry::JsonWriter;
 use std::collections::BTreeMap;
@@ -46,7 +48,7 @@ fn usage() -> ExitCode {
          \x20      gprs-serve --client ADDR [FILE]\n\
          \x20      gprs-serve --smoke N [--workers W] [--quantum G]\n\
          \x20      gprs-serve --durable-run DIR <workload> <seed> [key=value...] [--crash-after N]\n\
-         \x20      gprs-serve --durable-resume DIR [--expect-golden]"
+         \x20      gprs-serve --durable-resume DIR [--expect-golden] [--crash-after N]"
     );
     ExitCode::from(2)
 }
@@ -216,7 +218,7 @@ fn main() -> ExitCode {
             let Some(dir) = args.positional.first() else {
                 return usage();
             };
-            match durable_resume(dir, args.quantum, args.expect_golden) {
+            match durable_resume(dir, args.quantum, args.expect_golden, args.crash_after) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("gprs-serve: durable-resume: {e}");
@@ -259,6 +261,25 @@ fn die_midflight() -> ! {
     std::process::abort();
 }
 
+/// Drives `gprs` to completion in `quantum`-grant quanta; with
+/// `crash_after`, the process kills itself once that many have yielded.
+fn drive(gprs: Gprs, quantum: u64, crash_after: Option<u64>) -> Result<RunReport, String> {
+    let mut session = gprs.into_session();
+    let mut quanta = 0u64;
+    while session.run_quantum(quantum.max(1)) == QuantumOutcome::Yielded {
+        quanta += 1;
+        if crash_after.is_some_and(|n| quanta >= n) {
+            die_midflight();
+        }
+    }
+    if crash_after.is_some() {
+        return Err(format!(
+            "job finished in {quanta} quanta before the crash point — pick a smaller --crash-after"
+        ));
+    }
+    session.finish().map_err(|e| e.to_string())
+}
+
 /// `--durable-run`: one job logged into `dir`, optionally self-killed
 /// after `crash_after` quanta.
 fn durable_run(
@@ -269,33 +290,21 @@ fn durable_run(
 ) -> Result<(), String> {
     let backend = Arc::new(FileBackend::open(dir).map_err(|e| e.to_string())?);
     let gprs = build_job_durable(spec, 0, 0, backend, None)?;
-    let mut session = gprs.into_session();
-    let mut quanta = 0u64;
-    loop {
-        match session.run_quantum(quantum.max(1)) {
-            QuantumOutcome::Finished => break,
-            QuantumOutcome::Yielded => {
-                quanta += 1;
-                if crash_after.is_some_and(|n| quanta >= n) {
-                    die_midflight();
-                }
-            }
-        }
-    }
-    if crash_after.is_some() {
-        return Err(format!(
-            "job finished in {quanta} quanta before the crash point — pick a smaller --crash-after"
-        ));
-    }
-    let report = session.finish().map_err(|e| e.to_string())?;
+    let report = drive(gprs, quantum, crash_after)?;
     println!("{}", durable_report_line(&report));
     Ok(())
 }
 
 /// `--durable-resume`: load `dir`, replay-verify against the durable
-/// prefix, run to completion; with `expect_golden`, fail unless the
-/// retired hash matches the same spec run solo in-memory.
-fn durable_resume(dir: &str, quantum: u64, expect_golden: bool) -> Result<(), String> {
+/// prefix, run to completion (or to the `crash_after` self-kill); with
+/// `expect_golden`, fail unless the retired hash matches the same spec run
+/// solo in-memory.
+fn durable_resume(
+    dir: &str,
+    quantum: u64,
+    expect_golden: bool,
+    crash_after: Option<u64>,
+) -> Result<(), String> {
     let backend = Arc::new(FileBackend::open(dir).map_err(|e| e.to_string())?);
     let image = backend.load().map_err(|e| e.to_string())?;
     let text = image
@@ -310,9 +319,7 @@ fn durable_resume(dir: &str, quantum: u64, expect_golden: bool) -> Result<(), St
         if image.truncated { " (torn tail truncated)" } else { "" },
     );
     let gprs = build_job_durable(&spec, 0, 0, backend, Some(&image))?;
-    let mut session = gprs.into_session();
-    while session.run_quantum(quantum.max(1)) == QuantumOutcome::Yielded {}
-    let report = session.finish().map_err(|e| e.to_string())?;
+    let report = drive(gprs, quantum, crash_after)?;
     println!("{}", durable_report_line(&report));
     if report.telemetry.counter("recovered_prefix_len") < image.retired_len() {
         return Err(format!(

@@ -1433,10 +1433,10 @@ mod tests {
         assert_eq!(r.subthreads, 6); // 3 initial + 3 continuations
     }
 
-    /// The durable mirror records one `Retire` per retirement (squashed
+    /// The durable log records one `Retire` per retirement (squashed
     /// work never retires, so injection does not inflate the stream), the
     /// epoch's `Spec` names the workload, and the final digest equals the
-    /// run's retired-order hash — the same ledger shape the real runtime
+    /// run's retired-order hash — the same vocabulary the real runtime
     /// writes, so the two are comparable record-for-record.
     #[test]
     fn persist_mirrors_the_retirement_stream() {
