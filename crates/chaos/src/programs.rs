@@ -4,14 +4,15 @@
 //! baseline (their registration APIs mirror each other), covering the
 //! recovery surfaces the plans target: pure grant/retire traffic
 //! (`chain`), nested locks under the per-lock condvar shards (`nested`),
-//! mutex-protected critical sections (`histogram`) and a channel pipeline
-//! with output-commit-delayed files (`pbzip`, GPRS only).
+//! mutex-protected critical sections (`histogram`), a channel pipeline
+//! with output-commit-delayed files (`pbzip`, GPRS only) and barrier
+//! phases whose squashed arrivals undo releases (`barrier`, GPRS only).
 
 use gprs_core::history::Checkpoint;
 use gprs_core::ids::GroupId;
 use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::ctx::StepCtx;
-use gprs_runtime::handles::{AtomicHandle, MutexHandle};
+use gprs_runtime::handles::{AtomicHandle, BarrierHandle, MutexHandle};
 use gprs_runtime::program::{Step, ThreadProgram};
 use gprs_runtime::GprsBuilder;
 use gprs_workloads::kernels::compress::generate_corpus;
@@ -22,7 +23,8 @@ use gprs_workloads::programs::{
 };
 
 /// Programs the GPRS-runtime campaign legs run.
-pub const RUNTIME_PROGRAMS: &[&str] = &["chain", "nested", "histogram", "pbzip", "beacon"];
+pub const RUNTIME_PROGRAMS: &[&str] =
+    &["chain", "nested", "histogram", "pbzip", "beacon", "barrier"];
 
 /// Programs the sharded-runtime differential legs run: every workload with
 /// a multi-domain shard plan (beacon partitions per worker; the pipelines
@@ -39,7 +41,8 @@ pub fn beacon_leg_model() -> gprs_core::workload::Workload {
 }
 
 /// Programs the CPR-baseline campaign legs run (`pbzip` wires channels
-/// through a GPRS-only builder helper, so the baseline skips it).
+/// through a GPRS-only builder helper and the baseline has no barriers, so
+/// it skips `pbzip` and `barrier`).
 pub const CPR_PROGRAMS: &[&str] = &["chain", "nested", "histogram"];
 
 /// Disjoint fetch-add chain: pure grant/checkpoint/retire traffic.
@@ -119,6 +122,91 @@ impl ThreadProgram for NestedWorker {
     }
 }
 
+/// Barrier-phased worker: every round is a critical section on the shared
+/// mutex that ends by arriving at the barrier, so each arrival-ending
+/// sub-thread carries the lock alias.
+pub struct PhaseWorker {
+    mutex: MutexHandle<u64>,
+    barrier: BarrierHandle,
+    rounds: u32,
+    done: u32,
+    in_cs: bool,
+}
+
+impl std::fmt::Debug for PhaseWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PhaseWorker({}/{})", self.done, self.rounds)
+    }
+}
+
+impl Checkpoint for PhaseWorker {
+    type Snapshot = (u32, bool);
+    fn checkpoint(&self) -> (u32, bool) {
+        (self.done, self.in_cs)
+    }
+    fn restore(&mut self, s: &(u32, bool)) {
+        (self.done, self.in_cs) = *s;
+    }
+}
+
+impl ThreadProgram for PhaseWorker {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.in_cs {
+            ctx.with_lock(&self.mutex, |n| *n = n.wrapping_add(1));
+            self.in_cs = false;
+            return self.barrier.wait();
+        }
+        if self.done == self.rounds {
+            return Step::exit(u64::from(self.done));
+        }
+        self.done += 1;
+        self.in_cs = true;
+        self.mutex.lock()
+    }
+}
+
+/// A thread outside the barrier whose sub-threads touch the workers' mutex
+/// in a nested section and then keep running for a while: while one is in
+/// flight, the workers' younger arrivals complete, their generation
+/// releases and its continuations are granted — so a fault on the laggard
+/// squashes arrivals whose release already happened, and recovery must undo
+/// it and re-park the continuations.
+pub struct Laggard {
+    mutex: MutexHandle<u64>,
+    atomic: AtomicHandle,
+    rounds: u32,
+    done: u32,
+}
+
+impl std::fmt::Debug for Laggard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Laggard({}/{})", self.done, self.rounds)
+    }
+}
+
+impl Checkpoint for Laggard {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.done
+    }
+    fn restore(&mut self, s: &u32) {
+        self.done = *s;
+    }
+}
+
+impl ThreadProgram for Laggard {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        ctx.lock_nested(&self.mutex, |n| *n = n.wrapping_add(100));
+        // Sleeps rather than spins: pinned to one CPU, the peers still run.
+        std::thread::sleep(std::time::Duration::from_micros(500));
+        if self.done == self.rounds {
+            return Step::exit(u64::from(self.done));
+        }
+        self.done += 1;
+        self.atomic.fetch_add(1)
+    }
+}
+
 /// Registers `name`'s threads and resources on either builder (their
 /// registration APIs are identical by construction).
 macro_rules! register_common {
@@ -169,6 +257,23 @@ pub fn register_gprs(name: &str, b: &mut GprsBuilder) {
         }
         "beacon" => {
             let _ = build_beacon(b, BEACON_SHAPE.0, BEACON_SHAPE.1);
+        }
+        "barrier" => {
+            // Three workers, one group each; the laggard shares a group
+            // with two chains, so between two of its turns every worker
+            // takes three — enough to arrive, release and resume.
+            let mutex = b.mutex(0u64);
+            let barrier = b.barrier(3);
+            for g in 0..3 {
+                let worker = PhaseWorker { mutex, barrier, rounds: 12, done: 0, in_cs: false };
+                b.thread(worker, GroupId::new(g), 1);
+            }
+            let atomic = b.atomic(0);
+            b.thread(Laggard { mutex, atomic, rounds: 4, done: 0 }, GroupId::new(3), 1);
+            for _ in 0..2 {
+                let atomic = b.atomic(0);
+                b.thread(Chain { atomic, rounds: 12, done: 0 }, GroupId::new(3), 1);
+            }
         }
         other => panic!("unknown chaos program {other:?}"),
     }

@@ -8,8 +8,8 @@
 //! barrier. A younger sub-thread may have consumed an excepting sub-thread's
 //! erroneous data only if the two share a lock, atomic or barrier alias, if
 //! it is a later sub-thread of the same thread (its starting state derives
-//! from the excepting one) — or along an edge only the engine observes, which
-//! it supplies as [`Provenance`].
+//! from the excepting one) — or along an edge only the engine observes,
+//! which its reorder-list record states through [`Provenance`].
 //!
 //! A `Channel` id is **not** an alias: the engines manage their FIFOs and
 //! undo a pop by returning the item to the front, so what a consumer depends
@@ -38,33 +38,33 @@ pub enum DependencePolicy {
     Transitive,
 }
 
-/// The dependence edges only an engine observes. Every method defaults to
-/// "none", so an engine states just the edges it tracks.
+/// The dependence edges only an engine observes, read off the record a
+/// reorder-list entry carries. Every method defaults to "none", so a record
+/// states just the edges its engine tracks — and `()` states none (aliases
+/// and thread continuation only).
 pub trait Provenance {
-    /// In-flight sub-threads that consumed what `producer` produced: popped
+    /// In-flight sub-threads that consumed what this one produced: popped
     /// an item it pushed, were spawned by it, or joined the thread it ended.
-    fn dependents(&self, _producer: SubThreadId) -> &[SubThreadId] {
+    fn dependents(&self) -> &[SubThreadId] {
         &[]
     }
 
-    /// The barrier generation whose release `id`'s arrival contributed to.
-    fn arrived(&self, _id: SubThreadId) -> Option<(BarrierId, u64)> {
+    /// The barrier generation whose release this sub-thread's closing
+    /// arrival contributed to.
+    fn arrived(&self) -> Option<(BarrierId, u64)> {
         None
     }
 
-    /// The barrier generation whose release opened continuation `id`.
-    fn resumed(&self, _id: SubThreadId) -> Option<(BarrierId, u64)> {
+    /// The barrier generation whose release opened this continuation.
+    fn resumed(&self) -> Option<(BarrierId, u64)> {
         None
     }
 }
 
-/// No engine-observed edges: aliases and thread continuation only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoProvenance;
-
-impl Provenance for NoProvenance {}
+impl Provenance for () {}
 
 /// Everything the culprit's data may have reached so far.
+#[derive(Default)]
 struct Taint {
     threads: BTreeSet<ThreadId>,
     aliases: BTreeSet<ResourceId>,
@@ -77,24 +77,24 @@ fn is_alias(r: &ResourceId) -> bool {
 }
 
 impl Taint {
-    fn absorb(&mut self, e: &RolEntry, edges: &impl Provenance) {
+    fn absorb<R: Provenance>(&mut self, e: &RolEntry<R>) {
         self.threads.insert(e.thread());
         self.aliases.extend(e.resources.iter().copied().filter(is_alias));
-        self.dependents.extend(edges.dependents(e.id()));
-        self.gens.extend(edges.arrived(e.id()));
+        self.dependents.extend(e.rec.dependents());
+        self.gens.extend(e.rec.arrived());
     }
 
-    fn reaches(&self, e: &RolEntry, edges: &impl Provenance) -> bool {
+    fn reaches<R: Provenance>(&self, e: &RolEntry<R>) -> bool {
         self.threads.contains(&e.thread())
             || e.resources.iter().any(|r| is_alias(r) && self.aliases.contains(r))
             || self.dependents.contains(&e.id())
-            || edges.resumed(e.id()).is_some_and(|g| self.gens.contains(&g))
+            || e.rec.resumed().is_some_and(|g| self.gens.contains(&g))
     }
 }
 
 /// Computes, oldest first, the sub-threads that must squash when `culprit`
-/// excepts, under the given policy and the engine's `edges`. The culprit
-/// itself is always the first member.
+/// excepts, under the given policy and the edges the entries' records
+/// state. The culprit itself is always the first member.
 ///
 /// Only sub-threads *younger* than the culprit are considered: the
 /// deterministic total order guarantees younger computations cannot corrupt
@@ -105,7 +105,7 @@ impl Taint {
 ///
 /// # Examples
 /// ```
-/// use gprs_core::deps::{affected_set, DependencePolicy, NoProvenance};
+/// use gprs_core::deps::{affected_set, DependencePolicy};
 /// use gprs_core::rol::ReorderList;
 /// use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 /// use gprs_core::ids::*;
@@ -116,36 +116,30 @@ impl Taint {
 /// rol.insert(lock(0, 0, 1))?; // culprit: TH0 under L1
 /// rol.insert(lock(1, 1, 1))?; // TH1 under L1 — dependent
 /// rol.insert(lock(2, 2, 9))?; // TH2 under L9 — unaffected
-/// let set = affected_set(&rol, SubThreadId::new(0), DependencePolicy::Transitive, &NoProvenance)?;
+/// let set = affected_set(&rol, SubThreadId::new(0), DependencePolicy::Transitive)?;
 /// assert_eq!(set, [SubThreadId::new(0), SubThreadId::new(1)]);
 /// # Ok::<(), gprs_core::error::GprsError>(())
 /// ```
-pub fn affected_set(
-    rol: &ReorderList,
+pub fn affected_set<R: Provenance>(
+    rol: &ReorderList<R>,
     culprit: SubThreadId,
     policy: DependencePolicy,
-    edges: &impl Provenance,
 ) -> Result<Vec<SubThreadId>> {
     let culprit_entry = rol
         .get(culprit)
         .ok_or(GprsError::UnknownSubThread(culprit))?;
-    let mut taint = Taint {
-        threads: BTreeSet::new(),
-        aliases: BTreeSet::new(),
-        dependents: BTreeSet::new(),
-        gens: BTreeSet::new(),
-    };
-    taint.absorb(culprit_entry, edges);
+    let mut taint = Taint::default();
+    taint.absorb(culprit_entry);
     let mut affected = vec![culprit];
 
     // One ascending pass suffices even for the transitive policy: taint only
     // ever propagates from older to younger sub-threads, so by the time we
     // examine an entry every possible source of its taint has been seen.
     for e in rol.iter_younger(culprit) {
-        if taint.reaches(e, edges) {
+        if taint.reaches(e) {
             affected.push(e.id());
             if policy == DependencePolicy::Transitive {
-                taint.absorb(e, edges);
+                taint.absorb(e);
             }
         }
     }
@@ -157,7 +151,6 @@ mod tests {
     use super::*;
     use crate::ids::{ChannelId, GroupId, LockId};
     use crate::subthread::{SubThread, SubThreadKind, SyncOp};
-    use std::collections::BTreeMap;
 
     fn entry(id: u64, th: u32, op: Option<SyncOp>) -> SubThread {
         SubThread::new(
@@ -181,25 +174,29 @@ mod tests {
         set.iter().map(|s| s.raw()).collect()
     }
     fn plain(rol: &ReorderList, culprit: u64, policy: DependencePolicy) -> Vec<u64> {
-        ids(&affected_set(rol, SubThreadId::new(culprit), policy, &NoProvenance).unwrap())
+        ids(&affected_set(rol, SubThreadId::new(culprit), policy).unwrap())
     }
 
-    /// Item provenance as an engine would track it: producer -> consumers.
+    /// A record stating engine-observed edges, as an engine's would.
     #[derive(Default)]
-    struct Items(BTreeMap<SubThreadId, Vec<SubThreadId>>);
-    impl Items {
-        fn consumed(mut self, producer: u64, consumer: u64) -> Self {
-            self.0
-                .entry(SubThreadId::new(producer))
-                .or_default()
-                .push(SubThreadId::new(consumer));
-            self
+    struct Edges {
+        dependents: Vec<SubThreadId>,
+        arrived: Option<(BarrierId, u64)>,
+        resumed: Option<(BarrierId, u64)>,
+    }
+    impl Provenance for Edges {
+        fn dependents(&self) -> &[SubThreadId] {
+            &self.dependents
+        }
+        fn arrived(&self) -> Option<(BarrierId, u64)> {
+            self.arrived
+        }
+        fn resumed(&self) -> Option<(BarrierId, u64)> {
+            self.resumed
         }
     }
-    impl Provenance for Items {
-        fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
-            self.0.get(&producer).map_or(&[], Vec::as_slice)
-        }
+    fn edges(rol: &mut ReorderList<Edges>, id: u64) -> &mut Edges {
+        rol.rec_mut(SubThreadId::new(id)).expect("in flight")
     }
 
     #[test]
@@ -235,24 +232,26 @@ mod tests {
     /// TH2 pops that one. This test used to assert the channel-as-alias
     /// behaviour — sharing `CH1`/`CH2` alone tainted the poppers — which
     /// PR 18 removed when the engines' closure became this one: a channel
-    /// id taints nobody, the *item* edges the engine supplies do.
+    /// id taints nobody, the *item* edges the producers' records state do.
     #[test]
     fn transitive_chases_two_hop_flows() {
-        let mut rol = ReorderList::new();
-        rol.insert(entry(0, 0, chan_push(1))).unwrap();
-        rol.insert(entry(1, 1, chan_pop(1))).unwrap();
+        let mut rol = ReorderList::default();
+        rol.insert_with(entry(0, 0, chan_push(1)), Edges::default()).unwrap();
+        rol.insert_with(entry(1, 1, chan_pop(1)), Edges::default()).unwrap();
         rol.add_resource(SubThreadId::new(1), ChannelId::new(2).into())
             .unwrap();
-        rol.insert(entry(2, 2, chan_pop(2))).unwrap();
+        rol.insert_with(entry(2, 2, chan_pop(2)), Edges::default()).unwrap();
+        let culprit = SubThreadId::new(0);
         for policy in [DependencePolicy::Direct, DependencePolicy::Transitive] {
-            assert_eq!(plain(&rol, 0, policy), [0], "channel ids are not aliases");
+            let set = affected_set(&rol, culprit, policy).unwrap();
+            assert_eq!(ids(&set), [0], "channel ids are not aliases");
         }
 
-        let items = Items::default().consumed(0, 1).consumed(1, 2);
-        let culprit = SubThreadId::new(0);
-        let direct = affected_set(&rol, culprit, DependencePolicy::Direct, &items).unwrap();
+        edges(&mut rol, 0).dependents.push(SubThreadId::new(1));
+        edges(&mut rol, 1).dependents.push(SubThreadId::new(2));
+        let direct = affected_set(&rol, culprit, DependencePolicy::Direct).unwrap();
         assert_eq!(ids(&direct), [0, 1]);
-        let trans = affected_set(&rol, culprit, DependencePolicy::Transitive, &items).unwrap();
+        let trans = affected_set(&rol, culprit, DependencePolicy::Transitive).unwrap();
         assert_eq!(ids(&trans), [0, 1, 2]);
     }
 
@@ -260,25 +259,14 @@ mod tests {
     /// and only of its generation.
     #[test]
     fn barrier_generations_carry_taint() {
-        struct Gens;
-        impl Provenance for Gens {
-            fn arrived(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
-                (id.raw() == 0).then_some((BarrierId::new(7), 1))
-            }
-            fn resumed(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
-                match id.raw() {
-                    1 => Some((BarrierId::new(7), 1)),
-                    2 => Some((BarrierId::new(7), 2)),
-                    _ => None,
-                }
-            }
-        }
-        let mut rol = ReorderList::new();
+        let mut rol = ReorderList::default();
         for i in 0..3 {
-            rol.insert(entry(i, i as u32, None)).unwrap();
+            rol.insert_with(entry(i, i as u32, None), Edges::default()).unwrap();
         }
-        let set =
-            affected_set(&rol, SubThreadId::new(0), DependencePolicy::Transitive, &Gens).unwrap();
+        edges(&mut rol, 0).arrived = Some((BarrierId::new(7), 1));
+        edges(&mut rol, 1).resumed = Some((BarrierId::new(7), 1));
+        edges(&mut rol, 2).resumed = Some((BarrierId::new(7), 2));
+        let set = affected_set(&rol, SubThreadId::new(0), DependencePolicy::Transitive).unwrap();
         assert_eq!(ids(&set), [0, 1]);
     }
 
@@ -299,7 +287,7 @@ mod tests {
     fn unknown_culprit_errors() {
         let rol = ReorderList::new();
         assert_eq!(
-            affected_set(&rol, SubThreadId::new(4), DependencePolicy::Direct, &NoProvenance),
+            affected_set(&rol, SubThreadId::new(4), DependencePolicy::Direct),
             Err(GprsError::UnknownSubThread(SubThreadId::new(4)))
         );
     }

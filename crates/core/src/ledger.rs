@@ -58,8 +58,9 @@ pub enum Checkpointed {
     Bytes(u64),
 }
 
-/// What the engine knows about a retiring sub-thread that its reorder-list
-/// entry does not carry — the race detector's input. Engines build it only
+/// The race detector's input about a retiring sub-thread beyond the
+/// entry's sequence fields and aliases — read by the engine off its own
+/// record, whose shape the ledger does not know. Engines build it only
 /// while [`RunLedger::racecheck`] is on.
 #[derive(Debug, Clone, Copy)]
 pub struct RetireFacts<'a> {
@@ -362,10 +363,10 @@ impl RunLedger {
     /// detector (pass `None` while it is off).
     #[inline]
     #[must_use]
-    pub fn retired(
+    pub fn retired<R>(
         &mut self,
         ring: usize,
-        entry: &RolEntry,
+        entry: &RolEntry<R>,
         facts: Option<RetireFacts<'_>>,
     ) -> Poison {
         let (id, thread, kind) = (entry.id(), entry.thread(), entry.descriptor.kind.tag());
@@ -388,7 +389,7 @@ impl RunLedger {
     }
 
     /// Feeds retiring `entry` to the race detector and traces what it finds.
-    fn detect(&mut self, ring: usize, entry: &RolEntry, facts: RetireFacts<'_>) {
+    fn detect<R>(&mut self, ring: usize, entry: &RolEntry<R>, facts: RetireFacts<'_>) {
         let Some(det) = self.race.as_mut() else { return };
         let sync_resources: Vec<ResourceId> = entry
             .resources

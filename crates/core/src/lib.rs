@@ -94,7 +94,7 @@ pub mod workload;
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
     pub use crate::chaos::{ChaosCursor, ChaosEvent, ChaosPlan, ChaosTrigger, VictimSelector};
-    pub use crate::deps::{affected_set, DependencePolicy, NoProvenance, Provenance};
+    pub use crate::deps::{affected_set, DependencePolicy, Provenance};
     pub use crate::error::{GprsError, Result};
     pub use crate::exception::{
         Exception, ExceptionInjector, ExceptionKind, ExceptionScope, InjectorConfig,

@@ -21,7 +21,7 @@
 //!   instruction; otherwise only *sub-thread-precise* restart is possible
 //!   and the culprit re-executes from its checkpoint.
 
-use crate::deps::{affected_set, DependencePolicy, NoProvenance, Provenance};
+use crate::deps::{affected_set, DependencePolicy, Provenance};
 use crate::error::{GprsError, Result};
 use crate::ids::{SubThreadId, ThreadId};
 use crate::rol::{ReorderList, SubThreadStatus};
@@ -119,17 +119,16 @@ pub struct SquashScope {
 }
 
 /// Applies `mode` to the excepting `culprit`: the basic younger suffix, the
-/// whole list, or the dependence closure over the engine's `edges` —
-/// escalated to the basic suffix when `racy` says the culprit's thread
-/// raced.
+/// whole list, or the dependence closure over the edges the entries'
+/// records state — escalated to the basic suffix when `racy` says the
+/// culprit's thread raced.
 ///
 /// # Errors
 /// [`GprsError::UnknownSubThread`] — the culprit is not in the ROL.
-pub fn squash_scope(
-    rol: &ReorderList,
+pub fn squash_scope<R: Provenance>(
+    rol: &ReorderList<R>,
     culprit: SubThreadId,
     mode: RecoveryMode,
-    edges: &impl Provenance,
     racy: impl FnOnce(ThreadId) -> bool,
 ) -> Result<SquashScope> {
     let entry = rol
@@ -139,7 +138,7 @@ pub fn squash_scope(
     let escalated = Some(entry.thread()).filter(|&t| selective && racy(t));
     let ids = match mode {
         RecoveryMode::Selective(policy) if escalated.is_none() => {
-            affected_set(rol, culprit, policy, edges)?
+            affected_set(rol, culprit, policy)?
         }
         RecoveryMode::DiscardAll => rol.iter().map(|e| e.id()).collect(),
         _ => std::iter::once(culprit)
@@ -150,8 +149,8 @@ pub fn squash_scope(
 }
 
 /// Computes a recovery plan for an excepted sub-thread from the reorder
-/// list alone — [`squash_scope`] with no engine-observed edges and no race
-/// detector.
+/// list alone — [`squash_scope`] over the edges its records state, with no
+/// race detector.
 ///
 /// # Errors
 ///
@@ -180,8 +179,8 @@ pub fn squash_scope(
 /// assert_eq!(plan.unaffected, 1); // ST0 keeps running
 /// # Ok::<(), gprs_core::error::GprsError>(())
 /// ```
-pub fn plan_recovery(
-    rol: &ReorderList,
+pub fn plan_recovery<R: Provenance>(
+    rol: &ReorderList<R>,
     culprit: SubThreadId,
     mode: RecoveryMode,
     precision: Precision,
@@ -193,7 +192,7 @@ pub fn plan_recovery(
         return Err(GprsError::NotExcepted(culprit));
     }
 
-    let mut restart = squash_scope(rol, culprit, mode, &NoProvenance, |_| false)?.ids;
+    let mut restart = squash_scope(rol, culprit, mode, |_| false)?.ids;
     let resume_culprit = precision == Precision::Instruction && mode != RecoveryMode::DiscardAll;
     if resume_culprit {
         restart.retain(|&id| id != culprit);

@@ -6,10 +6,17 @@
 //! completed exception-free — at that point its checkpointed state and WAL
 //! records can be pruned, bounding recovery-state size. The REX monitors the
 //! ROL to detect excepted entries and to compute recovery plans.
+//!
+//! Like a reorder-buffer slot, an entry also carries what retiring or
+//! squashing its sub-thread needs: the engine's own per-sub-thread record
+//! `R` (`()` when the engine keeps nothing). Retirement commits what the
+//! retiring entry carries and a squash drops what the squashed entries
+//! carry, so no side table keyed by sub-thread id has to be searched or
+//! cleaned.
 
 use crate::error::{GprsError, Result};
 use crate::exception::Exception;
-use crate::ids::{LockId, Lsn, ResourceId, SubThreadId, ThreadId};
+use crate::ids::{LockId, ResourceId, SubThreadId, ThreadId};
 use crate::subthread::SubThread;
 use std::collections::VecDeque;
 use std::fmt;
@@ -137,9 +144,10 @@ impl<'a> IntoIterator for &'a ResourceSet {
     }
 }
 
-/// One reorder-list entry.
+/// One reorder-list entry, carrying the engine's record `R` for its
+/// sub-thread.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RolEntry {
+pub struct RolEntry<R = ()> {
     /// The sub-thread this entry tracks.
     pub descriptor: SubThread,
     /// Current status.
@@ -149,12 +157,13 @@ pub struct RolEntry {
     pub resources: ResourceSet,
     /// The exception attributed to this sub-thread, if any.
     pub exception: Option<Exception>,
-    /// First WAL record written on behalf of this sub-thread, for pruning.
-    pub wal_start: Option<Lsn>,
+    /// What the engine keeps for this sub-thread until it retires or is
+    /// squashed.
+    pub rec: R,
 }
 
-impl RolEntry {
-    fn new(descriptor: SubThread) -> Self {
+impl<R> RolEntry<R> {
+    fn new(descriptor: SubThread, rec: R) -> Self {
         let mut resources = ResourceSet::new();
         if let Some(r) = descriptor.opening_op.and_then(|op| op.resource()) {
             resources.insert(r);
@@ -164,7 +173,7 @@ impl RolEntry {
             status: SubThreadStatus::InFlight,
             resources,
             exception: None,
-            wal_start: None,
+            rec,
         }
     }
 
@@ -196,15 +205,26 @@ impl RolEntry {
 /// assert!(rol.is_empty());
 /// # Ok::<(), gprs_core::error::GprsError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReorderList {
-    entries: VecDeque<RolEntry>,
+#[derive(Debug, Clone)]
+pub struct ReorderList<R = ()> {
+    entries: VecDeque<RolEntry<R>>,
     retired: u64,
     peak_occupancy: usize,
 }
 
+impl<R> Default for ReorderList<R> {
+    fn default() -> Self {
+        ReorderList {
+            entries: VecDeque::new(),
+            retired: 0,
+            peak_occupancy: 0,
+        }
+    }
+}
+
 impl ReorderList {
-    /// Creates an empty reorder list.
+    /// Creates an empty reorder list whose entries carry no engine record
+    /// (an engine that keeps one starts from [`ReorderList::default`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -212,10 +232,20 @@ impl ReorderList {
     /// Inserts a newly ordered sub-thread at the tail.
     ///
     /// # Errors
+    /// See [`ReorderList::insert_with`].
+    pub fn insert(&mut self, descriptor: SubThread) -> Result<()> {
+        self.insert_with(descriptor, ())
+    }
+}
+
+impl<R> ReorderList<R> {
+    /// Inserts a newly ordered sub-thread at the tail, carrying `rec`.
+    ///
+    /// # Errors
     /// Returns [`GprsError::OutOfOrderInsert`] if `descriptor.id` is not
     /// strictly greater than every id already present — the order enforcer
     /// must hand sub-threads over in total order.
-    pub fn insert(&mut self, descriptor: SubThread) -> Result<()> {
+    pub fn insert_with(&mut self, descriptor: SubThread, rec: R) -> Result<()> {
         if let Some(last) = self.entries.back() {
             if descriptor.id <= last.id() {
                 return Err(GprsError::OutOfOrderInsert {
@@ -224,7 +254,7 @@ impl ReorderList {
                 });
             }
         }
-        self.entries.push_back(RolEntry::new(descriptor));
+        self.entries.push_back(RolEntry::new(descriptor, rec));
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         Ok(())
     }
@@ -237,11 +267,16 @@ impl ReorderList {
     }
 
     /// Immutable access to an entry.
-    pub fn get(&self, id: SubThreadId) -> Option<&RolEntry> {
+    pub fn get(&self, id: SubThreadId) -> Option<&RolEntry<R>> {
         self.index_of(id).map(|ix| &self.entries[ix])
     }
 
-    fn get_mut(&mut self, id: SubThreadId) -> Result<&mut RolEntry> {
+    /// The record of in-flight sub-thread `id`, if it is still in the list.
+    pub fn rec_mut(&mut self, id: SubThreadId) -> Option<&mut R> {
+        self.index_of(id).map(|ix| &mut self.entries[ix].rec)
+    }
+
+    fn get_mut(&mut self, id: SubThreadId) -> Result<&mut RolEntry<R>> {
         let ix = self
             .index_of(id)
             .ok_or(GprsError::UnknownSubThread(id))?;
@@ -255,18 +290,6 @@ impl ReorderList {
     /// Returns [`GprsError::UnknownSubThread`] for retired or unknown ids.
     pub fn add_resource(&mut self, id: SubThreadId, resource: ResourceId) -> Result<()> {
         self.get_mut(id)?.resources.insert(resource);
-        Ok(())
-    }
-
-    /// Records the first WAL record written for this sub-thread.
-    ///
-    /// # Errors
-    /// Returns [`GprsError::UnknownSubThread`] for retired or unknown ids.
-    pub fn set_wal_start(&mut self, id: SubThreadId, lsn: Lsn) -> Result<()> {
-        let e = self.get_mut(id)?;
-        if e.wal_start.is_none() {
-            e.wal_start = Some(lsn);
-        }
         Ok(())
     }
 
@@ -295,7 +318,8 @@ impl ReorderList {
     }
 
     /// Marks a sub-thread squashed by a recovery plan; its accumulated
-    /// dependence aliases and exception are cleared for re-execution.
+    /// dependence aliases and exception are cleared for re-execution (its
+    /// record stays until the entry leaves the list).
     ///
     /// # Errors
     /// Returns [`GprsError::UnknownSubThread`] for retired or unknown ids.
@@ -311,12 +335,12 @@ impl ReorderList {
     }
 
     /// The oldest in-flight sub-thread (the ROL head).
-    pub fn head(&self) -> Option<&RolEntry> {
+    pub fn head(&self) -> Option<&RolEntry<R>> {
         self.entries.front()
     }
 
     /// The newest ordered sub-thread.
-    pub fn tail(&self) -> Option<&RolEntry> {
+    pub fn tail(&self) -> Option<&RolEntry<R>> {
         self.entries.back()
     }
 
@@ -326,7 +350,7 @@ impl ReorderList {
     /// Returns [`GprsError::RetireIncomplete`] if the head exists but has not
     /// completed, and [`GprsError::UnknownSubThread`] with a zero id if the
     /// list is empty.
-    pub fn retire_head(&mut self) -> Result<RolEntry> {
+    pub fn retire_head(&mut self) -> Result<RolEntry<R>> {
         match self.entries.front() {
             None => Err(GprsError::UnknownSubThread(SubThreadId::new(0))),
             Some(head) if head.status == SubThreadStatus::Completed => {
@@ -339,7 +363,7 @@ impl ReorderList {
 
     /// Retires every completed sub-thread reachable from the head — the
     /// REX's continuous ROL-head monitoring loop.
-    pub fn retire_ready(&mut self) -> Vec<RolEntry> {
+    pub fn retire_ready(&mut self) -> Vec<RolEntry<R>> {
         let mut out = Vec::new();
         self.retire_ready_into(&mut out);
         out
@@ -348,7 +372,7 @@ impl ReorderList {
     /// Like [`ReorderList::retire_ready`], but appends into a
     /// caller-provided buffer so a hot retirement path can reuse one
     /// allocation across batches.
-    pub fn retire_ready_into(&mut self, out: &mut Vec<RolEntry>) {
+    pub fn retire_ready_into(&mut self, out: &mut Vec<RolEntry<R>>) {
         while matches!(
             self.entries.front(),
             Some(e) if e.status == SubThreadStatus::Completed
@@ -359,12 +383,12 @@ impl ReorderList {
     }
 
     /// Iterates over all in-flight entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &RolEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &RolEntry<R>> {
         self.entries.iter()
     }
 
     /// Iterates over entries strictly younger than `id`, oldest first.
-    pub fn iter_younger(&self, id: SubThreadId) -> impl Iterator<Item = &RolEntry> {
+    pub fn iter_younger(&self, id: SubThreadId) -> impl Iterator<Item = &RolEntry<R>> {
         self.entries.iter().filter(move |e| e.id() > id)
     }
 
@@ -372,13 +396,14 @@ impl ReorderList {
     ///
     /// Used by runtimes that re-execute squashed sub-threads as fresh
     /// entries (with new sequence numbers) instead of reusing the old ones:
-    /// the stale entry must not block retirement of older sub-threads.
+    /// the stale entry must not block retirement of older sub-threads. The
+    /// entry comes back with its record.
     ///
     /// # Errors
     /// Returns [`GprsError::UnknownSubThread`] if absent, or
     /// [`GprsError::RetireIncomplete`] if the entry is not squashed (only
     /// squashed entries may leave the list out of order).
-    pub fn remove_squashed(&mut self, id: SubThreadId) -> Result<RolEntry> {
+    pub fn remove_squashed(&mut self, id: SubThreadId) -> Result<RolEntry<R>> {
         let ix = self
             .index_of(id)
             .ok_or(GprsError::UnknownSubThread(id))?;
@@ -560,13 +585,24 @@ mod tests {
         assert!(rol.retire_head().is_err());
     }
 
+    /// An engine's record leaves with its entry — retired or squashed —
+    /// and outlives neither.
     #[test]
-    fn wal_start_is_sticky() {
-        let mut rol = ReorderList::new();
-        rol.insert(st(0, 0)).unwrap();
-        rol.set_wal_start(SubThreadId::new(0), Lsn::new(5)).unwrap();
-        rol.set_wal_start(SubThreadId::new(0), Lsn::new(9)).unwrap();
-        assert_eq!(rol.get(SubThreadId::new(0)).unwrap().wal_start, Some(Lsn::new(5)));
+    fn records_ride_their_entries() {
+        let mut rol: ReorderList<Vec<u64>> = ReorderList::default();
+        for i in 0..3 {
+            rol.insert_with(st(i, 0), vec![i]).unwrap();
+        }
+        rol.rec_mut(SubThreadId::new(1)).unwrap().push(10);
+        rol.mark_squashed(SubThreadId::new(1)).unwrap();
+        assert_eq!(rol.get(SubThreadId::new(1)).unwrap().rec, [1, 10], "a squash mark keeps it");
+        assert_eq!(rol.remove_squashed(SubThreadId::new(1)).unwrap().rec, [1, 10]);
+        assert!(rol.rec_mut(SubThreadId::new(1)).is_none());
+        rol.mark_completed(SubThreadId::new(0)).unwrap();
+        rol.mark_completed(SubThreadId::new(2)).unwrap();
+        let recs: Vec<Vec<u64>> = rol.retire_ready().into_iter().map(|e| e.rec).collect();
+        assert_eq!(recs, [vec![0], vec![2]]);
+        assert!(rol.is_empty());
     }
 
     #[test]

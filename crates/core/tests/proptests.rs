@@ -186,8 +186,8 @@ proptest! {
         ).unwrap();
 
         let culprit_id = SubThreadId::new(culprit);
-        let direct = affected_set(&rol, culprit_id, DependencePolicy::Direct, &NoProvenance).unwrap();
-        let trans = affected_set(&rol, culprit_id, DependencePolicy::Transitive, &NoProvenance).unwrap();
+        let direct = affected_set(&rol, culprit_id, DependencePolicy::Direct).unwrap();
+        let trans = affected_set(&rol, culprit_id, DependencePolicy::Transitive).unwrap();
         prop_assert!(direct.iter().all(|d| trans.contains(d)));
         prop_assert_eq!(direct[0], culprit_id);
         // Oldest first, and nothing older than the culprit is ever affected.
@@ -236,39 +236,40 @@ proptest! {
                     }
                 }
             }
-            let got = affected_set(&rol, SubThreadId::new(culprit), policy, &NoProvenance).unwrap();
+            let got = affected_set(&rol, SubThreadId::new(culprit), policy).unwrap();
             prop_assert_eq!(got.iter().map(|s| s.raw()).collect::<Vec<_>>(), expect);
         }
     }
 
-    /// Whatever edges the engine supplies, the closure stays between
-    /// `{culprit}` and the basic suffix, and adding an edge never shrinks it.
+    /// Whatever edges the producers' records state, the closure stays
+    /// between `{culprit}` and the basic suffix, and adding an edge never
+    /// shrinks it.
     #[test]
     fn provenance_edges_only_grow_the_closure(
         n in 2u64..20, culprit_ix in 0u64..20,
         locks in vec(0u64..6, 20), threads in vec(0u32..8, 20),
         edges in vec((0u64..20, 0u64..20), 0..12),
     ) {
-        struct Edges(std::collections::BTreeMap<SubThreadId, Vec<SubThreadId>>);
-        impl Provenance for Edges {
-            fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
-                self.0.get(&producer).map_or(&[], Vec::as_slice)
+        struct Consumers(Vec<SubThreadId>);
+        impl Provenance for Consumers {
+            fn dependents(&self) -> &[SubThreadId] {
+                &self.0
             }
         }
         let culprit = SubThreadId::new(culprit_ix % n);
-        let mut rol = ReorderList::new();
+        let mut rol = ReorderList::default();
         for i in 0..n {
-            rol.insert(make_subthread(i, threads[i as usize], locks[i as usize])).unwrap();
+            let st = make_subthread(i, threads[i as usize], locks[i as usize]);
+            rol.insert_with(st, Consumers(Vec::new())).unwrap();
         }
         let suffix: Vec<SubThreadId> = std::iter::once(culprit)
             .chain(rol.iter_younger(culprit).map(|e| e.id()))
             .collect();
-        let mut so_far = Edges(Default::default());
-        let mut prev = affected_set(&rol, culprit, DependencePolicy::Transitive, &so_far).unwrap();
+        let mut prev = affected_set(&rol, culprit, DependencePolicy::Transitive).unwrap();
         // Producer -> younger consumer, as an engine records them.
         for (a, b) in edges.into_iter().map(|(a, b)| (a.min(b) % n, a.max(b) % n)) {
-            so_far.0.entry(SubThreadId::new(a)).or_default().push(SubThreadId::new(b));
-            let next = affected_set(&rol, culprit, DependencePolicy::Transitive, &so_far).unwrap();
+            rol.rec_mut(SubThreadId::new(a)).unwrap().0.push(SubThreadId::new(b));
+            let next = affected_set(&rol, culprit, DependencePolicy::Transitive).unwrap();
             prop_assert_eq!(next[0], culprit);
             prop_assert!(next.iter().all(|id| suffix.contains(id)));
             prop_assert!(prev.iter().all(|id| next.contains(id)), "an edge shrank the closure");

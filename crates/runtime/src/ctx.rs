@@ -328,7 +328,7 @@ impl StepCtx<'_> {
                 let mut g = shared.inner.lock();
                 let id = g.next_block;
                 g.next_block += 1;
-                g.wal.append(self.stid, RtOp::Alloc { block: id });
+                g.wal_append(self.worker, self.stid, RtOp::Alloc { block: id });
                 g.blocks.insert(id, vec![0; size]);
                 g.stats.allocs += 1;
                 BlockHandle(id)
@@ -350,10 +350,7 @@ impl StepCtx<'_> {
                     .blocks
                     .remove(&block.0)
                     .expect("double free of pool block");
-                g.wal.append(self.stid, RtOp::Free {
-                    block: block.0,
-                    data,
-                });
+                g.wal_append(self.worker, self.stid, RtOp::Free { block: block.0, data });
             }
             CtxBackend::Cpr(shared) => shared.free(block.0),
         }
@@ -368,11 +365,7 @@ impl StepCtx<'_> {
         match &self.backend {
             CtxBackend::Gprs(shared) => {
                 let mut g = shared.inner.lock();
-                let snap = g.blocks.get(&block.0).expect("block freed").clone();
-                g.hist.seq += 1;
-                let seq = g.hist.seq;
-                g.hist.block_snaps.push((seq, self.stid, block.0, snap));
-                f(g.blocks.get_mut(&block.0).expect("block freed"))
+                f(g.block_for_write(self.stid, block.0).expect("block freed"))
             }
             CtxBackend::Cpr(shared) => shared.with_block(block.0, f),
         }

@@ -18,6 +18,7 @@ use crate::ops::RtOp;
 use crate::program::{DynThread, Payload, SpawnSpec, Step};
 use crate::report::RunStats;
 use gprs_core::chaos::{ChaosCursor, ChaosEvent, VictimSelector};
+use gprs_core::deps::Provenance;
 use gprs_core::exception::{Exception, ExceptionKind, ExceptionScope};
 use gprs_core::ids::{
     AtomicId, BarrierId, ChannelId, ContextId, GroupId, LockId, ResourceId, SubThreadId, ThreadId,
@@ -134,6 +135,7 @@ impl std::fmt::Debug for PendingWant {
 }
 
 /// Reinstatable description of what opened a sub-thread (for squash/redo).
+#[derive(Debug)]
 pub(crate) enum OpeningWant {
     Start,
     Lock(LockId),
@@ -150,28 +152,90 @@ pub(crate) enum OpeningWant {
     SerializedRun,
 }
 
-impl std::fmt::Debug for OpeningWant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpeningWant::Start => write!(f, "Start"),
-            OpeningWant::Lock(l) => write!(f, "Lock({l})"),
-            OpeningWant::Push(c, _) => write!(f, "Push({c})"),
-            OpeningWant::Pop(c) => write!(f, "Pop({c})"),
-            OpeningWant::FetchAdd(a, d) => write!(f, "FetchAdd({a}, {d})"),
-            OpeningWant::SpawnParent { child, .. } => write!(f, "SpawnParent({child})"),
-            OpeningWant::JoinParent(t) => write!(f, "JoinParent({t})"),
-            OpeningWant::Resume(b, g) => write!(f, "Resume({b}, gen {g})"),
-            OpeningWant::SerializedRun => write!(f, "SerializedRun"),
+/// What an in-flight sub-thread carries in its reorder-list entry: every
+/// fact retiring or squashing it needs (DESIGN §5e, "What an in-flight
+/// sub-thread carries"). Retirement commits it, a squash drops it with the
+/// entry, and nothing else is keyed by the sub-thread's id.
+#[derive(Debug)]
+pub(crate) struct StRec {
+    /// The request that opened it, re-armed when it is its thread's oldest
+    /// squashed sub-thread.
+    pub want: OpeningWant,
+    /// The sub-thread that preceded it in its thread (the thread's
+    /// `current_st` once a squash re-arms `want`).
+    pub prev: Option<SubThreadId>,
+    /// Younger sub-threads that consumed what it produced: popped an item
+    /// it pushed, started as the child it spawned, joined the thread it
+    /// ended.
+    pub dependents: Vec<SubThreadId>,
+    /// The barrier generation whose release its closing arrival fed, set
+    /// at the release (a re-release after recovery undid one overwrites it).
+    pub released: Option<(BarrierId, u64)>,
+    /// The barrier generation its closing arrival forms, set at the arrival
+    /// grant: the race detector's close clock and, on a cross-domain
+    /// barrier, the arrival published to the hub when it retires.
+    pub arrival: Option<(BarrierId, u64)>,
+    /// The sub-thread that pushed the item it popped (race detector).
+    pub pop_src: Option<SubThreadId>,
+    /// Plain accesses its body made, in program order (race detector).
+    pub accesses: Vec<(ResourceId, AccessKind)>,
+    /// File writes staged until it retires (`(file, bytes)`, the
+    /// output-commit delay).
+    pub staged: Vec<(u64, Vec<u8>)>,
+}
+
+impl StRec {
+    fn new(want: OpeningWant) -> Self {
+        StRec {
+            want,
+            prev: None,
+            dependents: Vec::new(),
+            released: None,
+            arrival: None,
+            pop_src: None,
+            accesses: Vec::new(),
+            staged: Vec::new(),
+        }
+    }
+
+    /// The happens-before edge its opening want acquires. Retirement runs
+    /// in the deterministic total order, so the race stream is identical
+    /// across runs and worker counts.
+    fn open_edge(&self) -> Option<OpenEdge> {
+        match self.want {
+            OpeningWant::Push(c, _) => Some(OpenEdge::ChanPush(c)),
+            OpeningWant::Pop(chan) => Some(OpenEdge::ChanPop {
+                chan,
+                producer: self.pop_src,
+            }),
+            OpeningWant::Resume(barrier, gen) => Some(OpenEdge::BarrierResume { barrier, gen }),
+            OpeningWant::SpawnParent { child, .. } => Some(OpenEdge::Fork { child }),
+            OpeningWant::JoinParent(child) => Some(OpenEdge::Join { child }),
+            OpeningWant::SerializedRun => Some(OpenEdge::Serialized),
+            // Lock and atomic acquire edges come from the entry's aliases.
+            OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _) | OpeningWant::Start => None,
         }
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct OpeningRec {
-    pub want: OpeningWant,
-    /// The sub-thread that preceded this one in its thread (for provenance
-    /// attribution after reinstatement).
-    pub prev: Option<SubThreadId>,
+/// The edges only this engine observes, for the dependence closure: item
+/// consumers and spawn/join descendants, and barrier generations — an
+/// arrival taints the continuations its release opened.
+impl Provenance for StRec {
+    fn dependents(&self) -> &[SubThreadId] {
+        &self.dependents
+    }
+
+    fn arrived(&self) -> Option<(BarrierId, u64)> {
+        self.released
+    }
+
+    fn resumed(&self) -> Option<(BarrierId, u64)> {
+        match self.want {
+            OpeningWant::Resume(b, gen) => Some((b, gen)),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) struct ThreadRec {
@@ -226,24 +290,18 @@ impl std::fmt::Debug for LockRec {
 #[derive(Debug)]
 pub(crate) struct BarrierRec {
     pub participants: u32,
+    /// Parked participants of the forming generation; each one's
+    /// `current_st` is the sub-thread its arrival ended.
     pub waiting: Vec<ThreadId>,
-    /// Arrival-ending sub-threads of the forming generation.
-    pub arrival_sts: Vec<SubThreadId>,
     pub gen: u64,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct GenRec {
-    pub arrivals: Vec<SubThreadId>,
-    pub resumes: Vec<SubThreadId>,
-}
-
+/// A recoverable output file: what retirement committed. Writes not yet
+/// retired are staged in their sub-thread's [`StRec`].
 #[derive(Debug, Default)]
 pub(crate) struct FileRec {
     pub name: String,
     pub committed: Vec<u8>,
-    /// Writes staged by still-unretired sub-threads (output-commit delay).
-    pub staged: Vec<(SubThreadId, Vec<u8>)>,
 }
 
 /// Snapshot store — the runtime's history buffer. Data-bearing rather than
@@ -351,22 +409,17 @@ pub(crate) struct Inner {
     pub enforcer: OrderEnforcer,
     pub threads: BTreeMap<ThreadId, ThreadRec>,
     pub next_thread: u32,
-    pub rol: ReorderList,
+    pub rol: ReorderList<StRec>,
     pub wal: WriteAheadLog<RtOp>,
     pub hist: HistoryStore,
     pub chans: BTreeMap<ChannelId, ChanRec>,
     pub locks: BTreeMap<LockId, LockRec>,
     pub atomics: BTreeMap<AtomicId, u64>,
     pub barriers: BTreeMap<BarrierId, BarrierRec>,
-    pub gens: BTreeMap<(BarrierId, u64), GenRec>,
-    /// arrival-ending sub-thread -> its barrier generation.
-    pub arrival_gen: BTreeMap<SubThreadId, (BarrierId, u64)>,
     pub files: BTreeMap<u64, FileRec>,
     pub blocks: BTreeMap<u64, Vec<u8>>,
     pub next_block: u64,
-    /// producer/parent sub-thread -> dependent sub-threads.
-    pub edges: BTreeMap<SubThreadId, Vec<SubThreadId>>,
-    pub opening: BTreeMap<SubThreadId, OpeningRec>,
+    /// Sub-threads whose step is executing -> the worker running it.
     pub running: BTreeMap<SubThreadId, usize>,
     pub live: usize,
     pub outputs: BTreeMap<ThreadId, Payload>,
@@ -385,21 +438,11 @@ pub(crate) struct Inner {
     /// recorder / replay verifier, race detector, durable log, telemetry.
     /// Its hooks are called under this lock, which is what serializes them.
     pub ledger: RunLedger,
-    /// Plain accesses recorded by running bodies, per sub-thread in program
-    /// order (consumed by the detector at retirement).
-    pub plain_accesses: BTreeMap<SubThreadId, Vec<(ResourceId, AccessKind)>>,
-    /// Recycled access vectors for `plain_accesses` (bounded pool; its
-    /// misses are what `hot_path_allocs` counts).
+    /// Recycled vectors for [`StRec::accesses`] (bounded pool; its misses
+    /// are what `hot_path_allocs` counts).
     pub access_pool: Vec<Vec<(ResourceId, AccessKind)>>,
     /// Reusable batch buffer for [`Inner::retire_ready`].
-    pub retire_scratch: Vec<RolEntry>,
-    /// Pop sub-thread -> producing (push) sub-thread, for the detector's
-    /// push→pop edge (the opening want does not carry provenance).
-    pub race_pop_src: BTreeMap<SubThreadId, SubThreadId>,
-    /// Arrival-ending sub-thread -> the barrier generation its close clock
-    /// contributes to (recorded at arrival grant; `arrival_gen` is only
-    /// assigned at release, possibly after the ender retired).
-    pub race_arrivals: BTreeMap<SubThreadId, (BarrierId, u64)>,
+    pub retire_scratch: Vec<RolEntry<StRec>>,
     pub poisoned: Option<String>,
     /// Set by [`crate::session::GprsSession::cancel`]: the run was halted
     /// at a quantum boundary rather than completing. Does not fail the
@@ -594,20 +637,16 @@ impl Inner {
             cfg,
             threads: BTreeMap::new(),
             next_thread: 0,
-            rol: ReorderList::new(),
+            rol: ReorderList::default(),
             wal: WriteAheadLog::new(),
             hist: HistoryStore::default(),
             chans: BTreeMap::new(),
             locks: BTreeMap::new(),
             atomics: BTreeMap::new(),
             barriers: BTreeMap::new(),
-            gens: BTreeMap::new(),
-            arrival_gen: BTreeMap::new(),
             files: BTreeMap::new(),
             blocks: BTreeMap::new(),
             next_block: 0,
-            edges: BTreeMap::new(),
-            opening: BTreeMap::new(),
             running: BTreeMap::new(),
             live: 0,
             outputs: BTreeMap::new(),
@@ -619,11 +658,8 @@ impl Inner {
             pass_streak: 0,
             stats: RunStats::default(),
             ledger,
-            plain_accesses: BTreeMap::new(),
             access_pool: Vec::new(),
             retire_scratch: Vec::new(),
-            race_pop_src: BTreeMap::new(),
-            race_arrivals: BTreeMap::new(),
             poisoned: None,
             cancelled_note: None,
             chaos: None,
@@ -905,17 +941,13 @@ impl Inner {
 
     /// Per-entry retirement hook: forwards a retiring cross-edge push onto
     /// its edge queue (retirement is the commit point, so the forward is
-    /// squash-proof) and publishes deferred barrier arrivals. Must run
-    /// *before* the entry's opening record is dropped.
-    pub(crate) fn shard_on_retire(&mut self, id: SubThreadId) {
-        let Some(mut ctx) = self.shard.take() else {
+    /// squash-proof) and publishes a cross-domain barrier arrival the
+    /// retiring sub-thread ended with.
+    pub(crate) fn shard_on_retire(&mut self, id: SubThreadId, rec: &StRec) {
+        let Some(ctx) = self.shard.take() else {
             return;
         };
-        if let Some(OpeningRec {
-            want: OpeningWant::Push(chan, _),
-            ..
-        }) = self.opening.get(&id)
-        {
+        if let OpeningWant::Push(chan, _) = &rec.want {
             if let Some((queue, consumer)) = ctx.out_edges.get(chan) {
                 // Pushes retire in push (sub-thread) order and a producer
                 // domain has no local popper, so the front staged item is
@@ -930,15 +962,13 @@ impl Inner {
                 ctx.hub.wake_domain(*consumer);
             }
         }
-        if let Some(bars) = ctx.edge_arrivals.remove(&id) {
-            for b in bars {
-                if !ctx.hub.arrive(b) {
-                    self.poison(format!(
-                        "sharded retirement published an arrival on barrier \
-                         {b} the hub does not know (divergent replay or \
-                         corrupted shard plan)"
-                    ));
-                }
+        if let Some((b, _)) = rec.arrival.filter(|(b, _)| ctx.edge_barriers.contains(b)) {
+            if !ctx.hub.arrive(b) {
+                self.poison(format!(
+                    "sharded retirement published an arrival on barrier \
+                     {b} the hub does not know (divergent replay or \
+                     corrupted shard plan)"
+                ));
             }
         }
         self.shard = Some(ctx);
@@ -991,10 +1021,10 @@ impl Inner {
     }
 
     /// Retires the maximal run of completed head sub-threads as one batch:
-    /// per-entry dependence metadata and staged file output (the
-    /// output-commit point) are handled entry by entry, but checkpoint and
-    /// WAL pruning run once per batch — a single retain pass per store
-    /// instead of one per retired sub-thread.
+    /// each entry's record is committed entry by entry — race-detector
+    /// facts, staged file output (the output-commit point), cross-domain
+    /// forwards — but checkpoint and WAL pruning run once per batch, a
+    /// single pass per store instead of one per retired sub-thread.
     fn retire_ready(&mut self) {
         let mut entries = std::mem::take(&mut self.retire_scratch);
         entries.clear();
@@ -1003,84 +1033,37 @@ impl Inner {
             // The batch is a contiguous ROL prefix, so its id range stands
             // for it: every other id in the range already left the stores.
             let batch = first.id()..=last.id();
-            for entry in &entries {
-                let id = entry.id();
+            for entry in &mut entries {
                 self.stats.retired += 1;
-                // What the race detector needs beyond the entry itself (the
-                // ledger reads the locks and atomics touched off that).
-                let racecheck = self.ledger.racecheck();
-                let accesses = self.plain_accesses.remove(&id).unwrap_or_default();
-                let facts = racecheck.then(|| RetireFacts {
-                    open: self.open_edge(id),
-                    accesses: &accesses,
-                    arrival: self.race_arrivals.remove(&id),
+                // What the race detector needs beyond the entry's aliases
+                // (the ledger reads the locks and atomics touched off those).
+                let rec = &entry.rec;
+                let facts = self.ledger.racecheck().then(|| RetireFacts {
+                    open: rec.open_edge(),
+                    accesses: &rec.accesses,
+                    arrival: rec.arrival,
                 });
                 let reason = self.ledger.retired(EXTERNAL_RING, entry, facts);
                 self.poison_on(reason);
-                self.recycle_access_vec(accesses);
+                self.recycle_access_vec(std::mem::take(&mut entry.rec.accesses));
                 if self.shard.is_some() {
-                    self.shard_on_retire(id);
+                    self.shard_on_retire(entry.id(), &entry.rec);
                 }
-                self.opening.remove(&id);
-                self.edges.remove(&id);
-                if let Some(gen_key) = self.arrival_gen.remove(&id) {
-                    if let Some(gen) = self.gens.get_mut(&gen_key) {
-                        gen.arrivals.retain(|&a| a != id);
-                        if gen.arrivals.is_empty() {
-                            self.gens.remove(&gen_key);
-                        }
+                for (file, bytes) in &entry.rec.staged {
+                    if let Some(f) = self.files.get_mut(file) {
+                        f.committed.extend_from_slice(bytes);
                     }
-                }
-                for gen in self.gens.values_mut() {
-                    gen.resumes.retain(|&r| r != id);
-                }
-                for file in self.files.values_mut() {
-                    let mut staged = std::mem::take(&mut file.staged);
-                    staged.retain(|(s, bytes)| {
-                        if *s == id {
-                            file.committed.extend_from_slice(bytes);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    file.staged = staged;
                 }
             }
             let pruned = self.wal.prune_retired_batch(batch.clone());
             self.hist.prune_retired_batch(batch, &mut self.threads);
-            let reason = self.ledger.batch_retired(first.id(), entries.len(), pruned);
+            let reason = self.ledger.batch_retired(entries[0].id(), entries.len(), pruned);
             self.poison_on(reason);
         }
         entries.clear();
         self.retire_scratch = entries;
         self.stats.rol_peak = self.stats.rol_peak.max(self.rol.peak_occupancy());
         self.ledger.rol_peak(self.rol.peak_occupancy());
-    }
-
-    /// The happens-before edge the opening want of retiring sub-thread `id`
-    /// acquires. Retirement runs in the deterministic total order, so the
-    /// race stream is identical across runs and worker counts.
-    fn open_edge(&mut self, id: SubThreadId) -> Option<OpenEdge> {
-        match self.opening.get(&id).map(|o| &o.want) {
-            Some(OpeningWant::Push(c, _)) => Some(OpenEdge::ChanPush(*c)),
-            Some(OpeningWant::Pop(c)) => Some(OpenEdge::ChanPop {
-                chan: *c,
-                producer: self.race_pop_src.remove(&id),
-            }),
-            Some(OpeningWant::Resume(b, gen)) => Some(OpenEdge::BarrierResume {
-                barrier: *b,
-                gen: *gen,
-            }),
-            Some(OpeningWant::SpawnParent { child, .. }) => {
-                Some(OpenEdge::Fork { child: *child })
-            }
-            Some(OpeningWant::JoinParent(t)) => Some(OpenEdge::Join { child: *t }),
-            Some(OpeningWant::SerializedRun) => Some(OpenEdge::Serialized),
-            // Lock and atomic acquire edges come from the entry's aliases.
-            Some(OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _) | OpeningWant::Start)
-            | None => None,
-        }
     }
 
     /// Returns a consumed plain-access vector to the bounded pool.
@@ -1094,23 +1077,19 @@ impl Inner {
     /// Records one plain access for the race detector, reusing a pooled
     /// vector when the sub-thread has none yet.
     fn record_plain_access(&mut self, stid: SubThreadId, res: ResourceId, kind: AccessKind) {
-        use std::collections::btree_map::Entry;
-        match self.plain_accesses.entry(stid) {
-            Entry::Occupied(e) => e.into_mut().push((res, kind)),
-            Entry::Vacant(e) => {
-                let v = match self.access_pool.pop() {
-                    Some(v) => v,
-                    None => {
-                        let tel = self.ledger.telemetry();
-                        if tel.enabled() {
-                            tel.metrics.hot_path_allocs.inc_serialized();
-                        }
-                        Vec::new()
-                    }
-                };
-                e.insert(v).push((res, kind));
-            }
+        let Some(rec) = self.rol.rec_mut(stid) else {
+            return;
+        };
+        if rec.accesses.capacity() == 0 {
+            rec.accesses = self.access_pool.pop().unwrap_or_else(|| {
+                let tel = self.ledger.telemetry();
+                if tel.enabled() {
+                    tel.metrics.hot_path_allocs.inc_serialized();
+                }
+                Vec::new()
+            });
         }
+        rec.accesses.push((res, kind));
     }
 
     /// Folds one off-lock captured hand-off into the bookkeeping (see
@@ -1173,10 +1152,11 @@ impl Inner {
         }
     }
 
-    /// Appends a WAL record and tells the ledger.
-    fn wal_append(&mut self, worker: usize, stid: SubThreadId, op: RtOp) {
+    /// Appends a WAL record for `stid` and tells the ledger (`ring` is the
+    /// worker the record's step runs on, or the external ring).
+    pub(crate) fn wal_append(&mut self, ring: usize, stid: SubThreadId, op: RtOp) {
         self.wal.append(stid, op);
-        self.ledger.wal_appended(worker, stid, self.wal.len());
+        self.ledger.wal_appended(ring, stid, self.wal.len());
     }
 
     /// Creates the sub-thread record for a fresh grant. Returns the history
@@ -1191,20 +1171,18 @@ impl Inner {
         thread: ThreadId,
         kind: SubThreadKind,
         opening_op: Option<SyncOp>,
-        want: OpeningWant,
+        mut st: StRec,
         worker: usize,
     ) -> u64 {
         let rec = self.threads.get_mut(&thread).expect("thread exists");
-        let prev = rec.current_st;
+        st.prev = rec.current_st;
+        rec.current_st = Some(stid);
         let group = rec.group;
         self.hist.seq += 1;
         let snap_seq = self.hist.seq;
         self.rol
-            .insert(SubThread::new(stid, thread, group, kind, opening_op))
+            .insert_with(SubThread::new(stid, thread, group, kind, opening_op), st)
             .expect("grants are issued in total order");
-        self.opening.insert(stid, OpeningRec { want, prev });
-        let rec = self.threads.get_mut(&thread).expect("thread exists");
-        rec.current_st = Some(stid);
         self.running.insert(stid, worker);
         self.stats.subthreads += 1;
         // The thread snapshot reserved above is this sub-thread's
@@ -1304,14 +1282,12 @@ impl Inner {
                     holder,
                     SubThreadKind::Initial,
                     None,
-                    OpeningWant::Start,
+                    StRec::new(OpeningWant::Start),
                     worker,
                 );
                 // Dependence on the spawning parent continuation.
                 if let Some(parent) = self.threads[&holder].spawned_by {
-                    if self.rol.contains(parent) {
-                        self.edges.entry(parent).or_default().push(stid);
-                    }
+                    self.add_dependent(parent, stid);
                 }
                 Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
             }
@@ -1322,12 +1298,9 @@ impl Inner {
                     holder,
                     SubThreadKind::BarrierContinuation,
                     Some(SyncOp::BarrierWait(b)),
-                    OpeningWant::Resume(b, gen),
+                    StRec::new(OpeningWant::Resume(b, gen)),
                     worker,
                 );
-                if let Some(g) = self.gens.get_mut(&(b, gen)) {
-                    g.resumes.push(stid);
-                }
                 Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
             }
             PendingWant::SerializedRun => {
@@ -1337,7 +1310,7 @@ impl Inner {
                     holder,
                     SubThreadKind::Serialized,
                     None,
-                    OpeningWant::SerializedRun,
+                    StRec::new(OpeningWant::SerializedRun),
                     worker,
                 );
                 self.exclusive = Some(stid);
@@ -1356,11 +1329,11 @@ impl Inner {
                     holder,
                     SubThreadKind::ForkContinuation,
                     None,
-                    OpeningWant::SpawnParent {
+                    StRec::new(OpeningWant::SpawnParent {
                         child,
                         group,
                         weight,
-                    },
+                    }),
                     worker,
                 );
                 self.threads.insert(
@@ -1419,7 +1392,7 @@ impl Inner {
                     holder,
                     SubThreadKind::CriticalSection,
                     Some(SyncOp::LockAcquire(lock)),
-                    OpeningWant::Lock(lock),
+                    StRec::new(OpeningWant::Lock(lock)),
                     worker,
                 );
                 let mut task = self.make_task(
@@ -1457,7 +1430,7 @@ impl Inner {
                     holder,
                     SubThreadKind::ChannelAccess,
                     Some(SyncOp::ChanPush(chan)),
-                    OpeningWant::Push(chan, value),
+                    StRec::new(OpeningWant::Push(chan, value)),
                     worker,
                 );
                 Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
@@ -1480,19 +1453,17 @@ impl Inner {
                     },
                 );
                 if let Some(p) = producer {
-                    if self.rol.contains(p) {
-                        self.edges.entry(p).or_default().push(stid);
-                    }
-                    if self.ledger.racecheck() {
-                        self.race_pop_src.insert(stid, p);
-                    }
+                    self.add_dependent(p, stid);
                 }
                 let snap_seq = self.open_subthread(
                     stid,
                     holder,
                     SubThreadKind::ChannelAccess,
                     Some(SyncOp::ChanPop(chan)),
-                    OpeningWant::Pop(chan),
+                    StRec {
+                        pop_src: producer,
+                        ..StRec::new(OpeningWant::Pop(chan))
+                    },
                     worker,
                 );
                 Some(self.make_task(holder, stid, snap_seq, Some(item), None, None, None, None))
@@ -1511,7 +1482,7 @@ impl Inner {
                     holder,
                     SubThreadKind::AtomicOp,
                     Some(SyncOp::Atomic(a)),
-                    OpeningWant::FetchAdd(a, delta),
+                    StRec::new(OpeningWant::FetchAdd(a, delta)),
                     worker,
                 );
                 Some(self.make_task(holder, stid, snap_seq, None, Some(old), None, None, None))
@@ -1529,11 +1500,11 @@ impl Inner {
                     holder,
                     SubThreadKind::ForkContinuation,
                     None,
-                    OpeningWant::SpawnParent {
+                    StRec::new(OpeningWant::SpawnParent {
                         child: ThreadId::new(self.next_thread),
                         group,
                         weight,
-                    },
+                    }),
                     worker,
                 );
                 let child = self.add_thread(program, group, weight, Some(stid));
@@ -1545,18 +1516,17 @@ impl Inner {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
                 let target = self.threads.get(&t).expect("join target exists");
                 debug_assert_eq!(target.state, ThState::Done);
-                if let Some(fst) = target.final_st {
-                    if self.rol.contains(fst) {
-                        self.edges.entry(fst).or_default().push(stid);
-                    }
-                }
+                let final_st = target.final_st;
                 let joined = self.outputs.get(&t).cloned();
+                if let Some(fst) = final_st {
+                    self.add_dependent(fst, stid);
+                }
                 let snap_seq = self.open_subthread(
                     stid,
                     holder,
                     SubThreadKind::JoinContinuation,
                     None,
-                    OpeningWant::JoinParent(t),
+                    StRec::new(OpeningWant::JoinParent(t)),
                     worker,
                 );
                 Some(self.make_task(holder, stid, snap_seq, None, None, joined, None, None))
@@ -1583,65 +1553,52 @@ impl Inner {
                 self.enforcer
                     .deregister_thread(holder)
                     .expect("was registered");
-                // A record for an already-retired `prev` would never be
-                // undone (undo filters on in-flight ids) nor pruned
-                // (pruning happened at retirement): skip it.
-                if let Some(prev) = prev_st.filter(|&p| self.rol.contains(p)) {
-                    self.wal_append(
-                        worker,
-                        prev,
-                        RtOp::BarrierArrive { barrier: b, thread: holder },
-                    );
-                }
                 let bar = self.barriers.get_mut(&b).expect("registered barrier");
                 bar.waiting.push(holder);
-                if let Some(prev) = prev_st {
-                    bar.arrival_sts.push(prev);
-                }
                 let forming_gen = bar.gen + 1;
                 let full = bar.waiting.len() as u32 == bar.participants;
-                if self.ledger.racecheck() {
-                    // The arrival-ending sub-thread's close clock belongs to
-                    // the forming generation. If it already retired, its
-                    // thread's clock *is* that close clock — contribute it
-                    // directly (joins commute; continuations of this
-                    // generation retire strictly later, so the contribution
-                    // lands before anyone reads it).
-                    match prev_st.filter(|&p| self.rol.contains(p)) {
-                        Some(prev) => {
-                            self.race_arrivals.insert(prev, (b, forming_gen));
-                        }
-                        None => self.ledger.arrived_after_retire(holder, b, forming_gen),
-                    }
-                }
                 let cross = self
                     .shard
                     .as_ref()
                     .is_some_and(|ctx| ctx.edge_barriers.contains(&b));
-                if cross {
-                    // Cross-domain arrival: published to the hub exactly
-                    // once, at retirement of the arrival-ending sub-thread
-                    // (squashing it removes the deferred entry before the
-                    // hub ever counts it; a retired `prev` can no longer
-                    // squash, so immediate publication is final). The
-                    // local `full` can never fire — participants count the
-                    // *global* membership.
-                    let pending = prev_st.filter(|&p| self.rol.contains(p));
-                    let mut ctx = self.shard.take().expect("sharded");
-                    match pending {
-                        Some(prev) => ctx.edge_arrivals.entry(prev).or_default().push(b),
-                        None => {
-                            if !ctx.hub.arrive(b) {
-                                self.poison(format!(
-                                    "cross-domain arrival on barrier {b} the \
-                                     hub does not know (divergent replay or \
-                                     corrupted shard plan)"
-                                ));
-                            }
+                match prev_st.and_then(|p| self.rol.rec_mut(p).map(|rec| (p, rec))) {
+                    // The in-flight ender carries its arrival: the race
+                    // detector reads the close clock off it at retirement,
+                    // and a cross-domain arrival is published to the hub
+                    // then, exactly once (a squash drops it with the entry
+                    // before the hub ever counts it).
+                    Some((prev, rec)) => {
+                        rec.arrival = Some((b, forming_gen));
+                        self.wal_append(
+                            worker,
+                            prev,
+                            RtOp::BarrierArrive { barrier: b, thread: holder },
+                        );
+                    }
+                    // The ender already retired — no undo record (it could
+                    // never be undone nor pruned). Its thread's clock *is*
+                    // the close clock: contribute it directly (joins
+                    // commute; continuations of this generation retire
+                    // strictly later). A retired ender can no longer
+                    // squash, so publishing a cross-domain arrival now is
+                    // final.
+                    None => {
+                        if self.ledger.racecheck() {
+                            self.ledger.arrived_after_retire(holder, b, forming_gen);
+                        }
+                        if cross && !self.shard.as_ref().expect("sharded").hub.arrive(b) {
+                            self.poison(format!(
+                                "cross-domain arrival on barrier {b} the \
+                                 hub does not know (divergent replay or \
+                                 corrupted shard plan)"
+                            ));
                         }
                     }
-                    self.shard = Some(ctx);
-                } else if full {
+                }
+                // A cross-domain barrier's `full` can never fire locally —
+                // participants count the *global* membership; the hub
+                // releases it.
+                if full && !cross {
                     self.release_barrier(b);
                 }
                 self.bump();
@@ -1674,27 +1631,20 @@ impl Inner {
         }
     }
 
-    /// Releases a barrier: all parked participants become resumable and a
-    /// new generation records the arrival/continuation dependence group.
+    /// Releases a barrier: all parked participants become resumable, and
+    /// each one's arrival-ending sub-thread still in flight learns the
+    /// generation its arrival fed (the continuations' taint source).
     pub(crate) fn release_barrier(&mut self, b: BarrierId) {
         let bar = self.barriers.get_mut(&b).expect("registered barrier");
         bar.gen += 1;
         let gen = bar.gen;
         let mut waiters = std::mem::take(&mut bar.waiting);
-        let arrivals = std::mem::take(&mut bar.arrival_sts);
         waiters.sort_unstable();
-        for &a in &arrivals {
-            self.arrival_gen.insert(a, (b, gen));
-        }
-        self.gens.insert(
-            (b, gen),
-            GenRec {
-                arrivals,
-                resumes: Vec::new(),
-            },
-        );
         for w in waiters {
             let rec = self.threads.get_mut(&w).expect("waiter exists");
+            if let Some(ender) = rec.current_st.and_then(|a| self.rol.rec_mut(a)) {
+                ender.released = Some((b, gen));
+            }
             rec.state = ThState::Active;
             rec.pending = Some(PendingWant::Resume(b, gen));
             rec.registered = true;
@@ -1703,6 +1653,14 @@ impl Inner {
                 .expect("was deregistered");
         }
         self.stats.barrier_releases += 1;
+    }
+
+    /// Records that in-flight `consumer` depends on what `producer`
+    /// produced (nothing to record once `producer` retired).
+    fn add_dependent(&mut self, producer: SubThreadId, consumer: SubThreadId) {
+        if let Some(rec) = self.rol.rec_mut(producer) {
+            rec.dependents.push(consumer);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1753,10 +1711,8 @@ impl Inner {
         if let Some((lock, data)) = leftover_lock {
             self.return_lock(stid, lock, data);
         }
-        for (file, bytes) in staged_files {
-            if let Some(f) = self.files.get_mut(&file) {
-                f.staged.push((stid, bytes));
-            }
+        if !staged_files.is_empty() {
+            self.rol.rec_mut(stid).expect("deposited sub-thread is tracked").staged = staged_files;
         }
         let rec = self.threads.get_mut(&task_thread).expect("thread exists");
         rec.program = Some(program);
@@ -1803,6 +1759,16 @@ impl Inner {
         let _ = self.rol.add_resource(stid, ResourceId::Lock(lock));
         self.stats.locks_acquired += 1;
         Some(data)
+    }
+
+    /// Write access to pool block `block` from a running step of `stid`:
+    /// the prior contents go to the history store first, so squashing
+    /// `stid` restores them. `None` if the block was freed.
+    pub(crate) fn block_for_write(&mut self, stid: SubThreadId, block: u64) -> Option<&mut Vec<u8>> {
+        let snap = self.blocks.get(&block)?.clone();
+        self.hist.seq += 1;
+        self.hist.block_snaps.push((self.hist.seq, stid, block, snap));
+        self.blocks.get_mut(&block)
     }
 }
 
@@ -2302,5 +2268,83 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
 fn publish_handoff(shared: &SharedRef, worker_ix: usize, h: HandOff) {
     if let Err(h) = shared.handoffs[worker_ix].push(h) {
         shared.inner.lock().apply_handoff(h);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ctx::StepCtx;
+    use crate::handles::{AtomicHandle, BarrierHandle};
+    use crate::program::{Step, ThreadProgram};
+    use crate::GprsBuilder;
+    use gprs_core::history::Checkpoint;
+    use gprs_core::ids::GroupId;
+
+    /// `rounds` barrier phases, each a fetch-add and then an arrival.
+    struct Phases {
+        atomic: AtomicHandle,
+        barrier: BarrierHandle,
+        rounds: u32,
+        done: u32,
+        arrive: bool,
+    }
+
+    impl Checkpoint for Phases {
+        type Snapshot = (u32, bool);
+        fn checkpoint(&self) -> (u32, bool) {
+            (self.done, self.arrive)
+        }
+        fn restore(&mut self, s: &(u32, bool)) {
+            (self.done, self.arrive) = *s;
+        }
+    }
+
+    impl ThreadProgram for Phases {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+            if self.arrive {
+                self.arrive = false;
+                return self.barrier.wait();
+            }
+            if self.done == self.rounds {
+                return Step::exit_unit();
+            }
+            self.done += 1;
+            self.arrive = true;
+            self.atomic.fetch_add(1)
+        }
+    }
+
+    /// A barrier run retires every sub-thread it grants, and with its
+    /// reorder list empty nothing else names one: no record survives its
+    /// entry, whichever driver ran the program and however many
+    /// generations it formed.
+    #[test]
+    fn a_barrier_run_leaves_no_per_subthread_state_behind() {
+        const ROUNDS: u32 = 200;
+        for pool in [true, false] {
+            let mut b = GprsBuilder::new().workers(2);
+            let atomic = b.atomic(0);
+            let barrier = b.barrier(4);
+            for _ in 0..4 {
+                let phases = Phases { atomic, barrier, rounds: ROUNDS, done: 0, arrive: false };
+                b.thread(phases, GroupId::new(0), 1);
+            }
+            let gprs = b.build();
+            let shared = gprs.shared.clone();
+            let report = if pool {
+                gprs.run()
+            } else {
+                let mut session = gprs.into_session();
+                session.run_to_completion();
+                session.finish()
+            };
+            assert_eq!(report.unwrap().stats.barrier_releases, u64::from(ROUNDS));
+            let g = shared.inner.lock();
+            assert!(g.rol.is_empty() && g.running.is_empty(), "pool={pool}");
+            assert_eq!(g.wal.len(), 0, "pool={pool}");
+            let h = &g.hist;
+            assert!(h.thread_snaps.is_empty() && h.lock_snaps.is_empty() && h.block_snaps.is_empty());
+            assert!(g.barriers.values().all(|b| b.waiting.is_empty()));
+        }
     }
 }

@@ -368,7 +368,6 @@ impl GprsBuilder {
             engine::BarrierRec {
                 participants,
                 waiting: Vec::new(),
-                arrival_sts: Vec::new(),
                 gen: 0,
             },
         );
@@ -383,7 +382,6 @@ impl GprsBuilder {
             engine::FileRec {
                 name: name.into(),
                 committed: Vec::new(),
-                staged: Vec::new(),
             },
         );
         FileHandle(id)

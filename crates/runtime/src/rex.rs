@@ -15,13 +15,14 @@
 //!    their write-ahead-log records newest-first;
 //! 4. undoes their **program state** from the history store (thread
 //!    snapshots, lock mod-sets, allocator blocks), newest-first;
-//! 5. drops their staged (uncommitted) file output;
-//! 6. removes their reorder-list entries and re-arms each squashed thread
-//!    with the synchronization request that opened its oldest squashed
-//!    sub-thread, so normal granting re-executes exactly the discarded
-//!    work while every unaffected sub-thread continues untouched.
+//! 5. removes their reorder-list entries — and with them everything the
+//!    entries carry: staged (uncommitted) file output, dependence edges,
+//!    race-detector facts, deferred cross-domain arrivals — and re-arms
+//!    each squashed thread with the synchronization request that opened its
+//!    oldest squashed sub-thread, so normal granting re-executes exactly the
+//!    discarded work while every unaffected sub-thread continues untouched.
 
-use crate::engine::{Inner, OpeningWant, PendingWant, RecoveryPolicy, ThState};
+use crate::engine::{Inner, OpeningWant, PendingWant, RecoveryPolicy, StRec, ThState};
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::RtOp;
 use crate::program::{DynThread, Step};
@@ -122,69 +123,37 @@ pub(crate) fn cancel_inflight(inner: &mut Inner) {
 fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     let mut affected = affected_set(inner, culprit);
     // Defensive re-validation: every affected id was read out of the ROL
-    // in this same quiesced pass, so all of them are still present — but
-    // the `expect("affected in ROL")` family below turns any future
-    // violation of that invariant (a HALT squash overlapping a chaos
-    // overlay is the canonical near-miss) into a panic with the state
+    // in this same quiesced pass, so all of them are still present — but a
+    // future violation of that invariant (a HALT squash overlapping a chaos
+    // overlay is the canonical near-miss) must not panic with the state
     // lock held. Dropping a vanished id instead keeps recovery total.
     affected.retain(|&id| inner.rol.contains(id));
     inner.stats.squashed += affected.len() as u64;
 
-    // Oldest affected sub-thread per thread: the point each thread rolls
-    // back to (recorded before entries leave the ROL).
-    let mut oldest_per_thread: BTreeMap<ThreadId, SubThreadId> = BTreeMap::new();
+    // Oldest first, read off each affected entry: its thread, the barrier
+    // generation its arrival released — undone: the parked continuations
+    // re-wait instead of re-running — and, for order-faithful redo, whether
+    // a lock or atomic operation opened it. Those re-executions must
+    // re-acquire in exactly this total order, or replayed critical sections
+    // could interleave differently than the fault-free execution; queued
+    // redos of threads being re-squashed are superseded.
+    let mut affected_threads: BTreeSet<ThreadId> = BTreeSet::new();
+    let mut undone_gens: BTreeSet<(BarrierId, u64)> = BTreeSet::new();
+    let mut redo = Vec::new();
     for &id in &affected {
-        let Some(t) = inner.rol.get(id).map(|e| e.thread()) else {
-            inner.poison(format!(
-                "recovery: affected sub-thread {} vanished from the ROL \
-                 mid-pass (divergent replay or corrupted schedule state)",
-                id.raw()
-            ));
-            continue;
-        };
+        let Some(e) = inner.rol.get(id) else { continue };
+        let t = e.thread();
+        undone_gens.extend(e.rec.arrived());
+        if matches!(e.rec.want, OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _)) {
+            redo.push(t);
+        }
+        affected_threads.insert(t);
         inner.ledger.squashed(EXTERNAL_RING, id, t);
-        oldest_per_thread.entry(t).or_insert(id);
+        // Present (read just above), so the mark cannot fail.
+        let _ = inner.rol.mark_squashed(id);
     }
-
-    // Barrier generations whose release is undone (an arrival squashed):
-    // their parked continuations must re-wait instead of re-running.
-    let undone_gens: BTreeSet<(BarrierId, u64)> = affected
-        .iter()
-        .filter_map(|id| inner.arrival_gen.get(id).copied())
-        .collect();
-
-    for &id in &affected {
-        if inner.rol.mark_squashed(id).is_err() {
-            inner.poison(format!(
-                "recovery: could not mark sub-thread {} squashed \
-                 (divergent replay or corrupted schedule state)",
-                id.raw()
-            ));
-        }
-    }
-
-    // Order-faithful redo: record, in original total order, every squashed
-    // sub-thread that was opened by a lock or atomic operation. Their
-    // re-executions must re-acquire in exactly this order, or replayed
-    // critical sections could interleave differently than the fault-free
-    // execution. Entries of threads being re-squashed are superseded.
-    let affected_threads: BTreeSet<ThreadId> = affected
-        .iter()
-        .filter_map(|&id| inner.rol.get(id).map(|e| e.thread()))
-        .collect();
     inner.redo_locks.retain(|t| !affected_threads.contains(t));
-    for &id in &affected {
-        if let Some(rec) = inner.opening.get(&id) {
-            if matches!(
-                rec.want,
-                OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _)
-            ) {
-                if let Some(t) = inner.rol.get(id).map(|e| e.thread()) {
-                    inner.redo_locks.push_back(t);
-                }
-            }
-        }
-    }
+    inner.redo_locks.extend(redo);
 
     // --- 3. WAL undo, newest first. -----------------------------------
     let squash_set: BTreeSet<SubThreadId> = affected.iter().copied().collect();
@@ -192,54 +161,32 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     let mut reclaimed: BTreeMap<ThreadId, Box<dyn DynThread>> = BTreeMap::new();
     for rec in records {
         inner.ledger.wal_undone(rec.subthread);
-        undo_op(inner, rec.subthread, rec.op, &mut reclaimed);
+        undo_op(inner, rec.op, &mut reclaimed);
     }
 
     // --- 4. History undo, newest first (existence-guarded). -----------
     apply_history_undo(inner, &squash_set, &mut reclaimed);
 
-    // --- 5. Drop staged output of squashed sub-threads. ---------------
-    for file in inner.files.values_mut() {
-        file.staged.retain(|(s, _)| !squash_set.contains(s));
-    }
-
-    // --- 6. Remove ROL entries (youngest first) and metadata. ----------
+    // --- 5. Remove ROL entries, youngest first, with what they carry; ---
+    // the last record kept per thread is its oldest squashed sub-thread's,
+    // the one it re-arms from.
+    let mut openings: BTreeMap<ThreadId, StRec> = BTreeMap::new();
     for &id in affected.iter().rev() {
-        if inner.rol.remove_squashed(id).is_err() {
+        let Ok(mut entry) = inner.rol.remove_squashed(id) else {
             inner.poison(format!(
                 "recovery: squashed sub-thread {} vanished from the ROL \
                  before removal (divergent replay or corrupted schedule state)",
                 id.raw()
             ));
-        }
-        inner.arrival_gen.remove(&id);
-        inner.edges.remove(&id);
+            continue;
+        };
         // Race-detector facts of squashed work: the re-execution will
         // re-record them.
-        if let Some(v) = inner.plain_accesses.remove(&id) {
-            inner.recycle_access_vec(v);
-        }
-        inner.race_pop_src.remove(&id);
-        inner.race_arrivals.remove(&id);
-    }
-    for gen_key in &undone_gens {
-        inner.gens.remove(gen_key);
-    }
-    for gen in inner.gens.values_mut() {
-        gen.resumes.retain(|r| !squash_set.contains(r));
-        gen.arrivals.retain(|a| !squash_set.contains(a));
+        inner.recycle_access_vec(std::mem::take(&mut entry.rec.accesses));
+        openings.insert(entry.thread(), entry.rec);
     }
 
     // --- Re-arm squashed threads. --------------------------------------
-    let mut openings: BTreeMap<ThreadId, crate::engine::OpeningRec> = BTreeMap::new();
-    for (&t, &oldest) in &oldest_per_thread {
-        if let Some(rec) = inner.opening.remove(&oldest) {
-            openings.insert(t, rec);
-        }
-    }
-    for &id in &affected {
-        inner.opening.remove(&id);
-    }
     for (t, opening) in openings {
         inner.ledger.restarted(t);
         reinstate(inner, t, opening, &undone_gens, &mut reclaimed);
@@ -252,28 +199,6 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     affected.len() as u64
 }
 
-/// The provenance edges this engine tracks, for the dependence closure:
-/// item consumers and spawn/join descendants (`edges`), and barrier
-/// generations — an arrival taints the continuations its release opened.
-struct RtProvenance<'a>(&'a Inner);
-
-impl Provenance for RtProvenance<'_> {
-    fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
-        self.0.edges.get(&producer).map_or(&[], Vec::as_slice)
-    }
-
-    fn arrived(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
-        self.0.arrival_gen.get(&id).copied()
-    }
-
-    fn resumed(&self, id: SubThreadId) -> Option<(BarrierId, u64)> {
-        match self.0.opening.get(&id)?.want {
-            OpeningWant::Resume(b, gen) => Some((b, gen)),
-            _ => None,
-        }
-    }
-}
-
 /// Computes the ascending affected set of `culprit` under the configured
 /// policy (escalated to the basic suffix when the race detector saw the
 /// culprit's thread race — see [`squash_scope`]).
@@ -283,7 +208,7 @@ fn affected_set(inner: &mut Inner, culprit: SubThreadId) -> Vec<SubThreadId> {
         RecoveryPolicy::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
     };
     let racy = |t| inner.ledger.is_racy_thread(t);
-    let scope = squash_scope(&inner.rol, culprit, mode, &RtProvenance(inner), racy);
+    let scope = squash_scope(&inner.rol, culprit, mode, racy);
     // `perform_recovery` re-validated the culprit against the ROL, but a
     // vanished culprit must squash nothing and poison — not panic a
     // recovery pass that holds the whole quiesced machine.
@@ -303,19 +228,13 @@ fn affected_set(inner: &mut Inner, culprit: SubThreadId) -> Vec<SubThreadId> {
 }
 
 /// Applies the inverse of one logged runtime operation.
-fn undo_op(
-    inner: &mut Inner,
-    op_subthread: SubThreadId,
-    op: RtOp,
-    reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
-) {
+fn undo_op(inner: &mut Inner, op: RtOp, reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>) {
     match op {
         RtOp::Push { chan, item } => {
             // Remove that very item (pointer identity), searching from the
             // back: unaffected producers' items interleaved after it stay.
             // If a consumer popped it, the consumer is squashed and its pop
             // was undone first (newer LSN), so the item is present.
-            let _ = op_subthread;
             if let Some(c) = inner.chans.get_mut(&chan) {
                 if let Some(ix) = c
                     .items
@@ -352,21 +271,11 @@ fn undo_op(
             }
         }
         RtOp::BarrierArrive { barrier, thread } => {
+            // A deferred cross-domain publication leaves with the squashed
+            // ender's entry, so the hub never counts an arrival that
+            // un-happened (re-execution re-defers it).
             if let Some(bar) = inner.barriers.get_mut(&barrier) {
                 bar.waiting.retain(|&t| t != thread);
-                bar.arrival_sts.retain(|&s| s != op_subthread);
-            }
-            // Sharded runs defer cross-domain arrival publication to the
-            // arrival-ending sub-thread's retirement; squashing it must
-            // drop the deferred entry so the hub never counts an arrival
-            // that un-happened (re-execution re-defers it).
-            if let Some(ctx) = inner.shard.as_mut() {
-                if let Some(bars) = ctx.edge_arrivals.get_mut(&op_subthread) {
-                    bars.retain(|&b| b != barrier);
-                    if bars.is_empty() {
-                        ctx.edge_arrivals.remove(&op_subthread);
-                    }
-                }
             }
         }
         RtOp::SpawnChild { child } => {
@@ -443,35 +352,14 @@ fn apply_history_undo(
         Lock(gprs_core::ids::LockId, Box<dyn crate::handles::Recoverable>),
         Block(u64, Vec<u8>),
     }
-    let mut undos: Vec<(u64, Undo)> = Vec::new();
     let hist = &mut inner.hist;
-    let mut keep = Vec::new();
-    for (seq, st, t, snap) in hist.thread_snaps.drain(..) {
-        if squash.contains(&st) {
-            undos.push((seq, Undo::Thread(t, snap)));
-        } else {
-            keep.push((seq, st, t, snap));
-        }
-    }
-    hist.thread_snaps = keep;
-    let mut keep = Vec::new();
-    for (seq, st, l, snap) in hist.lock_snaps.drain(..) {
-        if squash.contains(&st) {
-            undos.push((seq, Undo::Lock(l, snap)));
-        } else {
-            keep.push((seq, st, l, snap));
-        }
-    }
-    hist.lock_snaps = keep;
-    let mut keep = Vec::new();
-    for (seq, st, b, snap) in hist.block_snaps.drain(..) {
-        if squash.contains(&st) {
-            undos.push((seq, Undo::Block(b, snap)));
-        } else {
-            keep.push((seq, st, b, snap));
-        }
-    }
-    hist.block_snaps = keep;
+    let mut undos: Vec<(u64, Undo)> = Vec::new();
+    let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    undos.extend(threads.map(|(seq, _, t, snap)| (seq, Undo::Thread(t, snap))));
+    let locks = hist.lock_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    undos.extend(locks.map(|(seq, _, l, snap)| (seq, Undo::Lock(l, snap))));
+    let blocks = hist.block_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    undos.extend(blocks.map(|(seq, _, b, snap)| (seq, Undo::Block(b, snap))));
 
     undos.sort_by_key(|u| std::cmp::Reverse(u.0)); // newest first
     for (_, u) in undos {
@@ -513,7 +401,7 @@ fn apply_history_undo(
 fn reinstate(
     inner: &mut Inner,
     thread: ThreadId,
-    opening: crate::engine::OpeningRec,
+    opening: StRec,
     undone_gens: &BTreeSet<(BarrierId, u64)>,
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) {
@@ -593,7 +481,6 @@ fn reinstate(
                         thread.raw()
                     ));
                 }
-                let arrival = inner.threads[&thread].current_st;
                 let Some(bar) = inner.barriers.get_mut(&b) else {
                     inner.poison(format!(
                         "recovery: barrier {} of a re-parked continuation \
@@ -603,9 +490,6 @@ fn reinstate(
                     return;
                 };
                 bar.waiting.push(thread);
-                if let Some(a) = arrival {
-                    bar.arrival_sts.push(a);
-                }
                 bar.waiting.sort_unstable();
                 None
             } else {

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Weak};
 
 use gprs_analyze::ShardPlan;
-use gprs_core::ids::{BarrierId, ChannelId, ResourceId, SubThreadId, ThreadId};
+use gprs_core::ids::{BarrierId, ChannelId, ResourceId, ThreadId};
 use gprs_core::ledger::RunLedger;
 use gprs_core::order::EdgeQueue;
 use gprs_core::workload::{SimOp, Workload};
@@ -218,10 +218,6 @@ pub(crate) struct ShardCtx {
     pub in_edges: BTreeMap<ChannelId, Arc<EdgeQueue<Payload>>>,
     /// Barriers whose participants span domains; releases come from the hub.
     pub edge_barriers: BTreeSet<BarrierId>,
-    /// Deferred arrival publications: arrival-ending sub-thread -> barriers
-    /// to publish when it retires (squash removes the entry, re-execution
-    /// re-adds it — exactly-once publication).
-    pub edge_arrivals: BTreeMap<SubThreadId, Vec<BarrierId>>,
     /// Every resource the plan maps into this domain; grants touching
     /// anything else poison with a named diagnostic instead of corrupting
     /// a peer domain's state.
@@ -618,7 +614,6 @@ pub(crate) fn assemble(
                 BarrierRec {
                     participants: bar.participants,
                     waiting: Vec::new(),
-                    arrival_sts: Vec::new(),
                     gen: 0,
                 },
             );
@@ -631,7 +626,6 @@ pub(crate) fn assemble(
                 FileRec {
                     name: f.name.clone(),
                     committed: Vec::new(),
-                    staged: Vec::new(),
                 },
             );
         }
@@ -669,7 +663,6 @@ pub(crate) fn assemble(
             out_edges,
             in_edges,
             edge_barriers,
-            edge_arrivals: BTreeMap::new(),
             allowed,
             hub: hub.clone(),
             finish_published: false,

@@ -488,40 +488,75 @@ fn file_output_commits_in_retirement_order() {
     assert_eq!(report.file_contents(0), &[7, 0, 7, 1, 7, 2, 7, 3]);
 }
 
-#[test]
-fn allocator_round_trips() {
-    struct AllocUser {
-        stage: u8,
-        atomic: AtomicHandle,
+/// One pool-allocator round trip per step: alloc, write, read, free.
+struct AllocUser {
+    stage: u8,
+    atomic: AtomicHandle,
+}
+
+impl Checkpoint for AllocUser {
+    type Snapshot = u8;
+    fn checkpoint(&self) -> u8 {
+        self.stage
     }
-    impl Checkpoint for AllocUser {
-        type Snapshot = u8;
-        fn checkpoint(&self) -> u8 {
-            self.stage
-        }
-        fn restore(&mut self, s: &u8) {
-            self.stage = *s;
-        }
+    fn restore(&mut self, s: &u8) {
+        self.stage = *s;
     }
-    impl ThreadProgram for AllocUser {
-        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
-            let block = ctx.alloc(16);
-            ctx.with_block(block, |b| b[0] = 42);
-            let v = ctx.read_block(block, |b| b[0]);
-            assert_eq!(v, 42);
-            ctx.free(block);
-            if self.stage == 2 {
-                return Step::exit_unit();
-            }
-            self.stage += 1;
-            self.atomic.fetch_add(1)
+}
+
+impl ThreadProgram for AllocUser {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        let block = ctx.alloc(16);
+        ctx.with_block(block, |b| b[0] = 42);
+        let v = ctx.read_block(block, |b| b[0]);
+        assert_eq!(v, 42);
+        ctx.free(block);
+        if self.stage == 2 {
+            return Step::exit_unit();
         }
+        self.stage += 1;
+        self.atomic.fetch_add(1)
     }
-    let mut b = GprsBuilder::new().workers(2);
+}
+
+fn allocator_run(plan: &ChaosPlan) -> RunReport {
+    let mut b = GprsBuilder::new().workers(2).chaos(plan);
     let a = b.atomic(0);
     b.thread(AllocUser { stage: 0, atomic: a }, GroupId::new(0), 1);
-    let report = b.build().run().unwrap();
+    b.build().run().unwrap()
+}
+
+/// Allocator records are counted like every other WAL record: each append
+/// is pruned at retirement or undone by a squash.
+fn assert_wal_balanced(report: &RunReport) {
+    let t = &report.telemetry;
+    assert_eq!(
+        t.counter("wal_appends"),
+        t.counter("wal_undos") + t.counter("wal_prunes"),
+        "appends {} undos {} prunes {}",
+        t.counter("wal_appends"),
+        t.counter("wal_undos"),
+        t.counter("wal_prunes")
+    );
+}
+
+#[test]
+fn allocator_round_trips() {
+    let report = allocator_run(&ChaosPlan::new());
     assert_eq!(report.stats.allocs, 3);
+    assert_wal_balanced(&report);
+}
+
+#[test]
+fn allocator_round_trips_under_a_fault() {
+    // One thread, so the second grant's step is the only one running when
+    // the fault lands: its fetch-add, alloc and free records are undone.
+    let plan = ChaosPlan::new().with(ChaosEvent::at_grant(2).victim(VictimSelector::Oldest));
+    let report = allocator_run(&plan);
+    assert_eq!(report.stats.squashed, 1);
+    assert_eq!(report.stats.allocs, 4, "the squashed step allocates again");
+    assert_eq!(report.telemetry.counter("wal_undos"), 3);
+    assert_wal_balanced(&report);
 }
 
 #[test]
@@ -862,4 +897,175 @@ fn file_output_survives_recovery_uncorrupted() {
     let (faulty, stats) = run(true);
     assert_eq!(clean, faulty, "stats: {stats:?}");
     assert_eq!(clean, (0..=20u8).collect::<Vec<_>>());
+}
+
+// ---------------------------------------------------------------------------
+// Undoing a released barrier generation
+// ---------------------------------------------------------------------------
+
+/// Opened once; waiting on it ends when it opens (or after a watchdog
+/// timeout, so a broken interleaving fails the test instead of hanging it).
+#[derive(Default)]
+struct Gate(std::sync::Mutex<bool>, std::sync::Condvar);
+
+impl Gate {
+    fn open(&self) {
+        *self.0.lock().unwrap() = true;
+        self.1.notify_all();
+    }
+
+    fn wait(&self) {
+        let open = self.0.lock().unwrap();
+        let _ = self.1.wait_timeout_while(open, Duration::from_secs(10), |o| !*o).unwrap();
+    }
+}
+
+/// Touches `m` in a nested section (so the lock is a dependence alias of its
+/// only sub-thread), then stays running until `gate` opens: the oldest
+/// sub-thread in flight while its peers run ahead.
+struct Straggler {
+    m: MutexHandle<u64>,
+    gate: std::sync::Arc<Gate>,
+}
+
+impl Checkpoint for Straggler {
+    type Snapshot = ();
+    fn checkpoint(&self) {}
+    fn restore(&mut self, _: &()) {}
+}
+
+impl ThreadProgram for Straggler {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        ctx.lock_nested(&self.m, |v| *v += 1);
+        self.gate.wait();
+        Step::exit(1u64)
+    }
+}
+
+/// Touches `m` in a nested section, meets its peers at `barrier`, opens
+/// `gate` from its continuation and exits.
+struct Arriver {
+    m: MutexHandle<u64>,
+    barrier: BarrierHandle,
+    gate: std::sync::Arc<Gate>,
+    arrived: bool,
+}
+
+impl Checkpoint for Arriver {
+    type Snapshot = bool;
+    fn checkpoint(&self) -> bool {
+        self.arrived
+    }
+    fn restore(&mut self, s: &bool) {
+        self.arrived = *s;
+    }
+}
+
+impl ThreadProgram for Arriver {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.arrived {
+            self.gate.open();
+            return Step::exit(7u64);
+        }
+        ctx.lock_nested(&self.m, |v| *v += 10);
+        self.arrived = true;
+        self.barrier.wait()
+    }
+}
+
+/// Fetch-adds its own atomic `rounds` times.
+struct Ticker {
+    atomic: AtomicHandle,
+    rounds: u64,
+    done: u64,
+}
+
+impl Checkpoint for Ticker {
+    type Snapshot = u64;
+    fn checkpoint(&self) -> u64 {
+        self.done
+    }
+    fn restore(&mut self, s: &u64) {
+        self.done = *s;
+    }
+}
+
+impl ThreadProgram for Ticker {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+        if self.done == self.rounds {
+            return Step::exit(self.done);
+        }
+        self.done += 1;
+        self.atomic.fetch_add(1)
+    }
+}
+
+/// The straggler is granted first and shares its group with two tickers,
+/// so it takes one turn in three of that group's while each arriver (a
+/// group of its own) takes every one of its own: the three arrive, the
+/// barrier releases and a continuation is granted while the straggler —
+/// older than every arrival and sharing their lock alias — still runs,
+/// held by `gate` until that continuation runs.
+fn released_generation_program(b: &mut GprsBuilder, gate: &std::sync::Arc<Gate>) -> Vec<ThreadId> {
+    let m = b.mutex(0u64);
+    let barrier = b.barrier(3);
+    let mut tids = vec![b.thread(Straggler { m, gate: gate.clone() }, GroupId::new(3), 1)];
+    for g in 0..3 {
+        let arriver = Arriver { m, barrier, gate: gate.clone(), arrived: false };
+        tids.push(b.thread(arriver, GroupId::new(g), 1));
+    }
+    for _ in 0..2 {
+        let atomic = b.atomic(0);
+        tids.push(b.thread(Ticker { atomic, rounds: 4, done: 0 }, GroupId::new(3), 1));
+    }
+    tids
+}
+
+#[test]
+fn recovery_undoes_a_released_generation() {
+    use gprs_core::recording::{Recording, EVT_ARRIVE};
+    use gprs_core::subthread::SubThreadKind;
+
+    // The clean run's recording says which grant opens the first barrier
+    // continuation: a fault right after it lands on the straggler (the
+    // oldest running sub-thread), whose closure holds the released
+    // arrivals and the continuation their release opened.
+    let tape = std::env::temp_dir().join(format!("gprs-undo-release-{}.gprs", std::process::id()));
+    let mut b = GprsBuilder::new().workers(2).record(&tape);
+    let tids = released_generation_program(&mut b, &Default::default());
+    let clean = b.build().run().unwrap();
+    let events = Recording::load(&tape).expect("the clean run was recorded").events;
+    std::fs::remove_file(&tape).ok();
+    let continuation = SubThreadKind::BarrierContinuation.tag();
+    let grants = events.iter().filter(|e| e.kind < EVT_ARRIVE);
+    let k = 1 + grants.take_while(|e| e.kind != continuation).count() as u64;
+    let plan = ChaosPlan::new().with(ChaosEvent::at_grant(k).victim(VictimSelector::Oldest));
+
+    let outputs = |r: &RunReport| tids.iter().map(|&t| r.output::<u64>(t)).collect::<Vec<_>>();
+    let build = |gate: &std::sync::Arc<Gate>| {
+        let mut b = GprsBuilder::new().workers(2).chaos(&plan);
+        released_generation_program(&mut b, gate);
+        b.build()
+    };
+    let pooled = build(&Default::default()).run().unwrap();
+    assert!(
+        pooled.stats.barrier_releases > clean.stats.barrier_releases,
+        "the release was undone and re-done: {:?}",
+        pooled.stats
+    );
+    // A single context runs the straggler to completion before anything
+    // else (its gate starts open), so on the session the same fault
+    // squashes only the continuation — and must converge all the same.
+    let open = std::sync::Arc::new(Gate::default());
+    open.open();
+    let mut session = build(&open).into_session();
+    session.run_to_completion();
+    let session = session.finish().unwrap();
+    for (driver, report) in [("pool", &pooled), ("session", &session)] {
+        assert_eq!(outputs(report), outputs(&clean), "{driver}: outputs");
+        let (got, want) = (&report.telemetry, &clean.telemetry);
+        assert_eq!(got.retired_hash, want.retired_hash, "{driver}: retired hash");
+        assert_eq!(got.retired_count, want.retired_count, "{driver}: retired count");
+        assert!(report.stats.squashed > 0, "{driver}: the fault landed");
+    }
 }

@@ -36,13 +36,13 @@ use crate::workload::{SimOp, Workload};
 use gprs_core::deps::{DependencePolicy, Provenance};
 use gprs_core::exception::{ExceptionInjector, InjectorConfig};
 use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
-use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger, EXTERNAL_RING};
+use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
 use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
 use gprs_core::recovery::{squash_scope, RecoveryMode};
-use gprs_core::rol::ReorderList;
+use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -292,15 +292,25 @@ struct GThread {
     current_st: Option<SubThreadId>,
 }
 
-/// Channel-item provenance for the dependence closure: producer sub-thread
-/// -> consumers of its pushed items. Lists can retain retired ids (only the
-/// producer's own entry is dropped at its retirement); the closure walks the
-/// reorder list, so ids outside the window never match.
-struct Items<'a>(&'a HashMap<SubThreadId, Vec<SubThreadId>>);
+/// What an in-flight sub-thread carries in its reorder-list entry: its
+/// body on the virtual clock and its channel-item provenance. Retirement
+/// and a squash drop it with the entry.
+#[derive(Debug)]
+struct SimRec {
+    body: Body,
+    /// Consumers of the items it pushed. Can name squashed consumers (their
+    /// re-executions are fresh ids); the closure walks the reorder list, so
+    /// ids outside the window never match.
+    consumers: Vec<SubThreadId>,
+    /// `(channel, producer)` of the item it popped: a squash returns the
+    /// item to the channel front.
+    popped: Option<(ChannelId, SubThreadId)>,
+}
 
-impl Provenance for Items<'_> {
-    fn dependents(&self, producer: SubThreadId) -> &[SubThreadId] {
-        self.0.get(&producer).map_or(&[], Vec::as_slice)
+/// Channel-item provenance for the dependence closure.
+impl Provenance for SimRec {
+    fn dependents(&self) -> &[SubThreadId] {
+        &self.consumers
     }
 }
 
@@ -329,18 +339,14 @@ struct Gprs<'a> {
     enforcer: OrderEnforcer,
     threads: Vec<GThread>,
     ctxs: Vec<u64>,
-    bodies: HashMap<SubThreadId, Body>,
     /// Sim thread index -> its in-window (granted, not yet retired or
     /// squashed) sub-threads: a rewind sweeps only its own thread's bodies.
     by_thread: Vec<BTreeSet<SubThreadId>>,
-    rol: ReorderList,
+    rol: ReorderList<SimRec>,
+    /// Reusable batch buffer for retirement.
+    retire_scratch: Vec<RolEntry<SimRec>>,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
-    /// producer sub-thread -> consumer sub-threads of its pushed items.
-    consumers: HashMap<SubThreadId, Vec<SubThreadId>>,
-    /// consumer sub-thread -> (channel, producer) of the item it popped;
-    /// recovery undoes the pop by returning the item to the front.
-    pop_sources: HashMap<SubThreadId, (ChannelId, SubThreadId)>,
     barrier_waiting: HashMap<BarrierId, Vec<usize>>,
     barrier_participants: HashMap<BarrierId, u32>,
     /// Number of releases each barrier has performed; decremented when a
@@ -427,13 +433,11 @@ impl<'a> Gprs<'a> {
             enforcer,
             threads,
             ctxs: vec![0; cfg.contexts.max(1) as usize],
-            bodies: HashMap::new(),
             by_thread: vec![BTreeSet::new(); w.threads.len()],
-            rol: ReorderList::new(),
+            rol: ReorderList::default(),
+            retire_scratch: Vec::new(),
             locks: HashMap::new(),
             chans: HashMap::new(),
-            consumers: HashMap::new(),
-            pop_sources: HashMap::new(),
             barrier_waiting: HashMap::new(),
             barrier_participants: w.barrier_participants().into_iter().collect(),
             barrier_gen: HashMap::new(),
@@ -563,7 +567,20 @@ impl<'a> Gprs<'a> {
         self.fail_on(reason);
 
         let descriptor = SubThread::new(stid, spec.thread, spec.group, kind, opening_op);
-        self.rol.insert(descriptor).expect("grants are in order");
+        let body = Body {
+            thread: th,
+            ctx,
+            start,
+            end,
+            kind,
+            seg_ix: body_seg_ix,
+        };
+        let rec = SimRec {
+            body,
+            consumers: Vec::new(),
+            popped: None,
+        };
+        self.rol.insert_with(descriptor, rec).expect("grants are in order");
         if let Some(m) = nested {
             // The nested lock is a dependence alias (recovery) and a sync
             // guard (racecheck) for this sub-thread.
@@ -571,17 +588,6 @@ impl<'a> Gprs<'a> {
                 .add_resource(stid, ResourceId::Lock(m))
                 .expect("just inserted");
         }
-        self.bodies.insert(
-            stid,
-            Body {
-                thread: th,
-                ctx,
-                start,
-                end,
-                kind,
-                seg_ix: body_seg_ix,
-            },
-        );
         self.by_thread[th].insert(stid);
         let t = &mut self.threads[th];
         t.current_st = Some(stid);
@@ -595,21 +601,19 @@ impl<'a> Gprs<'a> {
                 .mark_completed(prev)
                 .expect("current sub-thread is in the ROL");
         }
-        for retired in self.rol.retire_ready() {
-            let id = retired.id();
-            let body = self.bodies.remove(&id);
-            let ring = body.map_or(EXTERNAL_RING, |b| b.ctx);
-            let raced = body.filter(|_| self.ledger.racecheck());
-            let accesses = raced.map_or_else(Vec::new, |b| self.plain_accesses(&b));
-            let facts = raced.map(|b| self.race_facts(id, &b, &accesses));
-            let reason = self.ledger.retired(ring, &retired, facts);
+        let mut retired = std::mem::take(&mut self.retire_scratch);
+        self.rol.retire_ready_into(&mut retired);
+        for entry in &retired {
+            let body = &entry.rec.body;
+            let raced = self.ledger.racecheck();
+            let accesses = if raced { self.plain_accesses(body) } else { Vec::new() };
+            let facts = raced.then(|| self.race_facts(&entry.rec, &accesses));
+            let reason = self.ledger.retired(body.ctx, entry, facts);
             self.fail_on(reason);
-            if let Some(body) = body {
-                self.by_thread[body.thread].remove(&id);
-            }
-            self.consumers.remove(&id);
-            self.pop_sources.remove(&id);
+            self.by_thread[body.thread].remove(&entry.id());
         }
+        retired.clear();
+        self.retire_scratch = retired;
         self.res.rol_peak = self.res.rol_peak.max(self.rol.peak_occupancy());
         self.ledger.rol_peak(self.rol.peak_occupancy());
     }
@@ -631,17 +635,17 @@ impl<'a> Gprs<'a> {
     /// reports are deterministic across runs and context counts.
     fn race_facts<'f>(
         &self,
-        id: SubThreadId,
-        body: &Body,
+        rec: &SimRec,
         accesses: &'f [(ResourceId, AccessKind)],
     ) -> RetireFacts<'f> {
+        let body = &rec.body;
         let spec = &self.w.threads[body.thread];
         let open = match body.kind {
             SubThreadKind::ChannelAccess => match spec.segments[body.seg_ix - 1].op {
                 SimOp::Push { chan } => Some(OpenEdge::ChanPush(chan)),
                 SimOp::Pop { chan } => Some(OpenEdge::ChanPop {
                     chan,
-                    producer: self.pop_sources.get(&id).map(|&(_, p)| p),
+                    producer: rec.popped.map(|(_, p)| p),
                 }),
                 _ => None,
             },
@@ -682,12 +686,17 @@ impl<'a> Gprs<'a> {
             RecoveryScope::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
         };
         let racy = |t| self.ledger.is_racy_thread(t);
-        let scope = squash_scope(&self.rol, culprit, mode, &Items(&self.consumers), racy)
+        let scope = squash_scope(&self.rol, culprit, mode, racy)
             .expect("culprit body implies ROL entry");
         if let Some(thread) = scope.escalated {
             self.ledger.escalated(culprit, thread);
         }
         scope.ids
+    }
+
+    /// The record of in-window sub-thread `id`.
+    fn rec(&self, id: SubThreadId) -> &SimRec {
+        &self.rol.get(id).expect("in-window sub-thread").rec
     }
 
     /// Which release of barrier `b` the arrival at segment `arrival_ix` of
@@ -760,7 +769,7 @@ impl<'a> Gprs<'a> {
             let mut changed = false;
             // Oldest squashed sub-thread per thread decides the rewind.
             for &sid in &squash {
-                let body = &self.bodies[&sid];
+                let body = &self.rec(sid).body;
                 let r = self.rewind_for(body);
                 let better = match targets.get(&body.thread) {
                     Some(&cur) => r.precedes(cur),
@@ -775,7 +784,7 @@ impl<'a> Gprs<'a> {
             // target sweeps its own thread's in-window sub-threads.
             for (&th, &tgt) in &targets {
                 for &sid in &self.by_thread[th] {
-                    let body = &self.bodies[&sid];
+                    let body = &self.rec(sid).body;
                     debug_assert_eq!(body.thread, th, "by_thread out of sync");
                     if body.seg_ix >= tgt.reexec_start() && squash.insert(sid) {
                         changed = true;
@@ -784,11 +793,9 @@ impl<'a> Gprs<'a> {
             }
             // Consumers of squashed producers are squashed too.
             for sid in squash.clone() {
-                if let Some(cs) = self.consumers.get(&sid) {
-                    for &c in cs {
-                        if self.rol.contains(c) && squash.insert(c) {
-                            changed = true;
-                        }
+                for &c in &self.rec(sid).consumers {
+                    if self.rol.contains(c) && squash.insert(c) {
+                        changed = true;
                     }
                 }
             }
@@ -872,11 +879,15 @@ impl<'a> Gprs<'a> {
             let victim = (e.victim.raw() as usize) % self.ctxs.len();
             // The sub-thread whose body occupied the victim context when the
             // exception was raised.
+            // Bodies on one context never overlap, so at most one matches.
             let culprit = self
-                .bodies
+                .rol
                 .iter()
-                .find(|(_, b)| b.ctx == victim && b.start <= raise && raise < b.end)
-                .map(|(&id, _)| id);
+                .find(|e| {
+                    let b = &e.rec.body;
+                    b.ctx == victim && b.start <= raise && raise < b.end
+                })
+                .map(|e| e.id());
             let Some(culprit) = culprit else {
                 self.res.exceptions_ignored += 1;
                 continue;
@@ -887,18 +898,20 @@ impl<'a> Gprs<'a> {
             let affected = self.affected_set(culprit);
             self.ledger.recovery_begin(victim, culprit);
             let (squash, targets, undone) = self.plan_recovery(&affected);
-            let culprit_th = self.bodies[&culprit].thread;
+            let culprit_th = self.rec(culprit).body.thread;
             // Remove squashed entries youngest-first, undoing channel
             // effects: a squashed pop returns the item to the channel
             // front, a squashed push withdraws its item. The entries leave
             // the reorder list entirely — their re-executions are fresh
             // grants that re-enter retirement in total order.
             for &sid in squash.iter().rev() {
-                let body = self.bodies.remove(&sid).expect("squashed entries are live");
+                self.rol.mark_squashed(sid).expect("squashed in ROL");
+                let SimRec { body, popped, .. } =
+                    self.rol.remove_squashed(sid).expect("just marked squashed").rec;
                 let executed = report.min(body.end).saturating_sub(body.start);
                 self.res.squashed += 1;
                 self.res.redo_cycles += executed;
-                if let Some((chan, producer)) = self.pop_sources.remove(&sid) {
+                if let Some((chan, producer)) = popped {
                     self.chans.entry(chan).or_default().push_front(producer);
                 }
                 if body.kind == SubThreadKind::ChannelAccess {
@@ -913,24 +926,16 @@ impl<'a> Gprs<'a> {
                     }
                 }
                 self.by_thread[body.thread].remove(&sid);
-                self.rol.mark_squashed(sid).expect("squashed in ROL");
-                self.rol.remove_squashed(sid).expect("just marked squashed");
-                self.consumers.remove(&sid);
                 self.ledger
                     .squashed(body.ctx, sid, self.w.threads[body.thread].thread);
-            }
-            for list in self.consumers.values_mut() {
-                list.retain(|c| !squash.contains(c));
             }
             // Chaos-oracle quiescence: squashed entries leave the reorder
             // list *entirely* (they are never re-issued in place — their
             // re-executions are fresh grants), so no stale ROL entry can
             // pollute the retired order after recovery.
             debug_assert!(
-                squash
-                    .iter()
-                    .all(|s| !self.rol.contains(*s) && !self.bodies.contains_key(s)),
-                "squashed sub-threads must leave the ROL and body map entirely"
+                squash.iter().all(|s| !self.rol.contains(*s)),
+                "squashed sub-threads must leave the ROL entirely"
             );
             // Retract undone barrier releases; every participant was forced
             // back to its own arrival, so the barrier re-synchronizes.
@@ -1169,10 +1174,9 @@ impl<'a> Gprs<'a> {
                         .get_mut(&chan)
                         .and_then(|q| q.pop_front())
                         .expect("guarded by the empty-poll arm");
-                    if self.rol.contains(producer) {
-                        self.consumers.entry(producer).or_default().push(stid);
+                    if let Some(rec) = self.rol.rec_mut(producer) {
+                        rec.consumers.push(stid);
                     }
-                    self.pop_sources.insert(stid, (chan, producer));
                     self.threads[th].op_ix = op_ix + 1;
                     self.spawn_subthread(
                         th,
@@ -1183,6 +1187,7 @@ impl<'a> Gprs<'a> {
                         op_ix + 1,
                         None,
                     );
+                    self.rol.rec_mut(stid).expect("just granted").popped = Some((chan, producer));
                 }
                 SimOp::Barrier { barrier } => {
                     // Structural turn-consuming event: recorded/verified
