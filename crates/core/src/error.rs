@@ -1,6 +1,6 @@
 //! Error types for the GPRS core model.
 
-use crate::ids::{Lsn, ResourceId, SubThreadId, ThreadId};
+use crate::ids::{Lsn, SubThreadId, ThreadId};
 use std::error::Error;
 use std::fmt;
 
@@ -33,20 +33,6 @@ pub enum GprsError {
         /// Sequence number of the corrupt record.
         lsn: Lsn,
     },
-    /// A WAL undo walk referenced a pruned (already-retired) record.
-    WalPruned {
-        /// First sequence number still retained.
-        oldest_retained: Lsn,
-        /// The requested, already-pruned sequence number.
-        requested: Lsn,
-    },
-    /// A lock/unlock pairing was violated (e.g. unlock of a lock not held).
-    LockStateViolation {
-        /// The resource whose state was violated.
-        resource: ResourceId,
-        /// Human-readable description of the violation.
-        detail: &'static str,
-    },
     /// A thread was registered with the order enforcer with weight 0, which
     /// would starve its whole group.
     InvalidWeight(ThreadId),
@@ -60,8 +46,6 @@ pub enum GprsError {
         /// The weight the conflicting registration requested.
         requested: u32,
     },
-    /// The ordering policy has no registered threads but a turn was requested.
-    NoRunnableThreads,
     /// A recovery plan was requested for a sub-thread that is not excepted.
     NotExcepted(SubThreadId),
 }
@@ -82,16 +66,6 @@ impl fmt::Display for GprsError {
             GprsError::WalCorruption { lsn } => {
                 write!(f, "write-ahead log record {lsn} failed integrity check")
             }
-            GprsError::WalPruned {
-                oldest_retained,
-                requested,
-            } => write!(
-                f,
-                "write-ahead log record {requested} was pruned (oldest retained is {oldest_retained})"
-            ),
-            GprsError::LockStateViolation { resource, detail } => {
-                write!(f, "lock state violation on {resource}: {detail}")
-            }
             GprsError::InvalidWeight(id) => {
                 write!(f, "thread {id} registered with weight 0")
             }
@@ -103,7 +77,6 @@ impl fmt::Display for GprsError {
                 f,
                 "thread {thread} requested group weight {requested}, but the group's weight is {established}"
             ),
-            GprsError::NoRunnableThreads => write!(f, "no runnable threads registered"),
             GprsError::NotExcepted(id) => {
                 write!(f, "sub-thread {id} is not excepted; no recovery needed")
             }
@@ -119,7 +92,6 @@ pub type Result<T> = std::result::Result<T, GprsError>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::LockId;
 
     #[test]
     fn errors_display_meaningfully() {
@@ -131,11 +103,6 @@ mod tests {
             e.to_string(),
             "sub-thread ST3 inserted out of order (newest is ST7)"
         );
-        let e = GprsError::LockStateViolation {
-            resource: ResourceId::Lock(LockId::new(1)),
-            detail: "unlock without lock",
-        };
-        assert!(e.to_string().contains("L1"));
     }
 
     #[test]

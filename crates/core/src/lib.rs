@@ -16,8 +16,8 @@
 //! This crate holds the execution-model pieces shared by the threaded
 //! runtime (`gprs-runtime`) and the virtual-time simulator (`gprs-sim`):
 //!
-//! * [`subthread`] — sub-thread descriptors and the boundary rules
-//!   (splitting at sync points, subsuming unlocks, flattening nesting).
+//! * [`subthread`] — sub-thread descriptors and the synchronization events
+//!   that open them (each engine decides the boundaries where it grants).
 //! * [`order`] — deterministic token schedules: round-robin and the paper's
 //!   balance-aware (basic/weighted) schemes, plus the order enforcer.
 //! * [`rol`] — the reorder list: the in-flight window, retirement, status.
@@ -123,7 +123,7 @@ pub mod prelude {
         plan_recovery, squash_scope, Precision, RecoveryMode, RecoveryPlan, SquashScope,
     };
     pub use crate::rol::{ReorderList, RolEntry, SubThreadStatus};
-    pub use crate::subthread::{Boundary, SubThread, SubThreadGenerator, SubThreadKind, SyncOp};
+    pub use crate::subthread::{SubThread, SubThreadKind, SyncOp};
     pub use crate::wal::{WalRecord, WriteAheadLog};
     pub use crate::workload::{PlainKind, Segment, SimOp, ThreadSpec, Workload};
 }

@@ -165,7 +165,7 @@ pub struct RolEntry<R = ()> {
 impl<R> RolEntry<R> {
     fn new(descriptor: SubThread, rec: R) -> Self {
         let mut resources = ResourceSet::new();
-        if let Some(r) = descriptor.opening_op.and_then(|op| op.resource()) {
+        if let Some(r) = descriptor.opening_op.map(|op| op.resource()) {
             resources.insert(r);
         }
         RolEntry {
@@ -328,7 +328,7 @@ impl<R> ReorderList<R> {
         e.status = SubThreadStatus::Squashed;
         e.exception = None;
         e.resources.clear();
-        if let Some(r) = e.descriptor.opening_op.and_then(|op| op.resource()) {
+        if let Some(r) = e.descriptor.opening_op.map(|op| op.resource()) {
             e.resources.insert(r);
         }
         Ok(())

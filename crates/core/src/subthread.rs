@@ -1,21 +1,21 @@
-//! Sub-threads and the sub-thread generator (`§3.2`, "Creating Sub-threads").
+//! Sub-threads (`§3.2`, "Creating Sub-threads").
 //!
 //! GPRS logically divides each program thread into fine-grained *sub-threads*
 //! at its synchronization points: thread creation and termination, critical
 //! sections, atomic operations, barriers and condition waits. Each sub-thread
 //! is the unit of ordering, checkpointing and restart.
 //!
-//! The generator implements the paper's two boundary optimizations:
-//!
-//! * **No split at unlock** — critical sections in real programs are small,
-//!   so the critical section and the code following it share one sub-thread.
-//! * **Nested critical sections are flattened** — a lock acquired before the
-//!   matching unlock of an enclosing lock is subsumed into the outermost
-//!   critical section and creates no new sub-thread.
+//! Each engine decides the boundaries where it grants the operation that
+//! opens one — the runtime in `engine::Inner::grant_op`, from the `Step` a
+//! program returns; the simulator in `gprs::token_loop`, from the next
+//! `SimOp` of the trace — and both apply the paper's two optimizations by
+//! construction. **No split at unlock**: an unlock is a `StepCtx` call (or
+//! the trace's `cs_work`) inside the sub-thread its acquire opened, never a
+//! step. **Nested critical sections are flattened**: `StepCtx::lock_nested`
+//! acquires inside the current sub-thread and opens none.
 
 use crate::ids::{BarrierId, ChannelId, GroupId, LockId, ResourceId, SubThreadId, ThreadId};
 use crate::ids::AtomicId;
-use crate::error::{GprsError, Result};
 use std::fmt;
 
 /// A dynamic synchronization event observed in a thread's execution.
@@ -25,26 +25,8 @@ use std::fmt;
 /// the same events through its own synchronization API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncOp {
-    /// `pthread_create`, extended with the child's balance-aware group and
-    /// weight (`§3.2`, "the pthread_create API was extended to pass a group
-    /// ID").
-    Fork {
-        /// The newly created thread.
-        child: ThreadId,
-        /// Scheduling group of the child.
-        group: GroupId,
-        /// Weight of the child's group (1 = basic balance-aware scheme).
-        weight: u32,
-    },
-    /// `pthread_join`.
-    Join {
-        /// The thread being joined.
-        child: ThreadId,
-    },
     /// `pthread_mutex_lock` — begins a critical section.
     LockAcquire(LockId),
-    /// `pthread_mutex_unlock` — ends a critical section. Never a boundary.
-    Unlock(LockId),
     /// A gcc/g++-style atomic read-modify-write operation.
     Atomic(AtomicId),
     /// `pthread_barrier_wait`.
@@ -55,19 +37,16 @@ pub enum SyncOp {
     /// Pop from a runtime-managed FIFO; blocks (deterministically re-polls)
     /// while empty — the conditional wait-signaling of `§3.2`.
     ChanPop(ChannelId),
-    /// Thread termination.
-    Exit,
 }
 
 impl SyncOp {
-    /// The dependence alias this operation contributes, if any (`§3.4`).
-    pub fn resource(&self) -> Option<ResourceId> {
+    /// The dependence alias this operation contributes (`§3.4`).
+    pub fn resource(&self) -> ResourceId {
         match *self {
-            SyncOp::LockAcquire(l) | SyncOp::Unlock(l) => Some(ResourceId::Lock(l)),
-            SyncOp::Atomic(a) => Some(ResourceId::Atomic(a)),
-            SyncOp::BarrierWait(b) => Some(ResourceId::Barrier(b)),
-            SyncOp::ChanPush(c) | SyncOp::ChanPop(c) => Some(ResourceId::Channel(c)),
-            SyncOp::Fork { .. } | SyncOp::Join { .. } | SyncOp::Exit => None,
+            SyncOp::LockAcquire(l) => ResourceId::Lock(l),
+            SyncOp::Atomic(a) => ResourceId::Atomic(a),
+            SyncOp::BarrierWait(b) => ResourceId::Barrier(b),
+            SyncOp::ChanPush(c) | SyncOp::ChanPop(c) => ResourceId::Channel(c),
         }
     }
 }
@@ -75,15 +54,11 @@ impl SyncOp {
 impl fmt::Display for SyncOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SyncOp::Fork { child, group, .. } => write!(f, "fork({child} in {group})"),
-            SyncOp::Join { child } => write!(f, "join({child})"),
             SyncOp::LockAcquire(l) => write!(f, "lock({l})"),
-            SyncOp::Unlock(l) => write!(f, "unlock({l})"),
             SyncOp::Atomic(a) => write!(f, "atomic({a})"),
             SyncOp::BarrierWait(b) => write!(f, "barrier({b})"),
             SyncOp::ChanPush(c) => write!(f, "push({c})"),
             SyncOp::ChanPop(c) => write!(f, "pop({c})"),
-            SyncOp::Exit => write!(f, "exit"),
         }
     }
 }
@@ -177,160 +152,6 @@ impl fmt::Display for SubThread {
     }
 }
 
-/// Decision made by the generator for one observed [`SyncOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Boundary {
-    /// The current sub-thread ends; a new one of the given kind begins at the
-    /// operation.
-    Split(SubThreadKind),
-    /// The operation is subsumed into the current sub-thread (unlocks, and
-    /// anything inside a flattened nested critical section).
-    Subsume,
-}
-
-/// Per-thread state machine deciding sub-thread boundaries.
-///
-/// One generator exists per live program thread. Feed it the thread's
-/// synchronization events in program order via [`Self::on_sync`]; it answers
-/// whether each event starts a new sub-thread, while tracking critical-section
-/// nesting for the flattening optimization and validating lock pairing.
-///
-/// # Examples
-/// ```
-/// use gprs_core::subthread::{Boundary, SubThreadGenerator, SubThreadKind, SyncOp};
-/// use gprs_core::ids::LockId;
-/// let mut g = SubThreadGenerator::new();
-/// let (a, b) = (LockId::new(1), LockId::new(2));
-/// // Entering a critical section splits...
-/// assert_eq!(g.on_sync(SyncOp::LockAcquire(a)).unwrap(),
-///            Boundary::Split(SubThreadKind::CriticalSection));
-/// // ...a nested acquire is flattened, and unlocks never split.
-/// assert_eq!(g.on_sync(SyncOp::LockAcquire(b)).unwrap(), Boundary::Subsume);
-/// assert_eq!(g.on_sync(SyncOp::Unlock(b)).unwrap(), Boundary::Subsume);
-/// assert_eq!(g.on_sync(SyncOp::Unlock(a)).unwrap(), Boundary::Subsume);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SubThreadGenerator {
-    /// Stack of currently held locks (for pairing validation + flattening).
-    held: Vec<LockId>,
-    /// Total boundaries produced, for statistics.
-    splits: u64,
-    /// Total subsumed events, for statistics.
-    subsumed: u64,
-}
-
-impl SubThreadGenerator {
-    /// Creates a generator for a thread holding no locks.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes the next synchronization event of this thread and decides
-    /// whether it opens a new sub-thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GprsError::LockStateViolation`] if an unlock does not match
-    /// a held lock, or if the thread exits or blocks on a channel/barrier
-    /// while holding locks (all of which the paper's data-race-free,
-    /// standard-API programs never do).
-    pub fn on_sync(&mut self, op: SyncOp) -> Result<Boundary> {
-        let in_cs = !self.held.is_empty();
-        let decision = match op {
-            SyncOp::LockAcquire(l) => {
-                if self.held.contains(&l) {
-                    return Err(GprsError::LockStateViolation {
-                        resource: ResourceId::Lock(l),
-                        detail: "recursive acquire of a held lock",
-                    });
-                }
-                self.held.push(l);
-                if in_cs {
-                    // Nested: flattened into the outermost critical section.
-                    Boundary::Subsume
-                } else {
-                    Boundary::Split(SubThreadKind::CriticalSection)
-                }
-            }
-            SyncOp::Unlock(l) => {
-                match self.held.iter().rposition(|&h| h == l) {
-                    Some(ix) => {
-                        self.held.remove(ix);
-                    }
-                    None => {
-                        return Err(GprsError::LockStateViolation {
-                            resource: ResourceId::Lock(l),
-                            detail: "unlock of a lock not held",
-                        })
-                    }
-                }
-                Boundary::Subsume
-            }
-            SyncOp::Atomic(_) => {
-                if in_cs {
-                    Boundary::Subsume
-                } else {
-                    Boundary::Split(SubThreadKind::AtomicOp)
-                }
-            }
-            SyncOp::Fork { .. } => {
-                self.check_unlocked(op, "fork inside a critical section")?;
-                Boundary::Split(SubThreadKind::ForkContinuation)
-            }
-            SyncOp::Join { .. } => {
-                self.check_unlocked(op, "join inside a critical section")?;
-                Boundary::Split(SubThreadKind::JoinContinuation)
-            }
-            SyncOp::BarrierWait(_) => {
-                self.check_unlocked(op, "barrier wait inside a critical section")?;
-                Boundary::Split(SubThreadKind::BarrierContinuation)
-            }
-            SyncOp::ChanPush(_) | SyncOp::ChanPop(_) => {
-                if in_cs {
-                    Boundary::Subsume
-                } else {
-                    Boundary::Split(SubThreadKind::ChannelAccess)
-                }
-            }
-            SyncOp::Exit => {
-                self.check_unlocked(op, "thread exit while holding locks")?;
-                Boundary::Split(SubThreadKind::JoinContinuation)
-            }
-        };
-        match decision {
-            Boundary::Split(_) => self.splits += 1,
-            Boundary::Subsume => self.subsumed += 1,
-        }
-        Ok(decision)
-    }
-
-    /// Locks currently held by the thread (outermost first).
-    pub fn held_locks(&self) -> &[LockId] {
-        &self.held
-    }
-
-    /// Whether the thread is inside a (possibly flattened) critical section.
-    pub fn in_critical_section(&self) -> bool {
-        !self.held.is_empty()
-    }
-
-    /// Number of boundary decisions so far: `(splits, subsumed)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.splits, self.subsumed)
-    }
-
-    fn check_unlocked(&self, op: SyncOp, detail: &'static str) -> Result<()> {
-        if let Some(&l) = self.held.first() {
-            let _ = op;
-            return Err(GprsError::LockStateViolation {
-                resource: ResourceId::Lock(l),
-                detail,
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,132 +159,13 @@ mod tests {
     fn lock(n: u64) -> SyncOp {
         SyncOp::LockAcquire(LockId::new(n))
     }
-    fn unlock(n: u64) -> SyncOp {
-        SyncOp::Unlock(LockId::new(n))
-    }
-
-    #[test]
-    fn lock_splits_unlock_subsumes() {
-        let mut g = SubThreadGenerator::new();
-        assert_eq!(
-            g.on_sync(lock(1)).unwrap(),
-            Boundary::Split(SubThreadKind::CriticalSection)
-        );
-        assert!(g.in_critical_section());
-        assert_eq!(g.on_sync(unlock(1)).unwrap(), Boundary::Subsume);
-        assert!(!g.in_critical_section());
-        // After the unlock the succeeding code stays in the same sub-thread:
-        // the *next* acquire splits again.
-        assert_eq!(
-            g.on_sync(lock(1)).unwrap(),
-            Boundary::Split(SubThreadKind::CriticalSection)
-        );
-    }
-
-    #[test]
-    fn nested_critical_sections_flatten() {
-        let mut g = SubThreadGenerator::new();
-        assert_eq!(
-            g.on_sync(lock(1)).unwrap(),
-            Boundary::Split(SubThreadKind::CriticalSection)
-        );
-        assert_eq!(g.on_sync(lock(2)).unwrap(), Boundary::Subsume);
-        assert_eq!(g.on_sync(lock(3)).unwrap(), Boundary::Subsume);
-        assert_eq!(g.held_locks().len(), 3);
-        assert_eq!(g.on_sync(unlock(3)).unwrap(), Boundary::Subsume);
-        assert_eq!(g.on_sync(unlock(2)).unwrap(), Boundary::Subsume);
-        assert_eq!(g.on_sync(unlock(1)).unwrap(), Boundary::Subsume);
-        assert!(!g.in_critical_section());
-        assert_eq!(g.stats(), (1, 5));
-    }
-
-    #[test]
-    fn out_of_order_unlock_is_allowed_if_held() {
-        // Hand-over-hand locking releases the outer lock first.
-        let mut g = SubThreadGenerator::new();
-        g.on_sync(lock(1)).unwrap();
-        g.on_sync(lock(2)).unwrap();
-        assert_eq!(g.on_sync(unlock(1)).unwrap(), Boundary::Subsume);
-        assert_eq!(g.held_locks(), &[LockId::new(2)]);
-        g.on_sync(unlock(2)).unwrap();
-    }
-
-    #[test]
-    fn unmatched_unlock_errors() {
-        let mut g = SubThreadGenerator::new();
-        let err = g.on_sync(unlock(9)).unwrap_err();
-        assert!(matches!(err, GprsError::LockStateViolation { .. }));
-    }
-
-    #[test]
-    fn recursive_acquire_errors() {
-        let mut g = SubThreadGenerator::new();
-        g.on_sync(lock(1)).unwrap();
-        assert!(g.on_sync(lock(1)).is_err());
-    }
-
-    #[test]
-    fn atomic_splits_outside_cs_subsumes_inside() {
-        let mut g = SubThreadGenerator::new();
-        assert_eq!(
-            g.on_sync(SyncOp::Atomic(AtomicId::new(1))).unwrap(),
-            Boundary::Split(SubThreadKind::AtomicOp)
-        );
-        g.on_sync(lock(1)).unwrap();
-        assert_eq!(
-            g.on_sync(SyncOp::Atomic(AtomicId::new(1))).unwrap(),
-            Boundary::Subsume
-        );
-    }
-
-    #[test]
-    fn channel_ops_split_outside_cs() {
-        let mut g = SubThreadGenerator::new();
-        assert_eq!(
-            g.on_sync(SyncOp::ChanPush(ChannelId::new(0))).unwrap(),
-            Boundary::Split(SubThreadKind::ChannelAccess)
-        );
-        assert_eq!(
-            g.on_sync(SyncOp::ChanPop(ChannelId::new(0))).unwrap(),
-            Boundary::Split(SubThreadKind::ChannelAccess)
-        );
-    }
-
-    #[test]
-    fn structural_ops_split_and_require_no_held_locks() {
-        let mut g = SubThreadGenerator::new();
-        let fork = SyncOp::Fork {
-            child: ThreadId::new(1),
-            group: GroupId::new(0),
-            weight: 1,
-        };
-        assert_eq!(
-            g.on_sync(fork).unwrap(),
-            Boundary::Split(SubThreadKind::ForkContinuation)
-        );
-        assert_eq!(
-            g.on_sync(SyncOp::BarrierWait(BarrierId::new(0))).unwrap(),
-            Boundary::Split(SubThreadKind::BarrierContinuation)
-        );
-        g.on_sync(lock(1)).unwrap();
-        assert!(g.on_sync(SyncOp::Exit).is_err());
-        assert!(g
-            .on_sync(SyncOp::Join {
-                child: ThreadId::new(1)
-            })
-            .is_err());
-    }
 
     #[test]
     fn sync_op_resources() {
-        assert_eq!(
-            lock(3).resource(),
-            Some(ResourceId::Lock(LockId::new(3)))
-        );
-        assert_eq!(SyncOp::Exit.resource(), None);
+        assert_eq!(lock(3).resource(), ResourceId::Lock(LockId::new(3)));
         assert_eq!(
             SyncOp::ChanPop(ChannelId::new(7)).resource(),
-            Some(ResourceId::Channel(ChannelId::new(7)))
+            ResourceId::Channel(ChannelId::new(7))
         );
     }
 

@@ -310,27 +310,6 @@ proptest! {
         prop_assert_eq!(wal.len(), ops.len() - expected_taken);
         wal.verify().unwrap();
     }
-
-    /// The sub-thread generator's lock depth never underflows and ends
-    /// balanced for balanced input.
-    #[test]
-    fn generator_tracks_depth(depth in 1usize..6) {
-        let mut g = SubThreadGenerator::new();
-        // A nest of `depth` critical sections: only the outermost splits.
-        let mut splits = 0;
-        for i in 0..depth {
-            if g.on_sync(SyncOp::LockAcquire(LockId::new(i as u64))).unwrap()
-                == Boundary::Split(SubThreadKind::CriticalSection) {
-                splits += 1;
-            }
-        }
-        prop_assert_eq!(splits, 1);
-        for i in (0..depth).rev() {
-            prop_assert_eq!(g.on_sync(SyncOp::Unlock(LockId::new(i as u64))).unwrap(),
-                            Boundary::Subsume);
-        }
-        prop_assert!(!g.in_critical_section());
-    }
 }
 
 // ---------------------------------------------------------------------------

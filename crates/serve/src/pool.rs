@@ -351,9 +351,12 @@ impl JobTicket {
         slot.take().expect("outcome present")
     }
 
-    /// Non-blocking probe: the outcome, if the job already finished.
-    pub fn try_wait(&self) -> Option<JobOutcome> {
-        self.job.outcome.lock().take()
+    /// Non-blocking probe: the outcome if the job already finished, else
+    /// the ticket back. Taking the outcome consumes the ticket, so no later
+    /// `wait` can block on an outcome that is gone.
+    pub fn try_wait(self) -> Result<JobOutcome, JobTicket> {
+        let outcome = self.job.outcome.lock().take();
+        outcome.ok_or(self)
     }
 }
 
@@ -847,5 +850,40 @@ fn publish(
     if shared.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last job done: wake any workers sleeping through a drain.
         shared.wake_workers();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ticket whose job is still queued comes back from `try_wait`, and
+    /// `wait` on it still receives the job's outcome.
+    #[test]
+    fn try_wait_on_a_queued_job_returns_a_ticket_that_still_waits() {
+        // A pool with no worker yet: the submitted job cannot leave the queue.
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            phase: AtomicU8::new(RUN),
+            unfinished: AtomicU64::new(0),
+            next_id: AtomicU64::new(0),
+            next_seq: AtomicU64::new(0),
+            quantum: DEFAULT_QUANTUM,
+            durable_root: None,
+            metrics: PoolMetrics::default(),
+        });
+        let handle = ServeHandle {
+            shared: shared.clone(),
+        };
+        let ticket = handle.submit(JobSpec::new("fetchadd", 3)).unwrap();
+        let Err(ticket) = ticket.try_wait() else {
+            panic!("a queued job has no outcome to take");
+        };
+        shared.phase.store(DRAIN, Ordering::Release);
+        let worker = std::thread::spawn(move || worker_loop(&shared));
+        let outcome = ticket.wait();
+        assert_eq!((outcome.job_id, outcome.status), (1, JobStatus::Completed));
+        worker.join().expect("the worker drains and exits");
     }
 }

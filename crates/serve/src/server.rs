@@ -159,8 +159,8 @@ pub fn serve_session(
                 for ticket in pending.drain(..) {
                     reaped.insert(ticket.id());
                     let outcome = match ticket.try_wait() {
-                        Some(outcome) => outcome,
-                        None => {
+                        Ok(outcome) => outcome,
+                        Err(ticket) => {
                             // About to block on the job: send what is
                             // gathered, so reports keep streaming behind
                             // a long job; finished jobs share one write.

@@ -103,7 +103,7 @@ pub fn build_beacon_rounds(b: &mut GprsBuilder, rounds: &[u32]) -> Vec<AtomicHan
 }
 
 /// [`build_beacon_rounds`] with `workers` uniform workers of `rounds`
-/// rounds each — the committed campaign/perfsuite shape.
+/// rounds each — the committed campaign shape.
 pub fn build_beacon(b: &mut GprsBuilder, workers: usize, rounds: u32) -> Vec<AtomicHandle> {
     build_beacon_rounds(b, &vec![rounds.max(1); workers.max(1)])
 }

@@ -11,6 +11,7 @@
 
 use gprs_runtime::prelude::*;
 use gprs_serve::{build_job, JobSpec};
+use gprs_tests::Chain;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,14 +50,6 @@ static GLOBAL: Counting = Counting;
 const THREADS: usize = 8;
 const WORKERS: usize = 2;
 
-/// One logical thread fetch-adding its own atomic `rounds` times (the
-/// `chain` workload of gprsbench and perfsuite).
-struct Chain {
-    atomic: AtomicHandle,
-    rounds: u32,
-    done: u32,
-}
-
 /// `rounds` critical sections on one shared counter.
 struct Locker {
     mutex: MutexHandle<u64>,
@@ -81,21 +74,15 @@ struct Consumer {
     popping: bool,
 }
 
-macro_rules! checkpoint_field {
-    ($ty:ty, $field:ident : $snap:ty) => {
-        impl Checkpoint for $ty {
-            type Snapshot = $snap;
-            fn checkpoint(&self) -> $snap {
-                self.$field
-            }
-            fn restore(&mut self, s: &$snap) {
-                self.$field = *s;
-            }
-        }
-    };
+impl Checkpoint for Producer {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.done
+    }
+    fn restore(&mut self, s: &u32) {
+        self.done = *s;
+    }
 }
-checkpoint_field!(Chain, done: u32);
-checkpoint_field!(Producer, done: u32);
 
 impl Checkpoint for Locker {
     type Snapshot = (u32, bool);
@@ -114,16 +101,6 @@ impl Checkpoint for Consumer {
     }
     fn restore(&mut self, s: &(u32, u64, bool)) {
         (self.done, self.sum, self.popping) = *s;
-    }
-}
-
-impl ThreadProgram for Chain {
-    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
-        if self.done == self.rounds {
-            return Step::exit_unit();
-        }
-        self.done += 1;
-        self.atomic.fetch_add(1)
     }
 }
 
@@ -183,15 +160,7 @@ fn chains(rounds: u32) -> (u64, u64) {
     measure(|b| {
         for _ in 0..THREADS {
             let atomic = b.atomic(0);
-            b.thread(
-                Chain {
-                    atomic,
-                    rounds,
-                    done: 0,
-                },
-                GroupId::new(0),
-                1,
-            );
+            b.thread(Chain::new(atomic, rounds), GroupId::new(0), 1);
         }
     })
 }

@@ -12,6 +12,7 @@ use gprs_runtime::report::RunReport;
 use gprs_runtime::GprsBuilder;
 use gprs_sim::gprs::{run_gprs, GprsSimConfig};
 use gprs_sim::costs::CYCLES_PER_SEC;
+use gprs_tests::Chain;
 use gprs_workloads::programs::{beacon_model_rounds, build_beacon, build_beacon_rounds};
 use gprs_workloads::traces::{build, TraceParams, PROGRAMS};
 use proptest::prelude::*;
@@ -51,6 +52,21 @@ fn sim_elision_is_invisible_on_clean_runs() {
             prog.name
         );
         assert_eq!(off.checkpoints_elided, 0, "{}", prog.name);
+        // Where elision bites hardest, the proofs fix exactly how many
+        // boundaries skip their checkpoint.
+        let pinned = match prog.name {
+            "dedup" => Some((6_910, 4_633)),
+            "pbzip2" => Some((315, 234)),
+            _ => None,
+        };
+        if let Some(counts) = pinned {
+            assert_eq!(
+                (on.checkpoints, on.checkpoints_elided),
+                counts,
+                "{}: (checkpoints, checkpoints_elided)",
+                prog.name
+            );
+        }
         assert!(
             on.ckpt_cycles <= off.ckpt_cycles,
             "{}: elision may only remove recording cost",
@@ -125,6 +141,9 @@ fn runtime_wal_elision_is_invisible_on_clean_runs() {
     let stores: u64 = rounds.iter().map(|&r| u64::from(r)).sum();
     assert_eq!(on.telemetry.counter("wal_records_elided"), stores);
     assert_eq!(off.telemetry.counter("wal_records_elided"), 0);
+    // Each round logs its store and its ticket fetch-add; elision leaves
+    // only the ticket's record.
+    assert_eq!(on.telemetry.counter("wal_appends"), stores);
     assert_eq!(
         on.telemetry.counter("wal_appends") + stores,
         off.telemetry.counter("wal_appends"),
@@ -137,7 +156,50 @@ fn runtime_wal_elision_is_invisible_on_clean_runs() {
             t.counter("wal_undos") + t.counter("wal_prunes"),
             "WAL ledger balances"
         );
+        let subthreads = stores + rounds.len() as u64;
+        let counts = (t.counter("grants"), t.counter("checkpoints"));
+        assert_eq!(counts, (subthreads, subthreads));
     }
+}
+
+/// Beacon workers beside fetch-add chains: the proofs are per cell, so
+/// elision skips the beacon stores while every chain record is still
+/// logged, and the retired order is the elision-off twin's.
+#[test]
+fn runtime_wal_elision_stays_per_cell_beside_logged_chains() {
+    use gprs_core::ids::{AtomicId, GroupId, ThreadId};
+    use gprs_core::workload::{Segment, SimOp, ThreadSpec};
+    const ROUNDS: u32 = 48;
+    let shape = [ROUNDS; 2];
+    let mut model = beacon_model_rounds(&shape);
+    for i in 0..2u32 {
+        // The chains' atomics are registered after the beacons' 2 × 2 cells.
+        let atomic = AtomicId::new(4 + u64::from(i));
+        let segs = (0..ROUNDS)
+            .map(|_| Segment::new(400, SimOp::Atomic { atomic }))
+            .collect();
+        let (thread, group) = (ThreadId::new(2 + i), GroupId::new(2 + i));
+        model.threads.push(ThreadSpec::new(thread, group, 1, segs));
+    }
+    let run = |elide: bool| {
+        let mut b = GprsBuilder::new().workers(4);
+        let _ = build_beacon_rounds(&mut b, &shape);
+        for i in 0..2 {
+            let a = b.atomic(0);
+            b.thread(Chain::new(a, ROUNDS), GroupId::new(2 + i), 1);
+        }
+        b.model(model.clone()).elide(elide).build().run().unwrap()
+    };
+    let (off, on) = (run(false), run(true));
+    assert_eq!(on.telemetry.retired_hash, off.telemetry.retired_hash);
+    let per_kind = 2 * u64::from(ROUNDS);
+    let t = &on.telemetry;
+    // Elided: the beacon stores. Appended: the beacon tickets and the chains.
+    assert_eq!(t.counter("wal_records_elided"), per_kind);
+    assert_eq!(t.counter("wal_appends"), 2 * per_kind);
+    let subthreads = 4 * (u64::from(ROUNDS) + 1);
+    let counts = (t.counter("grants"), t.counter("checkpoints"));
+    assert_eq!(counts, (subthreads, subthreads));
 }
 
 /// Injected differential: squashes drive the WAL undo path, where a

@@ -101,6 +101,41 @@ fn a_thousand_mixed_tenants_match_their_solo_goldens() {
     );
 }
 
+/// A clean backlog costs the same scheduling at every pool width: each
+/// job's grants and the 16-grant quantum fix how many quanta it runs and
+/// how often it yields back to the queue, whichever worker claims it.
+#[test]
+fn a_clean_backlog_costs_the_same_quanta_at_every_pool_width() {
+    const JOBS: u64 = 200;
+    for workers in [1usize, 2, 4, 8] {
+        let pool = ServePool::start(PoolConfig {
+            workers,
+            quantum: 16,
+            ..Default::default()
+        });
+        let handle = pool.handle();
+        // Every fourth job is a histogram of hundreds of grants; the rest
+        // are small fetchadd and mutex specs.
+        let tickets: Vec<_> = (0..JOBS)
+            .map(|i| {
+                let workload = ["fetchadd", "mutex", "fetchadd", "histogram"][i as usize % 4];
+                handle
+                    .submit(JobSpec::new(workload, i % 17 + 1))
+                    .expect("pool is admitting")
+            })
+            .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().status, JobStatus::Completed);
+        }
+        let stats = pool.shutdown();
+        assert_eq!(
+            (stats.completed, stats.quanta, stats.yields),
+            (JOBS, 414, 214),
+            "{workers} workers: (jobs, quanta, yields)"
+        );
+    }
+}
+
 /// Graceful shutdown begins while the queue is still full — including
 /// jobs whose fault plans put them mid-recovery — and every job drains to
 /// a complete, golden-identical report.
@@ -277,8 +312,9 @@ fn long_jobs_cannot_starve_small_tenants() {
         assert_eq!(long_outcome.status, JobStatus::Completed);
         assert!(long_outcome.quanta > 1, "the long job must actually yield");
         let done = smalls
-            .iter()
-            .filter(|t| t.try_wait().is_some_and(|o| o.status == JobStatus::Completed))
+            .into_iter()
+            .filter_map(|t| t.try_wait().ok())
+            .filter(|o| o.status == JobStatus::Completed)
             .count();
         pool.shutdown();
         done == SMALLS

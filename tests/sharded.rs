@@ -74,6 +74,38 @@ fn beacon_sharded_reproduces_unsharded_retired_order() {
     audit_shards(&sharded, 4);
 }
 
+/// Past the single gate's design point: one beacon thread per worker at
+/// 8, 16 and 32 workers, so the plan fans out into one order domain each.
+/// The fan-out may not lose a domain, cost precision or allocate on the
+/// grant path, and both builds grant and checkpoint each sub-thread once.
+#[test]
+fn beacon_fans_out_one_domain_per_worker_at_8_16_32() {
+    const ROUNDS: u32 = 24;
+    for workers in [8usize, 16, 32] {
+        let run = |sharded: bool| {
+            let mut b = GprsBuilder::new().workers(workers);
+            build_beacon(&mut b, workers, ROUNDS);
+            let b = b.model(beacon_model(workers, ROUNDS));
+            if sharded {
+                b.build_sharded().run()
+            } else {
+                b.build().run()
+            }
+            .unwrap()
+        };
+        let (plain, sharded) = (run(false), run(true));
+        audit_shards(&sharded, workers);
+        let (sharded, plain) = (&sharded.telemetry, &plain.telemetry);
+        assert_eq!(sharded.retired_hash, plain.retired_hash, "w{workers}");
+        assert_eq!(sharded.counter("hot_path_allocs"), 0, "w{workers}");
+        let subthreads = workers as u64 * (u64::from(ROUNDS) + 1);
+        for t in [sharded, plain] {
+            let counts = (t.counter("grants"), t.counter("checkpoints"));
+            assert_eq!(counts, (subthreads, subthreads), "w{workers}");
+        }
+    }
+}
+
 #[test]
 fn beacon_sharded_converges_under_injected_faults() {
     // Grant-keyed soft faults land in domain 0 of the sharded run (and at
