@@ -19,7 +19,6 @@
 use crate::error::{GprsError, Result};
 use crate::ids::{BarrierId, ResourceId, SubThreadId, ThreadId};
 use crate::rol::{ReorderList, RolEntry};
-use std::collections::BTreeSet;
 
 /// How far the dependence closure is taken when computing the affected set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -63,32 +62,58 @@ pub trait Provenance {
 
 impl Provenance for () {}
 
-/// Everything the culprit's data may have reached so far.
-#[derive(Default)]
-struct Taint {
-    threads: BTreeSet<ThreadId>,
-    aliases: BTreeSet<ResourceId>,
-    dependents: BTreeSet<SubThreadId>,
-    gens: BTreeSet<(BarrierId, u64)>,
+/// Everything the culprit's data may have reached so far: the scratch of
+/// one closure. The sets are sorted vectors, so a `Taint` kept across
+/// recoveries computes the next closure in the buffers the last one grew —
+/// a recovery plans without allocating ([`affected_set_into`]).
+#[derive(Debug, Default)]
+pub struct Taint {
+    threads: Vec<ThreadId>,
+    aliases: Vec<ResourceId>,
+    dependents: Vec<SubThreadId>,
+    gens: Vec<(BarrierId, u64)>,
 }
 
 fn is_alias(r: &ResourceId) -> bool {
     !matches!(r, ResourceId::Channel(_))
 }
 
+fn insert<T: Ord>(set: &mut Vec<T>, x: T) {
+    if let Err(ix) = set.binary_search(&x) {
+        set.insert(ix, x);
+    }
+}
+
+fn has<T: Ord>(set: &[T], x: &T) -> bool {
+    set.binary_search(x).is_ok()
+}
+
 impl Taint {
+    fn clear(&mut self) {
+        self.threads.clear();
+        self.aliases.clear();
+        self.dependents.clear();
+        self.gens.clear();
+    }
+
     fn absorb<R: Provenance>(&mut self, e: &RolEntry<R>) {
-        self.threads.insert(e.thread());
-        self.aliases.extend(e.resources.iter().copied().filter(is_alias));
-        self.dependents.extend(e.rec.dependents());
-        self.gens.extend(e.rec.arrived());
+        insert(&mut self.threads, e.thread());
+        for &r in e.resources.iter().filter(|r| is_alias(r)) {
+            insert(&mut self.aliases, r);
+        }
+        for &d in e.rec.dependents() {
+            insert(&mut self.dependents, d);
+        }
+        if let Some(g) = e.rec.arrived() {
+            insert(&mut self.gens, g);
+        }
     }
 
     fn reaches<R: Provenance>(&self, e: &RolEntry<R>) -> bool {
-        self.threads.contains(&e.thread())
-            || e.resources.iter().any(|r| is_alias(r) && self.aliases.contains(r))
-            || self.dependents.contains(&e.id())
-            || e.rec.resumed().is_some_and(|g| self.gens.contains(&g))
+        has(&self.threads, &e.thread())
+            || e.resources.iter().any(|r| is_alias(r) && has(&self.aliases, r))
+            || has(&self.dependents, &e.id())
+            || e.rec.resumed().is_some_and(|g| has(&self.gens, &g))
     }
 }
 
@@ -125,12 +150,32 @@ pub fn affected_set<R: Provenance>(
     culprit: SubThreadId,
     policy: DependencePolicy,
 ) -> Result<Vec<SubThreadId>> {
+    let mut affected = Vec::new();
+    affected_set_into(rol, culprit, policy, &mut Taint::default(), &mut affected)?;
+    Ok(affected)
+}
+
+/// [`affected_set`] into `affected` (cleared first), with `taint` as the
+/// closure's scratch: what an engine calls once per recovery, keeping both
+/// buffers between calls.
+///
+/// # Errors
+/// Returns [`GprsError::UnknownSubThread`] if the culprit is not in the ROL
+/// (`affected` is then empty).
+pub fn affected_set_into<R: Provenance>(
+    rol: &ReorderList<R>,
+    culprit: SubThreadId,
+    policy: DependencePolicy,
+    taint: &mut Taint,
+    affected: &mut Vec<SubThreadId>,
+) -> Result<()> {
+    affected.clear();
     let culprit_entry = rol
         .get(culprit)
         .ok_or(GprsError::UnknownSubThread(culprit))?;
-    let mut taint = Taint::default();
+    taint.clear();
     taint.absorb(culprit_entry);
-    let mut affected = vec![culprit];
+    affected.push(culprit);
 
     // One ascending pass suffices even for the transitive policy: taint only
     // ever propagates from older to younger sub-threads, so by the time we
@@ -143,7 +188,7 @@ pub fn affected_set<R: Provenance>(
             }
         }
     }
-    Ok(affected)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -281,6 +326,28 @@ mod tests {
         // the culprit's thread, so ST2 stays.
         assert_eq!(plain(&rol, 0, DependencePolicy::Direct), [0, 1]);
         assert_eq!(plain(&rol, 0, DependencePolicy::Transitive), [0, 1, 2, 3]);
+    }
+
+    /// One taint reused across closures — as an engine keeps it between
+    /// recoveries — computes what a fresh one does.
+    #[test]
+    fn a_reused_taint_closes_like_a_fresh_one() {
+        let mut rol = ReorderList::new();
+        for (id, th, l) in [(0, 0, 1), (1, 1, 1), (2, 2, 9), (3, 1, 9), (4, 3, 2), (5, 2, 5)] {
+            rol.insert(entry(id, th, lock(l))).unwrap();
+        }
+        let (mut taint, mut set) = (Taint::default(), Vec::new());
+        for policy in [DependencePolicy::Transitive, DependencePolicy::Direct] {
+            for culprit in [0, 4, 1, 2, 0] {
+                let culprit = SubThreadId::new(culprit);
+                affected_set_into(&rol, culprit, policy, &mut taint, &mut set).unwrap();
+                assert_eq!(set, affected_set(&rol, culprit, policy).unwrap());
+            }
+        }
+        let unknown = SubThreadId::new(9);
+        assert!(affected_set_into(&rol, unknown, DependencePolicy::Direct, &mut taint, &mut set)
+            .is_err());
+        assert!(set.is_empty(), "a failed closure leaves no stale members");
     }
 
     #[test]

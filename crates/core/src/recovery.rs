@@ -21,7 +21,7 @@
 //!   instruction; otherwise only *sub-thread-precise* restart is possible
 //!   and the culprit re-executes from its checkpoint.
 
-use crate::deps::{affected_set, DependencePolicy, Provenance};
+use crate::deps::{affected_set_into, DependencePolicy, Provenance, Taint};
 use crate::error::{GprsError, Result};
 use crate::ids::{SubThreadId, ThreadId};
 use crate::rol::{ReorderList, SubThreadStatus};
@@ -106,7 +106,7 @@ impl fmt::Display for RecoveryPlan {
 
 /// Which sub-threads one recovery squashes — what both engines' restart
 /// paths act on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SquashScope {
     /// The squashed sub-threads, oldest first; the culprit leads unless
     /// [`RecoveryMode::DiscardAll`] reached past it.
@@ -131,21 +131,46 @@ pub fn squash_scope<R: Provenance>(
     mode: RecoveryMode,
     racy: impl FnOnce(ThreadId) -> bool,
 ) -> Result<SquashScope> {
-    let entry = rol
-        .get(culprit)
-        .ok_or(GprsError::UnknownSubThread(culprit))?;
-    let selective = matches!(mode, RecoveryMode::Selective(_));
-    let escalated = Some(entry.thread()).filter(|&t| selective && racy(t));
-    let ids = match mode {
-        RecoveryMode::Selective(policy) if escalated.is_none() => {
-            affected_set(rol, culprit, policy)?
+    let mut scope = SquashScope::default();
+    scope.plan(rol, culprit, mode, racy, &mut Taint::default())?;
+    Ok(scope)
+}
+
+impl SquashScope {
+    /// [`squash_scope`] in place, with `taint` as the closure's scratch: an
+    /// engine keeps one scope and one taint for the run, and a recovery
+    /// plans in the buffers earlier ones grew.
+    ///
+    /// # Errors
+    /// [`GprsError::UnknownSubThread`] — the culprit is not in the ROL (the
+    /// scope is then empty).
+    pub fn plan<R: Provenance>(
+        &mut self,
+        rol: &ReorderList<R>,
+        culprit: SubThreadId,
+        mode: RecoveryMode,
+        racy: impl FnOnce(ThreadId) -> bool,
+        taint: &mut Taint,
+    ) -> Result<()> {
+        self.ids.clear();
+        self.escalated = None;
+        let entry = rol
+            .get(culprit)
+            .ok_or(GprsError::UnknownSubThread(culprit))?;
+        let selective = matches!(mode, RecoveryMode::Selective(_));
+        self.escalated = Some(entry.thread()).filter(|&t| selective && racy(t));
+        match mode {
+            RecoveryMode::Selective(policy) if self.escalated.is_none() => {
+                affected_set_into(rol, culprit, policy, taint, &mut self.ids)?;
+            }
+            RecoveryMode::DiscardAll => self.ids.extend(rol.iter().map(|e| e.id())),
+            _ => {
+                self.ids.push(culprit);
+                self.ids.extend(rol.iter_younger(culprit).map(|e| e.id()));
+            }
         }
-        RecoveryMode::DiscardAll => rol.iter().map(|e| e.id()).collect(),
-        _ => std::iter::once(culprit)
-            .chain(rol.iter_younger(culprit).map(|e| e.id()))
-            .collect(),
-    };
-    Ok(SquashScope { ids, escalated })
+        Ok(())
+    }
 }
 
 /// Computes a recovery plan for an excepted sub-thread from the reorder

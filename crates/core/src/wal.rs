@@ -154,17 +154,31 @@ impl<Op: Clone + Debug + Hash + Send> WriteAheadLog<Op> {
     /// newest-first — the reverse undo walk of `§3.4`.
     pub fn take_undo_records(&mut self, squashed: &BTreeSet<SubThreadId>) -> Vec<WalRecord<Op>> {
         let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.records.len());
-        for r in self.records.drain(..) {
-            if squashed.contains(&r.subthread) {
-                taken.push(r);
-            } else {
-                kept.push_back(r);
+        self.take_undo_into(|s| squashed.contains(&s), &mut taken);
+        taken
+    }
+
+    /// [`Self::take_undo_records`] for the sub-threads `squashed` accepts,
+    /// appended newest-first to `taken`: the log compacts in place, so a
+    /// caller that keeps `taken` between recoveries undoes without
+    /// allocating.
+    pub fn take_undo_into(
+        &mut self,
+        squashed: impl Fn(SubThreadId) -> bool,
+        taken: &mut Vec<WalRecord<Op>>,
+    ) {
+        // A stable partition by swaps: kept records slide to the front in
+        // order, the squashed ones gather behind them.
+        let mut kept = 0;
+        for ix in 0..self.records.len() {
+            if !squashed(self.records[ix].subthread) {
+                self.records.swap(kept, ix);
+                kept += 1;
             }
         }
-        self.records = kept;
-        taken.reverse();
-        taken
+        let first = taken.len();
+        taken.extend(self.records.drain(kept..));
+        taken[first..].sort_unstable_by_key(|r| std::cmp::Reverse(r.lsn));
     }
 
     /// Prunes the records of a retired sub-thread ("the logs are pruned as
@@ -283,6 +297,24 @@ mod tests {
         let ops: Vec<_> = wal.take_undo_records(&set(&[1])).into_iter().map(|r| r.op).collect();
         assert_eq!(ops, [TestOp::Alloc(3), TestOp::Push(2)]);
         assert_eq!(wal.len(), 2, "the other sub-threads' records stay");
+    }
+
+    #[test]
+    fn take_undo_into_appends_newest_first_and_keeps_the_rest_in_order() {
+        let mut wal = WriteAheadLog::new();
+        for i in 0..9u64 {
+            wal.append(SubThreadId::new(i % 3), TestOp::Push(i as u32));
+        }
+        let mut taken = Vec::with_capacity(8);
+        let buf = taken.as_ptr();
+        wal.take_undo_into(|s| s.raw() != 1, &mut taken);
+        let ops: Vec<_> = taken.iter().map(|r| r.op.clone()).collect();
+        let want = [8, 6, 5, 3, 2, 0].map(TestOp::Push);
+        assert_eq!(ops, want, "both squashed sub-threads, newest first");
+        assert_eq!(taken.as_ptr(), buf, "the caller's buffer is reused");
+        let kept: Vec<_> = wal.iter().map(|r| r.lsn.raw()).collect();
+        assert_eq!(kept, [1, 4, 7], "the survivors stay in LSN order");
+        wal.verify().unwrap();
     }
 
     #[test]

@@ -443,6 +443,10 @@ pub(crate) struct Inner {
     pub access_pool: Vec<Vec<(ResourceId, AccessKind)>>,
     /// Reusable batch buffer for [`Inner::retire_ready`].
     pub retire_scratch: Vec<RolEntry<StRec>>,
+    /// Reusable buffers of a recovery (see [`crate::rex::RexScratch`]),
+    /// boxed at the engine's first recovery: an engine that never recovers
+    /// — most served jobs — neither carries nor builds them.
+    pub rex: Option<Box<crate::rex::RexScratch>>,
     pub poisoned: Option<String>,
     /// Set by [`crate::session::GprsSession::cancel`]: the run was halted
     /// at a quantum boundary rather than completing. Does not fail the
@@ -480,7 +484,8 @@ pub(crate) const LOCK_SHARDS: usize = 16;
 pub(crate) struct Shared {
     pub inner: Mutex<Inner>,
     /// Scheduler queue: workers seeking a grant wait here. Woken one at a
-    /// time (`notify_one` chains); broadcast only on finish/poison/recovery.
+    /// time (`notify_one` chains); broadcast only on finish and poison. A
+    /// recovery wakes nobody: the worker that ran it grants next.
     pub cv: Condvar,
     /// Lock-free mirror of the enforcer's grant frontier, republished under
     /// the lock at every token movement. Advisory outside the lock: used to
@@ -582,18 +587,21 @@ impl Shared {
         self.lock_shards[ix].notify_all();
     }
 
-    /// Broadcast to every waiter class — finish, poison, and
-    /// post-recovery, where any waiter may have become runnable. Callers
-    /// hold the engine lock, so (as in [`Shared::wake_one_seeker`]) a class
-    /// with no sleepers is skipped outright: a session, whose single
-    /// context never parks, finishes without a single wake syscall.
-    pub fn wake_all(&self) {
-        if self.cv_sleepers.load(Ordering::Relaxed) > 0 {
-            self.cv.notify_all();
-        }
-        for (shard, sleepers) in self.lock_shards.iter().zip(&self.shard_sleepers) {
+    /// Broadcast to every waiter class — finish and poison, where every
+    /// parked worker must leave. Callers hold the engine lock, so (as in
+    /// [`Shared::wake_one_seeker`]) a class with no sleepers is skipped
+    /// outright: a session, whose single context never parks, finishes
+    /// without a single wake syscall. Each broadcast issued counts as one
+    /// `wakeups_issued`.
+    pub fn wake_all(&self, telemetry: &Telemetry) {
+        let classes = std::iter::once((&self.cv, &self.cv_sleepers))
+            .chain(self.lock_shards.iter().zip(&self.shard_sleepers));
+        for (cv, sleepers) in classes {
             if sleepers.load(Ordering::Relaxed) > 0 {
-                shard.notify_all();
+                if telemetry.enabled() {
+                    telemetry.metrics.wakeups_issued.inc_serialized();
+                }
+                cv.notify_all();
             }
         }
     }
@@ -660,6 +668,7 @@ impl Inner {
             ledger,
             access_pool: Vec::new(),
             retire_scratch: Vec::new(),
+            rex: None,
             poisoned: None,
             cancelled_note: None,
             chaos: None,
@@ -794,7 +803,8 @@ impl Inner {
     /// Delivers one chaos event: `burst` exceptions aimed by the victim
     /// selector, each at a distinct candidate.
     fn chaos_fire(&mut self, ev: &ChaosEvent, in_recovery: bool) {
-        let mut taken: Vec<SubThreadId> = Vec::new();
+        // The burst's victims so far are the culprits it queued from here.
+        let burst_from = self.pending_exceptions.len();
         for _ in 0..ev.burst.max(1) {
             if ev.scope == ExceptionScope::Local {
                 // Handled precisely on the faulting context (§2.2): counted,
@@ -803,7 +813,7 @@ impl Inner {
                 self.stats.exceptions_ignored += 1;
                 continue;
             }
-            let victim = self.chaos_pick_victim(ev.victim, in_recovery, &taken);
+            let victim = self.chaos_pick_victim(ev.victim, in_recovery, burst_from);
             let context = victim
                 .and_then(|v| self.running.get(&v))
                 .map(|&w| w as u32)
@@ -811,23 +821,23 @@ impl Inner {
                     VictimSelector::Context(c) => c,
                     _ => 0,
                 });
-            taken.extend(victim);
             self.raise(ev.kind, context, victim);
         }
     }
 
-    /// Picks the next distinct victim for a burst member. At a grant
-    /// trigger candidates are the running sub-threads; mid-recovery the
-    /// machine is quiesced (`running` empty), so candidates are the
-    /// surviving ROL entries — the sub-threads recovery just chose *not*
-    /// to squash.
+    /// Picks the next distinct victim for a burst member: one no exception
+    /// queued since `burst_from` names. At a grant trigger candidates are
+    /// the running sub-threads; mid-recovery the machine is quiesced
+    /// (`running` empty), so candidates are the surviving ROL entries — the
+    /// sub-threads recovery just chose *not* to squash.
     fn chaos_pick_victim(
         &self,
         sel: VictimSelector,
         in_recovery: bool,
-        taken: &[SubThreadId],
+        burst_from: usize,
     ) -> Option<SubThreadId> {
-        let free = |id: &SubThreadId| !taken.contains(id);
+        let taken = self.pending_exceptions.range(burst_from..);
+        let free = |id: &SubThreadId| !taken.clone().any(|p| p.culprit == Some(*id));
         if in_recovery {
             let mut live = self.rol.iter().map(|e| e.id()).filter(free);
             return match sel {
@@ -1952,7 +1962,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // would stall on edges this domain will never feed again.
             inner.shard_publish_abort();
             shared.done.store(true, Ordering::Release);
-            shared.wake_all();
+            shared.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if inner.shard.is_some() && inner.shard_poll() {
@@ -1960,7 +1970,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // (the culprit domain carries the diagnostic). Out-edges stay
             // open — a sibling worker may still be depositing a step.
             shared.done.store(true, Ordering::Release);
-            shared.wake_all();
+            shared.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if inner.recovering {
@@ -1982,9 +1992,12 @@ pub(crate) fn decide<const SOLO: bool>(
                 inner.recovering = false;
                 inner.bump();
                 woke_idle = false;
-                // Recovery may return locks and re-arm any thread: every
-                // waiter class may have become runnable (rare; broadcast).
-                shared.wake_all();
+                // No wake: this worker grants from the recovered state
+                // itself, and that grant's `wake_peer` hands the frontier
+                // to a parked peer when the peer has a CPU to use it. A
+                // peer re-scans whatever state it wakes to, so none is owed
+                // a wake by the recovery; a broadcast here cost each
+                // recovery a context switch per parked worker.
                 continue;
             }
             wait_here!();
@@ -2004,7 +2017,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // out-edge close below.
             inner.shard_finish_domain();
             shared.done.store(true, Ordering::Release);
-            shared.wake_all();
+            shared.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if !may_grant {
@@ -2346,5 +2359,71 @@ mod tests {
             assert!(h.thread_snaps.is_empty() && h.lock_snaps.is_empty() && h.block_snaps.is_empty());
             assert!(g.barriers.values().all(|b| b.waiting.is_empty()));
         }
+    }
+
+    /// `rounds` fetch-adds on one atomic, then an exit.
+    struct Adds {
+        atomic: AtomicHandle,
+        rounds: u32,
+        done: u32,
+    }
+
+    impl Checkpoint for Adds {
+        type Snapshot = u32;
+        fn checkpoint(&self) -> u32 {
+            self.done
+        }
+        fn restore(&mut self, s: &u32) {
+            self.done = *s;
+        }
+    }
+
+    impl ThreadProgram for Adds {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+            if self.done == self.rounds {
+                return Step::exit_unit();
+            }
+            self.done += 1;
+            self.atomic.fetch_add(1)
+        }
+    }
+
+    /// A recovery wakes nobody: the worker that ran it grants next. One
+    /// pool worker is driven by hand while its peer counts as parked with
+    /// no CPU to spare, so every wake the run issues is counted and the
+    /// only one due is the finish broadcast — however many recoveries ran.
+    #[test]
+    fn a_recovery_is_finished_by_the_worker_that_ran_it() {
+        use super::{decide, execute_task, Decision, POOL};
+        use gprs_core::chaos::{ChaosEvent, ChaosPlan};
+        use std::sync::atomic::Ordering;
+        let mut plan = ChaosPlan::new();
+        for k in 1..=12 {
+            plan.push(ChaosEvent::at_grant(k * 8));
+        }
+        let mut b = GprsBuilder::new().workers(2).chaos(&plan);
+        for _ in 0..4 {
+            let atomic = b.atomic(0);
+            b.thread(Adds { atomic, rounds: 30, done: 0 }, GroupId::new(0), 1);
+        }
+        let shared = b.build().shared.clone();
+        shared.cv_sleepers.store(1, Ordering::Relaxed);
+        assert!(!shared.spare_cpu());
+        let mut finished = None;
+        loop {
+            match decide::<POOL>(&shared, 0, finished.take(), true) {
+                Decision::Run { task, wake_peer } => {
+                    assert!(!wake_peer, "no CPU is spare for the peer");
+                    finished = Some(execute_task(&shared, 0, task));
+                }
+                Decision::Finished => break,
+                Decision::Parked => unreachable!("a pool worker has no grant budget"),
+            }
+        }
+        let g = shared.inner.lock();
+        assert!(g.poisoned.is_none(), "{:?}", g.poisoned);
+        assert_eq!(g.stats.recoveries, 12);
+        let wakeups = g.ledger.telemetry().metrics.wakeups_issued.get();
+        assert_eq!(wakeups, 1, "the finish broadcast, and no wake per recovery");
     }
 }

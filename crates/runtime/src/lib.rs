@@ -721,8 +721,7 @@ impl Controller {
             .find(|(_, &w)| w == context as usize)
             .map(|(&s, _)| s);
         g.raise(kind, context, culprit);
-        drop(g);
-        self.shared.cv.notify_all();
+        self.shared.wake_one_seeker(g.ledger.telemetry());
     }
 
     /// Raises a global exception on whichever context currently runs the
@@ -734,8 +733,7 @@ impl Controller {
             return false;
         };
         g.raise(kind, worker as u32, Some(stid));
-        drop(g);
-        self.shared.cv.notify_all();
+        self.shared.wake_one_seeker(g.ledger.telemetry());
         true
     }
 

@@ -26,11 +26,12 @@ use crate::engine::{Inner, OpeningWant, PendingWant, RecoveryPolicy, StRec, ThSt
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::RtOp;
 use crate::program::{DynThread, Step};
-use gprs_core::deps::{DependencePolicy, Provenance};
+use gprs_core::deps::{DependencePolicy, Provenance, Taint};
 use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
-use gprs_core::recovery::{squash_scope, RecoveryMode};
-use std::collections::{BTreeMap, BTreeSet};
+use gprs_core::recovery::{RecoveryMode, SquashScope};
+use gprs_core::wal::WalRecord;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Drains and handles every pending exception. Requires quiescence
@@ -119,16 +120,42 @@ pub(crate) fn cancel_inflight(inner: &mut Inner) {
     debug_assert_eq!(inner.wal.len(), 0, "cancellation leaves no in-flight suffix");
 }
 
+/// The buffers of a recovery, kept in [`Inner`] for the next one: once the
+/// first recoveries have grown them to the run's largest squash, a recovery
+/// allocates nothing (`tests/alloc_budget.rs`).
+#[derive(Default)]
+pub(crate) struct RexScratch {
+    scope: SquashScope,
+    taint: Taint,
+    /// The squashed sub-threads' threads, sorted and distinct.
+    threads: Vec<ThreadId>,
+    /// Barrier generations whose release a squashed arrival fed.
+    undone_gens: Vec<(BarrierId, u64)>,
+    redo: Vec<ThreadId>,
+    records: Vec<WalRecord<RtOp>>,
+    undos: Vec<(u64, Undo)>,
+    /// The removed entries' records, each with its thread and id.
+    openings: Vec<(ThreadId, SubThreadId, StRec)>,
+}
+
+/// One history-store snapshot to apply, by kind.
+enum Undo {
+    Thread(ThreadId, Box<dyn std::any::Any + Send>),
+    Lock(gprs_core::ids::LockId, Box<dyn crate::handles::Recoverable>),
+    Block(u64, Vec<u8>),
+}
+
 /// Executes one recovery plan; returns the number of squashed sub-threads.
 fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
-    let mut affected = affected_set(inner, culprit);
+    let mut s = inner.rex.take().unwrap_or_default();
+    plan(inner, culprit, &mut s);
     // Defensive re-validation: every affected id was read out of the ROL
     // in this same quiesced pass, so all of them are still present — but a
     // future violation of that invariant (a HALT squash overlapping a chaos
     // overlay is the canonical near-miss) must not panic with the state
     // lock held. Dropping a vanished id instead keeps recovery total.
-    affected.retain(|&id| inner.rol.contains(id));
-    inner.stats.squashed += affected.len() as u64;
+    s.scope.ids.retain(|&id| inner.rol.contains(id));
+    inner.stats.squashed += s.scope.ids.len() as u64;
 
     // Oldest first, read off each affected entry: its thread, the barrier
     // generation its arrival released — undone: the parked continuations
@@ -137,41 +164,38 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
     // re-acquire in exactly this total order, or replayed critical sections
     // could interleave differently than the fault-free execution; queued
     // redos of threads being re-squashed are superseded.
-    let mut affected_threads: BTreeSet<ThreadId> = BTreeSet::new();
-    let mut undone_gens: BTreeSet<(BarrierId, u64)> = BTreeSet::new();
-    let mut redo = Vec::new();
-    for &id in &affected {
+    for &id in &s.scope.ids {
         let Some(e) = inner.rol.get(id) else { continue };
         let t = e.thread();
-        undone_gens.extend(e.rec.arrived());
+        s.undone_gens.extend(e.rec.arrived());
         if matches!(e.rec.want, OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _)) {
-            redo.push(t);
+            s.redo.push(t);
         }
-        affected_threads.insert(t);
+        s.threads.push(t);
         inner.ledger.squashed(EXTERNAL_RING, id, t);
         // Present (read just above), so the mark cannot fail.
         let _ = inner.rol.mark_squashed(id);
     }
-    inner.redo_locks.retain(|t| !affected_threads.contains(t));
-    inner.redo_locks.extend(redo);
+    s.threads.sort_unstable();
+    s.threads.dedup();
+    inner.redo_locks.retain(|t| s.threads.binary_search(t).is_err());
+    inner.redo_locks.extend(s.redo.drain(..));
 
     // --- 3. WAL undo, newest first. -----------------------------------
-    let squash_set: BTreeSet<SubThreadId> = affected.iter().copied().collect();
-    let records = inner.wal.take_undo_records(&squash_set);
+    // The scope is ascending (ROL order), so membership is a binary search.
+    let squashed = |id: SubThreadId| s.scope.ids.binary_search(&id).is_ok();
+    inner.wal.take_undo_into(squashed, &mut s.records);
     let mut reclaimed: BTreeMap<ThreadId, Box<dyn DynThread>> = BTreeMap::new();
-    for rec in records {
+    for rec in s.records.drain(..) {
         inner.ledger.wal_undone(rec.subthread);
         undo_op(inner, rec.op, &mut reclaimed);
     }
 
     // --- 4. History undo, newest first (existence-guarded). -----------
-    apply_history_undo(inner, &squash_set, &mut reclaimed);
+    apply_history_undo(inner, &s.scope.ids, &mut s.undos, &mut reclaimed);
 
-    // --- 5. Remove ROL entries, youngest first, with what they carry; ---
-    // the last record kept per thread is its oldest squashed sub-thread's,
-    // the one it re-arms from.
-    let mut openings: BTreeMap<ThreadId, StRec> = BTreeMap::new();
-    for &id in affected.iter().rev() {
+    // --- 5. Remove ROL entries, youngest first, with what they carry. --
+    for &id in s.scope.ids.iter().rev() {
         let Ok(mut entry) = inner.rol.remove_squashed(id) else {
             inner.poison(format!(
                 "recovery: squashed sub-thread {} vanished from the ROL \
@@ -183,48 +207,56 @@ fn recover_one(inner: &mut Inner, culprit: SubThreadId) -> u64 {
         // Race-detector facts of squashed work: the re-execution will
         // re-record them.
         inner.recycle_access_vec(std::mem::take(&mut entry.rec.accesses));
-        openings.insert(entry.thread(), entry.rec);
+        s.openings.push((entry.thread(), id, entry.rec));
     }
 
-    // --- Re-arm squashed threads. --------------------------------------
-    for (t, opening) in openings {
+    // --- Re-arm squashed threads, in thread order, each from the record --
+    // of its oldest squashed sub-thread (the first of its run once sorted).
+    s.openings.sort_unstable_by_key(|&(t, id, _)| (t, id));
+    let mut prev = None;
+    for (t, _, opening) in s.openings.drain(..) {
+        if prev.replace(t) == Some(t) {
+            continue;
+        }
         inner.ledger.restarted(t);
-        reinstate(inner, t, opening, &undone_gens, &mut reclaimed);
+        reinstate(inner, t, opening, &s.undone_gens, &mut reclaimed);
     }
     debug_assert!(
         reclaimed.is_empty(),
         "every reclaimed child is re-owned by a respawn request"
     );
     inner.stats.recoveries += 1;
-    affected.len() as u64
+    let squashed = s.scope.ids.len() as u64;
+    s.threads.clear();
+    s.undone_gens.clear();
+    inner.rex = Some(s);
+    squashed
 }
 
-/// Computes the ascending affected set of `culprit` under the configured
-/// policy (escalated to the basic suffix when the race detector saw the
-/// culprit's thread race — see [`squash_scope`]).
-fn affected_set(inner: &mut Inner, culprit: SubThreadId) -> Vec<SubThreadId> {
+/// Plans the squash of `culprit` into `s.scope` (ascending) under the
+/// configured policy — escalated to the basic suffix when the race detector
+/// saw the culprit's thread race, see [`SquashScope::plan`].
+fn plan(inner: &mut Inner, culprit: SubThreadId, s: &mut RexScratch) {
     let mode = match inner.cfg.recovery {
         RecoveryPolicy::Basic => RecoveryMode::Basic,
         RecoveryPolicy::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
     };
     let racy = |t| inner.ledger.is_racy_thread(t);
-    let scope = squash_scope(&inner.rol, culprit, mode, racy);
     // `perform_recovery` re-validated the culprit against the ROL, but a
     // vanished culprit must squash nothing and poison — not panic a
     // recovery pass that holds the whole quiesced machine.
-    let Ok(scope) = scope else {
+    if s.scope.plan(&inner.rol, culprit, mode, racy, &mut s.taint).is_err() {
         inner.poison(format!(
             "recovery: culprit sub-thread {} vanished from the ROL \
              (divergent replay or corrupted schedule state)",
             culprit.raw()
         ));
-        return Vec::new();
-    };
-    if let Some(thread) = scope.escalated {
+        return;
+    }
+    if let Some(thread) = s.scope.escalated {
         inner.stats.hybrid_escalations += 1;
         inner.ledger.escalated(culprit, thread);
     }
-    scope.ids
 }
 
 /// Applies the inverse of one logged runtime operation.
@@ -341,33 +373,34 @@ fn undo_op(inner: &mut Inner, op: RtOp, reclaimed: &mut BTreeMap<ThreadId, Box<d
     }
 }
 
-/// Applies program-state snapshots of the squashed set, newest first.
+/// Applies program-state snapshots of the squashed set (ascending), newest
+/// first. A thread checkpoint's box goes back to its thread, whose re-grant
+/// overwrites it instead of allocating one.
 fn apply_history_undo(
     inner: &mut Inner,
-    squash: &BTreeSet<SubThreadId>,
+    squash: &[SubThreadId],
+    undos: &mut Vec<(u64, Undo)>,
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) {
-    enum Undo {
-        Thread(ThreadId, Box<dyn std::any::Any + Send>),
-        Lock(gprs_core::ids::LockId, Box<dyn crate::handles::Recoverable>),
-        Block(u64, Vec<u8>),
-    }
+    let squashed = |s: &SubThreadId| squash.binary_search(s).is_ok();
     let hist = &mut inner.hist;
-    let mut undos: Vec<(u64, Undo)> = Vec::new();
-    let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
     undos.extend(threads.map(|(seq, _, t, snap)| (seq, Undo::Thread(t, snap))));
-    let locks = hist.lock_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    let locks = hist.lock_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
     undos.extend(locks.map(|(seq, _, l, snap)| (seq, Undo::Lock(l, snap))));
-    let blocks = hist.block_snaps.extract_if(.., |(_, s, _, _)| squash.contains(s));
+    let blocks = hist.block_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
     undos.extend(blocks.map(|(seq, _, b, snap)| (seq, Undo::Block(b, snap))));
 
-    undos.sort_by_key(|u| std::cmp::Reverse(u.0)); // newest first
-    for (_, u) in undos {
+    undos.sort_unstable_by_key(|u| std::cmp::Reverse(u.0)); // newest first
+    for (_, u) in undos.drain(..) {
         match u {
             Undo::Thread(t, snap) => {
                 if let Some(rec) = inner.threads.get_mut(&t) {
                     match rec.program.as_mut() {
-                        Some(p) => p.restore_from(snap.as_ref()),
+                        Some(p) => {
+                            p.restore_from(snap.as_ref());
+                            rec.spare_snap.get_or_insert(snap);
+                        }
                         // A checked-out program during recovery means the
                         // quiescence invariant broke; poison, don't panic.
                         None => inner.poison(format!(
@@ -402,7 +435,7 @@ fn reinstate(
     inner: &mut Inner,
     thread: ThreadId,
     opening: StRec,
-    undone_gens: &BTreeSet<(BarrierId, u64)>,
+    undone_gens: &[(BarrierId, u64)],
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) {
     let Some(rec) = inner.threads.get_mut(&thread) else {

@@ -144,28 +144,56 @@ impl ThreadProgram for Consumer {
     }
 }
 
-/// Allocations made by building and running one program, and the
-/// sub-threads the run retired.
-fn measure(build: impl FnOnce(&mut GprsBuilder)) -> (u64, u64) {
+/// What one run cost and did: allocations made building and running it,
+/// sub-threads retired, recoveries run.
+type Cost = (u64, u64, u64);
+
+/// The [`Cost`] of building and running one program.
+fn measure(build: impl FnOnce(&mut GprsBuilder)) -> Cost {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut b = GprsBuilder::new().workers(WORKERS);
     build(&mut b);
     let report = b.build().run().expect("run completes");
-    let retired = report.telemetry.retired_count;
+    let (retired, recoveries) = (report.telemetry.retired_count, report.stats.recoveries);
     drop(report);
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, retired)
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, retired, recoveries)
 }
 
-fn chains(rounds: u32) -> (u64, u64) {
+fn add_chains(b: &mut GprsBuilder, rounds: u32) {
+    for _ in 0..THREADS {
+        let atomic = b.atomic(0);
+        b.thread(Chain::new(atomic, rounds), GroupId::new(0), 1);
+    }
+}
+
+fn chains(rounds: u32) -> Cost {
+    measure(|b| add_chains(b, rounds))
+}
+
+/// The largest run [`faulted_chains`] is asked for, in rounds.
+const FAULTED_ROUNDS_MAX: u32 = 2 * 2_000;
+
+/// `chains` with a global exception every eighth grant, as `gprsbench`'s
+/// `chain-faults` injects them. Both sizes `marginal` compares arm the same
+/// plan, keyed past the larger run's grants, so arming it costs the same
+/// and what differs is the rounds and the recoveries they bring. One
+/// worker: with two, how far a thread runs ahead of its retirement before
+/// a squash lands is timing, and each new high-water mark of in-flight
+/// checkpoints costs a box that no recovery asked for.
+fn faulted_chains(rounds: u32) -> Cost {
+    assert!(rounds <= FAULTED_ROUNDS_MAX);
+    let grants = u64::from(FAULTED_ROUNDS_MAX + 1) * THREADS as u64 * 2;
+    let mut plan = ChaosPlan::new();
+    for k in 1..=grants / 8 {
+        plan.push(ChaosEvent::at_grant(k * 8));
+    }
     measure(|b| {
-        for _ in 0..THREADS {
-            let atomic = b.atomic(0);
-            b.thread(Chain::new(atomic, rounds), GroupId::new(0), 1);
-        }
+        *b = std::mem::take(b).workers(1).chaos(&plan);
+        add_chains(b, rounds);
     })
 }
 
-fn lockers(rounds: u32) -> (u64, u64) {
+fn lockers(rounds: u32) -> Cost {
     measure(|b| {
         let mutex = b.mutex(0u64);
         for _ in 0..THREADS {
@@ -180,7 +208,7 @@ fn lockers(rounds: u32) -> (u64, u64) {
     })
 }
 
-fn push_pop_pair(rounds: u32) -> (u64, u64) {
+fn push_pop_pair(rounds: u32) -> Cost {
     measure(|b| {
         let chan = b.channel::<u32>();
         b.thread(
@@ -203,16 +231,16 @@ fn push_pop_pair(rounds: u32) -> (u64, u64) {
     })
 }
 
-/// What `N` more rounds cost: `(allocations, sub-threads)` of a `2N`-round
-/// run minus those of an `N`-round run, each side the fewest allocations
-/// of a few runs. Timing only ever adds allocations to a run (a worker
-/// preempted while its thread has two unretired sub-threads costs a second
-/// checkpoint box; a larger retirement batch than any before grows the
-/// batch buffer), so the fewest is what the cycle itself makes.
-fn marginal(run: fn(u32) -> (u64, u64), n: u32) -> (u64, u64) {
+/// What `N` more rounds cost: the [`Cost`] of a `2N`-round run minus that
+/// of an `N`-round run, each side the fewest allocations of a few runs.
+/// Timing only ever adds allocations to a run (a worker preempted while its
+/// thread has two unretired sub-threads costs a second checkpoint box; a
+/// larger retirement batch than any before grows the batch buffer), so the
+/// fewest is what the cycle itself makes.
+fn marginal(run: fn(u32) -> Cost, n: u32) -> Cost {
     let fewest = |rounds| (0..5).map(|_| run(rounds)).min().expect("five runs");
-    let ((a1, r1), (a2, r2)) = (fewest(n), fewest(2 * n));
-    (a2.saturating_sub(a1), r2 - r1)
+    let ((a1, r1, e1), (a2, r2, e2)) = (fewest(n), fewest(2 * n));
+    (a2.saturating_sub(a1), r2 - r1, e2.saturating_sub(e1))
 }
 
 #[test]
@@ -225,17 +253,30 @@ fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
     // 8 fetch-add chains: the steady-state cycle allocates nothing — the
     // checkpoint box is recycled, the ROL entry's alias set is inline, and
     // retirement prunes by id range.
-    let (extra, subthreads) = marginal(chains, N);
+    let (extra, subthreads, _) = marginal(chains, N);
     assert_eq!(subthreads, u64::from(N) * THREADS as u64);
     assert_eq!(
         extra, 0,
         "{subthreads} more chain sub-threads cost {extra} more allocations"
     );
 
+    // The same chains under a fault every eighth grant: a recovery plans,
+    // undoes and re-arms in buffers the engine keeps, and the squashed
+    // checkpoint's box goes back to its thread for the re-grant, so the
+    // recoveries N more rounds bring allocate nothing either.
+    let (extra, subthreads, recoveries) = marginal(faulted_chains, N);
+    assert_eq!(subthreads, u64::from(N) * THREADS as u64);
+    assert!(recoveries >= u64::from(N), "{recoveries} more recoveries");
+    assert_eq!(
+        extra, 0,
+        "{subthreads} more chain sub-threads and {recoveries} more recoveries \
+         cost {extra} more allocations"
+    );
+
     // A mutex critical section adds the box its undo snapshot of the
     // protected value lives in (`Recoverable::clone_box`): measured 1.00
     // allocations per sub-thread; budget 1.25.
-    let (extra, subthreads) = marginal(lockers, N);
+    let (extra, subthreads, _) = marginal(lockers, N);
     assert_eq!(subthreads, u64::from(N) * THREADS as u64);
     assert!(
         extra * 4 <= subthreads * 5,
@@ -246,7 +287,7 @@ fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
     // sub-thread), plus, whenever the push is still unretired when its
     // item is popped, the dependence edge's list and map node. Measured
     // 0.5 on one CPU and up to 0.95 on two; budget 1.5 per sub-thread.
-    let (extra, subthreads) = marginal(push_pop_pair, N);
+    let (extra, subthreads, _) = marginal(push_pop_pair, N);
     assert_eq!(subthreads, 2 * u64::from(N));
     assert!(
         extra * 2 <= subthreads * 3,
