@@ -379,6 +379,8 @@ fn merge_telemetry(a: &mut gprs_telemetry::TelemetrySummary, b: gprs_telemetry::
             None => a.histograms.push((name, h)),
         }
     }
+    // Each domain numbers `seq` from 0 on its own facade: the merged trace
+    // is domain-major, one ascending slice per domain (`TelemetrySummary::events`).
     a.events.extend(b.events);
     a.dropped_events += b.dropped_events;
     a.raw_grant_trace.extend(b.raw_grant_trace);

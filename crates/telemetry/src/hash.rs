@@ -17,6 +17,8 @@
 //! Both use FNV-1a over little-endian `u64` words: stable across platforms
 //! and releases, cheap enough for the grant hot path.
 
+use std::cell::Cell;
+
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
@@ -138,7 +140,14 @@ impl ScheduleHash {
 /// id) are combined with wrapping addition, making the total insensitive to
 /// cross-thread retirement interleaving, which legitimately differs between
 /// a fault-free run and a recovered run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The combined digest is cached: each thread's finalized digest is kept
+/// beside the wrapping sum of them all, and [`RetiredOrderHash::record`]
+/// only marks its thread stale. A durable run asks for the digest after
+/// every retirement, so [`RetiredOrderHash::digest`] re-finalizes just the
+/// thread that changed since the last call (every thread only when several
+/// did): one finalization per retirement, not one per thread.
+#[derive(Debug, Clone, Default)]
 pub struct RetiredOrderHash {
     /// thread id → (retire count, running hash); Vec keyed by insertion
     /// order, linear scan (thread counts are small).
@@ -146,7 +155,29 @@ pub struct RetiredOrderHash {
     /// Domain-separation seed folded into every per-thread stream (0 =
     /// unseeded, the historical digest).
     seed: u64,
+    /// Each thread's finalized digest as last added into `sum`, index-aligned
+    /// with `threads`.
+    finals: Vec<Cell<u64>>,
+    /// Wrapping sum of `finals`.
+    sum: Cell<u64>,
+    /// Which of `finals` lag their stream: [`FRESH`] (none), `ix + 1`
+    /// (only thread slot `ix`), or [`STALE`] (possibly several).
+    stale: Cell<usize>,
 }
+
+/// `RetiredOrderHash::stale`: every cached thread digest is current.
+const FRESH: usize = 0;
+/// `RetiredOrderHash::stale`: more than one cached thread digest may lag.
+const STALE: usize = usize::MAX;
+
+/// Equal streams, whatever each side has cached.
+impl PartialEq for RetiredOrderHash {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.threads, self.seed) == (&other.threads, other.seed)
+    }
+}
+
+impl Eq for RetiredOrderHash {}
 
 impl RetiredOrderHash {
     /// A fresh, empty retirement digest.
@@ -160,28 +191,36 @@ impl RetiredOrderHash {
     /// per-thread digests is preserved.
     pub fn seeded(seed: u64) -> Self {
         RetiredOrderHash {
-            threads: Vec::new(),
             seed,
+            ..Self::default()
         }
     }
 
     /// Folds one retirement for `thread` with the retired sub-thread's
     /// stable kind tag.
     pub fn record(&mut self, thread: u32, kind: u8) {
-        let slot = match self.threads.iter_mut().find(|(t, _, _)| *t == thread) {
-            Some(s) => s,
+        let ix = match self.threads.iter().position(|&(t, _, _)| t == thread) {
+            Some(ix) => ix,
             None => {
                 let mut h = Fnv1a::new();
                 if self.seed != 0 {
                     h.write_u64(self.seed);
                 }
                 self.threads.push((thread, 0, h));
-                self.threads.last_mut().expect("just pushed")
+                self.finals.push(Cell::new(0));
+                self.threads.len() - 1
             }
         };
+        let slot = &mut self.threads[ix];
         slot.2.write_u64(slot.1);
         slot.2.write_u64(kind as u64);
         slot.1 += 1;
+        let stale = self.stale.get_mut();
+        *stale = if *stale == FRESH || *stale == ix + 1 {
+            ix + 1
+        } else {
+            STALE
+        };
     }
 
     /// Total retirements folded.
@@ -199,20 +238,64 @@ impl RetiredOrderHash {
     /// The combined digest: per-thread finalized digests (salted with the
     /// thread id and its count) summed with wrapping addition.
     pub fn digest(&self) -> u64 {
-        let mut acc: u64 = 0;
-        for &(thread, count, hash) in &self.threads {
-            let mut h = hash;
+        let stale = match self.stale.replace(FRESH) {
+            FRESH => 0..0,
+            STALE => 0..self.threads.len(),
+            slot => slot - 1..slot,
+        };
+        for ix in stale {
+            let (thread, count, mut h) = self.threads[ix];
             h.write_u64(thread as u64);
             h.write_u64(count);
-            acc = acc.wrapping_add(h.finish());
+            let fin = h.finish();
+            let old = self.finals[ix].replace(fin);
+            self.sum
+                .set(self.sum.get().wrapping_sub(old).wrapping_add(fin));
         }
-        acc
+        self.sum.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The digest computed the way it was before it was cached: every
+    /// thread re-finalized and summed.
+    fn recomputed(h: &RetiredOrderHash) -> u64 {
+        h.threads.iter().fold(0u64, |acc, &(thread, count, mut f)| {
+            f.write_u64(thread as u64);
+            f.write_u64(count);
+            acc.wrapping_add(f.finish())
+        })
+    }
+
+    proptest! {
+        /// Under any interleaving of `record` and `digest` — threads that
+        /// first retire mid-stream, several threads between two digests,
+        /// digests with nothing recorded between them — the cached digest
+        /// equals a full recompute, seeded or not.
+        #[test]
+        fn cached_digest_equals_a_full_recompute(
+            seeded in any::<bool>(),
+            ops in proptest::collection::vec((0u32..12, 0u8..6, 0u8..3), 0..200),
+        ) {
+            let seed = if seeded { name_seed("dedup") } else { 0 };
+            let (mut h, mut unasked) = (RetiredOrderHash::seeded(seed), RetiredOrderHash::seeded(seed));
+            for (thread, kind, digests) in ops {
+                h.record(thread, kind);
+                unasked.record(thread, kind);
+                for _ in 0..digests {
+                    prop_assert_eq!(h.digest(), recomputed(&h));
+                }
+            }
+            // Equality sees the streams, not what each side has cached.
+            prop_assert!(h == unasked);
+            prop_assert_eq!(h.digest(), recomputed(&h));
+            prop_assert_eq!(unasked.digest(), h.digest());
+        }
+    }
 
     #[test]
     fn schedule_hash_is_order_sensitive() {

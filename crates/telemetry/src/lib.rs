@@ -8,7 +8,7 @@
 //!
 //! 1. **Event tracing** ([`event`], [`ring`]) — structured [`TraceEvent`]s
 //!    recorded into per-worker fixed-capacity rings with lock-free appends,
-//!    drained post-run into a totally-ordered trace.
+//!    merged post-run into one trace ordered by sequence number.
 //! 2. **Determinism hashes** ([`hash`]) — a streaming [`ScheduleHash`] over
 //!    the grant order (same seed ⇒ same digest) and a
 //!    [`RetiredOrderHash`] over per-thread retirement sequences (a run
@@ -142,8 +142,9 @@ impl Telemetry {
         self.rings.as_ref().map_or(0, |r| r.dropped())
     }
 
-    /// Drains all rings into a totally-ordered trace. Requires writer
-    /// quiescence (run finished / workers joined) — see [`ring`] docs.
+    /// Merges all rings into one trace ordered by sequence number.
+    /// Requires writer quiescence (run finished / workers joined) — see
+    /// [`ring`] docs.
     pub fn drain_events(&self) -> Vec<TimedEvent> {
         self.rings.as_ref().map_or_else(Vec::new, |r| r.drain())
     }
@@ -189,7 +190,10 @@ pub struct TelemetrySummary {
     pub counters: Vec<(&'static str, u64)>,
     /// Histogram snapshots, in stable declaration order.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
-    /// The drained, totally-ordered event trace (bounded by ring capacity).
+    /// The drained event trace (bounded by ring capacity), ascending in
+    /// `seq`. A sharded report's trace is domain-major instead: each
+    /// domain's facade numbers `seq` from 0, and the domains' traces follow
+    /// one another in domain order, each slice ascending in `seq`.
     pub events: Vec<TimedEvent>,
     /// Events lost to ring wrapping.
     pub dropped_events: u64,

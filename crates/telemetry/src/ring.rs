@@ -4,8 +4,9 @@
 //! load+store on the write cursor under the single-writer contract below,
 //! then a plain slot write) and never allocate. The ring wraps: once full,
 //! new events overwrite the oldest; the monotone cursor itself records how
-//! many were lost. [`RingSet::drain`] merges all rings into one trace
-//! ordered by global sequence number.
+//! many were lost. [`RingSet::drain`] merges the rings' windows, each
+//! already in sequence order, into one trace ordered by global sequence
+//! number.
 //!
 //! # Safety contract
 //!
@@ -19,7 +20,11 @@
 
 use crate::event::TimedEvent;
 use std::cell::UnsafeCell;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-capacity single-writer event ring.
@@ -93,22 +98,30 @@ impl EventRing {
     /// Requires writer quiescence (see module docs); takes `&self` because
     /// integrations hold the ring behind an `Arc`.
     pub fn snapshot(&self) -> Vec<TimedEvent> {
-        let mut out = Vec::with_capacity(self.len());
-        self.snapshot_into(&mut out);
-        out
+        self.window().map(|ix| self.at(ix)).collect()
     }
 
-    /// Appends the live events, oldest first, to `out` (same contract as
-    /// [`EventRing::snapshot`]).
-    fn snapshot_into(&self, out: &mut Vec<TimedEvent>) {
+    /// The live window as monotone push indices: the most recent
+    /// `min(head, capacity)` events.
+    fn window(&self) -> Range<usize> {
         let head = self.head.load(Ordering::Acquire);
-        let start = head - head.min(self.slots.len());
-        out.extend((start..head).map(|ix| {
-            let slot = &self.slots[ix & self.mask];
-            // SAFETY: indices in [start, head) were fully written by the
-            // (now quiescent) writer; TimedEvent is Copy.
-            unsafe { (*slot.get()).assume_init() }
-        }));
+        head - head.min(self.slots.len())..head
+    }
+
+    /// The event pushed `ix`-th; `ix` must lie in [`EventRing::window`] and
+    /// the writer must be quiescent.
+    fn at(&self, ix: usize) -> TimedEvent {
+        let slot = &self.slots[ix & self.mask];
+        // SAFETY: indices in the live window were fully written by the
+        // (now quiescent) writer; TimedEvent is Copy.
+        unsafe { (*slot.get()).assume_init() }
+    }
+
+    /// Whether the live window is ascending in `seq` — the order
+    /// [`RingSet::drain`] merges on.
+    fn is_ascending(&self) -> bool {
+        let w = self.window();
+        (w.start + 1..w.end).all(|ix| self.at(ix - 1).seq <= self.at(ix).seq)
     }
 }
 
@@ -139,20 +152,43 @@ impl RingSet {
         self.rings.iter().map(|r| r.dropped()).sum()
     }
 
-    /// Merges all rings into one trace totally ordered by sequence number.
+    /// Merges all rings into one trace ordered by sequence number.
     ///
-    /// Requires writer quiescence on every ring. One exactly sized
-    /// allocation, sorted in place: every run's report drains, so a
-    /// temporary here is the trace's size in freshly faulted pages inside
-    /// each `run()`. Sequence numbers are unique per facade; the worker
-    /// keeps a tie in ring order.
+    /// Requires writer quiescence on every ring. Each ring's live window is
+    /// already ascending in `seq` — recording is serialized and `seq` is one
+    /// monotone counter per facade — so this is a k-way merge, not a sort:
+    /// a min-heap holds one `(seq, ring, index)` cursor per unfinished ring,
+    /// read straight from the ring's slots; each step copies the top
+    /// cursor's event out and advances that cursor in place. The cost is
+    /// one copy and one O(log rings) sift per event, and the memory one
+    /// exactly sized output (every run's report drains, so a temporary here
+    /// would be the trace's size in freshly faulted pages inside each
+    /// `run()`) plus the heap's one entry per ring. Sequence numbers are
+    /// unique per facade; a tie would keep ring order, then push order.
     pub fn drain(&self) -> Vec<TimedEvent> {
-        let mut all = Vec::with_capacity(self.rings.iter().map(EventRing::len).sum());
-        for r in &self.rings {
-            r.snapshot_into(&mut all);
+        debug_assert!(
+            self.rings.iter().all(EventRing::is_ascending),
+            "a ring's live window is out of sequence order"
+        );
+        let mut out = Vec::with_capacity(self.rings.iter().map(EventRing::len).sum());
+        let mut heap = BinaryHeap::with_capacity(self.rings.len());
+        for (r, ring) in self.rings.iter().enumerate() {
+            let w = ring.window();
+            if !w.is_empty() {
+                heap.push(Reverse((ring.at(w.start).seq, r, w.start)));
+            }
         }
-        all.sort_unstable_by_key(|e| (e.seq, e.worker));
-        all
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, r, ix)) = *top;
+            let ring = &self.rings[r];
+            out.push(ring.at(ix));
+            if ix + 1 < ring.window().end {
+                *top = Reverse((ring.at(ix + 1).seq, r, ix + 1));
+            } else {
+                PeekMut::pop(top);
+            }
+        }
+        out
     }
 }
 
@@ -226,6 +262,49 @@ mod tests {
         );
         assert_eq!(all.capacity(), all.len());
         assert_eq!(set.dropped(), 2);
+    }
+
+    /// What `drain` did before it merged: every live window concatenated,
+    /// then sorted by `(seq, worker)`.
+    fn sorted(set: &RingSet) -> Vec<TimedEvent> {
+        let mut all: Vec<TimedEvent> = set.rings.iter().flat_map(EventRing::snapshot).collect();
+        all.sort_unstable_by_key(|e| (e.seq, e.worker));
+        all
+    }
+
+    #[test]
+    fn drain_yields_the_order_a_full_sort_gives() {
+        let (mut wrapped, mut unwrapped, mut with_empty) = (0, 0, 0);
+        for case in 1..=400u64 {
+            // xorshift64, seeded per case.
+            let mut state = case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut below = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let workers = below(40) as usize; // 1–40 rings
+            let set = RingSet::new(workers, 1 << below(7));
+            // Only the first `active` ring indices record; indices past
+            // `workers` all land in the external ring.
+            let active = 1 + below(workers as u64 + 3);
+            let (mut seq, pushes) = (0, below(500));
+            for _ in 0..pushes {
+                seq += 1 + below(3);
+                let w = below(active) as usize;
+                set.ring(w).push(ev(seq, w as u32));
+            }
+            let merged = set.drain();
+            assert_eq!(merged, sorted(&set), "case {case}");
+            assert_eq!(merged.len() as u64 + set.dropped(), pushes, "case {case}");
+            assert_eq!(merged.capacity(), merged.len(), "case {case}");
+            wrapped += u32::from(set.dropped() > 0);
+            unwrapped += u32::from(pushes > 0 && set.dropped() == 0);
+            with_empty += u32::from(pushes > 0 && set.rings.iter().any(EventRing::is_empty));
+        }
+        // The seeds cover every shape the merge distinguishes.
+        assert!(wrapped > 50 && unwrapped > 50 && with_empty > 50);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use gprs_runtime::prelude::*;
 use gprs_serve::{build_job, JobSpec};
+use gprs_telemetry::{RingSet, TimedEvent, TraceEvent};
 use gprs_tests::Chain;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -320,4 +321,43 @@ fn building_a_served_job_stays_within_its_allocation_budget() {
     let report = session.finish().expect("the job completes");
     assert_eq!(report.job_id, 2);
     assert!(report.telemetry.retired_count > 0);
+}
+
+/// Draining a run's rings into its trace merges them in place of sorting:
+/// one exactly sized output and a heap of one cursor per ring, so 100 k
+/// events cost the allocations 1 k do. The rings are `sim-recovery`'s: 24
+/// contexts and the external ring, 4 096 events each.
+#[test]
+fn draining_the_trace_allocates_per_ring_not_per_event() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let drain = |events: u64| {
+        let set = RingSet::new(24, 4096);
+        for seq in 0..events {
+            // Runs of three events per ring, round robin; ring 24 is the
+            // external one.
+            let worker = (seq / 3) as usize % 25;
+            let event = TraceEvent::Grant {
+                subthread: seq,
+                thread: worker as u32,
+            };
+            set.ring(worker).push(TimedEvent {
+                seq,
+                worker: worker as u32,
+                event,
+            });
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let trace = set.drain();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(trace.len() as u64, events);
+        assert!(trace.windows(2).all(|w| w[0].seq < w[1].seq));
+        allocations
+    };
+    let (small, large) = (drain(1_000), drain(100_000));
+    // Measured: 2 (the trace and the heap).
+    assert!(small <= 3, "draining 1 k events made {small} allocations");
+    assert_eq!(
+        large, small,
+        "draining 100 k events made {large} allocations, 1 k made {small}"
+    );
 }

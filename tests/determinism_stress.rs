@@ -149,6 +149,20 @@ fn sim_recovery_counts_are_fixed_by_the_seed() {
             (recoveries, squashed, subthreads),
             "sim_recovery/{name}: (recoveries, squashed, sub-threads)"
         );
+        // The drained trace is the rings merged in sequence order, and what
+        // it lacks the rings counted as dropped: `seq` numbers every event
+        // recorded from 0, so the last one kept names how many there were.
+        let t = &r.telemetry;
+        assert!(
+            t.events.windows(2).all(|w| w[0].seq < w[1].seq),
+            "sim_recovery/{name}: trace out of sequence order"
+        );
+        let recorded = t.events.last().map_or(0, |e| e.seq + 1);
+        assert_eq!(
+            t.events.len() as u64 + t.dropped_events,
+            recorded,
+            "sim_recovery/{name}: kept + dropped events"
+        );
     }
 }
 

@@ -12,6 +12,7 @@ use gprs_core::chaos::{ChaosEvent, ChaosPlan};
 use gprs_core::exception::ExceptionKind;
 use gprs_runtime::report::RunReport;
 use gprs_runtime::GprsBuilder;
+use gprs_telemetry::{TimedEvent, TraceEvent};
 use gprs_workloads::kernels::compress::generate_corpus;
 use gprs_workloads::kernels::dedup::generate_dedup_corpus;
 use gprs_workloads::programs::{
@@ -72,6 +73,28 @@ fn beacon_sharded_reproduces_unsharded_retired_order() {
     }
     assert!(plain.shards.is_empty(), "unsharded runs carry no shard ledger");
     audit_shards(&sharded, 4);
+}
+
+/// A sharded report's trace is domain-major: each domain numbers `seq`
+/// from 0 on its own facade, and the merge appends the domains' traces in
+/// domain order, so the trace is one ascending slice per domain — the
+/// `d`-th slice holding exactly domain `d`'s retirements.
+#[test]
+fn sharded_trace_is_one_ascending_slice_per_domain_in_domain_order() {
+    let (_, sharded) = beacon_pair(4, 24, None);
+    let t = &sharded.telemetry;
+    assert_eq!(t.dropped_events, 0, "the rings hold the whole run");
+    let slices: Vec<&[TimedEvent]> = t.events.chunk_by(|a, b| a.seq < b.seq).collect();
+    assert_eq!(slices.len(), sharded.shards.len(), "one slice per domain");
+    for (slice, shard) in slices.iter().zip(&sharded.shards) {
+        let from_zero = slice.iter().zip(0u64..).all(|(e, seq)| e.seq == seq);
+        assert!(from_zero, "domain {} numbers its slice from 0", shard.domain);
+        let retires = slice
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Retire { .. }))
+            .count() as u64;
+        assert_eq!(retires, shard.retired, "domain {}", shard.domain);
+    }
 }
 
 /// Past the single gate's design point: one beacon thread per worker at
