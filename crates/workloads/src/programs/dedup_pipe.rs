@@ -520,11 +520,21 @@ mod tests {
     /// *instance* of a duplicate pair is stored first depends on the
     /// classification interleaving and may legitimately differ between a
     /// fault-free run and a recovered one (both are correct executions).
+    /// The wall-clock storm may miss a run that is over in a few
+    /// milliseconds, so the injected run also raises one exception at a
+    /// fixed grant.
     #[test]
     fn dedup_pipeline_invariants_hold_under_exceptions() {
+        use gprs_core::chaos::{ChaosEvent, ChaosPlan};
+        use gprs_core::exception::ExceptionKind;
         let input = generate_dedup_corpus(40_000, 40, 3);
+        let plan = ChaosPlan::new()
+            .with(ChaosEvent::at_grant(8).kind(ExceptionKind::ApproximationError));
         let run = |inject: bool| {
             let mut b = GprsBuilder::new().workers(2);
+            if inject {
+                b = b.chaos(&plan);
+            }
             let (file, writer, total, fresh) =
                 build_dedup_pipeline(&mut b, input.clone(), 8_192, 2, 1);
             let rt = b.build();
@@ -532,9 +542,7 @@ mod tests {
             let h = inject.then(|| {
                 std::thread::spawn(move || {
                     while !ctl.is_finished() {
-                        ctl.inject_on_busy(
-                            gprs_core::exception::ExceptionKind::ApproximationError,
-                        );
+                        ctl.inject_on_busy(ExceptionKind::ApproximationError);
                         std::thread::sleep(Duration::from_micros(500));
                     }
                 })
@@ -558,6 +566,6 @@ mod tests {
         };
         let _ = run(false);
         let stats = run(true);
-        assert!(stats.exceptions > 0, "the storm must land: {stats:?}");
+        assert!(stats.exceptions > 0, "an exception must land: {stats:?}");
     }
 }

@@ -166,7 +166,8 @@ impl ThreadProgram for PbzipWriter {
             self.taken += 1;
             self.pending.insert(seq, packed);
             while let Some(block) = self.pending.remove(&self.next_seq) {
-                let mut framed = (block.len() as u32).to_le_bytes().to_vec();
+                let mut framed = Vec::with_capacity(4 + block.len());
+                framed.extend_from_slice(&(block.len() as u32).to_le_bytes());
                 framed.extend_from_slice(&block);
                 ctx.write_file(self.file, &framed);
                 self.next_seq += 1;

@@ -5,7 +5,8 @@
 //! Each program is run at `N` and at `2N` rounds; set-up (builder, worker
 //! threads, telemetry rings, report) allocates the same in both, so the
 //! difference is what `N` more rounds cost. Set-up has a budget of its own:
-//! what building one served job into a session may allocate. The allocator
+//! what building one served job into a session may allocate. So does the
+//! pbzip2 step's kernel, which is most of a `pipeline` run. The allocator
 //! counts the whole process, and a test running beside another would be
 //! counted too, so the tests take turns under [`TURN`].
 
@@ -13,6 +14,7 @@ use gprs_runtime::prelude::*;
 use gprs_serve::{build_job, JobSpec};
 use gprs_telemetry::{RingSet, TimedEvent, TraceEvent};
 use gprs_tests::Chain;
+use gprs_workloads::kernels::compress::{compress_block, generate_corpus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -360,4 +362,43 @@ fn draining_the_trace_allocates_per_ring_not_per_event() {
         large, small,
         "draining 100 k events made {large} allocations, 1 k made {small}"
     );
+}
+
+/// Compressing one of the pipeline's 4 KiB blocks asks the allocator for
+/// its output and nothing else: the match table is the thread's, reused
+/// from one call to the next. Before the table was reused every call made
+/// 3 allocations and asked for ≈ 546 KiB, a fresh 512 KiB chain head among
+/// them.
+#[test]
+fn compressing_a_block_allocates_only_its_output() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = generate_corpus(64 << 10, 1);
+    let mut blocks = corpus.chunks(4 << 10);
+    // Warm the thread: its match table is made by its first call.
+    drop(compress_block(blocks.next().expect("a first block")));
+    for (ix, block) in (1..).zip(blocks) {
+        // A test thread the harness starts meanwhile is counted too, and
+        // only ever adds: the fewest of a few calls is what one call makes.
+        let (allocations, bytes) = (0..5)
+            .map(|_| {
+                let before = (
+                    ALLOCATIONS.load(Ordering::Relaxed),
+                    BYTES.load(Ordering::Relaxed),
+                );
+                let packed = compress_block(block);
+                let cost = (
+                    ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+                    BYTES.load(Ordering::Relaxed) - before.1,
+                );
+                assert!(!packed.is_empty());
+                cost
+            })
+            .min()
+            .expect("five calls");
+        // Measured: 1 allocation of 2 064 bytes (the output's capacity).
+        assert!(
+            allocations <= 2 && bytes <= 8 << 10,
+            "block {ix} made {allocations} allocations asking for {bytes} bytes"
+        );
+    }
 }

@@ -3,6 +3,7 @@
 
 use gprs_core::exception::ExceptionKind;
 use gprs_core::ids::GroupId;
+use gprs_core::persist::fnv1a;
 use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::GprsBuilder;
 use gprs_workloads::kernels::compress::generate_corpus;
@@ -162,4 +163,26 @@ fn runtime_is_deterministic_for_kernel_pipelines() {
     let (t4, f4) = run(4);
     assert_eq!(t1, t4, "schedule hashes must match across worker counts");
     assert_eq!(f1, f4, "archives must be bit-identical");
+}
+
+/// The pipeline's output file, byte for byte. The retired hash folds only
+/// `(thread, kind)` and `decode_pbzip_output` accepts any valid token
+/// stream, so neither would notice the compressor emitting different
+/// tokens; this fingerprint does. The writer frames blocks in sequence
+/// order, so the file is the same at every worker count.
+#[test]
+fn pbzip_output_bytes_are_pinned() {
+    let input = generate_corpus(96_000, 31);
+    for workers in [1, 2] {
+        let mut b = GprsBuilder::new().workers(workers);
+        let (file, _) = build_pbzip_pipeline(&mut b, input.clone(), 4096, 2);
+        let report = b.build().run().unwrap();
+        let out = report.file_contents(file.index());
+        assert_eq!(decode_pbzip_output(out).unwrap(), input);
+        assert_eq!(
+            (out.len(), fnv1a(out)),
+            (35_837, 0x6b0f_a21d_f491_0631),
+            "pbzip output at {workers} workers"
+        );
+    }
 }

@@ -100,7 +100,7 @@ fn record_replay_round_trip_is_bit_identical_clean() {
 /// *running* sub-thread: a function of the grant stream only when one
 /// worker runs the pool (with more, whether an older step has deposited
 /// yet is timing, and one replay in four squashed a different victim than
-/// the tape's — ROADMAP 3 owns keying the victim to the grant). Hence one
+/// the tape's — ROADMAP 2(a) owns keying the victim to the grant). Hence one
 /// worker here; the clean round trip above covers four.
 #[test]
 fn record_replay_round_trip_is_bit_identical_under_faults() {
