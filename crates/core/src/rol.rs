@@ -260,7 +260,14 @@ impl<R> ReorderList<R> {
     }
 
     fn index_of(&self, id: SubThreadId) -> Option<usize> {
-        // Entries are sorted by id; binary search.
+        // Ids ascend strictly, so entry `id` sits at `id - head` or earlier,
+        // and exactly there unless an id between the two is missing (a
+        // structural grant without an entry, a retired or squashed one).
+        let guess = id.raw().checked_sub(self.entries.front()?.id().raw())?;
+        let guess = usize::try_from(guess).unwrap_or(usize::MAX);
+        if self.entries.get(guess).is_some_and(|e| e.id() == id) {
+            return Some(guess);
+        }
         self.entries
             .binary_search_by(|e| e.id().cmp(&id))
             .ok()

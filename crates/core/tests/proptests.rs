@@ -3,7 +3,7 @@
 use gprs_core::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // Ordering schedules
@@ -168,6 +168,64 @@ proptest! {
         }
         let got: Vec<u64> = retired.iter().map(|e| e.id().raw()).collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// A lookup by id agrees with a `BTreeMap` model whatever has thinned
+    /// the list: ids a structural grant consumed without an entry, head
+    /// retirements, completions and squashed entries taken from the middle.
+    /// Each step is `(kind, n)`: insert after skipping `n % 4` ids, complete
+    /// or squash the model's `n`-th entry, or retire the completed head run.
+    #[test]
+    fn rol_lookup_by_id_matches_a_model(steps in vec((0u8..4, 0u64..64), 1..120)) {
+        let mut rol: ReorderList<u64> = ReorderList::default();
+        // id -> (completed, record)
+        let mut model: BTreeMap<u64, (bool, u64)> = BTreeMap::new();
+        let mut next = 0u64;
+        for (kind, n) in steps {
+            let nth = (!model.is_empty()).then(|| *model.keys().nth(n as usize % model.len()).unwrap());
+            match (kind, nth) {
+                (0, _) => {
+                    next += n % 4;
+                    rol.insert_with(make_subthread(next, (next % 3) as u32, 0), next * 10).unwrap();
+                    model.insert(next, (false, next * 10));
+                    next += 1;
+                }
+                (1, Some(id)) => {
+                    rol.mark_completed(SubThreadId::new(id)).unwrap();
+                    model.get_mut(&id).unwrap().0 = true;
+                }
+                (2, _) => {
+                    let retired: Vec<u64> = rol.retire_ready().iter().map(|e| e.id().raw()).collect();
+                    let mut expect = Vec::new();
+                    while let Some(entry) = model.first_entry().filter(|e| e.get().0) {
+                        expect.push(entry.remove_entry().0);
+                    }
+                    prop_assert_eq!(retired, expect);
+                }
+                (3, Some(id)) => {
+                    rol.mark_squashed(SubThreadId::new(id)).unwrap();
+                    let e = rol.remove_squashed(SubThreadId::new(id)).unwrap();
+                    prop_assert_eq!((e.id().raw(), e.rec), (id, model.remove(&id).unwrap().1));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(rol.len(), model.len());
+            for raw in 0..next + 2 {
+                let id = SubThreadId::new(raw);
+                let want = model.get(&raw);
+                prop_assert_eq!(rol.contains(id), want.is_some());
+                prop_assert_eq!(rol.get(id).map(|e| (e.id().raw(), e.rec)), want.map(|&(_, r)| (raw, r)));
+                prop_assert_eq!(rol.rec_mut(id).copied(), want.map(|&(_, r)| r));
+                // Nothing here is marked squashed: a present entry refuses
+                // to leave out of order, an absent one is unknown.
+                let refused = match rol.remove_squashed(id) {
+                    Err(GprsError::RetireIncomplete(x)) => Some(x == id),
+                    Err(GprsError::UnknownSubThread(_)) => None,
+                    other => panic!("remove_squashed({raw}) of an unsquashed entry: {other:?}"),
+                };
+                prop_assert_eq!(refused, want.map(|_| true));
+            }
+        }
     }
 
     /// The affected set is sandwiched between the culprit alone and the
@@ -335,4 +393,41 @@ proptest! {
         let hi = p.predicted_slowdown(Scheme::Gprs, 0.5 * gprs);
         prop_assert!(lo <= hi);
     }
+}
+
+/// Every id after the head sits past the slot its distance from the head
+/// names (every other id is skipped), so every probe but the head's misses
+/// its guessed slot and the lookup falls back to the search.
+#[test]
+fn rol_lookup_finds_entries_when_every_guessed_slot_misses() {
+    let mut rol: ReorderList<u64> = ReorderList::default();
+    let ids: Vec<u64> = (0..40).step_by(2).collect();
+    for &id in &ids {
+        rol.insert_with(make_subthread(id, 0, 0), id).unwrap();
+    }
+    // Thin the head too, so the guess is relative to a head that is not 0.
+    rol.mark_completed(SubThreadId::new(0)).unwrap();
+    assert_eq!(rol.retire_ready().len(), 1);
+    let head = ids[1];
+    for (pos, &id) in ids[1..].iter().enumerate() {
+        if id != head {
+            assert_ne!(
+                (id - head) as usize,
+                pos,
+                "id {id} sits in its guessed slot"
+            );
+        }
+        assert_eq!(rol.get(SubThreadId::new(id)).map(|e| e.rec), Some(id));
+        assert_eq!(rol.rec_mut(SubThreadId::new(id)).copied(), Some(id));
+        assert!(rol.contains(SubThreadId::new(id)));
+    }
+    for absent in (0..45).filter(|i| i % 2 == 1 || *i == 0 || *i >= 40) {
+        assert!(!rol.contains(SubThreadId::new(absent)), "id {absent}");
+        assert!(rol.get(SubThreadId::new(absent)).is_none(), "id {absent}");
+    }
+    // Taken from the middle, an entry leaves the search consistent.
+    rol.mark_squashed(SubThreadId::new(20)).unwrap();
+    assert_eq!(rol.remove_squashed(SubThreadId::new(20)).unwrap().rec, 20);
+    assert!(!rol.contains(SubThreadId::new(20)));
+    assert_eq!(rol.get(SubThreadId::new(22)).map(|e| e.rec), Some(22));
 }

@@ -33,15 +33,15 @@
 use crate::costs::MechCosts;
 use crate::result::SimResult;
 use crate::workload::{SimOp, Workload};
-use gprs_core::deps::{DependencePolicy, Provenance};
-use gprs_core::exception::{ExceptionInjector, InjectorConfig};
+use gprs_core::deps::{DependencePolicy, Provenance, Taint};
+use gprs_core::exception::{Exception, ExceptionInjector, InjectorConfig};
 use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
 use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
 use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
-use gprs_core::recovery::{squash_scope, RecoveryMode};
+use gprs_core::recovery::{RecoveryMode, SquashScope};
 use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
@@ -340,11 +340,24 @@ struct Gprs<'a> {
     threads: Vec<GThread>,
     ctxs: Vec<u64>,
     /// Sim thread index -> its in-window (granted, not yet retired or
-    /// squashed) sub-threads: a rewind sweeps only its own thread's bodies.
-    by_thread: Vec<BTreeSet<SubThreadId>>,
+    /// squashed) sub-threads, ascending: a rewind sweeps only its own
+    /// thread's bodies. A grant appends the thread's newest id and a
+    /// retirement takes its oldest, so only a squash searches.
+    by_thread: Vec<VecDeque<SubThreadId>>,
     rol: ReorderList<SimRec>,
     /// Reusable batch buffer for retirement.
     retire_scratch: Vec<RolEntry<SimRec>>,
+    /// Reusable buffer of the exceptions one drain takes from the injector.
+    pending: Vec<Exception>,
+    /// The last recovery's affected set and the closure's scratch: the next
+    /// recovery plans in the buffers earlier ones grew.
+    scope: SquashScope,
+    taint: Taint,
+    /// Recovery planning's per-pass finds — consumers newly squashed,
+    /// rewinds an undone release forces — applied after the pass, so
+    /// neither the squash set nor the targets is copied to be walked.
+    found: Vec<SubThreadId>,
+    forced: Vec<(usize, Rewind)>,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
     barrier_waiting: HashMap<BarrierId, Vec<usize>>,
@@ -433,9 +446,14 @@ impl<'a> Gprs<'a> {
             enforcer,
             threads,
             ctxs: vec![0; cfg.contexts.max(1) as usize],
-            by_thread: vec![BTreeSet::new(); w.threads.len()],
+            by_thread: vec![VecDeque::new(); w.threads.len()],
             rol: ReorderList::default(),
             retire_scratch: Vec::new(),
+            pending: Vec::new(),
+            scope: SquashScope::default(),
+            taint: Taint::default(),
+            found: Vec::new(),
+            forced: Vec::new(),
             locks: HashMap::new(),
             chans: HashMap::new(),
             barrier_waiting: HashMap::new(),
@@ -487,11 +505,12 @@ impl<'a> Gprs<'a> {
     }
 
     /// Least-loaded context (the load-balancing sub-thread scheduler).
+    /// Among equally loaded contexts the lowest index wins.
     fn pick_ctx(&self) -> usize {
-        let mut best = 0;
-        for (i, &avail) in self.ctxs.iter().enumerate() {
-            if avail < self.ctxs[best] {
-                best = i;
+        let (mut best, mut least) = (0, self.ctxs[0]);
+        for (i, &avail) in self.ctxs.iter().enumerate().skip(1) {
+            if avail < least {
+                (best, least) = (i, avail);
             }
         }
         best
@@ -588,7 +607,7 @@ impl<'a> Gprs<'a> {
                 .add_resource(stid, ResourceId::Lock(m))
                 .expect("just inserted");
         }
-        self.by_thread[th].insert(stid);
+        self.by_thread[th].push_back(stid);
         let t = &mut self.threads[th];
         t.current_st = Some(stid);
         t.request_at = end;
@@ -610,7 +629,9 @@ impl<'a> Gprs<'a> {
             let facts = raced.then(|| self.race_facts(&entry.rec, &accesses));
             let reason = self.ledger.retired(body.ctx, entry, facts);
             self.fail_on(reason);
-            self.by_thread[body.thread].remove(&entry.id());
+            // Retirement is in total order, so it takes the thread's oldest.
+            let oldest = self.by_thread[body.thread].pop_front();
+            debug_assert_eq!(oldest, Some(entry.id()), "by_thread out of sync");
         }
         retired.clear();
         self.retire_scratch = retired;
@@ -675,23 +696,24 @@ impl<'a> Gprs<'a> {
         }
     }
 
-    /// The affected set of `culprit`, oldest first: same-thread successors,
-    /// consumers of its pushed items, and younger lock/atomic-alias sharers —
-    /// closed transitively by [`squash_scope`] over this engine's item
-    /// provenance, or the whole younger suffix under basic scope and for a
-    /// culprit whose thread raced (the hybrid policy).
-    fn affected_set(&self, culprit: SubThreadId) -> Vec<SubThreadId> {
+    /// Plans the affected set of `culprit` into `self.scope`, oldest first:
+    /// same-thread successors, consumers of its pushed items, and younger
+    /// lock/atomic-alias sharers — closed transitively by
+    /// [`SquashScope::plan`] over this engine's item provenance, or the whole
+    /// younger suffix under basic scope and for a culprit whose thread raced
+    /// (the hybrid policy).
+    fn plan_affected_set(&mut self, culprit: SubThreadId) {
         let mode = match self.cfg.recovery {
             RecoveryScope::Basic => RecoveryMode::Basic,
             RecoveryScope::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
         };
         let racy = |t| self.ledger.is_racy_thread(t);
-        let scope = squash_scope(&self.rol, culprit, mode, racy)
+        self.scope
+            .plan(&self.rol, culprit, mode, racy, &mut self.taint)
             .expect("culprit body implies ROL entry");
-        if let Some(thread) = scope.escalated {
+        if let Some(thread) = self.scope.escalated {
             self.ledger.escalated(culprit, thread);
         }
-        scope.ids
     }
 
     /// The record of in-window sub-thread `id`.
@@ -750,21 +772,23 @@ impl<'a> Gprs<'a> {
     ///   that release (and every later one): all participants are forced
     ///   back to their own arrival so the barrier re-synchronizes.
     ///
-    /// Returns the squash set, the rewind targets, and the undone releases.
+    /// Starts from the affected set in `self.scope`. Returns the squash set,
+    /// the rewind targets, and the undone releases.
     #[allow(clippy::type_complexity)]
     fn plan_recovery(
-        &self,
-        affected: &[SubThreadId],
+        &mut self,
     ) -> (
         BTreeSet<SubThreadId>,
         BTreeMap<usize, Rewind>,
         BTreeSet<(BarrierId, u64)>,
     ) {
-        let mut squash: BTreeSet<SubThreadId> =
-            affected.iter().copied().collect();
+        let mut squash: BTreeSet<SubThreadId> = self.scope.ids.iter().copied().collect();
         let mut targets: BTreeMap<usize, Rewind> = BTreeMap::new();
-        let mut undone: BTreeSet<(BarrierId, u64)> =
-            BTreeSet::new();
+        let mut undone: BTreeSet<(BarrierId, u64)> = BTreeSet::new();
+        let (mut found, mut forced) = (
+            std::mem::take(&mut self.found),
+            std::mem::take(&mut self.forced),
+        );
         loop {
             let mut changed = false;
             // Oldest squashed sub-thread per thread decides the rewind.
@@ -792,18 +816,20 @@ impl<'a> Gprs<'a> {
                 }
             }
             // Consumers of squashed producers are squashed too.
-            for sid in squash.clone() {
-                for &c in &self.rec(sid).consumers {
-                    if self.rol.contains(c) && squash.insert(c) {
-                        changed = true;
-                    }
-                }
+            for &sid in &squash {
+                found.extend(
+                    self.rec(sid)
+                        .consumers
+                        .iter()
+                        .filter(|&&c| !squash.contains(&c) && self.rol.contains(c)),
+                );
+            }
+            for c in found.drain(..) {
+                changed |= squash.insert(c);
             }
             // Crossing a consumed arrival undoes its (and every later)
             // release of that barrier for all participants.
-            let snapshot: Vec<(usize, Rewind)> =
-                targets.iter().map(|(&t, &r)| (t, r)).collect();
-            for (th, tgt) in snapshot {
+            for (&th, &tgt) in &targets {
                 let to = self.threads[th].op_ix;
                 let segs = &self.w.threads[th].segments;
                 for (a, s) in segs.iter().enumerate().take(to).skip(tgt.op_ix()) {
@@ -823,22 +849,25 @@ impl<'a> Gprs<'a> {
                             if !participates {
                                 continue;
                             }
-                            let forced = Rewind::Op(self.nth_arrival_ix(m, barrier, g));
-                            let better = match targets.get(&m) {
-                                Some(&cur) => forced.precedes(cur),
-                                None => true,
-                            };
-                            if better {
-                                targets.insert(m, forced);
-                            }
+                            forced.push((m, Rewind::Op(self.nth_arrival_ix(m, barrier, g))));
                         }
                     }
+                }
+            }
+            for (m, r) in forced.drain(..) {
+                let better = match targets.get(&m) {
+                    Some(&cur) => r.precedes(cur),
+                    None => true,
+                };
+                if better {
+                    targets.insert(m, r);
                 }
             }
             if !changed {
                 break;
             }
         }
+        (self.found, self.forced) = (found, forced);
         (squash, targets, undone)
     }
 
@@ -848,24 +877,22 @@ impl<'a> Gprs<'a> {
     /// exceeding the time cap.
     fn drain_exceptions(&mut self, now: u64) -> bool {
         let latency = self.latency;
-        let pending = {
-            let Some(inj) = self.injector.as_mut() else {
-                return true;
-            };
-            let mut v = Vec::new();
-            while let Some(raise) = inj.peek_next() {
-                if raise.saturating_add(latency) > now {
-                    break;
-                }
-                v.push(inj.next_before(raise + 1).expect("peeked arrival"));
-                if v.len() > 2_000_000 {
-                    // Divergence guard (see the free engine).
-                    return false;
-                }
-            }
-            v
+        let Some(inj) = self.injector.as_mut() else {
+            return true;
         };
-        for e in pending {
+        let mut pending = std::mem::take(&mut self.pending);
+        while let Some(raise) = inj.peek_next() {
+            if raise.saturating_add(latency) > now {
+                break;
+            }
+            pending.push(inj.next_before(raise + 1).expect("peeked arrival"));
+            if pending.len() > 2_000_000 {
+                // Divergence guard (see the free engine).
+                return false;
+            }
+        }
+        let mut within_cap = true;
+        for e in pending.drain(..) {
             let raise = e.raised_at;
             let report = e.reported_at();
             self.res.exceptions += 1;
@@ -877,6 +904,12 @@ impl<'a> Gprs<'a> {
                 continue;
             }
             let victim = (e.victim.raw() as usize) % self.ctxs.len();
+            // Bodies on a context are laid end to end and its busy-until
+            // only grows, so a raise at or past it finds the context idle.
+            if raise >= self.ctxs[victim] {
+                self.res.exceptions_ignored += 1;
+                continue;
+            }
             // The sub-thread whose body occupied the victim context when the
             // exception was raised.
             // Bodies on one context never overlap, so at most one matches.
@@ -895,9 +928,9 @@ impl<'a> Gprs<'a> {
             self.rol
                 .mark_excepted(culprit, e)
                 .expect("culprit body implies ROL entry");
-            let affected = self.affected_set(culprit);
+            self.plan_affected_set(culprit);
             self.ledger.recovery_begin(victim, culprit);
-            let (squash, targets, undone) = self.plan_recovery(&affected);
+            let (squash, targets, undone) = self.plan_recovery();
             let culprit_th = self.rec(culprit).body.thread;
             // Remove squashed entries youngest-first, undoing channel
             // effects: a squashed pop returns the item to the channel
@@ -925,7 +958,11 @@ impl<'a> Gprs<'a> {
                         }
                     }
                 }
-                self.by_thread[body.thread].remove(&sid);
+                let window = &mut self.by_thread[body.thread];
+                let at = window
+                    .binary_search(&sid)
+                    .expect("a squashed sub-thread is in its thread's window");
+                window.remove(at);
                 self.ledger
                     .squashed(body.ctx, sid, self.w.threads[body.thread].thread);
             }
@@ -997,10 +1034,12 @@ impl<'a> Gprs<'a> {
             self.ledger
                 .recovery_end(victim, culprit, squash.len() as u64, None);
             if now > self.cfg.time_cap_cycles {
-                return false;
+                within_cap = false;
+                break;
             }
         }
-        true
+        self.pending = pending;
+        within_cap
     }
 
     /// Runs the token loop until every live thread has consumed its `End`

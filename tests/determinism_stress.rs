@@ -129,10 +129,13 @@ fn sim_workloads_match_seed_goldens() {
 /// and how many sub-threads the run executes.
 #[test]
 fn sim_recovery_counts_are_fixed_by_the_seed() {
-    // (program, recovery sessions, squashed, sub-threads)
-    for (name, recoveries, squashed, subthreads) in
-        [("canneal", 1, 2, 6_290), ("dedup", 18, 22, 57_637)]
-    {
+    // (program, recovery sessions, squashed, sub-threads, exceptions drawn,
+    // exceptions ignored, retired-order hash): which exceptions land, not
+    // only how many recoveries they make.
+    for (name, recoveries, squashed, subthreads, exceptions, ignored, retired) in [
+        ("canneal", 1, 2, 6_290, 7, 6, 0xeb19_bf29_e71c_7994),
+        ("dedup", 18, 22, 57_637, 169, 151, 0x0a3a_a9dd_6c07_95d8),
+    ] {
         let w = build(name, &TraceParams::paper().scaled(0.05));
         let cfg = GprsSimConfig::balance_aware(24).with_exceptions(injector(
             info(name).fig10_high_rate,
@@ -148,6 +151,11 @@ fn sim_recovery_counts_are_fixed_by_the_seed() {
             ),
             (recoveries, squashed, subthreads),
             "sim_recovery/{name}: (recoveries, squashed, sub-threads)"
+        );
+        assert_eq!(
+            (r.exceptions, r.exceptions_ignored, r.telemetry.retired_hash),
+            (exceptions, ignored, retired),
+            "sim_recovery/{name}: (exceptions, ignored, retired hash)"
         );
         // The drained trace is the rings merged in sequence order, and what
         // it lacks the rings counted as dropped: `seq` numbers every event
