@@ -137,7 +137,7 @@ pub(crate) struct CprInner {
     stats: RunStats,
     checkpoints: u64,
     rollbacks: u64,
-    telemetry: Arc<Telemetry>,
+    telemetry: Telemetry,
     poisoned: Option<String>,
     /// Chaos-plan cursor (see [`gprs_core::chaos`]). Every global exception
     /// is a whole-machine rollback under CPR, so the plan's victim selector
@@ -329,7 +329,7 @@ impl CprBuilder {
                 stats: RunStats::default(),
                 checkpoints: 0,
                 rollbacks: 0,
-                telemetry: Arc::new(Telemetry::disabled()),
+                telemetry: Telemetry::disabled(),
                 poisoned: None,
                 chaos: None,
             },
@@ -448,7 +448,7 @@ impl CprBuilder {
     /// Finalizes the executor.
     pub fn build(mut self) -> CprRuntime {
         self.inner.ckpt_every = self.ckpt_every;
-        self.inner.telemetry = Arc::new(Telemetry::new(&self.telemetry, self.workers));
+        self.inner.telemetry = Telemetry::new(&self.telemetry, self.workers);
         let workers = self.workers;
         CprRuntime {
             shared: Arc::new(CprShared {

@@ -66,7 +66,7 @@ pub struct RunReport {
     /// End-of-run telemetry: determinism hashes (the streaming
     /// `schedule_hash` replaces the old capped `grant_trace` vector and is
     /// identical across runs with the same exception schedule regardless of
-    /// worker count), metrics, and the drained event trace.
+    /// worker count), metrics, and the event trace, merged when read.
     pub telemetry: TelemetrySummary,
     /// The first data race in retired order, when
     /// [`crate::GprsBuilder::racecheck`] was enabled and one was found.

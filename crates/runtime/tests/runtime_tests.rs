@@ -845,6 +845,28 @@ fn exception_on_idle_context_is_ignored() {
     assert_eq!(report.stats.exceptions, report.stats.exceptions_ignored);
 }
 
+/// A report's trace is a snapshot of the run: the summary took the rings
+/// out of the facade, so an exception raised after the run records into
+/// nothing the report holds.
+#[test]
+fn a_reports_trace_is_unchanged_by_a_late_injection() {
+    let mut b = GprsBuilder::new().workers(2);
+    let t = b.thread(OneShot::new(|| 5u32), GroupId::new(0), 1);
+    let gprs = b.build();
+    let controller = gprs.controller();
+    let report = gprs.run().unwrap();
+    let (events, dropped) = (report.telemetry.events(), report.telemetry.dropped_events);
+    assert!(!events.is_empty(), "the run was traced");
+    for context in [0, 1, 7] {
+        controller.inject_on(ExceptionKind::SoftFault, context);
+    }
+    assert!(!controller.inject_on_busy(ExceptionKind::SoftFault));
+    assert!(controller.is_finished());
+    assert_eq!(report.telemetry.events(), events);
+    assert_eq!(report.telemetry.dropped_events, dropped);
+    assert_eq!(report.output::<u32>(t), 5);
+}
+
 #[test]
 fn file_output_survives_recovery_uncorrupted() {
     let run = |inject: bool| {

@@ -24,7 +24,7 @@ use crate::spec::{build_job, build_job_durable_recorded, build_job_sharded, vali
 use gprs_core::persist::{DurableImage, DurableRecord, FileBackend, PersistBackend};
 use gprs_runtime::report::RunReport;
 use gprs_runtime::session::{GprsSession, QuantumOutcome};
-use gprs_telemetry::{Counter, Histogram, HistogramSnapshot, JsonWriter};
+use gprs_telemetry::{Counter, Histogram, HistogramSnapshot, JsonWriter, Trace};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -117,7 +117,8 @@ pub struct JobOutcome {
     pub status: JobStatus,
     /// The run report: full for `Completed`, partial (everything retired
     /// before the stop) for the cancelled statuses, `None` for `Failed`
-    /// and for jobs cancelled before they ever ran a quantum.
+    /// and for jobs cancelled before they ever ran a quantum. Its
+    /// telemetry carries no event trace: the pool drops it at publish.
     pub report: Option<RunReport>,
     /// Poison message for `Failed`.
     pub error: Option<String>,
@@ -812,9 +813,15 @@ fn publish(
     job: &Arc<Job>,
     guard: parking_lot::MutexGuard<'_, Option<GprsSession>>,
     status: Option<JobStatus>,
-    report: Option<RunReport>,
+    mut report: Option<RunReport>,
     error: Option<String>,
 ) {
+    // The outcome is stored until `wait`, and nothing served reads a trace
+    // (`JobOutcome::to_json` prints hashes and counters): drop the job's
+    // rings now rather than hold them that long.
+    if let Some(r) = &mut report {
+        r.telemetry.trace = Trace::default();
+    }
     let status = if error.is_some() {
         JobStatus::Failed
     } else {

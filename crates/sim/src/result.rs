@@ -47,8 +47,8 @@ pub struct SimResult {
     pub redo_cycles: u64,
     /// Peak reorder-list occupancy (GPRS only).
     pub rol_peak: usize,
-    /// End-of-run telemetry: determinism hashes, metrics, and the drained
-    /// event trace (the same [`TelemetrySummary`] type embedded in
+    /// End-of-run telemetry: determinism hashes, metrics, and the event
+    /// trace, merged when read (the same [`TelemetrySummary`] type embedded in
     /// `gprs_runtime::RunReport`). The simulator is single-threaded, so the
     /// summary — including event sequence numbers — is fully deterministic
     /// and participates in `PartialEq` determinism comparisons.

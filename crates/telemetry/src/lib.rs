@@ -7,8 +7,10 @@
 //! Three layers, all optional at run time via [`TelemetryConfig`]:
 //!
 //! 1. **Event tracing** ([`event`], [`ring`]) — structured [`TraceEvent`]s
-//!    recorded into per-worker fixed-capacity rings with lock-free appends,
-//!    merged post-run into one trace ordered by sequence number.
+//!    recorded into per-worker fixed-capacity rings with lock-free appends.
+//!    A finished run's summary takes the rings whole; they are merged into
+//!    one trace ordered by sequence number only when the trace is read
+//!    ([`Trace`]).
 //! 2. **Determinism hashes** ([`hash`]) — a streaming [`ScheduleHash`] over
 //!    the grant order (same seed ⇒ same digest) and a
 //!    [`RetiredOrderHash`] over per-thread retirement sequences (a run
@@ -33,7 +35,7 @@ pub use event::{TimedEvent, TraceEvent};
 pub use hash::{name_seed, Fnv1a, RetiredOrderHash, ScheduleHash};
 pub use json::JsonWriter;
 pub use metrics::{Counter, HighWater, Histogram, HistogramSnapshot, Metrics};
-pub use ring::{EventRing, RingSet};
+pub use ring::{EventRing, RingSet, Trace};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,7 +118,8 @@ impl Telemetry {
     }
 
     /// Records one event from `worker` (out-of-range worker indices route
-    /// to the external ring). No-op when disabled.
+    /// to the external ring). No-op when disabled, and once
+    /// [`Telemetry::summarize`] has taken the rings.
     #[inline]
     pub fn record(&self, worker: usize, event: TraceEvent) {
         if !self.enabled {
@@ -137,26 +140,17 @@ impl Telemetry {
         }
     }
 
-    /// Events lost to ring wrapping.
-    pub fn dropped_events(&self) -> u64 {
-        self.rings.as_ref().map_or(0, |r| r.dropped())
-    }
-
-    /// Merges all rings into one trace ordered by sequence number.
-    /// Requires writer quiescence (run finished / workers joined) — see
-    /// [`ring`] docs.
-    pub fn drain_events(&self) -> Vec<TimedEvent> {
-        self.rings.as_ref().map_or_else(Vec::new, |r| r.drain())
-    }
-
     /// Assembles the end-of-run summary from this facade plus the
-    /// engine-owned hashes and optional raw grant trace.
+    /// engine-owned hashes and optional raw grant trace. The summary takes
+    /// the rings whole, unmerged; from then on this facade records no
+    /// event, so no writer can reach a trace being read.
     pub fn summarize(
-        &self,
+        &mut self,
         schedule: &ScheduleHash,
         retired: &RetiredOrderHash,
         raw_grant_trace: Vec<(u64, u32)>,
     ) -> TelemetrySummary {
+        let rings = self.rings.take();
         TelemetrySummary {
             enabled: self.enabled,
             schedule_hash: schedule.digest(),
@@ -165,8 +159,8 @@ impl Telemetry {
             retired_count: retired.retirements(),
             counters: self.metrics.counter_snapshot(),
             histograms: self.metrics.histogram_snapshot(),
-            events: self.drain_events(),
-            dropped_events: self.dropped_events(),
+            dropped_events: rings.as_ref().map_or(0, RingSet::dropped),
+            trace: rings.map_or_else(Trace::default, Trace::new),
             raw_grant_trace,
         }
     }
@@ -190,11 +184,9 @@ pub struct TelemetrySummary {
     pub counters: Vec<(&'static str, u64)>,
     /// Histogram snapshots, in stable declaration order.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
-    /// The drained event trace (bounded by ring capacity), ascending in
-    /// `seq`. A sharded report's trace is domain-major instead: each
-    /// domain's facade numbers `seq` from 0, and the domains' traces follow
-    /// one another in domain order, each slice ascending in `seq`.
-    pub events: Vec<TimedEvent>,
+    /// The run's event trace (bounded by ring capacity), merged when read:
+    /// see [`TelemetrySummary::events`].
+    pub trace: Trace,
     /// Events lost to ring wrapping.
     pub dropped_events: u64,
     /// Opt-in bounded raw grant trace (`(subthread, thread)`), empty unless
@@ -203,6 +195,14 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetrySummary {
+    /// The event trace, ascending in `seq`, merged from the run's rings on
+    /// every call. A sharded report's trace is domain-major instead: each
+    /// domain's facade numbers `seq` from 0, and the domains' traces follow
+    /// one another in domain order, each slice ascending in `seq`.
+    pub fn events(&self) -> Vec<TimedEvent> {
+        self.trace.events()
+    }
+
     /// Looks up a counter by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
@@ -252,7 +252,7 @@ impl TelemetrySummary {
         w.end_object();
         w.field_u64("dropped_events", self.dropped_events);
         w.key("events").begin_array();
-        for e in &self.events {
+        for e in self.trace.iter() {
             w.begin_object()
                 .field_u64("seq", e.seq)
                 .field_u64("worker", e.worker as u64)
@@ -285,7 +285,7 @@ impl TelemetrySummary {
     /// raw trace would still dominate the document.
     pub fn without_events(&self) -> TelemetrySummary {
         TelemetrySummary {
-            events: Vec::new(),
+            trace: Trace::default(),
             raw_grant_trace: Vec::new(),
             ..self.clone()
         }
@@ -298,19 +298,18 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let t = Telemetry::disabled();
+        let mut t = Telemetry::disabled();
         t.record(0, TraceEvent::Grant { subthread: 0, thread: 0 });
-        assert!(t.drain_events().is_empty());
-        assert_eq!(t.dropped_events(), 0);
         let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new());
         assert!(!s.enabled);
         assert_eq!(s.schedule_hash, 0);
-        assert!(s.events.is_empty());
+        assert!(s.events().is_empty());
+        assert_eq!(s.dropped_events, 0);
     }
 
     #[test]
     fn summary_round_trip() {
-        let t = Telemetry::new(&TelemetryConfig::default(), 2);
+        let mut t = Telemetry::new(&TelemetryConfig::default(), 2);
         t.metrics.grants.add(3);
         t.metrics.retired.add(3);
         t.record(0, TraceEvent::Grant { subthread: 0, thread: 0 });
@@ -324,8 +323,8 @@ mod tests {
         assert_eq!(s.counter("grants"), 3);
         assert_eq!(s.schedule_grants, 1);
         assert_eq!(s.retired_count, 1);
-        assert_eq!(s.events.len(), 2);
-        assert_eq!(s.events[0].seq, 0);
+        assert_eq!(s.events().len(), 2);
+        assert_eq!(s.events()[0].seq, 0);
         let json = s.to_json();
         assert!(json.contains("\"schedule_hash\":\"0x"));
         assert!(json.contains("\"grants\":3"));
@@ -335,13 +334,84 @@ mod tests {
 
     #[test]
     fn sequence_numbers_are_globally_ordered() {
-        let t = Telemetry::new(&TelemetryConfig::default(), 3);
+        let mut t = Telemetry::new(&TelemetryConfig::default(), 3);
         for i in 0..30u64 {
             t.record((i % 3) as usize, TraceEvent::WalAppend { subthread: i });
         }
-        let evs = t.drain_events();
+        let evs = t
+            .summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new())
+            .events();
         assert_eq!(evs.len(), 30);
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn a_summarized_facade_records_nothing_more() {
+        let mut t = Telemetry::new(&TelemetryConfig::default(), 1);
+        t.record(0, TraceEvent::WalAppend { subthread: 0 });
+        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new());
+        let copy = s.clone();
+        t.record(0, TraceEvent::WalAppend { subthread: 1 });
+        t.record(usize::MAX, TraceEvent::WalAppend { subthread: 2 });
+        assert_eq!(s.events(), copy.events());
+        assert_eq!(s.events().len(), 1);
+        assert_eq!(s, copy);
+    }
+
+    /// The JSON of one trace event, written as `write_json` wrote it when
+    /// the summary held the drained events.
+    fn old_event_json(w: &mut JsonWriter, e: &TimedEvent) {
+        w.begin_object()
+            .field_u64("seq", e.seq)
+            .field_u64("worker", e.worker as u64)
+            .field_str("type", e.event.name());
+        for (k, v) in e.event.fields() {
+            w.field_u64(k, v);
+        }
+        w.end_object();
+    }
+
+    #[test]
+    fn summary_json_is_the_json_of_the_trace_drained_the_old_way() {
+        // Three workers and the external ring, 8 slots each, so rings wrap.
+        let cfg = TelemetryConfig {
+            ring_capacity: 8,
+            ..TelemetryConfig::default()
+        };
+        let mut t = Telemetry::new(&cfg, 3);
+        t.metrics.grants.add(5);
+        for i in 0..100u64 {
+            let worker = [0, 1, 2, usize::MAX][(i * i % 7 % 4) as usize];
+            let thread = (i % 5) as u32;
+            let event = match i % 3 {
+                0 => TraceEvent::Grant { subthread: i, thread },
+                1 => TraceEvent::Retire { subthread: i, thread },
+                _ => TraceEvent::WalAppend { subthread: i },
+            };
+            t.record(worker, event);
+        }
+        // Drained the old way: every ring's window copied out, then sorted.
+        let rings = t.rings.as_ref().expect("telemetry is on");
+        let mut old: Vec<TimedEvent> = (0..4).flat_map(|r| rings.ring(r).snapshot()).collect();
+        old.sort_unstable_by_key(|e| (e.seq, e.worker));
+        let mut events = JsonWriter::new();
+        events.begin_array();
+        for e in &old {
+            old_event_json(&mut events, e);
+        }
+        events.end_array();
+
+        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), vec![(1, 2)]);
+        assert!(s.dropped_events > 0, "the rings wrapped");
+        assert_eq!(s.events(), old);
+        let bare = TelemetrySummary {
+            trace: Trace::default(),
+            ..s.clone()
+        };
+        let want = bare
+            .to_json()
+            .replace("\"events\":[]", &format!("\"events\":{}", events.finish()));
+        assert_eq!(s.to_json(), want);
     }
 
     #[test]

@@ -1,75 +1,63 @@
 //! Per-worker fixed-capacity event rings with lock-free appends.
 //!
-//! Each worker owns one [`EventRing`]; appends are wait-free (a plain
-//! load+store on the write cursor under the single-writer contract below,
-//! then a plain slot write) and never allocate. The ring wraps: once full,
-//! new events overwrite the oldest; the monotone cursor itself records how
-//! many were lost. [`RingSet::drain`] merges the rings' windows, each
-//! already in sequence order, into one trace ordered by global sequence
-//! number.
+//! A [`RingSet`] holds one ring per worker plus one for external threads,
+//! all in one slot array: ring `r` is the window of `capacity` slots at
+//! offset `r × capacity`, with its own write cursor. Appends through the
+//! borrowed [`EventRing`] view are wait-free (a plain load+store on the
+//! cursor under the single-writer contract below, then a plain slot write)
+//! and never allocate. A ring wraps: once full, new events overwrite the
+//! oldest; the monotone cursor itself records how many were lost.
+//!
+//! The rings are merged only when the trace is read. A finished run's
+//! summary takes its facade's ring set whole into a [`Trace`], and
+//! [`Trace::events`] (or [`RingSet::drain`]) merges the rings' windows,
+//! each already in sequence order, into one trace ordered by global
+//! sequence number. Nothing is copied at the end of a run.
 //!
 //! # Safety contract
 //!
 //! A ring supports **one writer at a time**. The integrating runtime
 //! guarantees this either structurally (each worker thread writes only its
 //! own ring; the simulator is single-threaded) or by serializing all
-//! recording under its state lock, as the real GPRS engine does. Draining
-//! requires writer quiescence (workers joined / run finished); this is
-//! asserted against the sequence counter where practical, and documented at
-//! every call site.
+//! recording under its state lock, as the real GPRS engine does. Reading
+//! requires writer quiescence: a [`Trace`] is made by moving the ring set
+//! out of its facade, after which no writer can reach it; a set read in
+//! place (tests, benchmarks) is read after its writers are joined.
 
 use crate::event::TimedEvent;
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// A fixed-capacity single-writer event ring.
-#[derive(Debug)]
-pub struct EventRing {
-    slots: Box<[UnsafeCell<MaybeUninit<TimedEvent>>]>,
-    /// `slots.len() - 1`; the capacity is a power of two so the wrap is a
-    /// mask, not a division, on the push path.
-    mask: usize,
+type Slot = UnsafeCell<MaybeUninit<TimedEvent>>;
+
+/// One ring of a [`RingSet`]: a borrowed window of the set's slot array
+/// and the ring's own write cursor.
+pub struct EventRing<'a> {
+    /// This ring's slots; their count is a power of two, so the push path
+    /// wraps with a mask, not a division.
+    slots: &'a [Slot],
     /// Total events ever pushed (monotone; `min(head, capacity)` slots are
     /// live, the live window being the most recent events). Doubles as the
     /// drop accounting: everything past `capacity` overwrote an older
     /// event, so `push` needs no second atomic.
-    head: AtomicUsize,
+    head: &'a AtomicUsize,
 }
 
-// SAFETY: slot access is single-writer by the contract above; `drain`
-// requires quiescence. The atomics provide the cross-thread ordering for
-// the cursor itself.
-unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
-
-impl EventRing {
-    /// Creates a ring holding up to `capacity` events (min 1; rounded up
-    /// to the next power of two so the push path wraps with a mask).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        EventRing {
-            slots,
-            mask: capacity - 1,
-            head: AtomicUsize::new(0),
-        }
-    }
-
+impl EventRing<'_> {
     /// Appends an event (wait-free; overwrites the oldest when full).
     pub fn push(&self, ev: TimedEvent) {
         // Load+store suffices under the single-writer contract (module
-        // docs); the cursor stays atomic only for the cross-thread drain.
+        // docs); the cursor stays atomic only for the cross-thread read.
         let ix = self.head.load(Ordering::Relaxed);
         self.head.store(ix + 1, Ordering::Relaxed);
-        let slot = &self.slots[ix & self.mask];
+        let slot = &self.slots[ix & (self.slots.len() - 1)];
         // SAFETY: single-writer contract — no concurrent writer to this
         // ring, and readers only run after writer quiescence.
         unsafe {
@@ -85,7 +73,7 @@ impl EventRing {
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.head.load(Ordering::Acquire).min(self.slots.len())
+        self.window().len()
     }
 
     /// Whether no events were recorded.
@@ -93,10 +81,8 @@ impl EventRing {
         self.head.load(Ordering::Acquire) == 0
     }
 
-    /// Copies out the live events, oldest first.
-    ///
-    /// Requires writer quiescence (see module docs); takes `&self` because
-    /// integrations hold the ring behind an `Arc`.
+    /// Copies out the live events, oldest first. Requires writer
+    /// quiescence (see module docs).
     pub fn snapshot(&self) -> Vec<TimedEvent> {
         self.window().map(|ix| self.at(ix)).collect()
     }
@@ -111,48 +97,94 @@ impl EventRing {
     /// The event pushed `ix`-th; `ix` must lie in [`EventRing::window`] and
     /// the writer must be quiescent.
     fn at(&self, ix: usize) -> TimedEvent {
-        let slot = &self.slots[ix & self.mask];
+        let slot = &self.slots[ix & (self.slots.len() - 1)];
         // SAFETY: indices in the live window were fully written by the
         // (now quiescent) writer; TimedEvent is Copy.
         unsafe { (*slot.get()).assume_init() }
     }
 
     /// Whether the live window is ascending in `seq` — the order
-    /// [`RingSet::drain`] merges on.
+    /// [`RingSet::merged`] merges on.
     fn is_ascending(&self) -> bool {
         let w = self.window();
         (w.start + 1..w.end).all(|ix| self.at(ix - 1).seq <= self.at(ix).seq)
     }
 }
 
-/// One ring per worker plus one for external threads (controller, main).
-#[derive(Debug)]
+/// One ring per worker plus one for external threads (controller, main),
+/// in one allocation of slots.
+///
+/// The slots are one block, not one per ring, because a run's rings are
+/// freed and allocated again with every run: one block of the set's size
+/// raises the allocator's trim threshold past it, so the next run reuses
+/// pages already faulted in, where a ring per block left the heap trimmed
+/// and faulted back in after every run (DESIGN §5c).
 pub struct RingSet {
-    rings: Vec<EventRing>,
+    /// Every ring's slots; ring `r`'s are `r × capacity ..`.
+    slots: Box<[Slot]>,
+    /// One write cursor per ring (see [`EventRing`]).
+    heads: Box<[AtomicUsize]>,
+    /// `capacity - 1`, the capacity a power of two.
+    mask: usize,
+}
+
+// SAFETY: slot access is single-writer per ring by the contract above, and
+// reading requires quiescence. The atomics provide the cross-thread
+// ordering for the cursors themselves.
+unsafe impl Sync for RingSet {}
+
+impl fmt::Debug for RingSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RingSet")
+            .field("capacity", &(self.mask + 1))
+            .field("heads", &self.heads)
+            .finish()
+    }
 }
 
 impl RingSet {
-    /// Creates `workers + 1` rings of `capacity` events each; the last ring
-    /// collects events from threads that are not workers.
+    /// Creates `workers + 1` rings of `capacity` events each (min 1; rounded
+    /// up to the next power of two); the last ring collects events from
+    /// threads that are not workers.
     pub fn new(workers: usize, capacity: usize) -> Self {
+        let capacity = capacity.max(1).next_power_of_two();
+        let rings = workers + 1;
         RingSet {
-            rings: (0..workers + 1).map(|_| EventRing::new(capacity)).collect(),
+            slots: (0..rings * capacity)
+                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                .collect(),
+            heads: (0..rings).map(|_| AtomicUsize::new(0)).collect(),
+            mask: capacity - 1,
         }
     }
 
     /// The ring for `worker`, routing out-of-range indices (external
     /// threads) to the shared external ring.
-    pub fn ring(&self, worker: usize) -> &EventRing {
-        let ix = worker.min(self.rings.len() - 1);
-        &self.rings[ix]
+    pub fn ring(&self, worker: usize) -> EventRing<'_> {
+        let r = worker.min(self.heads.len() - 1);
+        let capacity = self.mask + 1;
+        EventRing {
+            slots: &self.slots[r * capacity..][..capacity],
+            head: &self.heads[r],
+        }
+    }
+
+    /// Every ring, the external one last.
+    fn rings(&self) -> impl Iterator<Item = EventRing<'_>> {
+        (0..self.heads.len()).map(|r| self.ring(r))
+    }
+
+    /// Events currently held across rings.
+    fn len(&self) -> usize {
+        self.rings().map(|r| r.len()).sum()
     }
 
     /// Total events lost across rings.
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped()).sum()
+        self.rings().map(|r| r.dropped()).sum()
     }
 
-    /// Merges all rings into one trace ordered by sequence number.
+    /// The rings' events in sequence order, merged as they are read.
     ///
     /// Requires writer quiescence on every ring. Each ring's live window is
     /// already ascending in `seq` — recording is serialized and `seq` is one
@@ -160,35 +192,117 @@ impl RingSet {
     /// a min-heap holds one `(seq, ring, index)` cursor per unfinished ring,
     /// read straight from the ring's slots; each step copies the top
     /// cursor's event out and advances that cursor in place. The cost is
-    /// one copy and one O(log rings) sift per event, and the memory one
-    /// exactly sized output (every run's report drains, so a temporary here
-    /// would be the trace's size in freshly faulted pages inside each
-    /// `run()`) plus the heap's one entry per ring. Sequence numbers are
-    /// unique per facade; a tie would keep ring order, then push order.
-    pub fn drain(&self) -> Vec<TimedEvent> {
+    /// one copy and one O(log rings) sift per event, and the memory the
+    /// heap's one entry per ring. Sequence numbers are unique per facade; a
+    /// tie would keep ring order, then push order.
+    fn merged(&self) -> Merge<'_> {
         debug_assert!(
-            self.rings.iter().all(EventRing::is_ascending),
+            self.rings().all(|r| r.is_ascending()),
             "a ring's live window is out of sequence order"
         );
-        let mut out = Vec::with_capacity(self.rings.iter().map(EventRing::len).sum());
-        let mut heap = BinaryHeap::with_capacity(self.rings.len());
-        for (r, ring) in self.rings.iter().enumerate() {
+        let mut heap = BinaryHeap::with_capacity(self.heads.len());
+        for (r, ring) in self.rings().enumerate() {
             let w = ring.window();
             if !w.is_empty() {
                 heap.push(Reverse((ring.at(w.start).seq, r, w.start)));
             }
         }
-        while let Some(mut top) = heap.peek_mut() {
-            let Reverse((_, r, ix)) = *top;
-            let ring = &self.rings[r];
-            out.push(ring.at(ix));
-            if ix + 1 < ring.window().end {
-                *top = Reverse((ring.at(ix + 1).seq, r, ix + 1));
-            } else {
-                PeekMut::pop(top);
-            }
-        }
+        Merge { set: self, heap }
+    }
+
+    /// The merged trace ([`RingSet::merged`]) as one exactly sized vector.
+    pub fn drain(&self) -> Vec<TimedEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.merged());
         out
+    }
+}
+
+/// The events of a [`RingSet`] in sequence order (see
+/// [`RingSet::merged`]).
+struct Merge<'a> {
+    set: &'a RingSet,
+    heap: BinaryHeap<Reverse<(u64, usize, usize)>>,
+}
+
+impl Iterator for Merge<'_> {
+    type Item = TimedEvent;
+
+    fn next(&mut self) -> Option<TimedEvent> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((_, r, ix)) = *top;
+        let ring = self.set.ring(r);
+        let ev = ring.at(ix);
+        if ix + 1 < ring.window().end {
+            *top = Reverse((ring.at(ix + 1).seq, r, ix + 1));
+        } else {
+            PeekMut::pop(top);
+        }
+        Some(ev)
+    }
+}
+
+/// A finished run's event trace: the ring sets its facades recorded into,
+/// shared and immutable, merged each time the trace is read.
+///
+/// A facade's summary moves its ring set in whole, so ending a run copies
+/// no event. A sharded report holds one set per order domain, in domain
+/// order; [`Trace::append`] concatenates. Cloning shares the sets.
+/// Equality compares the merged events.
+#[derive(Clone, Default)]
+pub struct Trace {
+    domains: Vec<Arc<RingSet>>,
+}
+
+impl Trace {
+    /// The trace of one facade's rings (writers quiescent: the set is moved
+    /// out of its facade).
+    pub fn new(rings: RingSet) -> Self {
+        Trace {
+            domains: vec![Arc::new(rings)],
+        }
+    }
+
+    /// The events, each domain's merged in sequence order, the domains one
+    /// after another.
+    pub fn iter(&self) -> impl Iterator<Item = TimedEvent> + '_ {
+        self.domains.iter().flat_map(|d| d.merged())
+    }
+
+    /// The events as one exactly sized vector (merged on every call).
+    pub fn events(&self) -> Vec<TimedEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.iter());
+        out
+    }
+
+    /// Events held.
+    pub fn len(&self) -> usize {
+        self.domains.iter().map(|d| d.len()).sum()
+    }
+
+    /// Whether the trace holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends `other`'s domains after this trace's.
+    pub fn append(&mut self, other: Trace) {
+        self.domains.extend(other.domains);
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Trace {}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -210,7 +324,8 @@ mod tests {
 
     #[test]
     fn push_and_snapshot_in_order() {
-        let r = EventRing::new(8);
+        let set = RingSet::new(0, 8);
+        let r = set.ring(0);
         for i in 0..5 {
             r.push(ev(i, 0));
         }
@@ -222,7 +337,8 @@ mod tests {
 
     #[test]
     fn wrap_keeps_newest_and_counts_drops() {
-        let r = EventRing::new(4);
+        let set = RingSet::new(0, 4);
+        let r = set.ring(0);
         for i in 0..10 {
             r.push(ev(i, 0));
         }
@@ -248,6 +364,40 @@ mod tests {
     }
 
     #[test]
+    fn ring_windows_do_not_bleed_into_one_another() {
+        // Ring `r` of five wraps its 16 slots `3 + 5r` times over, at its
+        // own rate; every ring but the external one lands on a different
+        // offset in its window.
+        let set = RingSet::new(4, 16);
+        let mut pushed = [0u64; 5];
+        let mut seq = 0;
+        for step in 0..1_500u64 {
+            for (r, n) in pushed.iter_mut().enumerate() {
+                // Ring r records on one step in `5 - r`.
+                let r64 = r as u64;
+                if step % (5 - r64) == 0 && *n < (3 + 5 * r64) * 16 + r64 {
+                    set.ring(r).push(ev(seq, r as u32));
+                    seq += 1;
+                    *n += 1;
+                }
+            }
+        }
+        for (r, &n) in pushed.iter().enumerate() {
+            let ring = set.ring(r);
+            assert_eq!(ring.dropped(), n - 16, "ring {r}");
+            let window = ring.snapshot();
+            assert_eq!(window.len(), 16, "ring {r}");
+            let own = window.iter().all(|e| e.worker == r as u32);
+            assert!(own, "ring {r} holds another ring's events");
+            assert!(window.windows(2).all(|w| w[0].seq < w[1].seq), "ring {r}");
+        }
+        assert_eq!(set.dropped(), pushed.iter().map(|n| n - 16).sum::<u64>());
+        let merged = set.drain();
+        assert_eq!(merged, sorted(&set));
+        assert_eq!(merged.len(), 5 * 16);
+    }
+
+    #[test]
     fn drain_of_a_wrapped_ring_is_one_exact_allocation_in_sequence_order() {
         let set = RingSet::new(1, 4);
         for seq in [0, 2, 4, 6, 8, 10] {
@@ -267,7 +417,7 @@ mod tests {
     /// What `drain` did before it merged: every live window concatenated,
     /// then sorted by `(seq, worker)`.
     fn sorted(set: &RingSet) -> Vec<TimedEvent> {
-        let mut all: Vec<TimedEvent> = set.rings.iter().flat_map(EventRing::snapshot).collect();
+        let mut all: Vec<TimedEvent> = set.rings().flat_map(|r| r.snapshot()).collect();
         all.sort_unstable_by_key(|e| (e.seq, e.worker));
         all
     }
@@ -301,7 +451,7 @@ mod tests {
             assert_eq!(merged.capacity(), merged.len(), "case {case}");
             wrapped += u32::from(set.dropped() > 0);
             unwrapped += u32::from(pushes > 0 && set.dropped() == 0);
-            with_empty += u32::from(pushes > 0 && set.rings.iter().any(EventRing::is_empty));
+            with_empty += u32::from(pushes > 0 && set.rings().any(|r| r.is_empty()));
         }
         // The seeds cover every shape the merge distinguishes.
         assert!(wrapped > 50 && unwrapped > 50 && with_empty > 50);

@@ -84,7 +84,8 @@ fn sharded_trace_is_one_ascending_slice_per_domain_in_domain_order() {
     let (_, sharded) = beacon_pair(4, 24, None);
     let t = &sharded.telemetry;
     assert_eq!(t.dropped_events, 0, "the rings hold the whole run");
-    let slices: Vec<&[TimedEvent]> = t.events.chunk_by(|a, b| a.seq < b.seq).collect();
+    let events = t.events();
+    let slices: Vec<&[TimedEvent]> = events.chunk_by(|a, b| a.seq < b.seq).collect();
     assert_eq!(slices.len(), sharded.shards.len(), "one slice per domain");
     for (slice, shard) in slices.iter().zip(&sharded.shards) {
         let from_zero = slice.iter().zip(0u64..).all(|(e, seq)| e.seq == seq);
