@@ -7,10 +7,7 @@
 //! invariants are violated across every leg.
 
 use crate::oracle::{check_cpr, check_runtime, check_sharded, check_sim, Violation};
-use crate::programs::{
-    register_cpr, register_gprs, register_gprs_sharded, CPR_PROGRAMS, RUNTIME_PROGRAMS,
-    SHARD_PROGRAMS,
-};
+use crate::programs::{register_gprs, register_gprs_sharded, RUNTIME_PROGRAMS, SHARD_PROGRAMS};
 use crate::{seeded_plan, seeded_script};
 use gprs_core::chaos::ChaosPlan;
 use gprs_core::exception::InjectorConfig;
@@ -90,14 +87,14 @@ pub fn gprs_injected(program: &str, plan: &ChaosPlan) -> Result<RunReport, Strin
 /// Fault-free CPR-baseline run of a campaign program.
 pub fn cpr_clean(program: &str) -> CprReport {
     let mut b = CprBuilder::new().workers(4).checkpoint_every(24);
-    register_cpr(program, &mut b);
+    register_gprs(program, &mut b);
     b.build().run().expect("fault-free CPR run completes")
 }
 
 /// Injected CPR-baseline run of a campaign program under a plan.
 pub fn cpr_injected(program: &str, plan: &ChaosPlan) -> Result<CprReport, String> {
     let mut b = CprBuilder::new().workers(4).checkpoint_every(24);
-    register_cpr(program, &mut b);
+    register_gprs(program, &mut b);
     b.chaos(plan).build().run().map_err(|e| e.to_string())
 }
 
@@ -460,7 +457,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
     serve_legs(cfg, &mut out);
     durable_crash_legs(cfg, &mut out);
 
-    for program in CPR_PROGRAMS {
+    for program in RUNTIME_PROGRAMS {
         let leg = format!("cpr/{program}");
         let clean = cpr_clean(program);
         out.legs += 1;

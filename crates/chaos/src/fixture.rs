@@ -22,7 +22,7 @@ use crate::campaign::{
     cpr_clean, cpr_injected, gprs_clean, gprs_injected, sim_clean, sim_injected,
 };
 use crate::oracle::{check_cpr, check_runtime, check_sim, Violation};
-use crate::programs::{CPR_PROGRAMS, RUNTIME_PROGRAMS};
+use crate::programs::RUNTIME_PROGRAMS;
 use gprs_core::chaos::ChaosPlan;
 use gprs_core::recording::Recording;
 use std::sync::Arc;
@@ -127,7 +127,7 @@ pub fn replay_fixture(fx: &Fixture) -> Result<Vec<Violation>, String> {
             })
         }
         "cpr" => {
-            if !CPR_PROGRAMS.contains(&fx.program.as_str()) {
+            if !RUNTIME_PROGRAMS.contains(&fx.program.as_str()) {
                 return Err(stale(&fx.engine, &fx.program));
             }
             let clean = cpr_clean(&fx.program);

@@ -19,6 +19,9 @@
 //! * **CPR accounting** — on the baseline every global exception either
 //!   rolls the machine back or is ignored for lack of a snapshot:
 //!   `rollbacks + exceptions_ignored == exceptions`.
+//! * **CPR values** — a rollback restores a state the program passed
+//!   through, so the baseline commits the fault-free run's file bytes and
+//!   every thread exits with the fault-free `u64` value.
 
 use crate::guaranteed_exceptions;
 use gprs_core::chaos::ChaosPlan;
@@ -289,6 +292,33 @@ pub fn check_cpr(
                 injected.outputs.len(),
                 clean.outputs.len()
             ),
+        );
+    }
+    let value = |r: &CprReport, t| {
+        r.outputs
+            .get(t)
+            .and_then(|p| p.downcast_ref::<u64>().copied())
+    };
+    for t in clean.outputs.keys() {
+        if value(clean, t).is_some() && value(injected, t) != value(clean, t) {
+            violation(
+                &mut v,
+                leg,
+                seed,
+                format!(
+                    "{t} exited with {:?} != clean {:?}",
+                    value(injected, t),
+                    value(clean, t)
+                ),
+            );
+        }
+    }
+    if injected.files != clean.files {
+        violation(
+            &mut v,
+            leg,
+            seed,
+            "committed file contents differ from the fault-free run".to_string(),
         );
     }
     v

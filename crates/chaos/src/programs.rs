@@ -1,20 +1,20 @@
 //! The workload programs chaos campaigns run on the real executors.
 //!
-//! Each program registers identically on the GPRS runtime and the CPR
-//! baseline (their registration APIs mirror each other), covering the
-//! recovery surfaces the plans target: pure grant/retire traffic
-//! (`chain`), nested locks under the per-lock condvar shards (`nested`),
-//! mutex-protected critical sections (`histogram`), a channel pipeline
-//! with output-commit-delayed files (`pbzip`, GPRS only) and barrier
-//! phases whose squashed arrivals undo releases (`barrier`, GPRS only).
+//! Each program registers on a [`Registry`], which the GPRS runtime's and
+//! the CPR baseline's builders both hold, so every program runs on both.
+//! Together they cover the recovery surfaces the plans target: pure
+//! grant/retire traffic (`chain`), nested locks under the per-lock condvar
+//! shards (`nested`), mutex-protected critical sections (`histogram`), a
+//! channel pipeline with output-commit-delayed files (`pbzip`), private
+//! plain stores (`beacon`) and barrier phases whose squashed arrivals undo
+//! releases (`barrier`).
 
 use gprs_core::history::Checkpoint;
 use gprs_core::ids::GroupId;
-use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::ctx::StepCtx;
 use gprs_runtime::handles::{AtomicHandle, BarrierHandle, MutexHandle};
 use gprs_runtime::program::{Step, ThreadProgram};
-use gprs_runtime::GprsBuilder;
+use gprs_runtime::Registry;
 use gprs_workloads::kernels::compress::generate_corpus;
 use gprs_workloads::kernels::dedup::generate_dedup_corpus;
 use gprs_workloads::programs::{
@@ -22,7 +22,8 @@ use gprs_workloads::programs::{
     pbzip_model, HistogramWorker,
 };
 
-/// Programs the GPRS-runtime campaign legs run.
+/// Programs the runtime campaign legs run, on the GPRS runtime and on the
+/// CPR baseline alike.
 pub const RUNTIME_PROGRAMS: &[&str] =
     &["chain", "nested", "histogram", "pbzip", "beacon", "barrier"];
 
@@ -39,11 +40,6 @@ pub const BEACON_SHAPE: (usize, u32) = (4, 24);
 pub fn beacon_leg_model() -> gprs_core::workload::Workload {
     beacon_model(BEACON_SHAPE.0, BEACON_SHAPE.1)
 }
-
-/// Programs the CPR-baseline campaign legs run (`pbzip` wires channels
-/// through a GPRS-only builder helper and the baseline has no barriers, so
-/// it skips `pbzip` and `barrier`).
-pub const CPR_PROGRAMS: &[&str] = &["chain", "nested", "histogram"];
 
 /// Disjoint fetch-add chain: pure grant/checkpoint/retire traffic.
 pub struct Chain {
@@ -207,51 +203,32 @@ impl ThreadProgram for Laggard {
     }
 }
 
-/// Registers `name`'s threads and resources on either builder (their
-/// registration APIs are identical by construction).
-macro_rules! register_common {
-    ($name:expr, $b:expr) => {
-        match $name {
-            "chain" => {
-                for _ in 0..6 {
-                    let a = $b.atomic(0);
-                    $b.thread(Chain { atomic: a, rounds: 24, done: 0 }, GroupId::new(0), 1);
-                }
-                true
-            }
-            "nested" => {
-                let outer = $b.mutex(0u64);
-                let inner = $b.mutex(0u64);
-                for _ in 0..5 {
-                    $b.thread(
-                        NestedWorker { outer, inner, rounds: 12, done: 0 },
-                        GroupId::new(0),
-                        1,
-                    );
-                }
-                true
-            }
-            "histogram" => {
-                let acc = $b.mutex(vec![0u64; 256]);
-                for chunk in generate_corpus(24_000, 5).chunks(4_000) {
-                    $b.thread(HistogramWorker::new(chunk.to_vec(), acc), GroupId::new(0), 1);
-                }
-                true
-            }
-            _ => false,
-        }
-    };
-}
-
-/// Registers a campaign program on a GPRS builder.
+/// Registers a campaign program on either executor's builder.
 ///
 /// # Panics
 /// Panics on an unknown program name.
-pub fn register_gprs(name: &str, b: &mut GprsBuilder) {
-    if register_common!(name, b) {
-        return;
-    }
+pub fn register_gprs(name: &str, b: &mut Registry) {
     match name {
+        "chain" => {
+            for _ in 0..6 {
+                let atomic = b.atomic(0);
+                b.thread(Chain { atomic, rounds: 24, done: 0 }, GroupId::new(0), 1);
+            }
+        }
+        "nested" => {
+            let outer = b.mutex(0u64);
+            let inner = b.mutex(0u64);
+            for _ in 0..5 {
+                let worker = NestedWorker { outer, inner, rounds: 12, done: 0 };
+                b.thread(worker, GroupId::new(0), 1);
+            }
+        }
+        "histogram" => {
+            let acc = b.mutex(vec![0u64; 256]);
+            for chunk in generate_corpus(24_000, 5).chunks(4_000) {
+                b.thread(HistogramWorker::new(chunk.to_vec(), acc), GroupId::new(0), 1);
+            }
+        }
         "pbzip" => {
             let _ = build_pbzip_pipeline(b, generate_corpus(20_000, 11), 2048, 2);
         }
@@ -279,14 +256,13 @@ pub fn register_gprs(name: &str, b: &mut GprsBuilder) {
     }
 }
 
-/// Registers a [`SHARD_PROGRAMS`] workload on a GPRS builder and returns
-/// the trace-level model whose interference proof drives the shard plan.
-/// The shapes are fixed per program so every seed of a leg shares the same
-/// clean twins.
+/// Registers a [`SHARD_PROGRAMS`] workload and returns the trace-level
+/// model whose interference proof drives the shard plan. The shapes are
+/// fixed per program so every seed of a leg shares the same clean twins.
 ///
 /// # Panics
 /// Panics on a program without a sharded registration.
-pub fn register_gprs_sharded(name: &str, b: &mut GprsBuilder) -> gprs_core::workload::Workload {
+pub fn register_gprs_sharded(name: &str, b: &mut Registry) -> gprs_core::workload::Workload {
     match name {
         "beacon" => {
             let _ = build_beacon(b, BEACON_SHAPE.0, BEACON_SHAPE.1);
@@ -305,16 +281,5 @@ pub fn register_gprs_sharded(name: &str, b: &mut GprsBuilder) -> gprs_core::work
             dedup_model(blocks, total, fresh, 2, 2)
         }
         other => panic!("unknown sharded chaos program {other:?}"),
-    }
-}
-
-/// Registers a campaign program on a CPR builder.
-///
-/// # Panics
-/// Panics on an unknown program name (including `pbzip`, see
-/// [`CPR_PROGRAMS`]).
-pub fn register_cpr(name: &str, b: &mut CprBuilder) {
-    if !register_common!(name, b) {
-        panic!("unknown CPR chaos program {name:?}");
     }
 }

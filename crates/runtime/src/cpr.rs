@@ -18,23 +18,33 @@
 //!   (their spawn re-executes), and file output commits only at
 //!   checkpoints (the CPR output-commit point).
 //!
+//! The baseline shares the GPRS runtime's machinery and differs only in
+//! policy: its builder holds the same [`Registry`] (so every program wires
+//! onto both executors with the same code), and its workers park and wake
+//! through the same `WaitQueues` — each grant wakes at most one peer, a
+//! returned lock wakes its own shard, and only finish and poison broadcast.
+//!
 //! The contrast with GPRS's selective restart is the paper's headline
-//! comparison; the benches drive both executors over the same programs.
+//! comparison. What drives both executors over the same programs is the
+//! `gprs-chaos` campaign (its `cpr/*` legs run every runtime program),
+//! `crates/runtime/tests/cpr_tests.rs`, `tests/end_to_end.rs` and the
+//! `pbzip2_pipeline` example; no benchmark workload runs the baseline.
 
 use crate::ctx::{CtxBackend, StepCtx};
-use gprs_core::ledger::EXTERNAL_RING;
+use crate::engine::{BarrierRec, WaitQueues};
 use crate::handles::Recoverable;
-use crate::program::{DynThread, Payload, SpawnSpec, Step, ThreadProgram};
+use crate::program::{DynThread, Payload, SpawnSpec, Step};
+use crate::registry::Registry;
 use crate::report::{RunError, RunStats};
 use gprs_core::chaos::{ChaosCursor, ChaosEvent, ChaosPlan};
 use gprs_core::exception::ExceptionScope;
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, SubThreadId, ThreadId};
+use gprs_core::ids::{AtomicId, BarrierId, ChannelId, LockId, SubThreadId, ThreadId};
+use gprs_core::ledger::EXTERNAL_RING;
 use gprs_telemetry::{
     RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TelemetrySummary, TraceEvent,
 };
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// A snapshot-able pending synchronization request. `Spawn` and `Exit` are
@@ -82,10 +92,6 @@ enum CprThState {
 
 struct CprThread {
     program: Option<Box<dyn DynThread>>,
-    #[allow(dead_code)] // kept for API symmetry with the GPRS executor
-    group: GroupId,
-    #[allow(dead_code)]
-    weight: u32,
     pending: Option<CprWant>,
     popped: Option<Payload>,
     atomic_prev: Option<u64>,
@@ -95,17 +101,35 @@ struct CprThread {
     running: bool,
 }
 
-/// A thread's pending step inputs: popped payload, fetch-add observation,
-/// join payload, spawned child.
-type StepInputs = (Option<Payload>, Option<u64>, Option<Payload>, Option<ThreadId>);
+impl CprThread {
+    /// A thread about to take its first step.
+    fn new(program: Box<dyn DynThread>) -> Self {
+        CprThread {
+            program: Some(program),
+            pending: Some(CprWant::Start),
+            popped: None,
+            atomic_prev: None,
+            joined: None,
+            spawned: None,
+            state: CprThState::Active,
+            running: false,
+        }
+    }
+}
+
+/// One thread's part of a snapshot: its program's checkpoint, pending want,
+/// pending step inputs (popped payload, fetch-add observation, join
+/// payload, spawned child) and state.
+type ThreadSnap = (
+    Box<dyn std::any::Any + Send>,
+    Option<CprWant>,
+    (Option<Payload>, Option<u64>, Option<Payload>, Option<ThreadId>),
+    CprThState,
+);
 
 /// Everything restored by a rollback.
 struct CprSnapshot {
-    thread_keys: BTreeSet<ThreadId>,
-    programs: BTreeMap<ThreadId, Box<dyn std::any::Any + Send>>,
-    wants: BTreeMap<ThreadId, Option<CprWant>>,
-    inputs: BTreeMap<ThreadId, StepInputs>,
-    states: BTreeMap<ThreadId, CprThState>,
+    threads: BTreeMap<ThreadId, ThreadSnap>,
     chans: BTreeMap<ChannelId, VecDeque<Payload>>,
     locks: BTreeMap<LockId, Box<dyn Recoverable>>,
     atomics: BTreeMap<AtomicId, u64>,
@@ -120,9 +144,12 @@ pub(crate) struct CprInner {
     threads: BTreeMap<ThreadId, CprThread>,
     next_thread: u32,
     chans: BTreeMap<ChannelId, VecDeque<Payload>>,
-    locks: BTreeMap<LockId, (bool, Option<Box<dyn Recoverable>>)>,
+    /// Each lock's data; `None` while checked out to a running step.
+    locks: BTreeMap<LockId, Option<Box<dyn Recoverable>>>,
     atomics: BTreeMap<AtomicId, u64>,
-    barriers: BTreeMap<BarrierId, (u32, Vec<ThreadId>)>,
+    barriers: BTreeMap<BarrierId, BarrierRec>,
+    /// Each file's name, committed bytes and bytes staged since the last
+    /// checkpoint.
     files: BTreeMap<u64, (String, Vec<u8>, Vec<u8>)>,
     blocks: BTreeMap<u64, Vec<u8>>,
     next_block: u64,
@@ -148,61 +175,23 @@ pub(crate) struct CprInner {
     chaos: Option<ChaosCursor>,
 }
 
-/// Shared state of a CPR run. Two waiter classes, two condvars: workers
-/// seeking a grant park on `cv`; steps blocked on a nested lock park on
-/// `lock_cv`. The split is what makes `notify_one` sound — a single mixed
-/// queue could hand a lock-release wakeup to a seeker (or vice versa) and
-/// strand the waiter that actually needed it.
+/// Shared state of a CPR run: the state lock and where its workers park.
 pub(crate) struct CprShared {
     inner: Mutex<CprInner>,
-    /// Grant seekers (one-at-a-time wakeup chains; broadcast on finish,
-    /// poison, rollback and checkpoint).
-    cv: Condvar,
-    /// Steps blocked in [`CprShared::acquire_lock_blocking`].
-    lock_cv: Condvar,
-    /// Workers parked on `cv` / `lock_cv`. Mutated only while holding
-    /// `inner` (see the engine's `Shared::cv_sleepers` for the exactness
-    /// argument), so notify paths skip the kernel wake when nobody waits.
-    cv_sleepers: AtomicUsize,
-    lock_sleepers: AtomicUsize,
+    waits: WaitQueues,
 }
 
 impl CprShared {
-    fn count_wakeup(&self, g: &CprInner) {
-        if g.telemetry.enabled() {
-            g.telemetry.metrics.wakeups_issued.inc();
-        }
-    }
-
-    /// `cv.notify_one()` gated on the exact sleeper count (callers hold
-    /// `inner`).
-    fn wake_one_seeker(&self, g: &CprInner) {
-        if self.cv_sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.count_wakeup(g);
-        self.cv.notify_one();
-    }
-
-    /// `lock_cv.notify_all()` gated on the exact sleeper count.
-    fn wake_lock_waiters(&self, g: &CprInner) {
-        if self.lock_sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.count_wakeup(g);
-        self.lock_cv.notify_all();
-    }
-
+    /// Returns a lock checked out by a step: wakes the nested waiters on
+    /// its shard, and one seeker (a `Lock` want may be grantable now).
     pub(crate) fn release_lock(&self, lock: LockId, data: Box<dyn Recoverable>) {
         let mut g = self.inner.lock();
-        let entry = g.locks.get_mut(&lock).expect("registered lock");
-        entry.0 = false;
-        entry.1 = Some(data);
-        // Nested waiters plus one seeker (a Lock want may be grantable now).
-        self.wake_lock_waiters(&g);
-        self.wake_one_seeker(&g);
+        *g.locks.get_mut(&lock).expect("registered lock") = Some(data);
+        self.waits.wake_lock_shard(lock, &g.telemetry);
+        self.waits.wake_one_seeker(&g.telemetry);
     }
 
+    /// A nested acquire: parks on the lock's shard until it is returned.
     pub(crate) fn acquire_lock_blocking(&self, lock: LockId) -> Box<dyn Recoverable> {
         let mut g = self.inner.lock();
         let mut woke = false;
@@ -211,19 +200,13 @@ impl CprShared {
                 g.poisoned.is_none(),
                 "CPR executor poisoned while waiting for a nested lock"
             );
-            let entry = g.locks.get_mut(&lock).expect("registered lock");
-            if !entry.0 {
-                if let Some(d) = entry.1.take() {
-                    entry.0 = true;
-                    return d;
-                }
+            if let Some(d) = g.locks.get_mut(&lock).expect("registered lock").take() {
+                return d;
             }
             if woke && g.telemetry.enabled() {
                 g.telemetry.metrics.wakeups_spurious.inc();
             }
-            self.lock_sleepers.fetch_add(1, Ordering::Relaxed);
-            self.lock_cv.wait(&mut g);
-            self.lock_sleepers.fetch_sub(1, Ordering::Relaxed);
+            self.waits.park_on_lock(lock, &mut g);
             woke = true;
         }
     }
@@ -271,33 +254,34 @@ impl CprShared {
     }
 }
 
-/// Builder for the CPR baseline executor, mirroring
-/// [`crate::GprsBuilder`]'s registration API so the same programs run on
-/// both executors.
+/// Builder for the CPR baseline executor. It holds the same [`Registry`]
+/// as [`crate::GprsBuilder`] and dereferences to it, so the same
+/// registration code wires a program onto either executor.
+#[derive(Debug)]
 pub struct CprBuilder {
     workers: usize,
     ckpt_every: u64,
     telemetry: TelemetryConfig,
-    inner: CprInner,
-    next_lock: u64,
-    next_chan: u64,
-    next_atomic: u64,
-    next_barrier: u64,
-    next_file: u64,
-}
-
-impl std::fmt::Debug for CprBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CprBuilder")
-            .field("workers", &self.workers)
-            .field("ckpt_every", &self.ckpt_every)
-            .finish_non_exhaustive()
-    }
+    chaos: Option<ChaosCursor>,
+    reg: Registry,
 }
 
 impl Default for CprBuilder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl std::ops::Deref for CprBuilder {
+    type Target = Registry;
+    fn deref(&self) -> &Registry {
+        &self.reg
+    }
+}
+
+impl std::ops::DerefMut for CprBuilder {
+    fn deref_mut(&mut self) -> &mut Registry {
+        &mut self.reg
     }
 }
 
@@ -308,36 +292,8 @@ impl CprBuilder {
             workers: 4,
             ckpt_every: 64,
             telemetry: TelemetryConfig::default(),
-            inner: CprInner {
-                threads: BTreeMap::new(),
-                next_thread: 0,
-                chans: BTreeMap::new(),
-                locks: BTreeMap::new(),
-                atomics: BTreeMap::new(),
-                barriers: BTreeMap::new(),
-                files: BTreeMap::new(),
-                blocks: BTreeMap::new(),
-                next_block: 0,
-                outputs: BTreeMap::new(),
-                live: 0,
-                running: 0,
-                grants_since_ckpt: 0,
-                ckpt_every: 64,
-                ckpt_requested: false,
-                rollback_requested: 0,
-                snapshot: None,
-                stats: RunStats::default(),
-                checkpoints: 0,
-                rollbacks: 0,
-                telemetry: Telemetry::disabled(),
-                poisoned: None,
-                chaos: None,
-            },
-            next_lock: 0,
-            next_chan: 0,
-            next_atomic: 0,
-            next_barrier: 0,
-            next_file: 0,
+            chaos: None,
+            reg: Registry::default(),
         }
     }
 
@@ -363,102 +319,50 @@ impl CprBuilder {
     /// of [`crate::GprsBuilder::chaos`]); every global event requests a
     /// whole-machine rollback. An empty plan is a no-op.
     pub fn chaos(mut self, plan: &ChaosPlan) -> Self {
-        self.inner.chaos = (!plan.is_empty()).then(|| ChaosCursor::new(plan));
+        self.chaos = (!plan.is_empty()).then(|| ChaosCursor::new(plan));
         self
     }
 
-    /// Registers a mutex owning `init`.
-    pub fn mutex<T: Clone + Send + 'static>(
-        &mut self,
-        init: T,
-    ) -> crate::handles::MutexHandle<T> {
-        let id = LockId::new(self.next_lock);
-        self.next_lock += 1;
-        self.inner.locks.insert(id, (false, Some(Box::new(init))));
-        crate::handles::MutexHandle {
-            raw: crate::handles::RawMutex(id),
-            _t: std::marker::PhantomData,
-        }
-    }
-
-    /// Registers a FIFO channel.
-    pub fn channel<T: Send + Sync + 'static>(&mut self) -> crate::handles::ChannelHandle<T> {
-        let id = ChannelId::new(self.next_chan);
-        self.next_chan += 1;
-        self.inner.chans.insert(id, VecDeque::new());
-        crate::handles::ChannelHandle {
-            raw: crate::handles::RawChannel(id),
-            _t: std::marker::PhantomData,
-        }
-    }
-
-    /// Registers an atomic `u64`.
-    pub fn atomic(&mut self, init: u64) -> crate::handles::AtomicHandle {
-        let id = AtomicId::new(self.next_atomic);
-        self.next_atomic += 1;
-        self.inner.atomics.insert(id, init);
-        crate::handles::AtomicHandle(id)
-    }
-
-    /// Registers a barrier.
-    pub fn barrier(&mut self, participants: u32) -> crate::handles::BarrierHandle {
-        let id = BarrierId::new(self.next_barrier);
-        self.next_barrier += 1;
-        self.inner.barriers.insert(id, (participants, Vec::new()));
-        crate::handles::BarrierHandle(id, participants)
-    }
-
-    /// Registers an output file (committed at checkpoints).
-    pub fn file(&mut self, name: impl Into<String>) -> crate::handles::FileHandle {
-        let id = self.next_file;
-        self.next_file += 1;
-        self.inner
-            .files
-            .insert(id, (name.into(), Vec::new(), Vec::new()));
-        crate::handles::FileHandle(id)
-    }
-
-    /// Registers an initial thread.
-    pub fn thread<P>(&mut self, program: P, group: GroupId, weight: u32) -> ThreadId
-    where
-        P: ThreadProgram,
-        P::Snapshot: Sized,
-    {
-        let tid = ThreadId::new(self.inner.next_thread);
-        self.inner.next_thread += 1;
-        self.inner.threads.insert(
-            tid,
-            CprThread {
-                program: Some(Box::new(program)),
-                group,
-                weight,
-                pending: Some(CprWant::Start),
-                popped: None,
-                atomic_prev: None,
-                joined: None,
-                spawned: None,
-                state: CprThState::Active,
-                running: false,
-            },
-        );
-        self.inner.live += 1;
-        tid
-    }
-
-    /// Finalizes the executor.
-    pub fn build(mut self) -> CprRuntime {
-        self.inner.ckpt_every = self.ckpt_every;
-        self.inner.telemetry = Telemetry::new(&self.telemetry, self.workers);
-        let workers = self.workers;
+    /// Finalizes the executor: the registered program becomes its state.
+    pub fn build(self) -> CprRuntime {
+        let Registry { threads, locks, chans, atomics, barriers, files } = self.reg;
+        let inner = CprInner {
+            next_thread: threads.len() as u32,
+            live: threads.len(),
+            threads: (0..)
+                .zip(threads)
+                .map(|(t, (program, _, _))| (ThreadId::new(t), CprThread::new(program)))
+                .collect(),
+            chans: chans.into_keys().map(|c| (c, VecDeque::new())).collect(),
+            locks: locks.into_iter().map(|(l, r)| (l, r.data)).collect(),
+            atomics,
+            barriers,
+            files: files
+                .into_iter()
+                .map(|(id, f)| (id, (f.name, f.committed, Vec::new())))
+                .collect(),
+            blocks: BTreeMap::new(),
+            next_block: 0,
+            outputs: BTreeMap::new(),
+            running: 0,
+            grants_since_ckpt: 0,
+            ckpt_every: self.ckpt_every,
+            ckpt_requested: false,
+            rollback_requested: 0,
+            snapshot: None,
+            stats: RunStats::default(),
+            checkpoints: 0,
+            rollbacks: 0,
+            telemetry: Telemetry::new(&self.telemetry, self.workers),
+            poisoned: None,
+            chaos: self.chaos,
+        };
         CprRuntime {
             shared: Arc::new(CprShared {
-                inner: Mutex::new(self.inner),
-                cv: Condvar::new(),
-                lock_cv: Condvar::new(),
-                cv_sleepers: AtomicUsize::new(0),
-                lock_sleepers: AtomicUsize::new(0),
+                inner: Mutex::new(inner),
+                waits: WaitQueues::new(),
             }),
-            workers,
+            workers: self.workers,
         }
     }
 }
@@ -524,12 +428,13 @@ impl std::fmt::Debug for CprController {
 
 impl CprController {
     /// Requests a global rollback (every exception is global under CPR).
+    /// Wakes one parked worker: it performs the rollback once the running
+    /// steps drain, and then grants.
     pub fn inject(&self) {
         let mut g = self.shared.inner.lock();
         g.rollback_requested += 1;
         g.stats.exceptions += 1;
-        drop(g);
-        self.shared.cv.notify_all();
+        self.shared.waits.wake_one_seeker(&g.telemetry);
     }
 
     /// Whether the program has finished.
@@ -601,9 +506,7 @@ impl CprInner {
         match t.pending.as_ref() {
             None => false,
             Some(CprWant::Pop(c)) => self.chans.get(c).is_some_and(|q| !q.is_empty()),
-            Some(CprWant::Lock(l)) => {
-                self.locks.get(l).is_some_and(|(held, d)| !held && d.is_some())
-            }
+            Some(CprWant::Lock(l)) => self.locks.get(l).is_some_and(Option::is_some),
             Some(CprWant::Join(j)) => self
                 .threads
                 .get(j)
@@ -624,36 +527,24 @@ impl CprInner {
     }
 
     fn take_checkpoint(&mut self) {
-        let mut programs = BTreeMap::new();
-        let mut wants = BTreeMap::new();
-        let mut inputs = BTreeMap::new();
-        let mut states = BTreeMap::new();
-        for (&tid, t) in &self.threads {
-            programs.insert(tid, t.program.as_ref().expect("quiesced").save_into(None));
-            wants.insert(tid, t.pending.as_ref().map(CprWant::snapshot));
-            inputs.insert(
-                tid,
-                (t.popped.clone(), t.atomic_prev, t.joined.clone(), t.spawned),
-            );
-            states.insert(tid, t.state);
-        }
+        let threads = self.threads.iter().map(|(&tid, t)| {
+            let program = t.program.as_ref().expect("quiesced").save_into(None);
+            let inputs = (t.popped.clone(), t.atomic_prev, t.joined.clone(), t.spawned);
+            (tid, (program, t.pending.as_ref().map(CprWant::snapshot), inputs, t.state))
+        });
         self.snapshot = Some(CprSnapshot {
-            thread_keys: self.threads.keys().copied().collect(),
-            programs,
-            wants,
-            inputs,
-            states,
+            threads: threads.collect(),
             chans: self.chans.clone(),
             locks: self
                 .locks
                 .iter()
-                .map(|(&l, (_, d))| (l, d.as_ref().expect("quiesced").clone_box()))
+                .map(|(&l, d)| (l, d.as_ref().expect("quiesced").clone_box()))
                 .collect(),
             atomics: self.atomics.clone(),
             barrier_waiting: self
                 .barriers
                 .iter()
-                .map(|(&b, (_, w))| (b, w.clone()))
+                .map(|(&b, r)| (b, r.waiting.clone()))
                 .collect(),
             blocks: self.blocks.clone(),
             next_block: self.next_block,
@@ -725,34 +616,25 @@ impl CprInner {
             self.stats.exceptions_ignored += 1;
             return;
         };
-        let keys: Vec<ThreadId> = self.threads.keys().copied().collect();
-        for k in keys {
-            if !snap.thread_keys.contains(&k) {
-                self.threads.remove(&k);
-            }
-        }
-        for (&tid, prog_snap) in &snap.programs {
-            let t = self.threads.get_mut(&tid).expect("snapshotted thread");
-            t.program
-                .as_mut()
-                .expect("quiesced")
-                .restore_from(prog_snap.as_ref());
-            t.pending = snap.wants[&tid].as_ref().map(CprWant::snapshot);
-            let (p, a, j, s) = &snap.inputs[&tid];
+        self.threads.retain(|tid, _| snap.threads.contains_key(tid));
+        for (tid, (program, want, (p, a, j, s), state)) in &snap.threads {
+            let t = self.threads.get_mut(tid).expect("snapshotted thread");
+            t.program.as_mut().expect("quiesced").restore_from(program.as_ref());
+            t.pending = want.as_ref().map(CprWant::snapshot);
             t.popped = p.clone();
             t.atomic_prev = *a;
             t.joined = j.clone();
             t.spawned = *s;
-            t.state = snap.states[&tid];
+            t.state = *state;
         }
         self.chans = snap.chans.clone();
         for (&l, data) in &snap.locks {
-            self.locks.insert(l, (false, Some(data.clone_box())));
+            self.locks.insert(l, Some(data.clone_box()));
         }
         self.atomics = snap.atomics.clone();
         for (&b, w) in &snap.barrier_waiting {
-            if let Some((_, waiting)) = self.barriers.get_mut(&b) {
-                *waiting = w.clone();
+            if let Some(r) = self.barriers.get_mut(&b) {
+                r.waiting = w.clone();
             }
         }
         self.blocks = snap.blocks.clone();
@@ -795,30 +677,26 @@ fn cpr_worker(shared: &Arc<CprShared>, worker_ix: usize) {
                 // instead of being dropped by an early finish.
                 if g.rollback_requested > 0 && g.poisoned.is_none() {
                     if g.running == 0 {
+                        // No wake: this worker keeps scanning, and each
+                        // grant it makes wakes one peer.
                         g.rollback();
-                        // Rollback rewrites global state: broadcast (rare).
-                        shared.cv.notify_all();
                         continue;
                     }
-                    shared.cv_sleepers.fetch_add(1, Ordering::Relaxed);
-                    shared.cv.wait(&mut g);
-                    shared.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
+                    // The last running step's worker rolls back.
+                    shared.waits.park_seeker(&mut g, None);
                     continue;
                 }
                 if g.poisoned.is_some() || (g.live == 0 && g.running == 0) {
                     // Terminal: every waiter class must see it.
-                    shared.cv.notify_all();
-                    shared.lock_cv.notify_all();
+                    shared.waits.wake_all(&g.telemetry);
                     return;
                 }
                 if g.grants_since_ckpt >= g.ckpt_every {
                     g.ckpt_requested = true;
                 }
                 if g.ckpt_requested && !g.ckpt_blocked() {
+                    // As after a rollback: keep scanning, wake nobody.
                     g.take_checkpoint();
-                    // Checkpoint unblocks every drained seeker: broadcast
-                    // (bounded by ckpt_every, not per-grant).
-                    shared.cv.notify_all();
                     continue;
                 }
                 let only_drain = g.ckpt_requested;
@@ -846,7 +724,7 @@ fn cpr_worker(shared: &Arc<CprShared>, worker_ix: usize) {
                             g.chaos_tick_grant();
                             // Keep one peer scanning while we run the step
                             // (skipped when nobody is parked).
-                            shared.wake_one_seeker(&g);
+                            shared.waits.wake_one_seeker(&g.telemetry);
                             break 'find task;
                         }
                         None => {
@@ -861,9 +739,7 @@ fn cpr_worker(shared: &Arc<CprShared>, worker_ix: usize) {
                     // post-grant wakeup chain.
                     continue;
                 }
-                shared.cv_sleepers.fetch_add(1, Ordering::Relaxed);
-                shared.cv.wait(&mut g);
-                shared.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
+                shared.waits.park_seeker(&mut g, None);
             }
         };
         run_cpr_task(shared, worker_ix, task);
@@ -887,9 +763,8 @@ fn grant_cpr(g: &mut CprInner, tid: ThreadId) -> Option<CprTask> {
     match want {
         CprWant::Start | CprWant::Serialized => {}
         CprWant::Lock(l) => {
-            let entry = g.locks.get_mut(&l).expect("registered");
-            entry.0 = true;
-            lock_out = Some((l, entry.1.take().expect("free lock has data")));
+            let data = g.locks.get_mut(&l).expect("registered").take();
+            lock_out = Some((l, data.expect("free lock has data")));
         }
         CprWant::Push(c, v) => {
             g.chans.get_mut(&c).expect("registered").push_back(v);
@@ -908,10 +783,10 @@ fn grant_cpr(g: &mut CprInner, tid: ThreadId) -> Option<CprTask> {
         CprWant::Barrier(b) => {
             let t = g.threads.get_mut(&tid).expect("exists");
             t.state = CprThState::Parked;
-            let (participants, waiting) = g.barriers.get_mut(&b).expect("registered");
-            waiting.push(tid);
-            if waiting.len() as u32 == *participants {
-                let batch = std::mem::take(waiting);
+            let r = g.barriers.get_mut(&b).expect("registered");
+            r.waiting.push(tid);
+            if r.waiting.len() as u32 == r.participants {
+                let batch = std::mem::take(&mut r.waiting);
                 for w in batch {
                     let t = g.threads.get_mut(&w).expect("exists");
                     t.state = CprThState::Active;
@@ -925,21 +800,7 @@ fn grant_cpr(g: &mut CprInner, tid: ThreadId) -> Option<CprTask> {
             let spec = spec_slot.take().expect("spawn granted once");
             let child = ThreadId::new(g.next_thread);
             g.next_thread += 1;
-            g.threads.insert(
-                child,
-                CprThread {
-                    program: Some(spec.program),
-                    group: spec.group,
-                    weight: spec.weight,
-                    pending: Some(CprWant::Start),
-                    popped: None,
-                    atomic_prev: None,
-                    joined: None,
-                    spawned: None,
-                    state: CprThState::Active,
-                    running: false,
-                },
-            );
+            g.threads.insert(child, CprThread::new(spec.program));
             g.live += 1;
             g.stats.spawns += 1;
             spawned = Some(child);
@@ -994,11 +855,9 @@ fn run_cpr_task(shared: &Arc<CprShared>, worker_ix: usize, task: CprTask) {
     let (leftover_lock, staged) = ctx.into_parts();
     let mut g = shared.inner.lock();
     g.running -= 1;
-    let released_lock = leftover_lock.is_some();
+    let released_lock = leftover_lock.as_ref().map(|(l, _)| *l);
     if let Some((l, d)) = leftover_lock {
-        let entry = g.locks.get_mut(&l).expect("registered");
-        entry.0 = false;
-        entry.1 = Some(d);
+        *g.locks.get_mut(&l).expect("registered") = Some(d);
     }
     for (file, bytes) in staged {
         if let Some((_, _, staged)) = g.files.get_mut(&file) {
@@ -1035,25 +894,24 @@ fn run_cpr_task(shared: &Arc<CprShared>, worker_ix: usize, task: CprTask) {
                 g.poisoned = Some(format!("CPR step of {tid} panicked: {msg}"));
             }
             // Poison is terminal: wake every class so waiters bail out.
-            shared.cv.notify_all();
-            shared.lock_cv.notify_all();
+            shared.waits.wake_all(&g.telemetry);
             return;
         }
     }
     // Targeted wakeups: the depositing worker loops back to scan on its
     // own, so one extra seeker suffices; a returned lock additionally
-    // wakes the nested waiters parked on it. Both are skipped outright
-    // when the corresponding parked count is zero.
-    if released_lock {
-        shared.wake_lock_waiters(&g);
+    // wakes the nested waiters on its shard.
+    if let Some(l) = released_lock {
+        shared.waits.wake_lock_shard(l, &g.telemetry);
     }
-    shared.wake_one_seeker(&g);
+    shared.waits.wake_one_seeker(&g.telemetry);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::OneShot;
+    use gprs_core::ids::GroupId;
 
     #[test]
     fn cpr_runs_one_shots() {

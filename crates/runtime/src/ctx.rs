@@ -196,8 +196,8 @@ impl StepCtx<'_> {
                 g.bump();
                 // Targeted wakeups: nested waiters parked on this lock's
                 // shard, plus one seeker in case the token waits on it.
-                shared.wake_lock_shard(lock, g.ledger.telemetry());
-                shared.wake_one_seeker(g.ledger.telemetry());
+                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.waits.wake_one_seeker(g.ledger.telemetry());
             }
             CtxBackend::Cpr(shared) => {
                 shared.release_lock(lock, data);
@@ -223,8 +223,6 @@ impl StepCtx<'_> {
         match &self.backend {
             CtxBackend::Gprs(shared) => {
                 let lock = handle.id();
-                let shard_ix = crate::engine::Shared::shard_ix(lock);
-                let shard = &shared.lock_shards[shard_ix];
                 let mut data = {
                     let mut g = shared.inner.lock();
                     let mut woke = false;
@@ -242,13 +240,7 @@ impl StepCtx<'_> {
                         if woke && g.ledger.telemetry().enabled() {
                             g.ledger.telemetry().metrics.wakeups_spurious.inc();
                         }
-                        // Wait on the lock's shard, not the scheduler
-                        // queue: only releases of (a shard-mate of) this
-                        // lock wake us.
-                        use std::sync::atomic::Ordering;
-                        shared.shard_sleepers[shard_ix].fetch_add(1, Ordering::Relaxed);
-                        shard.wait(&mut g);
-                        shared.shard_sleepers[shard_ix].fetch_sub(1, Ordering::Relaxed);
+                        shared.waits.park_on_lock(lock, &mut g);
                         woke = true;
                     }
                 };
@@ -260,8 +252,8 @@ impl StepCtx<'_> {
                 let mut g = shared.inner.lock();
                 g.return_lock(self.stid, lock, data);
                 g.bump();
-                shared.wake_lock_shard(lock, g.ledger.telemetry());
-                shared.wake_one_seeker(g.ledger.telemetry());
+                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.waits.wake_one_seeker(g.ledger.telemetry());
                 out
             }
             CtxBackend::Cpr(shared) => {

@@ -31,11 +31,12 @@ use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_core::wal::WriteAheadLog;
 use gprs_telemetry::{spsc, Telemetry, TelemetryConfig};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which sub-threads recovery squashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -479,14 +480,119 @@ impl std::fmt::Debug for Inner {
 /// Number of condvar shards for nested lock waits (keyed by `LockId`).
 pub(crate) const LOCK_SHARDS: usize = 16;
 
+/// Where an executor's workers park: the scheduler queue of workers seeking
+/// a grant, and the keyed queues of steps blocked on a nested lock. The GPRS
+/// engine and the CPR baseline each hold one and wake through it, so both
+/// follow one policy: each grant wakes at most one seeker, a returned lock
+/// wakes its own shard, and only finish and poison broadcast.
+///
+/// Every sleeper count is mutated only while holding the executor's state
+/// lock (incremented before the wait releases it, decremented after the
+/// wait reacquires it), so a reader that holds the lock sees the exact
+/// count and the wake functions skip the kernel wake outright when nobody
+/// is parked — the common case on the grant fast path. A late seeker
+/// re-scans the post-update state before it parks, so no wake is lost.
+pub(crate) struct WaitQueues {
+    /// Scheduler queue: workers seeking a grant wait here. Woken one at a
+    /// time (`notify_one` chains); broadcast only on finish and poison.
+    pub cv: Condvar,
+    /// Keyed wait queues for blocking *nested* lock acquisition from inside
+    /// running steps; returning a lock wakes only that lock's shard.
+    pub lock_shards: [Condvar; LOCK_SHARDS],
+    /// Workers currently parked on `cv`.
+    pub cv_sleepers: AtomicUsize,
+    /// Nested-acquire waiters parked per lock shard.
+    pub shard_sleepers: [AtomicUsize; LOCK_SHARDS],
+}
+
+impl WaitQueues {
+    pub fn new() -> Self {
+        WaitQueues {
+            cv: Condvar::new(),
+            lock_shards: std::array::from_fn(|_| Condvar::new()),
+            cv_sleepers: AtomicUsize::new(0),
+            shard_sleepers: std::array::from_fn(|_| AtomicUsize::new(0)),
+        }
+    }
+
+    /// Which shard a nested waiter for `lock` parks on.
+    fn shard_ix(lock: LockId) -> usize {
+        lock.raw() as usize % LOCK_SHARDS
+    }
+
+    /// Parks a seeker on the scheduler queue until woken, or for at most
+    /// `bound` when given. `g` guards the executor's state.
+    pub fn park_seeker<T>(&self, g: &mut MutexGuard<'_, T>, bound: Option<Duration>) {
+        self.cv_sleepers.fetch_add(1, Ordering::Relaxed);
+        match bound {
+            Some(d) => {
+                let _ = self.cv.wait_for(g, d);
+            }
+            None => self.cv.wait(g),
+        }
+        self.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Parks a step blocked on the nested acquire of `lock` on that lock's
+    /// shard: only a return of (a shard-mate of) the lock wakes it.
+    pub fn park_on_lock<T>(&self, lock: LockId, g: &mut MutexGuard<'_, T>) {
+        let ix = Self::shard_ix(lock);
+        self.shard_sleepers[ix].fetch_add(1, Ordering::Relaxed);
+        self.lock_shards[ix].wait(g);
+        self.shard_sleepers[ix].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Wakes one worker parked on the scheduler queue, if any is (callers
+    /// hold the state lock).
+    pub fn wake_one_seeker(&self, telemetry: &Telemetry) {
+        if self.cv_sleepers.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        if telemetry.enabled() {
+            telemetry.metrics.wakeups_issued.inc_serialized();
+        }
+        self.cv.notify_one();
+    }
+
+    /// Wakes the nested waiters parked on `lock`'s shard, if any are
+    /// (callers hold the state lock).
+    pub fn wake_lock_shard(&self, lock: LockId, telemetry: &Telemetry) {
+        let ix = Self::shard_ix(lock);
+        if self.shard_sleepers[ix].load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        if telemetry.enabled() {
+            telemetry.metrics.wakeups_issued.inc_serialized();
+        }
+        self.lock_shards[ix].notify_all();
+    }
+
+    /// Broadcast to every waiter class — finish and poison, where every
+    /// parked worker must leave. A class with no sleepers is skipped: a
+    /// session, whose single context never parks, finishes without a
+    /// single wake syscall. Each broadcast issued counts as one
+    /// `wakeups_issued`.
+    pub fn wake_all(&self, telemetry: &Telemetry) {
+        let classes = std::iter::once((&self.cv, &self.cv_sleepers))
+            .chain(self.lock_shards.iter().zip(&self.shard_sleepers));
+        for (cv, sleepers) in classes {
+            if sleepers.load(Ordering::Relaxed) > 0 {
+                if telemetry.enabled() {
+                    telemetry.metrics.wakeups_issued.inc_serialized();
+                }
+                cv.notify_all();
+            }
+        }
+    }
+}
+
 /// The state shared by workers, contexts and controllers: the big lock plus
 /// the lock-free structures that keep hot paths off it.
 pub(crate) struct Shared {
     pub inner: Mutex<Inner>,
-    /// Scheduler queue: workers seeking a grant wait here. Woken one at a
-    /// time (`notify_one` chains); broadcast only on finish and poison. A
-    /// recovery wakes nobody: the worker that ran it grants next.
-    pub cv: Condvar,
+    /// Where workers and nested lock waiters park. A recovery wakes
+    /// nobody: the worker that ran it grants next.
+    pub waits: WaitQueues,
     /// Lock-free mirror of the enforcer's grant frontier, republished under
     /// the lock at every token movement. Advisory outside the lock: used to
     /// decide whether a deposit needs to wake a peer, never to grant.
@@ -494,23 +600,10 @@ pub(crate) struct Shared {
     /// Set (under the lock) when the run finished or poisoned, so
     /// `Controller::is_finished` polls without taking the lock.
     pub done: AtomicBool,
-    /// Keyed wait queues for blocking *nested* lock acquisition from inside
-    /// running steps; `release`/`unlock` wakes only the lock's shard.
-    pub lock_shards: [Condvar; LOCK_SHARDS],
     /// Per-worker SPSC hand-off buffers for off-lock captured state (see
     /// [`HandOff`]). Strict single-owner: worker `i` alone pushes to and
     /// drains `handoffs[i]`.
     pub handoffs: Vec<spsc::Channel<HandOff>>,
-    /// Workers currently parked on `cv`. Mutated only while holding the
-    /// engine lock (incremented before the wait releases it, decremented
-    /// after the wait reacquires it), so a reader that holds the lock sees
-    /// the exact count — `wake_one_seeker` skips the kernel wake syscall
-    /// outright when nobody is parked, which is the common case on the
-    /// grant fast path.
-    pub cv_sleepers: AtomicUsize,
-    /// Nested-acquire waiters parked per lock shard; same discipline as
-    /// [`Shared::cv_sleepers`].
-    pub shard_sleepers: [AtomicUsize; LOCK_SHARDS],
     /// Configured worker count (for the spare-CPU wake heuristic).
     pub workers: usize,
     /// Hardware parallelism of the pool run driving this engine, stamped
@@ -529,13 +622,10 @@ impl Shared {
         let workers = inner.cfg.workers;
         Shared {
             inner: Mutex::new(inner),
-            cv: Condvar::new(),
+            waits: WaitQueues::new(),
             gate,
             done: AtomicBool::new(false),
-            lock_shards: std::array::from_fn(|_| Condvar::new()),
             handoffs: (0..workers).map(|_| spsc::Channel::new(8)).collect(),
-            cv_sleepers: AtomicUsize::new(0),
-            shard_sleepers: std::array::from_fn(|_| AtomicUsize::new(0)),
             workers,
             cpus: AtomicUsize::new(1),
         }
@@ -549,61 +639,8 @@ impl Shared {
     /// futile preemption.
     pub fn spare_cpu(&self) -> bool {
         self.workers
-            .saturating_sub(self.cv_sleepers.load(Ordering::Relaxed))
+            .saturating_sub(self.waits.cv_sleepers.load(Ordering::Relaxed))
             < self.cpus.load(Ordering::Relaxed)
-    }
-
-    /// Which shard a nested waiter for `lock` parks on.
-    pub fn shard_ix(lock: LockId) -> usize {
-        lock.raw() as usize % LOCK_SHARDS
-    }
-
-    /// Wakes one worker parked on the scheduler queue. Callers hold the
-    /// engine lock, so the sleeper count is exact: when it is zero no
-    /// worker is parked and none can park before we release the lock (a
-    /// late seeker re-scans the post-update state before waiting), so the
-    /// kernel wake can be skipped entirely.
-    pub fn wake_one_seeker(&self, telemetry: &Telemetry) {
-        if self.cv_sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        if telemetry.enabled() {
-            telemetry.metrics.wakeups_issued.inc_serialized();
-        }
-        self.cv.notify_one();
-    }
-
-    /// Wakes the nested waiters parked on `lock`'s shard. Same exactness
-    /// argument as [`Shared::wake_one_seeker`]: callers hold the engine
-    /// lock and shard waiters only mutate their count under it.
-    pub fn wake_lock_shard(&self, lock: LockId, telemetry: &Telemetry) {
-        let ix = Self::shard_ix(lock);
-        if self.shard_sleepers[ix].load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        if telemetry.enabled() {
-            telemetry.metrics.wakeups_issued.inc_serialized();
-        }
-        self.lock_shards[ix].notify_all();
-    }
-
-    /// Broadcast to every waiter class — finish and poison, where every
-    /// parked worker must leave. Callers hold the engine lock, so (as in
-    /// [`Shared::wake_one_seeker`]) a class with no sleepers is skipped
-    /// outright: a session, whose single context never parks, finishes
-    /// without a single wake syscall. Each broadcast issued counts as one
-    /// `wakeups_issued`.
-    pub fn wake_all(&self, telemetry: &Telemetry) {
-        let classes = std::iter::once((&self.cv, &self.cv_sleepers))
-            .chain(self.lock_shards.iter().zip(&self.shard_sleepers));
-        for (cv, sleepers) in classes {
-            if sleepers.load(Ordering::Relaxed) > 0 {
-                if telemetry.enabled() {
-                    telemetry.metrics.wakeups_issued.inc_serialized();
-                }
-                cv.notify_all();
-            }
-        }
     }
 }
 
@@ -1813,7 +1850,7 @@ pub(crate) fn worker_loop(shared: &SharedRef, worker_ix: usize) {
                 if wake_peer {
                     // The guard dropped when `decide` returned; the woken
                     // peer can acquire the lock without colliding with us.
-                    shared.cv.notify_one();
+                    shared.waits.cv.notify_one();
                 }
                 finished = Some(execute_task(shared, worker_ix, task));
             }
@@ -1883,9 +1920,9 @@ pub(crate) fn decide<const SOLO: bool>(
             let released = leftover_lock.as_ref().map(|(l, _)| *l);
             g.deposit(thread, stid, program, result, leftover_lock, staged);
             if let Some(lock) = released {
-                shared.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
             }
-            if prenotify && shared.cv_sleepers.load(Ordering::Relaxed) > 0 {
+            if prenotify && shared.waits.cv_sleepers.load(Ordering::Relaxed) > 0 {
                 // Overlap a parked peer's seek with ours only when the
                 // frontier thread already has a deposit armed; a frontier
                 // whose step is still in flight fuses with its own deposit.
@@ -1895,7 +1932,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     .and_then(|h| g.threads.get(&h))
                     .is_some_and(|r| r.pending.is_some());
                 if armed && shared.spare_cpu() {
-                    shared.wake_one_seeker(g.ledger.telemetry());
+                    shared.waits.wake_one_seeker(g.ledger.telemetry());
                 }
             }
             fast = true;
@@ -1909,7 +1946,7 @@ pub(crate) fn decide<const SOLO: bool>(
             g.running.remove(&stid);
             if let Some((lock, data)) = leftover_lock {
                 g.return_lock(stid, lock, data);
-                shared.wake_lock_shard(lock, g.ledger.telemetry());
+                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
             }
             g.poison(format!("step of {thread} panicked: {msg}"));
         }
@@ -1942,15 +1979,8 @@ pub(crate) fn decide<const SOLO: bool>(
                 }
                 fast = false;
                 woke_idle = true;
-                shared.cv_sleepers.fetch_add(1, Ordering::Relaxed);
-                if edge_wait {
-                    let _ = shared
-                        .cv
-                        .wait_for(&mut g, std::time::Duration::from_micros(200));
-                } else {
-                    shared.cv.wait(&mut g);
-                }
-                shared.cv_sleepers.fetch_sub(1, Ordering::Relaxed);
+                let bound = edge_wait.then_some(Duration::from_micros(200));
+                shared.waits.park_seeker(&mut g, bound);
             }
             continue;
         }};
@@ -1962,7 +1992,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // would stall on edges this domain will never feed again.
             inner.shard_publish_abort();
             shared.done.store(true, Ordering::Release);
-            shared.wake_all(inner.ledger.telemetry());
+            shared.waits.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if inner.shard.is_some() && inner.shard_poll() {
@@ -1970,7 +2000,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // (the culprit domain carries the diagnostic). Out-edges stay
             // open — a sibling worker may still be depositing a step.
             shared.done.store(true, Ordering::Release);
-            shared.wake_all(inner.ledger.telemetry());
+            shared.waits.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if inner.recovering {
@@ -1983,6 +2013,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 // only mutated under this lock, so the reads are exact).
                 debug_assert!(
                     shared
+                        .waits
                         .shard_sleepers
                         .iter()
                         .all(|s| s.load(Ordering::Relaxed) == 0),
@@ -2017,7 +2048,7 @@ pub(crate) fn decide<const SOLO: bool>(
             // out-edge close below.
             inner.shard_finish_domain();
             shared.done.store(true, Ordering::Release);
-            shared.wake_all(inner.ledger.telemetry());
+            shared.waits.wake_all(inner.ledger.telemetry());
             break Decision::Finished;
         }
         if !may_grant {
@@ -2169,7 +2200,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 // deposit armed (a holder whose step is still running will
                 // reach the frontier itself, fused with its own deposit,
                 // so waking anyone for it is a guaranteed spurious wakeup).
-                let wake_peer = shared.cv_sleepers.load(Ordering::Relaxed) > 0
+                let wake_peer = shared.waits.cv_sleepers.load(Ordering::Relaxed) > 0
                     && shared.spare_cpu()
                     && inner
                         .enforcer
@@ -2407,7 +2438,7 @@ mod tests {
             b.thread(Adds { atomic, rounds: 30, done: 0 }, GroupId::new(0), 1);
         }
         let shared = b.build().shared.clone();
-        shared.cv_sleepers.store(1, Ordering::Relaxed);
+        shared.waits.cv_sleepers.store(1, Ordering::Relaxed);
         assert!(!shared.spare_cpu());
         let mut finished = None;
         loop {

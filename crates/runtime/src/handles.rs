@@ -36,7 +36,7 @@ impl RawChannel {
 
 /// A mutex owning a value of type `T`.
 ///
-/// Created with [`crate::GprsBuilder::mutex`]. Returning
+/// Created with [`crate::Registry::mutex`]. Returning
 /// [`MutexHandle::lock`] from a step ends the sub-thread at the acquire;
 /// the next step runs as the critical section and accesses the data through
 /// [`crate::ctx::StepCtx::with_lock`].

@@ -67,33 +67,29 @@ pub(crate) mod engine;
 pub mod handles;
 pub(crate) mod ops;
 pub mod program;
+mod registry;
 pub mod report;
 pub(crate) mod rex;
 pub mod session;
 pub(crate) mod shard;
 
+pub use crate::registry::Registry;
 pub use crate::shard::ShardedGprs;
 
 use crate::engine::{Inner, RunConfig, Shared, SharedRef};
-use crate::handles::{
-    AtomicHandle, BarrierHandle, ChannelHandle, FileHandle, MutexHandle, RawChannel, RawMutex,
-};
-use crate::program::{DynThread, ThreadProgram};
 use crate::report::{RunError, RunReport};
 use gprs_core::chaos::ChaosCursor;
 use gprs_core::exception::ExceptionKind;
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
 use gprs_core::ledger::RunLedger;
 use gprs_core::order::ScheduleKind;
 use gprs_core::persist::{DurableImage, PersistBackend};
 use gprs_telemetry::TelemetryConfig;
-use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 pub use crate::engine::RecoveryPolicy;
 
-/// Configures and assembles a GPRS runtime.
+/// Configures and assembles a GPRS runtime. It dereferences to the
+/// [`Registry`] the program's threads and resources are registered on.
 #[derive(Default)]
 pub struct GprsBuilder {
     analyze: bool,
@@ -110,14 +106,22 @@ pub struct GprsBuilder {
     /// The configuration the setters below edit in place.
     cfg: RunConfig,
     chaos: Option<ChaosCursor>,
-    /// What the program registered, an id being a position; `finish`
-    /// constructs the engine that owns it, once the configuration is final.
-    threads: Vec<(Box<dyn DynThread>, GroupId, u32)>,
-    locks: BTreeMap<LockId, engine::LockRec>,
-    chans: BTreeMap<ChannelId, engine::ChanRec>,
-    atomics: BTreeMap<AtomicId, u64>,
-    barriers: BTreeMap<BarrierId, engine::BarrierRec>,
-    files: BTreeMap<u64, engine::FileRec>,
+    /// What the program registered; `finish` constructs the engine that
+    /// owns it, once the configuration is final.
+    reg: Registry,
+}
+
+impl std::ops::Deref for GprsBuilder {
+    type Target = Registry;
+    fn deref(&self) -> &Registry {
+        &self.reg
+    }
+}
+
+impl std::ops::DerefMut for GprsBuilder {
+    fn deref_mut(&mut self) -> &mut Registry {
+        &mut self.reg
+    }
 }
 
 impl std::fmt::Debug for GprsBuilder {
@@ -327,77 +331,6 @@ impl GprsBuilder {
         self
     }
 
-    /// Registers a mutex owning `init`.
-    pub fn mutex<T: Clone + Send + 'static>(&mut self, init: T) -> MutexHandle<T> {
-        let id = LockId::new(self.locks.len() as u64);
-        self.locks.insert(
-            id,
-            engine::LockRec {
-                holder: None,
-                data: Some(Box::new(init)),
-            },
-        );
-        MutexHandle {
-            raw: RawMutex(id),
-            _t: PhantomData,
-        }
-    }
-
-    /// Registers a FIFO channel.
-    pub fn channel<T: Send + Sync + 'static>(&mut self) -> ChannelHandle<T> {
-        let id = ChannelId::new(self.chans.len() as u64);
-        self.chans.insert(id, engine::ChanRec::default());
-        ChannelHandle {
-            raw: RawChannel(id),
-            _t: PhantomData,
-        }
-    }
-
-    /// Registers an atomic `u64`.
-    pub fn atomic(&mut self, init: u64) -> AtomicHandle {
-        let id = AtomicId::new(self.atomics.len() as u64);
-        self.atomics.insert(id, init);
-        AtomicHandle(id)
-    }
-
-    /// Registers a barrier for `participants` threads.
-    pub fn barrier(&mut self, participants: u32) -> BarrierHandle {
-        let id = BarrierId::new(self.barriers.len() as u64);
-        self.barriers.insert(
-            id,
-            engine::BarrierRec {
-                participants,
-                waiting: Vec::new(),
-                gen: 0,
-            },
-        );
-        BarrierHandle(id, participants)
-    }
-
-    /// Registers a recoverable output file.
-    pub fn file(&mut self, name: impl Into<String>) -> FileHandle {
-        let id = self.files.len() as u64;
-        self.files.insert(
-            id,
-            engine::FileRec {
-                name: name.into(),
-                committed: Vec::new(),
-            },
-        );
-        FileHandle(id)
-    }
-
-    /// Registers an initial thread; fork order defines the deterministic
-    /// registration order.
-    pub fn thread<P>(&mut self, program: P, group: GroupId, weight: u32) -> ThreadId
-    where
-        P: ThreadProgram,
-        P::Snapshot: Sized,
-    {
-        self.threads.push((Box::new(program), group, weight));
-        ThreadId::new(self.threads.len() as u32 - 1)
-    }
-
     /// Finalizes the configuration.
     pub fn build(mut self) -> Gprs {
         let model = self.model.take();
@@ -450,7 +383,7 @@ impl GprsBuilder {
             None => gprs_analyze::shard_plan(&model),
         };
         let exec = plan.coalesce_for_execution(&model);
-        let resources = match shard::map_resources(self.threads.len() as u32, &model, &exec) {
+        let resources = match shard::map_resources(self.reg.threads.len() as u32, &model, &exec) {
             Ok(r) => r,
             Err(e) => return ShardedGprs::failed(e),
         };
@@ -561,16 +494,17 @@ impl GprsBuilder {
         if let Some(rep) = analysis {
             rep.trace_verdict(ledger.telemetry(), ledger.racecheck());
         }
+        let Registry { threads, locks, chans, atomics, barriers, files } = self.reg;
         let mut inner = Inner {
-            chans: self.chans,
-            locks: self.locks,
-            atomics: self.atomics,
-            barriers: self.barriers,
-            files: self.files,
+            chans,
+            locks,
+            atomics,
+            barriers,
+            files,
             chaos: self.chaos,
             ..Inner::new(self.cfg, ledger)
         };
-        for (program, group, weight) in self.threads {
+        for (program, group, weight) in threads {
             inner.add_thread(program, group, weight, None);
         }
         inner.poison_on(refused.or(epoch));
@@ -721,7 +655,7 @@ impl Controller {
             .find(|(_, &w)| w == context as usize)
             .map(|(&s, _)| s);
         g.raise(kind, context, culprit);
-        self.shared.wake_one_seeker(g.ledger.telemetry());
+        self.shared.waits.wake_one_seeker(g.ledger.telemetry());
     }
 
     /// Raises a global exception on whichever context currently runs the
@@ -733,7 +667,7 @@ impl Controller {
             return false;
         };
         g.raise(kind, worker as u32, Some(stid));
-        self.shared.wake_one_seeker(g.ledger.telemetry());
+        self.shared.waits.wake_one_seeker(g.ledger.telemetry());
         true
     }
 

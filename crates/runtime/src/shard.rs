@@ -139,7 +139,7 @@ impl EdgeHub {
         let members = self.members.lock();
         if let Some(m) = members.get(domain).and_then(|m| m.as_ref()) {
             if let Some(shared) = m.upgrade() {
-                shared.cv.notify_all();
+                shared.waits.cv.notify_all();
             }
         }
     }
@@ -148,7 +148,7 @@ impl EdgeHub {
         let members = self.members.lock();
         for m in members.iter().flatten() {
             if let Some(shared) = m.upgrade() {
-                shared.cv.notify_all();
+                shared.waits.cv.notify_all();
             }
         }
     }

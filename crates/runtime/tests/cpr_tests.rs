@@ -264,3 +264,124 @@ fn cpr_file_output_commits_at_checkpoints() {
         (0..=9u8).collect::<Vec<_>>()
     );
 }
+
+/// The pipeline `end_to_end::pbzip_output_bytes_are_pinned` runs on the GPRS
+/// runtime, wired onto the baseline by the same helper: it must commit the
+/// same bytes, clean and after global rollbacks.
+#[test]
+fn cpr_pbzip_commits_the_pinned_bytes() {
+    use gprs_core::persist::fnv1a;
+    use gprs_workloads::kernels::compress::generate_corpus;
+    use gprs_workloads::programs::{build_pbzip_pipeline, decode_pbzip_output};
+    let input = generate_corpus(96_000, 31);
+    // A clean run makes 100 grants and checkpoints every 16. Both
+    // exceptions find a snapshot and roll the whole pipeline back. The
+    // first re-runs 14 grants, so the second lands near the clean run's
+    // grant 91, while written blocks are staged and not yet committed: a
+    // rollback that kept them would commit them twice.
+    let faults = ChaosPlan::new()
+        .with(ChaosEvent::at_grant(30))
+        .with(ChaosEvent::at_grant(105));
+    for workers in [1, 2] {
+        for plan in [ChaosPlan::new(), faults.clone()] {
+            let mut b = CprBuilder::new()
+                .workers(workers)
+                .checkpoint_every(16)
+                .chaos(&plan);
+            let (file, _) = build_pbzip_pipeline(&mut b, input.clone(), 4096, 2);
+            let report = b.build().run().unwrap();
+            let what = format!("{workers} workers, {} faults", plan.total_exceptions());
+            assert_eq!(report.rollbacks, plan.total_exceptions(), "{what}");
+            let out = &report.files[&file.index()].1;
+            assert_eq!(decode_pbzip_output(out).unwrap(), input, "{what}");
+            assert_eq!(
+                (out.len(), fnv1a(out)),
+                (35_837, 0x6b0f_a21d_f491_0631),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// Adds to a shared counter and waits at a barrier, `rounds` times; then
+/// reads the counter and exits with it. Every add precedes the last
+/// release, so each worker exits with `participants × rounds`.
+struct Phased {
+    counter: AtomicHandle,
+    barrier: BarrierHandle,
+    rounds: u32,
+    done: u32,
+    added: bool,
+    reading: bool,
+}
+
+impl Checkpoint for Phased {
+    type Snapshot = (u32, bool, bool);
+    fn checkpoint(&self) -> Self::Snapshot {
+        (self.done, self.added, self.reading)
+    }
+    fn restore(&mut self, s: &Self::Snapshot) {
+        (self.done, self.added, self.reading) = *s;
+    }
+}
+
+impl ThreadProgram for Phased {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.reading {
+            return Step::exit(ctx.atomic_prev());
+        }
+        if self.done == self.rounds {
+            self.reading = true;
+            return self.counter.fetch_add(0);
+        }
+        if !self.added {
+            self.added = true;
+            return self.counter.fetch_add(1);
+        }
+        self.added = false;
+        self.done += 1;
+        self.barrier.wait()
+    }
+}
+
+#[test]
+fn cpr_barrier_phases_survive_a_rollback() {
+    const PARTIES: u32 = 3;
+    const ROUNDS: u32 = 8;
+    let run = |workers: usize, plan: &ChaosPlan| {
+        let mut b = CprBuilder::new()
+            .workers(workers)
+            .checkpoint_every(6)
+            .chaos(plan);
+        let counter = b.atomic(0);
+        let barrier = b.barrier(PARTIES);
+        let tids: Vec<ThreadId> = (0..PARTIES)
+            .map(|g| {
+                let (done, added, reading) = (0, false, false);
+                let p = Phased { counter, barrier, rounds: ROUNDS, done, added, reading };
+                b.thread(p, GroupId::new(g), 1)
+            })
+            .collect();
+        let report = b.build().run().unwrap();
+        let outs: Vec<u64> = tids.iter().map(|&t| report.output::<u64>(t)).collect();
+        (outs, report.stats.barrier_releases, report.rollbacks)
+    };
+    let everyone = vec![u64::from(PARTIES * ROUNDS); PARTIES as usize];
+    let clean = ChaosPlan::new();
+    // The checkpoint requested at grant 6 stops granting until it is
+    // taken, so the exception at grant 20 always finds a snapshot.
+    let fault = ChaosPlan::new().with(ChaosEvent::at_grant(20));
+    for workers in [1, 2] {
+        assert_eq!(run(workers, &clean), (everyone.clone(), u64::from(ROUNDS), 0));
+        let (outs, releases, rollbacks) = run(workers, &fault);
+        assert_eq!((&outs, rollbacks), (&everyone, 1), "{workers} workers");
+        // Releases count what ran: those between the snapshot and the
+        // rollback run twice.
+        assert!(releases > u64::from(ROUNDS), "{workers} workers: {releases}");
+    }
+    // One worker grants lowest-ready-thread-first, so the rolled-back run
+    // is one schedule: a round is six grants, and each checkpoint is taken
+    // just before the round's last arrival releases it. The rollback at
+    // grant 20 returns to the one at grant 18, and release 3 runs twice.
+    assert_eq!(run(1, &fault).1, u64::from(ROUNDS) + 1);
+}

@@ -22,7 +22,7 @@ use gprs_core::workload::{PlainKind, Segment, SimOp, ThreadSpec, Workload};
 use gprs_runtime::ctx::StepCtx;
 use gprs_runtime::handles::AtomicHandle;
 use gprs_runtime::program::{Step, ThreadProgram};
-use gprs_runtime::GprsBuilder;
+use gprs_runtime::Registry;
 
 /// Cycles of modeled computation per beacon round (trace-level only; the
 /// real worker's computation is the checksum fold below).
@@ -82,12 +82,12 @@ impl ThreadProgram for BeaconWorker {
     }
 }
 
-/// Wires one beacon worker per entry of `rounds` onto a GPRS builder
+/// Wires one beacon worker per entry of `rounds` onto either builder
 /// (worker `w` runs `rounds[w]` rounds). Per worker, the beacon cell is
 /// registered first and the boundary ticket second, so worker `w` owns
 /// `AtomicId(2w)` (beacon) and `AtomicId(2w + 1)` (ticket) — the id
 /// mapping [`beacon_model_rounds`] mirrors. Returns the beacon handles.
-pub fn build_beacon_rounds(b: &mut GprsBuilder, rounds: &[u32]) -> Vec<AtomicHandle> {
+pub fn build_beacon_rounds(b: &mut Registry, rounds: &[u32]) -> Vec<AtomicHandle> {
     let mut beacons = Vec::with_capacity(rounds.len());
     for (w, &r) in rounds.iter().enumerate() {
         let beacon = b.atomic(0);
@@ -104,7 +104,7 @@ pub fn build_beacon_rounds(b: &mut GprsBuilder, rounds: &[u32]) -> Vec<AtomicHan
 
 /// [`build_beacon_rounds`] with `workers` uniform workers of `rounds`
 /// rounds each — the committed campaign shape.
-pub fn build_beacon(b: &mut GprsBuilder, workers: usize, rounds: u32) -> Vec<AtomicHandle> {
+pub fn build_beacon(b: &mut Registry, workers: usize, rounds: u32) -> Vec<AtomicHandle> {
     build_beacon_rounds(b, &vec![rounds.max(1); workers.max(1)])
 }
 
@@ -140,6 +140,7 @@ pub fn beacon_model(workers: usize, rounds: u32) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gprs_runtime::GprsBuilder;
 
     #[test]
     fn model_proves_beacons_dead_and_domains_disjoint() {

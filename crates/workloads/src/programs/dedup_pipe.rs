@@ -340,7 +340,7 @@ impl ThreadProgram for DedupWriter {
 ///
 /// Returns `(file, writer thread, total chunk count, fresh chunk count)`.
 pub fn build_dedup_pipeline(
-    b: &mut gprs_runtime::GprsBuilder,
+    b: &mut gprs_runtime::Registry,
     input: Vec<u8>,
     block: usize,
     classifiers: u64,

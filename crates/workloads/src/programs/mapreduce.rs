@@ -221,7 +221,7 @@ impl ThreadProgram for RacyHistogramCollector {
     }
 }
 
-/// Wires `workers` racy histogram workers plus a collector onto a GPRS
+/// Wires `workers` racy histogram workers plus a collector onto either
 /// builder over `input`.
 ///
 /// The racy progress cell is registered *first* so it aliases `AtomicId(0)`
@@ -231,7 +231,7 @@ impl ThreadProgram for RacyHistogramCollector {
 /// the collector's thread id; the collector exits with the final `Vec<u64>`
 /// histogram, which equals the byte histogram of `input` despite the race.
 pub fn build_racy_histogram(
-    b: &mut gprs_runtime::GprsBuilder,
+    b: &mut gprs_runtime::Registry,
     input: Vec<u8>,
     workers: usize,
     pieces: u64,

@@ -202,11 +202,11 @@ pub fn decode_pbzip_output(file: &[u8]) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Wires a complete Pbzip2 pipeline onto a GPRS builder with the paper's
+/// Wires a complete Pbzip2 pipeline onto either builder with the paper's
 /// thread groups (read = 0, compress = 1, write = 2, weighted 4:4:1).
 /// Returns the output file handle and the writer's thread id.
 pub fn build_pbzip_pipeline(
-    b: &mut gprs_runtime::GprsBuilder,
+    b: &mut gprs_runtime::Registry,
     input: Vec<u8>,
     block_size: usize,
     compressors: u64,

@@ -12,9 +12,7 @@ use gprs_core::exception::ExceptionKind;
 use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::GprsBuilder;
 use gprs_workloads::kernels::compress::generate_corpus;
-use gprs_workloads::programs::{
-    build_pbzip_pipeline, decode_pbzip_output, PbzipCompressor, PbzipReader, PbzipWriter,
-};
+use gprs_workloads::programs::{build_pbzip_pipeline, decode_pbzip_output};
 use std::time::Instant;
 
 const INPUT_BYTES: usize = 4 * 1024 * 1024;
@@ -79,26 +77,7 @@ fn main() {
 
     // ---- The same program on the CPR baseline, same injection pressure.
     let mut cb = CprBuilder::new().workers(4).checkpoint_every(64);
-    let raw = cb.channel();
-    let packed = cb.channel();
-    let cfile = cb.file("pbzip.cpr");
-    let reader = PbzipReader::new(input.clone(), BLOCK, raw);
-    let blocks = reader.block_count();
-    cb.thread(reader, gprs_core::ids::GroupId::new(0), 4);
-    let per = blocks / COMPRESSORS;
-    let extra = blocks % COMPRESSORS;
-    for c in 0..COMPRESSORS {
-        cb.thread(
-            PbzipCompressor::new(raw, packed, per + u64::from(c < extra)),
-            gprs_core::ids::GroupId::new(1),
-            4,
-        );
-    }
-    cb.thread(
-        PbzipWriter::new(packed, cfile, blocks),
-        gprs_core::ids::GroupId::new(2),
-        1,
-    );
+    let (cfile, _) = build_pbzip_pipeline(&mut cb, input.clone(), BLOCK, COMPRESSORS);
     let cpr = cb.build();
     let cctl = cpr.controller();
     let injector = std::thread::spawn(move || {
