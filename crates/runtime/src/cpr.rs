@@ -15,14 +15,19 @@
 //!   recorded.
 //! * **Global rollback** — every exception discards all work since the last
 //!   checkpoint and restores that snapshot; threads spawned after it vanish
-//!   (their spawn re-executes), and file output commits only at
-//!   checkpoints (the CPR output-commit point).
+//!   (their spawn re-executes and re-creates them under the same ids), and
+//!   file output commits only at checkpoints (the CPR output-commit point).
 //!
-//! The baseline shares the GPRS runtime's machinery and differs only in
-//! policy: its builder holds the same [`Registry`] (so every program wires
-//! onto both executors with the same code), and its workers park and wake
-//! through the same `WaitQueues` — each grant wakes at most one peer, a
-//! returned lock wakes its own shard, and only finish and poison broadcast.
+//! The baseline keeps only that policy; how a grant becomes a running step
+//! and comes back is the GPRS engine's. It holds the same [`Registry`], its
+//! threads wait on the engine's `PendingWant`s, a grant fills `StepInputs`
+//! and `engine::run_step` runs the step. A worker deposits the outcome under
+//! the lock acquisition of its next grant: one acquisition per step. Its
+//! workers park in the engine's `WaitQueues` and wake by the engine's rule:
+//! a grant wakes a parked peer only when a CPU is spare for it, a deposit
+//! wakes only its returned lock's shard (its worker scans again itself), a
+//! rollback or checkpoint wakes nobody, and only finish and poison
+//! broadcast.
 //!
 //! The contrast with GPRS's selective restart is the paper's headline
 //! comparison. What drives both executors over the same programs is the
@@ -30,10 +35,10 @@
 //! `crates/runtime/tests/cpr_tests.rs`, `tests/end_to_end.rs` and the
 //! `pbzip2_pipeline` example; no benchmark workload runs the baseline.
 
-use crate::ctx::{CtxBackend, StepCtx};
-use crate::engine::{BarrierRec, WaitQueues};
+use crate::ctx::{CtxBackend, StepInputs};
+use crate::engine::{run_step, BarrierRec, PendingWant, StepOutcome, ThState, WaitQueues};
 use crate::handles::Recoverable;
-use crate::program::{DynThread, Payload, SpawnSpec, Step};
+use crate::program::{DynThread, Payload, Step};
 use crate::registry::Registry;
 use crate::report::{RunError, RunStats};
 use gprs_core::chaos::{ChaosCursor, ChaosEvent, ChaosPlan};
@@ -45,60 +50,30 @@ use gprs_telemetry::{
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A snapshot-able pending synchronization request. `Spawn` and `Exit` are
-/// granted eagerly before any checkpoint, so snapshots never hold them.
-enum CprWant {
-    Start,
-    Lock(LockId),
-    Push(ChannelId, Payload),
-    Pop(ChannelId),
-    FetchAdd(AtomicId, u64),
-    Barrier(BarrierId),
-    Join(ThreadId),
-    Serialized,
-    Spawn(Option<SpawnSpec>),
-    Exit(Payload),
-}
-
-impl CprWant {
-    /// Clones the want for a checkpoint.
-    ///
-    /// # Panics
-    /// Panics on `Spawn` — checkpoints are gated on spawn wants draining.
-    fn snapshot(&self) -> CprWant {
-        match self {
-            CprWant::Start => CprWant::Start,
-            CprWant::Lock(l) => CprWant::Lock(*l),
-            CprWant::Push(c, v) => CprWant::Push(*c, v.clone()),
-            CprWant::Pop(c) => CprWant::Pop(*c),
-            CprWant::FetchAdd(a, d) => CprWant::FetchAdd(*a, *d),
-            CprWant::Barrier(b) => CprWant::Barrier(*b),
-            CprWant::Join(t) => CprWant::Join(*t),
-            CprWant::Serialized => CprWant::Serialized,
-            CprWant::Exit(v) => CprWant::Exit(v.clone()),
-            CprWant::Spawn(_) => unreachable!("checkpoints drain spawn requests first"),
-        }
+/// A copy of a pending want for a checkpoint. The baseline waits only on
+/// `Start` and `Op`, and checkpoints drain spawn requests first.
+fn copy_want(want: &PendingWant) -> PendingWant {
+    match want {
+        PendingWant::Start => PendingWant::Start,
+        PendingWant::Op(s) => PendingWant::Op(s.try_clone().expect("checkpoints drain spawns")),
+        _ => unreachable!("the baseline waits only on Start and Op"),
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum CprThState {
-    Active,
-    Parked,
-    Done,
+/// Whether a want changes the thread set: spawn and exit are granted
+/// eagerly before a checkpoint, so snapshots never hold them.
+fn structural(want: &PendingWant) -> bool {
+    matches!(want, PendingWant::Op(Step::Spawn(_) | Step::Exit(_)))
 }
 
+/// One thread. An active thread with no pending want is running a step.
 struct CprThread {
     program: Option<Box<dyn DynThread>>,
-    pending: Option<CprWant>,
-    popped: Option<Payload>,
-    atomic_prev: Option<u64>,
-    joined: Option<Payload>,
-    spawned: Option<ThreadId>,
-    state: CprThState,
-    running: bool,
+    pending: Option<PendingWant>,
+    state: ThState,
 }
 
 impl CprThread {
@@ -106,34 +81,24 @@ impl CprThread {
     fn new(program: Box<dyn DynThread>) -> Self {
         CprThread {
             program: Some(program),
-            pending: Some(CprWant::Start),
-            popped: None,
-            atomic_prev: None,
-            joined: None,
-            spawned: None,
-            state: CprThState::Active,
-            running: false,
+            pending: Some(PendingWant::Start),
+            state: ThState::Active,
         }
     }
 }
 
-/// One thread's part of a snapshot: its program's checkpoint, pending want,
-/// pending step inputs (popped payload, fetch-add observation, join
-/// payload, spawned child) and state.
-type ThreadSnap = (
-    Box<dyn std::any::Any + Send>,
-    Option<CprWant>,
-    (Option<Payload>, Option<u64>, Option<Payload>, Option<ThreadId>),
-    CprThState,
-);
+/// One thread's part of a snapshot: its program's checkpoint, pending want
+/// and state.
+type ThreadSnap = (Box<dyn std::any::Any + Send>, Option<PendingWant>, ThState);
 
 /// Everything restored by a rollback.
 struct CprSnapshot {
     threads: BTreeMap<ThreadId, ThreadSnap>,
+    next_thread: u32,
     chans: BTreeMap<ChannelId, VecDeque<Payload>>,
     locks: BTreeMap<LockId, Box<dyn Recoverable>>,
     atomics: BTreeMap<AtomicId, u64>,
-    barrier_waiting: BTreeMap<BarrierId, Vec<ThreadId>>,
+    barriers: BTreeMap<BarrierId, BarrierRec>,
     blocks: BTreeMap<u64, Vec<u8>>,
     next_block: u64,
     outputs: BTreeMap<ThreadId, Payload>,
@@ -192,7 +157,7 @@ impl CprShared {
     }
 
     /// A nested acquire: parks on the lock's shard until it is returned.
-    pub(crate) fn acquire_lock_blocking(&self, lock: LockId) -> Box<dyn Recoverable> {
+    pub(crate) fn acquire_nested(&self, lock: LockId) -> Box<dyn Recoverable> {
         let mut g = self.inner.lock();
         let mut woke = false;
         loop {
@@ -360,9 +325,8 @@ impl CprBuilder {
         CprRuntime {
             shared: Arc::new(CprShared {
                 inner: Mutex::new(inner),
-                waits: WaitQueues::new(),
+                waits: WaitQueues::new(self.workers),
             }),
-            workers: self.workers,
         }
     }
 }
@@ -370,13 +334,12 @@ impl CprBuilder {
 /// A configured CPR baseline run.
 pub struct CprRuntime {
     shared: Arc<CprShared>,
-    workers: usize,
 }
 
 impl std::fmt::Debug for CprRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CprRuntime")
-            .field("workers", &self.workers)
+            .field("workers", &self.shared.waits.workers)
             .finish()
     }
 }
@@ -457,8 +420,12 @@ impl CprRuntime {
     /// # Errors
     /// Returns [`RunError::Poisoned`] on a step panic.
     pub fn run(self) -> Result<CprReport, RunError> {
+        // Once per run, as `run_pools` does: the affinity mask can change
+        // between runs.
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.shared.waits.cpus.store(cpus, Ordering::Relaxed);
         let mut joins = Vec::new();
-        for ix in 0..self.workers {
+        for ix in 0..self.shared.waits.workers {
             let shared = self.shared.clone();
             joins.push(
                 std::thread::Builder::new()
@@ -501,39 +468,44 @@ impl CprRuntime {
 }
 
 impl CprInner {
-    fn grantable(&self, tid: ThreadId) -> bool {
-        let t = &self.threads[&tid];
-        match t.pending.as_ref() {
-            None => false,
-            Some(CprWant::Pop(c)) => self.chans.get(c).is_some_and(|q| !q.is_empty()),
-            Some(CprWant::Lock(l)) => self.locks.get(l).is_some_and(Option::is_some),
-            Some(CprWant::Join(j)) => self
-                .threads
-                .get(j)
-                .is_some_and(|r| r.state == CprThState::Done),
-            Some(CprWant::Serialized) => self.running == 0,
-            Some(_) => true,
+    fn grantable(&self, want: &PendingWant) -> bool {
+        match want {
+            PendingWant::Op(Step::Pop(c)) => self.chans.get(&c.id()).is_some_and(|q| !q.is_empty()),
+            PendingWant::Op(Step::Lock(m)) => self.locks.get(&m.id()).is_some_and(Option::is_some),
+            PendingWant::Op(Step::Join(j)) => {
+                self.threads.get(j).is_some_and(|r| r.state == ThState::Done)
+            }
+            PendingWant::Op(Step::Serialized) => self.running == 0,
+            _ => true,
         }
+    }
+
+    /// The lowest active thread whose want can be granted now; while a
+    /// checkpoint is requested, only spawns and exits drain.
+    fn next_grantable(&self) -> Option<ThreadId> {
+        let drain = self.ckpt_requested;
+        let ready = |w: &PendingWant| (!drain || structural(w)) && self.grantable(w);
+        self.threads
+            .iter()
+            .find(|(_, t)| t.state == ThState::Active && t.pending.as_ref().is_some_and(ready))
+            .map(|(&tid, _)| tid)
     }
 
     /// Checkpoints require quiescence and no pending spawn/exit requests
     /// (which are not snapshot-able / shrink the thread set).
     fn ckpt_blocked(&self) -> bool {
         self.running > 0
-            || self
-                .threads
-                .values()
-                .any(|t| matches!(t.pending, Some(CprWant::Spawn(_)) | Some(CprWant::Exit(_))))
+            || self.threads.values().any(|t| t.pending.as_ref().is_some_and(structural))
     }
 
     fn take_checkpoint(&mut self) {
         let threads = self.threads.iter().map(|(&tid, t)| {
             let program = t.program.as_ref().expect("quiesced").save_into(None);
-            let inputs = (t.popped.clone(), t.atomic_prev, t.joined.clone(), t.spawned);
-            (tid, (program, t.pending.as_ref().map(CprWant::snapshot), inputs, t.state))
+            (tid, (program, t.pending.as_ref().map(copy_want), t.state))
         });
         self.snapshot = Some(CprSnapshot {
             threads: threads.collect(),
+            next_thread: self.next_thread,
             chans: self.chans.clone(),
             locks: self
                 .locks
@@ -541,11 +513,7 @@ impl CprInner {
                 .map(|(&l, d)| (l, d.as_ref().expect("quiesced").clone_box()))
                 .collect(),
             atomics: self.atomics.clone(),
-            barrier_waiting: self
-                .barriers
-                .iter()
-                .map(|(&b, r)| (b, r.waiting.clone()))
-                .collect(),
+            barriers: self.barriers.clone(),
             blocks: self.blocks.clone(),
             next_block: self.next_block,
             outputs: self.outputs.clone(),
@@ -617,26 +585,19 @@ impl CprInner {
             return;
         };
         self.threads.retain(|tid, _| snap.threads.contains_key(tid));
-        for (tid, (program, want, (p, a, j, s), state)) in &snap.threads {
+        for (tid, (program, want, state)) in &snap.threads {
             let t = self.threads.get_mut(tid).expect("snapshotted thread");
             t.program.as_mut().expect("quiesced").restore_from(program.as_ref());
-            t.pending = want.as_ref().map(CprWant::snapshot);
-            t.popped = p.clone();
-            t.atomic_prev = *a;
-            t.joined = j.clone();
-            t.spawned = *s;
+            t.pending = want.as_ref().map(copy_want);
             t.state = *state;
         }
+        self.next_thread = snap.next_thread;
         self.chans = snap.chans.clone();
         for (&l, data) in &snap.locks {
             self.locks.insert(l, Some(data.clone_box()));
         }
         self.atomics = snap.atomics.clone();
-        for (&b, w) in &snap.barrier_waiting {
-            if let Some(r) = self.barriers.get_mut(&b) {
-                r.waiting = w.clone();
-            }
-        }
+        self.barriers = snap.barriers.clone();
         self.blocks = snap.blocks.clone();
         self.next_block = snap.next_block;
         self.outputs = snap.outputs.clone();
@@ -654,257 +615,186 @@ impl CprInner {
         }
         self.chaos_tick_rollback();
     }
-}
 
-struct CprTask {
-    tid: ThreadId,
-    program: Box<dyn DynThread>,
-    popped: Option<Payload>,
-    atomic_prev: Option<u64>,
-    joined: Option<Payload>,
-    spawned: Option<ThreadId>,
-    lock_out: Option<(LockId, Box<dyn Recoverable>)>,
+    /// Grants `tid`'s pending want; returns its program and its step's
+    /// inputs when a step must run.
+    fn grant(&mut self, tid: ThreadId) -> Option<(Box<dyn DynThread>, StepInputs)> {
+        let t = self.threads.get_mut(&tid).expect("exists");
+        let want = t.pending.take().expect("grantable implies pending");
+        let mut inputs = StepInputs::default();
+        match want {
+            PendingWant::Start | PendingWant::Op(Step::Serialized) => {}
+            PendingWant::Op(Step::Lock(m)) => {
+                let data = self.locks.get_mut(&m.id()).expect("registered").take();
+                inputs.lock_out = Some((m.id(), data.expect("free lock has data")));
+            }
+            PendingWant::Op(Step::Push(c, v)) => {
+                self.chans.get_mut(&c.id()).expect("registered").push_back(v);
+            }
+            PendingWant::Op(Step::Pop(c)) => {
+                inputs.popped = self.chans.get_mut(&c.id()).expect("registered").pop_front();
+            }
+            PendingWant::Op(Step::FetchAdd(a, d)) => {
+                let slot = self.atomics.get_mut(&a).expect("registered");
+                inputs.atomic_prev = Some(*slot);
+                *slot = slot.wrapping_add(d);
+            }
+            PendingWant::Op(Step::Join(j)) => {
+                inputs.joined = self.outputs.get(&j).cloned();
+            }
+            PendingWant::Op(Step::Barrier(b)) => {
+                t.state = ThState::Parked(b);
+                let r = self.barriers.get_mut(&b).expect("registered");
+                r.waiting.push(tid);
+                if r.waiting.len() as u32 == r.participants {
+                    for w in std::mem::take(&mut r.waiting) {
+                        let t = self.threads.get_mut(&w).expect("exists");
+                        t.state = ThState::Active;
+                        t.pending = Some(PendingWant::Start); // barrier continuation
+                    }
+                    self.stats.barrier_releases += 1;
+                }
+                return None;
+            }
+            PendingWant::Op(Step::Spawn(spec)) => {
+                let child = ThreadId::new(self.next_thread);
+                self.next_thread += 1;
+                self.threads.insert(child, CprThread::new(spec.program));
+                self.live += 1;
+                self.stats.spawns += 1;
+                inputs.spawned = Some(child);
+            }
+            PendingWant::Op(Step::Exit(v)) => {
+                t.state = ThState::Done;
+                self.outputs.insert(tid, v);
+                self.live -= 1;
+                return None;
+            }
+            _ => unreachable!("the baseline waits only on Start and Op"),
+        }
+        let program = self.threads.get_mut(&tid).expect("exists").program.take();
+        self.running += 1;
+        Some((program.expect("program parked"), inputs))
+    }
+
+    /// Folds a finished step back in: its program with its next want, a
+    /// lock it still held, its staged file writes. A panicked step poisons
+    /// the run. Returns the lock it gave back, if any.
+    fn deposit(&mut self, outcome: StepOutcome) -> Option<LockId> {
+        self.running -= 1;
+        let leftover_lock = match outcome {
+            StepOutcome::Done {
+                thread,
+                program,
+                result,
+                leftover_lock,
+                staged,
+                ..
+            } => {
+                for (file, bytes) in staged {
+                    if let Some((_, _, staged)) = self.files.get_mut(&file) {
+                        staged.extend_from_slice(&bytes);
+                    }
+                }
+                let t = self.threads.get_mut(&thread).expect("exists");
+                t.program = Some(program);
+                t.pending = Some(PendingWant::Op(result));
+                leftover_lock
+            }
+            StepOutcome::Panicked {
+                thread,
+                leftover_lock,
+                msg,
+                ..
+            } => {
+                if self.poisoned.is_none() {
+                    self.poisoned = Some(format!("CPR step of {thread} panicked: {msg}"));
+                }
+                leftover_lock
+            }
+        };
+        let (lock, data) = leftover_lock?;
+        *self.locks.get_mut(&lock).expect("registered") = Some(data);
+        Some(lock)
+    }
 }
 
 fn cpr_worker(shared: &Arc<CprShared>, worker_ix: usize) {
+    let mut finished = None;
+    while let Some((tid, program, inputs, wake_peer)) = decide(shared, finished.take()) {
+        if wake_peer {
+            // Notified after unlock: the woken peer does not stall on the
+            // lock this worker just held.
+            shared.waits.cv.notify_one();
+        }
+        let backend = CtxBackend::Cpr(shared.clone());
+        finished = Some(run_step(backend, tid, SubThreadId::new(0), worker_ix, program, inputs));
+    }
+}
+
+/// One CPR decision under one lock acquisition: deposit the finished step
+/// (if any), roll back or checkpoint when due, then grant the lowest
+/// grantable thread. Returns the step to run and whether to wake a parked
+/// peer once the lock is released, or `None` when the run finished or
+/// poisoned.
+fn decide(
+    shared: &CprShared,
+    finished: Option<StepOutcome>,
+) -> Option<(ThreadId, Box<dyn DynThread>, StepInputs, bool)> {
+    let mut g = shared.inner.lock();
+    if let Some(lock) = finished.and_then(|f| g.deposit(f)) {
+        // This worker scans again below; only the lock's nested waiters
+        // need a wake.
+        shared.waits.wake_lock_shard(lock, &g.telemetry);
+    }
     loop {
-        let task = {
-            let mut g = shared.inner.lock();
-            'find: loop {
-                // Rollback requests gate the terminal check: an exception
-                // injected at one of the final grants still rolls the
-                // machine back to its last checkpoint (restoring `live`)
-                // instead of being dropped by an early finish.
-                if g.rollback_requested > 0 && g.poisoned.is_none() {
-                    if g.running == 0 {
-                        // No wake: this worker keeps scanning, and each
-                        // grant it makes wakes one peer.
-                        g.rollback();
-                        continue;
-                    }
-                    // The last running step's worker rolls back.
-                    shared.waits.park_seeker(&mut g, None);
-                    continue;
-                }
-                if g.poisoned.is_some() || (g.live == 0 && g.running == 0) {
-                    // Terminal: every waiter class must see it.
-                    shared.waits.wake_all(&g.telemetry);
-                    return;
-                }
-                if g.grants_since_ckpt >= g.ckpt_every {
-                    g.ckpt_requested = true;
-                }
-                if g.ckpt_requested && !g.ckpt_blocked() {
-                    // As after a rollback: keep scanning, wake nobody.
-                    g.take_checkpoint();
-                    continue;
-                }
-                let only_drain = g.ckpt_requested;
-                let tids: Vec<ThreadId> = g.threads.keys().copied().collect();
-                let mut structural_grant = false;
-                for tid in tids {
-                    let t = &g.threads[&tid];
-                    if t.running || t.state != CprThState::Active || t.pending.is_none() {
-                        continue;
-                    }
-                    let structural = matches!(
-                        t.pending,
-                        Some(CprWant::Spawn(_)) | Some(CprWant::Exit(_))
-                    );
-                    if only_drain && !structural {
-                        continue;
-                    }
-                    if !g.grantable(tid) {
-                        continue;
-                    }
-                    match grant_cpr(&mut g, tid) {
-                        Some(task) => {
-                            g.stats.grants += 1;
-                            g.grants_since_ckpt += 1;
-                            g.chaos_tick_grant();
-                            // Keep one peer scanning while we run the step
-                            // (skipped when nobody is parked).
-                            shared.waits.wake_one_seeker(&g.telemetry);
-                            break 'find task;
-                        }
-                        None => {
-                            structural_grant = true;
-                            break;
-                        }
-                    }
-                }
-                if structural_grant {
-                    // State changed; keep scanning under the same
-                    // acquisition — follow-on grants fan out via the
-                    // post-grant wakeup chain.
-                    continue;
-                }
+        // Rollback requests gate the terminal check: an exception injected
+        // at one of the final grants still rolls the machine back to its
+        // last checkpoint (restoring `live`) instead of being dropped by an
+        // early finish.
+        if g.rollback_requested > 0 && g.poisoned.is_none() {
+            if g.running == 0 {
+                // No wake: this worker grants from the restored state.
+                g.rollback();
+            } else {
+                // The last running step's worker rolls back.
                 shared.waits.park_seeker(&mut g, None);
             }
-        };
-        run_cpr_task(shared, worker_ix, task);
-    }
-}
-
-/// Grants `tid`'s pending want; returns a task when a step must run.
-fn grant_cpr(g: &mut CprInner, tid: ThreadId) -> Option<CprTask> {
-    let want = g
-        .threads
-        .get_mut(&tid)
-        .expect("exists")
-        .pending
-        .take()
-        .expect("grantable implies pending");
-    let mut popped = None;
-    let mut atomic_prev = None;
-    let mut joined = None;
-    let mut spawned = None;
-    let mut lock_out = None;
-    match want {
-        CprWant::Start | CprWant::Serialized => {}
-        CprWant::Lock(l) => {
-            let data = g.locks.get_mut(&l).expect("registered").take();
-            lock_out = Some((l, data.expect("free lock has data")));
+            continue;
         }
-        CprWant::Push(c, v) => {
-            g.chans.get_mut(&c).expect("registered").push_back(v);
-        }
-        CprWant::Pop(c) => {
-            popped = g.chans.get_mut(&c).expect("registered").pop_front();
-        }
-        CprWant::FetchAdd(a, d) => {
-            let slot = g.atomics.get_mut(&a).expect("registered");
-            atomic_prev = Some(*slot);
-            *slot = slot.wrapping_add(d);
-        }
-        CprWant::Join(j) => {
-            joined = g.outputs.get(&j).cloned();
-        }
-        CprWant::Barrier(b) => {
-            let t = g.threads.get_mut(&tid).expect("exists");
-            t.state = CprThState::Parked;
-            let r = g.barriers.get_mut(&b).expect("registered");
-            r.waiting.push(tid);
-            if r.waiting.len() as u32 == r.participants {
-                let batch = std::mem::take(&mut r.waiting);
-                for w in batch {
-                    let t = g.threads.get_mut(&w).expect("exists");
-                    t.state = CprThState::Active;
-                    t.pending = Some(CprWant::Start); // barrier continuation
-                }
-                g.stats.barrier_releases += 1;
-            }
-            return None;
-        }
-        CprWant::Spawn(mut spec_slot) => {
-            let spec = spec_slot.take().expect("spawn granted once");
-            let child = ThreadId::new(g.next_thread);
-            g.next_thread += 1;
-            g.threads.insert(child, CprThread::new(spec.program));
-            g.live += 1;
-            g.stats.spawns += 1;
-            spawned = Some(child);
-        }
-        CprWant::Exit(v) => {
-            let t = g.threads.get_mut(&tid).expect("exists");
-            t.state = CprThState::Done;
-            g.outputs.insert(tid, v);
-            g.live -= 1;
-            return None;
-        }
-    }
-    let t = g.threads.get_mut(&tid).expect("exists");
-    let program = t.program.take().expect("program parked");
-    let popped = popped.or_else(|| t.popped.take());
-    t.running = true;
-    g.running += 1;
-    Some(CprTask {
-        tid,
-        program,
-        popped,
-        atomic_prev,
-        joined,
-        spawned,
-        lock_out,
-    })
-}
-
-fn run_cpr_task(shared: &Arc<CprShared>, worker_ix: usize, task: CprTask) {
-    let CprTask {
-        tid,
-        mut program,
-        popped,
-        atomic_prev,
-        joined,
-        spawned,
-        lock_out,
-    } = task;
-    let mut ctx = StepCtx::new(
-        CtxBackend::Cpr(shared.clone()),
-        tid,
-        SubThreadId::new(0),
-        worker_ix,
-        popped,
-        atomic_prev,
-        joined,
-        spawned,
-        lock_out,
-    );
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program.step(&mut ctx)));
-    let (leftover_lock, staged) = ctx.into_parts();
-    let mut g = shared.inner.lock();
-    g.running -= 1;
-    let released_lock = leftover_lock.as_ref().map(|(l, _)| *l);
-    if let Some((l, d)) = leftover_lock {
-        *g.locks.get_mut(&l).expect("registered") = Some(d);
-    }
-    for (file, bytes) in staged {
-        if let Some((_, _, staged)) = g.files.get_mut(&file) {
-            staged.extend_from_slice(&bytes);
-        }
-    }
-    match outcome {
-        Ok(step) => {
-            let t = g.threads.get_mut(&tid).expect("exists");
-            t.running = false;
-            t.program = Some(program);
-            t.popped = None;
-            t.atomic_prev = None;
-            t.joined = None;
-            t.pending = Some(match step {
-                Step::Lock(m) => CprWant::Lock(m.id()),
-                Step::Push(c, v) => CprWant::Push(c.id(), v),
-                Step::Pop(c) => CprWant::Pop(c.id()),
-                Step::FetchAdd(a, d) => CprWant::FetchAdd(a, d),
-                Step::Barrier(b) => CprWant::Barrier(b),
-                Step::Spawn(spec) => CprWant::Spawn(Some(spec)),
-                Step::Join(j) => CprWant::Join(j),
-                Step::Serialized => CprWant::Serialized,
-                Step::Exit(v) => CprWant::Exit(v),
-            });
-        }
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic".into());
-            if g.poisoned.is_none() {
-                g.poisoned = Some(format!("CPR step of {tid} panicked: {msg}"));
-            }
-            // Poison is terminal: wake every class so waiters bail out.
+        if g.poisoned.is_some() || (g.live == 0 && g.running == 0) {
+            // Terminal: every waiter class must see it.
             shared.waits.wake_all(&g.telemetry);
-            return;
+            return None;
+        }
+        if g.grants_since_ckpt >= g.ckpt_every {
+            g.ckpt_requested = true;
+        }
+        if g.ckpt_requested && !g.ckpt_blocked() {
+            // As after a rollback: keep scanning, wake nobody.
+            g.take_checkpoint();
+            continue;
+        }
+        let Some(tid) = g.next_grantable() else {
+            shared.waits.park_seeker(&mut g, None);
+            continue;
+        };
+        // `None` is a structural grant (barrier arrival, exit): the state
+        // changed, so scan again under the same acquisition.
+        if let Some((program, inputs)) = g.grant(tid) {
+            g.stats.grants += 1;
+            g.grants_since_ckpt += 1;
+            g.chaos_tick_grant();
+            // The engine's grant rule: overlap a parked peer's scan with
+            // this step only when a CPU is spare to run it.
+            let wake_peer =
+                shared.waits.cv_sleepers.load(Ordering::Relaxed) > 0 && shared.waits.spare_cpu();
+            if wake_peer && g.telemetry.enabled() {
+                g.telemetry.metrics.wakeups_issued.inc_serialized();
+            }
+            return Some((tid, program, inputs, wake_peer));
         }
     }
-    // Targeted wakeups: the depositing worker loops back to scan on its
-    // own, so one extra seeker suffices; a returned lock additionally
-    // wakes the nested waiters on its shard.
-    if let Some(l) = released_lock {
-        shared.waits.wake_lock_shard(l, &g.telemetry);
-    }
-    shared.waits.wake_one_seeker(&g.telemetry);
 }
 
 #[cfg(test)]
@@ -924,5 +814,65 @@ mod tests {
         for (i, t) in tids.into_iter().enumerate() {
             assert_eq!(report.output::<u64>(t), i as u64 + 1);
         }
+    }
+
+    /// `rounds` fetch-adds on one atomic, then an exit.
+    struct Adds {
+        atomic: crate::handles::AtomicHandle,
+        rounds: u32,
+        done: u32,
+    }
+
+    impl gprs_core::history::Checkpoint for Adds {
+        type Snapshot = u32;
+        fn checkpoint(&self) -> u32 {
+            self.done
+        }
+        fn restore(&mut self, s: &u32) {
+            self.done = *s;
+        }
+    }
+
+    impl crate::program::ThreadProgram for Adds {
+        fn step(&mut self, _ctx: &mut crate::ctx::StepCtx<'_>) -> Step {
+            if self.done == self.rounds {
+                return Step::exit_unit();
+            }
+            self.done += 1;
+            self.atomic.fetch_add(1)
+        }
+    }
+
+    /// The baseline wakes by the engine's rule: a grant wakes a parked peer
+    /// only when a CPU is spare for it, and a deposit, checkpoint or
+    /// rollback wakes nobody. One CPR worker is driven by hand while its
+    /// peer counts as parked with no CPU to spare, so every wake the run
+    /// issues is counted and the only one due is the finish broadcast.
+    #[test]
+    fn a_cpr_grant_wakes_no_peer_without_a_spare_cpu() {
+        let mut plan = ChaosPlan::new();
+        for k in 1..=12 {
+            plan.push(ChaosEvent::at_grant(k * 8));
+        }
+        let mut b = CprBuilder::new().workers(2).checkpoint_every(5).chaos(&plan);
+        for _ in 0..4 {
+            let atomic = b.atomic(0);
+            b.thread(Adds { atomic, rounds: 30, done: 0 }, GroupId::new(0), 1);
+        }
+        let shared = b.build().shared;
+        shared.waits.cv_sleepers.store(1, Ordering::Relaxed);
+        assert!(!shared.waits.spare_cpu());
+        let mut finished = None;
+        while let Some((tid, program, inputs, wake_peer)) = decide(&shared, finished.take()) {
+            assert!(!wake_peer, "no CPU is spare for the peer");
+            let backend = CtxBackend::Cpr(shared.clone());
+            finished = Some(run_step(backend, tid, SubThreadId::new(0), 0, program, inputs));
+        }
+        let g = shared.inner.lock();
+        assert!(g.poisoned.is_none(), "{:?}", g.poisoned);
+        assert_eq!(g.rollbacks, 12);
+        assert!(g.checkpoints >= 12, "{} checkpoints", g.checkpoints);
+        let wakeups = g.telemetry.metrics.wakeups_issued.get();
+        assert_eq!(wakeups, 1, "the finish broadcast, and no wake per grant or rollback");
     }
 }

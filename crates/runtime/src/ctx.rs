@@ -36,17 +36,47 @@ pub(crate) enum CtxBackend {
     Cpr(std::sync::Arc<crate::cpr::CprShared>),
 }
 
+impl CtxBackend {
+    /// Waits for `lock` inside `stid`'s step and checks its data out.
+    fn acquire_nested(&self, stid: SubThreadId, lock: LockId) -> Box<dyn Recoverable> {
+        match self {
+            CtxBackend::Gprs(shared) => shared.acquire_nested(stid, lock),
+            CtxBackend::Cpr(shared) => shared.acquire_nested(lock),
+        }
+    }
+
+    /// Returns `lock`'s data, checked out by `stid`'s step.
+    fn release_lock(&self, stid: SubThreadId, lock: LockId, data: Box<dyn Recoverable>) {
+        match self {
+            CtxBackend::Gprs(shared) => shared.release_lock(stid, lock, data),
+            CtxBackend::Cpr(shared) => shared.release_lock(lock, data),
+        }
+    }
+}
+
+/// What the grant that opened a step delivers to it. The grant fills it,
+/// the task carries it and the step's context owns it.
+#[derive(Default)]
+pub(crate) struct StepInputs {
+    /// The item a `Pop` dequeued.
+    pub popped: Option<Payload>,
+    /// The atomic's value before a `FetchAdd`.
+    pub atomic_prev: Option<u64>,
+    /// The output of the thread a `Join` waited for.
+    pub joined: Option<Payload>,
+    /// The child a `Spawn` created.
+    pub spawned: Option<ThreadId>,
+    /// The lock data a `Lock` checked out for the critical section.
+    pub lock_out: LockCheckout,
+}
+
 /// Execution context of one running sub-thread (or CPR step).
 pub struct StepCtx<'a> {
     backend: CtxBackend,
     thread: ThreadId,
     stid: SubThreadId,
     worker: usize,
-    popped: Option<Payload>,
-    atomic_prev: Option<u64>,
-    joined: Option<Payload>,
-    spawned: Option<ThreadId>,
-    lock_out: Option<(LockId, Box<dyn Recoverable>)>,
+    inputs: StepInputs,
     staged_files: StagedFiles,
     _lt: std::marker::PhantomData<&'a ()>,
 }
@@ -62,35 +92,26 @@ impl std::fmt::Debug for StepCtx<'_> {
 }
 
 impl StepCtx<'_> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         backend: CtxBackend,
         thread: ThreadId,
         stid: SubThreadId,
         worker: usize,
-        popped: Option<Payload>,
-        atomic_prev: Option<u64>,
-        joined: Option<Payload>,
-        spawned: Option<ThreadId>,
-        lock_out: Option<(LockId, Box<dyn Recoverable>)>,
+        inputs: StepInputs,
     ) -> Self {
         StepCtx {
             backend,
             thread,
             stid,
             worker,
-            popped,
-            atomic_prev,
-            joined,
-            spawned,
-            lock_out,
+            inputs,
             staged_files: Vec::new(),
             _lt: std::marker::PhantomData,
         }
     }
 
     pub(crate) fn into_parts(self) -> (LockCheckout, StagedFiles) {
-        (self.lock_out, self.staged_files)
+        (self.inputs.lock_out, self.staged_files)
     }
 
     /// The logical thread this step belongs to.
@@ -116,6 +137,7 @@ impl StepCtx<'_> {
     /// type mismatch (a producer/consumer wiring bug).
     pub fn popped<T: Clone + Send + Sync + 'static>(&self) -> T {
         let p = self
+            .inputs
             .popped
             .as_ref()
             .expect("sub-thread was not opened by a channel pop");
@@ -127,7 +149,8 @@ impl StepCtx<'_> {
     /// # Panics
     /// Panics if the sub-thread was not opened by an atomic operation.
     pub fn atomic_prev(&self) -> u64 {
-        self.atomic_prev
+        self.inputs
+            .atomic_prev
             .expect("sub-thread was not opened by an atomic operation")
     }
 
@@ -137,7 +160,8 @@ impl StepCtx<'_> {
     /// # Panics
     /// Panics if the sub-thread was not opened by a spawn.
     pub fn spawned(&self) -> ThreadId {
-        self.spawned
+        self.inputs
+            .spawned
             .expect("sub-thread was not opened by a spawn")
     }
 
@@ -148,6 +172,7 @@ impl StepCtx<'_> {
     /// type mismatch.
     pub fn joined<T: Clone + Send + Sync + 'static>(&self) -> T {
         let p = self
+            .inputs
             .joined
             .as_ref()
             .expect("sub-thread was not opened by a join");
@@ -166,6 +191,7 @@ impl StepCtx<'_> {
         f: impl FnOnce(&mut T) -> R,
     ) -> R {
         let (lock, data) = self
+            .inputs
             .lock_out
             .as_mut()
             .expect("sub-thread holds no lock (was it opened by Step::Lock?)");
@@ -185,24 +211,12 @@ impl StepCtx<'_> {
     /// Panics if no lock is held.
     pub fn unlock<T>(&mut self, handle: &MutexHandle<T>) {
         let (lock, data) = self
+            .inputs
             .lock_out
             .take()
             .expect("sub-thread holds no lock to unlock");
         assert_eq!(lock, handle.id(), "unlocking a different mutex");
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let mut g = shared.inner.lock();
-                g.return_lock(self.stid, lock, data);
-                g.bump();
-                // Targeted wakeups: nested waiters parked on this lock's
-                // shard, plus one seeker in case the token waits on it.
-                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
-                shared.waits.wake_one_seeker(g.ledger.telemetry());
-            }
-            CtxBackend::Cpr(shared) => {
-                shared.release_lock(lock, data);
-            }
-        }
+        self.backend.release_lock(self.stid, lock, data);
     }
 
     /// A nested critical section, flattened into this sub-thread (`§3.2`):
@@ -217,56 +231,18 @@ impl StepCtx<'_> {
         handle: &MutexHandle<T>,
         f: impl FnOnce(&mut T) -> R,
     ) -> R {
-        if let Some((l, _)) = &self.lock_out {
+        if let Some((l, _)) = &self.inputs.lock_out {
             assert_ne!(*l, handle.id(), "recursive acquire of the held mutex");
         }
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let lock = handle.id();
-                let mut data = {
-                    let mut g = shared.inner.lock();
-                    let mut woke = false;
-                    loop {
-                        // Bail out of a poisoned runtime instead of waiting
-                        // for a release that will never come (the panic is
-                        // caught and folded into the poison message).
-                        assert!(
-                            g.poisoned.is_none(),
-                            "runtime poisoned while waiting for a nested lock"
-                        );
-                        if let Some(d) = g.try_nested_acquire(self.stid, lock) {
-                            break d;
-                        }
-                        if woke && g.ledger.telemetry().enabled() {
-                            g.ledger.telemetry().metrics.wakeups_spurious.inc();
-                        }
-                        shared.waits.park_on_lock(lock, &mut g);
-                        woke = true;
-                    }
-                };
-                let typed = data
-                    .as_any_mut()
-                    .downcast_mut::<T>()
-                    .expect("mutex data type mismatch");
-                let out = f(typed);
-                let mut g = shared.inner.lock();
-                g.return_lock(self.stid, lock, data);
-                g.bump();
-                shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
-                shared.waits.wake_one_seeker(g.ledger.telemetry());
-                out
-            }
-            CtxBackend::Cpr(shared) => {
-                let mut data = shared.acquire_lock_blocking(handle.id());
-                let typed = data
-                    .as_any_mut()
-                    .downcast_mut::<T>()
-                    .expect("mutex data type mismatch");
-                let out = f(typed);
-                shared.release_lock(handle.id(), data);
-                out
-            }
-        }
+        let lock = handle.id();
+        let mut data = self.backend.acquire_nested(self.stid, lock);
+        let typed = data
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .expect("mutex data type mismatch");
+        let out = f(typed);
+        self.backend.release_lock(self.stid, lock, data);
+        out
     }
 
     /// Reads a shared atomic cell **without synchronization** — a *plain*

@@ -12,7 +12,7 @@
 //! timing — the determinism tests verify this by comparing grant traces
 //! across worker counts.
 
-use crate::ctx::StepCtx;
+use crate::ctx::{CtxBackend, StepCtx, StepInputs};
 use crate::handles::Recoverable;
 use crate::ops::RtOp;
 use crate::program::{DynThread, Payload, SpawnSpec, Step};
@@ -288,7 +288,7 @@ impl std::fmt::Debug for LockRec {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct BarrierRec {
     pub participants: u32,
     /// Parked participants of the forming generation; each one's
@@ -362,18 +362,12 @@ pub(crate) struct StepTask {
     pub thread: ThreadId,
     pub stid: SubThreadId,
     pub program: Box<dyn DynThread>,
-    pub popped: Option<Payload>,
-    pub atomic_prev: Option<u64>,
-    pub joined: Option<Payload>,
-    /// Child thread created by the spawn that opened this sub-thread.
-    pub spawned: Option<ThreadId>,
-    /// Lock data checked out for the critical section.
-    pub lock_out: Option<(LockId, Box<dyn Recoverable>)>,
+    pub inputs: StepInputs,
     /// History sequence number reserved at grant for the thread checkpoint
     /// the worker captures off-lock.
     pub snap_seq: u64,
     /// History sequence number reserved for the lock snapshot (only
-    /// meaningful when `lock_out` is set). Reserved *before* `snap_seq` so
+    /// meaningful when `inputs.lock_out` is set). Reserved *before* `snap_seq` so
     /// undo order matches the old under-lock capture order.
     pub lock_snap_seq: u64,
     /// The thread's recycled checkpoint box, if it has one (see
@@ -483,8 +477,9 @@ pub(crate) const LOCK_SHARDS: usize = 16;
 /// Where an executor's workers park: the scheduler queue of workers seeking
 /// a grant, and the keyed queues of steps blocked on a nested lock. The GPRS
 /// engine and the CPR baseline each hold one and wake through it, so both
-/// follow one policy: each grant wakes at most one seeker, a returned lock
-/// wakes its own shard, and only finish and poison broadcast.
+/// follow one policy: a grant wakes at most one seeker, and only when a CPU
+/// is spare for it; a returned lock wakes its own shard; and only finish and
+/// poison broadcast.
 ///
 /// Every sleeper count is mutated only while holding the executor's state
 /// lock (incremented before the wait releases it, decremented after the
@@ -503,16 +498,37 @@ pub(crate) struct WaitQueues {
     pub cv_sleepers: AtomicUsize,
     /// Nested-acquire waiters parked per lock shard.
     pub shard_sleepers: [AtomicUsize; LOCK_SHARDS],
+    /// Configured worker count (for the spare-CPU wake heuristic).
+    pub workers: usize,
+    /// Hardware parallelism, stamped once per run by `run_pools` or
+    /// `CprRuntime::run` (the lookup costs more than building an engine); a
+    /// session's single context never parks and never reads it.
+    pub cpus: AtomicUsize,
 }
 
 impl WaitQueues {
-    pub fn new() -> Self {
+    pub fn new(workers: usize) -> Self {
         WaitQueues {
             cv: Condvar::new(),
             lock_shards: std::array::from_fn(|_| Condvar::new()),
             cv_sleepers: AtomicUsize::new(0),
             shard_sleepers: std::array::from_fn(|_| AtomicUsize::new(0)),
+            workers,
+            cpus: AtomicUsize::new(1),
         }
+    }
+
+    /// Whether a woken peer would have a CPU to run on: overlap wakes are
+    /// issued only while the unparked worker set undersubscribes the
+    /// hardware. On an oversubscribed host a wake merely preempts the worker
+    /// that would have reached the work itself (the idea of spin-then-park
+    /// mutexes, which also consult the CPU count). Liveness never depends on
+    /// these wakes: a granting or depositing worker always re-scans the
+    /// frontier itself after its step.
+    pub fn spare_cpu(&self) -> bool {
+        self.workers
+            .saturating_sub(self.cv_sleepers.load(Ordering::Relaxed))
+            < self.cpus.load(Ordering::Relaxed)
     }
 
     /// Which shard a nested waiter for `lock` parks on.
@@ -604,16 +620,6 @@ pub(crate) struct Shared {
     /// [`HandOff`]). Strict single-owner: worker `i` alone pushes to and
     /// drains `handoffs[i]`.
     pub handoffs: Vec<spsc::Channel<HandOff>>,
-    /// Configured worker count (for the spare-CPU wake heuristic).
-    pub workers: usize,
-    /// Hardware parallelism of the pool run driving this engine, stamped
-    /// by `run_pools` (the lookup costs more than building an engine); a
-    /// session's single context never parks and never reads it. Waking a
-    /// peer to overlap seeking/stepping only helps when a CPU is free to
-    /// run it; on an oversubscribed host the wake merely preempts the
-    /// worker that would have reached the work itself (same adaptive idea
-    /// as spin-then-park mutexes, which also consult the CPU count).
-    pub cpus: AtomicUsize,
 }
 
 impl Shared {
@@ -622,25 +628,46 @@ impl Shared {
         let workers = inner.cfg.workers;
         Shared {
             inner: Mutex::new(inner),
-            waits: WaitQueues::new(),
+            waits: WaitQueues::new(workers),
             gate,
             done: AtomicBool::new(false),
             handoffs: (0..workers).map(|_| spsc::Channel::new(8)).collect(),
-            workers,
-            cpus: AtomicUsize::new(1),
         }
     }
 
-    /// Whether a woken peer would have a CPU to run on: overlap wakes are
-    /// issued only while the unparked worker set undersubscribes the
-    /// hardware. Liveness never depends on these wakes — a granting or
-    /// depositing worker always re-scans the frontier itself after its
-    /// step — so suppressing them on an oversubscribed host only removes
-    /// futile preemption.
-    pub fn spare_cpu(&self) -> bool {
-        self.workers
-            .saturating_sub(self.waits.cv_sleepers.load(Ordering::Relaxed))
-            < self.cpus.load(Ordering::Relaxed)
+    /// Returns a lock checked out by `stid`'s step (an early unlock or the
+    /// end of a nested section): wakes the nested waiters on its shard, and
+    /// one seeker in case the token waits on it.
+    pub fn release_lock(&self, stid: SubThreadId, lock: LockId, data: Box<dyn Recoverable>) {
+        let mut g = self.inner.lock();
+        g.return_lock(stid, lock, data);
+        g.bump();
+        self.waits.wake_lock_shard(lock, g.ledger.telemetry());
+        self.waits.wake_one_seeker(g.ledger.telemetry());
+    }
+
+    /// A nested acquire from `stid`'s step: parks on the lock's shard until
+    /// it is returned.
+    pub fn acquire_nested(&self, stid: SubThreadId, lock: LockId) -> Box<dyn Recoverable> {
+        let mut g = self.inner.lock();
+        let mut woke = false;
+        loop {
+            // Bail out of a poisoned runtime instead of waiting for a
+            // release that will never come (the panic is caught and folded
+            // into the poison message).
+            assert!(
+                g.poisoned.is_none(),
+                "runtime poisoned while waiting for a nested lock"
+            );
+            if let Some(d) = g.try_nested_acquire(stid, lock) {
+                return d;
+            }
+            if woke && g.ledger.telemetry().enabled() {
+                g.ledger.telemetry().metrics.wakeups_spurious.inc();
+            }
+            self.waits.park_on_lock(lock, &mut g);
+            woke = true;
+        }
     }
 }
 
@@ -723,9 +750,23 @@ impl Inner {
     ) -> ThreadId {
         let tid = ThreadId::new(self.next_thread);
         self.next_thread += 1;
+        self.insert_thread(tid, program, group, weight, spawned_by);
+        tid
+    }
+
+    /// Registers thread `tid`: a fresh one, or an un-spawned child that
+    /// recovery re-creates under its original id.
+    fn insert_thread(
+        &mut self,
+        tid: ThreadId,
+        program: Box<dyn DynThread>,
+        group: GroupId,
+        weight: u32,
+        spawned_by: Option<SubThreadId>,
+    ) {
         self.enforcer
             .register_thread(tid, group, weight)
-            .expect("fresh thread id");
+            .expect("thread id is free");
         self.threads.insert(
             tid,
             ThreadRec {
@@ -742,7 +783,6 @@ impl Inner {
             },
         );
         self.live += 1;
-        tid
     }
 
     pub(crate) fn poison(&mut self, msg: impl Into<String>) {
@@ -1211,7 +1251,6 @@ impl Inner {
     /// itself is captured by the granted worker *outside* the lock (nothing
     /// touches the program between grant and step start, so the off-lock
     /// snapshot is bit-identical) and handed back via [`HandOff`].
-    #[allow(clippy::too_many_arguments)]
     fn open_subthread(
         &mut self,
         stid: SubThreadId,
@@ -1336,7 +1375,7 @@ impl Inner {
                 if let Some(parent) = self.threads[&holder].spawned_by {
                     self.add_dependent(parent, stid);
                 }
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
+                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
             }
             PendingWant::Resume(b, gen) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1348,7 +1387,7 @@ impl Inner {
                     StRec::new(OpeningWant::Resume(b, gen)),
                     worker,
                 );
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
+                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
             }
             PendingWant::SerializedRun => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1362,7 +1401,7 @@ impl Inner {
                 );
                 self.exclusive = Some(stid);
                 self.stats.serialized += 1;
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
+                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
             }
             PendingWant::Respawn {
                 child,
@@ -1383,28 +1422,11 @@ impl Inner {
                     }),
                     worker,
                 );
-                self.threads.insert(
-                    child,
-                    ThreadRec {
-                        program: Some(program),
-                        group,
-                        weight,
-                        pending: Some(PendingWant::Start),
-                        current_st: None,
-                        state: ThState::Active,
-                        registered: true,
-                        final_st: None,
-                        spawned_by: Some(stid),
-                        spare_snap: None,
-                    },
-                );
-                self.enforcer
-                    .register_thread(child, group, weight)
-                    .expect("child id is free again");
-                self.live += 1;
+                self.insert_thread(child, program, group, weight, Some(stid));
                 self.wal_append(worker, stid, RtOp::SpawnChild { child });
                 self.stats.spawns += 1;
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, Some(child), None))
+                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
+                Some(self.make_task(holder, stid, snap_seq, inputs))
             }
             PendingWant::Op(step) => self.grant_op(holder, prev_st, step, worker),
         }
@@ -1442,16 +1464,8 @@ impl Inner {
                     StRec::new(OpeningWant::Lock(lock)),
                     worker,
                 );
-                let mut task = self.make_task(
-                    holder,
-                    stid,
-                    snap_seq,
-                    None,
-                    None,
-                    None,
-                    None,
-                    Some((lock, data)),
-                );
+                let inputs = StepInputs { lock_out: Some((lock, data)), ..StepInputs::default() };
+                let mut task = self.make_task(holder, stid, snap_seq, inputs);
                 task.lock_snap_seq = lock_snap_seq;
                 Some(task)
             }
@@ -1480,7 +1494,7 @@ impl Inner {
                     StRec::new(OpeningWant::Push(chan, value)),
                     worker,
                 );
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, None, None))
+                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
             }
             Step::Pop(c) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1513,7 +1527,8 @@ impl Inner {
                     },
                     worker,
                 );
-                Some(self.make_task(holder, stid, snap_seq, Some(item), None, None, None, None))
+                let inputs = StepInputs { popped: Some(item), ..StepInputs::default() };
+                Some(self.make_task(holder, stid, snap_seq, inputs))
             }
             Step::FetchAdd(a, delta) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1532,7 +1547,8 @@ impl Inner {
                     StRec::new(OpeningWant::FetchAdd(a, delta)),
                     worker,
                 );
-                Some(self.make_task(holder, stid, snap_seq, None, Some(old), None, None, None))
+                let inputs = StepInputs { atomic_prev: Some(old), ..StepInputs::default() };
+                Some(self.make_task(holder, stid, snap_seq, inputs))
             }
             Step::Spawn(SpawnSpec {
                 program,
@@ -1557,7 +1573,8 @@ impl Inner {
                 let child = self.add_thread(program, group, weight, Some(stid));
                 self.wal_append(worker, stid, RtOp::SpawnChild { child });
                 self.stats.spawns += 1;
-                Some(self.make_task(holder, stid, snap_seq, None, None, None, Some(child), None))
+                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
+                Some(self.make_task(holder, stid, snap_seq, inputs))
             }
             Step::Join(t) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1576,7 +1593,8 @@ impl Inner {
                     StRec::new(OpeningWant::JoinParent(t)),
                     worker,
                 );
-                Some(self.make_task(holder, stid, snap_seq, None, None, joined, None, None))
+                let inputs = StepInputs { joined, ..StepInputs::default() };
+                Some(self.make_task(holder, stid, snap_seq, inputs))
             }
             Step::Serialized => {
                 // The serialized *marker* is granted like a normal boundary;
@@ -1710,17 +1728,12 @@ impl Inner {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn make_task(
         &mut self,
         thread: ThreadId,
         stid: SubThreadId,
         snap_seq: u64,
-        popped: Option<Payload>,
-        atomic_prev: Option<u64>,
-        joined: Option<Payload>,
-        spawned: Option<ThreadId>,
-        lock_out: Option<(LockId, Box<dyn Recoverable>)>,
+        inputs: StepInputs,
     ) -> StepTask {
         let rec = self.threads.get_mut(&thread).expect("thread exists");
         let program = rec.program.take().expect("program present at grant");
@@ -1729,11 +1742,7 @@ impl Inner {
             thread,
             stid,
             program,
-            popped,
-            atomic_prev,
-            joined,
-            spawned,
-            lock_out,
+            inputs,
             snap_seq,
             lock_snap_seq: 0,
             spare_snap,
@@ -1931,7 +1940,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     .holder()
                     .and_then(|h| g.threads.get(&h))
                     .is_some_and(|r| r.pending.is_some());
-                if armed && shared.spare_cpu() {
+                if armed && shared.waits.spare_cpu() {
                     shared.waits.wake_one_seeker(g.ledger.telemetry());
                 }
             }
@@ -2201,7 +2210,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 // reach the frontier itself, fused with its own deposit,
                 // so waking anyone for it is a guaranteed spurious wakeup).
                 let wake_peer = shared.waits.cv_sleepers.load(Ordering::Relaxed) > 0
-                    && shared.spare_cpu()
+                    && shared.waits.spare_cpu()
                     && inner
                         .enforcer
                         .holder()
@@ -2231,19 +2240,7 @@ pub(crate) fn decide<const SOLO: bool>(
 /// grant and this point, so the snapshots are bit-identical to ones taken
 /// under the lock.
 pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask) -> StepOutcome {
-    let StepTask {
-        thread,
-        stid,
-        mut program,
-        popped,
-        atomic_prev,
-        joined,
-        spawned,
-        lock_out,
-        snap_seq,
-        lock_snap_seq,
-        spare_snap,
-    } = task;
+    let StepTask { thread, stid, program, inputs, snap_seq, lock_snap_seq, spare_snap } = task;
     publish_handoff(
         shared,
         worker_ix,
@@ -2254,7 +2251,7 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
             snap: program.save_into(spare_snap),
         },
     );
-    if let Some((lock, data)) = &lock_out {
+    if let Some((lock, data)) = &inputs.lock_out {
         publish_handoff(
             shared,
             worker_ix,
@@ -2266,42 +2263,37 @@ pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask)
             },
         );
     }
-    let mut ctx = StepCtx::new(
-        crate::ctx::CtxBackend::Gprs(shared.clone()),
-        thread,
-        stid,
-        worker_ix,
-        popped,
-        atomic_prev,
-        joined,
-        spawned,
-        lock_out,
-    );
+    run_step(CtxBackend::Gprs(shared.clone()), thread, stid, worker_ix, program, inputs)
+}
+
+/// Runs one granted step outside its executor's lock, for both executors:
+/// builds the step's context, catches a panic and names it. Inlined into
+/// both callers, so the pool's hand-off stays the one function it was
+/// before the executors shared it (LLVM otherwise keeps it out of line, and
+/// every grant's inputs pass through memory).
+#[inline(always)]
+pub(crate) fn run_step(
+    backend: CtxBackend,
+    thread: ThreadId,
+    stid: SubThreadId,
+    worker: usize,
+    mut program: Box<dyn DynThread>,
+    inputs: StepInputs,
+) -> StepOutcome {
+    let mut ctx = StepCtx::new(backend, thread, stid, worker, inputs);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         program.step(&mut ctx)
     }));
     let (leftover_lock, staged) = ctx.into_parts();
     match outcome {
-        Ok(result) => StepOutcome::Done {
-            thread,
-            stid,
-            program,
-            result,
-            leftover_lock,
-            staged,
-        },
+        Ok(result) => StepOutcome::Done { thread, stid, program, result, leftover_lock, staged },
         Err(panic) => {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "opaque panic".to_string());
-            StepOutcome::Panicked {
-                thread,
-                stid,
-                leftover_lock,
-                msg,
-            }
+            StepOutcome::Panicked { thread, stid, leftover_lock, msg }
         }
     }
 }
@@ -2439,7 +2431,7 @@ mod tests {
         }
         let shared = b.build().shared.clone();
         shared.waits.cv_sleepers.store(1, Ordering::Relaxed);
-        assert!(!shared.spare_cpu());
+        assert!(!shared.waits.spare_cpu());
         let mut finished = None;
         loop {
             match decide::<POOL>(&shared, 0, finished.take(), true) {

@@ -580,9 +580,9 @@ pub(crate) fn run_pools(engines: &[SharedRef]) -> Result<Vec<RunReport>, RunErro
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut joins = Vec::new();
     for (d, shared) in engines.iter().enumerate() {
-        shared.cpus.store(cpus, std::sync::atomic::Ordering::Relaxed);
+        shared.waits.cpus.store(cpus, std::sync::atomic::Ordering::Relaxed);
         stamp_mode(shared, gprs_core::recording::DriveMode::Pool);
-        for ix in 0..shared.workers {
+        for ix in 0..shared.waits.workers {
             let shared = shared.clone();
             joins.push(
                 std::thread::Builder::new()

@@ -93,6 +93,22 @@ impl Step {
     pub fn exit_unit() -> Step {
         Step::Exit(Arc::new(()))
     }
+
+    /// A copy of this request for a coordinated checkpoint, or `None` for a
+    /// spawn, whose program cannot be copied.
+    pub(crate) fn try_clone(&self) -> Option<Step> {
+        Some(match self {
+            Step::Lock(m) => Step::Lock(*m),
+            Step::Push(c, v) => Step::Push(*c, v.clone()),
+            Step::Pop(c) => Step::Pop(*c),
+            Step::FetchAdd(a, d) => Step::FetchAdd(*a, *d),
+            Step::Barrier(b) => Step::Barrier(*b),
+            Step::Join(t) => Step::Join(*t),
+            Step::Serialized => Step::Serialized,
+            Step::Exit(v) => Step::Exit(v.clone()),
+            Step::Spawn(_) => return None,
+        })
+    }
 }
 
 impl fmt::Debug for Step {

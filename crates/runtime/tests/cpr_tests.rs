@@ -385,3 +385,67 @@ fn cpr_barrier_phases_survive_a_rollback() {
     // grant 20 returns to the one at grant 18, and release 3 runs twice.
     assert_eq!(run(1, &fault).1, u64::from(ROUNDS) + 1);
 }
+
+/// Three fetch-adds, a spawn of a child that returns 1234, three more
+/// fetch-adds, a join of the child; exits with what it joined plus the
+/// child's id × 1 000 000.
+struct SpawnsOne {
+    counter: AtomicHandle,
+    pc: u32,
+    child: Option<ThreadId>,
+}
+
+impl Checkpoint for SpawnsOne {
+    type Snapshot = (u32, Option<ThreadId>);
+    fn checkpoint(&self) -> Self::Snapshot {
+        (self.pc, self.child)
+    }
+    fn restore(&mut self, s: &Self::Snapshot) {
+        (self.pc, self.child) = *s;
+    }
+}
+
+impl ThreadProgram for SpawnsOne {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        self.pc += 1;
+        match self.pc {
+            4 => Step::spawn(OneShot::new(|| 1234u64), GroupId::new(0), 1),
+            8 => Step::join(self.child.expect("spawned at step 4")),
+            9 => {
+                let child = self.child.expect("spawned at step 4");
+                Step::exit(ctx.joined::<u64>() + u64::from(child.raw()) * 1_000_000)
+            }
+            pc => {
+                if pc == 5 {
+                    self.child = Some(ctx.spawned());
+                }
+                self.counter.fetch_add(1)
+            }
+        }
+    }
+}
+
+/// A rollback that discards a spawn re-runs it, and the re-created child
+/// gets the id the discarded one had: the rolled-back run reports the same
+/// threads and the same value as its clean twin.
+#[test]
+fn cpr_rollback_respawns_a_child_under_its_id() {
+    let run = |plan: &ChaosPlan| {
+        let mut b = CprBuilder::new()
+            .workers(1)
+            .checkpoint_every(1)
+            .chaos(plan);
+        let counter = b.atomic(0);
+        let parent = SpawnsOne { counter, pc: 0, child: None };
+        let tid = b.thread(parent, GroupId::new(0), 1);
+        let report = b.build().run().unwrap();
+        let keys: Vec<ThreadId> = report.outputs.keys().copied().collect();
+        (keys, report.output::<u64>(tid), report.rollbacks)
+    };
+    // Grant 5 is the spawn; the checkpoint before it holds one thread.
+    let (keys, value, rollbacks) = run(&ChaosPlan::new().with(ChaosEvent::at_grant(5)));
+    let (clean_keys, clean_value, _) = run(&ChaosPlan::new());
+    assert_eq!(rollbacks, 1);
+    assert_eq!((keys, value), (clean_keys, clean_value));
+    assert_eq!(clean_value, 1_001_234);
+}

@@ -13,6 +13,7 @@
 
 use gprs_bench::injector;
 use gprs_core::ledger::RunLedger;
+use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::prelude::*;
 use gprs_serve::{build_job, JobSpec};
 use gprs_sim::gprs::{run_gprs, GprsSimConfig};
@@ -301,6 +302,36 @@ fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
         extra * 2 <= subthreads * 3,
         "{subthreads} more push/pop sub-threads cost {extra} more allocations (budget 1.5 each)"
     );
+}
+
+/// The chains on the CPR baseline, with no checkpoint ever due: the
+/// allocations building and running it made, the grants it made, its
+/// rollbacks (none).
+fn cpr_chains(rounds: u32) -> Cost {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut b = CprBuilder::new().workers(WORKERS).checkpoint_every(u64::MAX);
+    for _ in 0..THREADS {
+        let atomic = b.atomic(0);
+        b.thread(Chain::new(atomic, rounds), GroupId::new(0), 1);
+    }
+    let report = b.build().run().expect("run completes");
+    let (grants, rollbacks) = (report.stats.grants, report.rollbacks);
+    drop(report);
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, grants, rollbacks)
+}
+
+/// A CPR grant finds its thread by scanning the thread table in place, and
+/// its step's outcome is deposited under the lock of the next grant, so N
+/// more rounds of the chains ask the allocator for nothing.
+#[test]
+fn a_cpr_grant_allocates_nothing() {
+    const N: u32 = 1_000;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Warm the process once (lazy statics, thread-local set-up).
+    let _ = cpr_chains(N);
+    let (extra, grants, _) = marginal(cpr_chains, N);
+    assert_eq!(grants, u64::from(N) * THREADS as u64);
+    assert_eq!(extra, 0, "{grants} more CPR grants cost {extra} more allocations");
 }
 
 /// A served job's engine is constructed once: one telemetry facade (five
