@@ -192,8 +192,18 @@ struct Job {
     /// instead of serializing on submitters.
     session: Mutex<Option<GprsSession>>,
     quanta: AtomicU64,
-    outcome: Mutex<Option<JobOutcome>>,
+    outcome: Mutex<OutcomeSlot>,
     done_cv: Condvar,
+}
+
+/// Where a job's outcome waits for its ticket.
+#[derive(Default)]
+struct OutcomeSlot {
+    outcome: Option<JobOutcome>,
+    /// The ticket is blocked in [`JobTicket::wait`]: publishing must wake
+    /// it. Read and written only under the slot's lock, the one `wait`
+    /// holds from checking `outcome` until it sleeps.
+    waiting: bool,
 }
 
 /// Pool-level counters (shared across all tenants; each job additionally
@@ -248,8 +258,20 @@ impl PoolStats {
     }
 }
 
+/// The FIFO and the workers parked on it.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Arc<Job>>,
+    /// Workers blocked in `cv.wait` (or woken and not yet back from it).
+    /// An enqueue or a shutdown notifies only when this is nonzero; it is
+    /// read and written only under the queue lock, the lock a worker holds
+    /// from finding the queue empty until it is parked, so no wake can
+    /// fall in between and be lost.
+    sleepers: usize,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
     phase: AtomicU8,
     /// Admitted jobs not yet `FINISHED`; drain shutdown completes when
@@ -264,21 +286,32 @@ struct Shared {
 }
 
 impl Shared {
-    /// Enqueues a job that the caller just transitioned into `PENDING`.
-    fn push(&self, job: Arc<Job>) {
+    /// Enqueues a job that the caller just transitioned into `PENDING`,
+    /// waking a parked worker if there is one. A job its worker `yielded`
+    /// into an empty queue wakes nobody: that worker goes straight back to
+    /// the queue and pops the job itself.
+    fn push(&self, job: Arc<Job>, yielded: bool) {
         *job.enqueued.lock() = Instant::now();
-        self.queue.lock().push_back(job);
-        self.cv.notify_one();
+        let mut q = self.queue.lock();
+        let wake = q.sleepers > 0 && !(yielded && q.jobs.is_empty());
+        q.jobs.push_back(job);
+        drop(q);
+        if wake {
+            self.cv.notify_one();
+        }
     }
 
-    /// Wakes every parked worker to re-read `phase` and `unfinished`. Held
-    /// under the queue lock — the lock a worker holds from checking those
-    /// two until it is parked — so the wake cannot fall in between and be
-    /// lost (a worker parked past a lost shutdown wake never exits, and
-    /// the pool's join hangs).
+    /// Wakes every parked worker to re-read `phase` and `unfinished` once
+    /// a shutdown has begun. Decided under the queue lock — the lock a
+    /// worker holds from checking those two until it is parked — so the
+    /// wake cannot fall in between and be lost (a worker parked past a
+    /// lost shutdown wake never exits, and the pool's join hangs). While
+    /// the pool runs, a parked worker has nothing to re-read.
     fn wake_workers(&self) {
-        let _q = self.queue.lock();
-        self.cv.notify_all();
+        let q = self.queue.lock();
+        if q.sleepers > 0 && self.phase.load(Ordering::Acquire) != RUN {
+            self.cv.notify_all();
+        }
     }
 
     fn stats(&self) -> PoolStats {
@@ -346,17 +379,20 @@ impl JobTicket {
     /// Blocks until the job leaves the pool and returns its outcome.
     pub fn wait(self) -> JobOutcome {
         let mut slot = self.job.outcome.lock();
-        while slot.is_none() {
+        loop {
+            if let Some(outcome) = slot.outcome.take() {
+                return outcome;
+            }
+            slot.waiting = true;
             self.job.done_cv.wait(&mut slot);
         }
-        slot.take().expect("outcome present")
     }
 
     /// Non-blocking probe: the outcome if the job already finished, else
     /// the ticket back. Taking the outcome consumes the ticket, so no later
     /// `wait` can block on an outcome that is gone.
     pub fn try_wait(self) -> Result<JobOutcome, JobTicket> {
-        let outcome = self.job.outcome.lock().take();
+        let outcome = self.job.outcome.lock().outcome.take();
         outcome.ok_or(self)
     }
 }
@@ -426,7 +462,7 @@ impl ServeHandle {
             enqueued: Mutex::new(Instant::now()),
             session: Mutex::new(None),
             quanta: AtomicU64::new(0),
-            outcome: Mutex::new(None),
+            outcome: Mutex::default(),
             done_cv: Condvar::new(),
         });
         self.shared.unfinished.fetch_add(1, Ordering::AcqRel);
@@ -436,7 +472,7 @@ impl ServeHandle {
             .compare_exchange(IDLE, PENDING, Ordering::AcqRel, Ordering::Acquire)
             .is_ok();
         debug_assert!(claimed, "a fresh job has no competing enqueuer");
-        self.shared.push(job.clone());
+        self.shared.push(job.clone(), false);
         Ok(JobTicket { job })
     }
 
@@ -468,7 +504,7 @@ impl ServePool {
     /// [`take_resumed`](Self::take_resumed).
     pub fn start(cfg: PoolConfig) -> ServePool {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             cv: Condvar::new(),
             phase: AtomicU8::new(RUN),
             unfinished: AtomicU64::new(0),
@@ -634,12 +670,12 @@ fn resume_jobs(shared: &Arc<Shared>, root: &Path) -> Vec<JobTicket> {
             enqueued: Mutex::new(Instant::now()),
             session: Mutex::new(None),
             quanta: AtomicU64::new(0),
-            outcome: Mutex::new(None),
+            outcome: Mutex::default(),
             done_cv: Condvar::new(),
         });
         shared.unfinished.fetch_add(1, Ordering::AcqRel);
         shared.metrics.submitted.inc();
-        shared.push(job.clone());
+        shared.push(job.clone(), false);
         tickets.push(JobTicket { job });
     }
     // New submissions must never collide with a resurrected directory.
@@ -655,7 +691,7 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut q = shared.queue.lock();
             loop {
-                if let Some(job) = q.pop_front() {
+                if let Some(job) = q.jobs.pop_front() {
                     break job;
                 }
                 let phase = shared.phase.load(Ordering::Acquire);
@@ -671,7 +707,9 @@ fn worker_loop(shared: &Shared) {
                     q = shared.queue.lock();
                     continue;
                 }
+                q.sleepers += 1;
                 shared.cv.wait(&mut q);
+                q.sleepers -= 1;
             }
         };
         if job
@@ -780,7 +818,7 @@ fn drive(shared: &Shared, job: &Arc<Job>) {
                             .compare_exchange(RUNNING, PENDING, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok();
                         debug_assert!(requeued, "only the owner moves a job out of RUNNING");
-                        shared.push(job.clone());
+                        shared.push(job.clone(), true);
                         return;
                     }
                 }
@@ -852,8 +890,13 @@ fn publish(
     }
     drop(guard);
     job.state.store(FINISHED, Ordering::Release);
-    *job.outcome.lock() = Some(outcome);
-    job.done_cv.notify_all();
+    let mut slot = job.outcome.lock();
+    slot.outcome = Some(outcome);
+    let waiting = slot.waiting;
+    drop(slot);
+    if waiting {
+        job.done_cv.notify_one();
+    }
     if shared.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last job done: wake any workers sleeping through a drain.
         shared.wake_workers();
@@ -870,7 +913,7 @@ mod tests {
     fn try_wait_on_a_queued_job_returns_a_ticket_that_still_waits() {
         // A pool with no worker yet: the submitted job cannot leave the queue.
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             cv: Condvar::new(),
             phase: AtomicU8::new(RUN),
             unfinished: AtomicU64::new(0),

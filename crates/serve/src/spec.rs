@@ -310,8 +310,7 @@ pub fn register(spec: &JobSpec, b: &mut GprsBuilder) -> Result<(), String> {
         }
         "histogram" => {
             let shards = 3 + (r % 3) as usize;
-            let len = 6_000 + (r >> 8) % 6_000;
-            let corpus = generate_corpus(len as usize, spec.seed);
+            let corpus = histogram_input(spec.seed);
             let acc = b.mutex(vec![0u64; 256]);
             let chunk = corpus.len().div_ceil(shards);
             for piece in corpus.chunks(chunk) {
@@ -335,6 +334,13 @@ pub fn register(spec: &JobSpec, b: &mut GprsBuilder) -> Result<(), String> {
         other => return Err(format!("unknown workload {other:?}")),
     }
     Ok(())
+}
+
+/// The bytes a `histogram` job of `seed` counts: 6 000–11 999 of the
+/// seeded corpus.
+fn histogram_input(seed: u64) -> Vec<u8> {
+    let r = mix(seed ^ 0x5E44E);
+    generate_corpus(6_000 + ((r >> 8) % 6_000) as usize, seed)
 }
 
 /// The seed-shaped beacon geometry, shared by registration and the
@@ -467,6 +473,17 @@ mod tests {
             );
             assert!(a.stats.retired > 0, "{name} must do work");
         }
+    }
+
+    /// A `histogram` job's input, pinned by length and digest: the corpus
+    /// generator must keep writing the same bytes for the same seed.
+    #[test]
+    fn a_histogram_input_is_pinned() {
+        let input = histogram_input(42);
+        assert_eq!(
+            (input.len(), gprs_core::persist::fnv1a(&input)),
+            (9_362, 0xfb1b_2ff7_c447_3202)
+        );
     }
 
     #[test]

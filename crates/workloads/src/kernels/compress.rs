@@ -242,22 +242,58 @@ pub fn decompress_block(packed: &[u8]) -> Result<Vec<u8>, DecompressError> {
     Ok(out)
 }
 
+/// The corpus's words, each zero-padded to [`WORD_SLOT`] bytes, with its
+/// length. The order is the generator's pick order; the space is in the
+/// table twice, so it is picked twice as often.
+const WORDS: [([u8; WORD_SLOT], usize); 13] = [
+    padded(b"exception"),
+    padded(b"restart"),
+    padded(b"precise"),
+    padded(b"subthread"),
+    padded(b"deterministic"),
+    padded(b"order"),
+    padded(b"rollback"),
+    padded(b"checkpoint"),
+    padded(b"barrier"),
+    padded(b"pipeline"),
+    padded(b" "),
+    padded(b" "),
+    padded(b"\n"),
+];
+
+/// Bytes one word is copied as: the longest word (13) and its noise byte
+/// fit, and the copy is a single fixed-size move.
+const WORD_SLOT: usize = 16;
+
+const fn padded(word: &[u8]) -> ([u8; WORD_SLOT], usize) {
+    let mut slot = [0; WORD_SLOT];
+    let mut i = 0;
+    while i < word.len() {
+        slot[i] = word[i];
+        i += 1;
+    }
+    (slot, word.len())
+}
+
 /// Generates a deterministic, compressible test corpus with block-to-block
 /// variation (so per-block compression cost is uneven, as Pbzip2's is).
+///
+/// Allocates once, `bytes + 16`: each word is written as a whole
+/// 16-byte slot (its padding is overwritten by what follows), so the
+/// last one may run past `bytes` before the cut.
 pub fn generate_corpus(bytes: usize, seed: u64) -> Vec<u8> {
-    let words: &[&[u8]] = &[
-        b"exception", b"restart", b"precise", b"subthread", b"deterministic", b"order",
-        b"rollback", b"checkpoint", b"barrier", b"pipeline", b" ", b" ", b"\n",
-    ];
-    let mut out = Vec::with_capacity(bytes);
+    let mut out = vec![0; bytes + WORD_SLOT];
+    let mut len = 0;
     let mut state = seed | 1;
-    while out.len() < bytes {
+    while len < bytes {
         state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        let pick = (state >> 33) as usize % words.len();
-        out.extend_from_slice(words[pick]);
+        let (slot, word_len) = &WORDS[(state >> 33) as usize % WORDS.len()];
+        out[len..len + WORD_SLOT].copy_from_slice(slot);
+        len += word_len;
         // Occasionally inject incompressible noise.
         if state.is_multiple_of(23) {
-            out.push((state >> 17) as u8);
+            out[len] = (state >> 17) as u8;
+            len += 1;
         }
     }
     out.truncate(bytes);
@@ -458,5 +494,67 @@ mod tests {
     fn corpus_is_deterministic() {
         assert_eq!(generate_corpus(5000, 9), generate_corpus(5000, 9));
         assert_ne!(generate_corpus(5000, 9), generate_corpus(5000, 10));
+    }
+
+    /// The generator as it was before the padded word slots, word for
+    /// word: the oracle the slot-wise writer must equal.
+    fn reference_generate_corpus(bytes: usize, seed: u64) -> Vec<u8> {
+        let words: &[&[u8]] = &[
+            b"exception", b"restart", b"precise", b"subthread", b"deterministic", b"order",
+            b"rollback", b"checkpoint", b"barrier", b"pipeline", b" ", b" ", b"\n",
+        ];
+        let mut out = Vec::with_capacity(bytes);
+        let mut state = seed | 1;
+        while out.len() < bytes {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let pick = (state >> 33) as usize % words.len();
+            out.extend_from_slice(words[pick]);
+            // Occasionally inject incompressible noise.
+            if state.is_multiple_of(23) {
+                out.push((state >> 17) as u8);
+            }
+        }
+        out.truncate(bytes);
+        out
+    }
+
+    proptest! {
+        /// Any length to 20 000 and any seed, 0 and `u64::MAX` among them
+        /// (a quarter of the cases each): the bytes the oracle writes.
+        #[test]
+        fn corpus_equals_the_oracle(bytes in 0usize..20_001, seed in any::<u64>(), edge in 0u8..4) {
+            let seed = match edge {
+                0 => 0,
+                1 => u64::MAX,
+                _ => seed,
+            };
+            prop_assert_eq!(generate_corpus(bytes, seed), reference_generate_corpus(bytes, seed));
+        }
+    }
+
+    /// Every length to 400, so every cut falls inside, at the end of and
+    /// just past words, spaces and noise bytes.
+    #[test]
+    fn corpus_equals_the_oracle_at_every_short_length() {
+        for seed in [0, 1, 2, 23, 0xDEAD_BEEF, u64::MAX - 1, u64::MAX] {
+            for bytes in 0..=400 {
+                assert_eq!(
+                    generate_corpus(bytes, seed),
+                    reference_generate_corpus(bytes, seed),
+                    "{bytes} bytes, seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// The corpus a `pipeline` benchmark run compresses (2 MiB, seed 1),
+    /// pinned by digest, and its buffer: one allocation of at most
+    /// `bytes + 16`.
+    #[test]
+    fn the_pipeline_corpus_is_pinned() {
+        let corpus = generate_corpus(2 << 20, 1);
+        assert_eq!(corpus, reference_generate_corpus(2 << 20, 1));
+        assert_eq!(gprs_core::persist::fnv1a(&corpus), 0x49ca_9e1c_3ad8_5fca);
+        assert!(corpus.capacity() <= (2 << 20) + WORD_SLOT);
     }
 }

@@ -334,6 +334,21 @@ fn a_cpr_grant_allocates_nothing() {
     assert_eq!(extra, 0, "{grants} more CPR grants cost {extra} more allocations");
 }
 
+/// The allocations and bytes of building `spec` into a session, after
+/// one warm-up build, and the session built.
+fn build_served(spec: &JobSpec) -> (u64, u64, GprsSession) {
+    let build = |id| build_job(spec, id, id).expect("the spec builds").into_session();
+    drop(build(1)); // warm the process
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let session = build(2);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    (allocations, bytes, session)
+}
+
 /// A served job's engine is constructed once: one telemetry facade (five
 /// rings of 192 KiB in one block, the whole of the budget), one enforcer,
 /// the program.
@@ -342,16 +357,7 @@ fn a_cpr_grant_allocates_nothing() {
 #[test]
 fn building_a_served_job_stays_within_its_allocation_budget() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = JobSpec::new("fetchadd", 3);
-    let build = |id| build_job(&spec, id, id).expect("fetchadd builds").into_session();
-    drop(build(1)); // warm the process
-    let before = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    let mut session = build(2);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
-    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    let (allocations, bytes, mut session) = build_served(&JobSpec::new("fetchadd", 3));
     // Measured: 20 allocations, 967 KiB (960 KiB of it the rings, 2 of the
     // allocations; 24 allocations when each ring was its own block).
     assert!(bytes <= 1024 * 1024, "one build asked for {bytes} bytes");
@@ -361,6 +367,71 @@ fn building_a_served_job_stays_within_its_allocation_budget() {
     let report = session.finish().expect("the job completes");
     assert_eq!(report.job_id, 2);
     assert!(report.telemetry.retired_count > 0);
+}
+
+/// A served `histogram` job builds what a `fetchadd` job does plus its
+/// input: the seeded corpus in one buffer, one copy of it cut into the
+/// counting threads' pieces, a 2 KiB accumulator and a thread or two
+/// more. Set against a `fetchadd` build, that is at most twice the input
+/// and 4 KiB. Measured: 8 allocations and 21 284 bytes more for the
+/// 9 362-byte input; 9 and 39 992 when the corpus was written word by
+/// word and reallocated to twice its length.
+#[test]
+fn building_a_served_histogram_job_costs_its_input_twice() {
+    const INPUT: u64 = 9_362; // `histogram 42`'s corpus (pinned in `gprs_serve::spec`)
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (base_allocations, base_bytes, _) = build_served(&JobSpec::new("fetchadd", 3));
+    let (allocations, bytes, mut session) = build_served(&JobSpec::new("histogram", 42));
+    let (allocations, bytes) = (allocations - base_allocations, bytes - base_bytes);
+    assert!(
+        bytes <= 2 * INPUT + 4096,
+        "a histogram build asked for {bytes} bytes more than a fetchadd one"
+    );
+    assert!(
+        allocations <= 10,
+        "a histogram build made {allocations} allocations more than a fetchadd one"
+    );
+    while session.run_quantum(16) == QuantumOutcome::Yielded {}
+    let report = session.finish().expect("the job completes");
+    assert!(report.telemetry.retired_count > 0);
+}
+
+/// Writing the seeded corpus asks the allocator for one buffer of at most
+/// `bytes + 16`, whatever the length. Measured: exactly that; the corpus
+/// written word by word made 2 allocations and asked for three times its
+/// length (its buffer, then twice that when the last word overran it).
+#[test]
+fn generating_a_corpus_allocates_its_buffer_once() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    for len in [0, 9_000, 2 << 20] {
+        // As for a compressed block: the fewest of a few calls is what one
+        // call makes.
+        let (allocations, bytes) = (0..5)
+            .map(|seed| {
+                let before = (
+                    ALLOCATIONS.load(Ordering::Relaxed),
+                    BYTES.load(Ordering::Relaxed),
+                );
+                let corpus = generate_corpus(len, seed);
+                let cost = (
+                    ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+                    BYTES.load(Ordering::Relaxed) - before.1,
+                );
+                assert_eq!(corpus.len(), len);
+                assert!(
+                    corpus.capacity() <= len + 16,
+                    "{len} bytes kept {}",
+                    corpus.capacity()
+                );
+                cost
+            })
+            .min()
+            .expect("five calls");
+        assert!(
+            allocations == 1 && bytes <= len as u64 + 16,
+            "a {len}-byte corpus made {allocations} allocations asking for {bytes} bytes"
+        );
+    }
 }
 
 /// Draining a run's rings into its trace merges them in place of sorting:

@@ -136,6 +136,67 @@ fn a_clean_backlog_costs_the_same_quanta_at_every_pool_width() {
     }
 }
 
+/// The pool wakes a worker only when one sleeps and a ticket only when it
+/// waits, so every wake it skips must be one nobody needed. Fifty times
+/// over, a 2-worker pool runs a yielding backlog dry while its tickets
+/// block (the workers then park with nothing queued), does so again, and
+/// drains a third backlog through a shutdown. A lost wake is a hang, so
+/// the rounds run behind a watchdog; on one CPU every hand-off is a
+/// context switch and a wake that only works by luck stops working.
+#[test]
+fn yielding_backlogs_drain_and_shut_down_without_a_lost_wake() {
+    const ROUNDS: usize = 50;
+    let (done, finished) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        let counts: Vec<_> = (0..ROUNDS)
+            .map(|_| {
+                let pool = ServePool::start(PoolConfig {
+                    workers: 2,
+                    quantum: 8,
+                    ..Default::default()
+                });
+                let handle = pool.handle();
+                let submit = |i: u64| {
+                    let workload = ["histogram", "fetchadd", "mutex"][i as usize % 3];
+                    handle
+                        .submit(JobSpec::new(workload, i + 1))
+                        .expect("pool is admitting")
+                };
+                // Twice: the second backlog lands on workers the first
+                // left parked, and only the enqueue can wake them.
+                for batch in [0..6, 6..12] {
+                    for ticket in batch.map(submit).collect::<Vec<_>>() {
+                        assert_eq!(ticket.wait().status, JobStatus::Completed);
+                    }
+                }
+                let queued: Vec<_> = (12..18).map(submit).collect();
+                let stats = pool.shutdown();
+                for ticket in queued {
+                    assert_eq!(ticket.wait().status, JobStatus::Completed);
+                }
+                (stats.completed, stats.quanta, stats.yields)
+            })
+            .collect();
+        done.send(counts).expect("the test is listening");
+    });
+    let counts = match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("a round hung: a wake was lost"),
+        sent => {
+            // A round whose assertion failed panicked its thread: that
+            // surfaces here, not as a hang.
+            rounds.join().expect("every round's jobs complete");
+            sent.expect("the rounds thread sends before it exits")
+        }
+    };
+    let first = counts[0];
+    assert_eq!(first.0, 18, "every job completes");
+    assert!(first.2 > 0, "the 8-grant quantum must force yields");
+    assert!(
+        counts.iter().all(|&c| c == first),
+        "the scheduling a backlog costs is fixed by its jobs: {counts:?}"
+    );
+}
+
 /// Graceful shutdown begins while the queue is still full — including
 /// jobs whose fault plans put them mid-recovery — and every job drains to
 /// a complete, golden-identical report.
