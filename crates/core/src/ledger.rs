@@ -3,10 +3,10 @@
 //! Both engines — the threaded runtime and the virtual-time simulator —
 //! produce the same ordered stream of events (grant, structural turn, WAL
 //! append / undo / prune, retirement, squash, restart). [`RunLedger`] owns
-//! the observers of that stream: the determinism hashes, the bounded raw
-//! grant trace, the schedule recorder and replay verifier, the race detector,
-//! the durable log of the retirement order and the telemetry facade. An
-//! engine calls one plain method per event.
+//! the observers of that stream: the determinism hashes, the schedule
+//! recorder and replay verifier, the race detector, the durable log of the
+//! retirement order and the telemetry facade. An engine calls one plain
+//! method per event.
 //!
 //! **Event-order contract.** Within one grant: [`RunLedger::wal_appended`]
 //! (if the opening operation logs a record), then [`RunLedger::granted`],
@@ -88,8 +88,6 @@ pub struct RunLedger {
     sched_hash: ScheduleHash,
     retired_hash: RetiredOrderHash,
     retired: u64,
-    raw_trace: Vec<(u64, u32)>,
-    raw_trace_cap: usize,
     recorder: Option<(Recorder, PathBuf)>,
     replay: Option<ReplayVerifier>,
     race: Option<RaceDetector>,
@@ -113,8 +111,6 @@ impl RunLedger {
             sched_hash: ScheduleHash::seeded(seed),
             retired_hash: RetiredOrderHash::seeded(seed),
             retired: 0,
-            raw_trace: Vec::new(),
-            raw_trace_cap: cfg.raw_trace_cap,
             recorder: None,
             replay: None,
             race: racecheck.then(RaceDetector::new),
@@ -239,9 +235,6 @@ impl RunLedger {
         let poison = self.structural(thread, kind.tag());
         let (subthread, thread) = (id.raw(), thread.raw());
         self.sched_hash.record(subthread, thread);
-        if self.raw_trace.len() < self.raw_trace_cap {
-            self.raw_trace.push((subthread, thread));
-        }
         let tel = &self.telemetry;
         if tel.enabled() {
             let m = &tel.metrics;
@@ -564,11 +557,10 @@ impl RunLedger {
         poison
     }
 
-    /// The end-of-run telemetry artifact (drains the rings and the raw
-    /// trace; call once, after [`RunLedger::seal`]).
+    /// The end-of-run telemetry artifact (takes the rings; call once,
+    /// after [`RunLedger::seal`]).
     pub fn summarize(&mut self) -> TelemetrySummary {
-        let raw = std::mem::take(&mut self.raw_trace);
-        self.telemetry.summarize(&self.sched_hash, &self.retired_hash, raw)
+        self.telemetry.summarize(&self.sched_hash, &self.retired_hash)
     }
 }
 

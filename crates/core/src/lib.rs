@@ -120,7 +120,8 @@ pub mod prelude {
         RecordingDiff, RecordingError, RecordingHeader, ReplaySchedule,
     };
     pub use crate::recovery::{
-        plan_recovery, squash_scope, Precision, RecoveryMode, RecoveryPlan, SquashScope,
+        plan_recovery, Precision, Recovery, RecoveryMode, RecoveryPlan, RecoveryPolicy,
+        SquashScope,
     };
     pub use crate::rol::{ReorderList, RolEntry, SubThreadStatus};
     pub use crate::subthread::{SubThread, SubThreadKind, SyncOp};

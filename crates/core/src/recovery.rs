@@ -1,10 +1,14 @@
-//! Recovery planning — the decision logic of the Restart Engine (`§3.4`).
+//! Recovery — the Restart Engine (`§3.4`).
 //!
 //! Given a reorder list with an excepted entry, a [`RecoveryPlan`] names the
 //! sub-threads to squash (youngest-first, the state-restore order) and to
-//! re-dispatch (oldest-first). Executing a plan is the embedding runtime's
-//! job: restore history-buffer snapshots in the squash order, undo WAL
-//! records of the squashed set, then re-dispatch.
+//! re-dispatch (oldest-first). [`Recovery`] is the walk both engines run
+//! for one exception: it marks the culprit, plans its squash, takes the
+//! squashed entries out of the reorder list youngest first and hands back,
+//! per squashed thread, the record of its oldest squashed sub-thread to
+//! re-arm it from. What stays in each engine is its undo: WAL records and
+//! history snapshots in the runtime, redo cycles, channel items and barrier
+//! generations in the simulator.
 //!
 //! Four strategies are provided, mirroring the paper's options:
 //!
@@ -23,9 +27,32 @@
 
 use crate::deps::{affected_set_into, DependencePolicy, Provenance, Taint};
 use crate::error::{GprsError, Result};
+use crate::exception::Exception;
 use crate::ids::{SubThreadId, ThreadId};
+use crate::ledger::RunLedger;
 use crate::rol::{ReorderList, SubThreadStatus};
 use std::fmt;
+
+/// Which sub-threads a recovery squashes, on either engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryPolicy {
+    /// Squash the culprit and everything younger (`§3.4` basic recovery).
+    Basic,
+    /// Squash only the culprit and its dependents: same-thread successors,
+    /// consumers of what it produced, lock/atomic-alias sharers and barrier
+    /// co-participants (`§3.4` selective restart).
+    Selective,
+}
+
+impl RecoveryPolicy {
+    /// The planning mode: selective closes transitively.
+    fn mode(self) -> RecoveryMode {
+        match self {
+            RecoveryPolicy::Basic => RecoveryMode::Basic,
+            RecoveryPolicy::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
+        }
+    }
+}
 
 /// Which sub-threads a recovery squashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,28 +145,11 @@ pub struct SquashScope {
     pub escalated: Option<ThreadId>,
 }
 
-/// Applies `mode` to the excepting `culprit`: the basic younger suffix, the
-/// whole list, or the dependence closure over the edges the entries'
-/// records state — escalated to the basic suffix when `racy` says the
-/// culprit's thread raced.
-///
-/// # Errors
-/// [`GprsError::UnknownSubThread`] — the culprit is not in the ROL.
-pub fn squash_scope<R: Provenance>(
-    rol: &ReorderList<R>,
-    culprit: SubThreadId,
-    mode: RecoveryMode,
-    racy: impl FnOnce(ThreadId) -> bool,
-) -> Result<SquashScope> {
-    let mut scope = SquashScope::default();
-    scope.plan(rol, culprit, mode, racy, &mut Taint::default())?;
-    Ok(scope)
-}
-
 impl SquashScope {
-    /// [`squash_scope`] in place, with `taint` as the closure's scratch: an
-    /// engine keeps one scope and one taint for the run, and a recovery
-    /// plans in the buffers earlier ones grew.
+    /// Applies `mode` to the excepting `culprit` in place: the basic younger
+    /// suffix, the whole list, or the dependence closure over the edges the
+    /// entries' records state — escalated to the basic suffix when `racy`
+    /// says the culprit's thread raced. `taint` is the closure's scratch.
     ///
     /// # Errors
     /// [`GprsError::UnknownSubThread`] — the culprit is not in the ROL (the
@@ -173,9 +183,134 @@ impl SquashScope {
     }
 }
 
+/// The walk of one recovery session, in buffers kept for the next: once
+/// the first sessions have grown them, a session allocates nothing. The
+/// engine calls [`begin`](Recovery::begin), [`plan`](Recovery::plan),
+/// [`squash_out`](Recovery::squash_out), undoes what
+/// [`removed`](Recovery::removed) holds, re-arms its threads (the
+/// [`restarts`](Recovery::restarts) the walk yields, or its own) and calls
+/// [`end`](Recovery::end).
+#[derive(Debug)]
+pub struct Recovery<R> {
+    culprit: SubThreadId,
+    ring: usize,
+    scope: SquashScope,
+    taint: Taint,
+    /// `(thread, id, record)` of each removed entry, youngest first.
+    removed: Vec<(ThreadId, SubThreadId, R)>,
+    squashed: u64,
+}
+
+impl<R> Default for Recovery<R> {
+    fn default() -> Self {
+        Recovery {
+            culprit: SubThreadId::new(0),
+            ring: 0,
+            scope: SquashScope::default(),
+            taint: Taint::default(),
+            removed: Vec::new(),
+            squashed: 0,
+        }
+    }
+}
+
+impl<R: Provenance> Recovery<R> {
+    /// Marks `culprit` excepted and opens a session noted on `ring`;
+    /// `false` — the exception is ignored — if the culprit has left the
+    /// reorder list (retirement is the commit point).
+    pub fn begin(
+        &mut self,
+        rol: &mut ReorderList<R>,
+        ledger: &RunLedger,
+        ring: usize,
+        culprit: SubThreadId,
+        exception: Exception,
+    ) -> bool {
+        if rol.mark_excepted(culprit, exception).is_err() {
+            return false;
+        }
+        (self.culprit, self.ring, self.squashed) = (culprit, ring, 0);
+        ledger.recovery_begin(ring, culprit);
+        true
+    }
+
+    /// Plans the culprit's squash under `policy`, escalated to the basic
+    /// suffix (and noted) when the ledger saw the culprit's thread race.
+    /// The engine may widen the returned scope in place, keeping its ids
+    /// ascending.
+    ///
+    /// # Errors
+    /// [`GprsError::UnknownSubThread`] — the culprit has left the reorder
+    /// list since [`begin`](Recovery::begin); the scope is then empty.
+    pub fn plan(
+        &mut self,
+        rol: &ReorderList<R>,
+        ledger: &RunLedger,
+        policy: RecoveryPolicy,
+    ) -> Result<&mut SquashScope> {
+        let racy = |t| ledger.is_racy_thread(t);
+        self.scope
+            .plan(rol, self.culprit, policy.mode(), racy, &mut self.taint)?;
+        if let Some(thread) = self.scope.escalated {
+            ledger.escalated(self.culprit, thread);
+        }
+        Ok(&mut self.scope)
+    }
+
+    /// Marks each scoped sub-thread squashed and takes its entry out of the
+    /// reorder list, youngest first, noted on the ring `ring` names for its
+    /// record.
+    ///
+    /// # Errors
+    /// [`GprsError::UnknownSubThread`] naming the first scoped id no longer
+    /// in the list; the entries younger than it are out.
+    pub fn squash_out(
+        &mut self,
+        rol: &mut ReorderList<R>,
+        ledger: &mut RunLedger,
+        ring: impl Fn(&R) -> usize,
+    ) -> Result<()> {
+        for &id in self.scope.ids.iter().rev() {
+            rol.mark_squashed(id)?;
+            let entry = rol.remove_squashed(id)?;
+            ledger.squashed(ring(&entry.rec), id, entry.thread());
+            self.removed.push((entry.thread(), id, entry.rec));
+            self.squashed += 1;
+        }
+        Ok(())
+    }
+
+    /// The removed entries, youngest first: what the engine undoes.
+    pub fn removed(&mut self) -> &mut [(ThreadId, SubThreadId, R)] {
+        &mut self.removed
+    }
+
+    /// Notes a restart of each squashed thread and yields it, in thread
+    /// order, with the record of its oldest removed sub-thread.
+    pub fn restarts<'a>(
+        &'a mut self,
+        ledger: &RunLedger,
+    ) -> impl Iterator<Item = (ThreadId, R)> + 'a {
+        self.removed.sort_unstable_by_key(|&(t, id, _)| (t, id));
+        self.removed.dedup_by_key(|&mut (t, _, _)| t);
+        for &(t, _, _) in &self.removed {
+            ledger.restarted(t);
+        }
+        self.removed.drain(..).map(|(t, _, rec)| (t, rec))
+    }
+
+    /// Closes the session, noting its squash count (and host time, where
+    /// the engine has any); returns the count.
+    pub fn end(&mut self, ledger: &RunLedger, host_ns: Option<u64>) -> u64 {
+        self.removed.clear();
+        ledger.recovery_end(self.ring, self.culprit, self.squashed, host_ns);
+        self.squashed
+    }
+}
+
 /// Computes a recovery plan for an excepted sub-thread from the reorder
-/// list alone — [`squash_scope`] over the edges its records state, with no
-/// race detector.
+/// list alone — [`SquashScope::plan`] over the edges its records state,
+/// with no race detector.
 ///
 /// # Errors
 ///
@@ -217,7 +352,9 @@ pub fn plan_recovery<R: Provenance>(
         return Err(GprsError::NotExcepted(culprit));
     }
 
-    let mut restart = squash_scope(rol, culprit, mode, |_| false)?.ids;
+    let mut scope = SquashScope::default();
+    scope.plan(rol, culprit, mode, |_| false, &mut Taint::default())?;
+    let mut restart = scope.ids;
     let resume_culprit = precision == Precision::Instruction && mode != RecoveryMode::DiscardAll;
     if resume_culprit {
         restart.retain(|&id| id != culprit);
@@ -390,6 +527,116 @@ mod tests {
         .unwrap();
         assert!(selective.unaffected > basic.unaffected);
         assert!(selective.discarded() < basic.discarded());
+    }
+
+    /// A record that names its entry, so a test can tell which came back.
+    #[derive(Debug, PartialEq)]
+    struct Tag(u64);
+    impl Provenance for Tag {}
+
+    /// ST0(TH0,L1) ST1(TH1,L2) ST2(TH2,L2) ST3(TH3,L3) ST4(TH1,L4)
+    /// ST5(TH2,L5), each carrying its id.
+    fn tagged() -> ReorderList<Tag> {
+        let mut rol = ReorderList::default();
+        for (id, th, lock) in [(0, 0, 1), (1, 1, 2), (2, 2, 2), (3, 3, 3), (4, 1, 4), (5, 2, 5)] {
+            rol.insert_with(st(id, th, Some(lock)), Tag(id)).unwrap();
+        }
+        rol
+    }
+
+    fn fault() -> Exception {
+        Exception::global(ExceptionKind::SoftFault, ContextId::new(0), 0)
+    }
+
+    fn ledger() -> RunLedger {
+        RunLedger::new(&gprs_telemetry::TelemetryConfig::default(), 1, 0, false)
+    }
+
+    #[test]
+    fn the_walk_hands_records_over_youngest_first_and_restarts_each_thread_from_its_oldest() {
+        let (mut rol, mut ledger) = (tagged(), ledger());
+        let mut walk = Recovery::default();
+        assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(1), fault()));
+        let scope = walk.plan(&rol, &ledger, RecoveryPolicy::Basic).unwrap();
+        assert_eq!(raw(&scope.ids), [1, 2, 3, 4, 5]);
+        walk.squash_out(&mut rol, &mut ledger, |_| 0).unwrap();
+        let removed: Vec<_> = walk
+            .removed()
+            .iter()
+            .map(|(t, id, rec)| (t.raw(), id.raw(), rec.0))
+            .collect();
+        assert_eq!(removed, [(2, 5, 5), (1, 4, 4), (3, 3, 3), (2, 2, 2), (1, 1, 1)]);
+        assert_eq!(rol.iter().map(|e| e.id().raw()).collect::<Vec<_>>(), [0]);
+        let restarts: Vec<_> = walk.restarts(&ledger).map(|(t, rec)| (t.raw(), rec.0)).collect();
+        assert_eq!(restarts, [(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(walk.end(&ledger, None), 5);
+        let summary = ledger.summarize();
+        assert_eq!(summary.counter("recovery_sessions"), 1);
+        assert_eq!(summary.counter("squashed"), 5);
+        assert_eq!(summary.counter("restarts"), 3);
+    }
+
+    #[test]
+    fn a_selective_walk_widens_in_place_and_reuses_its_buffers() {
+        let (mut rol, mut ledger) = (tagged(), ledger());
+        let mut walk = Recovery::default();
+        assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(3), fault()));
+        let scope = walk.plan(&rol, &ledger, RecoveryPolicy::Selective).unwrap();
+        assert_eq!(raw(&scope.ids), [3]);
+        scope.ids.extend([SubThreadId::new(4), SubThreadId::new(5)]);
+        walk.squash_out(&mut rol, &mut ledger, |_| 0).unwrap();
+        assert_eq!(walk.restarts(&ledger).count(), 3);
+        assert_eq!(walk.end(&ledger, None), 3);
+        // The next session starts empty in the kept buffers.
+        assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(1), fault()));
+        let scope = walk.plan(&rol, &ledger, RecoveryPolicy::Selective).unwrap();
+        assert_eq!(raw(&scope.ids), [1, 2]);
+        walk.squash_out(&mut rol, &mut ledger, |_| 0).unwrap();
+        let restarts: Vec<_> = walk.restarts(&ledger).map(|(t, rec)| (t.raw(), rec.0)).collect();
+        assert_eq!(restarts, [(1, 1), (2, 2)]);
+        assert_eq!(walk.end(&ledger, None), 2);
+        assert_eq!(rol.iter().map(|e| e.id().raw()).collect::<Vec<_>>(), [0]);
+        let summary = ledger.summarize();
+        assert_eq!(summary.counter("squashed"), 5);
+        assert_eq!(summary.counter("restarts"), 5);
+    }
+
+    #[test]
+    fn a_culprit_that_left_the_list_is_ignored() {
+        let (mut rol, mut ledger) = (tagged(), ledger());
+        rol.mark_completed(SubThreadId::new(0)).unwrap();
+        assert_eq!(rol.retire_ready().len(), 1);
+        let mut walk = Recovery::default();
+        assert!(!walk.begin(&mut rol, &ledger, 0, SubThreadId::new(0), fault()));
+        assert!(!walk.begin(&mut rol, &ledger, 0, SubThreadId::new(42), fault()));
+        assert_eq!(ledger.summarize().counter("recovery_sessions"), 0);
+    }
+
+    #[test]
+    fn a_vanished_id_is_an_error_that_names_it() {
+        let (mut rol, mut ledger) = (tagged(), ledger());
+        let mut walk = Recovery::default();
+        assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(1), fault()));
+        walk.plan(&rol, &ledger, RecoveryPolicy::Basic).unwrap();
+        // ST3 leaves behind the walk's back.
+        rol.mark_squashed(SubThreadId::new(3)).unwrap();
+        rol.remove_squashed(SubThreadId::new(3)).unwrap();
+        assert_eq!(
+            walk.squash_out(&mut rol, &mut ledger, |_| 0),
+            Err(GprsError::UnknownSubThread(SubThreadId::new(3)))
+        );
+        let removed: Vec<_> = walk.removed().iter().map(|(_, id, _)| id.raw()).collect();
+        assert_eq!(removed, [5, 4], "the entries younger than it are out");
+        assert_eq!(rol.iter().map(|e| e.id().raw()).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(walk.end(&ledger, None), 2);
+        // A culprit gone before its plan is named too.
+        assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(2), fault()));
+        rol.mark_squashed(SubThreadId::new(2)).unwrap();
+        rol.remove_squashed(SubThreadId::new(2)).unwrap();
+        assert_eq!(
+            walk.plan(&rol, &ledger, RecoveryPolicy::Basic).map(|s| s.ids.len()),
+            Err(GprsError::UnknownSubThread(SubThreadId::new(2)))
+        );
     }
 
     #[test]

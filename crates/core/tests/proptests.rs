@@ -334,6 +334,88 @@ proptest! {
             prev = next;
         }
     }
+
+    /// The recovery walk against a model of the list: after each session
+    /// the list holds exactly the entries outside the planned scope, in
+    /// order; the records come back youngest first; and each squashed
+    /// thread restarts once, in thread order, from its oldest squashed
+    /// record. One walk serves every session, as in an engine.
+    #[test]
+    fn the_recovery_walk_leaves_exactly_the_unsquashed_entries(
+        steps in vec((0u8..3, 0u64..64, 0u32..5, 0u64..4), 1..80),
+        selective in any::<bool>(),
+    ) {
+        struct Tag(u64);
+        impl Provenance for Tag {}
+        let policy = if selective { RecoveryPolicy::Selective } else { RecoveryPolicy::Basic };
+        let mut rol: ReorderList<Tag> = ReorderList::default();
+        let mut ledger = RunLedger::new(&gprs_telemetry::TelemetryConfig::default(), 1, 0, false);
+        let mut walk = Recovery::default();
+        // id -> thread
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        let (mut next, mut squashed, mut restarts) = (0u64, 0u64, 0u64);
+        for (kind, n, thread, lock) in steps {
+            match kind {
+                0 => {
+                    next += n % 3;
+                    rol.insert_with(make_subthread(next, thread, lock), Tag(next)).unwrap();
+                    model.insert(next, thread);
+                    next += 1;
+                }
+                1 => {
+                    if let Some((&head, _)) = model.first_key_value() {
+                        rol.mark_completed(SubThreadId::new(head)).unwrap();
+                        prop_assert_eq!(rol.retire_ready().len(), 1);
+                        model.remove(&head);
+                    }
+                }
+                _ => {
+                    let Some(&culprit) = model.keys().nth(n as usize % model.len().max(1)) else {
+                        continue;
+                    };
+                    let exception = Exception::global(ExceptionKind::SoftFault, ContextId::new(0), 0);
+                    prop_assert!(walk.begin(&mut rol, &ledger, 0, SubThreadId::new(culprit), exception));
+                    let scope: Vec<u64> = walk
+                        .plan(&rol, &ledger, policy)
+                        .unwrap()
+                        .ids
+                        .iter()
+                        .map(|id| id.raw())
+                        .collect();
+                    prop_assert_eq!(scope.first(), Some(&culprit));
+                    prop_assert!(scope.windows(2).all(|w| w[0] < w[1]));
+                    prop_assert!(scope.iter().all(|id| model.contains_key(id)));
+                    if !selective {
+                        prop_assert_eq!(&scope, &model.range(culprit..).map(|(&id, _)| id).collect::<Vec<_>>());
+                    }
+                    walk.squash_out(&mut rol, &mut ledger, |_| 0).unwrap();
+                    let removed: Vec<(u32, u64, u64)> = walk
+                        .removed()
+                        .iter()
+                        .map(|(t, id, rec)| (t.raw(), id.raw(), rec.0))
+                        .collect();
+                    let expect: Vec<(u32, u64, u64)> = scope.iter().rev().map(|&id| (model[&id], id, id)).collect();
+                    prop_assert_eq!(removed, expect);
+                    // Each squashed thread's oldest squashed sub-thread, in thread order.
+                    let mut oldest: BTreeMap<u32, u64> = BTreeMap::new();
+                    for &id in &scope {
+                        oldest.entry(model[&id]).or_insert(id);
+                    }
+                    let got: Vec<(u32, u64)> = walk.restarts(&ledger).map(|(t, rec)| (t.raw(), rec.0)).collect();
+                    prop_assert_eq!(got, oldest.into_iter().collect::<Vec<_>>());
+                    restarts += scope.iter().map(|id| model[id]).collect::<BTreeSet<_>>().len() as u64;
+                    prop_assert_eq!(walk.end(&ledger, None), scope.len() as u64);
+                    squashed += scope.len() as u64;
+                    model.retain(|id, _| scope.binary_search(id).is_err());
+                }
+            }
+            let ids: Vec<u64> = rol.iter().map(|e| e.id().raw()).collect();
+            prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>());
+        }
+        let summary = ledger.summarize();
+        prop_assert_eq!(summary.counter("squashed"), squashed);
+        prop_assert_eq!(summary.counter("restarts"), restarts);
+    }
 }
 
 // ---------------------------------------------------------------------------

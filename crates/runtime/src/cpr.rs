@@ -451,11 +451,9 @@ impl CprRuntime {
                 (id, (name.clone(), committed.clone()))
             })
             .collect();
-        let telemetry = g.telemetry.summarize(
-            &ScheduleHash::new(),
-            &RetiredOrderHash::new(),
-            Vec::new(),
-        );
+        let telemetry = g
+            .telemetry
+            .summarize(&ScheduleHash::new(), &RetiredOrderHash::new());
         Ok(CprReport {
             stats: g.stats,
             checkpoints: g.checkpoints,

@@ -27,6 +27,7 @@ use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger, EXTERNAL_R
 use gprs_core::order::{OrderEnforcer, OrderGate, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
+use gprs_core::recovery::{Recovery, RecoveryPolicy};
 use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_core::wal::WriteAheadLog;
@@ -37,18 +38,6 @@ use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which sub-threads recovery squashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Squash the culprit and everything younger (`§3.4` basic recovery).
-    Basic,
-    /// Squash only the culprit and its dependents: same-thread successors,
-    /// consumers of its channel items, lock/atomic-alias sharers, barrier
-    /// co-participants and spawn/join descendants (`§3.4` selective
-    /// restart).
-    Selective,
-}
 
 /// Runtime configuration (see [`crate::GprsBuilder`]).
 #[derive(Debug, Clone)]
@@ -438,9 +427,11 @@ pub(crate) struct Inner {
     pub access_pool: Vec<Vec<(ResourceId, AccessKind)>>,
     /// Reusable batch buffer for [`Inner::retire_ready`].
     pub retire_scratch: Vec<RolEntry<StRec>>,
-    /// Reusable buffers of a recovery (see [`crate::rex::RexScratch`]),
-    /// boxed at the engine's first recovery: an engine that never recovers
-    /// — most served jobs — neither carries nor builds them.
+    /// The recovery walk, whose buffers start empty, and the undo's (see
+    /// [`crate::rex::RexScratch`]), boxed at the engine's first recovery:
+    /// an engine that never recovers — most served jobs — allocates
+    /// neither.
+    pub walk: Recovery<StRec>,
     pub rex: Option<Box<crate::rex::RexScratch>>,
     pub poisoned: Option<String>,
     /// Set by [`crate::session::GprsSession::cancel`]: the run was halted
@@ -732,6 +723,7 @@ impl Inner {
             ledger,
             access_pool: Vec::new(),
             retire_scratch: Vec::new(),
+            walk: Recovery::default(),
             rex: None,
             poisoned: None,
             cancelled_note: None,
@@ -2028,7 +2020,8 @@ pub(crate) fn decide<const SOLO: bool>(
                         .all(|s| s.load(Ordering::Relaxed) == 0),
                     "lock-shard sleepers must be quiescent when recovery runs"
                 );
-                crate::rex::perform_recovery(inner);
+                let policy = inner.cfg.recovery;
+                crate::rex::perform_recovery(inner, policy);
                 inner.recovering = false;
                 inner.bump();
                 woke_idle = false;

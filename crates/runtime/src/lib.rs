@@ -86,7 +86,7 @@ use gprs_core::persist::{DurableImage, PersistBackend};
 use gprs_telemetry::TelemetryConfig;
 use std::sync::Arc;
 
-pub use crate::engine::RecoveryPolicy;
+pub use gprs_core::recovery::RecoveryPolicy;
 
 /// Configures and assembles a GPRS runtime. It dereferences to the
 /// [`Registry`] the program's threads and resources are registered on.
@@ -167,15 +167,7 @@ impl GprsBuilder {
         self
     }
 
-    /// Keeps the first `cap` raw `(sub-thread, thread)` grants verbatim in
-    /// the report alongside the streaming schedule hash (determinism
-    /// diagnostics; 0 — the default — keeps none).
-    pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.cfg.telemetry.raw_trace_cap = cap;
-        self
-    }
-
-    /// Full telemetry configuration (event rings, metrics, raw trace).
+    /// Full telemetry configuration (event rings, metrics).
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.cfg.telemetry = cfg;
         self

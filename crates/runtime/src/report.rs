@@ -1,7 +1,7 @@
 //! Run statistics and the final report.
 
 use crate::program::{payload_to, Payload};
-use gprs_core::ids::{SubThreadId, ThreadId};
+use gprs_core::ids::ThreadId;
 use gprs_core::racecheck::Race;
 use gprs_telemetry::TelemetrySummary;
 use std::collections::BTreeMap;
@@ -104,17 +104,6 @@ pub struct ShardSummary {
 }
 
 impl RunReport {
-    /// The opt-in bounded raw grant trace `(sub-thread, thread)`, re-typed.
-    /// Empty unless `GprsBuilder::trace_cap` (or
-    /// `TelemetryConfig::raw_trace_cap`) was set.
-    pub fn grant_trace(&self) -> Vec<(SubThreadId, ThreadId)> {
-        self.telemetry
-            .raw_grant_trace
-            .iter()
-            .map(|&(s, t)| (SubThreadId::new(s), ThreadId::new(t)))
-            .collect()
-    }
-
     /// Typed access to a thread's exit value.
     ///
     /// # Panics
@@ -189,7 +178,6 @@ mod tests {
         };
         assert_eq!(report.output::<u64>(ThreadId::new(0)), 41);
         assert!(report.file_contents(0).is_empty());
-        assert!(report.grant_trace().is_empty());
     }
 
     #[test]

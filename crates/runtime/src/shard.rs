@@ -383,7 +383,6 @@ fn merge_telemetry(a: &mut gprs_telemetry::TelemetrySummary, b: gprs_telemetry::
     // is domain-major, one ascending slice per domain (`TelemetrySummary::events`).
     a.trace.append(b.trace);
     a.dropped_events += b.dropped_events;
-    a.raw_grant_trace.extend(b.raw_grant_trace);
 }
 
 fn merge_reports(

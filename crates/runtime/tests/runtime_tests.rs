@@ -614,14 +614,27 @@ fn panicking_step_poisons_run() {
 fn grant_trace_is_identical_across_worker_counts() {
     let run = |workers| {
         let (b, consumers) = pipeline_builder(workers, 2, 24, 2);
-        let report = b.trace_cap(1 << 16).build().run().unwrap();
+        let report = b.build().run().unwrap();
         let outs: Vec<u64> = consumers
             .iter()
             .map(|&c| report.output::<u64>(c))
             .collect();
+        assert_eq!(report.telemetry.dropped_events, 0, "{workers} workers");
+        let grants: Vec<(u64, u32)> = report
+            .telemetry
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                gprs_telemetry::TraceEvent::Grant { subthread, thread } => {
+                    Some((subthread, thread))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(grants.len() as u64, report.telemetry.schedule_grants);
         (
             report.telemetry.schedule_hash,
-            report.grant_trace(),
+            grants,
             outs,
             report.stats.polls,
         )

@@ -227,9 +227,9 @@ impl<'a> Free<'a> {
     /// Seals the telemetry summary into the result (every exit path). The
     /// free engines have no grant order, so both hashes stay empty.
     fn finish_result(mut self) -> SimResult {
-        self.res.telemetry =
-            self.tel
-                .summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new());
+        self.res.telemetry = self
+            .tel
+            .summarize(&ScheduleHash::new(), &RetiredOrderHash::new());
         self.res
     }
 

@@ -11,29 +11,25 @@
 //! ## Exception handling
 //!
 //! Exceptions are attributed to the sub-thread whose body occupied the
-//! victim context when the exception was raised. Recovery squashes the
-//! affected set — under *selective* scope: the culprit, its same-thread
-//! successors, consumers of the data items it pushed (tracked by
-//! channel-item provenance, which is finer than the lock alias because the
-//! runtime manages its FIFOs and can undo a pop by returning the item to the
-//! front), and younger sub-threads sharing a lock or atomic alias.
-//!
-//! Squashed entries are *removed* from the reorder list and their threads
-//! rewound to the opening point of their oldest squashed sub-thread, so the
-//! token loop re-issues the work as fresh grants that re-enter retirement in
-//! total order — exactly like REX in the real runtime. (An earlier version
-//! re-issued squashed entries in place, which left mid-list `Squashed`
-//! entries that could never re-complete, blocking retirement and diverging
-//! the retired-order determinism hash under fault injection.) Channel pushes
-//! and pops are undone youngest-first, and a rewind that crosses an
-//! already-consumed barrier arrival undoes that barrier release for every
-//! participant. Unaffected sub-threads keep running, which is what makes the
-//! tipping rate scale with the context count.
+//! victim context when the exception was raised. Recovery runs the walk
+//! both engines share ([`gprs_core::recovery::Recovery`]): it squashes the
+//! affected set — under selective recovery the culprit, its same-thread
+//! successors, consumers of the data items it pushed (channel-item
+//! provenance: the runtime manages its FIFOs and can undo a pop by
+//! returning the item to the front) and younger lock/atomic-alias sharers —
+//! out of the reorder list, and the engine rewinds each thread to the
+//! opening point of its oldest squashed sub-thread, so the token loop
+//! re-issues the work as fresh grants that re-enter retirement in total
+//! order. Channel pushes and pops are undone youngest-first, and a rewind
+//! that crosses an already-consumed barrier arrival undoes that barrier
+//! release for every participant. Unaffected sub-threads keep running,
+//! which is what makes the tipping rate scale with the context count.
 
 use crate::costs::MechCosts;
 use crate::result::SimResult;
 use crate::workload::{SimOp, Workload};
-use gprs_core::deps::{DependencePolicy, Provenance, Taint};
+use gprs_core::deps::Provenance;
+use gprs_core::error::GprsError;
 use gprs_core::exception::{Exception, ExceptionInjector, InjectorConfig};
 use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
 use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
@@ -41,22 +37,13 @@ use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
-use gprs_core::recovery::{RecoveryMode, SquashScope};
+pub use gprs_core::recovery::RecoveryPolicy;
+use gprs_core::recovery::Recovery;
 use gprs_core::rol::{ReorderList, RolEntry};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Which sub-threads recovery squashes (the simulator-level counterpart of
-/// [`gprs_core::recovery::RecoveryMode`], with channel provenance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryScope {
-    /// Squash the culprit and everything younger.
-    Basic,
-    /// Squash only the culprit and its dependents.
-    Selective,
-}
 
 /// Configuration of a GPRS simulation.
 #[derive(Debug, Clone)]
@@ -67,8 +54,8 @@ pub struct GprsSimConfig {
     pub costs: MechCosts,
     /// The deterministic ordering schedule.
     pub schedule: ScheduleKind,
-    /// Recovery scope.
-    pub recovery: RecoveryScope,
+    /// Which sub-threads a recovery squashes.
+    pub recovery: RecoveryPolicy,
     /// Exception injection.
     pub exceptions: Option<InjectorConfig>,
     /// Wall-clock cap in cycles; exceeding it reports DNC.
@@ -117,7 +104,7 @@ impl GprsSimConfig {
             contexts,
             costs: MechCosts::paper_default(),
             schedule: ScheduleKind::BalanceBasic,
-            recovery: RecoveryScope::Selective,
+            recovery: RecoveryPolicy::Selective,
             exceptions: None,
             time_cap_cycles: u64::MAX / 4,
             telemetry: TelemetryConfig::default(),
@@ -152,9 +139,9 @@ impl GprsSimConfig {
         self
     }
 
-    /// Sets the recovery scope.
-    pub fn with_recovery(mut self, scope: RecoveryScope) -> Self {
-        self.recovery = scope;
+    /// Sets the recovery policy.
+    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
+        self.recovery = policy;
         self
     }
 
@@ -349,14 +336,14 @@ struct Gprs<'a> {
     retire_scratch: Vec<RolEntry<SimRec>>,
     /// Reusable buffer of the exceptions one drain takes from the injector.
     pending: Vec<Exception>,
-    /// The last recovery's affected set and the closure's scratch: the next
-    /// recovery plans in the buffers earlier ones grew.
-    scope: SquashScope,
-    taint: Taint,
-    /// Recovery planning's per-pass finds — consumers newly squashed,
-    /// rewinds an undone release forces — applied after the pass, so
-    /// neither the squash set nor the targets is copied to be walked.
-    found: Vec<SubThreadId>,
+    /// The recovery walk, and what this engine plans around it: each
+    /// rewound thread's target (ascending by thread), the undone barrier
+    /// releases (sorted) and the rewinds a pass's undone releases force,
+    /// applied after the pass. All kept for the next recovery, which plans
+    /// in the buffers earlier ones grew.
+    rex: Recovery<SimRec>,
+    targets: Vec<(usize, Rewind)>,
+    undone: Vec<(BarrierId, u64)>,
     forced: Vec<(usize, Rewind)>,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
@@ -450,9 +437,9 @@ impl<'a> Gprs<'a> {
             rol: ReorderList::default(),
             retire_scratch: Vec::new(),
             pending: Vec::new(),
-            scope: SquashScope::default(),
-            taint: Taint::default(),
-            found: Vec::new(),
+            rex: Recovery::default(),
+            targets: Vec::new(),
+            undone: Vec::new(),
             forced: Vec::new(),
             locks: HashMap::new(),
             chans: HashMap::new(),
@@ -696,26 +683,6 @@ impl<'a> Gprs<'a> {
         }
     }
 
-    /// Plans the affected set of `culprit` into `self.scope`, oldest first:
-    /// same-thread successors, consumers of its pushed items, and younger
-    /// lock/atomic-alias sharers — closed transitively by
-    /// [`SquashScope::plan`] over this engine's item provenance, or the whole
-    /// younger suffix under basic scope and for a culprit whose thread raced
-    /// (the hybrid policy).
-    fn plan_affected_set(&mut self, culprit: SubThreadId) {
-        let mode = match self.cfg.recovery {
-            RecoveryScope::Basic => RecoveryMode::Basic,
-            RecoveryScope::Selective => RecoveryMode::Selective(DependencePolicy::Transitive),
-        };
-        let racy = |t| self.ledger.is_racy_thread(t);
-        self.scope
-            .plan(&self.rol, culprit, mode, racy, &mut self.taint)
-            .expect("culprit body implies ROL entry");
-        if let Some(thread) = self.scope.escalated {
-            self.ledger.escalated(culprit, thread);
-        }
-    }
-
     /// The record of in-window sub-thread `id`.
     fn rec(&self, id: SubThreadId) -> &SimRec {
         &self.rol.get(id).expect("in-window sub-thread").rec
@@ -760,7 +727,8 @@ impl<'a> Gprs<'a> {
         }
     }
 
-    /// Closes the squash set and derives per-thread rewind targets.
+    /// Closes the squash set in place and derives per-thread rewind targets
+    /// into `self.targets` and the undone releases into `self.undone`.
     ///
     /// Three closure rules iterate to a fixed point:
     /// - each affected thread rewinds to its *oldest* squashed sub-thread,
@@ -772,64 +740,43 @@ impl<'a> Gprs<'a> {
     ///   that release (and every later one): all participants are forced
     ///   back to their own arrival so the barrier re-synchronizes.
     ///
-    /// Starts from the affected set in `self.scope`. Returns the squash set,
-    /// the rewind targets, and the undone releases.
-    #[allow(clippy::type_complexity)]
-    fn plan_recovery(
-        &mut self,
-    ) -> (
-        BTreeSet<SubThreadId>,
-        BTreeMap<usize, Rewind>,
-        BTreeSet<(BarrierId, u64)>,
-    ) {
-        let mut squash: BTreeSet<SubThreadId> = self.scope.ids.iter().copied().collect();
-        let mut targets: BTreeMap<usize, Rewind> = BTreeMap::new();
-        let mut undone: BTreeSet<(BarrierId, u64)> = BTreeSet::new();
-        let (mut found, mut forced) = (
-            std::mem::take(&mut self.found),
-            std::mem::take(&mut self.forced),
-        );
+    /// Starts from the affected set the walk planned, `squash` (ascending).
+    fn plan_recovery(&mut self, squash: &mut Vec<SubThreadId>) {
+        let mut targets = std::mem::take(&mut self.targets);
+        let mut undone = std::mem::take(&mut self.undone);
+        let mut forced = std::mem::take(&mut self.forced);
+        targets.clear();
+        undone.clear();
         loop {
             let mut changed = false;
             // Oldest squashed sub-thread per thread decides the rewind.
-            for &sid in &squash {
+            for &sid in squash.iter() {
                 let body = &self.rec(sid).body;
-                let r = self.rewind_for(body);
-                let better = match targets.get(&body.thread) {
-                    Some(&cur) => r.precedes(cur),
-                    None => true,
-                };
-                if better {
-                    targets.insert(body.thread, r);
-                    changed = true;
-                }
+                changed |= set_target(&mut targets, body.thread, self.rewind_for(body));
             }
             // Everything the rewind re-executes must be squashed: each
             // target sweeps its own thread's in-window sub-threads.
-            for (&th, &tgt) in &targets {
+            for &(th, tgt) in &targets {
                 for &sid in &self.by_thread[th] {
                     let body = &self.rec(sid).body;
                     debug_assert_eq!(body.thread, th, "by_thread out of sync");
-                    if body.seg_ix >= tgt.reexec_start() && squash.insert(sid) {
+                    if body.seg_ix >= tgt.reexec_start() && squash_in(squash, sid) {
                         changed = true;
                     }
                 }
             }
-            // Consumers of squashed producers are squashed too.
-            for &sid in &squash {
-                found.extend(
-                    self.rec(sid)
-                        .consumers
-                        .iter()
-                        .filter(|&&c| !squash.contains(&c) && self.rol.contains(c)),
-                );
-            }
-            for c in found.drain(..) {
-                changed |= squash.insert(c);
+            // Consumers of squashed producers are squashed too; a consumer
+            // is younger than its producer, so this pass reaches its own.
+            let mut i = 0;
+            while let Some(&sid) = squash.get(i) {
+                for &c in &self.rec(sid).consumers {
+                    changed |= self.rol.contains(c) && squash_in(squash, c);
+                }
+                i += 1;
             }
             // Crossing a consumed arrival undoes its (and every later)
             // release of that barrier for all participants.
-            for (&th, &tgt) in &targets {
+            for &(th, tgt) in &targets {
                 let to = self.threads[th].op_ix;
                 let segs = &self.w.threads[th].segments;
                 for (a, s) in segs.iter().enumerate().take(to).skip(tgt.op_ix()) {
@@ -837,9 +784,10 @@ impl<'a> Gprs<'a> {
                     let first = self.arrival_gen(th, a, barrier);
                     let released = self.barrier_gen.get(&barrier).copied().unwrap_or(0);
                     for g in first..released {
-                        if !undone.insert((barrier, g)) {
+                        let Err(at) = undone.binary_search(&(barrier, g)) else {
                             continue;
-                        }
+                        };
+                        undone.insert(at, (barrier, g));
                         changed = true;
                         for m in 0..self.w.threads.len() {
                             let participates = self.w.threads[m]
@@ -855,20 +803,103 @@ impl<'a> Gprs<'a> {
                 }
             }
             for (m, r) in forced.drain(..) {
-                let better = match targets.get(&m) {
-                    Some(&cur) => r.precedes(cur),
-                    None => true,
-                };
-                if better {
-                    targets.insert(m, r);
-                }
+                set_target(&mut targets, m, r);
             }
             if !changed {
                 break;
             }
         }
-        (self.found, self.forced) = (found, forced);
-        (squash, targets, undone)
+        (self.targets, self.undone, self.forced) = (targets, undone, forced);
+    }
+
+    /// Runs the session the walk began: squashes the closed affected set out
+    /// of the reorder list, undoes its channel effects and barrier releases
+    /// and rewinds the victimized threads. An error names the sub-thread
+    /// that left the reorder list (or its thread's window) mid-walk, or the
+    /// thread the enforcer refused to re-register.
+    fn recover(
+        &mut self,
+        rex: &mut Recovery<SimRec>,
+        culprit: SubThreadId,
+        report: u64,
+    ) -> Result<(), GprsError> {
+        let scope = rex.plan(&self.rol, &self.ledger, self.cfg.recovery)?;
+        self.plan_recovery(&mut scope.ids);
+        let culprit_th = self.rec(culprit).body.thread;
+        // The entries leave the reorder list entirely, youngest first —
+        // their re-executions are fresh grants that re-enter retirement in
+        // total order. Undo each one's channel effects: a squashed pop
+        // returns the item to the channel front, a squashed push withdraws
+        // its item.
+        rex.squash_out(&mut self.rol, &mut self.ledger, |r| r.body.ctx)?;
+        for (_, sid, SimRec { body, popped, .. }) in rex.removed() {
+            self.res.redo_cycles += report.min(body.end).saturating_sub(body.start);
+            if let Some((chan, producer)) = *popped {
+                self.chans.entry(chan).or_default().push_front(producer);
+            }
+            if body.kind == SubThreadKind::ChannelAccess {
+                if let SimOp::Push { chan } =
+                    self.w.threads[body.thread].segments[body.seg_ix - 1].op
+                {
+                    if let Some(q) = self.chans.get_mut(&chan) {
+                        if let Some(p) = q.iter().position(|x| x == sid) {
+                            q.remove(p);
+                        }
+                    }
+                }
+            }
+            let window = &mut self.by_thread[body.thread];
+            let at = window.binary_search(sid).map_err(|_| GprsError::UnknownSubThread(*sid))?;
+            window.remove(at);
+        }
+        // Retract undone barrier releases; every participant was forced
+        // back to its own arrival, so the barrier re-synchronizes.
+        for &(b, g) in &self.undone {
+            let e = self.barrier_gen.entry(b).or_insert(g);
+            if g < *e {
+                *e = g;
+            }
+        }
+        // Rewind the victimized threads in thread order (the order they
+        // re-register in): they re-request at the report time plus the
+        // restore wait (the culprit's thread additionally pays the REX
+        // pause + state-reinstatement cost, once).
+        for &(th, tgt) in &self.targets {
+            let was_waiting = self.threads[th].in_barrier;
+            let was_done = self.threads[th].done;
+            if was_waiting {
+                for q in self.barrier_waiting.values_mut() {
+                    q.retain(|&x| x != th);
+                }
+            }
+            let restore = self.cfg.costs.restore_wait
+                + if th == culprit_th {
+                    self.cfg.costs.gprs_restore
+                } else {
+                    0
+                };
+            let t = &mut self.threads[th];
+            t.current_st = None;
+            t.in_barrier = false;
+            t.done = false;
+            t.started &= tgt != Rewind::Initial;
+            t.op_ix = tgt.op_ix();
+            t.resume_barrier = match tgt {
+                Rewind::Resume(b, _) => Some(b),
+                _ => None,
+            };
+            t.request_at = report + restore;
+            self.res.redo_cycles += restore;
+            if was_done {
+                self.live += 1;
+            }
+            let spec = &self.w.threads[th];
+            if was_waiting || was_done {
+                self.enforcer.register_thread(spec.thread, spec.group, spec.weight)?;
+            }
+            self.ledger.restarted(spec.thread);
+        }
+        Ok(())
     }
 
     /// Drains exceptions reported up to `now`, squashing the affected set
@@ -921,118 +952,22 @@ impl<'a> Gprs<'a> {
                     b.ctx == victim && b.start <= raise && raise < b.end
                 })
                 .map(|e| e.id());
-            let Some(culprit) = culprit else {
+            let begin = |&c: &SubThreadId| self.rex.begin(&mut self.rol, &self.ledger, victim, c, e);
+            let Some(culprit) = culprit.filter(begin) else {
                 self.res.exceptions_ignored += 1;
                 continue;
             };
-            self.rol
-                .mark_excepted(culprit, e)
-                .expect("culprit body implies ROL entry");
-            self.plan_affected_set(culprit);
-            self.ledger.recovery_begin(victim, culprit);
-            let (squash, targets, undone) = self.plan_recovery();
-            let culprit_th = self.rec(culprit).body.thread;
-            // Remove squashed entries youngest-first, undoing channel
-            // effects: a squashed pop returns the item to the channel
-            // front, a squashed push withdraws its item. The entries leave
-            // the reorder list entirely — their re-executions are fresh
-            // grants that re-enter retirement in total order.
-            for &sid in squash.iter().rev() {
-                self.rol.mark_squashed(sid).expect("squashed in ROL");
-                let SimRec { body, popped, .. } =
-                    self.rol.remove_squashed(sid).expect("just marked squashed").rec;
-                let executed = report.min(body.end).saturating_sub(body.start);
-                self.res.squashed += 1;
-                self.res.redo_cycles += executed;
-                if let Some((chan, producer)) = popped {
-                    self.chans.entry(chan).or_default().push_front(producer);
-                }
-                if body.kind == SubThreadKind::ChannelAccess {
-                    if let SimOp::Push { chan } =
-                        self.w.threads[body.thread].segments[body.seg_ix - 1].op
-                    {
-                        if let Some(q) = self.chans.get_mut(&chan) {
-                            if let Some(p) = q.iter().position(|&x| x == sid) {
-                                q.remove(p);
-                            }
-                        }
-                    }
-                }
-                let window = &mut self.by_thread[body.thread];
-                let at = window
-                    .binary_search(&sid)
-                    .expect("a squashed sub-thread is in its thread's window");
-                window.remove(at);
-                self.ledger
-                    .squashed(body.ctx, sid, self.w.threads[body.thread].thread);
+            // Taken out only for a recovery: every grant drains.
+            let mut rex = std::mem::take(&mut self.rex);
+            let recovered = self.recover(&mut rex, culprit, report);
+            self.res.squashed += rex.end(&self.ledger, None);
+            self.rex = rex;
+            // A half-undone recovery ends the drain; the token loop stops
+            // on the failure.
+            if let Err(err) = recovered {
+                self.fail_on(Some(format!("recovery of {culprit}: {err}")));
+                break;
             }
-            // Chaos-oracle quiescence: squashed entries leave the reorder
-            // list *entirely* (they are never re-issued in place — their
-            // re-executions are fresh grants), so no stale ROL entry can
-            // pollute the retired order after recovery.
-            debug_assert!(
-                squash.iter().all(|s| !self.rol.contains(*s)),
-                "squashed sub-threads must leave the ROL entirely"
-            );
-            // Retract undone barrier releases; every participant was forced
-            // back to its own arrival, so the barrier re-synchronizes.
-            for &(b, g) in &undone {
-                let e = self.barrier_gen.entry(b).or_insert(g);
-                if g < *e {
-                    *e = g;
-                }
-            }
-            // Rewind the victimized threads: they re-request at the report
-            // time plus the restore wait (the culprit's thread additionally
-            // pays the REX pause + state-reinstatement cost, once).
-            for (&th, &tgt) in &targets {
-                let was_waiting = self.threads[th].in_barrier;
-                let was_done = self.threads[th].done;
-                if was_waiting {
-                    for q in self.barrier_waiting.values_mut() {
-                        q.retain(|&x| x != th);
-                    }
-                }
-                let restore = self.cfg.costs.restore_wait
-                    + if th == culprit_th {
-                        self.cfg.costs.gprs_restore
-                    } else {
-                        0
-                    };
-                let t = &mut self.threads[th];
-                t.current_st = None;
-                t.in_barrier = false;
-                t.done = false;
-                match tgt {
-                    Rewind::Initial => {
-                        t.started = false;
-                        t.op_ix = 0;
-                        t.resume_barrier = None;
-                    }
-                    Rewind::Op(i) => {
-                        t.op_ix = i;
-                        t.resume_barrier = None;
-                    }
-                    Rewind::Resume(b, i) => {
-                        t.op_ix = i;
-                        t.resume_barrier = Some(b);
-                    }
-                }
-                t.request_at = report + restore;
-                self.res.redo_cycles += restore;
-                if was_done {
-                    self.live += 1;
-                }
-                if was_waiting || was_done {
-                    let spec = &self.w.threads[th];
-                    self.enforcer
-                        .register_thread(spec.thread, spec.group, spec.weight)
-                        .expect("was deregistered");
-                }
-                self.ledger.restarted(self.w.threads[th].thread);
-            }
-            self.ledger
-                .recovery_end(victim, culprit, squash.len() as u64, None);
             if now > self.cfg.time_cap_cycles {
                 within_cap = false;
                 break;
@@ -1318,6 +1253,26 @@ impl<'a> Gprs<'a> {
     }
 }
 
+/// Adds `id` to the ascending squash set; `true` if it was not there.
+fn squash_in(squash: &mut Vec<SubThreadId>, id: SubThreadId) -> bool {
+    let Err(at) = squash.binary_search(&id) else {
+        return false;
+    };
+    squash.insert(at, id);
+    true
+}
+
+/// Sets thread `th`'s rewind to `r` unless it already re-enters no later;
+/// `true` if it changed. `targets` stays ascending by thread.
+fn set_target(targets: &mut Vec<(usize, Rewind)>, th: usize, r: Rewind) -> bool {
+    match targets.binary_search_by_key(&th, |&(t, _)| t) {
+        Ok(at) if r.precedes(targets[at].1) => targets[at].1 = r,
+        Ok(_) => return false,
+        Err(at) => targets.insert(at, (th, r)),
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1595,7 +1550,7 @@ mod tests {
         let basic = run_gprs(
             &w,
             &GprsSimConfig::balance_aware(4)
-                .with_recovery(RecoveryScope::Basic)
+                .with_recovery(RecoveryPolicy::Basic)
                 .with_exceptions(inj)
                 .with_time_cap(cap),
         );

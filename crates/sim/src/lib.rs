@@ -54,7 +54,7 @@ pub use gprs_core::workload;
 
 pub use costs::{cycles_to_secs, secs_to_cycles, MechCosts, CYCLES_PER_SEC};
 pub use free::{run_free, CprConfig, FreeRunConfig};
-pub use gprs::{run_gprs, GprsSimConfig, RecoveryScope};
+pub use gprs::{run_gprs, GprsSimConfig, RecoveryPolicy};
 pub use result::{harmonic_mean, SimResult};
 pub use tipping::{find_tipping_rate, TippingPoint, TippingScheme};
 pub use workload::{Segment, SimOp, ThreadSpec, Workload};

@@ -48,10 +48,6 @@ pub struct TelemetryConfig {
     /// Capacity of each per-worker event ring (events; oldest overwritten
     /// when full).
     pub ring_capacity: usize,
-    /// Opt-in bounded raw grant trace for debugging: keep the first `n`
-    /// `(subthread, thread)` grants verbatim alongside the streaming hash.
-    /// 0 (the default) keeps none.
-    pub raw_trace_cap: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -59,7 +55,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: true,
             ring_capacity: 4096,
-            raw_trace_cap: 0,
         }
     }
 }
@@ -70,7 +65,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             ring_capacity: 0,
-            raw_trace_cap: 0,
         }
     }
 }
@@ -141,14 +135,13 @@ impl Telemetry {
     }
 
     /// Assembles the end-of-run summary from this facade plus the
-    /// engine-owned hashes and optional raw grant trace. The summary takes
+    /// engine-owned hashes. The summary takes
     /// the rings whole, unmerged; from then on this facade records no
     /// event, so no writer can reach a trace being read.
     pub fn summarize(
         &mut self,
         schedule: &ScheduleHash,
         retired: &RetiredOrderHash,
-        raw_grant_trace: Vec<(u64, u32)>,
     ) -> TelemetrySummary {
         let rings = self.rings.take();
         TelemetrySummary {
@@ -161,7 +154,6 @@ impl Telemetry {
             histograms: self.metrics.histogram_snapshot(),
             dropped_events: rings.as_ref().map_or(0, RingSet::dropped),
             trace: rings.map_or_else(Trace::default, Trace::new),
-            raw_grant_trace,
         }
     }
 }
@@ -189,9 +181,6 @@ pub struct TelemetrySummary {
     pub trace: Trace,
     /// Events lost to ring wrapping.
     pub dropped_events: u64,
-    /// Opt-in bounded raw grant trace (`(subthread, thread)`), empty unless
-    /// `raw_trace_cap > 0`.
-    pub raw_grant_trace: Vec<(u64, u32)>,
 }
 
 impl TelemetrySummary {
@@ -263,13 +252,6 @@ impl TelemetrySummary {
             w.end_object();
         }
         w.end_array();
-        if !self.raw_grant_trace.is_empty() {
-            w.key("raw_grant_trace").begin_array();
-            for &(st, t) in &self.raw_grant_trace {
-                w.begin_array().u64(st).u64(t as u64).end_array();
-            }
-            w.end_array();
-        }
         w.end_object();
     }
 
@@ -281,12 +263,11 @@ impl TelemetrySummary {
     }
 
     /// A copy with the event trace dropped (hashes, counters, and
-    /// histograms kept) — for compact artifact export where the bounded
-    /// raw trace would still dominate the document.
+    /// histograms kept) — for compact artifact export where the trace
+    /// would dominate the document.
     pub fn without_events(&self) -> TelemetrySummary {
         TelemetrySummary {
             trace: Trace::default(),
-            raw_grant_trace: Vec::new(),
             ..self.clone()
         }
     }
@@ -300,7 +281,7 @@ mod tests {
     fn disabled_records_nothing() {
         let mut t = Telemetry::disabled();
         t.record(0, TraceEvent::Grant { subthread: 0, thread: 0 });
-        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new());
+        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new());
         assert!(!s.enabled);
         assert_eq!(s.schedule_hash, 0);
         assert!(s.events().is_empty());
@@ -318,7 +299,7 @@ mod tests {
         sched.record(0, 0);
         let mut ret = RetiredOrderHash::new();
         ret.record(0, 1);
-        let s = t.summarize(&sched, &ret, vec![(0, 0)]);
+        let s = t.summarize(&sched, &ret);
         assert!(s.enabled);
         assert_eq!(s.counter("grants"), 3);
         assert_eq!(s.schedule_grants, 1);
@@ -329,7 +310,6 @@ mod tests {
         assert!(json.contains("\"schedule_hash\":\"0x"));
         assert!(json.contains("\"grants\":3"));
         assert!(json.contains("\"type\":\"retire\""));
-        assert!(json.contains("\"raw_grant_trace\":[[0,0]]"));
     }
 
     #[test]
@@ -339,7 +319,7 @@ mod tests {
             t.record((i % 3) as usize, TraceEvent::WalAppend { subthread: i });
         }
         let evs = t
-            .summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new())
+            .summarize(&ScheduleHash::new(), &RetiredOrderHash::new())
             .events();
         assert_eq!(evs.len(), 30);
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -349,7 +329,7 @@ mod tests {
     fn a_summarized_facade_records_nothing_more() {
         let mut t = Telemetry::new(&TelemetryConfig::default(), 1);
         t.record(0, TraceEvent::WalAppend { subthread: 0 });
-        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), Vec::new());
+        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new());
         let copy = s.clone();
         t.record(0, TraceEvent::WalAppend { subthread: 1 });
         t.record(usize::MAX, TraceEvent::WalAppend { subthread: 2 });
@@ -401,7 +381,7 @@ mod tests {
         }
         events.end_array();
 
-        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new(), vec![(1, 2)]);
+        let s = t.summarize(&ScheduleHash::new(), &RetiredOrderHash::new());
         assert!(s.dropped_events > 0, "the rings wrapped");
         assert_eq!(s.events(), old);
         let bare = TelemetrySummary {

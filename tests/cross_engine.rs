@@ -170,7 +170,7 @@ fn retired_hash_converges_after_recovery() {
 #[test]
 fn sim_retired_hash_converges_after_recovery() {
     use gprs_core::exception::InjectorConfig;
-    use gprs_sim::gprs::RecoveryScope;
+    use gprs_sim::gprs::RecoveryPolicy;
     use gprs_sim::{secs_to_cycles, CYCLES_PER_SEC};
 
     let cap = secs_to_cycles(600.0);
@@ -179,7 +179,7 @@ fn sim_retired_hash_converges_after_recovery() {
         let w = build(name, &TraceParams::paper().scaled(0.01));
         let clean = run_gprs(&w, &GprsSimConfig::balance_aware(8));
         assert!(clean.completed, "{name}");
-        for scope in [RecoveryScope::Selective, RecoveryScope::Basic] {
+        for scope in [RecoveryPolicy::Selective, RecoveryPolicy::Basic] {
             for seed in [3u64, 17] {
                 let inj = InjectorConfig::paper(6.0, 8, CYCLES_PER_SEC).with_seed(seed);
                 let f = run_gprs(

@@ -152,17 +152,21 @@ fn a_torn_tail_does_not_hide_the_epochs_logged_after_it() {
 /// A bit flips in a *sealed* segment of a finished run. The loader keeps
 /// the prefix before the flip and drops the rest of that epoch — every
 /// later segment of it included — the resume re-verifies that prefix and
-/// converges, and its own epoch then loads whole.
+/// converges, and its own epoch then loads whole. The image is written in
+/// the session drive mode the resume replays in: retirement order is fixed
+/// per drive mode, and a worker pool's chaos victims depend on which
+/// sub-threads happen to be running.
 #[test]
 fn a_bit_flip_in_a_sealed_segment_ends_that_epoch_only() {
     let spec = JobSpec::new("beacon", 32).faults(2);
     let golden = build_solo(&spec).unwrap().run().unwrap();
     let dir = unique_temp_dir("gprs-test-bit-flip");
     let backend = FileBackend::open(&dir).expect("durable dir opens").with_segment_cap(16);
-    let report = build_job_durable(&spec, 0, 0, Arc::new(backend), None)
+    let mut session = build_job_durable(&spec, 0, 0, Arc::new(backend), None)
         .unwrap()
-        .run()
-        .unwrap();
+        .into_session();
+    while session.run_quantum(8) == QuantumOutcome::Yielded {}
+    let report = session.finish().unwrap();
     let total = report.telemetry.retired_count;
     assert!(report.telemetry.counter("wal_segments_sealed") >= 4, "16 records a segment");
     assert_eq!(load(&dir).retired_len(), total);
