@@ -28,6 +28,7 @@
 //!   aliases plus the engine's provenance edges.
 //! * [`recovery`] — recovery planning: basic, selective, discard-all,
 //!   hybrid escalation, instruction- vs sub-thread-precision.
+//! * [`retire`] — an entry's life outside recovery: open, complete, retire.
 //! * [`ledger`] — the run ledger: hashes, recorder, replay verifier, race
 //!   detector, durable retirement log and telemetry behind one set of
 //!   event hooks.
@@ -86,6 +87,7 @@ pub mod persist;
 pub mod racecheck;
 pub mod recording;
 pub mod recovery;
+pub mod retire;
 pub mod rol;
 pub mod subthread;
 pub mod wal;
@@ -123,6 +125,7 @@ pub mod prelude {
         plan_recovery, Precision, Recovery, RecoveryMode, RecoveryPlan, RecoveryPolicy,
         SquashScope,
     };
+    pub use crate::retire::{Batch, Retirement};
     pub use crate::rol::{ReorderList, RolEntry, SubThreadStatus};
     pub use crate::subthread::{SubThread, SubThreadKind, SyncOp};
     pub use crate::wal::{WalRecord, WriteAheadLog};

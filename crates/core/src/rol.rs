@@ -380,12 +380,8 @@ impl<R> ReorderList<R> {
     /// caller-provided buffer so a hot retirement path can reuse one
     /// allocation across batches.
     pub fn retire_ready_into(&mut self, out: &mut Vec<RolEntry<R>>) {
-        while matches!(
-            self.entries.front(),
-            Some(e) if e.status == SubThreadStatus::Completed
-        ) {
-            self.retired += 1;
-            out.push(self.entries.pop_front().expect("head exists"));
+        while let Ok(entry) = self.retire_head() {
+            out.push(entry);
         }
     }
 

@@ -416,6 +416,73 @@ proptest! {
         prop_assert_eq!(summary.counter("squashed"), squashed);
         prop_assert_eq!(summary.counter("restarts"), restarts);
     }
+
+    /// The kernel's open, complete and retire against a model of the list:
+    /// each retirement hands the commit exactly the model's completed head
+    /// run, oldest first, its batch names that run's ends and length, and
+    /// the ledger's retired count and hash are the retired entries folded
+    /// by hand. One retirement serves every batch, as in an engine.
+    #[test]
+    fn retirement_hands_over_exactly_the_completed_head_run(
+        steps in vec((0u8..3, 0u64..64, 0u32..5), 1..120),
+    ) {
+        use gprs_core::retire;
+        let mut rol: ReorderList<u64> = ReorderList::default();
+        let mut ledger = RunLedger::new(&gprs_telemetry::TelemetryConfig::default(), 1, 0, false);
+        let mut retirement = Retirement::default();
+        // id -> (thread, completed)
+        let mut model: BTreeMap<u64, (u32, bool)> = BTreeMap::new();
+        let mut by_hand = gprs_telemetry::RetiredOrderHash::seeded(0);
+        let tag = SubThreadKind::CriticalSection.tag();
+        let (mut next, mut retired) = (0u64, 0u64);
+        for (kind, n, thread) in steps {
+            match kind {
+                0 => {
+                    next += n % 3;
+                    let st = make_subthread(next, thread, n);
+                    let opaque = Checkpointed::Opaque;
+                    prop_assert_eq!(retire::open(&mut rol, &mut ledger, 0, st, next, opaque), None);
+                    model.insert(next, (thread, false));
+                    next += 1;
+                }
+                1 => {
+                    let Some(&id) = model.keys().nth(n as usize % model.len().max(1)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(retire::complete(&mut rol, SubThreadId::new(id)), None);
+                    model.insert(id, (model[&id].0, true));
+                }
+                _ => {
+                    let mut committed = Vec::new();
+                    let (batch, poison) = retirement.retire(
+                        &mut rol,
+                        &mut ledger,
+                        |_| 0,
+                        |_, acc| RetireFacts { open: None, accesses: acc, arrival: None },
+                        |e| {
+                            committed.push(e.rec);
+                            None
+                        },
+                    );
+                    prop_assert_eq!(poison, None);
+                    let done = model.iter().take_while(|(_, &(_, done))| done);
+                    let run: Vec<u64> = done.map(|(&id, _)| id).collect();
+                    prop_assert_eq!(&committed, &run);
+                    let ends = batch.map(|b| (b.ids.start().raw(), b.ids.end().raw(), b.len));
+                    prop_assert_eq!(ends, run.first().map(|&f| (f, run[run.len() - 1], run.len())));
+                    for id in run {
+                        by_hand.record(model[&id].0, tag);
+                        model.remove(&id);
+                        retired += 1;
+                    }
+                }
+            }
+            let ids: Vec<u64> = rol.iter().map(|e| e.id().raw()).collect();
+            prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>());
+        }
+        prop_assert_eq!(ledger.digests().1, by_hand.digest());
+        prop_assert_eq!(ledger.summarize().counter("retired"), retired);
+    }
 }
 
 // ---------------------------------------------------------------------------

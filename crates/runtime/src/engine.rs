@@ -28,7 +28,8 @@ use gprs_core::order::{OrderEnforcer, OrderGate, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
-use gprs_core::rol::{ReorderList, RolEntry};
+use gprs_core::retire::{self, Batch, Retirement};
+use gprs_core::rol::ReorderList;
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_core::wal::WriteAheadLog;
 use gprs_telemetry::{spsc, Telemetry, TelemetryConfig};
@@ -142,6 +143,26 @@ pub(crate) enum OpeningWant {
     SerializedRun,
 }
 
+impl OpeningWant {
+    /// The kind of sub-thread this request opens, and the synchronization
+    /// operation that opens it.
+    fn opens(&self) -> (SubThreadKind, Option<SyncOp>) {
+        match *self {
+            OpeningWant::Start => (SubThreadKind::Initial, None),
+            OpeningWant::Lock(l) => (SubThreadKind::CriticalSection, Some(SyncOp::LockAcquire(l))),
+            OpeningWant::Push(c, _) => (SubThreadKind::ChannelAccess, Some(SyncOp::ChanPush(c))),
+            OpeningWant::Pop(c) => (SubThreadKind::ChannelAccess, Some(SyncOp::ChanPop(c))),
+            OpeningWant::FetchAdd(a, _) => (SubThreadKind::AtomicOp, Some(SyncOp::Atomic(a))),
+            OpeningWant::SpawnParent { .. } => (SubThreadKind::ForkContinuation, None),
+            OpeningWant::JoinParent(_) => (SubThreadKind::JoinContinuation, None),
+            OpeningWant::Resume(b, _) => {
+                (SubThreadKind::BarrierContinuation, Some(SyncOp::BarrierWait(b)))
+            }
+            OpeningWant::SerializedRun => (SubThreadKind::Serialized, None),
+        }
+    }
+}
+
 /// What an in-flight sub-thread carries in its reorder-list entry: every
 /// fact retiring or squashing it needs (DESIGN §5e, "What an in-flight
 /// sub-thread carries"). Retirement commits it, a squash drops it with the
@@ -225,6 +246,17 @@ impl Provenance for StRec {
             OpeningWant::Resume(b, gen) => Some((b, gen)),
             _ => None,
         }
+    }
+}
+
+/// Returns a consumed plain-access vector to the bounded pool.
+pub(crate) fn recycle_access_vec(
+    pool: &mut Vec<Vec<(ResourceId, AccessKind)>>,
+    mut v: Vec<(ResourceId, AccessKind)>,
+) {
+    if pool.len() < 64 && v.capacity() > 0 {
+        v.clear();
+        pool.push(v);
     }
 }
 
@@ -425,8 +457,8 @@ pub(crate) struct Inner {
     /// Recycled vectors for [`StRec::accesses`] (bounded pool; its misses
     /// are what `hot_path_allocs` counts).
     pub access_pool: Vec<Vec<(ResourceId, AccessKind)>>,
-    /// Reusable batch buffer for [`Inner::retire_ready`].
-    pub retire_scratch: Vec<RolEntry<StRec>>,
+    /// The retire step (see [`gprs_core::retire`]).
+    pub retirement: Retirement,
     /// The recovery walk, whose buffers start empty, and the undo's (see
     /// [`crate::rex::RexScratch`]), boxed at the engine's first recovery:
     /// an engine that never recovers — most served jobs — allocates
@@ -722,7 +754,7 @@ impl Inner {
             stats: RunStats::default(),
             ledger,
             access_pool: Vec::new(),
-            retire_scratch: Vec::new(),
+            retirement: Retirement::default(),
             walk: Recovery::default(),
             rex: None,
             poisoned: None,
@@ -1018,41 +1050,6 @@ impl Inner {
         }
     }
 
-    /// Per-entry retirement hook: forwards a retiring cross-edge push onto
-    /// its edge queue (retirement is the commit point, so the forward is
-    /// squash-proof) and publishes a cross-domain barrier arrival the
-    /// retiring sub-thread ended with.
-    pub(crate) fn shard_on_retire(&mut self, id: SubThreadId, rec: &StRec) {
-        let Some(ctx) = self.shard.take() else {
-            return;
-        };
-        if let OpeningWant::Push(chan, _) = &rec.want {
-            if let Some((queue, consumer)) = ctx.out_edges.get(chan) {
-                // Pushes retire in push (sub-thread) order and a producer
-                // domain has no local popper, so the front staged item is
-                // exactly this push's.
-                let (item, producer) = self
-                    .chans
-                    .get_mut(chan)
-                    .and_then(|c| c.items.pop_front())
-                    .expect("retiring edge push is staged locally");
-                debug_assert_eq!(producer, Some(id), "edges forward in retirement order");
-                queue.push(item);
-                ctx.hub.wake_domain(*consumer);
-            }
-        }
-        if let Some((b, _)) = rec.arrival.filter(|(b, _)| ctx.edge_barriers.contains(b)) {
-            if !ctx.hub.arrive(b) {
-                self.poison(format!(
-                    "sharded retirement published an arrival on barrier \
-                     {b} the hub does not know (divergent replay or \
-                     corrupted shard plan)"
-                ));
-            }
-        }
-        self.shard = Some(ctx);
-    }
-
     /// Publishes a local poison to the hub so peer domains stop instead of
     /// stalling on edges that will never produce again.
     pub(crate) fn shard_publish_abort(&self) {
@@ -1099,58 +1096,44 @@ impl Inner {
             .is_some_and(|ctx| ctx.hub.peers_done())
     }
 
-    /// Retires the maximal run of completed head sub-threads as one batch:
-    /// each entry's record is committed entry by entry — race-detector
-    /// facts, staged file output (the output-commit point), cross-domain
-    /// forwards — but checkpoint and WAL pruning run once per batch, a
-    /// single pass per store instead of one per retired sub-thread.
+    /// Retires the maximal run of completed head sub-threads as one batch
+    /// through the kernel, committing each record entry by entry — staged
+    /// file output (the output-commit point), cross-domain forwards, its
+    /// access vector back to the pool — and then pruning the WAL and the
+    /// history store once per batch, a single pass per store instead of
+    /// one per retired sub-thread.
     fn retire_ready(&mut self) {
-        let mut entries = std::mem::take(&mut self.retire_scratch);
-        entries.clear();
-        self.rol.retire_ready_into(&mut entries);
-        if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-            // The batch is a contiguous ROL prefix, so its id range stands
-            // for it: every other id in the range already left the stores.
-            let batch = first.id()..=last.id();
-            for entry in &mut entries {
+        let (batch, reason) = self.retirement.retire(
+            &mut self.rol,
+            &mut self.ledger,
+            |_| EXTERNAL_RING,
+            // What the race detector needs beyond the entry's aliases (the
+            // ledger reads the locks and atomics touched off those).
+            |rec, _| RetireFacts {
+                open: rec.open_edge(),
+                accesses: &rec.accesses,
+                arrival: rec.arrival,
+            },
+            |entry| {
                 self.stats.retired += 1;
-                // What the race detector needs beyond the entry's aliases
-                // (the ledger reads the locks and atomics touched off those).
-                let rec = &entry.rec;
-                let facts = self.ledger.racecheck().then(|| RetireFacts {
-                    open: rec.open_edge(),
-                    accesses: &rec.accesses,
-                    arrival: rec.arrival,
-                });
-                let reason = self.ledger.retired(EXTERNAL_RING, entry, facts);
-                self.poison_on(reason);
-                self.recycle_access_vec(std::mem::take(&mut entry.rec.accesses));
-                if self.shard.is_some() {
-                    self.shard_on_retire(entry.id(), &entry.rec);
-                }
                 for (file, bytes) in &entry.rec.staged {
                     if let Some(f) = self.files.get_mut(file) {
                         f.committed.extend_from_slice(bytes);
                     }
                 }
-            }
-            let pruned = self.wal.prune_retired_batch(batch.clone());
-            self.hist.prune_retired_batch(batch, &mut self.threads);
-            let reason = self.ledger.batch_retired(entries[0].id(), entries.len(), pruned);
+                let reason = self.shard.as_ref().and_then(|c| c.on_retire(&mut self.chans, &entry));
+                recycle_access_vec(&mut self.access_pool, entry.rec.accesses);
+                reason
+            },
+        );
+        self.poison_on(reason);
+        if let Some(Batch { ids, len }) = batch {
+            let pruned = self.wal.prune_retired_batch(ids.clone());
+            self.hist.prune_retired_batch(ids.clone(), &mut self.threads);
+            let reason = self.ledger.batch_retired(*ids.start(), len, pruned);
             self.poison_on(reason);
         }
-        entries.clear();
-        self.retire_scratch = entries;
         self.stats.rol_peak = self.stats.rol_peak.max(self.rol.peak_occupancy());
-        self.ledger.rol_peak(self.rol.peak_occupancy());
-    }
-
-    /// Returns a consumed plain-access vector to the bounded pool.
-    pub(crate) fn recycle_access_vec(&mut self, mut v: Vec<(ResourceId, AccessKind)>) {
-        if self.access_pool.len() < 64 && v.capacity() > 0 {
-            v.clear();
-            self.access_pool.push(v);
-        }
     }
 
     /// Records one plain access for the race detector, reusing a pooled
@@ -1195,10 +1178,27 @@ impl Inner {
     /// access is recorded for the happens-before check at retirement.
     pub(crate) fn plain_load(&mut self, stid: SubThreadId, atomic: AtomicId) -> u64 {
         let v = *self.atomics.get(&atomic).expect("registered atomic");
+        if !self.cfg.elide_cells.is_empty() {
+            // A step squashed while it runs re-reads when it re-executes.
+            if let Some(thread) = self.rol.get(stid).map(|e| e.thread()) {
+                self.check_dead_read(thread, atomic);
+            }
+        }
         if self.ledger.racecheck() {
             self.record_plain_access(stid, ResourceId::Atomic(atomic), AccessKind::Read);
         }
         v
+    }
+
+    /// Poisons a read of a cell the attached model proves dead: the model
+    /// never reads it, so its stores skip their undo records, and a read
+    /// after a squash would see a stale value.
+    fn check_dead_read(&mut self, thread: ThreadId, atomic: AtomicId) {
+        if self.cfg.elide_cells.contains(&atomic) {
+            self.poison(format!(
+                "model divergence: thread {thread} read cell {atomic}, which the model proves dead"
+            ));
+        }
     }
 
     /// Writes a shared cell without synchronization (a *plain* store). The
@@ -1238,8 +1238,9 @@ impl Inner {
         self.ledger.wal_appended(ring, stid, self.wal.len());
     }
 
-    /// Creates the sub-thread record for a fresh grant. Returns the history
-    /// sequence number reserved for the thread checkpoint: the snapshot
+    /// Opens the sub-thread a grant starts, carrying `st`, and hands its
+    /// step to the granted `worker` with `inputs`. The task reserves the
+    /// history sequence number of the thread checkpoint: the snapshot
     /// itself is captured by the granted worker *outside* the lock (nothing
     /// touches the program between grant and step start, so the off-lock
     /// snapshot is bit-identical) and handed back via [`HandOff`].
@@ -1247,27 +1248,35 @@ impl Inner {
         &mut self,
         stid: SubThreadId,
         thread: ThreadId,
-        kind: SubThreadKind,
-        opening_op: Option<SyncOp>,
         mut st: StRec,
         worker: usize,
-    ) -> u64 {
+        inputs: StepInputs,
+    ) -> StepTask {
         let rec = self.threads.get_mut(&thread).expect("thread exists");
         st.prev = rec.current_st;
         rec.current_st = Some(stid);
-        let group = rec.group;
+        let (kind, opening_op) = st.want.opens();
+        let descriptor = SubThread::new(stid, thread, rec.group, kind, opening_op);
+        let program = rec.program.take().expect("program present at grant");
+        let spare_snap = rec.spare_snap.take();
         self.hist.seq += 1;
         let snap_seq = self.hist.seq;
-        self.rol
-            .insert_with(SubThread::new(stid, thread, group, kind, opening_op), st)
-            .expect("grants are issued in total order");
         self.running.insert(stid, worker);
         self.stats.subthreads += 1;
         // The thread snapshot reserved above is this sub-thread's
         // history-buffer checkpoint; snapshot sizes are opaque boxes.
-        let reason = self.ledger.granted(worker, stid, thread, kind, Checkpointed::Opaque);
+        let (rol, ledger) = (&mut self.rol, &mut self.ledger);
+        let reason = retire::open(rol, ledger, worker, descriptor, st, Checkpointed::Opaque);
         self.poison_on(reason);
-        snap_seq
+        StepTask {
+            thread,
+            stid,
+            program,
+            inputs,
+            snap_seq,
+            lock_snap_seq: 0,
+            spare_snap,
+        }
     }
 
     /// Whether `want` can be granted right now; `None` means "token waits
@@ -1355,45 +1364,25 @@ impl Inner {
         match want {
             PendingWant::Start => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::Initial,
-                    None,
-                    StRec::new(OpeningWant::Start),
-                    worker,
-                );
+                let st = StRec::new(OpeningWant::Start);
+                let task = self.open_subthread(stid, holder, st, worker, StepInputs::default());
                 // Dependence on the spawning parent continuation.
                 if let Some(parent) = self.threads[&holder].spawned_by {
                     self.add_dependent(parent, stid);
                 }
-                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
+                Some(task)
             }
             PendingWant::Resume(b, gen) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::BarrierContinuation,
-                    Some(SyncOp::BarrierWait(b)),
-                    StRec::new(OpeningWant::Resume(b, gen)),
-                    worker,
-                );
-                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
+                let st = StRec::new(OpeningWant::Resume(b, gen));
+                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
             }
             PendingWant::SerializedRun => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::Serialized,
-                    None,
-                    StRec::new(OpeningWant::SerializedRun),
-                    worker,
-                );
                 self.exclusive = Some(stid);
                 self.stats.serialized += 1;
-                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
+                let st = StRec::new(OpeningWant::SerializedRun);
+                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
             }
             PendingWant::Respawn {
                 child,
@@ -1402,23 +1391,13 @@ impl Inner {
                 program,
             } => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::ForkContinuation,
-                    None,
-                    StRec::new(OpeningWant::SpawnParent {
-                        child,
-                        group,
-                        weight,
-                    }),
-                    worker,
-                );
+                let st = StRec::new(OpeningWant::SpawnParent { child, group, weight });
+                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
+                let task = self.open_subthread(stid, holder, st, worker, inputs);
                 self.insert_thread(child, program, group, weight, Some(stid));
                 self.wal_append(worker, stid, RtOp::SpawnChild { child });
                 self.stats.spawns += 1;
-                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
-                Some(self.make_task(holder, stid, snap_seq, inputs))
+                Some(task)
             }
             PendingWant::Op(step) => self.grant_op(holder, prev_st, step, worker),
         }
@@ -1448,16 +1427,9 @@ impl Inner {
                 self.hist.seq += 1;
                 let lock_snap_seq = self.hist.seq;
                 self.stats.locks_acquired += 1;
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::CriticalSection,
-                    Some(SyncOp::LockAcquire(lock)),
-                    StRec::new(OpeningWant::Lock(lock)),
-                    worker,
-                );
+                let st = StRec::new(OpeningWant::Lock(lock));
                 let inputs = StepInputs { lock_out: Some((lock, data)), ..StepInputs::default() };
-                let mut task = self.make_task(holder, stid, snap_seq, inputs);
+                let mut task = self.open_subthread(stid, holder, st, worker, inputs);
                 task.lock_snap_seq = lock_snap_seq;
                 Some(task)
             }
@@ -1478,15 +1450,8 @@ impl Inner {
                     .or_default()
                     .items
                     .push_back((value.clone(), Some(stid)));
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::ChannelAccess,
-                    Some(SyncOp::ChanPush(chan)),
-                    StRec::new(OpeningWant::Push(chan, value)),
-                    worker,
-                );
-                Some(self.make_task(holder, stid, snap_seq, StepInputs::default()))
+                let st = StRec::new(OpeningWant::Push(chan, value));
+                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
             }
             Step::Pop(c) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1508,39 +1473,25 @@ impl Inner {
                 if let Some(p) = producer {
                     self.add_dependent(p, stid);
                 }
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::ChannelAccess,
-                    Some(SyncOp::ChanPop(chan)),
-                    StRec {
-                        pop_src: producer,
-                        ..StRec::new(OpeningWant::Pop(chan))
-                    },
-                    worker,
-                );
+                let st = StRec { pop_src: producer, ..StRec::new(OpeningWant::Pop(chan)) };
                 let inputs = StepInputs { popped: Some(item), ..StepInputs::default() };
-                Some(self.make_task(holder, stid, snap_seq, inputs))
+                Some(self.open_subthread(stid, holder, st, worker, inputs))
             }
             Step::FetchAdd(a, delta) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
                 if self.redo_locks.front() == Some(&holder) {
                     self.redo_locks.pop_front();
                 }
+                if !self.cfg.elide_cells.is_empty() {
+                    self.check_dead_read(holder, a);
+                }
                 let slot = self.atomics.get_mut(&a).expect("registered atomic");
                 let old = *slot;
                 *slot = old.wrapping_add(delta);
                 self.wal_append(worker, stid, RtOp::FetchAdd { atomic: a, old });
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::AtomicOp,
-                    Some(SyncOp::Atomic(a)),
-                    StRec::new(OpeningWant::FetchAdd(a, delta)),
-                    worker,
-                );
+                let st = StRec::new(OpeningWant::FetchAdd(a, delta));
                 let inputs = StepInputs { atomic_prev: Some(old), ..StepInputs::default() };
-                Some(self.make_task(holder, stid, snap_seq, inputs))
+                Some(self.open_subthread(stid, holder, st, worker, inputs))
             }
             Step::Spawn(SpawnSpec {
                 program,
@@ -1550,23 +1501,15 @@ impl Inner {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
                 // Open the parent continuation first so the child sees it as
                 // its spawner.
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::ForkContinuation,
-                    None,
-                    StRec::new(OpeningWant::SpawnParent {
-                        child: ThreadId::new(self.next_thread),
-                        group,
-                        weight,
-                    }),
-                    worker,
-                );
-                let child = self.add_thread(program, group, weight, Some(stid));
+                let child = ThreadId::new(self.next_thread);
+                let st = StRec::new(OpeningWant::SpawnParent { child, group, weight });
+                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
+                let task = self.open_subthread(stid, holder, st, worker, inputs);
+                let spawned = self.add_thread(program, group, weight, Some(stid));
+                debug_assert_eq!(spawned, child, "the continuation names its child");
                 self.wal_append(worker, stid, RtOp::SpawnChild { child });
                 self.stats.spawns += 1;
-                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
-                Some(self.make_task(holder, stid, snap_seq, inputs))
+                Some(task)
             }
             Step::Join(t) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
@@ -1577,16 +1520,9 @@ impl Inner {
                 if let Some(fst) = final_st {
                     self.add_dependent(fst, stid);
                 }
-                let snap_seq = self.open_subthread(
-                    stid,
-                    holder,
-                    SubThreadKind::JoinContinuation,
-                    None,
-                    StRec::new(OpeningWant::JoinParent(t)),
-                    worker,
-                );
+                let st = StRec::new(OpeningWant::JoinParent(t));
                 let inputs = StepInputs { joined, ..StepInputs::default() };
-                Some(self.make_task(holder, stid, snap_seq, inputs))
+                Some(self.open_subthread(stid, holder, st, worker, inputs))
             }
             Step::Serialized => {
                 // The serialized *marker* is granted like a normal boundary;
@@ -1720,27 +1656,6 @@ impl Inner {
         }
     }
 
-    fn make_task(
-        &mut self,
-        thread: ThreadId,
-        stid: SubThreadId,
-        snap_seq: u64,
-        inputs: StepInputs,
-    ) -> StepTask {
-        let rec = self.threads.get_mut(&thread).expect("thread exists");
-        let program = rec.program.take().expect("program present at grant");
-        let spare_snap = rec.spare_snap.take();
-        StepTask {
-            thread,
-            stid,
-            program,
-            inputs,
-            snap_seq,
-            lock_snap_seq: 0,
-            spare_snap,
-        }
-    }
-
     /// Deposits a finished step: returns the program, releases a still-held
     /// lock, stages file writes, marks the sub-thread complete and retires.
     pub(crate) fn deposit(
@@ -1760,14 +1675,18 @@ impl Inner {
             self.return_lock(stid, lock, data);
         }
         if !staged_files.is_empty() {
-            self.rol.rec_mut(stid).expect("deposited sub-thread is tracked").staged = staged_files;
+            match self.rol.rec_mut(stid) {
+                Some(rec) => rec.staged = staged_files,
+                None => self.poison(format!(
+                    "sub-thread {stid} staged file writes after it left the reorder list"
+                )),
+            }
         }
         let rec = self.threads.get_mut(&task_thread).expect("thread exists");
         rec.program = Some(program);
         rec.pending = Some(PendingWant::Op(result));
-        self.rol
-            .mark_completed(stid)
-            .expect("deposited sub-thread is tracked");
+        let reason = retire::complete(&mut self.rol, stid);
+        self.poison_on(reason);
         self.retire_ready();
         self.bump();
     }
@@ -2401,6 +2320,32 @@ mod tests {
             }
             self.done += 1;
             self.atomic.fetch_add(1)
+        }
+    }
+
+    /// A deposit for a sub-thread that is no longer in the reorder list
+    /// poisons the run by name — at the staged-file lookup, or at its
+    /// completion when it staged nothing — instead of panicking under the
+    /// engine lock.
+    #[test]
+    fn a_deposit_for_a_vanished_sub_thread_poisons_by_name() {
+        use gprs_core::ids::{SubThreadId, ThreadId};
+        let mut b = GprsBuilder::new().workers(1);
+        let atomic = b.atomic(0);
+        b.thread(Adds { atomic, rounds: 1, done: 0 }, GroupId::new(0), 1);
+        let shared = b.build().shared.clone();
+        let mut g = shared.inner.lock();
+        let (thread, ghost) = (ThreadId::new(0), SubThreadId::new(99));
+        let staged = vec![(0, b"x".to_vec())];
+        for (staged, named) in [
+            (staged, "sub-thread ST99 staged file writes after it left the reorder list"),
+            (Vec::new(), "sub-thread ST99 completed after it left the reorder list"),
+        ] {
+            g.poisoned = None;
+            let program = g.threads.get_mut(&thread).and_then(|r| r.program.take());
+            let program = program.expect("the thread is parked at its start");
+            g.deposit(thread, ghost, program, Step::exit_unit(), None, staged);
+            assert_eq!(g.poisoned.as_deref(), Some(named));
         }
     }
 

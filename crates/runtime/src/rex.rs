@@ -12,7 +12,9 @@
 //! opened its oldest squashed sub-thread, so normal granting re-executes
 //! exactly the discarded work while every unaffected sub-thread continues.
 
-use crate::engine::{Inner, OpeningWant, PendingException, PendingWant, StRec, ThState};
+use crate::engine::{
+    recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec, ThState,
+};
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::RtOp;
 use crate::program::{DynThread, Step};
@@ -138,7 +140,7 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
         if matches!(rec.want, OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _)) {
             inner.redo_locks.push_back(*t);
         }
-        inner.recycle_access_vec(std::mem::take(&mut rec.accesses));
+        recycle_access_vec(&mut inner.access_pool, std::mem::take(&mut rec.accesses));
     }
 
     // --- 1. WAL undo, newest first. -----------------------------------

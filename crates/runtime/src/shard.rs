@@ -35,11 +35,12 @@ use std::sync::{Arc, Weak};
 
 use gprs_analyze::ShardPlan;
 use gprs_core::ids::{BarrierId, ChannelId, ResourceId, ThreadId};
-use gprs_core::ledger::RunLedger;
+use gprs_core::ledger::{Poison, RunLedger};
 use gprs_core::order::EdgeQueue;
+use gprs_core::rol::RolEntry;
 use gprs_core::workload::{SimOp, Workload};
 
-use crate::engine::{BarrierRec, FileRec, Inner, Shared, SharedRef};
+use crate::engine::{BarrierRec, ChanRec, FileRec, Inner, OpeningWant, Shared, SharedRef, StRec};
 use crate::program::Payload;
 use crate::report::{RunError, RunReport, RunStats, ShardSummary};
 use parking_lot::Mutex;
@@ -246,6 +247,34 @@ impl ShardCtx {
     /// indefinite waits and pay nothing.
     pub fn has_cross_edges(&self) -> bool {
         !self.out_edges.is_empty() || !self.in_edges.is_empty() || !self.edge_barriers.is_empty()
+    }
+
+    /// Commits a retiring entry across domains: forwards a cross-edge push
+    /// onto its edge queue (retirement is the commit point, so the forward
+    /// is squash-proof) and publishes a cross-domain barrier arrival the
+    /// sub-thread ended with.
+    pub fn on_retire(&self, ch: &mut BTreeMap<ChannelId, ChanRec>, e: &RolEntry<StRec>) -> Poison {
+        if let OpeningWant::Push(chan, _) = &e.rec.want {
+            if let Some((queue, consumer)) = self.out_edges.get(chan) {
+                // Pushes retire in push (sub-thread) order and a producer
+                // domain has no local popper, so the front staged item is
+                // exactly this push's.
+                let staged = ch.get_mut(chan).and_then(|c| c.items.pop_front());
+                let Some((item, producer)) = staged else {
+                    return Some(format!("retiring edge push {} has no staged item", e.id()));
+                };
+                debug_assert_eq!(producer, Some(e.id()), "edges forward in retirement order");
+                queue.push(item);
+                self.hub.wake_domain(*consumer);
+            }
+        }
+        let (b, _) = e.rec.arrival.filter(|(b, _)| self.edge_barriers.contains(b))?;
+        (!self.hub.arrive(b)).then(|| {
+            format!(
+                "sharded retirement published an arrival on barrier {b} the hub does not \
+                 know (divergent replay or corrupted shard plan)"
+            )
+        })
     }
 }
 

@@ -39,7 +39,8 @@ use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
 pub use gprs_core::recovery::RecoveryPolicy;
 use gprs_core::recovery::Recovery;
-use gprs_core::rol::{ReorderList, RolEntry};
+use gprs_core::retire::{self, Retirement};
+use gprs_core::rol::ReorderList;
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
 use std::collections::{HashMap, VecDeque};
@@ -215,6 +216,17 @@ struct Body {
     seg_ix: usize,
 }
 
+impl Body {
+    /// The rewind that re-issues this body's sub-thread once squashed.
+    fn rewind(&self) -> Rewind {
+        match self.kind {
+            SubThreadKind::Initial => Rewind::Initial,
+            SubThreadKind::BarrierContinuation => Rewind::Resume(self.seg_ix),
+            _ => Rewind::Op(self.seg_ix - 1),
+        }
+    }
+}
+
 /// Where a rewound thread re-enters its trace after a squash. The sim
 /// re-executes squashed sub-threads as fresh grants (new sequence numbers),
 /// so recovery rewinds each affected thread to its oldest squashed
@@ -226,9 +238,10 @@ enum Rewind {
     /// Re-request the closing op of segment `.0` (including re-arriving at
     /// a barrier whose release was undone).
     Op(usize),
-    /// Re-open the continuation of barrier `.0` with `op_ix = .1`; the
-    /// arrival stays consumed because the release still stands.
-    Resume(BarrierId, usize),
+    /// Re-open the barrier continuation whose body is segment `.0` (so
+    /// `op_ix = .0`); the arrival stays consumed because the release still
+    /// stands.
+    Resume(usize),
 }
 
 impl Rewind {
@@ -237,7 +250,7 @@ impl Rewind {
         match self {
             Rewind::Initial => 0,
             Rewind::Op(i) => i,
-            Rewind::Resume(_, i) => i,
+            Rewind::Resume(i) => i,
         }
     }
 
@@ -246,7 +259,7 @@ impl Rewind {
         match self {
             Rewind::Initial => 0,
             Rewind::Op(i) => i + 1,
-            Rewind::Resume(_, i) => i,
+            Rewind::Resume(i) => i,
         }
     }
 
@@ -274,7 +287,7 @@ struct GThread {
     in_barrier: bool,
     /// Pending barrier continuation: the next grant opens the continuation
     /// sub-thread instead of consuming an op.
-    resume_barrier: Option<BarrierId>,
+    resume_barrier: bool,
     done: bool,
     current_st: Option<SubThreadId>,
 }
@@ -332,8 +345,8 @@ struct Gprs<'a> {
     /// retirement takes its oldest, so only a squash searches.
     by_thread: Vec<VecDeque<SubThreadId>>,
     rol: ReorderList<SimRec>,
-    /// Reusable batch buffer for retirement.
-    retire_scratch: Vec<RolEntry<SimRec>>,
+    /// The retire step (see [`gprs_core::retire`]).
+    retirement: Retirement,
     /// Reusable buffer of the exceptions one drain takes from the injector.
     pending: Vec<Exception>,
     /// The recovery walk, and what this engine plans around it: each
@@ -413,7 +426,7 @@ impl<'a> Gprs<'a> {
                 op_ix: 0,
                 request_at: 0,
                 in_barrier: false,
-                resume_barrier: None,
+                resume_barrier: false,
                 done: false,
                 current_st: None,
             });
@@ -435,7 +448,7 @@ impl<'a> Gprs<'a> {
             ctxs: vec![0; cfg.contexts.max(1) as usize],
             by_thread: vec![VecDeque::new(); w.threads.len()],
             rol: ReorderList::default(),
-            retire_scratch: Vec::new(),
+            retirement: Retirement::default(),
             pending: Vec::new(),
             rex: Recovery::default(),
             targets: Vec::new(),
@@ -503,28 +516,35 @@ impl<'a> Gprs<'a> {
         best
     }
 
-    /// Opens a new sub-thread for `th` at grant time `now`: pays the
-    /// checkpoint + ordering costs, schedules the body on a context.
-    ///
-    /// `extra_cs` is the critical-section portion executed under `lock`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_subthread(
-        &mut self,
-        th: usize,
-        stid: SubThreadId,
-        kind: SubThreadKind,
-        opening_op: Option<SyncOp>,
-        now: u64,
-        body_seg_ix: usize,
-        lock: Option<(LockId, u64)>,
-    ) {
+    /// Opens a new sub-thread for `th` at grant time `now` whose body is
+    /// segment `body_seg_ix`: pays the checkpoint + ordering costs and
+    /// schedules the body on a context. The segment before the body (none
+    /// for a thread's first) names the kind and the opening operation; a
+    /// lock's critical section runs under it before the body.
+    fn spawn_subthread(&mut self, th: usize, stid: SubThreadId, now: u64, body_seg_ix: usize) {
+        use SubThreadKind as K;
         let spec = &self.w.threads[th];
         let seg = &spec.segments[body_seg_ix];
+        let opening = body_seg_ix.checked_sub(1).map(|i| spec.segments[i].op);
+        let (kind, opening_op) = match opening {
+            Some(SimOp::Lock { lock, .. }) => (K::CriticalSection, Some(SyncOp::LockAcquire(lock))),
+            Some(SimOp::Atomic { atomic }) => (K::AtomicOp, Some(SyncOp::Atomic(atomic))),
+            Some(SimOp::Push { chan }) => (K::ChannelAccess, Some(SyncOp::ChanPush(chan))),
+            Some(SimOp::Pop { chan }) => (K::ChannelAccess, Some(SyncOp::ChanPop(chan))),
+            Some(SimOp::Barrier { barrier }) => {
+                (K::BarrierContinuation, Some(SyncOp::BarrierWait(barrier)))
+            }
+            // A thread's first body (no body follows its `End`).
+            None | Some(SimOp::End) => (K::Initial, None),
+        };
+        let lock = match opening {
+            Some(SimOp::Lock { lock, cs_work }) => Some((lock, cs_work)),
+            _ => None,
+        };
         // Statically proven read-only boundary: the checkpoint records
         // nothing a rewind could need, so elision skips `t_s` entirely.
         // The grant itself (and its ordering cost) is untouched — elision
         // must never perturb the total order.
-        let opening = body_seg_ix.checked_sub(1).map(|i| spec.segments[i].op);
         let elide = self.cfg.elide && gprs_analyze::checkpoint_elidable(opening, seg);
         let ts = if elide {
             0
@@ -569,9 +589,6 @@ impl<'a> Gprs<'a> {
         } else {
             Checkpointed::Bytes(seg.ckpt_bytes)
         };
-        let reason = self.ledger.granted(ctx, stid, spec.thread, kind, checkpoint);
-        self.fail_on(reason);
-
         let descriptor = SubThread::new(stid, spec.thread, spec.group, kind, opening_op);
         let body = Body {
             thread: th,
@@ -586,13 +603,14 @@ impl<'a> Gprs<'a> {
             consumers: Vec::new(),
             popped: None,
         };
-        self.rol.insert_with(descriptor, rec).expect("grants are in order");
+        let (rol, ledger) = (&mut self.rol, &mut self.ledger);
+        let reason = retire::open(rol, ledger, ctx, descriptor, rec, checkpoint);
+        self.fail_on(reason);
         if let Some(m) = nested {
             // The nested lock is a dependence alias (recovery) and a sync
-            // guard (racecheck) for this sub-thread.
-            self.rol
-                .add_resource(stid, ResourceId::Lock(m))
-                .expect("just inserted");
+            // guard (racecheck) for this sub-thread; it has no entry only
+            // when the open failed the run.
+            let _ = self.rol.add_resource(stid, ResourceId::Lock(m));
         }
         self.by_thread[th].push_back(stid);
         let t = &mut self.threads[th];
@@ -600,101 +618,32 @@ impl<'a> Gprs<'a> {
         t.request_at = end;
     }
 
-    /// Marks `th`'s current sub-thread completed and retires what it can.
+    /// Marks `th`'s current sub-thread completed and retires what it can;
+    /// a retiring sub-thread leaves its thread's window.
     fn complete_current(&mut self, th: usize) {
         if let Some(prev) = self.threads[th].current_st.take() {
-            self.rol
-                .mark_completed(prev)
-                .expect("current sub-thread is in the ROL");
-        }
-        let mut retired = std::mem::take(&mut self.retire_scratch);
-        self.rol.retire_ready_into(&mut retired);
-        for entry in &retired {
-            let body = &entry.rec.body;
-            let raced = self.ledger.racecheck();
-            let accesses = if raced { self.plain_accesses(body) } else { Vec::new() };
-            let facts = raced.then(|| self.race_facts(&entry.rec, &accesses));
-            let reason = self.ledger.retired(body.ctx, entry, facts);
+            let reason = retire::complete(&mut self.rol, prev);
             self.fail_on(reason);
-            // Retirement is in total order, so it takes the thread's oldest.
-            let oldest = self.by_thread[body.thread].pop_front();
-            debug_assert_eq!(oldest, Some(entry.id()), "by_thread out of sync");
         }
-        retired.clear();
-        self.retire_scratch = retired;
-        self.res.rol_peak = self.res.rol_peak.max(self.rol.peak_occupancy());
-        self.ledger.rol_peak(self.rol.peak_occupancy());
-    }
-
-    /// The plain accesses the body of a sub-thread performs, in program order.
-    fn plain_accesses(&self, body: &Body) -> Vec<(ResourceId, AccessKind)> {
-        let seg = &self.w.threads[body.thread].segments[body.seg_ix];
-        seg.plain.map_or_else(Vec::new, |(a, kind)| {
-            kind.accesses()
-                .iter()
-                .map(|&k| (ResourceId::Atomic(a), k))
-                .collect()
-        })
-    }
-
-    /// What the race detector needs to know about retiring sub-thread `id`
-    /// beyond its reorder-list entry: trace-level structure translated into
-    /// acquire/release edges. Retirement runs in total order, so race
-    /// reports are deterministic across runs and context counts.
-    fn race_facts<'f>(
-        &self,
-        rec: &SimRec,
-        accesses: &'f [(ResourceId, AccessKind)],
-    ) -> RetireFacts<'f> {
-        let body = &rec.body;
-        let spec = &self.w.threads[body.thread];
-        let open = match body.kind {
-            SubThreadKind::ChannelAccess => match spec.segments[body.seg_ix - 1].op {
-                SimOp::Push { chan } => Some(OpenEdge::ChanPush(chan)),
-                SimOp::Pop { chan } => Some(OpenEdge::ChanPop {
-                    chan,
-                    producer: rec.popped.map(|(_, p)| p),
-                }),
-                _ => None,
+        let (_, reason) = self.retirement.retire(
+            &mut self.rol,
+            &mut self.ledger,
+            |rec| rec.body.ctx,
+            |rec, accesses| race_facts(self.w, rec, accesses),
+            |entry| {
+                // Retirement is in total order, so it takes the thread's oldest.
+                let oldest = self.by_thread[entry.rec.body.thread].pop_front();
+                debug_assert_eq!(oldest, Some(entry.id()), "by_thread out of sync");
+                None
             },
-            SubThreadKind::BarrierContinuation => {
-                let arrival = body.seg_ix - 1;
-                let SimOp::Barrier { barrier } = spec.segments[arrival].op else {
-                    unreachable!("a continuation follows its arrival op")
-                };
-                Some(OpenEdge::BarrierResume {
-                    barrier,
-                    gen: self.arrival_gen(body.thread, arrival, barrier),
-                })
-            }
-            // Lock and atomic acquire edges come from the entry's aliases.
-            _ => None,
-        };
-        let arrival = match spec.segments[body.seg_ix].op {
-            SimOp::Barrier { barrier } => {
-                Some((barrier, self.arrival_gen(body.thread, body.seg_ix, barrier)))
-            }
-            _ => None,
-        };
-        RetireFacts {
-            open,
-            accesses,
-            arrival,
-        }
+        );
+        self.fail_on(reason);
+        self.res.rol_peak = self.res.rol_peak.max(self.rol.peak_occupancy());
     }
 
     /// The record of in-window sub-thread `id`.
     fn rec(&self, id: SubThreadId) -> &SimRec {
         &self.rol.get(id).expect("in-window sub-thread").rec
-    }
-
-    /// Which release of barrier `b` the arrival at segment `arrival_ix` of
-    /// thread `th` belongs to (each participant arrives once per release).
-    fn arrival_gen(&self, th: usize, arrival_ix: usize, b: BarrierId) -> u64 {
-        self.w.threads[th].segments[..arrival_ix]
-            .iter()
-            .filter(|s| matches!(s.op, SimOp::Barrier { barrier } if barrier == b))
-            .count() as u64
     }
 
     /// Segment index of thread `th`'s arrival for release `gen` of `b`.
@@ -709,22 +658,6 @@ impl<'a> Gprs<'a> {
             }
         }
         unreachable!("a recorded release implies the arrival exists in the trace")
-    }
-
-    /// The rewind that re-issues squashed sub-thread `body`.
-    fn rewind_for(&self, body: &Body) -> Rewind {
-        match body.kind {
-            SubThreadKind::Initial => Rewind::Initial,
-            SubThreadKind::BarrierContinuation => {
-                let arrival = body.seg_ix - 1;
-                let SimOp::Barrier { barrier } = self.w.threads[body.thread].segments[arrival].op
-                else {
-                    unreachable!("a continuation follows its arrival op")
-                };
-                Rewind::Resume(barrier, body.seg_ix)
-            }
-            _ => Rewind::Op(body.seg_ix - 1),
-        }
     }
 
     /// Closes the squash set in place and derives per-thread rewind targets
@@ -752,7 +685,7 @@ impl<'a> Gprs<'a> {
             // Oldest squashed sub-thread per thread decides the rewind.
             for &sid in squash.iter() {
                 let body = &self.rec(sid).body;
-                changed |= set_target(&mut targets, body.thread, self.rewind_for(body));
+                changed |= set_target(&mut targets, body.thread, body.rewind());
             }
             // Everything the rewind re-executes must be squashed: each
             // target sweeps its own thread's in-window sub-threads.
@@ -781,7 +714,7 @@ impl<'a> Gprs<'a> {
                 let segs = &self.w.threads[th].segments;
                 for (a, s) in segs.iter().enumerate().take(to).skip(tgt.op_ix()) {
                     let SimOp::Barrier { barrier } = s.op else { continue };
-                    let first = self.arrival_gen(th, a, barrier);
+                    let first = arrival_gen(self.w, th, a, barrier);
                     let released = self.barrier_gen.get(&barrier).copied().unwrap_or(0);
                     for g in first..released {
                         let Err(at) = undone.binary_search(&(barrier, g)) else {
@@ -884,10 +817,7 @@ impl<'a> Gprs<'a> {
             t.done = false;
             t.started &= tgt != Rewind::Initial;
             t.op_ix = tgt.op_ix();
-            t.resume_barrier = match tgt {
-                Rewind::Resume(b, _) => Some(b),
-                _ => None,
-            };
+            t.resume_barrier = matches!(tgt, Rewind::Resume(..));
             t.request_at = report + restore;
             self.res.redo_cycles += restore;
             if was_done {
@@ -1043,24 +973,16 @@ impl<'a> Gprs<'a> {
                 self.res.ordering_wait_cycles += now - req;
                 self.token_time = now;
                 self.threads[th].started = true;
-                self.spawn_subthread(th, stid, SubThreadKind::Initial, None, now, 0, None);
+                self.spawn_subthread(th, stid, now, 0);
                 continue;
             }
-            if let Some(b) = t.resume_barrier {
+            if t.resume_barrier {
                 let stid = self.enforcer.try_grant(holder).expect("holder");
                 self.res.ordering_wait_cycles += now - req;
                 self.token_time = now;
-                self.threads[th].resume_barrier = None;
+                self.threads[th].resume_barrier = false;
                 let body_ix = self.threads[th].op_ix;
-                self.spawn_subthread(
-                    th,
-                    stid,
-                    SubThreadKind::BarrierContinuation,
-                    Some(SyncOp::BarrierWait(b)),
-                    now,
-                    body_ix,
-                    None,
-                );
+                self.spawn_subthread(th, stid, now, body_ix);
                 continue;
             }
 
@@ -1100,29 +1022,9 @@ impl<'a> Gprs<'a> {
             self.complete_current(th);
 
             match op {
-                SimOp::Lock { lock, cs_work } => {
+                SimOp::Lock { .. } | SimOp::Atomic { .. } => {
                     self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(
-                        th,
-                        stid,
-                        SubThreadKind::CriticalSection,
-                        Some(SyncOp::LockAcquire(lock)),
-                        now,
-                        op_ix + 1,
-                        Some((lock, cs_work)),
-                    );
-                }
-                SimOp::Atomic { atomic } => {
-                    self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(
-                        th,
-                        stid,
-                        SubThreadKind::AtomicOp,
-                        Some(SyncOp::Atomic(atomic)),
-                        now,
-                        op_ix + 1,
-                        None,
-                    );
+                    self.spawn_subthread(th, stid, now, op_ix + 1);
                 }
                 SimOp::Push { chan } => {
                     // Provenance is the pushing sub-thread: squashing it
@@ -1132,15 +1034,7 @@ impl<'a> Gprs<'a> {
                     let producer = stid;
                     self.chans.entry(chan).or_default().push_back(producer);
                     self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(
-                        th,
-                        stid,
-                        SubThreadKind::ChannelAccess,
-                        Some(SyncOp::ChanPush(chan)),
-                        now,
-                        op_ix + 1,
-                        None,
-                    );
+                    self.spawn_subthread(th, stid, now, op_ix + 1);
                 }
                 SimOp::Pop { chan } => {
                     let producer = self
@@ -1152,16 +1046,10 @@ impl<'a> Gprs<'a> {
                         rec.consumers.push(stid);
                     }
                     self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(
-                        th,
-                        stid,
-                        SubThreadKind::ChannelAccess,
-                        Some(SyncOp::ChanPop(chan)),
-                        now,
-                        op_ix + 1,
-                        None,
-                    );
-                    self.rol.rec_mut(stid).expect("just granted").popped = Some((chan, producer));
+                    self.spawn_subthread(th, stid, now, op_ix + 1);
+                    if let Some(rec) = self.rol.rec_mut(stid) {
+                        rec.popped = Some((chan, producer));
+                    }
                 }
                 SimOp::Barrier { barrier } => {
                     // Structural turn-consuming event: recorded/verified
@@ -1187,7 +1075,7 @@ impl<'a> Gprs<'a> {
                                 .expect("was deregistered");
                             let t = &mut self.threads[wth];
                             t.in_barrier = false;
-                            t.resume_barrier = Some(barrier);
+                            t.resume_barrier = true;
                             t.request_at = now;
                         }
                     }
@@ -1260,6 +1148,63 @@ fn squash_in(squash: &mut Vec<SubThreadId>, id: SubThreadId) -> bool {
     };
     squash.insert(at, id);
     true
+}
+
+/// What the race detector needs to know about a retiring sub-thread
+/// beyond its reorder-list entry: trace-level structure translated into
+/// acquire/release edges, and the plain accesses its body performs, in
+/// program order, written into `accesses`. Retirement runs in total order,
+/// so race reports are deterministic across runs and context counts.
+fn race_facts<'f>(
+    w: &Workload,
+    rec: &'f SimRec,
+    accesses: &'f mut Vec<(ResourceId, AccessKind)>,
+) -> RetireFacts<'f> {
+    let body = &rec.body;
+    let segs = &w.threads[body.thread].segments;
+    if let Some((a, kind)) = segs[body.seg_ix].plain {
+        accesses.extend(kind.accesses().iter().map(|&k| (ResourceId::Atomic(a), k)));
+    }
+    let open = match body.kind {
+        SubThreadKind::ChannelAccess => match segs[body.seg_ix - 1].op {
+            SimOp::Push { chan } => Some(OpenEdge::ChanPush(chan)),
+            SimOp::Pop { chan } => Some(OpenEdge::ChanPop {
+                chan,
+                producer: rec.popped.map(|(_, p)| p),
+            }),
+            _ => None,
+        },
+        SubThreadKind::BarrierContinuation => {
+            let arrival = body.seg_ix - 1;
+            let SimOp::Barrier { barrier } = segs[arrival].op else {
+                unreachable!("a continuation follows its arrival op")
+            };
+            let gen = arrival_gen(w, body.thread, arrival, barrier);
+            Some(OpenEdge::BarrierResume { barrier, gen })
+        }
+        // Lock and atomic acquire edges come from the entry's aliases.
+        _ => None,
+    };
+    let arrival = match segs[body.seg_ix].op {
+        SimOp::Barrier { barrier } => {
+            Some((barrier, arrival_gen(w, body.thread, body.seg_ix, barrier)))
+        }
+        _ => None,
+    };
+    RetireFacts {
+        open,
+        accesses,
+        arrival,
+    }
+}
+
+/// Which release of barrier `b` the arrival at segment `arrival_ix` of
+/// thread `th` belongs to (each participant arrives once per release).
+fn arrival_gen(w: &Workload, th: usize, arrival_ix: usize, b: BarrierId) -> u64 {
+    w.threads[th].segments[..arrival_ix]
+        .iter()
+        .filter(|s| matches!(s.op, SimOp::Barrier { barrier } if barrier == b))
+        .count() as u64
 }
 
 /// Sets thread `th`'s rewind to `r` unless it already re-enters no later;

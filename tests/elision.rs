@@ -252,6 +252,86 @@ fn racy_model_vetoes_wal_elision() {
     assert_eq!(report.telemetry.counter("wal_records_elided"), 0);
 }
 
+/// `rounds` rounds of `plain_load` → `plain_store(v + 1)` on a private
+/// cell, each closed by a fetch-add on a private ticket; exits with the
+/// cell. Registered cell first, ticket second, as a beacon worker is.
+struct ReadBack {
+    cell: gprs_runtime::handles::AtomicHandle,
+    ticket: gprs_runtime::handles::AtomicHandle,
+    rounds: u32,
+    done: u32,
+}
+
+impl gprs_core::history::Checkpoint for ReadBack {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.done
+    }
+    fn restore(&mut self, s: &u32) {
+        self.done = *s;
+    }
+}
+
+impl gprs_runtime::program::ThreadProgram for ReadBack {
+    fn step(&mut self, ctx: &mut gprs_runtime::ctx::StepCtx<'_>) -> gprs_runtime::program::Step {
+        if self.done == self.rounds {
+            return gprs_runtime::program::Step::exit(ctx.plain_load(&self.cell));
+        }
+        let v = ctx.plain_load(&self.cell);
+        ctx.plain_store(&self.cell, v + 1);
+        self.done += 1;
+        self.ticket.fetch_add(1)
+    }
+}
+
+/// A model that calls a read cell write-only lies, and eliding the cell's
+/// undo records on its word would let a squash leave a stale value that
+/// the re-execution reads (one thread then exits 11 with the clean run's
+/// retired hash). The first read of a cell the model proves dead ends the
+/// run in a poison that names it instead; with elision off the same faults
+/// are recovered exactly.
+#[test]
+fn reading_a_cell_the_model_proves_dead_poisons_by_name() {
+    use gprs_core::chaos::{ChaosEvent, ChaosPlan, VictimSelector};
+    use gprs_core::ids::{GroupId, ThreadId};
+    const ROUNDS: u32 = 10;
+    let shape = [ROUNDS; 3];
+    let run = |elide: bool, plan: Option<&ChaosPlan>| {
+        let mut b = GprsBuilder::new().workers(1);
+        for w in 0..shape.len() as u32 {
+            let (cell, ticket) = (b.atomic(0), b.atomic(0));
+            let prog = ReadBack { cell, ticket, rounds: ROUNDS, done: 0 };
+            b.thread(prog, GroupId::new(w), 1);
+        }
+        let mut b = b.model(beacon_model_rounds(&shape)).elide(elide);
+        if let Some(p) = plan {
+            b = b.chaos(p);
+        }
+        b.build().run()
+    };
+    let mut plans = vec![None];
+    for k in [4, 7, 11, 15] {
+        for victim in [VictimSelector::Oldest, VictimSelector::Newest] {
+            let mut plan = ChaosPlan::new();
+            plan.push(ChaosEvent::at_grant(k).victim(victim));
+            plans.push(Some(plan));
+        }
+    }
+    for plan in &plans {
+        let off = run(false, plan.as_ref()).expect("elision off recovers");
+        for t in 0..shape.len() as u32 {
+            assert_eq!(off.output::<u64>(ThreadId::new(t)), u64::from(ROUNDS), "{plan:?}");
+        }
+        let err = run(true, plan.as_ref()).expect_err("a lying model is caught").to_string();
+        assert_eq!(
+            err,
+            "runtime poisoned: model divergence: thread TH0 read cell A0, which the model \
+             proves dead",
+            "{plan:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property fuzz (satellite): random programs, both engines
 // ---------------------------------------------------------------------------
