@@ -88,6 +88,7 @@ pub mod racecheck;
 pub mod recording;
 pub mod recovery;
 pub mod retire;
+pub mod roster;
 pub mod rol;
 pub mod subthread;
 pub mod wal;
@@ -126,6 +127,7 @@ pub mod prelude {
         SquashScope,
     };
     pub use crate::retire::{Batch, Retirement};
+    pub use crate::roster::{Arrival, Barrier, Roster, ThState};
     pub use crate::rol::{ReorderList, RolEntry, SubThreadStatus};
     pub use crate::subthread::{SubThread, SubThreadKind, SyncOp};
     pub use crate::wal::{WalRecord, WriteAheadLog};

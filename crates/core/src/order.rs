@@ -175,6 +175,10 @@ pub struct BalanceAware {
     group_cursor: usize,
     /// Turns already consumed by the current group in this visit.
     turns_in_group: u32,
+    /// The member lists of removed groups, emptied, for the next groups
+    /// created: a thread that leaves its group's last and rejoins costs no
+    /// allocation (a barrier generation's arrivals and release do this).
+    spare: Vec<Vec<ThreadId>>,
 }
 
 impl BalanceAware {
@@ -214,12 +218,16 @@ impl OrderingPolicy for BalanceAware {
                 }
                 g.members.push(thread);
             }
-            None => self.groups.push(Group {
-                id: group,
-                weight,
-                members: vec![thread],
-                member_cursor: 0,
-            }),
+            None => {
+                let mut members = self.spare.pop().unwrap_or_default();
+                members.push(thread);
+                self.groups.push(Group {
+                    id: group,
+                    weight,
+                    members,
+                    member_cursor: 0,
+                });
+            }
         }
         Ok(())
     }
@@ -244,7 +252,7 @@ impl OrderingPolicy for BalanceAware {
             }
         };
         if remove_group {
-            self.groups.remove(gix);
+            self.spare.push(self.groups.remove(gix).members);
             if self.groups.is_empty() {
                 self.group_cursor = 0;
             } else {

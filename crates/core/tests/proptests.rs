@@ -486,6 +486,146 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Roster
+// ---------------------------------------------------------------------------
+
+/// A schedule that logs every registration, so a test sees the order the
+/// roster registers threads in.
+#[derive(Debug)]
+struct Logged {
+    registered: Vec<ThreadId>,
+    log: std::sync::Arc<std::sync::Mutex<Vec<ThreadId>>>,
+}
+
+impl OrderingPolicy for Logged {
+    fn register_thread(&mut self, thread: ThreadId, _: GroupId, _: u32) -> Result<()> {
+        if self.registered.contains(&thread) {
+            return Err(GprsError::DuplicateThread(thread));
+        }
+        self.registered.push(thread);
+        self.log.lock().unwrap().push(thread);
+        Ok(())
+    }
+    fn deregister_thread(&mut self, thread: ThreadId) -> Result<()> {
+        let ix = self.registered.iter().position(|&t| t == thread);
+        self.registered.remove(ix.ok_or(GprsError::UnknownThread(thread))?);
+        Ok(())
+    }
+    fn holder(&self) -> Option<ThreadId> {
+        self.registered.first().copied()
+    }
+    fn advance(&mut self) {}
+    fn len(&self) -> usize {
+        self.registered.len()
+    }
+    fn name(&self) -> &'static str {
+        "logged"
+    }
+}
+
+proptest! {
+    /// The roster against a plain model of each thread's state: after
+    /// every add, arrival (and the release a full barrier makes), exit,
+    /// revival, re-park and removal, the enforcer holds exactly the active
+    /// threads, the live count is the threads that did not exit, each
+    /// barrier's waiting list is the ascending set of threads parked on it,
+    /// and a release registers its waiters in ascending id order.
+    #[test]
+    fn the_roster_registers_exactly_the_active_threads(
+        steps in vec((0u8..6, 0u32..6, 0u64..2), 1..200),
+    ) {
+        let participants = [2u32, 3];
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let policy = Logged { registered: Vec::new(), log: log.clone() };
+        let mut enforcer = OrderEnforcer::new(Box::new(policy));
+        let mut ledger = RunLedger::new(&gprs_telemetry::TelemetryConfig::default(), 1, 0, false);
+        let barriers = (0..2).map(|b| (BarrierId::new(b), Barrier::new(participants[b as usize])));
+        let mut roster = Roster::new(barriers.collect());
+        let mut model: BTreeMap<u32, ThState> = BTreeMap::new();
+        let mut gens = [0u64; 2];
+        for (op, raw, b) in steps {
+            let (t, bar) = (ThreadId::new(raw), BarrierId::new(b));
+            let state = model.get(&raw).copied();
+            let active = state == Some(ThState::Active);
+            match op {
+                0 => {
+                    let refused = roster.add(&mut enforcer, t, GroupId::new(raw % 2), 1);
+                    prop_assert_eq!(refused.is_some(), state.is_some());
+                    model.entry(raw).or_insert(ThState::Active);
+                }
+                1 => {
+                    let (arrival, refused) = roster.arrive(&mut enforcer, &mut ledger, t, bar);
+                    prop_assert_eq!(refused.is_some(), !active);
+                    prop_assert_eq!(arrival.is_some(), active);
+                    if active {
+                        model.insert(raw, ThState::Parked(bar));
+                    }
+                    let parked: Vec<ThreadId> = model
+                        .iter()
+                        .filter(|&(_, &s)| s == ThState::Parked(bar))
+                        .map(|(&w, _)| ThreadId::new(w))
+                        .collect();
+                    let full = parked.len() as u32 == participants[b as usize];
+                    if let Some(arrival) = arrival {
+                        prop_assert_eq!(arrival, Arrival { gen: gens[b as usize] + 1, full });
+                    }
+                    if active && full {
+                        let from = log.lock().unwrap().len();
+                        let mut resumed = Vec::new();
+                        let each = |w, gen| resumed.push((w, gen));
+                        let refused = roster.release(&mut enforcer, bar, each);
+                        prop_assert_eq!(refused, None);
+                        gens[b as usize] += 1;
+                        let gen = gens[b as usize];
+                        let expect: Vec<_> = parked.iter().map(|&w| (w, gen)).collect();
+                        prop_assert_eq!(resumed, expect);
+                        prop_assert_eq!(&log.lock().unwrap()[from..], &parked[..]);
+                        for w in parked {
+                            model.insert(w.raw(), ThState::Active);
+                        }
+                    }
+                }
+                2 => {
+                    prop_assert_eq!(roster.exit(&mut enforcer, &mut ledger, t).is_some(), !active);
+                    if active {
+                        model.insert(raw, ThState::Done);
+                    }
+                }
+                3 => {
+                    prop_assert_eq!(roster.revive(&mut enforcer, t).ok(), state);
+                    if state.is_some() {
+                        model.insert(raw, ThState::Active);
+                    }
+                }
+                4 => {
+                    prop_assert_eq!(roster.repark(&mut enforcer, t, bar).is_some(), !active);
+                    if active {
+                        model.insert(raw, ThState::Parked(bar));
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(roster.remove(&mut enforcer, t).is_some(), state.is_none());
+                    model.remove(&raw);
+                }
+            }
+            let count = |s: ThState| model.values().filter(|&&m| m == s).count();
+            prop_assert_eq!(enforcer.live_threads(), count(ThState::Active));
+            prop_assert_eq!(roster.live(), model.len() - count(ThState::Done));
+            for raw in 0..6 {
+                prop_assert_eq!(roster.state(ThreadId::new(raw)), model.get(&raw).copied());
+            }
+            for (&id, barrier) in roster.barriers() {
+                prop_assert!(barrier.waiting.windows(2).all(|w| w[0] < w[1]));
+                let parked = model.iter().filter(|&(_, &s)| s == ThState::Parked(id));
+                let parked: Vec<ThreadId> = parked.map(|(&w, _)| ThreadId::new(w)).collect();
+                prop_assert_eq!(&barrier.waiting, &parked);
+                prop_assert_eq!(barrier.gen, gens[id.raw() as usize]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------------
 

@@ -36,7 +36,7 @@
 //! `pbzip2_pipeline` example; no benchmark workload runs the baseline.
 
 use crate::ctx::{CtxBackend, StepInputs};
-use crate::engine::{run_step, BarrierRec, PendingWant, StepOutcome, ThState, WaitQueues};
+use crate::engine::{run_step, PendingWant, StepOutcome, WaitQueues};
 use crate::handles::Recoverable;
 use crate::program::{DynThread, Payload, Step};
 use crate::registry::Registry;
@@ -45,6 +45,7 @@ use gprs_core::chaos::{ChaosCursor, ChaosEvent, ChaosPlan};
 use gprs_core::exception::ExceptionScope;
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, LockId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
+use gprs_core::roster::{Barrier, ThState};
 use gprs_telemetry::{
     RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TelemetrySummary, TraceEvent,
 };
@@ -98,7 +99,7 @@ struct CprSnapshot {
     chans: BTreeMap<ChannelId, VecDeque<Payload>>,
     locks: BTreeMap<LockId, Box<dyn Recoverable>>,
     atomics: BTreeMap<AtomicId, u64>,
-    barriers: BTreeMap<BarrierId, BarrierRec>,
+    barriers: BTreeMap<BarrierId, Barrier>,
     blocks: BTreeMap<u64, Vec<u8>>,
     next_block: u64,
     outputs: BTreeMap<ThreadId, Payload>,
@@ -112,7 +113,7 @@ pub(crate) struct CprInner {
     /// Each lock's data; `None` while checked out to a running step.
     locks: BTreeMap<LockId, Option<Box<dyn Recoverable>>>,
     atomics: BTreeMap<AtomicId, u64>,
-    barriers: BTreeMap<BarrierId, BarrierRec>,
+    barriers: BTreeMap<BarrierId, Barrier>,
     /// Each file's name, committed bytes and bytes staged since the last
     /// checkpoint.
     files: BTreeMap<u64, (String, Vec<u8>, Vec<u8>)>,
@@ -642,14 +643,13 @@ impl CprInner {
             }
             PendingWant::Op(Step::Barrier(b)) => {
                 t.state = ThState::Parked(b);
-                let r = self.barriers.get_mut(&b).expect("registered");
-                r.waiting.push(tid);
-                if r.waiting.len() as u32 == r.participants {
-                    for w in std::mem::take(&mut r.waiting) {
+                let bar = self.barriers.get_mut(&b).expect("registered");
+                if bar.park(tid).full {
+                    bar.release(|w, _| {
                         let t = self.threads.get_mut(&w).expect("exists");
                         t.state = ThState::Active;
                         t.pending = Some(PendingWant::Start); // barrier continuation
-                    }
+                    });
                     self.stats.barrier_releases += 1;
                 }
                 return None;

@@ -29,6 +29,7 @@ use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
 use gprs_core::retire::{self, Batch, Retirement};
+use gprs_core::roster::{Arrival, Barrier, Roster, ThState};
 use gprs_core::rol::ReorderList;
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_core::wal::WriteAheadLog;
@@ -83,14 +84,6 @@ impl Default for RunConfig {
             elide_cells: Arc::default(),
         }
     }
-}
-
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ThState {
-    Active,
-    Parked(BarrierId),
-    Done,
 }
 
 /// What a thread is waiting to have granted.
@@ -262,12 +255,8 @@ pub(crate) fn recycle_access_vec(
 
 pub(crate) struct ThreadRec {
     pub program: Option<Box<dyn DynThread>>,
-    pub group: GroupId,
-    pub weight: u32,
     pub pending: Option<PendingWant>,
     pub current_st: Option<SubThreadId>,
-    pub state: ThState,
-    pub registered: bool,
     /// Final sub-thread (ending at `Exit`), for join dependence edges.
     pub final_st: Option<SubThreadId>,
     /// The parent continuation sub-thread that spawned this thread.
@@ -280,8 +269,6 @@ pub(crate) struct ThreadRec {
 impl std::fmt::Debug for ThreadRec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadRec")
-            .field("group", &self.group)
-            .field("state", &self.state)
             .field("pending", &self.pending)
             .field("current_st", &self.current_st)
             .finish_non_exhaustive()
@@ -307,15 +294,6 @@ impl std::fmt::Debug for LockRec {
             .field("checked_out", &self.data.is_none())
             .finish()
     }
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct BarrierRec {
-    pub participants: u32,
-    /// Parked participants of the forming generation; each one's
-    /// `current_st` is the sub-thread its arrival ended.
-    pub waiting: Vec<ThreadId>,
-    pub gen: u64,
 }
 
 /// A recoverable output file: what retirement committed. Writes not yet
@@ -431,13 +409,15 @@ pub(crate) struct Inner {
     pub chans: BTreeMap<ChannelId, ChanRec>,
     pub locks: BTreeMap<LockId, LockRec>,
     pub atomics: BTreeMap<AtomicId, u64>,
-    pub barriers: BTreeMap<BarrierId, BarrierRec>,
+    /// Each thread's place in the token rotation and the barrier table
+    /// (see [`gprs_core::roster`]); a parked thread's `current_st` is the
+    /// sub-thread its arrival ended.
+    pub roster: Roster,
     pub files: BTreeMap<u64, FileRec>,
     pub blocks: BTreeMap<u64, Vec<u8>>,
     pub next_block: u64,
     /// Sub-threads whose step is executing -> the worker running it.
     pub running: BTreeMap<SubThreadId, usize>,
-    pub live: usize,
     pub outputs: BTreeMap<ThreadId, Payload>,
     pub pending_exceptions: VecDeque<PendingException>,
     /// Replay gate: threads whose squashed lock/atomic operations must
@@ -486,7 +466,7 @@ pub(crate) struct Inner {
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inner")
-            .field("live", &self.live)
+            .field("live", &self.roster.live())
             .field("rol", &self.rol.len())
             .field("running", &self.running.len())
             .field("recovering", &self.recovering)
@@ -738,12 +718,11 @@ impl Inner {
             chans: BTreeMap::new(),
             locks: BTreeMap::new(),
             atomics: BTreeMap::new(),
-            barriers: BTreeMap::new(),
+            roster: Roster::default(),
             files: BTreeMap::new(),
             blocks: BTreeMap::new(),
             next_block: 0,
             running: BTreeMap::new(),
-            live: 0,
             outputs: BTreeMap::new(),
             pending_exceptions: VecDeque::new(),
             redo_locks: VecDeque::new(),
@@ -788,25 +767,19 @@ impl Inner {
         weight: u32,
         spawned_by: Option<SubThreadId>,
     ) {
-        self.enforcer
-            .register_thread(tid, group, weight)
-            .expect("thread id is free");
+        let reason = self.roster.add(&mut self.enforcer, tid, group, weight);
+        self.poison_on(reason);
         self.threads.insert(
             tid,
             ThreadRec {
                 program: Some(program),
-                group,
-                weight,
                 pending: Some(PendingWant::Start),
                 current_st: None,
-                state: ThState::Active,
-                registered: true,
                 final_st: None,
                 spawned_by,
                 spare_snap: None,
             },
         );
-        self.live += 1;
     }
 
     pub(crate) fn poison(&mut self, msg: impl Into<String>) {
@@ -820,28 +793,6 @@ impl Inner {
     pub(crate) fn poison_on(&mut self, reason: Poison) {
         if let Some(msg) = reason {
             self.poison(msg);
-        }
-    }
-
-    /// Replay sanity gate, checked before the token holder's want is
-    /// examined: under a faithful replay the recorded holder is always a
-    /// live, registered thread, so anything else is a divergence to poison
-    /// on (not an `expect` to die on).
-    pub(crate) fn replay_holder_gate(&self, holder: ThreadId) -> Option<String> {
-        let pos = self.ledger.replay_pos()?;
-        match self.threads.get(&holder) {
-            None => Some(format!(
-                "replay divergence at event {pos}: recorded thread {} was \
-                 never created in the live run",
-                holder.raw()
-            )),
-            Some(r) if r.state != ThState::Active => Some(format!(
-                "replay divergence at event {pos}: recorded thread {} is \
-                 {:?} in the live run (recording expects it active)",
-                holder.raw(),
-                r.state
-            )),
-            Some(_) => None,
         }
     }
 
@@ -997,7 +948,7 @@ impl Inner {
         }
         for &b in &ctx.edge_barriers {
             let released = ctx.hub.released(b);
-            while self.barriers.get(&b).is_some_and(|bar| bar.gen < released) {
+            while self.roster.barriers().get(&b).is_some_and(|bar| bar.gen < released) {
                 self.release_barrier(b);
                 progressed = true;
             }
@@ -1082,10 +1033,9 @@ impl Inner {
         let Some(ctx) = self.shard.as_ref() else {
             return false;
         };
-        self.threads.values().any(|rec| match rec.state {
-            ThState::Parked(b) => ctx.edge_barriers.contains(&b),
-            _ => false,
-        })
+        let barriers = self.roster.barriers();
+        let parked = |b| barriers.get(b).is_some_and(|bar: &Barrier| !bar.waiting.is_empty());
+        ctx.edge_barriers.iter().any(parked)
     }
 
     /// Whether every peer domain's pool already finished (so no further
@@ -1256,7 +1206,9 @@ impl Inner {
         st.prev = rec.current_st;
         rec.current_st = Some(stid);
         let (kind, opening_op) = st.want.opens();
-        let descriptor = SubThread::new(stid, thread, rec.group, kind, opening_op);
+        // A granted thread is active, hence on the roster.
+        let group = self.roster.group(thread).map(|(g, _)| g).unwrap_or_default();
+        let descriptor = SubThread::new(stid, thread, group, kind, opening_op);
         let program = rec.program.take().expect("program present at grant");
         let spare_snap = rec.spare_snap.take();
         self.hist.seq += 1;
@@ -1323,17 +1275,7 @@ impl Inner {
                     Some(false) // poll: pass the token
                 }
             }
-            PendingWant::Op(Step::Join(t)) => {
-                let done = self
-                    .threads
-                    .get(t)
-                    .is_some_and(|r| r.state == ThState::Done);
-                if done {
-                    Some(true)
-                } else {
-                    Some(false)
-                }
-            }
+            PendingWant::Op(Step::Join(t)) => Some(self.roster.state(*t) == Some(ThState::Done)),
             PendingWant::Op(Step::Lock(m)) => {
                 let free = self
                     .locks
@@ -1513,9 +1455,8 @@ impl Inner {
             }
             Step::Join(t) => {
                 let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let target = self.threads.get(&t).expect("join target exists");
-                debug_assert_eq!(target.state, ThState::Done);
-                let final_st = target.final_st;
+                debug_assert_eq!(self.roster.state(t), Some(ThState::Done));
+                let final_st = self.threads.get(&t).expect("join target exists").final_st;
                 let joined = self.outputs.get(&t).cloned();
                 if let Some(fst) = final_st {
                     self.add_dependent(fst, stid);
@@ -1538,18 +1479,13 @@ impl Inner {
                 // a recorded event — it mutates schedule state, so replay
                 // must reproduce it in order.
                 self.enforcer.consume_turn(holder);
-                let reason = self.ledger.structural(holder, gprs_core::recording::EVT_ARRIVE);
+                let (arrival, reason) =
+                    self.roster.arrive(&mut self.enforcer, &mut self.ledger, holder, b);
                 self.poison_on(reason);
-                let rec = self.threads.get_mut(&holder).expect("holder");
-                rec.state = ThState::Parked(b);
-                rec.registered = false;
-                self.enforcer
-                    .deregister_thread(holder)
-                    .expect("was registered");
-                let bar = self.barriers.get_mut(&b).expect("registered barrier");
-                bar.waiting.push(holder);
-                let forming_gen = bar.gen + 1;
-                let full = bar.waiting.len() as u32 == bar.participants;
+                let Some(Arrival { gen: forming_gen, full }) = arrival else {
+                    self.bump();
+                    return None;
+                };
                 let cross = self
                     .shard
                     .as_ref()
@@ -1601,15 +1537,11 @@ impl Inner {
                 // Exit: consumes the turn but opens no sub-thread (recorded
                 // like the barrier arrival above).
                 self.enforcer.consume_turn(holder);
-                let reason = self.ledger.structural(holder, gprs_core::recording::EVT_EXIT);
+                let reason = self.roster.exit(&mut self.enforcer, &mut self.ledger, holder);
                 self.poison_on(reason);
-                let rec = self.threads.get_mut(&holder).expect("holder");
-                rec.state = ThState::Done;
-                rec.registered = false;
-                rec.final_st = prev_st;
-                self.enforcer
-                    .deregister_thread(holder)
-                    .expect("was registered");
+                if let Some(rec) = self.threads.get_mut(&holder) {
+                    rec.final_st = prev_st;
+                }
                 // Same retired-`prev` guard as the barrier arrival above: a
                 // retired sub-thread can no longer be squashed, so its
                 // exit record would leak to the end of the run.
@@ -1617,7 +1549,6 @@ impl Inner {
                     self.wal_append(worker, prev, RtOp::ThreadExit { thread: holder });
                 }
                 self.outputs.insert(holder, value);
-                self.live -= 1;
                 self.bump();
                 None
             }
@@ -1628,23 +1559,16 @@ impl Inner {
     /// each one's arrival-ending sub-thread still in flight learns the
     /// generation its arrival fed (the continuations' taint source).
     pub(crate) fn release_barrier(&mut self, b: BarrierId) {
-        let bar = self.barriers.get_mut(&b).expect("registered barrier");
-        bar.gen += 1;
-        let gen = bar.gen;
-        let mut waiters = std::mem::take(&mut bar.waiting);
-        waiters.sort_unstable();
-        for w in waiters {
-            let rec = self.threads.get_mut(&w).expect("waiter exists");
-            if let Some(ender) = rec.current_st.and_then(|a| self.rol.rec_mut(a)) {
+        // A thread has its record exactly while it is on the roster.
+        let (threads, rol) = (&mut self.threads, &mut self.rol);
+        let reason = self.roster.release(&mut self.enforcer, b, |w, gen| {
+            let Some(rec) = threads.get_mut(&w) else { return };
+            if let Some(ender) = rec.current_st.and_then(|a| rol.rec_mut(a)) {
                 ender.released = Some((b, gen));
             }
-            rec.state = ThState::Active;
             rec.pending = Some(PendingWant::Resume(b, gen));
-            rec.registered = true;
-            self.enforcer
-                .register_thread(w, rec.group, rec.weight)
-                .expect("was deregistered");
-        }
+        });
+        self.poison_on(reason);
         self.stats.barrier_releases += 1;
     }
 
@@ -1964,7 +1888,7 @@ pub(crate) fn decide<const SOLO: bool>(
         // at one of the final grants must still be recovered (squashing can
         // resurrect exited threads), not dropped by an early finish with
         // its excepted entry's staged output uncommitted.
-        if inner.live == 0 && inner.running.is_empty() {
+        if inner.roster.live() == 0 && inner.running.is_empty() {
             // Nothing is in flight, so no sibling deposit can race the
             // out-edge close below.
             inner.shard_finish_domain();
@@ -1979,7 +1903,7 @@ pub(crate) fn decide<const SOLO: bool>(
             wait_here!();
         }
         let Some(holder) = inner.enforcer.holder() else {
-            if inner.running.is_empty() && inner.live > 0 {
+            if inner.running.is_empty() && inner.roster.live() > 0 {
                 if inner.shard_parked_on_edge() {
                     // The release comes from the hub. Only when every peer
                     // pool already finished can no further arrival ever be
@@ -1999,7 +1923,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     }
                     wait_here!();
                 }
-                let exhausted = inner.ledger.replay_exhausted(inner.live);
+                let exhausted = inner.ledger.replay_exhausted(inner.roster.live());
                 inner.poison(exhausted.unwrap_or_else(|| {
                     "deadlock: live threads remain but none is runnable \
                      (barrier participants mismatch?)"
@@ -2009,55 +1933,27 @@ pub(crate) fn decide<const SOLO: bool>(
             }
             wait_here!();
         };
-        if let Some(msg) = inner.replay_holder_gate(holder) {
+        if let Some(msg) = inner.roster.check_holder(holder, &inner.ledger) {
             inner.poison(msg);
             continue;
         }
-        if inner.shard.is_some() {
-            // Domain fence: a step touching a resource the plan mapped
-            // elsewhere (or out-of-scope dynamic topology) must fail loudly
-            // *before* polling — a foreign lock or channel has no local
-            // record, so the poll would silently wait or pass forever.
-            let gate_msg = inner
-                .threads
-                .get(&holder)
-                .and_then(|rec| rec.pending.as_ref())
-                .and_then(|want| match want {
-                    PendingWant::Op(step) => inner.shard_gate(holder, step),
-                    _ => None,
-                });
-            if let Some(msg) = gate_msg {
-                inner.poison(msg);
-                continue;
-            }
-        }
-        let Some(rec) = inner.threads.get(&holder) else {
-            // A token holder with no thread record can only come from a
-            // divergent replay tape (or corrupted schedule state): degrade
-            // to a named poison instead of dying on a missing-entry panic.
-            inner.poison(format!(
-                "token holder thread {} has no record (divergent replay or \
-                 corrupted schedule state)",
-                holder.raw()
-            ));
-            continue;
-        };
-        if rec.state == ThState::Done {
-            // Stale registration (should not happen; exits deregister).
-            if inner.enforcer.deregister_thread(holder).is_err() {
-                inner.poison(format!(
-                    "token holder thread {} is done but was never registered \
-                     (divergent replay or corrupted schedule state)",
-                    holder.raw()
-                ));
-            }
-            continue;
-        }
-        let Some(want) = rec.pending.as_ref() else {
+        let Some(want) = inner.threads.get(&holder).and_then(|rec| rec.pending.as_ref()) else {
             // The holder's step is still running: the token waits, and the
             // holder's own deposit will reach this point fast-path.
             wait_here!();
         };
+        // Domain fence: a step touching a resource the plan mapped
+        // elsewhere (or out-of-scope dynamic topology) must fail loudly
+        // *before* polling — a foreign lock or channel has no local
+        // record, so the poll would silently wait or pass forever.
+        let fenced = match want {
+            PendingWant::Op(step) if inner.shard.is_some() => inner.shard_gate(holder, step),
+            _ => None,
+        };
+        if let Some(msg) = fenced {
+            inner.poison(msg);
+            continue;
+        }
         match inner.poll_or_wait(holder, want) {
             Some(false) => {
                 // Wasted turn (empty FIFO / unfinished join).
@@ -2292,7 +2188,7 @@ mod tests {
             assert_eq!(g.wal.len(), 0, "pool={pool}");
             let h = &g.hist;
             assert!(h.thread_snaps.is_empty() && h.lock_snaps.is_empty() && h.block_snaps.is_empty());
-            assert!(g.barriers.values().all(|b| b.waiting.is_empty()));
+            assert!(g.roster.barriers().values().all(|b| b.waiting.is_empty()));
         }
     }
 

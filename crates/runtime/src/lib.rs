@@ -83,6 +83,7 @@ use gprs_core::exception::ExceptionKind;
 use gprs_core::ledger::RunLedger;
 use gprs_core::order::ScheduleKind;
 use gprs_core::persist::{DurableImage, PersistBackend};
+use gprs_core::roster::Roster;
 use gprs_telemetry::TelemetryConfig;
 use std::sync::Arc;
 
@@ -491,7 +492,7 @@ impl GprsBuilder {
             chans,
             locks,
             atomics,
-            barriers,
+            roster: Roster::new(barriers),
             files,
             chaos: self.chaos,
             ..Inner::new(self.cfg, ledger)
@@ -672,7 +673,7 @@ impl Controller {
             return true;
         }
         let g = self.shared.inner.lock();
-        g.live == 0 && g.running.is_empty()
+        g.roster.live() == 0 && g.running.is_empty()
     }
 }
 

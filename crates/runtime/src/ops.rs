@@ -35,8 +35,8 @@ pub(crate) enum RtOp {
     LockAcquire { lock: LockId },
     /// Lock released (undo: mark held by `holder` again).
     LockRelease { lock: LockId, holder: SubThreadId },
-    /// Thread arrived at a barrier (undo: remove it from the waiting list
-    /// if the barrier has not released).
+    /// Thread arrived at a barrier (undo: none here — the thread's restart
+    /// or un-spawn takes it off the waiting list).
     BarrierArrive { barrier: BarrierId, thread: ThreadId },
     /// A child thread was created (undo: deregister the child and hand its
     /// program back to the reinstated spawn request).

@@ -7,12 +7,13 @@
 //! ([`crate::GprsBuilder`]) and the CPR baseline ([`crate::cpr::CprBuilder`])
 //! alike. Each builder turns the registry into its engine's state at build.
 
-use crate::engine::{BarrierRec, ChanRec, FileRec, LockRec};
+use crate::engine::{ChanRec, FileRec, LockRec};
 use crate::handles::{
     AtomicHandle, BarrierHandle, ChannelHandle, FileHandle, MutexHandle, RawChannel, RawMutex,
 };
 use crate::program::{DynThread, ThreadProgram};
 use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
+use gprs_core::roster::Barrier;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -25,7 +26,7 @@ pub struct Registry {
     pub(crate) locks: BTreeMap<LockId, LockRec>,
     pub(crate) chans: BTreeMap<ChannelId, ChanRec>,
     pub(crate) atomics: BTreeMap<AtomicId, u64>,
-    pub(crate) barriers: BTreeMap<BarrierId, BarrierRec>,
+    pub(crate) barriers: BTreeMap<BarrierId, Barrier>,
     pub(crate) files: BTreeMap<u64, FileRec>,
 }
 
@@ -79,14 +80,7 @@ impl Registry {
     /// Registers a barrier for `participants` threads.
     pub fn barrier(&mut self, participants: u32) -> BarrierHandle {
         let id = BarrierId::new(self.barriers.len() as u64);
-        self.barriers.insert(
-            id,
-            BarrierRec {
-                participants,
-                waiting: Vec::new(),
-                gen: 0,
-            },
-        );
+        self.barriers.insert(id, Barrier::new(participants));
         BarrierHandle(id, participants)
     }
 

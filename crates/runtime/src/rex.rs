@@ -12,9 +12,7 @@
 //! opened its oldest squashed sub-thread, so normal granting re-executes
 //! exactly the discarded work while every unaffected sub-thread continues.
 
-use crate::engine::{
-    recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec, ThState,
-};
+use crate::engine::{recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec};
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::RtOp;
 use crate::program::{DynThread, Step};
@@ -22,6 +20,7 @@ use gprs_core::deps::Provenance;
 use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
+use gprs_core::roster::ThState;
 use gprs_core::wal::WalRecord;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -172,18 +171,18 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
     );
 }
 
-/// A thread whose state a recovery found inconsistent, and how — what a
-/// divergent replay or a corrupted WAL or schedule leaves behind. The run
-/// is poisoned, never panicked with the state lock held.
-type Corrupt = (ThreadId, &'static str);
-
-fn poison_on(inner: &mut Inner, undone: Result<(), Corrupt>) {
-    if let Err((thread, why)) = undone {
-        inner.poison(format!(
-            "recovery: thread {} {why} (divergent replay or corrupted state)",
-            thread.raw()
-        ));
+/// Poisons the run with what a recovery found inconsistent — what a
+/// divergent replay or a corrupted WAL or schedule leaves behind — never
+/// panicking with the state lock held.
+fn poison_on(inner: &mut Inner, undone: Result<(), String>) {
+    if let Err(why) = undone {
+        inner.poison(format!("recovery: {why} (divergent replay or corrupted state)"));
     }
+}
+
+/// A thread's inconsistency, by name.
+fn corrupt(thread: ThreadId, why: &str) -> String {
+    format!("thread {} {why}", thread.raw())
 }
 
 /// Applies the inverse of one logged runtime operation.
@@ -191,7 +190,7 @@ fn undo_op(
     inner: &mut Inner,
     op: RtOp,
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
-) -> Result<(), Corrupt> {
+) -> Result<(), String> {
     match op {
         RtOp::Push { chan, item } => {
             // Remove that very item (pointer identity), searching from the
@@ -233,45 +232,35 @@ fn undo_op(
                 l.holder = Some(holder);
             }
         }
-        RtOp::BarrierArrive { barrier, thread } => {
-            // A deferred cross-domain publication leaves with the squashed
-            // ender's entry, so the hub never counts an arrival that
-            // un-happened (re-execution re-defers it).
-            if let Some(bar) = inner.barriers.get_mut(&barrier) {
-                bar.waiting.retain(|&t| t != thread);
-            }
+        RtOp::BarrierArrive { .. } => {
+            // The arriving thread's latest sub-thread is squashed with the
+            // arrival's ender, so its restart (or its un-spawn) takes it off
+            // the waiting list. A deferred cross-domain publication leaves
+            // with the squashed ender's entry, so the hub never counts an
+            // arrival that un-happened (re-execution re-defers it).
         }
         RtOp::SpawnChild { child } => {
             let mut crec = inner
                 .threads
                 .remove(&child)
-                .ok_or((child, "was un-spawned but never created"))?;
-            if crec.registered && inner.enforcer.deregister_thread(child).is_err() {
-                return Err((child, "was un-spawned registered, but the enforcer disagrees"));
-            }
-            if crec.state != ThState::Done {
-                inner.live -= 1;
+                .ok_or_else(|| corrupt(child, "was un-spawned but never created"))?;
+            if let Some(why) = inner.roster.remove(&mut inner.enforcer, child) {
+                return Err(why);
             }
             let program = crec
                 .program
                 .take()
-                .ok_or((child, "was un-spawned with no parked program"))?;
+                .ok_or_else(|| corrupt(child, "was un-spawned with no parked program"))?;
             reclaimed.insert(child, program);
         }
         RtOp::ThreadExit { thread } => {
             let rec = inner
                 .threads
                 .get_mut(&thread)
-                .ok_or((thread, "was un-exited but does not exist"))?;
-            rec.state = ThState::Active;
+                .ok_or_else(|| corrupt(thread, "was un-exited but does not exist"))?;
             rec.final_st = None;
             inner.outputs.remove(&thread);
-            inner.live += 1;
-            if !rec.registered {
-                rec.registered = true;
-                let registered = inner.enforcer.register_thread(thread, rec.group, rec.weight);
-                registered.map_err(|_| (thread, "was un-exited but could not re-register"))?;
-            }
+            inner.roster.revive(&mut inner.enforcer, thread)?;
         }
         RtOp::Alloc { block } => {
             inner.blocks.remove(&block);
@@ -291,7 +280,7 @@ fn apply_history_undo(
     squashed: impl Fn(&SubThreadId) -> bool,
     undos: &mut Vec<(u64, Undo)>,
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
-) -> Result<(), Corrupt> {
+) -> Result<(), String> {
     let hist = &mut inner.hist;
     let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
     undos.extend(threads.map(|(seq, _, t, snap)| (seq, Undo::Thread(t, snap))));
@@ -308,7 +297,8 @@ fn apply_history_undo(
                     // A checked-out program during recovery means the
                     // quiescence invariant broke.
                     let program = rec.program.as_mut();
-                    let p = program.ok_or((t, "had its program checked out during history undo"))?;
+                    let why = "had its program checked out during history undo";
+                    let p = program.ok_or_else(|| corrupt(t, why))?;
                     p.restore_from(snap.as_ref());
                     rec.spare_snap.get_or_insert(snap);
                 } else if let Some(program) = reclaimed.get_mut(&t) {
@@ -340,31 +330,16 @@ fn reinstate(
     opening: StRec,
     undone_gens: &[(BarrierId, u64)],
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
-) -> Result<(), Corrupt> {
+) -> Result<(), String> {
     let Some(rec) = inner.threads.get_mut(&thread) else {
         // The thread itself was un-spawned; its parent's reinstated spawn
         // request owns its program now.
         return Ok(());
     };
     rec.current_st = opening.prev;
-    // Normalize registration: squashing may have left the thread parked or
-    // deregistered.
-    if let ThState::Parked(b) = rec.state {
-        // It re-executes from before (or at) the arrival; un-park.
-        if let Some(bar) = inner.barriers.get_mut(&b) {
-            bar.waiting.retain(|&t| t != thread);
-        }
-        rec.state = ThState::Active;
-    }
-    if rec.state == ThState::Done {
-        rec.state = ThState::Active;
-        inner.live += 1;
+    // It re-executes from before (or at) its arrival or exit.
+    if inner.roster.revive(&mut inner.enforcer, thread)? == ThState::Done {
         inner.outputs.remove(&thread);
-    }
-    if !rec.registered {
-        rec.registered = true;
-        let registered = inner.enforcer.register_thread(thread, rec.group, rec.weight);
-        registered.map_err(|_| (thread, "was reinstated but could not re-register"))?;
     }
 
     rec.pending = match opening.want {
@@ -380,9 +355,8 @@ fn reinstate(
             group,
             weight,
         } => {
-            let program = reclaimed
-                .remove(&child)
-                .ok_or((thread, "was reinstated without its un-spawned child's program"))?;
+            let why = "was reinstated without its un-spawned child's program";
+            let program = reclaimed.remove(&child).ok_or_else(|| corrupt(thread, why))?;
             Some(PendingWant::Respawn {
                 child,
                 group,
@@ -393,16 +367,9 @@ fn reinstate(
         OpeningWant::Resume(b, gen) if undone_gens.contains(&(b, gen)) => {
             // The release itself was undone: re-park and wait for the
             // squashed arrivals to re-arrive.
-            rec.state = ThState::Parked(b);
-            rec.registered = false;
-            let deregistered = inner.enforcer.deregister_thread(thread);
-            deregistered.map_err(|_| (thread, "was re-parked but could not deregister"))?;
-            let bar = inner
-                .barriers
-                .get_mut(&b)
-                .ok_or((thread, "was re-parked on a barrier that does not exist"))?;
-            bar.waiting.push(thread);
-            bar.waiting.sort_unstable();
+            if let Some(why) = inner.roster.repark(&mut inner.enforcer, thread, b) {
+                return Err(why);
+            }
             None
         }
         // Only the continuation was squashed; the release stands.

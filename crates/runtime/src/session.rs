@@ -220,14 +220,14 @@ impl GprsSession {
             replayed: g.ledger.replay_pos().map(|pos| pos as u64),
             schedule_digest,
             retired_digest,
-            live_threads: g.live as u64,
+            live_threads: g.roster.live() as u64,
             threads: g
                 .threads
                 .iter()
                 .map(|(tid, rec)| {
                     (
                         tid.raw(),
-                        format!("{:?}", rec.state),
+                        g.roster.state(*tid).map_or_else(String::new, |s| format!("{s:?}")),
                         rec.pending.as_ref().map(|p| format!("{p:?}")),
                         rec.current_st.map(|s| s.raw()),
                     )

@@ -38,9 +38,10 @@ use gprs_core::ids::{BarrierId, ChannelId, ResourceId, ThreadId};
 use gprs_core::ledger::{Poison, RunLedger};
 use gprs_core::order::EdgeQueue;
 use gprs_core::rol::RolEntry;
+use gprs_core::roster::Roster;
 use gprs_core::workload::{SimOp, Workload};
 
-use crate::engine::{BarrierRec, ChanRec, FileRec, Inner, OpeningWant, Shared, SharedRef, StRec};
+use crate::engine::{ChanRec, FileRec, Inner, OpeningWant, Shared, SharedRef, StRec};
 use crate::program::Payload;
 use crate::report::{RunError, RunReport, RunStats, ShardSummary};
 use parking_lot::Mutex;
@@ -601,10 +602,7 @@ pub(crate) fn assemble(
                 }
             }
         }
-        let participants = base
-            .barriers
-            .get(&b)
-            .map_or(0, |bar| bar.participants);
+        let participants = base.roster.barriers().get(&b).map_or(0, |bar| bar.participants);
         hub.add_barrier(b, participants);
     }
     let hub = Arc::new(hub);
@@ -617,15 +615,18 @@ pub(crate) fn assemble(
         let ledger = RunLedger::new(&cfg.telemetry, cfg.workers, 0, false);
         let mut inner = Inner::new(cfg, ledger);
         inner.next_thread = base.next_thread;
+        // Barriers keep their *global* participant counts (the base engine
+        // never ran, so none has released or has a waiter); local releases
+        // for cross-domain barriers come from the hub, never from a local
+        // `waiting == participants` (which cannot fire across domains).
+        inner.roster = Roster::new(base.roster.barriers().clone());
         for &tid in &dom.threads {
             let rec = base.threads.remove(&tid).expect("thread set validated");
-            inner
-                .enforcer
-                .register_thread(tid, rec.group, rec.weight)
-                .expect("unique thread ids");
+            let (group, weight) = base.roster.group(tid).unwrap_or_default();
+            let reason = inner.roster.add(&mut inner.enforcer, tid, group, weight);
+            inner.poison_on(reason);
             inner.threads.insert(tid, rec);
         }
-        inner.live = inner.threads.len();
         // Atomics replicate by value: RMW atomics and written plain cells
         // are domain-private by the interference proof; read-only plain
         // cells are safely duplicated.
@@ -634,19 +635,6 @@ pub(crate) fn assemble(
         // their local replica until retirement forwards them.
         for &chan in base.chans.keys() {
             inner.chans.entry(chan).or_default();
-        }
-        // Barriers keep their *global* participant counts; local releases
-        // for cross-domain barriers come from the hub, never from a local
-        // `waiting == participants` (which cannot fire across domains).
-        for (&b, bar) in &base.barriers {
-            inner.barriers.insert(
-                b,
-                BarrierRec {
-                    participants: bar.participants,
-                    waiting: Vec::new(),
-                    gen: 0,
-                },
-            );
         }
         // Files replicate by name; the merged report concatenates committed
         // bytes in domain order.

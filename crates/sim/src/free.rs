@@ -123,7 +123,7 @@ enum Phase {
 const CKPT_EVENT: usize = usize::MAX;
 
 #[derive(Debug)]
-struct ThState {
+struct FreeThread {
     seg_ix: usize,
     phase: Phase,
 }
@@ -156,7 +156,7 @@ pub fn run_free(workload: &Workload, config: &FreeRunConfig) -> SimResult {
 struct Free<'a> {
     w: &'a Workload,
     cfg: &'a FreeRunConfig,
-    threads: Vec<ThState>,
+    threads: Vec<FreeThread>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, ChanState>,
@@ -449,7 +449,7 @@ impl<'a> Free<'a> {
 
     fn run(mut self) -> SimResult {
         for _ in &self.w.threads {
-            self.threads.push(ThState {
+            self.threads.push(FreeThread {
                 seg_ix: 0,
                 phase: Phase::Running,
             });

@@ -29,18 +29,18 @@ use crate::costs::MechCosts;
 use crate::result::SimResult;
 use crate::workload::{SimOp, Workload};
 use gprs_core::deps::Provenance;
-use gprs_core::error::GprsError;
 use gprs_core::exception::{Exception, ExceptionInjector, InjectorConfig};
 use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
 use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
 use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
-use gprs_core::recording::{DriveMode, Recording, RecordingHeader, EVT_ARRIVE, EVT_EXIT};
+use gprs_core::recording::{DriveMode, Recording, RecordingHeader};
 pub use gprs_core::recovery::RecoveryPolicy;
 use gprs_core::recovery::Recovery;
 use gprs_core::retire::{self, Retirement};
 use gprs_core::rol::ReorderList;
+use gprs_core::roster::{Arrival, Barrier, Roster};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
 use std::collections::{HashMap, VecDeque};
@@ -275,20 +275,16 @@ impl Rewind {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GThread {
     started: bool,
     /// Index of the segment whose closing op is the next pending request.
     op_ix: usize,
     /// Time the thread arrives at that sync point (current body end).
     request_at: u64,
-    /// Set while waiting inside a barrier (thread deregistered from the
-    /// token rotation).
-    in_barrier: bool,
     /// Pending barrier continuation: the next grant opens the continuation
     /// sub-thread instead of consuming an op.
     resume_barrier: bool,
-    done: bool,
     current_st: Option<SubThreadId>,
 }
 
@@ -337,6 +333,9 @@ struct Gprs<'a> {
     w: &'a Workload,
     cfg: &'a GprsSimConfig,
     enforcer: OrderEnforcer,
+    /// Each thread's place in the token rotation and the barrier table
+    /// (see [`gprs_core::roster`]).
+    roster: Roster,
     threads: Vec<GThread>,
     ctxs: Vec<u64>,
     /// Sim thread index -> its in-window (granted, not yet retired or
@@ -360,17 +359,11 @@ struct Gprs<'a> {
     forced: Vec<(usize, Rewind)>,
     locks: HashMap<LockId, u64>,
     chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
-    barrier_waiting: HashMap<BarrierId, Vec<usize>>,
-    barrier_participants: HashMap<BarrierId, u32>,
-    /// Number of releases each barrier has performed; decremented when a
-    /// rewind undoes a release.
-    barrier_gen: HashMap<BarrierId, u64>,
     injector: Option<ExceptionInjector>,
     /// Ahead-of-run static analysis report, carried into the result.
     analysis: Option<gprs_analyze::AnalysisReport>,
     latency: u64,
     token_time: u64,
-    live: usize,
     finish: u64,
     res: SimResult,
     /// Everything that watches the order this engine produces — the same
@@ -416,21 +409,20 @@ impl<'a> Gprs<'a> {
             rep.trace_verdict(ledger.telemetry(), ledger.racecheck());
         }
         let mut enforcer = ledger.enforcer(cfg.schedule);
-        let mut threads = Vec::with_capacity(w.threads.len());
+        let barriers = w.barrier_participants().into_iter();
+        let mut roster = Roster::new(barriers.map(|(b, n)| (b, Barrier::new(n))).collect());
+        let mut unlisted = None;
         for t in &w.threads {
-            enforcer
-                .register_thread(t.thread, t.group, t.weight)
-                .expect("dense unique thread ids");
-            threads.push(GThread {
-                started: false,
-                op_ix: 0,
-                request_at: 0,
-                in_barrier: false,
-                resume_barrier: false,
-                done: false,
-                current_st: None,
-            });
+            let reason = roster.add(&mut enforcer, t.thread, t.group, t.weight);
+            unlisted = unlisted.or(reason);
         }
+        let thread = GThread {
+            started: false,
+            op_ix: 0,
+            request_at: 0,
+            resume_barrier: false,
+            current_st: None,
+        };
         let injector = cfg.exceptions.clone().map(ExceptionInjector::new);
         let latency = cfg
             .exceptions
@@ -439,12 +431,13 @@ impl<'a> Gprs<'a> {
             .unwrap_or(0);
         let mut res = SimResult::new(w.name.clone(), scheme);
         // A refused or unopenable run never starts: `run` seals it as is.
-        res.replay_divergence = refused.or(epoch);
+        res.replay_divergence = refused.or(epoch).or(unlisted);
         Gprs {
             w,
             cfg,
             enforcer,
-            threads,
+            roster,
+            threads: vec![thread; w.threads.len()],
             ctxs: vec![0; cfg.contexts.max(1) as usize],
             by_thread: vec![VecDeque::new(); w.threads.len()],
             rol: ReorderList::default(),
@@ -456,14 +449,10 @@ impl<'a> Gprs<'a> {
             forced: Vec::new(),
             locks: HashMap::new(),
             chans: HashMap::new(),
-            barrier_waiting: HashMap::new(),
-            barrier_participants: w.barrier_participants().into_iter().collect(),
-            barrier_gen: HashMap::new(),
             injector,
             analysis,
             latency,
             token_time: 0,
-            live: w.threads.len(),
             finish: 0,
             res,
             ledger,
@@ -715,7 +704,7 @@ impl<'a> Gprs<'a> {
                 for (a, s) in segs.iter().enumerate().take(to).skip(tgt.op_ix()) {
                     let SimOp::Barrier { barrier } = s.op else { continue };
                     let first = arrival_gen(self.w, th, a, barrier);
-                    let released = self.barrier_gen.get(&barrier).copied().unwrap_or(0);
+                    let released = self.roster.barriers().get(&barrier).map_or(0, |bar| bar.gen);
                     for g in first..released {
                         let Err(at) = undone.binary_search(&(barrier, g)) else {
                             continue;
@@ -749,14 +738,15 @@ impl<'a> Gprs<'a> {
     /// of the reorder list, undoes its channel effects and barrier releases
     /// and rewinds the victimized threads. An error names the sub-thread
     /// that left the reorder list (or its thread's window) mid-walk, or the
-    /// thread the enforcer refused to re-register.
+    /// thread the roster could not bring back into the rotation.
     fn recover(
         &mut self,
         rex: &mut Recovery<SimRec>,
         culprit: SubThreadId,
         report: u64,
-    ) -> Result<(), GprsError> {
-        let scope = rex.plan(&self.rol, &self.ledger, self.cfg.recovery)?;
+    ) -> Result<(), String> {
+        let scope = rex.plan(&self.rol, &self.ledger, self.cfg.recovery);
+        let scope = scope.map_err(|e| e.to_string())?;
         self.plan_recovery(&mut scope.ids);
         let culprit_th = self.rec(culprit).body.thread;
         // The entries leave the reorder list entirely, youngest first —
@@ -764,7 +754,8 @@ impl<'a> Gprs<'a> {
         // total order. Undo each one's channel effects: a squashed pop
         // returns the item to the channel front, a squashed push withdraws
         // its item.
-        rex.squash_out(&mut self.rol, &mut self.ledger, |r| r.body.ctx)?;
+        let squashed = rex.squash_out(&mut self.rol, &mut self.ledger, |r| r.body.ctx);
+        squashed.map_err(|e| e.to_string())?;
         for (_, sid, SimRec { body, popped, .. }) in rex.removed() {
             self.res.redo_cycles += report.min(body.end).saturating_sub(body.start);
             if let Some((chan, producer)) = *popped {
@@ -782,29 +773,19 @@ impl<'a> Gprs<'a> {
                 }
             }
             let window = &mut self.by_thread[body.thread];
-            let at = window.binary_search(sid).map_err(|_| GprsError::UnknownSubThread(*sid))?;
+            let at = window.binary_search(sid).map_err(|_| format!("unknown sub-thread {sid}"))?;
             window.remove(at);
         }
         // Retract undone barrier releases; every participant was forced
         // back to its own arrival, so the barrier re-synchronizes.
         for &(b, g) in &self.undone {
-            let e = self.barrier_gen.entry(b).or_insert(g);
-            if g < *e {
-                *e = g;
-            }
+            self.roster.unrelease(b, g);
         }
         // Rewind the victimized threads in thread order (the order they
         // re-register in): they re-request at the report time plus the
         // restore wait (the culprit's thread additionally pays the REX
         // pause + state-reinstatement cost, once).
         for &(th, tgt) in &self.targets {
-            let was_waiting = self.threads[th].in_barrier;
-            let was_done = self.threads[th].done;
-            if was_waiting {
-                for q in self.barrier_waiting.values_mut() {
-                    q.retain(|&x| x != th);
-                }
-            }
             let restore = self.cfg.costs.restore_wait
                 + if th == culprit_th {
                     self.cfg.costs.gprs_restore
@@ -813,21 +794,14 @@ impl<'a> Gprs<'a> {
                 };
             let t = &mut self.threads[th];
             t.current_st = None;
-            t.in_barrier = false;
-            t.done = false;
             t.started &= tgt != Rewind::Initial;
             t.op_ix = tgt.op_ix();
             t.resume_barrier = matches!(tgt, Rewind::Resume(..));
             t.request_at = report + restore;
             self.res.redo_cycles += restore;
-            if was_done {
-                self.live += 1;
-            }
-            let spec = &self.w.threads[th];
-            if was_waiting || was_done {
-                self.enforcer.register_thread(spec.thread, spec.group, spec.weight)?;
-            }
-            self.ledger.restarted(spec.thread);
+            let thread = self.w.threads[th].thread;
+            self.roster.revive(&mut self.enforcer, thread)?;
+            self.ledger.restarted(thread);
         }
         Ok(())
     }
@@ -911,7 +885,7 @@ impl<'a> Gprs<'a> {
     /// op. Returns `false` on a DNC (time cap or ill-formed deadlock), with
     /// `res.finish_cycles` already set.
     fn token_loop(&mut self, poll_cost: u64) -> bool {
-        while self.live > 0 {
+        while self.roster.live() > 0 {
             if self.res.replay_divergence.is_some() {
                 // A verification hook flagged a divergence mid-grant; stop
                 // before the live run drifts further from the tape.
@@ -919,7 +893,7 @@ impl<'a> Gprs<'a> {
                 return false;
             }
             let Some(holder) = self.enforcer.holder() else {
-                if let Some(msg) = self.ledger.replay_exhausted(self.live) {
+                if let Some(msg) = self.ledger.replay_exhausted(self.roster.live()) {
                     self.replay_abort(msg);
                     return false;
                 }
@@ -928,29 +902,11 @@ impl<'a> Gprs<'a> {
                 self.res.finish_cycles = self.cfg.time_cap_cycles;
                 return false;
             };
-            let th = holder.raw() as usize;
-            if th >= self.threads.len() {
-                self.replay_abort(format!(
-                    "replay divergence: recorded thread {} does not exist in \
-                     workload {:?} ({} threads)",
-                    holder.raw(),
-                    self.w.name,
-                    self.threads.len()
-                ));
+            if let Some(msg) = self.roster.check_holder(holder, &self.ledger) {
+                self.replay_abort(msg);
                 return false;
             }
-            if self.threads[th].done {
-                if self.enforcer.deregister_thread(holder).is_err() {
-                    self.replay_abort(format!(
-                        "replay divergence: token holder thread {} is done \
-                         and already deregistered (tampered tape or corrupted \
-                         schedule state)",
-                        holder.raw()
-                    ));
-                    return false;
-                }
-                continue;
-            }
+            let th = holder.raw() as usize;
             let req = self.threads[th].request_at;
             let now = self.token_time.max(req);
             if now > self.cfg.time_cap_cycles {
@@ -1018,7 +974,6 @@ impl<'a> Gprs<'a> {
             let stid = self.enforcer.try_grant(holder).expect("holder");
             self.res.ordering_wait_cycles += now - req;
             self.token_time = now;
-            
             self.complete_current(th);
 
             match op {
@@ -1055,38 +1010,25 @@ impl<'a> Gprs<'a> {
                     // Structural turn-consuming event: recorded/verified
                     // like a grant, with the `EVT_ARRIVE` tag (no
                     // sub-thread opens here in either engine).
-                    let reason = self.ledger.structural(holder, EVT_ARRIVE);
-                    self.fail_on(reason);
                     self.threads[th].op_ix = op_ix + 1;
-                    self.threads[th].in_barrier = true;
-                    self.enforcer.deregister_thread(holder).expect("registered");
-                    let waiting = self.barrier_waiting.entry(barrier).or_default();
-                    waiting.push(th);
-                    let needed = self.barrier_participants[&barrier] as usize;
-                    if waiting.len() == needed {
-                        let mut batch =
-                            std::mem::take(self.barrier_waiting.get_mut(&barrier).unwrap());
-                        batch.sort_unstable();
-                        *self.barrier_gen.entry(barrier).or_insert(0) += 1;
-                        for wth in batch {
-                            let spec = &self.w.threads[wth];
-                            self.enforcer
-                                .register_thread(spec.thread, spec.group, spec.weight)
-                                .expect("was deregistered");
-                            let t = &mut self.threads[wth];
-                            t.in_barrier = false;
-                            t.resume_barrier = true;
-                            t.request_at = now;
-                        }
+                    let (arrival, reason) =
+                        self.roster.arrive(&mut self.enforcer, &mut self.ledger, holder, barrier);
+                    self.fail_on(reason);
+                    if let Some(Arrival { full: true, .. }) = arrival {
+                        let threads = &mut self.threads;
+                        let reason = self.roster.release(&mut self.enforcer, barrier, |w, _| {
+                            if let Some(t) = threads.get_mut(w.raw() as usize) {
+                                t.resume_barrier = true;
+                                t.request_at = now;
+                            }
+                        });
+                        self.fail_on(reason);
                     }
                 }
                 SimOp::End => {
-                    let reason = self.ledger.structural(holder, EVT_EXIT);
+                    let reason = self.roster.exit(&mut self.enforcer, &mut self.ledger, holder);
                     self.fail_on(reason);
-                    self.threads[th].done = true;
-                    self.live -= 1;
                     self.finish = self.finish.max(now);
-                    self.enforcer.deregister_thread(holder).expect("registered");
                 }
             }
         }
@@ -1120,7 +1062,7 @@ impl<'a> Gprs<'a> {
                     self.res.finish_cycles = self.cfg.time_cap_cycles;
                     return self.finish_result();
                 }
-                if self.live > 0 {
+                if self.roster.live() > 0 {
                     break;
                 }
                 let new_finish = self
@@ -1131,7 +1073,7 @@ impl<'a> Gprs<'a> {
                 }
                 finish = new_finish;
             }
-            if self.live > 0 {
+            if self.roster.live() > 0 {
                 continue;
             }
             self.res.completed = true;

@@ -14,7 +14,9 @@
 //! spawns the next test's thread beside it.
 
 use gprs_bench::injector;
+use gprs_core::ids::{BarrierId, ThreadId};
 use gprs_core::ledger::RunLedger;
+use gprs_core::workload::{Segment, SimOp, ThreadSpec, Workload};
 use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::prelude::*;
 use gprs_serve::{build_job, JobSpec};
@@ -319,6 +321,86 @@ fn the_grant_retire_cycle_stays_within_its_allocation_budget() {
         extra * 2 <= subthreads * 3,
         "{subthreads} more push/pop sub-threads cost {extra} more allocations (budget 1.5 each)"
     );
+}
+
+/// Waits `rounds` times at one barrier, then exits.
+struct Waiter {
+    barrier: BarrierHandle,
+    rounds: u32,
+    done: u32,
+}
+
+impl Checkpoint for Waiter {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.done
+    }
+    fn restore(&mut self, s: &u32) {
+        self.done = *s;
+    }
+}
+
+impl ThreadProgram for Waiter {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+        if self.done == self.rounds {
+            return Step::exit_unit();
+        }
+        self.done += 1;
+        self.barrier.wait()
+    }
+}
+
+/// [`THREADS`] threads meeting at one barrier `rounds` times. One worker:
+/// with two, how many continuations are in flight at once is timing, and
+/// each new high-water mark grows a kept buffer once.
+fn barrier_generations(rounds: u32) -> Cost {
+    measure(|b| {
+        *b = std::mem::take(b).workers(1);
+        let barrier = b.barrier(THREADS as u32);
+        for _ in 0..THREADS {
+            b.thread(Waiter { barrier, rounds, done: 0 }, GroupId::new(0), 1);
+        }
+    })
+}
+
+/// The same meetings on the simulator: each thread's trace is `rounds`
+/// arrivals at one barrier and its end. Returns the allocations running it
+/// made (the trace is built before counting) and the sub-threads it ran.
+fn sim_barrier_generations(rounds: u32) -> (u64, u64) {
+    let b = BarrierId::new(0);
+    let threads = (0..THREADS as u32).map(|t| {
+        let mut segments = vec![Segment::new(100, SimOp::Barrier { barrier: b }); rounds as usize];
+        segments.push(Segment::new(100, SimOp::End));
+        ThreadSpec::new(ThreadId::new(t), GroupId::new(0), 1, segments)
+    });
+    let w = Workload::new("barrier", threads.collect());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let r = run_gprs(&w, &GprsSimConfig::balance_aware(4));
+    assert!(r.completed);
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, r.subthreads)
+}
+
+/// A barrier generation — every participant's arrival, the release, and
+/// each one's continuation — allocates nothing on either engine: the
+/// roster releases the barrier in place, keeping its waiting list for the
+/// next generation's arrivals, and the balance-aware schedule reuses the
+/// member list of the group the last arrival emptied when the release
+/// re-creates it.
+#[test]
+fn a_barrier_generation_allocates_nothing() {
+    const N: u32 = 500;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Warm the process once (lazy statics, thread-local set-up).
+    let _ = barrier_generations(N);
+    let (extra, subthreads, _) = marginal(barrier_generations, N);
+    assert_eq!(subthreads, u64::from(N) * THREADS as u64);
+    assert_eq!(extra, 0, "{N} more barrier generations cost {extra} more allocations");
+
+    let fewest = |rounds| (0..3).map(|_| sim_barrier_generations(rounds)).min().expect("runs");
+    let ((a1, s1), (a2, s2)) = (fewest(N), fewest(2 * N));
+    assert_eq!(s2 - s1, u64::from(N) * THREADS as u64);
+    let extra = a2.saturating_sub(a1);
+    assert_eq!(extra, 0, "{N} more simulated generations cost {extra} more allocations");
 }
 
 /// The chains on the CPR baseline, with no checkpoint ever due: the

@@ -14,7 +14,7 @@ use gprs_chaos::programs::register_gprs;
 use gprs_core::chaos::{ChaosEvent, ChaosPlan, VictimSelector};
 use gprs_core::exception::{ExceptionKind, InjectorConfig};
 use gprs_core::persist::unique_temp_dir;
-use gprs_core::recording::{DriveMode, RecordedOutcome, Recording, RecordingError};
+use gprs_core::recording::{DriveMode, RecordedOutcome, Recording, RecordingError, EVT_EXIT};
 use gprs_runtime::prelude::*;
 use gprs_runtime::report::RunReport;
 use gprs_sim::costs::CYCLES_PER_SEC;
@@ -370,6 +370,65 @@ fn sim_replay_failures_are_named() {
     assert!(!r.completed);
     let msg = r.replay_divergence.expect("combination must be refused by name");
     assert!(msg.contains("cannot record and replay"), "unexpected: {msg}");
+}
+
+/// Names a thread that already exited at an event after its exit: the
+/// tampered recording and the divergence every driver must report there.
+fn tamper_after_exit(rec: &mut Recording) -> String {
+    let (exit, exited) = rec
+        .events
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.kind == EVT_EXIT)
+        .map(|(at, e)| (at, e.thread))
+        .expect("some thread exits");
+    let later = (exit + 1..rec.events.len())
+        .find(|&at| rec.events[at].thread != exited)
+        .expect("another thread acts after the first exit");
+    rec.events[later].thread = exited;
+    format!(
+        "replay divergence at event {later}: recorded thread {exited} is Done in the live run \
+         (recording expects it active)"
+    )
+}
+
+/// A tape that hands the token to a thread that already exited ends every
+/// driver — the pool, the session and the simulator — in the roster's one
+/// holder check, with the same named divergence.
+#[test]
+fn a_token_handed_to_an_exited_thread_is_one_named_divergence_on_every_driver() {
+    let dir = unique_temp_dir("replay-exited");
+
+    let path = dir.join("pool.gprs");
+    record_pooled("chain", None, &path);
+    let mut rec = Recording::load(&path).expect("recording loads");
+    let named = tamper_after_exit(&mut rec);
+    let err = replay_pooled("chain", Arc::new(rec)).expect_err("the pool must poison");
+    assert_eq!(err.to_string(), format!("runtime poisoned: {named}"));
+
+    let path = dir.join("session.gprs");
+    let mut b = GprsBuilder::new().workers(4);
+    register_gprs("chain", &mut b);
+    let mut session = b.record(&path).record_meta("chain", 0).build().into_session();
+    while session.run_quantum(8) == QuantumOutcome::Yielded {}
+    session.finish().expect("session run completes");
+    let mut rec = Recording::load(&path).expect("recording loads");
+    let named = tamper_after_exit(&mut rec);
+    let mut b = GprsBuilder::new().workers(4);
+    register_gprs("chain", &mut b);
+    let mut session = b.replay(Arc::new(rec)).build().into_session();
+    while session.run_quantum(8) == QuantumOutcome::Yielded {}
+    let err = session.finish().expect_err("the session must poison");
+    assert_eq!(err.to_string(), format!("runtime poisoned: {named}"));
+
+    let w = build("histogram", &TraceParams::paper().scaled(0.01));
+    let path = dir.join("sim.gprs");
+    run_gprs(&w, &GprsSimConfig::balance_aware(8).with_record(&path, 1));
+    let mut rec = Recording::load(&path).expect("recording loads");
+    let named = tamper_after_exit(&mut rec);
+    let r = run_gprs(&w, &GprsSimConfig::balance_aware(8).with_replay(Arc::new(rec)));
+    assert!(!r.completed);
+    assert_eq!(r.replay_divergence, Some(named));
 }
 
 /// The serving layer's post-mortem artifact (tentpole wiring): a fresh
