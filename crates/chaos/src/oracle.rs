@@ -7,8 +7,8 @@
 //!
 //! * **Precision** — the retired-order hash and retirement count converge
 //!   to the fault-free run's (all older effects visible in order, no
-//!   younger effect observable), and committed file contents are
-//!   bit-identical.
+//!   younger effect observable), and committed file contents and the
+//!   atomic cells' final values (their digest) are bit-identical.
 //! * **WAL balance** — every runtime-WAL append is eventually either
 //!   undone by recovery or pruned at retirement:
 //!   `wal_appends == wal_undos + wal_prunes`.
@@ -20,8 +20,9 @@
 //!   rolls the machine back or is ignored for lack of a snapshot:
 //!   `rollbacks + exceptions_ignored == exceptions`.
 //! * **CPR values** — a rollback restores a state the program passed
-//!   through, so the baseline commits the fault-free run's file bytes and
-//!   every thread exits with the fault-free `u64` value.
+//!   through, so the baseline commits the fault-free run's file bytes,
+//!   ends with its cell values and every thread exits with the fault-free
+//!   `u64` value.
 
 use crate::guaranteed_exceptions;
 use gprs_core::chaos::ChaosPlan;
@@ -94,6 +95,7 @@ pub fn check_runtime(
             "committed file contents differ from the fault-free run".to_string(),
         );
     }
+    cells(&mut v, leg, seed, injected.cells_digest, clean.cells_digest);
     let (appends, undos, prunes) = (
         t.counter("wal_appends"),
         t.counter("wal_undos"),
@@ -183,6 +185,7 @@ pub fn check_sharded(
             "committed file contents differ from the sharded fault-free twin".to_string(),
         );
     }
+    cells(&mut v, leg, seed, injected.cells_digest, clean_sharded.cells_digest);
     if injected.shards.len() != clean_sharded.shards.len() {
         violation(
             &mut v,
@@ -321,7 +324,16 @@ pub fn check_cpr(
             "committed file contents differ from the fault-free run".to_string(),
         );
     }
+    cells(&mut v, leg, seed, injected.cells_digest, clean.cells_digest);
     v
+}
+
+/// The cells' final values must be the fault-free twin's.
+fn cells(out: &mut Vec<Violation>, leg: &str, seed: u64, injected: u64, clean: u64) {
+    if injected != clean {
+        let what = format!("cell digest diverged: {injected:#018x} != clean {clean:#018x}");
+        violation(out, leg, seed, what);
+    }
 }
 
 /// Checks an injected simulator run against its fault-free twin. The

@@ -6,7 +6,8 @@
 //! grant/retire traffic (`chain`), nested locks under the per-lock condvar
 //! shards (`nested`), mutex-protected critical sections (`histogram`), a
 //! channel pipeline with output-commit-delayed files (`pbzip`), private
-//! plain stores (`beacon`) and barrier phases whose squashed arrivals undo
+//! plain stores (`beacon`), private plain stores of values computed from a
+//! plain load (`tally`) and barrier phases whose squashed arrivals undo
 //! releases (`barrier`).
 
 use gprs_core::history::Checkpoint;
@@ -25,7 +26,7 @@ use gprs_workloads::programs::{
 /// Programs the runtime campaign legs run, on the GPRS runtime and on the
 /// CPR baseline alike.
 pub const RUNTIME_PROGRAMS: &[&str] =
-    &["chain", "nested", "histogram", "pbzip", "beacon", "barrier"];
+    &["chain", "nested", "histogram", "pbzip", "beacon", "barrier", "tally"];
 
 /// Programs the sharded-runtime differential legs run: every workload with
 /// a multi-domain shard plan (beacon partitions per worker; the pipelines
@@ -70,6 +71,45 @@ impl ThreadProgram for Chain {
             return Step::exit(u64::from(self.done));
         }
         self.done += 1;
+        self.atomic.fetch_add(1)
+    }
+}
+
+/// Read-modify-write of a private cell by plain accesses, one per round
+/// between fetch-adds: each store depends on what the load saw, so a
+/// squashed round whose store is not undone re-executes on its own result
+/// and leaves a final cell value the fault-free run never has.
+pub struct Tally {
+    cell: AtomicHandle,
+    atomic: AtomicHandle,
+    rounds: u32,
+    done: u32,
+}
+
+impl std::fmt::Debug for Tally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Tally({}/{})", self.done, self.rounds)
+    }
+}
+
+impl Checkpoint for Tally {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.done
+    }
+    fn restore(&mut self, s: &u32) {
+        self.done = *s;
+    }
+}
+
+impl ThreadProgram for Tally {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if self.done == self.rounds {
+            return Step::exit(u64::from(self.done));
+        }
+        self.done += 1;
+        let v = ctx.plain_load(&self.cell);
+        ctx.plain_store(&self.cell, v.wrapping_mul(31).wrapping_add(u64::from(self.done)));
         self.atomic.fetch_add(1)
     }
 }
@@ -250,6 +290,12 @@ pub fn register_gprs(name: &str, b: &mut Registry) {
             for _ in 0..2 {
                 let atomic = b.atomic(0);
                 b.thread(Chain { atomic, rounds: 12, done: 0 }, GroupId::new(3), 1);
+            }
+        }
+        "tally" => {
+            for _ in 0..4 {
+                let (cell, atomic) = (b.atomic(1), b.atomic(0));
+                b.thread(Tally { cell, atomic, rounds: 24, done: 0 }, GroupId::new(0), 1);
             }
         }
         other => panic!("unknown chaos program {other:?}"),

@@ -87,6 +87,7 @@ pub mod persist;
 pub mod racecheck;
 pub mod recording;
 pub mod recovery;
+pub mod resources;
 pub mod retire;
 pub mod roster;
 pub mod rol;

@@ -720,3 +720,259 @@ fn rol_lookup_finds_entries_when_every_guessed_slot_misses() {
     assert!(!rol.contains(SubThreadId::new(20)));
     assert_eq!(rol.get(SubThreadId::new(22)).map(|e| e.rec), Some(22));
 }
+
+// ---------------------------------------------------------------------------
+// Resource table
+// ---------------------------------------------------------------------------
+
+use gprs_core::resources::{Got, Inverse, Op, Poll, ResourceError, Resources};
+use std::collections::VecDeque;
+
+type Table = Resources<u64, u64>;
+/// One applied op: the table and model before it, and its inverses in the
+/// order they were made.
+type Applied = (Table, TableModel, Vec<Inverse<u64, u64>>);
+
+/// The table as plain maps: each lock's holder and data, each channel's
+/// items with their pushers, the cells, the blocks and the next block id,
+/// and the exit values.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TableModel {
+    locks: BTreeMap<u64, (Option<u64>, Option<u64>)>,
+    chans: BTreeMap<u64, VecDeque<(u64, Option<u64>)>>,
+    cells: BTreeMap<u64, u64>,
+    blocks: BTreeMap<u64, Vec<u8>>,
+    next_block: u64,
+    exits: BTreeMap<u32, u64>,
+}
+
+impl TableModel {
+    /// What `table` holds for the ids `like` registered, read through its
+    /// public face on a copy.
+    fn of(table: &Table, like: &TableModel) -> TableModel {
+        let mut t = table.clone();
+        let holders: BTreeMap<u64, Option<u64>> =
+            table.holders().map(|(l, h)| (l.raw(), h.map(|s| s.raw()))).collect();
+        let locks = like.locks.keys().map(|&l| {
+            let data = match t.apply(None, Op::Acquire(LockId::new(l))) {
+                Ok((Got::Data(_, d), _)) => Some(d),
+                _ => None,
+            };
+            (l, (holders[&l], data))
+        });
+        let locks = locks.collect();
+        let chans = like.chans.keys().map(|&c| {
+            let mut items = VecDeque::new();
+            while let Ok((Got::Item(v, by), _)) = t.apply(None, Op::Pop(ChannelId::new(c))) {
+                items.push_back((v, by.map(|s| s.raw())));
+            }
+            (c, items)
+        });
+        let chans = chans.collect();
+        let cells = like.cells.keys().map(|&a| (a, table.load(AtomicId::new(a)).unwrap()));
+        let Ok((Got::Block(next_block), _)) = t.apply(None, Op::Alloc(0)) else {
+            panic!("an allocation hands out its block")
+        };
+        let blocks = (0..next_block).filter_map(|b| Some((b, table.block(b).ok()?.to_vec())));
+        let exits = (0..4).filter_map(|t| Some((t, *table.exit(ThreadId::new(t))?)));
+        TableModel {
+            locks,
+            chans,
+            cells: cells.collect(),
+            blocks: blocks.collect(),
+            next_block,
+            exits: exits.collect(),
+        }
+    }
+
+    /// The grant rule: an empty channel passes, a held lock waits.
+    fn poll(&self, r: ResourceId) -> std::result::Result<Poll, ResourceError> {
+        match r {
+            ResourceId::Channel(c) => match self.chans.get(&c.raw()) {
+                Some(q) if q.is_empty() => Ok(Poll::Pass),
+                Some(_) => Ok(Poll::Grant),
+                None => Err(ResourceError::Unknown(r)),
+            },
+            ResourceId::Lock(l) => match self.locks.get(&l.raw()) {
+                Some((None, Some(_))) => Ok(Poll::Grant),
+                Some(_) => Ok(Poll::Wait),
+                None => Err(ResourceError::Unknown(r)),
+            },
+            _ => Ok(Poll::Grant),
+        }
+    }
+}
+
+proptest! {
+    /// The resource table against a plain model: after every register,
+    /// acquire (nested: a step may hold several), release, push, pop,
+    /// fetch-add, plain store, alloc, free, write and exit, the table reads
+    /// back as the model, and its poll answers the model's rule. Then a
+    /// random newest suffix of the inverse records, undone newest first,
+    /// leaves the table equal to itself and to the model before that
+    /// suffix. An unknown id, an empty pop and a double free are named
+    /// errors that change nothing.
+    #[test]
+    fn resource_table_undoes_a_newest_suffix_back_to_the_model(
+        steps in vec((0u8..12, 0u64..5, any::<u64>()), 1..160),
+        cut in any::<usize>(),
+    ) {
+        let mut table = Table::default();
+        let mut model = TableModel::default();
+        let mut log: Vec<Applied> = Vec::new();
+        // The log's length after the newest registration, which no inverse
+        // takes back.
+        let mut floor = 0;
+        // Lock -> the data the "step" checked out.
+        let mut held: BTreeMap<u64, u64> = BTreeMap::new();
+        for (i, (kind, id, x)) in steps.into_iter().enumerate() {
+            let by = Some(SubThreadId::new(i as u64));
+            let before = (table.clone(), model.clone());
+            let mut inverses = Vec::new();
+            let (l, c, a) = (LockId::new(id), ChannelId::new(id), AtomicId::new(id));
+            match kind {
+                0 => {
+                    model.locks.insert(table.lock(x).raw(), (None, Some(x)));
+                    model.chans.insert(table.channel().raw(), VecDeque::new());
+                    model.cells.insert(table.cell(x).raw(), x);
+                    floor = log.len();
+                    continue;
+                }
+                1 => {
+                    let poll = model.poll(ResourceId::Lock(l));
+                    prop_assert_eq!(table.poll(ResourceId::Lock(l)), poll.clone());
+                    match table.apply(by, Op::Acquire(l)) {
+                        Ok((Got::Data(got, d), inverse)) => {
+                            prop_assert_eq!((got, poll), (l, Ok(Poll::Grant)));
+                            prop_assert_eq!(model.locks[&id].1, Some(d));
+                            model.locks.insert(id, (by.map(|s| s.raw()), None));
+                            held.insert(id, d);
+                            inverses.extend([Inverse::Relock(l, d), inverse]);
+                        }
+                        Ok(other) => prop_assert!(false, "an acquire handed out {:?}", other.0),
+                        Err(e) => {
+                            let want = if poll.is_err() { ResourceError::Unknown(ResourceId::Lock(l)) } else { ResourceError::Busy(l) };
+                            prop_assert_eq!(e, want);
+                        }
+                    }
+                }
+                2 => {
+                    // Return a held lock with new data; with none held, a
+                    // release of a free (or unknown) lock is refused.
+                    let lock = held.keys().nth(id as usize % held.len().max(1)).copied();
+                    let lock = lock.map_or(l, LockId::new);
+                    match table.apply(None, Op::Release(lock, x)) {
+                        Ok((_, inverse)) => {
+                            held.remove(&lock.raw());
+                            model.locks.insert(lock.raw(), (None, Some(x)));
+                            inverses.push(inverse);
+                        }
+                        Err(e) => prop_assert!(
+                            matches!(e, ResourceError::NotHeld(_) | ResourceError::Unknown(_)),
+                            "{}", e
+                        ),
+                    }
+                }
+                3 => match table.apply(by, Op::Push(c, x)) {
+                    Ok((_, inverse)) => {
+                        model.chans.get_mut(&id).unwrap().push_back((x, by.map(|s| s.raw())));
+                        inverses.push(inverse);
+                    }
+                    Err(e) => prop_assert_eq!(e, ResourceError::Unknown(ResourceId::Channel(c))),
+                },
+                4 => {
+                    let poll = model.poll(ResourceId::Channel(c));
+                    prop_assert_eq!(table.poll(ResourceId::Channel(c)), poll.clone());
+                    match table.apply(by, Op::Pop(c)) {
+                        Ok((Got::Item(v, from), inverse)) => {
+                            prop_assert_eq!(&poll, &Ok(Poll::Grant));
+                            let front = model.chans.get_mut(&id).unwrap().pop_front();
+                            prop_assert_eq!(front, Some((v, from.map(|s| s.raw()))));
+                            inverses.push(inverse);
+                        }
+                        Ok(other) => prop_assert!(false, "a pop handed out {:?}", other.0),
+                        Err(e) => {
+                            let want = match poll {
+                                Ok(_) => ResourceError::EmptyPop(c),
+                                Err(_) => ResourceError::Unknown(ResourceId::Channel(c)),
+                            };
+                            prop_assert_eq!(e, want);
+                        }
+                    }
+                }
+                5 | 6 => {
+                    let op = if kind == 5 { Op::FetchAdd(a, x) } else { Op::Store(a, x) };
+                    match (table.apply(by, op), model.cells.get_mut(&id)) {
+                        (Ok((got, inverse)), Some(cell)) => {
+                            prop_assert_eq!(got, Got::Old(*cell));
+                            *cell = if kind == 5 { cell.wrapping_add(x) } else { x };
+                            inverses.push(inverse);
+                        }
+                        (Err(e), None) => prop_assert_eq!(e, ResourceError::Unknown(ResourceId::Atomic(a))),
+                        (got, cell) => prop_assert!(false, "{:?} against {:?}", got.map(|g| g.0), cell),
+                    }
+                }
+                7 => {
+                    let (got, inverse) = table.apply(by, Op::Alloc(x as usize % 9)).unwrap();
+                    prop_assert_eq!(got, Got::Block(model.next_block));
+                    model.blocks.insert(model.next_block, vec![0; x as usize % 9]);
+                    model.next_block += 1;
+                    inverses.push(inverse);
+                }
+                8 => {
+                    let b = x % (model.next_block + 1);
+                    match table.apply(by, Op::Free(b)) {
+                        Ok((_, inverse)) => {
+                            prop_assert!(model.blocks.remove(&b).is_some());
+                            inverses.push(inverse);
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(e, ResourceError::DoubleFree(b));
+                            prop_assert!(!model.blocks.contains_key(&b));
+                        }
+                    }
+                }
+                9 => {
+                    let b = x % (model.next_block + 1);
+                    match table.write(b) {
+                        Ok((data, inverse)) => {
+                            data.push(x as u8);
+                            model.blocks.get_mut(&b).unwrap().push(x as u8);
+                            inverses.push(inverse);
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(e.clone(), ResourceError::NoBlock(b));
+                            prop_assert_eq!(table.block(b), Err(e));
+                        }
+                    }
+                }
+                10 => {
+                    // A thread exits once.
+                    let t = (id % 4) as u32;
+                    if model.exits.contains_key(&t) {
+                        continue;
+                    }
+                    let (_, inverse) = table.apply(None, Op::Exit(ThreadId::new(t), x)).unwrap();
+                    model.exits.insert(t, x);
+                    inverses.push(inverse);
+                }
+                _ => {
+                    prop_assert_eq!(table.load(a).ok(), model.cells.get(&id).copied());
+                }
+            }
+            if !inverses.is_empty() {
+                log.push((before.0, before.1, inverses));
+            }
+            prop_assert_eq!(&TableModel::of(&table, &model), &model);
+        }
+        let k = cut % (log.len() - floor + 1);
+        let mut undone = log.split_off(log.len() - k);
+        while let Some((then, then_model, inverses)) = undone.pop() {
+            for inverse in inverses.into_iter().rev() {
+                prop_assert_eq!(table.undo(inverse), Ok(()));
+            }
+            prop_assert!(table == then, "the table after undo differs from before the op");
+            prop_assert_eq!(&TableModel::of(&table, &then_model), &then_model);
+        }
+    }
+}

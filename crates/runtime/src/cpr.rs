@@ -11,8 +11,8 @@
 //!   a deterministic proxy for the paper's timer), granting stops, running
 //!   steps drain behind the global barrier, and the *entire* program state
 //!   — every thread's application-level checkpoint and pending request,
-//!   every lock's data, channels, atomics, barriers, allocator blocks — is
-//!   recorded.
+//!   the barriers and the resource table (locks, channels, cells,
+//!   allocator blocks, exit values) — is recorded.
 //! * **Global rollback** — every exception discards all work since the last
 //!   checkpoint and restores that snapshot; threads spawned after it vanish
 //!   (their spawn re-executes and re-creates them under the same ids), and
@@ -38,19 +38,21 @@
 use crate::ctx::{CtxBackend, StepInputs};
 use crate::engine::{run_step, PendingWant, StepOutcome, WaitQueues};
 use crate::handles::Recoverable;
+use crate::ops::{LockData, Res};
 use crate::program::{DynThread, Payload, Step};
 use crate::registry::Registry;
 use crate::report::{RunError, RunStats};
 use gprs_core::chaos::{ChaosCursor, ChaosEvent, ChaosPlan};
 use gprs_core::exception::ExceptionScope;
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, LockId, SubThreadId, ThreadId};
+use gprs_core::ids::{BarrierId, LockId, ResourceId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
+use gprs_core::resources::{Got, Op, Poll, ResourceError};
 use gprs_core::roster::{Barrier, ThState};
 use gprs_telemetry::{
     RetiredOrderHash, ScheduleHash, Telemetry, TelemetryConfig, TelemetrySummary, TraceEvent,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -96,30 +98,21 @@ type ThreadSnap = (Box<dyn std::any::Any + Send>, Option<PendingWant>, ThState);
 struct CprSnapshot {
     threads: BTreeMap<ThreadId, ThreadSnap>,
     next_thread: u32,
-    chans: BTreeMap<ChannelId, VecDeque<Payload>>,
-    locks: BTreeMap<LockId, Box<dyn Recoverable>>,
-    atomics: BTreeMap<AtomicId, u64>,
+    res: Res,
     barriers: BTreeMap<BarrierId, Barrier>,
-    blocks: BTreeMap<u64, Vec<u8>>,
-    next_block: u64,
-    outputs: BTreeMap<ThreadId, Payload>,
     live: usize,
 }
 
 pub(crate) struct CprInner {
     threads: BTreeMap<ThreadId, CprThread>,
     next_thread: u32,
-    chans: BTreeMap<ChannelId, VecDeque<Payload>>,
-    /// Each lock's data; `None` while checked out to a running step.
-    locks: BTreeMap<LockId, Option<Box<dyn Recoverable>>>,
-    atomics: BTreeMap<AtomicId, u64>,
+    /// Locks, channels, cells, blocks and exit values (see
+    /// [`gprs_core::resources`]); a checkpoint clones it whole.
+    pub(crate) res: Res,
     barriers: BTreeMap<BarrierId, Barrier>,
     /// Each file's name, committed bytes and bytes staged since the last
     /// checkpoint.
     files: BTreeMap<u64, (String, Vec<u8>, Vec<u8>)>,
-    blocks: BTreeMap<u64, Vec<u8>>,
-    next_block: u64,
-    outputs: BTreeMap<ThreadId, Payload>,
     live: usize,
     running: usize,
     grants_since_ckpt: u64,
@@ -127,7 +120,7 @@ pub(crate) struct CprInner {
     ckpt_requested: bool,
     rollback_requested: u64,
     snapshot: Option<CprSnapshot>,
-    stats: RunStats,
+    pub(crate) stats: RunStats,
     checkpoints: u64,
     rollbacks: u64,
     telemetry: Telemetry,
@@ -143,7 +136,7 @@ pub(crate) struct CprInner {
 
 /// Shared state of a CPR run: the state lock and where its workers park.
 pub(crate) struct CprShared {
-    inner: Mutex<CprInner>,
+    pub(crate) inner: Mutex<CprInner>,
     waits: WaitQueues,
 }
 
@@ -152,71 +145,22 @@ impl CprShared {
     /// its shard, and one seeker (a `Lock` want may be grantable now).
     pub(crate) fn release_lock(&self, lock: LockId, data: Box<dyn Recoverable>) {
         let mut g = self.inner.lock();
-        *g.locks.get_mut(&lock).expect("registered lock") = Some(data);
+        g.release(lock, data);
         self.waits.wake_lock_shard(lock, &g.telemetry);
         self.waits.wake_one_seeker(&g.telemetry);
     }
 
-    /// A nested acquire: parks on the lock's shard until it is returned.
+    /// A nested acquire: parks on the lock's shard until it is returned. A
+    /// refusal panics the step, which poisons the run by name.
     pub(crate) fn acquire_nested(&self, lock: LockId) -> Box<dyn Recoverable> {
-        let mut g = self.inner.lock();
-        let mut woke = false;
-        loop {
-            assert!(
-                g.poisoned.is_none(),
-                "CPR executor poisoned while waiting for a nested lock"
-            );
-            if let Some(d) = g.locks.get_mut(&lock).expect("registered lock").take() {
-                return d;
-            }
-            if woke && g.telemetry.enabled() {
-                g.telemetry.metrics.wakeups_spurious.inc();
-            }
-            self.waits.park_on_lock(lock, &mut g);
-            woke = true;
-        }
-    }
-
-    pub(crate) fn alloc(&self, size: usize) -> u64 {
-        let mut g = self.inner.lock();
-        let id = g.next_block;
-        g.next_block += 1;
-        g.blocks.insert(id, vec![0; size]);
-        g.stats.allocs += 1;
-        id
-    }
-
-    pub(crate) fn free(&self, block: u64) {
-        let mut g = self.inner.lock();
-        g.blocks.remove(&block).expect("double free of pool block");
-    }
-
-    pub(crate) fn with_block<R>(&self, block: u64, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        let mut g = self.inner.lock();
-        f(g.blocks.get_mut(&block).expect("block freed"))
-    }
-
-    pub(crate) fn read_block<R>(&self, block: u64, f: impl FnOnce(&[u8]) -> R) -> R {
-        let g = self.inner.lock();
-        f(g.blocks.get(&block).expect("block freed"))
-    }
-
-    /// Plain (unsynchronized) load of a shared atomic cell. The CPR
-    /// baseline rolls back *all* state at once, so plain accesses need no
-    /// special recovery handling (and no race detection — global rollback
-    /// does not depend on data-race freedom).
-    pub(crate) fn plain_load(&self, atomic: AtomicId) -> u64 {
-        *self.inner.lock().atomics.get(&atomic).expect("registered atomic")
-    }
-
-    /// Plain (unsynchronized) store; see [`Self::plain_load`]. The cell is
-    /// part of the coordinated snapshot, so rollback restores it.
-    pub(crate) fn plain_store(&self, atomic: AtomicId, value: u64) {
-        self.inner
-            .lock()
-            .atomics
-            .insert(atomic, value)
-            .expect("registered atomic");
+        let take = |g: &mut CprInner| {
+            assert!(g.poisoned.is_none(), "CPR executor poisoned while waiting for a nested lock");
+            let free = g.res.poll(ResourceId::Lock(lock)).unwrap_or_else(|e| panic!("{e}"));
+            let acquired = (free == Poll::Grant).then(|| g.res.apply(None, Op::Acquire(lock)));
+            let got = acquired.transpose().unwrap_or_else(|e| panic!("{e}"));
+            got.and_then(|(got, _)| StepInputs::from(got).lock_out).map(|(_, data)| data)
+        };
+        self.waits.acquire_nested(lock, &mut self.inner.lock(), take, |g| &g.telemetry)
     }
 }
 
@@ -291,7 +235,7 @@ impl CprBuilder {
 
     /// Finalizes the executor: the registered program becomes its state.
     pub fn build(self) -> CprRuntime {
-        let Registry { threads, locks, chans, atomics, barriers, files } = self.reg;
+        let Registry { threads, res, barriers, files } = self.reg;
         let inner = CprInner {
             next_thread: threads.len() as u32,
             live: threads.len(),
@@ -299,17 +243,12 @@ impl CprBuilder {
                 .zip(threads)
                 .map(|(t, (program, _, _))| (ThreadId::new(t), CprThread::new(program)))
                 .collect(),
-            chans: chans.into_keys().map(|c| (c, VecDeque::new())).collect(),
-            locks: locks.into_iter().map(|(l, r)| (l, r.data)).collect(),
-            atomics,
+            res,
             barriers,
             files: files
                 .into_iter()
                 .map(|(id, f)| (id, (f.name, f.committed, Vec::new())))
                 .collect(),
-            blocks: BTreeMap::new(),
-            next_block: 0,
-            outputs: BTreeMap::new(),
             running: 0,
             grants_since_ckpt: 0,
             ckpt_every: self.ckpt_every,
@@ -359,6 +298,9 @@ pub struct CprReport {
     pub outputs: BTreeMap<ThreadId, Payload>,
     /// Committed file contents.
     pub files: BTreeMap<u64, (String, Vec<u8>)>,
+    /// The exact digest of the atomic cells' final values, in id order
+    /// (see [`gprs_core::resources::Resources::cell_digest`]).
+    pub cells_digest: u64,
     /// End-of-run telemetry (CPR counters/events; the determinism hashes
     /// stay empty — the baseline is timing-dependent by design).
     pub telemetry: TelemetrySummary,
@@ -459,7 +401,8 @@ impl CprRuntime {
             stats: g.stats,
             checkpoints: g.checkpoints,
             rollbacks: g.rollbacks,
-            outputs: std::mem::take(&mut g.outputs),
+            outputs: g.res.take_exits(),
+            cells_digest: g.res.cell_digest(),
             files,
             telemetry,
         })
@@ -467,27 +410,62 @@ impl CprRuntime {
 }
 
 impl CprInner {
-    fn grantable(&self, want: &PendingWant) -> bool {
-        match want {
-            PendingWant::Op(Step::Pop(c)) => self.chans.get(&c.id()).is_some_and(|q| !q.is_empty()),
-            PendingWant::Op(Step::Lock(m)) => self.locks.get(&m.id()).is_some_and(Option::is_some),
-            PendingWant::Op(Step::Join(j)) => {
-                self.threads.get(j).is_some_and(|r| r.state == ThState::Done)
+    /// Whether `want` can be granted now: the table answers for a pop or a
+    /// lock; a join waits for its thread's exit and a serialized section
+    /// for quiescence.
+    fn poll(&self, want: &PendingWant) -> Result<Poll, ResourceError> {
+        Ok(match want {
+            PendingWant::Op(Step::Pop(c)) => self.res.poll(ResourceId::Channel(c.id()))?,
+            PendingWant::Op(Step::Lock(m)) => self.res.poll(ResourceId::Lock(m.id()))?,
+            PendingWant::Op(Step::Join(j))
+                if self.threads.get(j).is_none_or(|r| r.state != ThState::Done) =>
+            {
+                Poll::Pass
             }
-            PendingWant::Op(Step::Serialized) => self.running == 0,
-            _ => true,
-        }
+            PendingWant::Op(Step::Serialized) if self.running > 0 => Poll::Wait,
+            _ => Poll::Grant,
+        })
     }
 
     /// The lowest active thread whose want can be granted now; while a
     /// checkpoint is requested, only spawns and exits drain.
-    fn next_grantable(&self) -> Option<ThreadId> {
+    fn next_grantable(&self) -> Result<Option<ThreadId>, ResourceError> {
         let drain = self.ckpt_requested;
-        let ready = |w: &PendingWant| (!drain || structural(w)) && self.grantable(w);
-        self.threads
-            .iter()
-            .find(|(_, t)| t.state == ThState::Active && t.pending.as_ref().is_some_and(ready))
-            .map(|(&tid, _)| tid)
+        for (&tid, t) in &self.threads {
+            let Some(want) = t.pending.as_ref().filter(|_| t.state == ThState::Active) else {
+                continue;
+            };
+            if (!drain || structural(want)) && self.poll(want)? == Poll::Grant {
+                return Ok(Some(tid));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Why nothing can be granted while no step runs and threads are live,
+    /// in the GPRS drivers' words: an active thread polls an empty channel
+    /// or an unfinished join, or every live thread waits at a barrier.
+    fn stuck(&self) -> &'static str {
+        let polls = |t: &CprThread| {
+            let want = t.pending.as_ref().filter(|_| t.state == ThState::Active);
+            want.is_some_and(|w| self.poll(w) == Ok(Poll::Pass))
+        };
+        if self.threads.values().any(polls) {
+            "deadlock: every runnable thread is polling (channel starvation or join cycle)"
+        } else {
+            "deadlock: live threads remain but none is runnable (barrier participants mismatch?)"
+        }
+    }
+
+    /// Returns checked-out lock data to the table.
+    fn release(&mut self, lock: LockId, data: Box<dyn Recoverable>) {
+        if let Err(e) = self.res.apply(None, Op::Release(lock, LockData(data))) {
+            self.poison(format!("CPR lock return: {e}"));
+        }
+    }
+
+    fn poison(&mut self, msg: String) {
+        self.poisoned.get_or_insert(msg);
     }
 
     /// Checkpoints require quiescence and no pending spawn/exit requests
@@ -505,17 +483,8 @@ impl CprInner {
         self.snapshot = Some(CprSnapshot {
             threads: threads.collect(),
             next_thread: self.next_thread,
-            chans: self.chans.clone(),
-            locks: self
-                .locks
-                .iter()
-                .map(|(&l, d)| (l, d.as_ref().expect("quiesced").clone_box()))
-                .collect(),
-            atomics: self.atomics.clone(),
+            res: self.res.clone(),
             barriers: self.barriers.clone(),
-            blocks: self.blocks.clone(),
-            next_block: self.next_block,
-            outputs: self.outputs.clone(),
             live: self.live,
         });
         // Checkpoints are the CPR output-commit points.
@@ -529,7 +498,7 @@ impl CprInner {
         if self.telemetry.enabled() {
             // Pool blocks are the only byte-sized state; the rest (programs,
             // queues, locks) is opaque boxes.
-            let bytes: u64 = self.blocks.values().map(|b| b.len() as u64).sum();
+            let bytes = self.res.block_bytes();
             self.telemetry.metrics.cpr_barriers.inc();
             self.telemetry.metrics.cpr_records.inc();
             self.telemetry.metrics.checkpoint_size.record(bytes);
@@ -591,15 +560,8 @@ impl CprInner {
             t.state = *state;
         }
         self.next_thread = snap.next_thread;
-        self.chans = snap.chans.clone();
-        for (&l, data) in &snap.locks {
-            self.locks.insert(l, Some(data.clone_box()));
-        }
-        self.atomics = snap.atomics.clone();
+        self.res = snap.res.clone();
         self.barriers = snap.barriers.clone();
-        self.blocks = snap.blocks.clone();
-        self.next_block = snap.next_block;
-        self.outputs = snap.outputs.clone();
         self.live = snap.live;
         for (_, _, staged) in self.files.values_mut() {
             staged.clear();
@@ -620,26 +582,16 @@ impl CprInner {
     fn grant(&mut self, tid: ThreadId) -> Option<(Box<dyn DynThread>, StepInputs)> {
         let t = self.threads.get_mut(&tid).expect("exists");
         let want = t.pending.take().expect("grantable implies pending");
-        let mut inputs = StepInputs::default();
-        match want {
-            PendingWant::Start | PendingWant::Op(Step::Serialized) => {}
-            PendingWant::Op(Step::Lock(m)) => {
-                let data = self.locks.get_mut(&m.id()).expect("registered").take();
-                inputs.lock_out = Some((m.id(), data.expect("free lock has data")));
-            }
-            PendingWant::Op(Step::Push(c, v)) => {
-                self.chans.get_mut(&c.id()).expect("registered").push_back(v);
-            }
-            PendingWant::Op(Step::Pop(c)) => {
-                inputs.popped = self.chans.get_mut(&c.id()).expect("registered").pop_front();
-            }
-            PendingWant::Op(Step::FetchAdd(a, d)) => {
-                let slot = self.atomics.get_mut(&a).expect("registered");
-                inputs.atomic_prev = Some(*slot);
-                *slot = slot.wrapping_add(d);
-            }
+        let mut spawned = None;
+        let op = match want {
+            PendingWant::Start | PendingWant::Op(Step::Serialized) => None,
+            PendingWant::Op(Step::Lock(m)) => Some(Op::Acquire(m.id())),
+            PendingWant::Op(Step::Push(c, v)) => Some(Op::Push(c.id(), v)),
+            PendingWant::Op(Step::Pop(c)) => Some(Op::Pop(c.id())),
+            PendingWant::Op(Step::FetchAdd(a, d)) => Some(Op::FetchAdd(a, d)),
             PendingWant::Op(Step::Join(j)) => {
-                inputs.joined = self.outputs.get(&j).cloned();
+                let joined = self.res.exit(j).cloned();
+                return self.run(tid, StepInputs { joined, ..StepInputs::default() });
             }
             PendingWant::Op(Step::Barrier(b)) => {
                 t.state = ThState::Parked(b);
@@ -660,16 +612,31 @@ impl CprInner {
                 self.threads.insert(child, CprThread::new(spec.program));
                 self.live += 1;
                 self.stats.spawns += 1;
-                inputs.spawned = Some(child);
+                spawned = Some(child);
+                None
             }
             PendingWant::Op(Step::Exit(v)) => {
                 t.state = ThState::Done;
-                self.outputs.insert(tid, v);
                 self.live -= 1;
+                self.apply(Op::Exit(tid, v));
                 return None;
             }
             _ => unreachable!("the baseline waits only on Start and Op"),
-        }
+        };
+        let got = op.map_or(Got::Nothing, |op| self.apply(op));
+        self.run(tid, StepInputs { spawned, ..StepInputs::from(got) })
+    }
+
+    /// Applies a granted op; a refusal (the poll granted it) poisons.
+    fn apply(&mut self, op: crate::ops::ResOp) -> crate::ops::ResGot {
+        self.res.apply(None, op).map(|(got, _)| got).unwrap_or_else(|e| {
+            self.poison(format!("CPR grant: {e}"));
+            Got::Nothing
+        })
+    }
+
+    /// Checks `tid`'s program out to run a step with `inputs`.
+    fn run(&mut self, tid: ThreadId, inputs: StepInputs) -> Option<(Box<dyn DynThread>, StepInputs)> {
         let program = self.threads.get_mut(&tid).expect("exists").program.take();
         self.running += 1;
         Some((program.expect("program parked"), inputs))
@@ -705,14 +672,12 @@ impl CprInner {
                 msg,
                 ..
             } => {
-                if self.poisoned.is_none() {
-                    self.poisoned = Some(format!("CPR step of {thread} panicked: {msg}"));
-                }
+                self.poison(format!("CPR step of {thread} panicked: {msg}"));
                 leftover_lock
             }
         };
         let (lock, data) = leftover_lock?;
-        *self.locks.get_mut(&lock).expect("registered") = Some(data);
+        self.release(lock, data);
         Some(lock)
     }
 }
@@ -773,9 +738,23 @@ fn decide(
             g.take_checkpoint();
             continue;
         }
-        let Some(tid) = g.next_grantable() else {
-            shared.waits.park_seeker(&mut g, None);
-            continue;
+        let tid = match g.next_grantable() {
+            Ok(Some(tid)) => tid,
+            Err(e) => {
+                g.poison(format!("CPR grant: {e}"));
+                continue;
+            }
+            // Nothing runs that could change the state: poison by name
+            // instead of parking where nothing is left to wake us.
+            Ok(None) if g.running == 0 => {
+                let stuck = g.stuck();
+                g.poison(stuck.into());
+                continue;
+            }
+            Ok(None) => {
+                shared.waits.park_seeker(&mut g, None);
+                continue;
+            }
         };
         // `None` is a structural grant (barrier arrival, exit): the state
         // changed, so scan again under the same acquisition.

@@ -13,9 +13,10 @@
 
 use crate::engine::SharedRef;
 use crate::handles::{AtomicHandle, FileHandle, MutexHandle, Recoverable};
-use crate::ops::RtOp;
+use crate::ops::{LockData, ResGot, ResOp};
 use crate::program::{payload_to, Payload};
 use gprs_core::ids::{LockId, SubThreadId, ThreadId};
+use gprs_core::resources::{Got, Op};
 
 /// Output staged during a step: `(file index, bytes)` pairs held until the
 /// sub-thread's output-commit point.
@@ -52,6 +53,27 @@ impl CtxBackend {
             CtxBackend::Cpr(shared) => shared.release_lock(lock, data),
         }
     }
+
+    /// Applies `op` for `stid`'s step on `worker` to the executor's table:
+    /// the GPRS runtime logs its inverse, a CPR checkpoint covers it. A
+    /// refusal (a double free) panics the step, which poisons the run by
+    /// name.
+    fn apply(&self, stid: SubThreadId, worker: usize, op: ResOp) -> ResGot {
+        let allocs = u64::from(matches!(op, Op::Alloc(_)));
+        let applied = match self {
+            CtxBackend::Gprs(shared) => {
+                let mut g = shared.inner.lock();
+                g.stats.allocs += allocs;
+                g.apply(worker, stid, op)
+            }
+            CtxBackend::Cpr(shared) => {
+                let mut g = shared.inner.lock();
+                g.stats.allocs += allocs;
+                g.res.apply(None, op).map(|(got, _)| got)
+            }
+        };
+        applied.unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 /// What the grant that opened a step delivers to it. The grant fills it,
@@ -68,6 +90,21 @@ pub(crate) struct StepInputs {
     pub spawned: Option<ThreadId>,
     /// The lock data a `Lock` checked out for the critical section.
     pub lock_out: LockCheckout,
+}
+
+/// What a table grant hands the step: the popped item, the checked-out
+/// lock data or the cell's old value.
+impl From<ResGot> for StepInputs {
+    fn from(got: ResGot) -> Self {
+        let mut inputs = StepInputs::default();
+        match got {
+            Got::Item(item, _) => inputs.popped = Some(item),
+            Got::Data(lock, LockData(data)) => inputs.lock_out = Some((lock, data)),
+            Got::Old(old) => inputs.atomic_prev = Some(old),
+            Got::Nothing | Got::Block(_) => {}
+        }
+        inputs
+    }
 }
 
 /// Execution context of one running sub-thread (or CPR step).
@@ -255,12 +292,11 @@ impl StepCtx<'_> {
     /// model the unsynchronized accesses that break selective restart's
     /// data-race-freedom assumption.
     pub fn plain_load(&self, handle: &AtomicHandle) -> u64 {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                shared.inner.lock().plain_load(self.stid, handle.id())
-            }
-            CtxBackend::Cpr(shared) => shared.plain_load(handle.id()),
-        }
+        let loaded = match &self.backend {
+            CtxBackend::Gprs(shared) => shared.inner.lock().plain_load(self.stid, handle.id()),
+            CtxBackend::Cpr(shared) => shared.inner.lock().res.load(handle.id()),
+        };
+        loaded.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes a shared atomic cell **without synchronization** — a *plain*
@@ -270,15 +306,12 @@ impl StepCtx<'_> {
     /// selective-restart closure, which is why a detected race escalates
     /// recovery to a basic restart.
     pub fn plain_store(&self, handle: &AtomicHandle, value: u64) {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                shared
-                    .inner
-                    .lock()
-                    .plain_store(self.worker, self.stid, handle.id(), value);
-            }
-            CtxBackend::Cpr(shared) => shared.plain_store(handle.id(), value),
-        }
+        let (a, worker) = (handle.id(), self.worker);
+        let stored = match &self.backend {
+            CtxBackend::Gprs(shared) => shared.inner.lock().plain_store(worker, self.stid, a, value),
+            CtxBackend::Cpr(shared) => shared.inner.lock().res.apply(None, Op::Store(a, value)).map(drop),
+        };
+        stored.unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Appends bytes to a recoverable output file. Under GPRS the write is
@@ -291,18 +324,10 @@ impl StepCtx<'_> {
 
     /// Allocates a zeroed block from the logged pool allocator.
     pub fn alloc(&self, size: usize) -> BlockHandle {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let mut g = shared.inner.lock();
-                let id = g.next_block;
-                g.next_block += 1;
-                g.wal_append(self.worker, self.stid, RtOp::Alloc { block: id });
-                g.blocks.insert(id, vec![0; size]);
-                g.stats.allocs += 1;
-                BlockHandle(id)
-            }
-            CtxBackend::Cpr(shared) => BlockHandle(shared.alloc(size)),
-        }
+        let Got::Block(b) = self.backend.apply(self.stid, self.worker, Op::Alloc(size)) else {
+            unreachable!("an allocation hands out its block")
+        };
+        BlockHandle(b)
     }
 
     /// Frees a pool block. Under GPRS the contents are preserved in the log
@@ -311,17 +336,7 @@ impl StepCtx<'_> {
     /// # Panics
     /// Panics on double free.
     pub fn free(&self, block: BlockHandle) {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let mut g = shared.inner.lock();
-                let data = g
-                    .blocks
-                    .remove(&block.0)
-                    .expect("double free of pool block");
-                g.wal_append(self.worker, self.stid, RtOp::Free { block: block.0, data });
-            }
-            CtxBackend::Cpr(shared) => shared.free(block.0),
-        }
+        self.backend.apply(self.stid, self.worker, Op::Free(block.0));
     }
 
     /// Mutates a pool block; under GPRS the prior contents are snapshotted
@@ -330,13 +345,11 @@ impl StepCtx<'_> {
     /// # Panics
     /// Panics if the block was freed.
     pub fn with_block<R>(&self, block: BlockHandle, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let mut g = shared.inner.lock();
-                f(g.block_for_write(self.stid, block.0).expect("block freed"))
-            }
-            CtxBackend::Cpr(shared) => shared.with_block(block.0, f),
-        }
+        let written = match &self.backend {
+            CtxBackend::Gprs(shared) => shared.inner.lock().block_for_write(self.stid, block.0).map(f),
+            CtxBackend::Cpr(shared) => shared.inner.lock().res.write(block.0).map(|(data, _)| f(data)),
+        };
+        written.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Reads a pool block.
@@ -344,12 +357,10 @@ impl StepCtx<'_> {
     /// # Panics
     /// Panics if the block was freed.
     pub fn read_block<R>(&self, block: BlockHandle, f: impl FnOnce(&[u8]) -> R) -> R {
-        match &self.backend {
-            CtxBackend::Gprs(shared) => {
-                let g = shared.inner.lock();
-                f(g.blocks.get(&block.0).expect("block freed"))
-            }
-            CtxBackend::Cpr(shared) => shared.read_block(block.0, f),
-        }
+        let read = match &self.backend {
+            CtxBackend::Gprs(shared) => shared.inner.lock().res.block(block.0).map(f),
+            CtxBackend::Cpr(shared) => shared.inner.lock().res.block(block.0).map(f),
+        };
+        read.unwrap_or_else(|e| panic!("{e}"))
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::ctx::{CtxBackend, StepCtx, StepInputs};
 use crate::handles::Recoverable;
-use crate::ops::RtOp;
+use crate::ops::{LockData, Res, ResGot, ResInverse, ResOp, RtOp};
 use crate::program::{DynThread, Payload, SpawnSpec, Step};
 use crate::report::RunStats;
 use gprs_core::chaos::{ChaosCursor, ChaosEvent, VictimSelector};
@@ -28,6 +28,7 @@ use gprs_core::order::{OrderEnforcer, OrderGate, ScheduleKind};
 use gprs_core::persist::PersistBackend;
 use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
+use gprs_core::resources::{Got, Inverse, Op, Poll, ResourceError};
 use gprs_core::retire::{self, Batch, Retirement};
 use gprs_core::roster::{Arrival, Barrier, Roster, ThState};
 use gprs_core::rol::ReorderList;
@@ -275,27 +276,6 @@ impl std::fmt::Debug for ThreadRec {
     }
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct ChanRec {
-    /// Queue of (item, producing sub-thread).
-    pub items: VecDeque<(Payload, Option<SubThreadId>)>,
-}
-
-pub(crate) struct LockRec {
-    pub holder: Option<SubThreadId>,
-    /// Protected data; `None` while checked out to a running step.
-    pub data: Option<Box<dyn Recoverable>>,
-}
-
-impl std::fmt::Debug for LockRec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LockRec")
-            .field("holder", &self.holder)
-            .field("checked_out", &self.data.is_none())
-            .finish()
-    }
-}
-
 /// A recoverable output file: what retirement committed. Writes not yet
 /// retired are staged in their sub-thread's [`StRec`].
 #[derive(Debug, Default)]
@@ -304,28 +284,57 @@ pub(crate) struct FileRec {
     pub committed: Vec<u8>,
 }
 
+/// State captured by a worker outside the engine lock, handed back through
+/// the worker's SPSC buffer and folded into [`Inner`] at the worker's next
+/// lock acquisition (its deposit). Entries only exist between a task's
+/// grant and its deposit, so at any quiescent point — in particular when
+/// recovery runs — every buffer is empty and the history store / WAL are
+/// complete.
+pub(crate) enum HandOff {
+    /// A thread checkpoint for the history buffer.
+    ThreadSnap(u64, SubThreadId, ThreadId, Box<dyn std::any::Any + Send>),
+    /// A critical section's lock data, as a table inverse.
+    Res(u64, SubThreadId, ResInverse),
+}
+
 /// Snapshot store — the runtime's history buffer. Data-bearing rather than
 /// closure-bearing so that recovery can apply snapshots against [`Inner`]
-/// while holding its lock.
+/// while holding its lock: thread checkpoints, and the table inverses of
+/// lock data checked out and of block writes. Thread checkpoints are noted
+/// at every grant, so they keep a vector of their own with small entries.
 #[derive(Default)]
 pub(crate) struct HistoryStore {
     pub seq: u64,
     pub thread_snaps: Vec<(u64, SubThreadId, ThreadId, Box<dyn std::any::Any + Send>)>,
-    pub lock_snaps: Vec<(u64, SubThreadId, LockId, Box<dyn Recoverable>)>,
-    pub block_snaps: Vec<(u64, SubThreadId, u64, Vec<u8>)>,
+    pub res_snaps: Vec<(u64, SubThreadId, ResInverse)>,
 }
 
 impl std::fmt::Debug for HistoryStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistoryStore")
             .field("thread_snaps", &self.thread_snaps.len())
-            .field("lock_snaps", &self.lock_snaps.len())
-            .field("block_snaps", &self.block_snaps.len())
+            .field("res_snaps", &self.res_snaps.len())
             .finish()
     }
 }
 
 impl HistoryStore {
+    /// Folds one hand-off in.
+    fn apply(&mut self, h: HandOff) {
+        match h {
+            HandOff::ThreadSnap(seq, stid, thread, snap) => {
+                self.thread_snaps.push((seq, stid, thread, snap))
+            }
+            HandOff::Res(seq, stid, inverse) => self.res_snaps.push((seq, stid, inverse)),
+        }
+    }
+
+    /// Notes `inverse` for `stid` under the next sequence number.
+    fn note(&mut self, stid: SubThreadId, inverse: ResInverse) {
+        self.seq += 1;
+        self.res_snaps.push((self.seq, stid, inverse));
+    }
+
     /// Drops every snapshot belonging to a retiring run of sub-threads —
     /// given as the id range of the ROL prefix being retired, see
     /// [`WriteAheadLog::prune_retired_batch`] — in one pass per store. A
@@ -344,8 +353,7 @@ impl HistoryStore {
                 rec.spare_snap = Some(snap);
             }
         }
-        self.lock_snaps.retain(|(_, s, _, _)| !retired.contains(s));
-        self.block_snaps.retain(|(_, s, _, _)| !retired.contains(s));
+        self.res_snaps.retain(|(_, s, _)| !retired.contains(s));
     }
 }
 
@@ -362,39 +370,13 @@ pub(crate) struct StepTask {
     pub stid: SubThreadId,
     pub program: Box<dyn DynThread>,
     pub inputs: StepInputs,
-    /// History sequence number reserved at grant for the thread checkpoint
-    /// the worker captures off-lock.
+    /// History sequence number reserved at grant for what the worker
+    /// captures off-lock: the thread checkpoint and a critical section's
+    /// lock data. The two restore different objects, so they share it.
     pub snap_seq: u64,
-    /// History sequence number reserved for the lock snapshot (only
-    /// meaningful when `inputs.lock_out` is set). Reserved *before* `snap_seq` so
-    /// undo order matches the old under-lock capture order.
-    pub lock_snap_seq: u64,
     /// The thread's recycled checkpoint box, if it has one (see
     /// [`ThreadRec::spare_snap`]).
     pub spare_snap: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// State captured by a worker outside the engine lock, handed back through
-/// the worker's SPSC buffer and folded into [`Inner`] at the worker's next
-/// lock acquisition (its deposit). Entries only exist between a task's
-/// grant and its deposit, so at any quiescent point — in particular when
-/// recovery runs — every buffer is empty and the history store / WAL are
-/// complete.
-pub(crate) enum HandOff {
-    /// A thread checkpoint for the history buffer.
-    ThreadSnap {
-        seq: u64,
-        stid: SubThreadId,
-        thread: ThreadId,
-        snap: Box<dyn std::any::Any + Send>,
-    },
-    /// A critical section's lock-data snapshot.
-    LockSnap {
-        seq: u64,
-        stid: SubThreadId,
-        lock: LockId,
-        snap: Box<dyn Recoverable>,
-    },
 }
 
 /// Everything behind the runtime mutex.
@@ -406,19 +388,16 @@ pub(crate) struct Inner {
     pub rol: ReorderList<StRec>,
     pub wal: WriteAheadLog<RtOp>,
     pub hist: HistoryStore,
-    pub chans: BTreeMap<ChannelId, ChanRec>,
-    pub locks: BTreeMap<LockId, LockRec>,
-    pub atomics: BTreeMap<AtomicId, u64>,
+    /// Locks, channels, cells, blocks and exit values (see
+    /// [`gprs_core::resources`]); their inverses go to the WAL.
+    pub res: Res,
     /// Each thread's place in the token rotation and the barrier table
     /// (see [`gprs_core::roster`]); a parked thread's `current_st` is the
     /// sub-thread its arrival ended.
     pub roster: Roster,
     pub files: BTreeMap<u64, FileRec>,
-    pub blocks: BTreeMap<u64, Vec<u8>>,
-    pub next_block: u64,
     /// Sub-threads whose step is executing -> the worker running it.
     pub running: BTreeMap<SubThreadId, usize>,
-    pub outputs: BTreeMap<ThreadId, Payload>,
     pub pending_exceptions: VecDeque<PendingException>,
     /// Replay gate: threads whose squashed lock/atomic operations must
     /// re-grant in their original total order. While non-empty, only the
@@ -427,7 +406,6 @@ pub(crate) struct Inner {
     pub redo_locks: VecDeque<ThreadId>,
     pub recovering: bool,
     pub exclusive: Option<SubThreadId>,
-    pub epoch: u64,
     pub pass_streak: usize,
     pub stats: RunStats,
     /// Everything that watches the order this engine produces: hashes,
@@ -561,6 +539,30 @@ impl WaitQueues {
         self.shard_sleepers[ix].fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Parks a nested acquire of `lock` on the lock's shard until `take`,
+    /// run under the executor's state lock `g`, hands the lock's data out
+    /// (it panics the step on a poisoned run or a refused acquire). A wake
+    /// that finds the lock still held counts on the executor's `telemetry`.
+    pub fn acquire_nested<T>(
+        &self,
+        lock: LockId,
+        g: &mut MutexGuard<'_, T>,
+        mut take: impl FnMut(&mut T) -> Option<Box<dyn Recoverable>>,
+        telemetry: fn(&T) -> &Telemetry,
+    ) -> Box<dyn Recoverable> {
+        let mut woke = false;
+        loop {
+            if let Some(data) = take(g) {
+                return data;
+            }
+            if woke && telemetry(g).enabled() {
+                telemetry(g).metrics.wakeups_spurious.inc();
+            }
+            self.park_on_lock(lock, g);
+            woke = true;
+        }
+    }
+
     /// Wakes one worker parked on the scheduler queue, if any is (callers
     /// hold the state lock).
     pub fn wake_one_seeker(&self, telemetry: &Telemetry) {
@@ -652,25 +654,14 @@ impl Shared {
     /// A nested acquire from `stid`'s step: parks on the lock's shard until
     /// it is returned.
     pub fn acquire_nested(&self, stid: SubThreadId, lock: LockId) -> Box<dyn Recoverable> {
-        let mut g = self.inner.lock();
-        let mut woke = false;
-        loop {
+        let take = |g: &mut Inner| {
             // Bail out of a poisoned runtime instead of waiting for a
             // release that will never come (the panic is caught and folded
             // into the poison message).
-            assert!(
-                g.poisoned.is_none(),
-                "runtime poisoned while waiting for a nested lock"
-            );
-            if let Some(d) = g.try_nested_acquire(stid, lock) {
-                return d;
-            }
-            if woke && g.ledger.telemetry().enabled() {
-                g.ledger.telemetry().metrics.wakeups_spurious.inc();
-            }
-            self.waits.park_on_lock(lock, &mut g);
-            woke = true;
-        }
+            assert!(g.poisoned.is_none(), "runtime poisoned while waiting for a nested lock");
+            g.try_nested_acquire(stid, lock).unwrap_or_else(|e| panic!("{e}"))
+        };
+        self.waits.acquire_nested(lock, &mut self.inner.lock(), take, |g| g.ledger.telemetry())
     }
 }
 
@@ -715,20 +706,14 @@ impl Inner {
             rol: ReorderList::default(),
             wal: WriteAheadLog::new(),
             hist: HistoryStore::default(),
-            chans: BTreeMap::new(),
-            locks: BTreeMap::new(),
-            atomics: BTreeMap::new(),
+            res: Res::default(),
             roster: Roster::default(),
             files: BTreeMap::new(),
-            blocks: BTreeMap::new(),
-            next_block: 0,
             running: BTreeMap::new(),
-            outputs: BTreeMap::new(),
             pending_exceptions: VecDeque::new(),
             redo_locks: VecDeque::new(),
             recovering: false,
             exclusive: None,
-            epoch: 0,
             pass_streak: 0,
             stats: RunStats::default(),
             ledger,
@@ -796,8 +781,8 @@ impl Inner {
         }
     }
 
+    /// Notes a state change: the token's pass streak starts over.
     pub(crate) fn bump(&mut self) {
-        self.epoch += 1;
         self.pass_streak = 0;
     }
 
@@ -903,9 +888,9 @@ impl Inner {
             VictimSelector::Oldest => self.running.keys().copied().find(free),
             VictimSelector::Newest => self.running.keys().rev().copied().find(free),
             VictimSelector::Holder => self
-                .locks
-                .values()
-                .filter_map(|l| l.holder)
+                .res
+                .holders()
+                .filter_map(|(_, h)| h)
                 .filter(|h| self.rol.contains(*h))
                 .find(free)
                 // No live critical section: fall back to the oldest, so a
@@ -938,11 +923,9 @@ impl Inner {
             while let Some((_seq, item)) = q.pop() {
                 // Provenance is `None`: the producing sub-thread retired in
                 // its own domain, so the item can never be un-pushed here.
-                self.chans
-                    .entry(chan)
-                    .or_default()
-                    .items
-                    .push_back((item, None));
+                if let Err(e) = self.res.apply(None, Op::Push(chan, item)) {
+                    self.poison(format!("cross-domain edge: {e}"));
+                }
                 progressed = true;
             }
         }
@@ -1071,7 +1054,7 @@ impl Inner {
                         f.committed.extend_from_slice(bytes);
                     }
                 }
-                let reason = self.shard.as_ref().and_then(|c| c.on_retire(&mut self.chans, &entry));
+                let reason = self.shard.as_ref().and_then(|c| c.on_retire(&mut self.res, &entry));
                 recycle_access_vec(&mut self.access_pool, entry.rec.accesses);
                 reason
             },
@@ -1104,30 +1087,15 @@ impl Inner {
         rec.accesses.push((res, kind));
     }
 
-    /// Folds one off-lock captured hand-off into the bookkeeping (see
-    /// [`HandOff`]).
-    pub(crate) fn apply_handoff(&mut self, h: HandOff) {
-        match h {
-            HandOff::ThreadSnap {
-                seq,
-                stid,
-                thread,
-                snap,
-            } => self.hist.thread_snaps.push((seq, stid, thread, snap)),
-            HandOff::LockSnap {
-                seq,
-                stid,
-                lock,
-                snap,
-            } => self.hist.lock_snaps.push((seq, stid, lock, snap)),
-        }
-    }
-
     /// Reads a shared cell without synchronization (a *plain* load): the
     /// value is returned as-is and, when the race detector is on, the
     /// access is recorded for the happens-before check at retirement.
-    pub(crate) fn plain_load(&mut self, stid: SubThreadId, atomic: AtomicId) -> u64 {
-        let v = *self.atomics.get(&atomic).expect("registered atomic");
+    pub(crate) fn plain_load(
+        &mut self,
+        stid: SubThreadId,
+        atomic: AtomicId,
+    ) -> Result<u64, ResourceError> {
+        let v = self.res.load(atomic)?;
         if !self.cfg.elide_cells.is_empty() {
             // A step squashed while it runs re-reads when it re-executes.
             if let Some(thread) = self.rol.get(stid).map(|e| e.thread()) {
@@ -1137,7 +1105,7 @@ impl Inner {
         if self.ledger.racecheck() {
             self.record_plain_access(stid, ResourceId::Atomic(atomic), AccessKind::Read);
         }
-        v
+        Ok(v)
     }
 
     /// Poisons a read of a cell the attached model proves dead: the model
@@ -1153,7 +1121,7 @@ impl Inner {
 
     /// Writes a shared cell without synchronization (a *plain* store). The
     /// old value is WAL-logged so runtime self-recovery can undo it, but —
-    /// unlike [`RtOp::FetchAdd`] — no dependence alias is added to the
+    /// unlike a fetch-add grant — no dependence alias is added to the
     /// sub-thread, which is exactly the leak the race detector exists to
     /// flag.
     pub(crate) fn plain_store(
@@ -1162,23 +1130,35 @@ impl Inner {
         stid: SubThreadId,
         atomic: AtomicId,
         value: u64,
-    ) {
-        let old = self
-            .atomics
-            .insert(atomic, value)
-            .expect("registered atomic");
+    ) -> Result<(), ResourceError> {
         if self.cfg.elide_cells.contains(&atomic) {
             // Statically dead store: the old value can never be observed,
             // so the undo record would be pure WAL traffic. Control
             // records (locks, channels, fetch-adds) are never elided —
             // recovery's replay correctness depends on them.
+            self.res.apply(None, Op::Store(atomic, value))?;
             self.ledger.wal_elided();
         } else {
-            self.wal_append(worker, stid, RtOp::PlainStore { atomic, old });
+            self.apply(worker, stid, Op::Store(atomic, value))?;
         }
         if self.ledger.racecheck() {
             self.record_plain_access(stid, ResourceId::Atomic(atomic), AccessKind::Write);
         }
+        Ok(())
+    }
+
+    /// Applies `op` to the table for `stid` (the pusher, the holder) and
+    /// logs its inverse; `ring` as for [`Self::wal_append`].
+    #[inline(always)]
+    pub(crate) fn apply(
+        &mut self,
+        ring: usize,
+        stid: SubThreadId,
+        op: ResOp,
+    ) -> Result<ResGot, ResourceError> {
+        let (got, inverse) = self.res.apply(Some(stid), op)?;
+        self.wal_append(ring, stid, RtOp::Res(inverse));
+        Ok(got)
     }
 
     /// Appends a WAL record for `stid` and tells the ledger (`ring` is the
@@ -1193,7 +1173,10 @@ impl Inner {
     /// history sequence number of the thread checkpoint: the snapshot
     /// itself is captured by the granted worker *outside* the lock (nothing
     /// touches the program between grant and step start, so the off-lock
-    /// snapshot is bit-identical) and handed back via [`HandOff`].
+    /// snapshot is bit-identical) and handed back via [`HandOff`]. Kept
+    /// out of line: inlined into its one caller, `grant`, `gprsbench`'s
+    /// `chain` ran 5–7 % slower.
+    #[inline(never)]
     fn open_subthread(
         &mut self,
         stid: SubThreadId,
@@ -1226,332 +1209,228 @@ impl Inner {
             program,
             inputs,
             snap_seq,
-            lock_snap_seq: 0,
             spare_snap,
         }
     }
 
-    /// Whether `want` can be granted right now; `None` means "token waits
-    /// here", `Some(false)` means "pass the token (poll)".
-    fn poll_or_wait(&self, holder: ThreadId, want: &PendingWant) -> Option<bool> {
+    /// Whether `want` can be granted now: the table answers for a pop or a
+    /// lock and the roster for a join. This engine adds order-faithful redo,
+    /// the cross-edge wait and the serialized quiescence gate.
+    fn poll_or_wait(&self, holder: ThreadId, want: &PendingWant) -> Result<Poll, ResourceError> {
         // Order-faithful redo: while squashed lock/atomic operations await
         // re-execution, they re-grant in original order and every other
         // lock/atomic request waits its turn (passes the token).
-        if matches!(
-            want,
-            PendingWant::Op(Step::Lock(_)) | PendingWant::Op(Step::FetchAdd(_, _))
-        ) && self
-            .redo_locks
-            .front()
-            .is_some_and(|&front| front != holder)
-        {
-            return Some(false);
+        let redo = matches!(want, PendingWant::Op(Step::Lock(_) | Step::FetchAdd(_, _)));
+        if redo && self.redo_locks.front().is_some_and(|&front| front != holder) {
+            return Ok(Poll::Pass);
         }
-        match want {
-            PendingWant::Op(Step::Pop(c)) => {
-                let empty = self
-                    .chans
-                    .get(&c.id())
-                    .is_none_or(|ch| ch.items.is_empty());
-                if !empty {
-                    Some(true)
-                } else if let Some(q) = self
-                    .shard
-                    .as_ref()
-                    .and_then(|ctx| ctx.in_edges.get(&c.id()))
+        Ok(match want {
+            PendingWant::Op(Step::Pop(c)) => match self.res.poll(ResourceId::Channel(c.id()))? {
+                // Cross-edge pop: tokens arrive in a fixed sequence, so the
+                // token *waits* for the next one instead of passing (a pass
+                // count varying with arrival timing would make the local
+                // grant order timing-dependent). Once the producer domain
+                // closed the drained edge, the pop can never succeed: pass,
+                // so the starvation poison fires.
+                Poll::Pass
+                    if self
+                        .shard
+                        .as_ref()
+                        .and_then(|ctx| ctx.in_edges.get(&c.id()))
+                        .is_some_and(|q| !q.is_starved()) =>
                 {
-                    // Cross-edge pop: tokens arrive in a fixed sequence, so
-                    // the token *waits* for the next one instead of passing
-                    // (a pass count varying with arrival timing would make
-                    // the local grant order timing-dependent). Once the
-                    // producer domain closed the drained edge, the pop can
-                    // never succeed: poll so the starvation poison fires.
-                    if q.is_starved() {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                } else {
-                    Some(false) // poll: pass the token
+                    Poll::Wait
                 }
+                poll => poll,
+            },
+            PendingWant::Op(Step::Lock(m)) => self.res.poll(ResourceId::Lock(m.id()))?,
+            PendingWant::Op(Step::Join(t)) if self.roster.state(*t) != Some(ThState::Done) => {
+                Poll::Pass
             }
-            PendingWant::Op(Step::Join(t)) => Some(self.roster.state(*t) == Some(ThState::Done)),
-            PendingWant::Op(Step::Lock(m)) => {
-                let free = self
-                    .locks
-                    .get(&m.id())
-                    .is_some_and(|l| l.holder.is_none() && l.data.is_some());
-                if free {
-                    Some(true)
-                } else {
-                    None // token waits for the unlock
-                }
+            // The token waits for global quiescence.
+            PendingWant::Op(Step::Serialized) if !self.rol.is_empty() || !self.running.is_empty() => {
+                Poll::Wait
             }
-            PendingWant::Op(Step::Serialized) => {
-                if self.rol.is_empty() && self.running.is_empty() {
-                    Some(true)
-                } else {
-                    None // token waits for global quiescence
-                }
-            }
-            _ => Some(true),
-        }
+            _ => Poll::Grant,
+        })
     }
 
-    /// Grants the holder's pending want. Returns a task if a step must run.
+    /// Grants the holder's pending want. A barrier arrival, an exit or a
+    /// serialized marker changes state and opens nothing. Any other want
+    /// takes the turn, has the table apply its op and log the inverse, and
+    /// opens the sub-thread whose step it returns.
     fn grant(&mut self, holder: ThreadId, worker: usize) -> Option<StepTask> {
         let rec = self.threads.get_mut(&holder).expect("holder exists");
-        let want = rec.pending.take().expect("holder has a pending want");
         let prev_st = rec.current_st;
-        match want {
-            PendingWant::Start => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let st = StRec::new(OpeningWant::Start);
-                let task = self.open_subthread(stid, holder, st, worker, StepInputs::default());
-                // Dependence on the spawning parent continuation.
-                if let Some(parent) = self.threads[&holder].spawned_by {
-                    self.add_dependent(parent, stid);
-                }
-                Some(task)
-            }
-            PendingWant::Resume(b, gen) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let st = StRec::new(OpeningWant::Resume(b, gen));
-                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
-            }
-            PendingWant::SerializedRun => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                self.exclusive = Some(stid);
-                self.stats.serialized += 1;
-                let st = StRec::new(OpeningWant::SerializedRun);
-                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
-            }
-            PendingWant::Respawn {
-                child,
-                group,
-                weight,
-                program,
-            } => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let st = StRec::new(OpeningWant::SpawnParent { child, group, weight });
-                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
-                let task = self.open_subthread(stid, holder, st, worker, inputs);
-                self.insert_thread(child, program, group, weight, Some(stid));
-                self.wal_append(worker, stid, RtOp::SpawnChild { child });
-                self.stats.spawns += 1;
-                Some(task)
-            }
-            PendingWant::Op(step) => self.grant_op(holder, prev_st, step, worker),
-        }
-    }
-
-    fn grant_op(
-        &mut self,
-        holder: ThreadId,
-        prev_st: Option<SubThreadId>,
-        step: Step,
-        worker: usize,
-    ) -> Option<StepTask> {
-        match step {
-            Step::Lock(m) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                if self.redo_locks.front() == Some(&holder) {
-                    self.redo_locks.pop_front();
-                }
-                let lock = m.id();
-                self.wal_append(worker, stid, RtOp::LockAcquire { lock });
-                let l = self.locks.get_mut(&lock).expect("registered lock");
-                l.holder = Some(stid);
-                let data = l.data.take().expect("lock data present when free");
-                // The lock-data snapshot is cloned by the worker off-lock;
-                // reserve its history slot *before* the thread checkpoint's
-                // so undo order matches the old under-lock capture order.
-                self.hist.seq += 1;
-                let lock_snap_seq = self.hist.seq;
-                self.stats.locks_acquired += 1;
-                let st = StRec::new(OpeningWant::Lock(lock));
-                let inputs = StepInputs { lock_out: Some((lock, data)), ..StepInputs::default() };
-                let mut task = self.open_subthread(stid, holder, st, worker, inputs);
-                task.lock_snap_seq = lock_snap_seq;
-                Some(task)
-            }
-            Step::Push(c, value) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let chan = c.id();
-                self.wal_append(worker, stid, RtOp::Push {
-                    chan,
-                    item: value.clone(),
-                });
-                // Provenance is the *pushing* sub-thread: squashing it
-                // un-pushes the item, so any consumer of the item must be in
-                // its dependence closure. (The thread state that computed
-                // the value is covered transitively via the same-thread
-                // rule.)
-                self.chans
-                    .entry(chan)
-                    .or_default()
-                    .items
-                    .push_back((value.clone(), Some(stid)));
-                let st = StRec::new(OpeningWant::Push(chan, value));
-                Some(self.open_subthread(stid, holder, st, worker, StepInputs::default()))
-            }
-            Step::Pop(c) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                let chan = c.id();
-                let (item, producer) = self
-                    .chans
-                    .get_mut(&chan)
-                    .and_then(|ch| ch.items.pop_front())
-                    .expect("grantability checked non-empty");
-                self.wal_append(
-                    worker,
-                    stid,
-                    RtOp::Pop {
-                        chan,
-                        item: item.clone(),
-                        producer,
-                    },
-                );
-                if let Some(p) = producer {
-                    self.add_dependent(p, stid);
-                }
-                let st = StRec { pop_src: producer, ..StRec::new(OpeningWant::Pop(chan)) };
-                let inputs = StepInputs { popped: Some(item), ..StepInputs::default() };
-                Some(self.open_subthread(stid, holder, st, worker, inputs))
-            }
-            Step::FetchAdd(a, delta) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                if self.redo_locks.front() == Some(&holder) {
-                    self.redo_locks.pop_front();
-                }
-                if !self.cfg.elide_cells.is_empty() {
-                    self.check_dead_read(holder, a);
-                }
-                let slot = self.atomics.get_mut(&a).expect("registered atomic");
-                let old = *slot;
-                *slot = old.wrapping_add(delta);
-                self.wal_append(worker, stid, RtOp::FetchAdd { atomic: a, old });
-                let st = StRec::new(OpeningWant::FetchAdd(a, delta));
-                let inputs = StepInputs { atomic_prev: Some(old), ..StepInputs::default() };
-                Some(self.open_subthread(stid, holder, st, worker, inputs))
-            }
-            Step::Spawn(SpawnSpec {
-                program,
-                group,
-                weight,
-            }) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                // Open the parent continuation first so the child sees it as
-                // its spawner.
-                let child = ThreadId::new(self.next_thread);
-                let st = StRec::new(OpeningWant::SpawnParent { child, group, weight });
-                let inputs = StepInputs { spawned: Some(child), ..StepInputs::default() };
-                let task = self.open_subthread(stid, holder, st, worker, inputs);
-                let spawned = self.add_thread(program, group, weight, Some(stid));
-                debug_assert_eq!(spawned, child, "the continuation names its child");
-                self.wal_append(worker, stid, RtOp::SpawnChild { child });
-                self.stats.spawns += 1;
-                Some(task)
-            }
-            Step::Join(t) => {
-                let stid = self.enforcer.try_grant(holder).expect("is holder");
-                debug_assert_eq!(self.roster.state(t), Some(ThState::Done));
-                let final_st = self.threads.get(&t).expect("join target exists").final_st;
-                let joined = self.outputs.get(&t).cloned();
-                if let Some(fst) = final_st {
-                    self.add_dependent(fst, stid);
-                }
-                let st = StRec::new(OpeningWant::JoinParent(t));
-                let inputs = StepInputs { joined, ..StepInputs::default() };
-                Some(self.open_subthread(stid, holder, st, worker, inputs))
-            }
-            Step::Serialized => {
-                // The serialized *marker* is granted like a normal boundary;
-                // the exclusive step itself runs on the next grant.
-                let rec = self.threads.get_mut(&holder).expect("holder");
+        // A spawned (or re-spawned) child: its program, group and weight.
+        let mut child = None;
+        let (want, op) = match rec.pending.take().expect("holder has a pending want") {
+            PendingWant::Op(Step::Serialized) => {
+                // The marker is granted like a normal boundary without
+                // consuming the turn; the exclusive step runs on the next
+                // grant, gated on quiescence.
                 rec.pending = Some(PendingWant::SerializedRun);
-                // Turn not consumed: re-evaluate immediately (the
-                // SerializedRun want is gated on quiescence).
-                None
+                return None;
             }
-            Step::Barrier(b) => {
+            PendingWant::Op(Step::Barrier(b)) => {
                 // Arrival: consumes the turn but opens no sub-thread. Still
                 // a recorded event — it mutates schedule state, so replay
                 // must reproduce it in order.
                 self.enforcer.consume_turn(holder);
-                let (arrival, reason) =
-                    self.roster.arrive(&mut self.enforcer, &mut self.ledger, holder, b);
-                self.poison_on(reason);
-                let Some(Arrival { gen: forming_gen, full }) = arrival else {
-                    self.bump();
-                    return None;
-                };
-                let cross = self
-                    .shard
-                    .as_ref()
-                    .is_some_and(|ctx| ctx.edge_barriers.contains(&b));
-                match prev_st.and_then(|p| self.rol.rec_mut(p).map(|rec| (p, rec))) {
-                    // The in-flight ender carries its arrival: the race
-                    // detector reads the close clock off it at retirement,
-                    // and a cross-domain arrival is published to the hub
-                    // then, exactly once (a squash drops it with the entry
-                    // before the hub ever counts it).
-                    Some((prev, rec)) => {
-                        rec.arrival = Some((b, forming_gen));
-                        self.wal_append(
-                            worker,
-                            prev,
-                            RtOp::BarrierArrive { barrier: b, thread: holder },
-                        );
-                    }
-                    // The ender already retired — no undo record (it could
-                    // never be undone nor pruned). Its thread's clock *is*
-                    // the close clock: contribute it directly (joins
-                    // commute; continuations of this generation retire
-                    // strictly later). A retired ender can no longer
-                    // squash, so publishing a cross-domain arrival now is
-                    // final.
-                    None => {
-                        if self.ledger.racecheck() {
-                            self.ledger.arrived_after_retire(holder, b, forming_gen);
-                        }
-                        if cross && !self.shard.as_ref().expect("sharded").hub.arrive(b) {
-                            self.poison(format!(
-                                "cross-domain arrival on barrier {b} the \
-                                 hub does not know (divergent replay or \
-                                 corrupted shard plan)"
-                            ));
-                        }
-                    }
-                }
-                // A cross-domain barrier's `full` can never fire locally —
-                // participants count the *global* membership; the hub
-                // releases it.
-                if full && !cross {
-                    self.release_barrier(b);
-                }
+                self.arrive(holder, prev_st, b, worker);
                 self.bump();
-                None
+                return None;
             }
-            Step::Exit(value) => {
+            PendingWant::Op(Step::Exit(value)) => {
                 // Exit: consumes the turn but opens no sub-thread (recorded
-                // like the barrier arrival above).
+                // like the arrival above); the table keeps the value.
                 self.enforcer.consume_turn(holder);
                 let reason = self.roster.exit(&mut self.enforcer, &mut self.ledger, holder);
                 self.poison_on(reason);
                 if let Some(rec) = self.threads.get_mut(&holder) {
                     rec.final_st = prev_st;
                 }
-                // Same retired-`prev` guard as the barrier arrival above: a
-                // retired sub-thread can no longer be squashed, so its
-                // exit record would leak to the end of the run.
-                if let Some(prev) = prev_st.filter(|&p| self.rol.contains(p)) {
-                    self.wal_append(worker, prev, RtOp::ThreadExit { thread: holder });
+                let exited = self.res.apply(None, Op::Exit(holder, value));
+                // Same retired-`prev` guard as the barrier arrival: a
+                // retired sub-thread can no longer be squashed, so its exit
+                // record would leak to the end of the run.
+                let prev = prev_st.filter(|&p| self.rol.contains(p));
+                if let (Ok((_, inverse)), Some(prev)) = (exited, prev) {
+                    self.wal_append(worker, prev, RtOp::Res(inverse));
                 }
-                self.outputs.insert(holder, value);
                 self.bump();
-                None
+                return None;
             }
+            PendingWant::Start => (OpeningWant::Start, None),
+            PendingWant::Resume(b, gen) => (OpeningWant::Resume(b, gen), None),
+            PendingWant::SerializedRun => (OpeningWant::SerializedRun, None),
+            PendingWant::Op(Step::Join(t)) => (OpeningWant::JoinParent(t), None),
+            PendingWant::Respawn { child: id, group, weight, program } => {
+                child = Some((program, group, weight));
+                (OpeningWant::SpawnParent { child: id, group, weight }, None)
+            }
+            PendingWant::Op(Step::Spawn(SpawnSpec { program, group, weight })) => {
+                let id = ThreadId::new(self.next_thread);
+                self.next_thread += 1;
+                child = Some((program, group, weight));
+                (OpeningWant::SpawnParent { child: id, group, weight }, None)
+            }
+            PendingWant::Op(Step::Lock(m)) => (OpeningWant::Lock(m.id()), Some(Op::Acquire(m.id()))),
+            // The item's provenance is the pushing sub-thread: squashing it
+            // un-pushes the item, so its consumer is in its closure.
+            PendingWant::Op(Step::Push(c, v)) => {
+                (OpeningWant::Push(c.id(), v.clone()), Some(Op::Push(c.id(), v)))
+            }
+            PendingWant::Op(Step::Pop(c)) => (OpeningWant::Pop(c.id()), Some(Op::Pop(c.id()))),
+            PendingWant::Op(Step::FetchAdd(a, delta)) => {
+                if !self.cfg.elide_cells.is_empty() {
+                    self.check_dead_read(holder, a);
+                }
+                (OpeningWant::FetchAdd(a, delta), Some(Op::FetchAdd(a, delta)))
+            }
+        };
+        let Some(stid) = self.enforcer.try_grant(holder) else {
+            self.poison(format!("grant: {holder} does not hold the token it was granted"));
+            return None;
+        };
+        let got = match op.map(|op| self.apply(worker, stid, op)).transpose() {
+            Ok(got) => got.unwrap_or(Got::Nothing),
+            Err(e) => {
+                self.poison(format!("grant to {holder}: {e} (the poll granted it)"));
+                return None;
+            }
+        };
+        let mut st = StRec::new(want);
+        if let Got::Item(_, producer) = got {
+            st.pop_src = producer;
+            if let Some(p) = producer {
+                self.add_dependent(p, stid);
+            }
+        }
+        let mut inputs = StepInputs::from(got);
+        match st.want {
+            OpeningWant::Start => {
+                // Dependence on the spawning parent continuation.
+                if let Some(parent) = self.threads.get(&holder).and_then(|r| r.spawned_by) {
+                    self.add_dependent(parent, stid);
+                }
+            }
+            OpeningWant::SerializedRun => {
+                self.exclusive = Some(stid);
+                self.stats.serialized += 1;
+            }
+            OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _) => {
+                if self.redo_locks.front() == Some(&holder) {
+                    self.redo_locks.pop_front();
+                }
+                self.stats.locks_acquired += u64::from(matches!(st.want, OpeningWant::Lock(_)));
+            }
+            OpeningWant::SpawnParent { child, .. } => inputs.spawned = Some(child),
+            OpeningWant::JoinParent(t) => {
+                debug_assert_eq!(self.roster.state(t), Some(ThState::Done));
+                inputs.joined = self.res.exit(t).cloned();
+                if let Some(fst) = self.threads.get(&t).and_then(|r| r.final_st) {
+                    self.add_dependent(fst, stid);
+                }
+            }
+            OpeningWant::Push(..) | OpeningWant::Pop(_) | OpeningWant::Resume(..) => {}
+        }
+        let spawned = inputs.spawned;
+        let task = self.open_subthread(stid, holder, st, worker, inputs);
+        // After the parent continuation opened, so the child sees it as its
+        // spawner.
+        if let (Some((program, group, weight)), Some(child)) = (child, spawned) {
+            self.insert_thread(child, program, group, weight, Some(stid));
+            self.wal_append(worker, stid, RtOp::SpawnChild { child });
+            self.stats.spawns += 1;
+        }
+        Some(task)
+    }
+
+    /// Notes `holder`'s arrival at `b` with the roster (its turn already
+    /// consumed) and releases the barrier once every participant arrived.
+    fn arrive(&mut self, holder: ThreadId, prev_st: Option<SubThreadId>, b: BarrierId, worker: usize) {
+        let (arrival, reason) = self.roster.arrive(&mut self.enforcer, &mut self.ledger, holder, b);
+        self.poison_on(reason);
+        let Some(Arrival { gen: forming_gen, full }) = arrival else {
+            return;
+        };
+        let cross = self
+            .shard
+            .as_ref()
+            .is_some_and(|ctx| ctx.edge_barriers.contains(&b));
+        match prev_st.and_then(|p| self.rol.rec_mut(p).map(|rec| (p, rec))) {
+            // The in-flight ender carries its arrival: the race detector
+            // reads the close clock off it at retirement, and a
+            // cross-domain arrival is published to the hub then, exactly
+            // once (a squash drops it with the entry before the hub ever
+            // counts it).
+            Some((prev, rec)) => {
+                rec.arrival = Some((b, forming_gen));
+                self.wal_append(worker, prev, RtOp::BarrierArrive { barrier: b, thread: holder });
+            }
+            // The ender already retired — no undo record (it could never
+            // be undone nor pruned). Its thread's clock *is* the close
+            // clock: contribute it directly (joins commute; continuations
+            // of this generation retire strictly later). A retired ender
+            // can no longer squash, so publishing a cross-domain arrival
+            // now is final.
+            None => {
+                if self.ledger.racecheck() {
+                    self.ledger.arrived_after_retire(holder, b, forming_gen);
+                }
+                if cross && !self.shard.as_ref().is_some_and(|ctx| ctx.hub.arrive(b)) {
+                    self.poison(format!(
+                        "cross-domain arrival on barrier {b} the hub does not \
+                         know (divergent replay or corrupted shard plan)"
+                    ));
+                }
+            }
+        }
+        // A cross-domain barrier's `full` can never fire locally —
+        // participants count the *global* membership; the hub releases it.
+        if full && !cross {
+            self.release_barrier(b);
         }
     }
 
@@ -1622,11 +1501,9 @@ impl Inner {
         lock: LockId,
         data: Box<dyn Recoverable>,
     ) {
-        self.wal_append(EXTERNAL_RING, stid, RtOp::LockRelease { lock, holder: stid });
-        let l = self.locks.get_mut(&lock).expect("registered lock");
-        debug_assert_eq!(l.holder, Some(stid));
-        l.holder = None;
-        l.data = Some(data);
+        if let Err(e) = self.apply(EXTERNAL_RING, stid, Op::Release(lock, LockData(data))) {
+            self.poison(format!("sub-thread {stid} returned a lock: {e}"));
+        }
     }
 
     /// Nested (subsumed) lock acquisition from inside a running step.
@@ -1635,31 +1512,31 @@ impl Inner {
         &mut self,
         stid: SubThreadId,
         lock: LockId,
-    ) -> Option<Box<dyn Recoverable>> {
-        let l = self.locks.get_mut(&lock)?;
-        if l.holder.is_some() || l.data.is_none() {
-            return None;
+    ) -> Result<Option<Box<dyn Recoverable>>, ResourceError> {
+        if self.res.poll(ResourceId::Lock(lock))? == Poll::Wait {
+            return Ok(None);
         }
-        l.holder = Some(stid);
-        let data = l.data.take().expect("checked above");
-        self.wal_append(EXTERNAL_RING, stid, RtOp::LockAcquire { lock });
-        let snap = data.clone_box();
-        self.hist.seq += 1;
-        let seq = self.hist.seq;
-        self.hist.lock_snaps.push((seq, stid, lock, snap));
+        let Got::Data(_, LockData(data)) = self.apply(EXTERNAL_RING, stid, Op::Acquire(lock))? else {
+            unreachable!("an acquire hands out the lock's data")
+        };
+        let relock = Inverse::Relock(lock, LockData(data.clone_box()));
+        self.hist.note(stid, relock);
         let _ = self.rol.add_resource(stid, ResourceId::Lock(lock));
         self.stats.locks_acquired += 1;
-        Some(data)
+        Ok(Some(data))
     }
 
     /// Write access to pool block `block` from a running step of `stid`:
     /// the prior contents go to the history store first, so squashing
-    /// `stid` restores them. `None` if the block was freed.
-    pub(crate) fn block_for_write(&mut self, stid: SubThreadId, block: u64) -> Option<&mut Vec<u8>> {
-        let snap = self.blocks.get(&block)?.clone();
-        self.hist.seq += 1;
-        self.hist.block_snaps.push((self.hist.seq, stid, block, snap));
-        self.blocks.get_mut(&block)
+    /// `stid` restores them.
+    pub(crate) fn block_for_write(
+        &mut self,
+        stid: SubThreadId,
+        block: u64,
+    ) -> Result<&mut Vec<u8>, ResourceError> {
+        let (data, unwrite) = self.res.write(block)?;
+        self.hist.note(stid, unwrite);
+        Ok(data)
     }
 }
 
@@ -1747,7 +1624,7 @@ pub(crate) fn decide<const SOLO: bool>(
     };
     let mut g = shared.inner.lock();
     while let Some(h) = shared.handoffs[worker_ix].pop() {
-        g.apply_handoff(h);
+        g.hist.apply(h);
     }
     // Whether a grant below is reached from this context's own deposit in
     // the same lock acquisition, without a condvar sleep in between.
@@ -1955,7 +1832,11 @@ pub(crate) fn decide<const SOLO: bool>(
             continue;
         }
         match inner.poll_or_wait(holder, want) {
-            Some(false) => {
+            Err(e) => {
+                inner.poison(format!("grant to {holder}: {e}"));
+                continue;
+            }
+            Ok(Poll::Pass) => {
                 // Wasted turn (empty FIFO / unfinished join).
                 inner.enforcer.pass_turn(holder);
                 inner.stats.polls += 1;
@@ -1980,7 +1861,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 }
                 continue;
             }
-            None => {
+            Ok(Poll::Wait) => {
                 // Token waits here (lock busy / quiescence gate). A deposit
                 // that changes either wakes one seeker. With one context
                 // the blocking condition can only be our own state, and we
@@ -1997,7 +1878,7 @@ pub(crate) fn decide<const SOLO: bool>(
                     ),
                 });
             }
-            Some(true) => {}
+            Ok(Poll::Grant) => {}
         }
         inner.pass_streak = 0;
         match inner.grant(holder, worker_ix) {
@@ -2048,28 +1929,12 @@ pub(crate) fn decide<const SOLO: bool>(
 /// grant and this point, so the snapshots are bit-identical to ones taken
 /// under the lock.
 pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask) -> StepOutcome {
-    let StepTask { thread, stid, program, inputs, snap_seq, lock_snap_seq, spare_snap } = task;
-    publish_handoff(
-        shared,
-        worker_ix,
-        HandOff::ThreadSnap {
-            seq: snap_seq,
-            stid,
-            thread,
-            snap: program.save_into(spare_snap),
-        },
-    );
+    let StepTask { thread, stid, program, inputs, snap_seq, spare_snap } = task;
+    let snap = program.save_into(spare_snap);
+    publish_handoff(shared, worker_ix, HandOff::ThreadSnap(snap_seq, stid, thread, snap));
     if let Some((lock, data)) = &inputs.lock_out {
-        publish_handoff(
-            shared,
-            worker_ix,
-            HandOff::LockSnap {
-                seq: lock_snap_seq,
-                stid,
-                lock: *lock,
-                snap: data.clone_box(),
-            },
-        );
+        let relock = Inverse::Relock(*lock, LockData(data.clone_box()));
+        publish_handoff(shared, worker_ix, HandOff::Res(snap_seq, stid, relock));
     }
     run_step(CtxBackend::Gprs(shared.clone()), thread, stid, worker_ix, program, inputs)
 }
@@ -2111,7 +1976,7 @@ pub(crate) fn run_step(
 /// at most two entries exist per in-flight task — but stay correct).
 fn publish_handoff(shared: &SharedRef, worker_ix: usize, h: HandOff) {
     if let Err(h) = shared.handoffs[worker_ix].push(h) {
-        shared.inner.lock().apply_handoff(h);
+        shared.inner.lock().hist.apply(h);
     }
 }
 
@@ -2187,7 +2052,7 @@ mod tests {
             assert!(g.rol.is_empty() && g.running.is_empty(), "pool={pool}");
             assert_eq!(g.wal.len(), 0, "pool={pool}");
             let h = &g.hist;
-            assert!(h.thread_snaps.is_empty() && h.lock_snaps.is_empty() && h.block_snaps.is_empty());
+            assert!(h.thread_snaps.is_empty() && h.res_snaps.is_empty());
             assert!(g.roster.barriers().values().all(|b| b.waiting.is_empty()));
         }
     }

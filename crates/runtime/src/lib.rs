@@ -487,11 +487,9 @@ impl GprsBuilder {
         if let Some(rep) = analysis {
             rep.trace_verdict(ledger.telemetry(), ledger.racecheck());
         }
-        let Registry { threads, locks, chans, atomics, barriers, files } = self.reg;
+        let Registry { threads, res, barriers, files } = self.reg;
         let mut inner = Inner {
-            chans,
-            locks,
-            atomics,
+            res,
             roster: Roster::new(barriers),
             files,
             chaos: self.chaos,
@@ -620,7 +618,8 @@ pub(crate) fn collect_report(shared: &SharedRef) -> Result<RunReport, RunError> 
         job_id: inner.cfg.job_id,
         submit_seq: inner.cfg.submit_seq,
         stats: inner.stats,
-        outputs: std::mem::take(&mut inner.outputs),
+        outputs: inner.res.take_exits(),
+        cells_digest: inner.res.cell_digest(),
         files,
         telemetry,
         first_race,

@@ -1,100 +1,67 @@
 //! Write-ahead-log operations protecting the runtime's own structures
 //! (`§3.2`, "Managing the Runtime State").
 //!
-//! Every mutation of a runtime structure — channel queues, lock table,
-//! atomics, thread table, allocator — is logged *before* being applied, on
-//! behalf of the sub-thread whose grant caused it. Recovery walks the
-//! squashed sub-threads' records newest-first and applies the inverse of
-//! each; retirement prunes them.
+//! Every mutation of a runtime structure — the resource table (channel
+//! queues, locks, cells, allocator, exit values) and the thread table — is
+//! logged as its inverse under the engine lock that applies it, on behalf
+//! of the sub-thread whose grant or step caused it. Recovery walks the
+//! squashed sub-threads' records newest-first and applies each inverse;
+//! retirement prunes them.
 
+use crate::handles::Recoverable;
 use crate::program::Payload;
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, LockId, SubThreadId, ThreadId};
-use std::fmt;
+use gprs_core::ids::{BarrierId, ThreadId};
+use gprs_core::resources::{Got, Inverse, Op, Resources};
 use std::hash::{Hash, Hasher};
 
+/// Both executors' resource table: channel items are payloads, lock data
+/// is a recoverable box.
+pub(crate) type Res = Resources<Payload, LockData>;
+/// An op on [`Res`], what it hands the step, and its inverse.
+pub(crate) type ResOp = Op<Payload, LockData>;
+pub(crate) type ResGot = Got<Payload, LockData>;
+pub(crate) type ResInverse = Inverse<Payload, LockData>;
+
+/// A lock's data in the table, copied with the table (a CPR checkpoint, a
+/// sharded run's domain tables).
+pub(crate) struct LockData(pub Box<dyn Recoverable>);
+
+impl Clone for LockData {
+    fn clone(&self) -> Self {
+        LockData(self.0.clone_box())
+    }
+}
+
+/// Lock data is opaque.
+impl std::fmt::Debug for LockData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LockData")
+    }
+}
+
 /// One undoable runtime operation.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(crate) enum RtOp {
-    /// An item was enqueued (undo: remove that very item, identified by
-    /// pointer equality, searching from the back).
-    Push { chan: ChannelId, item: Payload },
-    /// An item was dequeued (undo: return `item` to the queue front with
-    /// its original provenance).
-    Pop {
-        chan: ChannelId,
-        item: Payload,
-        producer: Option<SubThreadId>,
-    },
-    /// Atomic fetch-add (undo: store `old`).
-    FetchAdd { atomic: AtomicId, old: u64 },
-    /// Unsynchronized store to a shared cell (undo: store `old`). Unlike
-    /// `FetchAdd` this adds *no* dependence alias to the sub-thread — the
-    /// data-race hazard the racecheck subsystem detects.
-    PlainStore { atomic: AtomicId, old: u64 },
-    /// Lock acquired (undo: mark free).
-    LockAcquire { lock: LockId },
-    /// Lock released (undo: mark held by `holder` again).
-    LockRelease { lock: LockId, holder: SubThreadId },
+    /// A resource-table op: a push, pop, acquire, release, fetch-add, plain
+    /// store, allocation, free or exit (undo: apply its inverse).
+    Res(ResInverse),
     /// Thread arrived at a barrier (undo: none here — the thread's restart
     /// or un-spawn takes it off the waiting list).
     BarrierArrive { barrier: BarrierId, thread: ThreadId },
     /// A child thread was created (undo: deregister the child and hand its
     /// program back to the reinstated spawn request).
     SpawnChild { child: ThreadId },
-    /// A thread exited (undo: resurrect it and discard its output).
-    ThreadExit { thread: ThreadId },
-    /// Pool allocation (undo: free the block).
-    Alloc { block: u64 },
-    /// Pool free (undo: restore the block with its former contents).
-    Free { block: u64, data: Vec<u8> },
-}
-
-/// Hand-written because a [`Payload`] is an opaque shared pointer with no
-/// `Debug` of its own; [`gprs_core::wal::WriteAheadLog`] asks for the bound.
-impl fmt::Debug for RtOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RtOp::Push { chan, .. } => write!(f, "Push({chan})"),
-            RtOp::Pop { chan, producer, .. } => {
-                write!(f, "Pop({chan}, producer {producer:?})")
-            }
-            RtOp::FetchAdd { atomic, old } => write!(f, "FetchAdd({atomic}, old {old})"),
-            RtOp::PlainStore { atomic, old } => write!(f, "PlainStore({atomic}, old {old})"),
-            RtOp::LockAcquire { lock } => write!(f, "LockAcquire({lock})"),
-            RtOp::LockRelease { lock, holder } => write!(f, "LockRelease({lock}, by {holder})"),
-            RtOp::BarrierArrive { barrier, thread } => {
-                write!(f, "BarrierArrive({barrier}, {thread})")
-            }
-            RtOp::SpawnChild { child } => write!(f, "SpawnChild({child})"),
-            RtOp::ThreadExit { thread } => write!(f, "ThreadExit({thread})"),
-            RtOp::Alloc { block } => write!(f, "Alloc(#{block})"),
-            RtOp::Free { block, data } => write!(f, "Free(#{block}, {} bytes)", data.len()),
-        }
-    }
 }
 
 /// What the WAL's integrity checksum covers: the variant and every field
-/// that identifies the operation. A payload is an opaque shared pointer,
-/// so it is left out, and a freed block is covered by its length.
+/// that identifies the operation (a table inverse leaves its payloads out).
 impl Hash for RtOp {
     fn hash<H: Hasher>(&self, h: &mut H) {
         std::mem::discriminant(self).hash(h);
         match self {
-            RtOp::Push { chan, item: _ } => chan.hash(h),
-            RtOp::Pop {
-                chan,
-                item: _,
-                producer,
-            } => (chan, producer).hash(h),
-            RtOp::FetchAdd { atomic, old } | RtOp::PlainStore { atomic, old } => {
-                (atomic, old).hash(h)
-            }
-            RtOp::LockAcquire { lock } => lock.hash(h),
-            RtOp::LockRelease { lock, holder } => (lock, holder).hash(h),
+            RtOp::Res(inverse) => inverse.hash(h),
             RtOp::BarrierArrive { barrier, thread } => (barrier, thread).hash(h),
-            RtOp::SpawnChild { child: thread } | RtOp::ThreadExit { thread } => thread.hash(h),
-            RtOp::Alloc { block } => block.hash(h),
-            RtOp::Free { block, data } => (block, data.len()).hash(h),
+            RtOp::SpawnChild { child } => child.hash(h),
         }
     }
 }
@@ -102,7 +69,7 @@ impl Hash for RtOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gprs_core::ids::Lsn;
+    use gprs_core::ids::{AtomicId, ChannelId, LockId, Lsn, SubThreadId};
     use gprs_core::wal::{WalRecord, WriteAheadLog};
     use std::sync::Arc;
 
@@ -114,6 +81,7 @@ mod tests {
     /// only that field changed.
     fn variants() -> Vec<(RtOp, Vec<RtOp>)> {
         let item: Payload = Arc::new(0u8);
+        let data = || LockData(Box::new(0u8));
         let (c, a, l, b, t, s) = (
             ChannelId::new,
             AtomicId::new,
@@ -122,46 +90,40 @@ mod tests {
             ThreadId::new,
             SubThreadId::new,
         );
-        let push = |chan| RtOp::Push {
-            chan,
-            item: item.clone(),
-        };
-        let pop = |chan, producer| RtOp::Pop {
-            chan,
-            item: item.clone(),
-            producer,
-        };
+        let res = RtOp::Res;
+        let unpop = |chan, by| res(Inverse::Unpop(chan, item.clone(), by));
         vec![
-            (push(c(1)), vec![push(c(2))]),
             (
-                pop(c(1), Some(s(4))),
-                vec![pop(c(2), Some(s(4))), pop(c(1), Some(s(5))), pop(c(1), None)],
+                res(Inverse::Unpush(c(1), Some(s(4)))),
+                vec![res(Inverse::Unpush(c(2), Some(s(4)))), res(Inverse::Unpush(c(1), None))],
             ),
             (
-                RtOp::FetchAdd { atomic: a(1), old: 7 },
+                unpop(c(1), Some(s(4))),
+                vec![unpop(c(2), Some(s(4))), unpop(c(1), Some(s(5))), unpop(c(1), None)],
+            ),
+            (res(Inverse::Unacquire(l(1))), vec![res(Inverse::Unacquire(l(2)))]),
+            (
+                res(Inverse::Unrelease(l(1), Some(s(3)))),
                 vec![
-                    RtOp::FetchAdd { atomic: a(2), old: 7 },
-                    RtOp::FetchAdd { atomic: a(1), old: 8 },
+                    res(Inverse::Unrelease(l(2), Some(s(3)))),
+                    res(Inverse::Unrelease(l(1), Some(s(4)))),
                 ],
             ),
             (
-                RtOp::PlainStore { atomic: a(1), old: 7 },
-                vec![
-                    RtOp::PlainStore { atomic: a(2), old: 7 },
-                    RtOp::PlainStore { atomic: a(1), old: 8 },
-                ],
+                res(Inverse::Restore(a(1), 7)),
+                vec![res(Inverse::Restore(a(2), 7)), res(Inverse::Restore(a(1), 8))],
+            ),
+            (res(Inverse::Unalloc(1)), vec![res(Inverse::Unalloc(2))]),
+            (
+                res(Inverse::Unfree(1, vec![0; 4])),
+                vec![res(Inverse::Unfree(2, vec![0; 4])), res(Inverse::Unfree(1, vec![0; 5]))],
             ),
             (
-                RtOp::LockAcquire { lock: l(1) },
-                vec![RtOp::LockAcquire { lock: l(2) }],
+                res(Inverse::Unwrite(1, vec![0; 4])),
+                vec![res(Inverse::Unwrite(2, vec![0; 4])), res(Inverse::Unwrite(1, vec![0; 5]))],
             ),
-            (
-                RtOp::LockRelease { lock: l(1), holder: s(3) },
-                vec![
-                    RtOp::LockRelease { lock: l(2), holder: s(3) },
-                    RtOp::LockRelease { lock: l(1), holder: s(4) },
-                ],
-            ),
+            (res(Inverse::Unexit(t(1))), vec![res(Inverse::Unexit(t(2)))]),
+            (res(Inverse::Relock(l(1), data())), vec![res(Inverse::Relock(l(2), data()))]),
             (
                 RtOp::BarrierArrive { barrier: b(1), thread: t(2) },
                 vec![
@@ -172,18 +134,6 @@ mod tests {
             (
                 RtOp::SpawnChild { child: t(1) },
                 vec![RtOp::SpawnChild { child: t(2) }],
-            ),
-            (
-                RtOp::ThreadExit { thread: t(1) },
-                vec![RtOp::ThreadExit { thread: t(2) }],
-            ),
-            (RtOp::Alloc { block: 1 }, vec![RtOp::Alloc { block: 2 }]),
-            (
-                RtOp::Free { block: 1, data: vec![0; 4] },
-                vec![
-                    RtOp::Free { block: 2, data: vec![0; 4] },
-                    RtOp::Free { block: 1, data: vec![0; 5] },
-                ],
             ),
         ]
     }

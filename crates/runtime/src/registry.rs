@@ -5,14 +5,15 @@
 //! `b.thread(..)`, `b.mutex(..)` and the workload helpers taking
 //! `&mut Registry` wire the same program onto the GPRS runtime
 //! ([`crate::GprsBuilder`]) and the CPR baseline ([`crate::cpr::CprBuilder`])
-//! alike. Each builder turns the registry into its engine's state at build.
+//! alike. Both builders hand its resource table to their engine as it is.
 
-use crate::engine::{ChanRec, FileRec, LockRec};
+use crate::engine::FileRec;
 use crate::handles::{
     AtomicHandle, BarrierHandle, ChannelHandle, FileHandle, MutexHandle, RawChannel, RawMutex,
 };
+use crate::ops::{LockData, Res};
 use crate::program::{DynThread, ThreadProgram};
-use gprs_core::ids::{AtomicId, BarrierId, ChannelId, GroupId, LockId, ThreadId};
+use gprs_core::ids::{BarrierId, GroupId, ThreadId};
 use gprs_core::roster::Barrier;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -23,9 +24,8 @@ use std::marker::PhantomData;
 pub struct Registry {
     /// Initial threads in fork order, with their group and weight.
     pub(crate) threads: Vec<(Box<dyn DynThread>, GroupId, u32)>,
-    pub(crate) locks: BTreeMap<LockId, LockRec>,
-    pub(crate) chans: BTreeMap<ChannelId, ChanRec>,
-    pub(crate) atomics: BTreeMap<AtomicId, u64>,
+    /// Locks, channels and cells (see [`gprs_core::resources`]).
+    pub(crate) res: Res,
     pub(crate) barriers: BTreeMap<BarrierId, Barrier>,
     pub(crate) files: BTreeMap<u64, FileRec>,
 }
@@ -34,9 +34,7 @@ impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
             .field("threads", &self.threads.len())
-            .field("locks", &self.locks.len())
-            .field("chans", &self.chans.len())
-            .field("atomics", &self.atomics.len())
+            .field("res", &self.res)
             .field("barriers", &self.barriers.len())
             .field("files", &self.files.len())
             .finish()
@@ -46,35 +44,23 @@ impl std::fmt::Debug for Registry {
 impl Registry {
     /// Registers a mutex owning `init`.
     pub fn mutex<T: Clone + Send + 'static>(&mut self, init: T) -> MutexHandle<T> {
-        let id = LockId::new(self.locks.len() as u64);
-        self.locks.insert(
-            id,
-            LockRec {
-                holder: None,
-                data: Some(Box::new(init)),
-            },
-        );
         MutexHandle {
-            raw: RawMutex(id),
+            raw: RawMutex(self.res.lock(LockData(Box::new(init)))),
             _t: PhantomData,
         }
     }
 
     /// Registers a FIFO channel.
     pub fn channel<T: Send + Sync + 'static>(&mut self) -> ChannelHandle<T> {
-        let id = ChannelId::new(self.chans.len() as u64);
-        self.chans.insert(id, ChanRec::default());
         ChannelHandle {
-            raw: RawChannel(id),
+            raw: RawChannel(self.res.channel()),
             _t: PhantomData,
         }
     }
 
     /// Registers an atomic `u64`.
     pub fn atomic(&mut self, init: u64) -> AtomicHandle {
-        let id = AtomicId::new(self.atomics.len() as u64);
-        self.atomics.insert(id, init);
-        AtomicHandle(id)
+        AtomicHandle(self.res.cell(init))
     }
 
     /// Registers a barrier for `participants` threads.

@@ -63,6 +63,10 @@ pub struct RunReport {
     pub outputs: BTreeMap<ThreadId, Payload>,
     /// Committed contents of every registered file, by registration index.
     pub files: BTreeMap<u64, (String, Vec<u8>)>,
+    /// The exact digest of the atomic cells' final values, in id order
+    /// (see [`gprs_core::resources::Resources::cell_digest`]); a sharded
+    /// run folds its domains' digests in domain order.
+    pub cells_digest: u64,
     /// End-of-run telemetry: determinism hashes (the streaming
     /// `schedule_hash` replaces the old capped `grant_trace` vector and is
     /// identical across runs with the same exception schedule regardless of
@@ -171,6 +175,7 @@ mod tests {
             stats: RunStats::default(),
             outputs,
             files: BTreeMap::new(),
+            cells_digest: 0,
             telemetry: TelemetrySummary::default(),
             first_race: None,
             analysis: None,

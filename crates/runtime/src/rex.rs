@@ -6,24 +6,25 @@
 //! list, and with it what the entry carries: staged (uncommitted) file
 //! output, dependence edges, race-detector facts, deferred cross-domain
 //! arrivals. This module then undoes the squashed sub-threads' runtime
-//! operations from the write-ahead log and their program state from the
-//! history store (thread snapshots, lock mod-sets, allocator blocks), both
-//! newest first, and re-arms each squashed thread with the request that
-//! opened its oldest squashed sub-thread, so normal granting re-executes
-//! exactly the discarded work while every unaffected sub-thread continues.
+//! operations from the write-ahead log (each a resource-table inverse or a
+//! spawn) and their program state from the history store (thread
+//! snapshots, lock data and written blocks), both newest first, and re-arms
+//! each squashed thread with the request that opened its oldest squashed
+//! sub-thread, so normal granting re-executes exactly the discarded work
+//! while every unaffected sub-thread continues.
 
 use crate::engine::{recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec};
 use crate::handles::{RawChannel, RawMutex};
-use crate::ops::RtOp;
+use crate::ops::{ResInverse, RtOp};
 use crate::program::{DynThread, Step};
 use gprs_core::deps::Provenance;
 use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
+use gprs_core::resources::Inverse;
 use gprs_core::roster::ThState;
 use gprs_core::wal::WalRecord;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Drains and handles every pending exception under `policy`. Requires
 /// quiescence (`inner.running` empty) — the worker loop guarantees it.
@@ -96,11 +97,11 @@ pub(crate) struct RexScratch {
     undos: Vec<(u64, Undo)>,
 }
 
-/// One history-store snapshot to apply, by kind.
+/// One history-store snapshot to apply: a thread checkpoint or a table
+/// inverse.
 enum Undo {
     Thread(ThreadId, Box<dyn std::any::Any + Send>),
-    Lock(gprs_core::ids::LockId, Box<dyn crate::handles::Recoverable>),
-    Block(u64, Vec<u8>),
+    Res(ResInverse),
 }
 
 /// Plans, squashes out and undoes the session `walk` began, then re-arms
@@ -192,45 +193,16 @@ fn undo_op(
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) -> Result<(), String> {
     match op {
-        RtOp::Push { chan, item } => {
-            // Remove that very item (pointer identity), searching from the
-            // back: unaffected producers' items interleaved after it stay.
-            // If a consumer popped it, the consumer is squashed and its pop
-            // was undone first (newer LSN), so the item is present.
-            if let Some(c) = inner.chans.get_mut(&chan) {
-                if let Some(ix) = c
-                    .items
-                    .iter()
-                    .rposition(|(i, _)| Arc::ptr_eq(i, &item))
-                {
-                    c.items.remove(ix);
-                }
+        RtOp::Res(inverse) => {
+            if let Inverse::Unexit(thread) = inverse {
+                let rec = inner
+                    .threads
+                    .get_mut(&thread)
+                    .ok_or_else(|| corrupt(thread, "was un-exited but does not exist"))?;
+                rec.final_st = None;
+                inner.roster.revive(&mut inner.enforcer, thread)?;
             }
-        }
-        RtOp::Pop {
-            chan,
-            item,
-            producer,
-        } => {
-            inner
-                .chans
-                .entry(chan)
-                .or_default()
-                .items
-                .push_front((item, producer));
-        }
-        RtOp::FetchAdd { atomic, old } | RtOp::PlainStore { atomic, old } => {
-            inner.atomics.insert(atomic, old);
-        }
-        RtOp::LockAcquire { lock } => {
-            if let Some(l) = inner.locks.get_mut(&lock) {
-                l.holder = None;
-            }
-        }
-        RtOp::LockRelease { lock, holder } => {
-            if let Some(l) = inner.locks.get_mut(&lock) {
-                l.holder = Some(holder);
-            }
+            inner.res.undo(inverse).map_err(|e| e.to_string())?;
         }
         RtOp::BarrierArrive { .. } => {
             // The arriving thread's latest sub-thread is squashed with the
@@ -253,21 +225,6 @@ fn undo_op(
                 .ok_or_else(|| corrupt(child, "was un-spawned with no parked program"))?;
             reclaimed.insert(child, program);
         }
-        RtOp::ThreadExit { thread } => {
-            let rec = inner
-                .threads
-                .get_mut(&thread)
-                .ok_or_else(|| corrupt(thread, "was un-exited but does not exist"))?;
-            rec.final_st = None;
-            inner.outputs.remove(&thread);
-            inner.roster.revive(&mut inner.enforcer, thread)?;
-        }
-        RtOp::Alloc { block } => {
-            inner.blocks.remove(&block);
-        }
-        RtOp::Free { block, data } => {
-            inner.blocks.insert(block, data);
-        }
     }
     Ok(())
 }
@@ -284,11 +241,8 @@ fn apply_history_undo(
     let hist = &mut inner.hist;
     let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
     undos.extend(threads.map(|(seq, _, t, snap)| (seq, Undo::Thread(t, snap))));
-    let locks = hist.lock_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
-    undos.extend(locks.map(|(seq, _, l, snap)| (seq, Undo::Lock(l, snap))));
-    let blocks = hist.block_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
-    undos.extend(blocks.map(|(seq, _, b, snap)| (seq, Undo::Block(b, snap))));
-
+    let res = hist.res_snaps.extract_if(.., |(_, s, _)| squashed(s));
+    undos.extend(res.map(|(seq, _, inverse)| (seq, Undo::Res(inverse))));
     undos.sort_unstable_by_key(|u| std::cmp::Reverse(u.0)); // newest first
     for (_, u) in undos.drain(..) {
         match u {
@@ -305,18 +259,7 @@ fn apply_history_undo(
                     program.restore_from(snap.as_ref());
                 }
             }
-            Undo::Lock(l, snap) => {
-                if let Some(lock) = inner.locks.get_mut(&l) {
-                    lock.data = Some(snap);
-                }
-            }
-            Undo::Block(b, snap) => {
-                if let std::collections::btree_map::Entry::Occupied(mut e) =
-                    inner.blocks.entry(b)
-                {
-                    e.insert(snap);
-                }
-            }
+            Undo::Res(inverse) => inner.res.undo(inverse).map_err(|e| e.to_string())?,
         }
     }
     Ok(())
@@ -339,7 +282,7 @@ fn reinstate(
     rec.current_st = opening.prev;
     // It re-executes from before (or at) its arrival or exit.
     if inner.roster.revive(&mut inner.enforcer, thread)? == ThState::Done {
-        inner.outputs.remove(&thread);
+        inner.res.undo(Inverse::Unexit(thread)).map_err(|e| e.to_string())?;
     }
 
     rec.pending = match opening.want {

@@ -233,11 +233,7 @@ impl GprsSession {
                     )
                 })
                 .collect(),
-            locks: g
-                .locks
-                .iter()
-                .map(|(id, rec)| (id.raw(), rec.holder.map(|s| s.raw())))
-                .collect(),
+            locks: g.res.holders().map(|(id, h)| (id.raw(), h.map(|s| s.raw()))).collect(),
             rol_len: g.rol.len() as u64,
             wal_len: g.wal.len() as u64,
             wal_appended: g.wal.appended(),

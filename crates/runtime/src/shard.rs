@@ -37,11 +37,13 @@ use gprs_analyze::ShardPlan;
 use gprs_core::ids::{BarrierId, ChannelId, ResourceId, ThreadId};
 use gprs_core::ledger::{Poison, RunLedger};
 use gprs_core::order::EdgeQueue;
+use gprs_core::resources::{fold_digest, Got, Op, DIGEST_SEED};
 use gprs_core::rol::RolEntry;
 use gprs_core::roster::Roster;
 use gprs_core::workload::{SimOp, Workload};
 
-use crate::engine::{ChanRec, FileRec, Inner, OpeningWant, Shared, SharedRef, StRec};
+use crate::engine::{FileRec, Inner, OpeningWant, Shared, SharedRef, StRec};
+use crate::ops::Res;
 use crate::program::Payload;
 use crate::report::{RunError, RunReport, RunStats, ShardSummary};
 use parking_lot::Mutex;
@@ -254,14 +256,13 @@ impl ShardCtx {
     /// onto its edge queue (retirement is the commit point, so the forward
     /// is squash-proof) and publishes a cross-domain barrier arrival the
     /// sub-thread ended with.
-    pub fn on_retire(&self, ch: &mut BTreeMap<ChannelId, ChanRec>, e: &RolEntry<StRec>) -> Poison {
+    pub fn on_retire(&self, res: &mut Res, e: &RolEntry<StRec>) -> Poison {
         if let OpeningWant::Push(chan, _) = &e.rec.want {
             if let Some((queue, consumer)) = self.out_edges.get(chan) {
                 // Pushes retire in push (sub-thread) order and a producer
                 // domain has no local popper, so the front staged item is
                 // exactly this push's.
-                let staged = ch.get_mut(chan).and_then(|c| c.items.pop_front());
-                let Some((item, producer)) = staged else {
+                let Ok((Got::Item(item, producer), _)) = res.apply(None, Op::Pop(*chan)) else {
                     return Some(format!("retiring edge push {} has no staged item", e.id()));
                 };
                 debug_assert_eq!(producer, Some(e.id()), "edges forward in retirement order");
@@ -421,7 +422,9 @@ fn merge_reports(
     analysis: Option<gprs_analyze::AnalysisReport>,
 ) -> RunReport {
     let mut base = reports.remove(0);
+    base.cells_digest = fold_digest(DIGEST_SEED, base.cells_digest);
     for r in reports {
+        base.cells_digest = fold_digest(base.cells_digest, r.cells_digest);
         merge_stats(&mut base.stats, &r.stats);
         base.outputs.extend(r.outputs);
         for (id, (name, bytes)) in r.files {
@@ -627,15 +630,18 @@ pub(crate) fn assemble(
             inner.poison_on(reason);
             inner.threads.insert(tid, rec);
         }
-        // Atomics replicate by value: RMW atomics and written plain cells
+        // Cells replicate by value: RMW atomics and written plain cells
         // are domain-private by the interference proof; read-only plain
-        // cells are safely duplicated.
-        inner.atomics = base.atomics.clone();
-        // Channels start empty everywhere; producer domains stage pushes in
-        // their local replica until retirement forwards them.
-        for &chan in base.chans.keys() {
-            inner.chans.entry(chan).or_default();
-        }
+        // cells are safely duplicated. Channels start empty everywhere;
+        // producer domains stage pushes in their local replica until
+        // retirement forwards them. Each lock lives in the one domain that
+        // touches it (the interference proof makes multi-domain locks
+        // impossible); unmodeled locks stay usable in domain 0.
+        inner.res = base.res.clone();
+        inner.res.keep_locks(|lock| {
+            let touched = resources.touched.get(&ResourceId::Lock(lock));
+            touched.and_then(|doms| doms.iter().next().copied()).unwrap_or(0) == dix
+        });
         // Files replicate by name; the merged report concatenates committed
         // bytes in domain order.
         for (&id, f) in &base.files {
@@ -686,17 +692,6 @@ pub(crate) fn assemble(
             finish_published: false,
         });
         engines.push(Arc::new(Shared::new(inner)));
-    }
-    // Locks move wholesale to their owning domain (the interference proof
-    // makes multi-domain locks impossible); unmodeled locks stay usable in
-    // domain 0.
-    for (lock, rec) in std::mem::take(&mut base.locks) {
-        let owner = resources
-            .touched
-            .get(&ResourceId::Lock(lock))
-            .and_then(|doms| doms.iter().next().copied())
-            .unwrap_or(0);
-        engines[owner].inner.lock().locks.insert(lock, rec);
     }
     ShardedGprs {
         engines,

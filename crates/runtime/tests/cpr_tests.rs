@@ -4,6 +4,7 @@
 use gprs_runtime::cpr::CprBuilder;
 use gprs_runtime::ctx::StepCtx;
 use gprs_runtime::prelude::*;
+use gprs_runtime::Registry;
 use std::time::Duration;
 
 /// Counts under a mutex with some local work, like the GPRS tests.
@@ -448,4 +449,85 @@ fn cpr_rollback_respawns_a_child_under_its_id() {
     assert_eq!(rollbacks, 1);
     assert_eq!((keys, value), (clean_keys, clean_value));
     assert_eq!(clean_value, 1_001_234);
+}
+
+/// A thread that performs `script(0)`, `script(1)`, … — one step each.
+struct Script<F> {
+    pc: u32,
+    script: F,
+}
+
+impl<F: Send + 'static> Checkpoint for Script<F> {
+    type Snapshot = u32;
+    fn checkpoint(&self) -> u32 {
+        self.pc
+    }
+    fn restore(&mut self, pc: &u32) {
+        self.pc = *pc;
+    }
+}
+
+impl<F: FnMut(u32) -> Step + Send + 'static> ThreadProgram for Script<F> {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+        let step = (self.script)(self.pc);
+        self.pc += 1;
+        step
+    }
+}
+
+fn script(b: &mut Registry, f: impl FnMut(u32) -> Step + Send + 'static) {
+    b.thread(Script { pc: 0, script: f }, GroupId::new(0), 1);
+}
+
+/// The baseline poisons the GPRS drivers' ill-formed programs by the same
+/// names instead of parking its last worker where nothing can wake it.
+#[test]
+fn cpr_poisons_ill_formed_programs_by_name() {
+    type Program = fn(&mut Registry);
+    let ill_formed: [(Program, &str); 3] = [
+        (
+            |b| {
+                let chan = b.channel::<u64>();
+                script(b, |_| Step::exit_unit());
+                script(b, move |pc| if pc == 0 { chan.pop() } else { Step::exit_unit() });
+            },
+            "channel starvation",
+        ),
+        (
+            |b| {
+                let barrier = b.barrier(3);
+                for _ in 0..2 {
+                    script(b, move |pc| if pc == 0 { barrier.wait() } else { Step::exit_unit() });
+                }
+            },
+            "barrier participants mismatch",
+        ),
+        (
+            |b| {
+                for peer in [1, 0] {
+                    let join = move |pc| match pc {
+                        0 => Step::join(ThreadId::new(peer)),
+                        _ => Step::exit_unit(),
+                    };
+                    script(b, join);
+                }
+            },
+            "join cycle",
+        ),
+    ];
+    for (program, expect) in ill_formed {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut b = CprBuilder::new().workers(2);
+            program(&mut b);
+            let _ = tx.send(b.build().run().map(|r| r.rollbacks));
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(RunError::Poisoned(msg))) => {
+                assert!(msg.contains(expect), "wanted {expect:?} in {msg:?}")
+            }
+            Ok(other) => panic!("{expect}: expected a poisoned run, got {other:?}"),
+            Err(_) => panic!("{expect}: the CPR run did not return within its watchdog"),
+        }
+    }
 }

@@ -30,7 +30,7 @@ use crate::result::SimResult;
 use crate::workload::{SimOp, Workload};
 use gprs_core::deps::Provenance;
 use gprs_core::exception::{Exception, ExceptionInjector, InjectorConfig};
-use gprs_core::ids::{BarrierId, ChannelId, LockId, ResourceId, SubThreadId};
+use gprs_core::ids::{BarrierId, LockId, ResourceId, SubThreadId};
 use gprs_core::ledger::{Checkpointed, Poison, RetireFacts, RunLedger};
 use gprs_core::order::{OrderEnforcer, ScheduleKind};
 use gprs_core::persist::PersistBackend;
@@ -38,6 +38,7 @@ use gprs_core::racecheck::{AccessKind, OpenEdge};
 use gprs_core::recording::{DriveMode, Recording, RecordingHeader};
 pub use gprs_core::recovery::RecoveryPolicy;
 use gprs_core::recovery::Recovery;
+use gprs_core::resources::{Got, Inverse, Op, Poll, Resources};
 use gprs_core::retire::{self, Retirement};
 use gprs_core::rol::ReorderList;
 use gprs_core::roster::{Arrival, Barrier, Roster};
@@ -298,9 +299,9 @@ struct SimRec {
     /// re-executions are fresh ids); the closure walks the reorder list, so
     /// ids outside the window never match.
     consumers: Vec<SubThreadId>,
-    /// `(channel, producer)` of the item it popped: a squash returns the
-    /// item to the channel front.
-    popped: Option<(ChannelId, SubThreadId)>,
+    /// The table inverse of the push or pop that opened it: a squash
+    /// withdraws its item, or returns the item it popped to the front.
+    undo: Option<Inverse<(), ()>>,
 }
 
 /// Channel-item provenance for the dependence closure.
@@ -357,8 +358,10 @@ struct Gprs<'a> {
     targets: Vec<(usize, Rewind)>,
     undone: Vec<(BarrierId, u64)>,
     forced: Vec<(usize, Rewind)>,
+    /// The virtual time each lock is next free (the cost model's clock).
     locks: HashMap<LockId, u64>,
-    chans: HashMap<ChannelId, VecDeque<SubThreadId>>,
+    /// The channels' item provenance (see [`gprs_core::resources`]).
+    table: Resources<(), ()>,
     injector: Option<ExceptionInjector>,
     /// Ahead-of-run static analysis report, carried into the result.
     analysis: Option<gprs_analyze::AnalysisReport>,
@@ -423,6 +426,16 @@ impl<'a> Gprs<'a> {
             resume_barrier: false,
             current_st: None,
         };
+        // Channel ids are dense: register every one the trace names.
+        let mut table = Resources::default();
+        let segments = w.threads.iter().flat_map(|t| &t.segments);
+        let chans = segments.filter_map(|s| match s.op {
+            SimOp::Push { chan } | SimOp::Pop { chan } => Some(chan.raw() + 1),
+            _ => None,
+        });
+        for _ in 0..chans.max().unwrap_or(0) {
+            table.channel();
+        }
         let injector = cfg.exceptions.clone().map(ExceptionInjector::new);
         let latency = cfg
             .exceptions
@@ -448,7 +461,7 @@ impl<'a> Gprs<'a> {
             undone: Vec::new(),
             forced: Vec::new(),
             locks: HashMap::new(),
-            chans: HashMap::new(),
+            table,
             injector,
             analysis,
             latency,
@@ -509,8 +522,16 @@ impl<'a> Gprs<'a> {
     /// segment `body_seg_ix`: pays the checkpoint + ordering costs and
     /// schedules the body on a context. The segment before the body (none
     /// for a thread's first) names the kind and the opening operation; a
-    /// lock's critical section runs under it before the body.
-    fn spawn_subthread(&mut self, th: usize, stid: SubThreadId, now: u64, body_seg_ix: usize) {
+    /// lock's critical section runs under it before the body. The entry
+    /// carries `undo`, the inverse of the push or pop that opened it.
+    fn spawn_subthread(
+        &mut self,
+        th: usize,
+        stid: SubThreadId,
+        now: u64,
+        body_seg_ix: usize,
+        undo: Option<Inverse<(), ()>>,
+    ) {
         use SubThreadKind as K;
         let spec = &self.w.threads[th];
         let seg = &spec.segments[body_seg_ix];
@@ -590,7 +611,7 @@ impl<'a> Gprs<'a> {
         let rec = SimRec {
             body,
             consumers: Vec::new(),
-            popped: None,
+            undo,
         };
         let (rol, ledger) = (&mut self.rol, &mut self.ledger);
         let reason = retire::open(rol, ledger, ctx, descriptor, rec, checkpoint);
@@ -751,26 +772,13 @@ impl<'a> Gprs<'a> {
         let culprit_th = self.rec(culprit).body.thread;
         // The entries leave the reorder list entirely, youngest first —
         // their re-executions are fresh grants that re-enter retirement in
-        // total order. Undo each one's channel effects: a squashed pop
-        // returns the item to the channel front, a squashed push withdraws
-        // its item.
+        // total order. Each one's channel effect is undone in that order.
         let squashed = rex.squash_out(&mut self.rol, &mut self.ledger, |r| r.body.ctx);
         squashed.map_err(|e| e.to_string())?;
-        for (_, sid, SimRec { body, popped, .. }) in rex.removed() {
+        for (_, sid, SimRec { body, undo, .. }) in rex.removed() {
             self.res.redo_cycles += report.min(body.end).saturating_sub(body.start);
-            if let Some((chan, producer)) = *popped {
-                self.chans.entry(chan).or_default().push_front(producer);
-            }
-            if body.kind == SubThreadKind::ChannelAccess {
-                if let SimOp::Push { chan } =
-                    self.w.threads[body.thread].segments[body.seg_ix - 1].op
-                {
-                    if let Some(q) = self.chans.get_mut(&chan) {
-                        if let Some(p) = q.iter().position(|x| x == sid) {
-                            q.remove(p);
-                        }
-                    }
-                }
+            if let Some(inverse) = undo.take() {
+                self.table.undo(inverse).map_err(|e| e.to_string())?;
             }
             let window = &mut self.by_thread[body.thread];
             let at = window.binary_search(sid).map_err(|_| format!("unknown sub-thread {sid}"))?;
@@ -922,89 +930,85 @@ impl<'a> Gprs<'a> {
                 continue;
             }
 
-            // Decide the pending operation.
+            // The pending request: the closing op of segment `op_ix`, or
+            // (`None`) the body a thread starts or a release resumes at.
             let t = &self.threads[th];
-            if !t.started {
-                let stid = self.enforcer.try_grant(holder).expect("holder");
-                self.res.ordering_wait_cycles += now - req;
-                self.token_time = now;
-                self.threads[th].started = true;
-                self.spawn_subthread(th, stid, now, 0);
-                continue;
-            }
-            if t.resume_barrier {
-                let stid = self.enforcer.try_grant(holder).expect("holder");
-                self.res.ordering_wait_cycles += now - req;
-                self.token_time = now;
-                self.threads[th].resume_barrier = false;
-                let body_ix = self.threads[th].op_ix;
-                self.spawn_subthread(th, stid, now, body_ix);
-                continue;
-            }
-
             let op_ix = t.op_ix;
-            let op = self.w.threads[th].segments[op_ix].op;
-            match op {
-                SimOp::Pop { chan } if self.chans.entry(chan).or_default().is_empty() => {
-                    // Under replay this cannot happen on a faithful tape:
-                    // channel contents are a function of the granted-event
-                    // prefix, so the recorded Pop found an item. An empty
-                    // queue means the tape lies about this schedule — and
-                    // since `ReplaySchedule::pass` holds the cursor, passing
-                    // here would spin forever. Abort by name instead.
-                    if let Some(pos) = self.ledger.replay_pos() {
-                        self.replay_abort(format!(
-                            "replay divergence at event {pos}: recorded \
-                             thread {} polls an empty channel the recording \
-                             granted",
-                            holder.raw()
-                        ));
+            let op = (t.started && !t.resume_barrier).then(|| self.w.threads[th].segments[op_ix].op);
+            if let Some(SimOp::Pop { chan }) = op {
+                match self.table.poll(ResourceId::Channel(chan)) {
+                    Ok(Poll::Pass) => {
+                        // Under replay this cannot happen on a faithful
+                        // tape: channel contents are a function of the
+                        // granted-event prefix, so the recorded Pop found an
+                        // item. An empty queue means the tape lies about
+                        // this schedule — and since `ReplaySchedule::pass`
+                        // holds the cursor, passing here would spin forever.
+                        // Abort by name instead.
+                        if let Some(pos) = self.ledger.replay_pos() {
+                            self.replay_abort(format!(
+                                "replay divergence at event {pos}: recorded \
+                                 thread {} polls an empty channel the recording \
+                                 granted",
+                                holder.raw()
+                            ));
+                            return false;
+                        }
+                        // Empty FIFO: the holder wastes its turn and re-polls
+                        // on its next turn (Figure 7).
+                        self.enforcer.pass_turn(holder);
+                        self.res.polls += 1;
+                        self.token_time = now + poll_cost;
+                        continue;
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        self.replay_abort(e.to_string());
                         return false;
                     }
-                    // Empty FIFO: the holder wastes its turn and re-polls on
-                    // its next turn (Figure 7).
-                    self.enforcer.pass_turn(holder);
-                    self.res.polls += 1;
-                    self.token_time = now + poll_cost;
-                    continue;
                 }
-                _ => {}
             }
-
-            let stid = self.enforcer.try_grant(holder).expect("holder");
+            let Some(stid) = self.enforcer.try_grant(holder) else {
+                self.replay_abort(format!("grant: {holder} does not hold the token it was granted"));
+                return false;
+            };
             self.res.ordering_wait_cycles += now - req;
             self.token_time = now;
+            let Some(op) = op else {
+                let t = &mut self.threads[th];
+                t.started = true;
+                t.resume_barrier = false;
+                self.spawn_subthread(th, stid, now, op_ix, None);
+                continue;
+            };
             self.complete_current(th);
 
             match op {
-                SimOp::Lock { .. } | SimOp::Atomic { .. } => {
-                    self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(th, stid, now, op_ix + 1);
-                }
-                SimOp::Push { chan } => {
+                SimOp::Lock { .. } | SimOp::Atomic { .. } | SimOp::Push { .. } | SimOp::Pop { .. } => {
+                    let chan_op = match op {
+                        SimOp::Push { chan } => Some(Op::Push(chan, ())),
+                        SimOp::Pop { chan } => Some(Op::Pop(chan)),
+                        _ => None,
+                    };
+                    let (got, undo) = match chan_op.map(|op| self.table.apply(Some(stid), op)) {
+                        None => (Got::Nothing, None),
+                        Some(Ok((got, inverse))) => (got, Some(inverse)),
+                        Some(Err(e)) => {
+                            self.replay_abort(e.to_string());
+                            return false;
+                        }
+                    };
                     // Provenance is the pushing sub-thread: squashing it
                     // un-pushes the item, so the consumer belongs to its
                     // closure (the value's computing sub-thread is covered
                     // transitively via the same-thread rule).
-                    let producer = stid;
-                    self.chans.entry(chan).or_default().push_back(producer);
-                    self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(th, stid, now, op_ix + 1);
-                }
-                SimOp::Pop { chan } => {
-                    let producer = self
-                        .chans
-                        .get_mut(&chan)
-                        .and_then(|q| q.pop_front())
-                        .expect("guarded by the empty-poll arm");
-                    if let Some(rec) = self.rol.rec_mut(producer) {
-                        rec.consumers.push(stid);
+                    if let Got::Item((), Some(producer)) = got {
+                        if let Some(rec) = self.rol.rec_mut(producer) {
+                            rec.consumers.push(stid);
+                        }
                     }
                     self.threads[th].op_ix = op_ix + 1;
-                    self.spawn_subthread(th, stid, now, op_ix + 1);
-                    if let Some(rec) = self.rol.rec_mut(stid) {
-                        rec.popped = Some((chan, producer));
-                    }
+                    self.spawn_subthread(th, stid, now, op_ix + 1, undo);
                 }
                 SimOp::Barrier { barrier } => {
                     // Structural turn-consuming event: recorded/verified
@@ -1110,10 +1114,13 @@ fn race_facts<'f>(
     let open = match body.kind {
         SubThreadKind::ChannelAccess => match segs[body.seg_ix - 1].op {
             SimOp::Push { chan } => Some(OpenEdge::ChanPush(chan)),
-            SimOp::Pop { chan } => Some(OpenEdge::ChanPop {
-                chan,
-                producer: rec.popped.map(|(_, p)| p),
-            }),
+            SimOp::Pop { chan } => {
+                let producer = match rec.undo {
+                    Some(Inverse::Unpop(_, (), producer)) => producer,
+                    _ => None,
+                };
+                Some(OpenEdge::ChanPop { chan, producer })
+            }
             _ => None,
         },
         SubThreadKind::BarrierContinuation => {
@@ -1166,7 +1173,7 @@ mod tests {
     use crate::costs::{secs_to_cycles, CYCLES_PER_SEC};
     use crate::free::{run_free, FreeRunConfig};
     use crate::workload::{Segment, ThreadSpec};
-    use gprs_core::ids::{GroupId, ThreadId};
+    use gprs_core::ids::{ChannelId, GroupId, ThreadId};
 
     fn spec(th: u32, group: u32, weight: u32, segs: Vec<Segment>) -> ThreadSpec {
         ThreadSpec::new(ThreadId::new(th), GroupId::new(group), weight, segs)
