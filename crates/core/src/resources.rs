@@ -369,10 +369,18 @@ impl<V: Clone, L> Resources<V, L> {
         owned.filter_map(|(i, l)| Some((LockId::new(i as u64), l.as_ref()?.holder)))
     }
 
-    /// An exact digest of the cells, in id order: two tables whose cells
-    /// differ anywhere digest differently but for a 64-bit collision.
-    pub fn cell_digest(&self) -> u64 {
-        self.cells.iter().fold(DIGEST_SEED, |h, &v| fold_digest(h, v))
+    /// A digest of the final state, in id order: the cells exactly, then
+    /// each lock's data and each exit value as `lock` and `exit` fold them
+    /// in (a lock whose data is checked out folds `u64::MAX`). Two tables
+    /// whose cells differ anywhere digest differently but for a 64-bit
+    /// collision.
+    pub fn digest(&self, lock: impl Fn(u64, &L) -> u64, exit: impl Fn(u64, &V) -> u64) -> u64 {
+        let h = self.cells.iter().fold(DIGEST_SEED, |h, &v| fold_digest(h, v));
+        let h = self.locks.iter().flatten().fold(h, |h, l| match &l.data {
+            Some(data) => lock(h, data),
+            None => fold_digest(h, u64::MAX),
+        });
+        self.exits.iter().fold(h, |h, (t, v)| exit(fold_digest(h, u64::from(t.raw())), v))
     }
 
     fn chan(&self, c: ChannelId) -> Result<&VecDeque<(V, Option<SubThreadId>)>> {
@@ -404,7 +412,7 @@ impl<L> Lock<L> {
     }
 }
 
-/// The FNV-1a offset basis [`Resources::cell_digest`] starts from.
+/// The FNV-1a offset basis [`Resources::digest`] starts from.
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one word into a cell digest, byte by byte (FNV-1a). A sharded run

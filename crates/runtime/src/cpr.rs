@@ -298,8 +298,8 @@ pub struct CprReport {
     pub outputs: BTreeMap<ThreadId, Payload>,
     /// Committed file contents.
     pub files: BTreeMap<u64, (String, Vec<u8>)>,
-    /// The exact digest of the atomic cells' final values, in id order
-    /// (see [`gprs_core::resources::Resources::cell_digest`]).
+    /// The digest of the final cells, lock data and exit values, in id
+    /// order (see [`gprs_core::resources::Resources::digest`]).
     pub cells_digest: u64,
     /// End-of-run telemetry (CPR counters/events; the determinism hashes
     /// stay empty — the baseline is timing-dependent by design).
@@ -401,8 +401,9 @@ impl CprRuntime {
             stats: g.stats,
             checkpoints: g.checkpoints,
             rollbacks: g.rollbacks,
+            // Before `outputs` takes the exit values it digests.
+            cells_digest: crate::report::state_digest(&g.res),
             outputs: g.res.take_exits(),
-            cells_digest: g.res.cell_digest(),
             files,
             telemetry,
         })

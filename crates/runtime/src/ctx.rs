@@ -346,7 +346,9 @@ impl StepCtx<'_> {
     /// Panics if the block was freed.
     pub fn with_block<R>(&self, block: BlockHandle, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         let written = match &self.backend {
-            CtxBackend::Gprs(shared) => shared.inner.lock().block_for_write(self.stid, block.0).map(f),
+            CtxBackend::Gprs(shared) => {
+                shared.inner.lock().block_for_write(self.worker, self.stid, block.0).map(f)
+            }
             CtxBackend::Cpr(shared) => shared.inner.lock().res.write(block.0).map(|(data, _)| f(data)),
         };
         written.unwrap_or_else(|e| panic!("{e}"))

@@ -31,13 +31,12 @@ use gprs_core::recovery::{Recovery, RecoveryPolicy};
 use gprs_core::resources::{Got, Inverse, Op, Poll, ResourceError};
 use gprs_core::retire::{self, Batch, Retirement};
 use gprs_core::roster::{Arrival, Barrier, Roster, ThState};
-use gprs_core::rol::ReorderList;
+use gprs_core::rol::{ReorderList, RolEntry, SubThreadStatus};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_core::wal::WriteAheadLog;
-use gprs_telemetry::{spsc, Telemetry, TelemetryConfig};
+use gprs_telemetry::{Telemetry, TelemetryConfig};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -187,6 +186,17 @@ pub(crate) struct StRec {
     /// File writes staged until it retires (`(file, bytes)`, the
     /// output-commit delay).
     pub staged: Vec<(u64, Vec<u8>)>,
+    /// Its thread's checkpoint, taken before its body ran and set at its
+    /// deposit: restored when it is squashed, handed back to the thread's
+    /// [`ThreadRec::spare_snap`] when it retires.
+    pub snap: Option<Box<dyn std::any::Any + Send>>,
+    /// The worker running its body, from its grant to its deposit.
+    pub worker: Option<usize>,
+    /// The youngest sub-thread in flight whose writes to a lock's data it
+    /// read: a nested acquire can follow a younger sub-thread's release. A
+    /// squash of that one takes this one too (`rex::widen_to_readers`),
+    /// and this one completes only in a batch that retires that one.
+    pub reads_younger: Option<SubThreadId>,
 }
 
 impl StRec {
@@ -200,6 +210,9 @@ impl StRec {
             pop_src: None,
             accesses: Vec::new(),
             staged: Vec::new(),
+            snap: None,
+            worker: None,
+            reads_younger: None,
         }
     }
 
@@ -243,6 +256,12 @@ impl Provenance for StRec {
     }
 }
 
+/// Whether an entry's step was deposited but the entry not completed: it
+/// awaits a younger one it read from ([`StRec::reads_younger`]).
+fn awaiting(e: &RolEntry<StRec>) -> bool {
+    e.status == SubThreadStatus::InFlight && e.rec.worker.is_none() && e.rec.reads_younger.is_some()
+}
+
 /// Returns a consumed plain-access vector to the bounded pool.
 pub(crate) fn recycle_access_vec(
     pool: &mut Vec<Vec<(ResourceId, AccessKind)>>,
@@ -262,8 +281,8 @@ pub(crate) struct ThreadRec {
     pub final_st: Option<SubThreadId>,
     /// The parent continuation sub-thread that spawned this thread.
     pub spawned_by: Option<SubThreadId>,
-    /// A retired sub-thread's checkpoint box, kept for this thread's next
-    /// grant to overwrite (see [`HistoryStore::prune_retired_batch`]).
+    /// A retired or restored sub-thread's checkpoint box ([`StRec::snap`]),
+    /// kept for this thread's next grant to overwrite.
     pub spare_snap: Option<Box<dyn std::any::Any + Send>>,
 }
 
@@ -284,76 +303,23 @@ pub(crate) struct FileRec {
     pub committed: Vec<u8>,
 }
 
-/// State captured by a worker outside the engine lock, handed back through
-/// the worker's SPSC buffer and folded into [`Inner`] at the worker's next
-/// lock acquisition (its deposit). Entries only exist between a task's
-/// grant and its deposit, so at any quiescent point — in particular when
-/// recovery runs — every buffer is empty and the history store / WAL are
-/// complete.
-pub(crate) enum HandOff {
-    /// A thread checkpoint for the history buffer.
-    ThreadSnap(u64, SubThreadId, ThreadId, Box<dyn std::any::Any + Send>),
-    /// A critical section's lock data, as a table inverse.
-    Res(u64, SubThreadId, ResInverse),
-}
-
-/// Snapshot store — the runtime's history buffer. Data-bearing rather than
-/// closure-bearing so that recovery can apply snapshots against [`Inner`]
-/// while holding its lock: thread checkpoints, and the table inverses of
-/// lock data checked out and of block writes. Thread checkpoints are noted
-/// at every grant, so they keep a vector of their own with small entries.
+/// The lock data each critical section in flight checked out, as the
+/// [`Inverse::Relock`] that restores it, in the order of the history
+/// sequence number its acquire took. A grant's arrives only with its
+/// deposit, after an early unlock may have let a younger sub-thread take
+/// the lock, and a nested acquire is noted mid-step; so this order, not
+/// the reorder list's, is the order undo must follow.
 #[derive(Default)]
 pub(crate) struct HistoryStore {
     pub seq: u64,
-    pub thread_snaps: Vec<(u64, SubThreadId, ThreadId, Box<dyn std::any::Any + Send>)>,
-    pub res_snaps: Vec<(u64, SubThreadId, ResInverse)>,
-}
-
-impl std::fmt::Debug for HistoryStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistoryStore")
-            .field("thread_snaps", &self.thread_snaps.len())
-            .field("res_snaps", &self.res_snaps.len())
-            .finish()
-    }
+    pub relocks: Vec<(u64, SubThreadId, ResInverse)>,
 }
 
 impl HistoryStore {
-    /// Folds one hand-off in.
-    fn apply(&mut self, h: HandOff) {
-        match h {
-            HandOff::ThreadSnap(seq, stid, thread, snap) => {
-                self.thread_snaps.push((seq, stid, thread, snap))
-            }
-            HandOff::Res(seq, stid, inverse) => self.res_snaps.push((seq, stid, inverse)),
-        }
-    }
-
-    /// Notes `inverse` for `stid` under the next sequence number.
-    fn note(&mut self, stid: SubThreadId, inverse: ResInverse) {
-        self.seq += 1;
-        self.res_snaps.push((self.seq, stid, inverse));
-    }
-
-    /// Drops every snapshot belonging to a retiring run of sub-threads —
-    /// given as the id range of the ROL prefix being retired, see
-    /// [`WriteAheadLog::prune_retired_batch`] — in one pass per store. A
-    /// pruned thread checkpoint's box goes back to its thread, whose next
-    /// grant overwrites it in place instead of allocating a new one.
-    pub fn prune_retired_batch(
-        &mut self,
-        retired: RangeInclusive<SubThreadId>,
-        threads: &mut BTreeMap<ThreadId, ThreadRec>,
-    ) {
-        for (_, _, thread, snap) in self
-            .thread_snaps
-            .extract_if(.., |(_, s, _, _)| retired.contains(s))
-        {
-            if let Some(rec) = threads.get_mut(&thread) {
-                rec.spare_snap = Some(snap);
-            }
-        }
-        self.res_snaps.retain(|(_, s, _)| !retired.contains(s));
+    /// Files `relock` for `stid` under sequence number `seq`.
+    fn insert(&mut self, seq: u64, stid: SubThreadId, relock: ResInverse) {
+        let at = self.relocks.partition_point(|&(s, _, _)| s < seq);
+        self.relocks.insert(at, (seq, stid, relock));
     }
 }
 
@@ -370,10 +336,9 @@ pub(crate) struct StepTask {
     pub stid: SubThreadId,
     pub program: Box<dyn DynThread>,
     pub inputs: StepInputs,
-    /// History sequence number reserved at grant for what the worker
-    /// captures off-lock: the thread checkpoint and a critical section's
-    /// lock data. The two restore different objects, so they share it.
-    pub snap_seq: u64,
+    /// History sequence number reserved at grant for the lock data a
+    /// critical section checks out, which the worker captures off-lock.
+    pub relock_seq: u64,
     /// The thread's recycled checkpoint box, if it has one (see
     /// [`ThreadRec::spare_snap`]).
     pub spare_snap: Option<Box<dyn std::any::Any + Send>>,
@@ -396,8 +361,9 @@ pub(crate) struct Inner {
     /// sub-thread its arrival ended.
     pub roster: Roster,
     pub files: BTreeMap<u64, FileRec>,
-    /// Sub-threads whose step is executing -> the worker running it.
-    pub running: BTreeMap<SubThreadId, usize>,
+    /// How many sub-threads have a step executing: the entries whose
+    /// [`StRec::worker`] is set.
+    pub running: usize,
     pub pending_exceptions: VecDeque<PendingException>,
     /// Replay gate: threads whose squashed lock/atomic operations must
     /// re-grant in their original total order. While non-empty, only the
@@ -446,7 +412,7 @@ impl std::fmt::Debug for Inner {
         f.debug_struct("Inner")
             .field("live", &self.roster.live())
             .field("rol", &self.rol.len())
-            .field("running", &self.running.len())
+            .field("running", &self.running)
             .field("recovering", &self.recovering)
             .finish_non_exhaustive()
     }
@@ -621,22 +587,17 @@ pub(crate) struct Shared {
     /// Set (under the lock) when the run finished or poisoned, so
     /// `Controller::is_finished` polls without taking the lock.
     pub done: AtomicBool,
-    /// Per-worker SPSC hand-off buffers for off-lock captured state (see
-    /// [`HandOff`]). Strict single-owner: worker `i` alone pushes to and
-    /// drains `handoffs[i]`.
-    pub handoffs: Vec<spsc::Channel<HandOff>>,
 }
 
 impl Shared {
     pub fn new(inner: Inner) -> Self {
         let gate = inner.enforcer.gate();
-        let workers = inner.cfg.workers;
+        let waits = WaitQueues::new(inner.cfg.workers);
         Shared {
             inner: Mutex::new(inner),
-            waits: WaitQueues::new(workers),
+            waits,
             gate,
             done: AtomicBool::new(false),
-            handoffs: (0..workers).map(|_| spsc::Channel::new(8)).collect(),
         }
     }
 
@@ -709,7 +670,7 @@ impl Inner {
             res: Res::default(),
             roster: Roster::default(),
             files: BTreeMap::new(),
-            running: BTreeMap::new(),
+            running: 0,
             pending_exceptions: VecDeque::new(),
             redo_locks: VecDeque::new(),
             recovering: false,
@@ -788,8 +749,8 @@ impl Inner {
 
     /// Fires any chaos events due at the current grant count. Runs under
     /// the engine lock immediately after a grant, so `Newest` resolves to
-    /// the sub-thread granted this very cycle (whose checkpoint hand-off is
-    /// still in flight) and `Holder` to a live critical section.
+    /// the sub-thread granted this very cycle (whose checkpoint is not
+    /// taken yet) and `Holder` to a live critical section.
     pub(crate) fn chaos_tick_grant(&mut self) {
         let grants = self.stats.grants;
         while let Some(ev) = self.chaos.as_mut().and_then(|c| c.due_at_grant(grants)) {
@@ -852,8 +813,8 @@ impl Inner {
             }
             let victim = self.chaos_pick_victim(ev.victim, in_recovery, burst_from);
             let context = victim
-                .and_then(|v| self.running.get(&v))
-                .map(|&w| w as u32)
+                .and_then(|v| self.rol.get(v)?.rec.worker)
+                .map(|w| w as u32)
                 .unwrap_or(match ev.victim {
                     VictimSelector::Context(c) => c,
                     _ => 0,
@@ -862,11 +823,18 @@ impl Inner {
         }
     }
 
+    /// The sub-threads whose step is executing, oldest first, each with the
+    /// worker running it.
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = (SubThreadId, usize)> + '_ {
+        self.rol.iter().filter_map(|e| Some((e.id(), e.rec.worker?)))
+    }
+
     /// Picks the next distinct victim for a burst member: one no exception
     /// queued since `burst_from` names. At a grant trigger candidates are
     /// the running sub-threads; mid-recovery the machine is quiesced
-    /// (`running` empty), so candidates are the surviving ROL entries — the
-    /// sub-threads recovery just chose *not* to squash.
+    /// (nothing running, no lock held), so candidates are the surviving ROL
+    /// entries — the sub-threads recovery just chose *not* to squash — and
+    /// a context names none of them.
     fn chaos_pick_victim(
         &self,
         sel: VictimSelector,
@@ -875,18 +843,11 @@ impl Inner {
     ) -> Option<SubThreadId> {
         let taken = self.pending_exceptions.range(burst_from..);
         let free = |id: &SubThreadId| !taken.clone().any(|p| p.culprit == Some(*id));
-        if in_recovery {
-            let mut live = self.rol.iter().map(|e| e.id()).filter(free);
-            return match sel {
-                VictimSelector::Oldest | VictimSelector::Holder => live.next(),
-                VictimSelector::Newest => live.last(),
-                // No context is running anything mid-recovery.
-                VictimSelector::Context(_) => None,
-            };
-        }
+        let candidates = self.rol.iter().filter(|e| in_recovery || e.rec.worker.is_some());
+        let mut running = candidates.map(|e| (e.id(), e.rec.worker)).filter(|(id, _)| free(id));
         match sel {
-            VictimSelector::Oldest => self.running.keys().copied().find(free),
-            VictimSelector::Newest => self.running.keys().rev().copied().find(free),
+            VictimSelector::Oldest => running.next().map(|(id, _)| id),
+            VictimSelector::Newest => running.last().map(|(id, _)| id),
             VictimSelector::Holder => self
                 .res
                 .holders()
@@ -895,12 +856,8 @@ impl Inner {
                 .find(free)
                 // No live critical section: fall back to the oldest, so a
                 // holder-targeted storm still lands every member.
-                .or_else(|| self.running.keys().copied().find(free)),
-            VictimSelector::Context(c) => self
-                .running
-                .iter()
-                .find(|&(id, &w)| w == c as usize && free(id))
-                .map(|(&id, _)| id),
+                .or_else(|| running.next().map(|(id, _)| id)),
+            VictimSelector::Context(c) => running.find(|&(_, w)| w == Some(c as usize)).map(|(id, _)| id),
         }
     }
 
@@ -1032,10 +989,12 @@ impl Inner {
     /// Retires the maximal run of completed head sub-threads as one batch
     /// through the kernel, committing each record entry by entry — staged
     /// file output (the output-commit point), cross-domain forwards, its
-    /// access vector back to the pool — and then pruning the WAL and the
-    /// history store once per batch, a single pass per store instead of
-    /// one per retired sub-thread.
+    /// access vector back to the pool, its checkpoint box back to its
+    /// thread — and then pruning the WAL and the history store once per
+    /// batch, a single pass per store instead of one per retired
+    /// sub-thread.
     fn retire_ready(&mut self) {
+        self.complete_awaiting();
         let (batch, reason) = self.retirement.retire(
             &mut self.rol,
             &mut self.ledger,
@@ -1055,18 +1014,51 @@ impl Inner {
                     }
                 }
                 let reason = self.shard.as_ref().and_then(|c| c.on_retire(&mut self.res, &entry));
+                if let Some(rec) = self.threads.get_mut(&entry.thread()) {
+                    rec.spare_snap = entry.rec.snap;
+                }
                 recycle_access_vec(&mut self.access_pool, entry.rec.accesses);
                 reason
             },
         );
         self.poison_on(reason);
+        self.stats.rol_peak = self.stats.rol_peak.max(self.rol.peak_occupancy());
         if let Some(Batch { ids, len }) = batch {
             let pruned = self.wal.prune_retired_batch(ids.clone());
-            self.hist.prune_retired_batch(ids.clone(), &mut self.threads);
+            self.hist.relocks.retain(|(_, s, _)| !ids.contains(s));
             let reason = self.ledger.batch_retired(*ids.start(), len, pruned);
             self.poison_on(reason);
+            if self.rol.head().is_some_and(awaiting) {
+                self.retire_ready();
+            }
         }
-        self.stats.rol_peak = self.stats.rol_peak.max(self.rol.peak_occupancy());
+    }
+
+    /// Completes the deposited entries from the head that await a younger
+    /// one they read from ([`StRec::reads_younger`]), up to the last entry
+    /// by which every entry is complete or awaiting and none awaits a
+    /// younger one: that run then retires in one batch, so no writer can be
+    /// squashed after its reader retired.
+    fn complete_awaiting(&mut self) {
+        if !self.rol.head().is_some_and(awaiting) {
+            return;
+        }
+        let (mut need, mut cut) = (None, None);
+        for e in self.rol.iter() {
+            if e.status != SubThreadStatus::Completed && !awaiting(e) {
+                break;
+            }
+            need = need.max(e.rec.reads_younger);
+            if need.is_none_or(|n| n <= e.id()) {
+                cut = Some(e.id());
+            }
+        }
+        let ready = |e: &&RolEntry<StRec>| cut.is_some_and(|c| e.id() <= c) && awaiting(e);
+        loop {
+            let Some(id) = self.rol.iter().find(ready).map(|e| e.id()) else { return };
+            let reason = retire::complete(&mut self.rol, id);
+            self.poison_on(reason);
+        }
     }
 
     /// Records one plain access for the race detector, reusing a pooled
@@ -1169,13 +1161,12 @@ impl Inner {
     }
 
     /// Opens the sub-thread a grant starts, carrying `st`, and hands its
-    /// step to the granted `worker` with `inputs`. The task reserves the
-    /// history sequence number of the thread checkpoint: the snapshot
-    /// itself is captured by the granted worker *outside* the lock (nothing
-    /// touches the program between grant and step start, so the off-lock
-    /// snapshot is bit-identical) and handed back via [`HandOff`]. Kept
-    /// out of line: inlined into its one caller, `grant`, `gprsbench`'s
-    /// `chain` ran 5–7 % slower.
+    /// step to the granted `worker` with `inputs`. The thread checkpoint is
+    /// captured by the granted worker *outside* the lock (nothing touches
+    /// the program between grant and step start, so the off-lock snapshot
+    /// is bit-identical) and lands in the entry with the step's deposit.
+    /// Kept out of line: inlined into its one caller, `grant`,
+    /// `gprsbench`'s `chain` ran 5–7 % slower.
     #[inline(never)]
     fn open_subthread(
         &mut self,
@@ -1184,33 +1175,36 @@ impl Inner {
         mut st: StRec,
         worker: usize,
         inputs: StepInputs,
-    ) -> StepTask {
-        let rec = self.threads.get_mut(&thread).expect("thread exists");
+    ) -> Option<StepTask> {
+        let rec = self.threads.get_mut(&thread);
+        let Some((program, rec)) = rec.and_then(|r| Some((r.program.take()?, r))) else {
+            self.poison(format!("grant to {thread}: it has no record or no program to run"));
+            return None;
+        };
         st.prev = rec.current_st;
+        st.worker = Some(worker);
         rec.current_st = Some(stid);
+        let spare_snap = rec.spare_snap.take();
         let (kind, opening_op) = st.want.opens();
         // A granted thread is active, hence on the roster.
         let group = self.roster.group(thread).map(|(g, _)| g).unwrap_or_default();
         let descriptor = SubThread::new(stid, thread, group, kind, opening_op);
-        let program = rec.program.take().expect("program present at grant");
-        let spare_snap = rec.spare_snap.take();
         self.hist.seq += 1;
-        let snap_seq = self.hist.seq;
-        self.running.insert(stid, worker);
+        let relock_seq = self.hist.seq;
+        self.running += 1;
         self.stats.subthreads += 1;
-        // The thread snapshot reserved above is this sub-thread's
-        // history-buffer checkpoint; snapshot sizes are opaque boxes.
+        // Snapshot sizes are opaque boxes.
         let (rol, ledger) = (&mut self.rol, &mut self.ledger);
         let reason = retire::open(rol, ledger, worker, descriptor, st, Checkpointed::Opaque);
         self.poison_on(reason);
-        StepTask {
+        Some(StepTask {
             thread,
             stid,
             program,
             inputs,
-            snap_seq,
+            relock_seq,
             spare_snap,
-        }
+        })
     }
 
     /// Whether `want` can be granted now: the table answers for a pop or a
@@ -1248,7 +1242,7 @@ impl Inner {
                 Poll::Pass
             }
             // The token waits for global quiescence.
-            PendingWant::Op(Step::Serialized) if !self.rol.is_empty() || !self.running.is_empty() => {
+            PendingWant::Op(Step::Serialized) if !self.rol.is_empty() || self.running > 0 => {
                 Poll::Wait
             }
             _ => Poll::Grant,
@@ -1260,11 +1254,15 @@ impl Inner {
     /// takes the turn, has the table apply its op and log the inverse, and
     /// opens the sub-thread whose step it returns.
     fn grant(&mut self, holder: ThreadId, worker: usize) -> Option<StepTask> {
-        let rec = self.threads.get_mut(&holder).expect("holder exists");
+        let rec = self.threads.get_mut(&holder);
+        let Some((pending, rec)) = rec.and_then(|r| Some((r.pending.take()?, r))) else {
+            self.poison(format!("grant to {holder}: it has no record or no pending want"));
+            return None;
+        };
         let prev_st = rec.current_st;
         // A spawned (or re-spawned) child: its program, group and weight.
         let mut child = None;
-        let (want, op) = match rec.pending.take().expect("holder has a pending want") {
+        let (want, op) = match pending {
             PendingWant::Op(Step::Serialized) => {
                 // The marker is granted like a normal boundary without
                 // consuming the turn; the exclusive step runs on the next
@@ -1376,7 +1374,7 @@ impl Inner {
             OpeningWant::Push(..) | OpeningWant::Pop(_) | OpeningWant::Resume(..) => {}
         }
         let spawned = inputs.spawned;
-        let task = self.open_subthread(stid, holder, st, worker, inputs);
+        let task = self.open_subthread(stid, holder, st, worker, inputs)?;
         // After the parent continuation opened, so the child sees it as its
         // spawner.
         if let (Some((program, group, weight)), Some(child)) = (child, spawned) {
@@ -1459,37 +1457,56 @@ impl Inner {
         }
     }
 
-    /// Deposits a finished step: returns the program, releases a still-held
-    /// lock, stages file writes, marks the sub-thread complete and retires.
+    /// Notes that `stid`'s step left its worker (finished or panicked);
+    /// its record, unless it left the reorder list.
+    fn landed(&mut self, stid: SubThreadId) -> Option<&mut StRec> {
+        let rec = self.rol.rec_mut(stid)?;
+        if rec.worker.take().is_some() {
+            self.running -= 1;
+        }
+        Some(rec)
+    }
+
+    /// Deposits a finished step (a lock it still holds already returned):
+    /// files what its worker captured, stages its file writes, returns the
+    /// program, marks the sub-thread complete and retires.
     pub(crate) fn deposit(
         &mut self,
-        task_thread: ThreadId,
+        thread: ThreadId,
         stid: SubThreadId,
         program: Box<dyn DynThread>,
         result: Step,
-        leftover_lock: Option<(LockId, Box<dyn Recoverable>)>,
-        staged_files: Vec<(u64, Vec<u8>)>,
+        staged: Vec<(u64, Vec<u8>)>,
+        captured: Captured,
     ) {
-        self.running.remove(&stid);
         if self.exclusive == Some(stid) {
             self.exclusive = None;
         }
-        if let Some((lock, data)) = leftover_lock {
-            self.return_lock(stid, lock, data);
+        if let Some((seq, relock)) = captured.relock {
+            self.hist.insert(seq, stid, relock);
         }
-        if !staged_files.is_empty() {
-            match self.rol.rec_mut(stid) {
-                Some(rec) => rec.staged = staged_files,
-                None => self.poison(format!(
-                    "sub-thread {stid} staged file writes after it left the reorder list"
-                )),
+        let awaits = match self.landed(stid) {
+            Some(rec) => {
+                (rec.snap, rec.staged) = (Some(captured.snap), staged);
+                rec.reads_younger.is_some()
             }
-        }
-        let rec = self.threads.get_mut(&task_thread).expect("thread exists");
+            None if !staged.is_empty() => {
+                let why = format!("sub-thread {stid} staged file writes after it left the reorder list");
+                self.poison(why);
+                false
+            }
+            None => false,
+        };
+        let Some(rec) = self.threads.get_mut(&thread) else {
+            self.poison(format!("sub-thread {stid} deposited for {thread}, which has no record"));
+            return;
+        };
         rec.program = Some(program);
         rec.pending = Some(PendingWant::Op(result));
-        let reason = retire::complete(&mut self.rol, stid);
-        self.poison_on(reason);
+        if !awaits {
+            let reason = retire::complete(&mut self.rol, stid);
+            self.poison_on(reason);
+        }
         self.retire_ready();
         self.bump();
     }
@@ -1519,23 +1536,32 @@ impl Inner {
         let Got::Data(_, LockData(data)) = self.apply(EXTERNAL_RING, stid, Op::Acquire(lock))? else {
             unreachable!("an acquire hands out the lock's data")
         };
+        self.hist.seq += 1;
         let relock = Inverse::Relock(lock, LockData(data.clone_box()));
-        self.hist.note(stid, relock);
-        let _ = self.rol.add_resource(stid, ResourceId::Lock(lock));
+        self.hist.insert(self.hist.seq, stid, relock);
+        let alias = ResourceId::Lock(lock);
+        let writer = self.rol.iter_younger(stid).filter(|e| e.resources.contains(&alias)).last();
+        let writer = writer.map(|e| e.id());
+        if let Some(rec) = self.rol.rec_mut(stid) {
+            rec.reads_younger = rec.reads_younger.max(writer);
+        }
+        let _ = self.rol.add_resource(stid, alias);
         self.stats.locks_acquired += 1;
         Ok(Some(data))
     }
 
-    /// Write access to pool block `block` from a running step of `stid`:
-    /// the prior contents go to the history store first, so squashing
-    /// `stid` restores them.
+    /// Write access to pool block `block` from `stid`'s step on `worker`:
+    /// the prior contents are logged first, so squashing `stid` restores
+    /// them.
     pub(crate) fn block_for_write(
         &mut self,
+        worker: usize,
         stid: SubThreadId,
         block: u64,
     ) -> Result<&mut Vec<u8>, ResourceError> {
         let (data, unwrite) = self.res.write(block)?;
-        self.hist.note(stid, unwrite);
+        self.wal.append(stid, RtOp::Res(unwrite));
+        self.ledger.wal_appended(worker, stid, self.wal.len());
         Ok(data)
     }
 }
@@ -1560,11 +1586,21 @@ pub(crate) enum StepOutcome {
     },
 }
 
+/// What a granted step's worker captured outside the engine lock before
+/// running it, carried beside its [`StepOutcome`] and filed at its
+/// deposit: the thread checkpoint, for the step's reorder-list entry, and
+/// a critical section's lock data at entry, under the history sequence
+/// number its grant reserved.
+pub(crate) struct Captured {
+    pub snap: Box<dyn std::any::Any + Send>,
+    pub relock: Option<(u64, ResInverse)>,
+}
+
 /// The pool driver: repeatedly grant + run until the program finishes. Each
 /// iteration folds the previous step's deposit into the next grant search,
 /// so the common cadence is one lock acquisition per step.
 pub(crate) fn worker_loop(shared: &SharedRef, worker_ix: usize) {
-    let mut finished: Option<StepOutcome> = None;
+    let mut finished = None;
     loop {
         match decide::<POOL>(shared, worker_ix, finished.take(), true) {
             Decision::Run { task, wake_peer } => {
@@ -1594,13 +1630,13 @@ pub(crate) const POOL: bool = false;
 pub(crate) const SOLO: bool = true;
 
 /// One scheduling decision under one lock acquisition, for every driver:
-/// drain this context's hand-off buffer, deposit the finished step (if
-/// any), run pending recovery once the machine is quiescent, then grant the
+/// deposit the finished step (if any) with what its worker captured, run
+/// pending recovery once the machine is quiescent, then grant the
 /// token holder's next step. Drivers differ only in the compile-time wait
 /// policy ([`POOL`] or [`SOLO`]) and in `may_grant`, the solo driver's
 /// grant budget: once it is spent the decision is [`Decision::Parked`] —
 /// returned only after the deposit is applied and any pending recovery has
-/// run, with `running` empty, so a parked job's ROL/WAL/history state is
+/// run, with nothing running, so a parked job's ROL/WAL/history state is
 /// exactly the precise-restart state the paper's machinery maintains, and
 /// resuming is just calling this function again.
 ///
@@ -1610,7 +1646,7 @@ pub(crate) const SOLO: bool = true;
 pub(crate) fn decide<const SOLO: bool>(
     shared: &SharedRef,
     worker_ix: usize,
-    finished: Option<StepOutcome>,
+    finished: Option<(StepOutcome, Captured)>,
     may_grant: bool,
 ) -> Decision {
     // Advisory pre-lock read of the published grant frontier: if the token
@@ -1619,30 +1655,20 @@ pub(crate) fn decide<const SOLO: bool>(
     // the deposit may unblock the token elsewhere (a returned lock, a
     // quiescence gate), so overlap one peer's seek with ours.
     let prenotify = match &finished {
-        Some(StepOutcome::Done { thread, .. }) => !shared.gate.is_next(*thread),
+        Some((StepOutcome::Done { thread, .. }, _)) => !shared.gate.is_next(*thread),
         _ => false,
     };
     let mut g = shared.inner.lock();
-    while let Some(h) = shared.handoffs[worker_ix].pop() {
-        g.hist.apply(h);
-    }
     // Whether a grant below is reached from this context's own deposit in
     // the same lock acquisition, without a condvar sleep in between.
     let mut fast = false;
     match finished {
-        Some(StepOutcome::Done {
-            thread,
-            stid,
-            program,
-            result,
-            leftover_lock,
-            staged,
-        }) => {
-            let released = leftover_lock.as_ref().map(|(l, _)| *l);
-            g.deposit(thread, stid, program, result, leftover_lock, staged);
-            if let Some(lock) = released {
+        Some((StepOutcome::Done { thread, stid, program, result, leftover_lock, staged }, captured)) => {
+            if let Some((lock, data)) = leftover_lock {
+                g.return_lock(stid, lock, data);
                 shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
             }
+            g.deposit(thread, stid, program, result, staged, captured);
             if prenotify && shared.waits.cv_sleepers.load(Ordering::Relaxed) > 0 {
                 // Overlap a parked peer's seek with ours only when the
                 // frontier thread already has a deposit armed; a frontier
@@ -1658,13 +1684,8 @@ pub(crate) fn decide<const SOLO: bool>(
             }
             fast = true;
         }
-        Some(StepOutcome::Panicked {
-            thread,
-            stid,
-            leftover_lock,
-            msg,
-        }) => {
-            g.running.remove(&stid);
+        Some((StepOutcome::Panicked { thread, stid, leftover_lock, msg }, _)) => {
+            g.landed(stid);
             if let Some((lock, data)) = leftover_lock {
                 g.return_lock(stid, lock, data);
                 shared.waits.wake_lock_shard(lock, g.ledger.telemetry());
@@ -1725,10 +1746,10 @@ pub(crate) fn decide<const SOLO: bool>(
             break Decision::Finished;
         }
         if inner.recovering {
-            if inner.running.is_empty() {
+            if inner.running == 0 {
                 // Quiescence audit: every per-lock condvar-shard waiter is a
                 // running step blocked inside `StepCtx::lock`, so with
-                // `running` empty no shard may have sleepers — a non-zero
+                // nothing running no shard may have sleepers — a non-zero
                 // count here would mean a blocked successor recovery's
                 // targeted wakeups could never reach (sleeper counts are
                 // only mutated under this lock, so the reads are exact).
@@ -1757,7 +1778,7 @@ pub(crate) fn decide<const SOLO: bool>(
         }
         if !inner.pending_exceptions.is_empty() {
             // Depositing workers see this flag themselves; the last one to
-            // drain `running` performs the recovery. No wakeup needed.
+            // deposit performs the recovery. No wakeup needed.
             inner.recovering = true;
             continue;
         }
@@ -1765,7 +1786,7 @@ pub(crate) fn decide<const SOLO: bool>(
         // at one of the final grants must still be recovered (squashing can
         // resurrect exited threads), not dropped by an early finish with
         // its excepted entry's staged output uncommitted.
-        if inner.roster.live() == 0 && inner.running.is_empty() {
+        if inner.roster.live() == 0 && inner.running == 0 {
             // Nothing is in flight, so no sibling deposit can race the
             // out-edge close below.
             inner.shard_finish_domain();
@@ -1780,7 +1801,7 @@ pub(crate) fn decide<const SOLO: bool>(
             wait_here!();
         }
         let Some(holder) = inner.enforcer.holder() else {
-            if inner.running.is_empty() && inner.roster.live() > 0 {
+            if inner.running == 0 && inner.roster.live() > 0 {
                 if inner.shard_parked_on_edge() {
                     // The release comes from the hub. Only when every peer
                     // pool already finished can no further arrival ever be
@@ -1843,7 +1864,7 @@ pub(crate) fn decide<const SOLO: bool>(
                 inner.pass_streak += 1;
                 woke_idle = false;
                 if inner.pass_streak > inner.enforcer.live_threads() * 2 + 4 {
-                    if inner.running.is_empty() {
+                    if inner.running == 0 {
                         inner.poison(match inner.ledger.replay_pos() {
                             Some(pos) => format!(
                                 "replay divergence at event {pos}: recorded \
@@ -1924,19 +1945,21 @@ pub(crate) fn decide<const SOLO: bool>(
 /// Runs one granted step outside the engine lock. Before the step, the
 /// off-critical-section state capture happens here: the thread checkpoint
 /// and the critical section's lock snapshot are produced without the lock
-/// and handed back through this worker's SPSC buffer (drained at its next
-/// decision). Nothing touches the program or the checked-out lock data between
-/// grant and this point, so the snapshots are bit-identical to ones taken
-/// under the lock.
-pub(crate) fn execute_task(shared: &SharedRef, worker_ix: usize, task: StepTask) -> StepOutcome {
-    let StepTask { thread, stid, program, inputs, snap_seq, spare_snap } = task;
+/// and returned beside the outcome, for the step's deposit. Nothing touches
+/// the program or the checked-out lock data between grant and this point,
+/// so the snapshots are bit-identical to ones taken under the lock.
+pub(crate) fn execute_task(
+    shared: &SharedRef,
+    worker_ix: usize,
+    task: StepTask,
+) -> (StepOutcome, Captured) {
+    let StepTask { thread, stid, program, inputs, relock_seq, spare_snap } = task;
     let snap = program.save_into(spare_snap);
-    publish_handoff(shared, worker_ix, HandOff::ThreadSnap(snap_seq, stid, thread, snap));
-    if let Some((lock, data)) = &inputs.lock_out {
-        let relock = Inverse::Relock(*lock, LockData(data.clone_box()));
-        publish_handoff(shared, worker_ix, HandOff::Res(snap_seq, stid, relock));
-    }
-    run_step(CtxBackend::Gprs(shared.clone()), thread, stid, worker_ix, program, inputs)
+    let relock = inputs.lock_out.as_ref().map(|(lock, data)| {
+        (relock_seq, Inverse::Relock(*lock, LockData(data.clone_box())))
+    });
+    let outcome = run_step(CtxBackend::Gprs(shared.clone()), thread, stid, worker_ix, program, inputs);
+    (outcome, Captured { snap, relock })
 }
 
 /// Runs one granted step outside its executor's lock, for both executors:
@@ -1968,15 +1991,6 @@ pub(crate) fn run_step(
                 .unwrap_or_else(|| "opaque panic".to_string());
             StepOutcome::Panicked { thread, stid, leftover_lock, msg }
         }
-    }
-}
-
-/// Pushes one hand-off into the worker's SPSC buffer, falling back to a
-/// locked apply if the buffer is full (cannot happen at the sized capacity —
-/// at most two entries exist per in-flight task — but stay correct).
-fn publish_handoff(shared: &SharedRef, worker_ix: usize, h: HandOff) {
-    if let Err(h) = shared.handoffs[worker_ix].push(h) {
-        shared.inner.lock().hist.apply(h);
     }
 }
 
@@ -2049,10 +2063,9 @@ mod tests {
             };
             assert_eq!(report.unwrap().stats.barrier_releases, u64::from(ROUNDS));
             let g = shared.inner.lock();
-            assert!(g.rol.is_empty() && g.running.is_empty(), "pool={pool}");
+            assert!(g.rol.is_empty() && g.running == 0, "pool={pool}");
             assert_eq!(g.wal.len(), 0, "pool={pool}");
-            let h = &g.hist;
-            assert!(h.thread_snaps.is_empty() && h.res_snaps.is_empty());
+            assert!(g.hist.relocks.is_empty(), "pool={pool}");
             assert!(g.roster.barriers().values().all(|b| b.waiting.is_empty()));
         }
     }
@@ -2085,27 +2098,30 @@ mod tests {
     }
 
     /// A deposit for a sub-thread that is no longer in the reorder list
-    /// poisons the run by name — at the staged-file lookup, or at its
-    /// completion when it staged nothing — instead of panicking under the
-    /// engine lock.
+    /// poisons the run by name — at the staged-file lookup, at its
+    /// completion when it staged nothing, or at its thread's record when
+    /// the thread is gone too — instead of panicking under the engine lock.
     #[test]
     fn a_deposit_for_a_vanished_sub_thread_poisons_by_name() {
+        use super::Captured;
         use gprs_core::ids::{SubThreadId, ThreadId};
         let mut b = GprsBuilder::new().workers(1);
         let atomic = b.atomic(0);
         b.thread(Adds { atomic, rounds: 1, done: 0 }, GroupId::new(0), 1);
         let shared = b.build().shared.clone();
         let mut g = shared.inner.lock();
-        let (thread, ghost) = (ThreadId::new(0), SubThreadId::new(99));
+        let (parked, ghost) = (ThreadId::new(0), SubThreadId::new(99));
         let staged = vec![(0, b"x".to_vec())];
-        for (staged, named) in [
-            (staged, "sub-thread ST99 staged file writes after it left the reorder list"),
-            (Vec::new(), "sub-thread ST99 completed after it left the reorder list"),
+        for (thread, staged, named) in [
+            (parked, staged, "sub-thread ST99 staged file writes after it left the reorder list"),
+            (parked, Vec::new(), "sub-thread ST99 completed after it left the reorder list"),
+            (ThreadId::new(7), Vec::new(), "sub-thread ST99 deposited for TH7, which has no record"),
         ] {
             g.poisoned = None;
-            let program = g.threads.get_mut(&thread).and_then(|r| r.program.take());
+            let program = g.threads.get_mut(&parked).and_then(|r| r.program.take());
             let program = program.expect("the thread is parked at its start");
-            g.deposit(thread, ghost, program, Step::exit_unit(), None, staged);
+            let captured = Captured { snap: Box::new(()), relock: None };
+            g.deposit(thread, ghost, program, Step::exit_unit(), staged, captured);
             assert_eq!(g.poisoned.as_deref(), Some(named));
         }
     }

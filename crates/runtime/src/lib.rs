@@ -11,8 +11,8 @@
 //!
 //! * **DEX** (deterministic execution engine): intercepts every
 //!   synchronization operation, divides threads into ordered sub-threads,
-//!   checkpoints their state into a history store, and logs its own
-//!   structure mutations to a write-ahead log.
+//!   checkpoints their state into their reorder-list entries, and logs its
+//!   own structure mutations to a write-ahead log.
 //! * **REX** (restart engine): retires sub-threads from the
 //!   reorder-list head and executes recovery plans.
 //! * A **load-balancing scheduler**: a pool of OS
@@ -618,8 +618,9 @@ pub(crate) fn collect_report(shared: &SharedRef) -> Result<RunReport, RunError> 
         job_id: inner.cfg.job_id,
         submit_seq: inner.cfg.submit_seq,
         stats: inner.stats,
+        // Before `outputs` takes the exit values it digests.
+        cells_digest: report::state_digest(&inner.res),
         outputs: inner.res.take_exits(),
-        cells_digest: inner.res.cell_digest(),
         files,
         telemetry,
         first_race,
@@ -641,11 +642,7 @@ impl Controller {
     /// idle the exception is ignored, as the paper's emulation does.
     pub fn inject_on(&self, kind: ExceptionKind, context: u32) {
         let mut g = self.shared.inner.lock();
-        let culprit = g
-            .running
-            .iter()
-            .find(|(_, &w)| w == context as usize)
-            .map(|(&s, _)| s);
+        let culprit = g.in_flight().find(|&(_, w)| w == context as usize).map(|(s, _)| s);
         g.raise(kind, context, culprit);
         self.shared.waits.wake_one_seeker(g.ledger.telemetry());
     }
@@ -655,7 +652,7 @@ impl Controller {
     /// running). Returns whether a culprit was found.
     pub fn inject_on_busy(&self, kind: ExceptionKind) -> bool {
         let mut g = self.shared.inner.lock();
-        let Some((stid, worker)) = g.running.iter().map(|(&s, &w)| (s, w)).min() else {
+        let Some((stid, worker)) = g.in_flight().next() else {
             return false;
         };
         g.raise(kind, worker as u32, Some(stid));
@@ -672,7 +669,7 @@ impl Controller {
             return true;
         }
         let g = self.shared.inner.lock();
-        g.roster.live() == 0 && g.running.is_empty()
+        g.roster.live() == 0 && g.running == 0
     }
 }
 

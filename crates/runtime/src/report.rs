@@ -1,9 +1,12 @@
 //! Run statistics and the final report.
 
+use crate::ops::{LockData, Res};
 use crate::program::{payload_to, Payload};
 use gprs_core::ids::ThreadId;
 use gprs_core::racecheck::Race;
+use gprs_core::resources::fold_digest;
 use gprs_telemetry::TelemetrySummary;
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Counters accumulated over one run.
@@ -63,8 +66,8 @@ pub struct RunReport {
     pub outputs: BTreeMap<ThreadId, Payload>,
     /// Committed contents of every registered file, by registration index.
     pub files: BTreeMap<u64, (String, Vec<u8>)>,
-    /// The exact digest of the atomic cells' final values, in id order
-    /// (see [`gprs_core::resources::Resources::cell_digest`]); a sharded
+    /// The digest of the final cells, lock data and exit values, in id
+    /// order (see [`gprs_core::resources::Resources::digest`]); a sharded
     /// run folds its domains' digests in domain order.
     pub cells_digest: u64,
     /// End-of-run telemetry: determinism hashes (the streaming
@@ -159,6 +162,30 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+/// The final-state digest a report carries (see
+/// [`gprs_core::resources::Resources::digest`]). Lock data and exit values
+/// of the types the test programs hold (`u64`, `Vec<u64>`, `Vec<u8>`) fold
+/// their contents; any other type folds a fixed marker.
+pub(crate) fn state_digest(res: &Res) -> u64 {
+    res.digest(|h, LockData(data)| fold_value(h, (**data).as_any()), |h, v| fold_value(h, &**v))
+}
+
+fn fold_value(h: u64, v: &dyn Any) -> u64 {
+    if let Some(&x) = v.downcast_ref::<u64>() {
+        fold_digest(h, x)
+    } else if let Some(xs) = v.downcast_ref::<Vec<u64>>() {
+        xs.iter().fold(fold_digest(h, xs.len() as u64), |h, &x| fold_digest(h, x))
+    } else if let Some(bytes) = v.downcast_ref::<Vec<u8>>() {
+        bytes.chunks(8).fold(fold_digest(h, bytes.len() as u64), |h, c| {
+            let mut word = [0; 8];
+            word[..c.len()].copy_from_slice(c);
+            fold_digest(h, u64::from_le_bytes(word))
+        })
+    } else {
+        fold_digest(h, 0x6f70_6171_7565) // "opaque"
+    }
+}
 
 #[cfg(test)]
 mod tests {

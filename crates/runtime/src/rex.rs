@@ -5,13 +5,13 @@
 //! state lock held. The walk takes each squashed entry out of the reorder
 //! list, and with it what the entry carries: staged (uncommitted) file
 //! output, dependence edges, race-detector facts, deferred cross-domain
-//! arrivals. This module then undoes the squashed sub-threads' runtime
-//! operations from the write-ahead log (each a resource-table inverse or a
-//! spawn) and their program state from the history store (thread
-//! snapshots, lock data and written blocks), both newest first, and re-arms
-//! each squashed thread with the request that opened its oldest squashed
-//! sub-thread, so normal granting re-executes exactly the discarded work
-//! while every unaffected sub-thread continues.
+//! arrivals, its thread's checkpoint. This module then undoes the squashed
+//! sub-threads' runtime operations from the write-ahead log (each a
+//! resource-table inverse or a spawn), their threads' checkpoints and the
+//! lock data their critical sections checked out, each newest first, and
+//! re-arms each squashed thread with the request that opened its oldest
+//! squashed sub-thread, so normal granting re-executes exactly the
+//! discarded work while every unaffected sub-thread continues.
 
 use crate::engine::{recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec};
 use crate::handles::{RawChannel, RawMutex};
@@ -22,14 +22,15 @@ use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
 use gprs_core::resources::Inverse;
+use gprs_core::rol::ReorderList;
 use gprs_core::roster::ThState;
 use gprs_core::wal::WalRecord;
 use std::collections::BTreeMap;
 
 /// Drains and handles every pending exception under `policy`. Requires
-/// quiescence (`inner.running` empty) — the worker loop guarantees it.
+/// quiescence (nothing running) — the worker loop guarantees it.
 pub(crate) fn perform_recovery(inner: &mut Inner, policy: RecoveryPolicy) {
-    debug_assert!(inner.running.is_empty(), "recovery requires quiescence");
+    debug_assert_eq!(inner.running, 0, "recovery requires quiescence");
     let mut walk = std::mem::take(&mut inner.walk);
     while let Some(pe) = inner.pending_exceptions.pop_front() {
         inner.stats.exceptions += 1;
@@ -94,14 +95,7 @@ pub(crate) struct RexScratch {
     /// Barrier generations whose release a squashed arrival fed.
     undone_gens: Vec<(BarrierId, u64)>,
     records: Vec<WalRecord<RtOp>>,
-    undos: Vec<(u64, Undo)>,
-}
-
-/// One history-store snapshot to apply: a thread checkpoint or a table
-/// inverse.
-enum Undo {
-    Thread(ThreadId, Box<dyn std::any::Any + Send>),
-    Res(ResInverse),
+    relocks: Vec<ResInverse>,
 }
 
 /// Plans, squashes out and undoes the session `walk` began, then re-arms
@@ -109,7 +103,10 @@ enum Undo {
 fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPolicy) {
     let mut s = inner.rex.take().unwrap_or_default();
     let planned = walk.plan(&inner.rol, &inner.ledger, policy);
-    let escalated = planned.map(|scope| scope.escalated.is_some());
+    let escalated = planned.map(|scope| {
+        widen_to_readers(&inner.rol, &mut scope.ids);
+        scope.escalated.is_some()
+    });
     inner.stats.hybrid_escalations += u64::from(escalated == Ok(true));
     let walked = escalated
         .and_then(|_| walk.squash_out(&mut inner.rol, &mut inner.ledger, |_| EXTERNAL_RING));
@@ -155,8 +152,14 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
         poison_on(inner, undone);
     }
 
-    // --- 2. History undo, newest first (existence-guarded). -----------
-    let undone = apply_history_undo(inner, squashed, &mut s.undos, &mut reclaimed);
+    // --- 2. Lock data and checkpoints, newest first. ------------------
+    let relocks = inner.hist.relocks.extract_if(.., |(_, s, _)| squashed(s));
+    s.relocks.extend(relocks.map(|(_, _, relock)| relock));
+    for relock in s.relocks.drain(..).rev() {
+        let undone = inner.res.undo(relock).map_err(|e| e.to_string());
+        poison_on(inner, undone);
+    }
+    let undone = restore_checkpoints(inner, removed, &mut reclaimed);
     poison_on(inner, undone);
 
     // --- 3. Re-arm squashed threads, in thread order. -------------------
@@ -170,6 +173,22 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
         reclaimed.is_empty(),
         "every reclaimed child is re-owned by a respawn request"
     );
+}
+
+/// Widens the squash `ids` (ascending) to the reorder-list suffix from the
+/// oldest entry outside them that read a younger scoped entry's lock data
+/// ([`StRec::reads_younger`]): the squash restores that data, so the reader
+/// re-runs too. A suffix is closed under every other edge.
+fn widen_to_readers(rol: &ReorderList<StRec>, ids: &mut Vec<SubThreadId>) {
+    loop {
+        let reader = rol.iter().find(|e| {
+            let read = |w| ids.iter().any(|&s| e.id() < s && s <= w);
+            ids.binary_search(&e.id()).is_err() && e.rec.reads_younger.is_some_and(read)
+        });
+        let Some(first) = reader.map(|e| e.id()) else { return };
+        ids.clear();
+        ids.extend(rol.iter().map(|e| e.id()).filter(|&id| id >= first));
+    }
 }
 
 /// Poisons the run with what a recovery found inconsistent — what a
@@ -229,37 +248,30 @@ fn undo_op(
     Ok(())
 }
 
-/// Applies program-state snapshots of the `squashed` sub-threads, newest
-/// first. A thread checkpoint's box goes back to its thread, whose re-grant
-/// overwrites it instead of allocating one.
-fn apply_history_undo(
+/// Restores the checkpoint each `removed` record carries, youngest first,
+/// so each thread ends at its oldest squashed one; an un-spawned child's
+/// lands on its reclaimed program. Checkpoints of different threads
+/// restore different programs, so only the order within a thread matters.
+/// A checkpoint's box goes back to its thread, whose re-grant overwrites it
+/// instead of allocating one.
+fn restore_checkpoints(
     inner: &mut Inner,
-    squashed: impl Fn(&SubThreadId) -> bool,
-    undos: &mut Vec<(u64, Undo)>,
+    removed: &mut [(ThreadId, SubThreadId, StRec)],
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) -> Result<(), String> {
-    let hist = &mut inner.hist;
-    let threads = hist.thread_snaps.extract_if(.., |(_, s, _, _)| squashed(s));
-    undos.extend(threads.map(|(seq, _, t, snap)| (seq, Undo::Thread(t, snap))));
-    let res = hist.res_snaps.extract_if(.., |(_, s, _)| squashed(s));
-    undos.extend(res.map(|(seq, _, inverse)| (seq, Undo::Res(inverse))));
-    undos.sort_unstable_by_key(|u| std::cmp::Reverse(u.0)); // newest first
-    for (_, u) in undos.drain(..) {
-        match u {
-            Undo::Thread(t, snap) => {
-                if let Some(rec) = inner.threads.get_mut(&t) {
-                    // A checked-out program during recovery means the
-                    // quiescence invariant broke.
-                    let program = rec.program.as_mut();
-                    let why = "had its program checked out during history undo";
-                    let p = program.ok_or_else(|| corrupt(t, why))?;
-                    p.restore_from(snap.as_ref());
-                    rec.spare_snap.get_or_insert(snap);
-                } else if let Some(program) = reclaimed.get_mut(&t) {
-                    program.restore_from(snap.as_ref());
-                }
-            }
-            Undo::Res(inverse) => inner.res.undo(inverse).map_err(|e| e.to_string())?,
+    for (t, id, rec) in removed.iter_mut() {
+        let Some(snap) = rec.snap.take() else {
+            return Err(corrupt(*t, &format!("had {id} squashed before its checkpoint landed")));
+        };
+        if let Some(rec) = inner.threads.get_mut(t) {
+            // A checked-out program during recovery means the
+            // quiescence invariant broke.
+            let why = "had its program checked out during checkpoint restore";
+            let p = rec.program.as_mut().ok_or_else(|| corrupt(*t, why))?;
+            p.restore_from(snap.as_ref());
+            rec.spare_snap.get_or_insert(snap);
+        } else if let Some(program) = reclaimed.get_mut(t) {
+            program.restore_from(snap.as_ref());
         }
     }
     Ok(())

@@ -21,7 +21,7 @@
 //! order** of a solo [`Gprs::run`] — multi-tenancy cannot leak into
 //! determinism, which `gprs-serve`'s golden tests assert per job.
 
-use crate::engine::{decide, execute_task, Decision, SharedRef, StepOutcome, SOLO};
+use crate::engine::{decide, execute_task, Decision, SharedRef, SOLO};
 use crate::report::{RunError, RunReport};
 use crate::Controller;
 
@@ -140,7 +140,7 @@ impl GprsSession {
             return QuantumOutcome::Finished;
         }
         let mut budget = max_grants.max(1);
-        let mut finished: Option<StepOutcome> = None;
+        let mut finished = None;
         loop {
             match decide::<SOLO>(&self.shared, 0, finished.take(), budget > 0) {
                 Decision::Run { task, .. } => {
@@ -177,7 +177,7 @@ impl GprsSession {
         }
         let mut g = self.shared.inner.lock();
         debug_assert!(
-            g.running.is_empty(),
+            g.running == 0,
             "cancel is called between quanta, with the session quiesced"
         );
         crate::rex::cancel_inflight(&mut g);

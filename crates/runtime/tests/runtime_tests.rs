@@ -550,12 +550,13 @@ fn allocator_round_trips() {
 #[test]
 fn allocator_round_trips_under_a_fault() {
     // One thread, so the second grant's step is the only one running when
-    // the fault lands: its fetch-add, alloc and free records are undone.
+    // the fault lands: its fetch-add, alloc, block write and free records
+    // are undone.
     let plan = ChaosPlan::new().with(ChaosEvent::at_grant(2).victim(VictimSelector::Oldest));
     let report = allocator_run(&plan);
     assert_eq!(report.stats.squashed, 1);
     assert_eq!(report.stats.allocs, 4, "the squashed step allocates again");
-    assert_eq!(report.telemetry.counter("wal_undos"), 3);
+    assert_eq!(report.telemetry.counter("wal_undos"), 4);
     assert_wal_balanced(&report);
 }
 

@@ -29,7 +29,6 @@ pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod ring;
-pub mod spsc;
 
 pub use event::{TimedEvent, TraceEvent};
 pub use hash::{name_seed, Fnv1a, RetiredOrderHash, ScheduleHash};

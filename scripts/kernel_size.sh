@@ -16,11 +16,11 @@
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-CEIL_A=4677
-CEIL_B=6681
+CEIL_A=4711
+CEIL_B=6715
 # Engine file -> its unwrap/expect ceiling.
 declare -A CEIL_EXPECT=(
-  [crates/runtime/src/engine.rs]=5
+  [crates/runtime/src/engine.rs]=0
   [crates/runtime/src/cpr.rs]=13
   [crates/sim/src/gprs.rs]=2
 )
