@@ -48,8 +48,8 @@ pub trait Provenance {
         &[]
     }
 
-    /// The barrier generation whose release this sub-thread's closing
-    /// arrival contributed to.
+    /// The barrier generation this sub-thread's closing arrival forms,
+    /// released or not: a squash takes its release back.
     fn arrived(&self) -> Option<(BarrierId, u64)> {
         None
     }
@@ -78,7 +78,8 @@ fn is_alias(r: &ResourceId) -> bool {
     !matches!(r, ResourceId::Channel(_))
 }
 
-fn insert<T: Ord>(set: &mut Vec<T>, x: T) {
+/// Adds `x` to the ascending `set` unless it is there.
+pub(crate) fn insert<T: Ord>(set: &mut Vec<T>, x: T) {
     if let Err(ix) = set.binary_search(&x) {
         set.insert(ix, x);
     }

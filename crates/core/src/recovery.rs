@@ -6,9 +6,12 @@
 //! for one exception: it marks the culprit, plans its squash, takes the
 //! squashed entries out of the reorder list youngest first and hands back,
 //! per squashed thread, the record of its oldest squashed sub-thread to
-//! re-arm it from. What stays in each engine is its undo: WAL records and
-//! history snapshots in the runtime, redo cycles, channel items and barrier
-//! generations in the simulator.
+//! re-arm it from, and the barrier generations the removed arrivals formed,
+//! which the roster takes back ([`Roster::take_back`]). What stays in each
+//! engine is its undo: WAL records and lock data in the runtime, redo
+//! cycles and channel items in the simulator.
+//!
+//! [`Roster::take_back`]: crate::roster::Roster::take_back
 //!
 //! Four strategies are provided, mirroring the paper's options:
 //!
@@ -25,10 +28,10 @@
 //!   instruction; otherwise only *sub-thread-precise* restart is possible
 //!   and the culprit re-executes from its checkpoint.
 
-use crate::deps::{affected_set_into, DependencePolicy, Provenance, Taint};
+use crate::deps::{affected_set_into, insert, DependencePolicy, Provenance, Taint};
 use crate::error::{GprsError, Result};
 use crate::exception::Exception;
-use crate::ids::{SubThreadId, ThreadId};
+use crate::ids::{BarrierId, SubThreadId, ThreadId};
 use crate::ledger::RunLedger;
 use crate::rol::{ReorderList, SubThreadStatus};
 use std::fmt;
@@ -187,8 +190,9 @@ impl SquashScope {
 /// the first sessions have grown them, a session allocates nothing. The
 /// engine calls [`begin`](Recovery::begin), [`plan`](Recovery::plan),
 /// [`squash_out`](Recovery::squash_out), undoes what
-/// [`removed`](Recovery::removed) holds, re-arms its threads (the
-/// [`restarts`](Recovery::restarts) the walk yields, or its own) and calls
+/// [`removed`](Recovery::removed) holds, re-arms its threads from the
+/// [`restarts`](Recovery::restarts) the walk yields, takes back the
+/// releases of the [`arrivals`](Recovery::arrivals) and calls
 /// [`end`](Recovery::end).
 #[derive(Debug)]
 pub struct Recovery<R> {
@@ -198,6 +202,8 @@ pub struct Recovery<R> {
     taint: Taint,
     /// `(thread, id, record)` of each removed entry, youngest first.
     removed: Vec<(ThreadId, SubThreadId, R)>,
+    /// The barrier generations the removed entries' arrivals formed.
+    arrivals: Vec<(BarrierId, u64)>,
     squashed: u64,
 }
 
@@ -209,6 +215,7 @@ impl<R> Default for Recovery<R> {
             scope: SquashScope::default(),
             taint: Taint::default(),
             removed: Vec::new(),
+            arrivals: Vec::new(),
             squashed: 0,
         }
     }
@@ -259,7 +266,8 @@ impl<R: Provenance> Recovery<R> {
 
     /// Marks each scoped sub-thread squashed and takes its entry out of the
     /// reorder list, youngest first, noted on the ring `ring` names for its
-    /// record.
+    /// record; the generation its closing arrival formed joins the
+    /// [`arrivals`](Recovery::arrivals).
     ///
     /// # Errors
     /// [`GprsError::UnknownSubThread`] naming the first scoped id no longer
@@ -274,6 +282,9 @@ impl<R: Provenance> Recovery<R> {
             rol.mark_squashed(id)?;
             let entry = rol.remove_squashed(id)?;
             ledger.squashed(ring(&entry.rec), id, entry.thread());
+            if let Some(g) = entry.rec.arrived() {
+                insert(&mut self.arrivals, g);
+            }
             self.removed.push((entry.thread(), id, entry.rec));
             self.squashed += 1;
         }
@@ -283,6 +294,12 @@ impl<R: Provenance> Recovery<R> {
     /// The removed entries, youngest first: what the engine undoes.
     pub fn removed(&mut self) -> &mut [(ThreadId, SubThreadId, R)] {
         &mut self.removed
+    }
+
+    /// The barrier generations the removed entries' closing arrivals
+    /// formed, ascending: a squash takes back each one that was released.
+    pub fn arrivals(&self) -> &[(BarrierId, u64)] {
+        &self.arrivals
     }
 
     /// Notes a restart of each squashed thread and yields it, in thread
@@ -303,6 +320,7 @@ impl<R: Provenance> Recovery<R> {
     /// the engine has any); returns the count.
     pub fn end(&mut self, ledger: &RunLedger, host_ns: Option<u64>) -> u64 {
         self.removed.clear();
+        self.arrivals.clear();
         ledger.recovery_end(self.ring, self.culprit, self.squashed, host_ns);
         self.squashed
     }
@@ -532,7 +550,12 @@ mod tests {
     /// A record that names its entry, so a test can tell which came back.
     #[derive(Debug, PartialEq)]
     struct Tag(u64);
-    impl Provenance for Tag {}
+    /// An odd entry ends in an arrival at barrier 0 forming its id.
+    impl Provenance for Tag {
+        fn arrived(&self) -> Option<(BarrierId, u64)> {
+            (self.0 % 2 == 1).then_some((BarrierId::new(0), self.0))
+        }
+    }
 
     /// ST0(TH0,L1) ST1(TH1,L2) ST2(TH2,L2) ST3(TH3,L3) ST4(TH1,L4)
     /// ST5(TH2,L5), each carrying its id.
@@ -566,10 +589,13 @@ mod tests {
             .map(|(t, id, rec)| (t.raw(), id.raw(), rec.0))
             .collect();
         assert_eq!(removed, [(2, 5, 5), (1, 4, 4), (3, 3, 3), (2, 2, 2), (1, 1, 1)]);
+        let gens: Vec<_> = walk.arrivals().iter().map(|&(b, gen)| (b.raw(), gen)).collect();
+        assert_eq!(gens, [(0, 1), (0, 3), (0, 5)], "ascending");
         assert_eq!(rol.iter().map(|e| e.id().raw()).collect::<Vec<_>>(), [0]);
         let restarts: Vec<_> = walk.restarts(&ledger).map(|(t, rec)| (t.raw(), rec.0)).collect();
         assert_eq!(restarts, [(1, 1), (2, 2), (3, 3)]);
         assert_eq!(walk.end(&ledger, None), 5);
+        assert!(walk.arrivals().is_empty());
         let summary = ledger.summarize();
         assert_eq!(summary.counter("recovery_sessions"), 1);
         assert_eq!(summary.counter("squashed"), 5);

@@ -6,10 +6,14 @@
 //! enforcer, so a thread is registered exactly while it is active. Arrivals
 //! and exits are structural events of the recorded order.
 //!
+//! A squash takes back a release ([`Roster::take_back`]): the generation
+//! count rolls back and every freed participant not re-executing its
+//! arrival waits again, in both engines by the same rule.
+//!
 //! Each engine keeps its policy: how the turn is consumed, what a release
-//! hands the resumed threads, the simulator's rollback of a generation
-//! count ([`Roster::unrelease`]) and the runtime's cross-domain hub
-//! arrivals. The CPR baseline parks and releases the same [`Barrier`]s.
+//! hands the resumed threads, which pending resume a take-back clears and
+//! the runtime's cross-domain hub arrivals. The CPR baseline parks and
+//! releases the same [`Barrier`]s.
 
 use crate::ids::{BarrierId, GroupId, ThreadId};
 use crate::ledger::{Poison, RunLedger};
@@ -221,18 +225,34 @@ impl Roster {
         self.shift(enforcer, t, ThState::Active)
     }
 
-    /// Active `t` waits at `b` again: recovery undid the release that
-    /// resumed it. No event is noted, and a re-park never releases.
-    pub fn repark(&mut self, enforcer: &mut OrderEnforcer, t: ThreadId, b: BarrierId) -> Poison {
-        self.park(enforcer, t, b).err()
-    }
-
-    /// Takes back the release of `b`'s generation `gen` and every later
-    /// one (the simulator's barrier undo).
-    pub fn unrelease(&mut self, b: BarrierId, gen: u64) {
-        if let Some(bar) = self.barriers.get_mut(&b) {
-            bar.gen = bar.gen.min(gen);
+    /// Takes back the release of `b`'s generation `gen` and of every later
+    /// one: a squash undid an arrival that fed it. The generation count
+    /// rolls back to `gen - 1`, and every active thread that `resuming`
+    /// reports as about to resume `b` at `gen` or later (the engine clears
+    /// that resume) parks on `b` again, ascending. No event is noted, and a
+    /// re-park never releases. A generation not yet released takes nothing.
+    pub fn take_back(
+        &mut self,
+        enforcer: &mut OrderEnforcer,
+        b: BarrierId,
+        gen: u64,
+        mut resuming: impl FnMut(ThreadId) -> bool,
+    ) -> Poison {
+        let Some(bar) = self.barriers.get_mut(&b) else {
+            return Some(undeclared(b));
+        };
+        if gen == 0 || gen > bar.gen {
+            return None;
         }
+        bar.gen = gen - 1;
+        let mut first = None;
+        for raw in 0..self.members.len() as u32 {
+            let t = ThreadId::new(raw);
+            if self.state(t) == Some(ThState::Active) && resuming(t) {
+                first = first.or(self.park(enforcer, t, b).err());
+            }
+        }
+        first
     }
 
     fn park(
@@ -374,13 +394,40 @@ mod tests {
         assert_eq!(roster.revive(&mut enforcer, t(1)), Ok(ThState::Active));
         assert_eq!((enforcer.live_threads(), roster.live()), (4, 4));
         assert!(roster.barriers().get(&b).is_some_and(|bar| bar.waiting.is_empty()));
-        assert_eq!(roster.repark(&mut enforcer, t(2), b), None);
-        assert_eq!(roster.state(t(2)), Some(ThState::Parked(b)));
+        let _ = roster.arrive(&mut enforcer, &mut ledger, t(2), b);
         assert_eq!(roster.remove(&mut enforcer, t(2)), None);
         assert!(roster.barriers().get(&b).is_some_and(|bar| bar.waiting.is_empty()));
         assert_eq!((enforcer.live_threads(), roster.live()), (3, 3));
         assert_eq!(roster.add(&mut enforcer, t(2), GroupId::new(0), 1), None, "re-spawned");
         assert_eq!((enforcer.live_threads(), roster.live()), (4, 4));
+
+        // A squash takes back a release.
+        for raw in 0..3 {
+            let _ = roster.arrive(&mut enforcer, &mut ledger, t(raw), b);
+        }
+        let mut resume = [None; 4];
+        assert_eq!(roster.release(&mut enforcer, b, |w, gen| resume[w.raw() as usize] = Some(gen)), None);
+        // Thread 1 re-executes its arrival: only 0 and 2 still resume.
+        resume[1] = None;
+        let mut asked = Vec::new();
+        let taken = roster.take_back(&mut enforcer, b, 1, |w| {
+            asked.push(w.raw());
+            resume[w.raw() as usize].take().is_some_and(|gen| gen >= 1)
+        });
+        assert_eq!(taken, None);
+        assert_eq!(asked, [0, 1, 2, 3], "every active thread, ascending");
+        assert_eq!(resume, [None; 4], "the resumes it re-parked are cleared");
+        let bar = roster.barriers().get(&b).expect("declared");
+        assert_eq!((bar.gen, bar.waiting.clone()), (0, vec![t(0), t(2)]));
+        assert_eq!(roster.state(t(1)), Some(ThState::Active));
+        assert_eq!((enforcer.live_threads(), roster.live()), (2, 4));
+        // The generation is unreleased now: taking it back again takes nothing.
+        assert_eq!(roster.take_back(&mut enforcer, b, 1, |_| unreachable!()), None);
+        // The re-arrival releases the same generation again.
+        let (arrival, _) = roster.arrive(&mut enforcer, &mut ledger, t(1), b);
+        assert_eq!(arrival, Some(Arrival { gen: 1, full: true }));
+        let undeclared = roster.take_back(&mut enforcer, BarrierId::new(9), 1, |_| true);
+        assert_eq!(undeclared.as_deref(), Some("roster: barrier B9 was never declared"));
     }
 
     #[test]

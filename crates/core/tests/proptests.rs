@@ -524,12 +524,14 @@ impl OrderingPolicy for Logged {
 }
 
 proptest! {
-    /// The roster against a plain model of each thread's state: after
-    /// every add, arrival (and the release a full barrier makes), exit,
-    /// revival, re-park and removal, the enforcer holds exactly the active
-    /// threads, the live count is the threads that did not exit, each
-    /// barrier's waiting list is the ascending set of threads parked on it,
-    /// and a release registers its waiters in ascending id order.
+    /// The roster against a plain model of each thread's state and pending
+    /// resume: after every add, arrival (and the release a full barrier
+    /// makes), exit, revival, take-back and removal, the enforcer holds
+    /// exactly the active threads, the live count is the threads that did
+    /// not exit, each barrier's waiting list is the ascending set of threads
+    /// parked on it and its generation the model's, a release registers its
+    /// waiters in ascending id order, and a take-back asks every active
+    /// thread, ascending, and re-parks exactly those about to resume.
     #[test]
     fn the_roster_registers_exactly_the_active_threads(
         steps in vec((0u8..6, 0u32..6, 0u64..2), 1..200),
@@ -543,6 +545,8 @@ proptest! {
         let mut roster = Roster::new(barriers.collect());
         let mut model: BTreeMap<u32, ThState> = BTreeMap::new();
         let mut gens = [0u64; 2];
+        // The engine's pending resumes, which a take-back clears.
+        let mut resume: BTreeMap<u32, (BarrierId, u64)> = BTreeMap::new();
         for (op, raw, b) in steps {
             let (t, bar) = (ThreadId::new(raw), BarrierId::new(b));
             let state = model.get(&raw).copied();
@@ -559,6 +563,7 @@ proptest! {
                     prop_assert_eq!(arrival.is_some(), active);
                     if active {
                         model.insert(raw, ThState::Parked(bar));
+                        resume.remove(&raw);
                     }
                     let parked: Vec<ThreadId> = model
                         .iter()
@@ -582,6 +587,7 @@ proptest! {
                         prop_assert_eq!(&log.lock().unwrap()[from..], &parked[..]);
                         for w in parked {
                             model.insert(w.raw(), ThState::Active);
+                            resume.insert(w.raw(), (bar, gen));
                         }
                     }
                 }
@@ -589,6 +595,7 @@ proptest! {
                     prop_assert_eq!(roster.exit(&mut enforcer, &mut ledger, t).is_some(), !active);
                     if active {
                         model.insert(raw, ThState::Done);
+                        resume.remove(&raw);
                     }
                 }
                 3 => {
@@ -598,14 +605,43 @@ proptest! {
                     }
                 }
                 4 => {
-                    prop_assert_eq!(roster.repark(&mut enforcer, t, bar).is_some(), !active);
-                    if active {
-                        model.insert(raw, ThState::Parked(bar));
+                    // Takes back the newest release, the one before it, or
+                    // one not yet made.
+                    let gen = (gens[b as usize] + 1).saturating_sub(u64::from(raw % 3));
+                    let taken = (1..=gens[b as usize]).contains(&gen);
+                    let active: Vec<u32> = model
+                        .iter()
+                        .filter(|&(_, &s)| taken && s == ThState::Active)
+                        .map(|(&w, _)| w)
+                        .collect();
+                    let again = |(rb, g): (BarrierId, u64)| rb == bar && g >= gen;
+                    let reparked: Vec<u32> = active
+                        .iter()
+                        .copied()
+                        .filter(|w| resume.get(w).is_some_and(|&r| again(r)))
+                        .collect();
+                    let mut asked = Vec::new();
+                    let refused = roster.take_back(&mut enforcer, bar, gen, |w| {
+                        asked.push(w.raw());
+                        let resuming = resume.get(&w.raw()).is_some_and(|&r| again(r));
+                        if resuming {
+                            resume.remove(&w.raw());
+                        }
+                        resuming
+                    });
+                    prop_assert_eq!(refused, None);
+                    prop_assert_eq!(asked, active);
+                    if taken {
+                        gens[b as usize] = gen - 1;
+                    }
+                    for w in reparked {
+                        model.insert(w, ThState::Parked(bar));
                     }
                 }
                 _ => {
                     prop_assert_eq!(roster.remove(&mut enforcer, t).is_some(), state.is_none());
                     model.remove(&raw);
+                    resume.remove(&raw);
                 }
             }
             let count = |s: ThState| model.values().filter(|&&m| m == s).count();

@@ -172,12 +172,10 @@ pub(crate) struct StRec {
     /// it pushed, started as the child it spawned, joined the thread it
     /// ended.
     pub dependents: Vec<SubThreadId>,
-    /// The barrier generation whose release its closing arrival fed, set
-    /// at the release (a re-release after recovery undid one overwrites it).
-    pub released: Option<(BarrierId, u64)>,
     /// The barrier generation its closing arrival forms, set at the arrival
-    /// grant: the race detector's close clock and, on a cross-domain
-    /// barrier, the arrival published to the hub when it retires.
+    /// grant: the race detector's close clock, the release a squash takes
+    /// back and, on a cross-domain barrier, the arrival published to the
+    /// hub when it retires.
     pub arrival: Option<(BarrierId, u64)>,
     /// The sub-thread that pushed the item it popped (race detector).
     pub pop_src: Option<SubThreadId>,
@@ -205,7 +203,6 @@ impl StRec {
             want,
             prev: None,
             dependents: Vec::new(),
-            released: None,
             arrival: None,
             pop_src: None,
             accesses: Vec::new(),
@@ -245,7 +242,7 @@ impl Provenance for StRec {
     }
 
     fn arrived(&self) -> Option<(BarrierId, u64)> {
-        self.released
+        self.arrival
     }
 
     fn resumed(&self) -> Option<(BarrierId, u64)> {
@@ -1432,18 +1429,14 @@ impl Inner {
         }
     }
 
-    /// Releases a barrier: all parked participants become resumable, and
-    /// each one's arrival-ending sub-thread still in flight learns the
-    /// generation its arrival fed (the continuations' taint source).
+    /// Releases a barrier: all parked participants become resumable.
     pub(crate) fn release_barrier(&mut self, b: BarrierId) {
         // A thread has its record exactly while it is on the roster.
-        let (threads, rol) = (&mut self.threads, &mut self.rol);
+        let threads = &mut self.threads;
         let reason = self.roster.release(&mut self.enforcer, b, |w, gen| {
-            let Some(rec) = threads.get_mut(&w) else { return };
-            if let Some(ender) = rec.current_st.and_then(|a| rol.rec_mut(a)) {
-                ender.released = Some((b, gen));
+            if let Some(rec) = threads.get_mut(&w) {
+                rec.pending = Some(PendingWant::Resume(b, gen));
             }
-            rec.pending = Some(PendingWant::Resume(b, gen));
         });
         self.poison_on(reason);
         self.stats.barrier_releases += 1;

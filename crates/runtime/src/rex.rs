@@ -11,14 +11,17 @@
 //! lock data their critical sections checked out, each newest first, and
 //! re-arms each squashed thread with the request that opened its oldest
 //! squashed sub-thread, so normal granting re-executes exactly the
-//! discarded work while every unaffected sub-thread continues.
+//! discarded work while every unaffected sub-thread continues. Last, the
+//! roster takes back each barrier release a squashed arrival fed: every
+//! participant it freed that is not re-executing its arrival — restarted at
+//! its continuation or not yet resumed — waits again
+//! ([`Roster::take_back`](gprs_core::roster::Roster::take_back)).
 
 use crate::engine::{recycle_access_vec, Inner, OpeningWant, PendingException, PendingWant, StRec};
 use crate::handles::{RawChannel, RawMutex};
 use crate::ops::{ResInverse, RtOp};
 use crate::program::{DynThread, Step};
-use gprs_core::deps::Provenance;
-use gprs_core::ids::{BarrierId, SubThreadId, ThreadId};
+use gprs_core::ids::{SubThreadId, ThreadId};
 use gprs_core::ledger::EXTERNAL_RING;
 use gprs_core::recovery::{Recovery, RecoveryPolicy};
 use gprs_core::resources::Inverse;
@@ -92,8 +95,6 @@ pub(crate) fn cancel_inflight(inner: &mut Inner) {
 /// largest squash, a recovery allocates nothing (`tests/alloc_budget.rs`).
 #[derive(Default)]
 pub(crate) struct RexScratch {
-    /// Barrier generations whose release a squashed arrival fed.
-    undone_gens: Vec<(BarrierId, u64)>,
     records: Vec<WalRecord<RtOp>>,
     relocks: Vec<ResInverse>,
 }
@@ -120,10 +121,8 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
         ));
     }
 
-    // Read off each removed record, oldest first: the barrier generation
-    // its arrival released — undone: the parked continuations re-wait
-    // instead of re-running — and, for order-faithful redo, whether a lock
-    // or atomic operation opened it. Those re-executions must re-acquire in
+    // Read off each removed record, oldest first, for order-faithful redo:
+    // whether a lock or atomic operation opened it. Those re-executions must re-acquire in
     // exactly this total order, or replayed critical sections could
     // interleave differently than the fault-free execution; queued redos
     // of threads being re-squashed are superseded. Race-detector facts of
@@ -133,7 +132,6 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
         inner.redo_locks.retain(|queued| queued != t);
     }
     for (t, _, rec) in removed.iter_mut().rev() {
-        s.undone_gens.extend(rec.arrived());
         if matches!(rec.want, OpeningWant::Lock(_) | OpeningWant::FetchAdd(_, _)) {
             inner.redo_locks.push_back(*t);
         }
@@ -164,10 +162,23 @@ fn recover_one(inner: &mut Inner, walk: &mut Recovery<StRec>, policy: RecoveryPo
 
     // --- 3. Re-arm squashed threads, in thread order. -------------------
     for (t, opening) in walk.restarts(&inner.ledger) {
-        let reinstated = reinstate(inner, t, opening, &s.undone_gens, &mut reclaimed);
+        let reinstated = reinstate(inner, t, opening, &mut reclaimed);
         poison_on(inner, reinstated);
     }
-    s.undone_gens.clear();
+
+    // --- 4. Take back the releases the squashed arrivals fed. -----------
+    for &(b, gen) in walk.arrivals() {
+        let threads = &mut inner.threads;
+        let reason = inner.roster.take_back(&mut inner.enforcer, b, gen, |t| {
+            let Some(rec) = threads.get_mut(&t) else { return false };
+            let again = matches!(rec.pending, Some(PendingWant::Resume(rb, g)) if rb == b && g >= gen);
+            if again {
+                rec.pending = None;
+            }
+            again
+        });
+        inner.poison_on(reason);
+    }
     inner.rex = Some(s);
     debug_assert!(
         reclaimed.is_empty(),
@@ -283,7 +294,6 @@ fn reinstate(
     inner: &mut Inner,
     thread: ThreadId,
     opening: StRec,
-    undone_gens: &[(BarrierId, u64)],
     reclaimed: &mut BTreeMap<ThreadId, Box<dyn DynThread>>,
 ) -> Result<(), String> {
     let Some(rec) = inner.threads.get_mut(&thread) else {
@@ -319,15 +329,7 @@ fn reinstate(
                 program,
             })
         }
-        OpeningWant::Resume(b, gen) if undone_gens.contains(&(b, gen)) => {
-            // The release itself was undone: re-park and wait for the
-            // squashed arrivals to re-arrive.
-            if let Some(why) = inner.roster.repark(&mut inner.enforcer, thread, b) {
-                return Err(why);
-            }
-            None
-        }
-        // Only the continuation was squashed; the release stands.
+        // Re-parked instead if the squash took the release back.
         OpeningWant::Resume(b, gen) => Some(PendingWant::Resume(b, gen)),
     };
     Ok(())

@@ -978,10 +978,10 @@ impl ThreadProgram for Straggler {
     }
 }
 
-/// Touches `m` in a nested section, meets its peers at `barrier`, opens
-/// `gate` from its continuation and exits.
+/// Touches `m` (if any) in a nested section, meets its peers at `barrier`,
+/// opens `gate` from its continuation and exits.
 struct Arriver {
-    m: MutexHandle<u64>,
+    m: Option<MutexHandle<u64>>,
     barrier: BarrierHandle,
     gate: std::sync::Arc<Gate>,
     arrived: bool,
@@ -1003,7 +1003,9 @@ impl ThreadProgram for Arriver {
             self.gate.open();
             return Step::exit(7u64);
         }
-        ctx.lock_nested(&self.m, |v| *v += 10);
+        if let Some(m) = &self.m {
+            ctx.lock_nested(m, |v| *v += 10);
+        }
         self.arrived = true;
         self.barrier.wait()
     }
@@ -1042,11 +1044,19 @@ impl ThreadProgram for Ticker {
 /// barrier releases and a continuation is granted while the straggler —
 /// older than every arrival and sharing their lock alias — still runs,
 /// held by `gate` until that continuation runs.
-fn released_generation_program(b: &mut GprsBuilder, gate: &std::sync::Arc<Gate>) -> Vec<ThreadId> {
+///
+/// With `shared` arrivers touching the straggler's lock (the rest touch
+/// none), only their arrivals are in the straggler's closure.
+fn released_generation_program(
+    b: &mut GprsBuilder,
+    gate: &std::sync::Arc<Gate>,
+    shared: u32,
+) -> Vec<ThreadId> {
     let m = b.mutex(0u64);
     let barrier = b.barrier(3);
     let mut tids = vec![b.thread(Straggler { m, gate: gate.clone() }, GroupId::new(3), 1)];
     for g in 0..3 {
+        let m = (g < shared).then_some(m);
         let arriver = Arriver { m, barrier, gate: gate.clone(), arrived: false };
         tids.push(b.thread(arriver, GroupId::new(g), 1));
     }
@@ -1057,18 +1067,19 @@ fn released_generation_program(b: &mut GprsBuilder, gate: &std::sync::Arc<Gate>)
     tids
 }
 
-#[test]
-fn recovery_undoes_a_released_generation() {
+/// The clean run of [`released_generation_program`] on two workers, its
+/// thread ids, and a fault at the grant that opens its first barrier
+/// continuation, read off the run's recording: it lands on the straggler
+/// (the oldest running sub-thread), whose closure holds the arrivals that
+/// share its lock and the continuations their release opened.
+fn released_generation_fault(shared: u32) -> (RunReport, Vec<ThreadId>, ChaosPlan) {
     use gprs_core::recording::{Recording, EVT_ARRIVE};
     use gprs_core::subthread::SubThreadKind;
 
-    // The clean run's recording says which grant opens the first barrier
-    // continuation: a fault right after it lands on the straggler (the
-    // oldest running sub-thread), whose closure holds the released
-    // arrivals and the continuation their release opened.
-    let tape = std::env::temp_dir().join(format!("gprs-undo-release-{}.gprs", std::process::id()));
+    let pid = std::process::id();
+    let tape = std::env::temp_dir().join(format!("gprs-undo-release-{pid}-{shared}.gprs"));
     let mut b = GprsBuilder::new().workers(2).record(&tape);
-    let tids = released_generation_program(&mut b, &Default::default());
+    let tids = released_generation_program(&mut b, &Default::default(), shared);
     let clean = b.build().run().unwrap();
     let events = Recording::load(&tape).expect("the clean run was recorded").events;
     std::fs::remove_file(&tape).ok();
@@ -1076,11 +1087,16 @@ fn recovery_undoes_a_released_generation() {
     let grants = events.iter().filter(|e| e.kind < EVT_ARRIVE);
     let k = 1 + grants.take_while(|e| e.kind != continuation).count() as u64;
     let plan = ChaosPlan::new().with(ChaosEvent::at_grant(k).victim(VictimSelector::Oldest));
+    (clean, tids, plan)
+}
 
+#[test]
+fn recovery_undoes_a_released_generation() {
+    let (clean, tids, plan) = released_generation_fault(3);
     let outputs = |r: &RunReport| tids.iter().map(|&t| r.output::<u64>(t)).collect::<Vec<_>>();
     let build = |gate: &std::sync::Arc<Gate>| {
         let mut b = GprsBuilder::new().workers(2).chaos(&plan);
-        released_generation_program(&mut b, gate);
+        released_generation_program(&mut b, gate, 3);
         b.build()
     };
     let pooled = build(&Default::default()).run().unwrap();
@@ -1104,4 +1120,127 @@ fn recovery_undoes_a_released_generation() {
         assert_eq!(got.retired_count, want.retired_count, "{driver}: retired count");
         assert!(report.stats.squashed > 0, "{driver}: the fault landed");
     }
+}
+
+/// Only one arriver shares the straggler's lock, so the squash reaches its
+/// arrival and the continuations already opened, but not the participants
+/// the release freed whose continuations have not opened yet: they must
+/// wait again for the re-arrival, under either policy, instead of resuming
+/// through the release the squash took back (which left the re-arrival
+/// alone at the barrier: a deadlock poison).
+#[test]
+fn an_undone_release_reparks_the_participants_still_waiting_to_resume() {
+    let (clean, tids, plan) = released_generation_fault(1);
+    let outputs = |r: &RunReport| tids.iter().map(|&t| r.output::<u64>(t)).collect::<Vec<_>>();
+    for policy in [RecoveryPolicy::Selective, RecoveryPolicy::Basic] {
+        let mut b = GprsBuilder::new().workers(2).recovery(policy).chaos(&plan);
+        released_generation_program(&mut b, &Default::default(), 1);
+        let report = b.build().run().unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(outputs(&report), outputs(&clean), "{policy:?}: outputs");
+        let (got, want) = (&report.telemetry, &clean.telemetry);
+        assert_eq!(got.retired_hash, want.retired_hash, "{policy:?}: retired hash");
+        assert_eq!(got.retired_count, want.retired_count, "{policy:?}: retired count");
+        assert!(report.stats.squashed > 0, "{policy:?}: the fault landed");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// An older sub-thread reading a younger one's early-released lock data
+// ---------------------------------------------------------------------------
+
+/// Waits for `gate`, then adds 1 to `m` in a nested section: running since
+/// before the writer's critical section opened, it is the older one.
+struct LateReader {
+    m: MutexHandle<u64>,
+    gate: std::sync::Arc<Gate>,
+}
+
+impl Checkpoint for LateReader {
+    type Snapshot = ();
+    fn checkpoint(&self) {}
+    fn restore(&mut self, _: &()) {}
+}
+
+impl ThreadProgram for LateReader {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        self.gate.wait();
+        ctx.lock_nested(&self.m, |v| *v += 1);
+        Step::exit(1u64)
+    }
+}
+
+/// Takes `m` for a critical section that adds 10, releases it early and
+/// opens `gate` while the section's sub-thread still runs.
+struct EarlyWriter {
+    m: MutexHandle<u64>,
+    gate: std::sync::Arc<Gate>,
+    locked: bool,
+}
+
+impl Checkpoint for EarlyWriter {
+    type Snapshot = bool;
+    fn checkpoint(&self) -> bool {
+        self.locked
+    }
+    fn restore(&mut self, s: &bool) {
+        self.locked = *s;
+    }
+}
+
+impl ThreadProgram for EarlyWriter {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        if !self.locked {
+            self.locked = true;
+            return self.m.lock();
+        }
+        ctx.with_lock(&self.m, |v| *v += 10);
+        ctx.unlock(&self.m);
+        self.gate.open();
+        Step::exit(2u64)
+    }
+}
+
+/// The reader shares its group with two tickers, as the straggler of
+/// [`released_generation_program`] does, so the writer's critical section
+/// is granted while the reader still waits for it.
+fn early_release_program(b: &mut GprsBuilder, gate: &std::sync::Arc<Gate>) -> Vec<ThreadId> {
+    let m = b.mutex(0u64);
+    let mut tids = vec![b.thread(LateReader { m, gate: gate.clone() }, GroupId::new(3), 1)];
+    let writer = EarlyWriter { m, gate: gate.clone(), locked: false };
+    tids.push(b.thread(writer, GroupId::new(0), 1));
+    for _ in 0..2 {
+        let atomic = b.atomic(0);
+        tids.push(b.thread(Ticker { atomic, rounds: 4, done: 0 }, GroupId::new(3), 1));
+    }
+    tids
+}
+
+/// A fault at the writer's critical-section grant squashes the section,
+/// which restores the lock data it saw: the older reader that nested-
+/// acquired the lock after the early release read the squashed write and
+/// added to it, so it must be squashed and re-run too, or its addition is
+/// lost from the final state.
+#[test]
+fn a_nested_reader_of_a_squashed_early_release_is_squashed_with_it() {
+    use gprs_core::recording::{Recording, EVT_ARRIVE};
+    use gprs_core::subthread::SubThreadKind;
+
+    let tape = std::env::temp_dir().join(format!("gprs-early-release-{}.gprs", std::process::id()));
+    let mut b = GprsBuilder::new().workers(2).record(&tape);
+    let tids = early_release_program(&mut b, &Default::default());
+    let clean = b.build().run().unwrap();
+    let events = Recording::load(&tape).expect("the clean run was recorded").events;
+    std::fs::remove_file(&tape).ok();
+    let section = SubThreadKind::CriticalSection.tag();
+    let grants = events.iter().filter(|e| e.kind < EVT_ARRIVE);
+    let k = 1 + grants.take_while(|e| e.kind != section).count() as u64;
+    let plan = ChaosPlan::new().with(ChaosEvent::at_grant(k).victim(VictimSelector::Newest));
+
+    let mut b = GprsBuilder::new().workers(2).chaos(&plan);
+    early_release_program(&mut b, &Default::default());
+    let faulty = b.build().run().unwrap();
+    let outputs = |r: &RunReport| tids.iter().map(|&t| r.output::<u64>(t)).collect::<Vec<_>>();
+    assert_eq!(outputs(&faulty), outputs(&clean), "outputs");
+    assert_eq!(faulty.cells_digest, clean.cells_digest, "state digest: {:?}", faulty.stats);
+    assert!(faulty.stats.squashed >= 2, "the reader went with the writer: {:?}", faulty.stats);
 }

@@ -17,13 +17,14 @@
 //! successors, consumers of the data items it pushed (channel-item
 //! provenance: the runtime manages its FIFOs and can undo a pop by
 //! returning the item to the front) and younger lock/atomic-alias sharers —
-//! out of the reorder list, and the engine rewinds each thread to the
+//! out of the reorder list, and the engine re-arms each thread at the
 //! opening point of its oldest squashed sub-thread, so the token loop
 //! re-issues the work as fresh grants that re-enter retirement in total
-//! order. Channel pushes and pops are undone youngest-first, and a rewind
-//! that crosses an already-consumed barrier arrival undoes that barrier
-//! release for every participant. Unaffected sub-threads keep running,
-//! which is what makes the tipping rate scale with the context count.
+//! order. Channel pushes and pops are undone youngest-first. A squashed
+//! arrival's release is taken back by the roster, as on the runtime: every
+//! participant it freed that is not re-executing its arrival waits again.
+//! Unaffected sub-threads keep running, which is what makes the tipping
+//! rate scale with the context count.
 
 use crate::costs::MechCosts;
 use crate::result::SimResult;
@@ -44,7 +45,7 @@ use gprs_core::rol::ReorderList;
 use gprs_core::roster::{Arrival, Barrier, Roster};
 use gprs_core::subthread::{SubThread, SubThreadKind, SyncOp};
 use gprs_telemetry::TelemetryConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of a GPRS simulation.
@@ -213,67 +214,8 @@ struct Body {
     end: u64,
     /// Kind of the sub-thread this body belongs to.
     kind: SubThreadKind,
-    /// Segment whose work forms this body — the rewind point on squash.
+    /// Segment whose work forms this body — the re-arm point on squash.
     seg_ix: usize,
-}
-
-impl Body {
-    /// The rewind that re-issues this body's sub-thread once squashed.
-    fn rewind(&self) -> Rewind {
-        match self.kind {
-            SubThreadKind::Initial => Rewind::Initial,
-            SubThreadKind::BarrierContinuation => Rewind::Resume(self.seg_ix),
-            _ => Rewind::Op(self.seg_ix - 1),
-        }
-    }
-}
-
-/// Where a rewound thread re-enters its trace after a squash. The sim
-/// re-executes squashed sub-threads as fresh grants (new sequence numbers),
-/// so recovery rewinds each affected thread to its oldest squashed
-/// sub-thread's opening point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rewind {
-    /// Re-issue the initial sub-thread.
-    Initial,
-    /// Re-request the closing op of segment `.0` (including re-arriving at
-    /// a barrier whose release was undone).
-    Op(usize),
-    /// Re-open the barrier continuation whose body is segment `.0` (so
-    /// `op_ix = .0`); the arrival stays consumed because the release still
-    /// stands.
-    Resume(usize),
-}
-
-impl Rewind {
-    /// Index of the first op this rewind leaves pending.
-    fn op_ix(self) -> usize {
-        match self {
-            Rewind::Initial => 0,
-            Rewind::Op(i) => i,
-            Rewind::Resume(i) => i,
-        }
-    }
-
-    /// First segment index whose body is re-executed under this rewind.
-    fn reexec_start(self) -> usize {
-        match self {
-            Rewind::Initial => 0,
-            Rewind::Op(i) => i + 1,
-            Rewind::Resume(i) => i,
-        }
-    }
-
-    /// Whether this rewind re-enters the trace strictly earlier than
-    /// `other` (a forced re-arrival beats a resume of the same barrier).
-    fn precedes(self, other: Rewind) -> bool {
-        let rank = |r: Rewind| match r {
-            Rewind::Initial => 0u8,
-            Rewind::Op(_) => 1,
-            Rewind::Resume(..) => 2,
-        };
-        (self.reexec_start(), rank(self)) < (other.reexec_start(), rank(other))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -283,18 +225,22 @@ struct GThread {
     op_ix: usize,
     /// Time the thread arrives at that sync point (current body end).
     request_at: u64,
-    /// Pending barrier continuation: the next grant opens the continuation
-    /// sub-thread instead of consuming an op.
-    resume_barrier: bool,
+    /// Pending barrier continuation `(barrier, generation)`: the next grant
+    /// opens the continuation sub-thread instead of consuming an op.
+    resume: Option<(BarrierId, u64)>,
     current_st: Option<SubThreadId>,
 }
 
 /// What an in-flight sub-thread carries in its reorder-list entry: its
-/// body on the virtual clock and its channel-item provenance. Retirement
-/// and a squash drop it with the entry.
+/// body on the virtual clock, its channel-item provenance and its barrier
+/// generations. Retirement and a squash drop it with the entry.
 #[derive(Debug)]
 struct SimRec {
     body: Body,
+    /// The barrier generation whose release opened it (a continuation).
+    resumed: Option<(BarrierId, u64)>,
+    /// The barrier generation its closing arrival forms, set at the arrival.
+    arrived: Option<(BarrierId, u64)>,
     /// Consumers of the items it pushed. Can name squashed consumers (their
     /// re-executions are fresh ids); the closure walks the reorder list, so
     /// ids outside the window never match.
@@ -304,10 +250,19 @@ struct SimRec {
     undo: Option<Inverse<(), ()>>,
 }
 
-/// Channel-item provenance for the dependence closure.
+/// Channel-item provenance and barrier generations for the dependence
+/// closure: an arrival taints the continuations its release opened.
 impl Provenance for SimRec {
     fn dependents(&self) -> &[SubThreadId] {
         &self.consumers
+    }
+
+    fn arrived(&self) -> Option<(BarrierId, u64)> {
+        self.arrived
+    }
+
+    fn resumed(&self) -> Option<(BarrierId, u64)> {
+        self.resumed
     }
 }
 
@@ -339,25 +294,14 @@ struct Gprs<'a> {
     roster: Roster,
     threads: Vec<GThread>,
     ctxs: Vec<u64>,
-    /// Sim thread index -> its in-window (granted, not yet retired or
-    /// squashed) sub-threads, ascending: a rewind sweeps only its own
-    /// thread's bodies. A grant appends the thread's newest id and a
-    /// retirement takes its oldest, so only a squash searches.
-    by_thread: Vec<VecDeque<SubThreadId>>,
     rol: ReorderList<SimRec>,
     /// The retire step (see [`gprs_core::retire`]).
     retirement: Retirement,
     /// Reusable buffer of the exceptions one drain takes from the injector.
     pending: Vec<Exception>,
-    /// The recovery walk, and what this engine plans around it: each
-    /// rewound thread's target (ascending by thread), the undone barrier
-    /// releases (sorted) and the rewinds a pass's undone releases force,
-    /// applied after the pass. All kept for the next recovery, which plans
-    /// in the buffers earlier ones grew.
+    /// The recovery walk, kept for the next recovery, which plans in the
+    /// buffers earlier ones grew.
     rex: Recovery<SimRec>,
-    targets: Vec<(usize, Rewind)>,
-    undone: Vec<(BarrierId, u64)>,
-    forced: Vec<(usize, Rewind)>,
     /// The virtual time each lock is next free (the cost model's clock).
     locks: HashMap<LockId, u64>,
     /// The channels' item provenance (see [`gprs_core::resources`]).
@@ -423,7 +367,7 @@ impl<'a> Gprs<'a> {
             started: false,
             op_ix: 0,
             request_at: 0,
-            resume_barrier: false,
+            resume: None,
             current_st: None,
         };
         // Channel ids are dense: register every one the trace names.
@@ -452,14 +396,10 @@ impl<'a> Gprs<'a> {
             roster,
             threads: vec![thread; w.threads.len()],
             ctxs: vec![0; cfg.contexts.max(1) as usize],
-            by_thread: vec![VecDeque::new(); w.threads.len()],
             rol: ReorderList::default(),
             retirement: Retirement::default(),
             pending: Vec::new(),
             rex: Recovery::default(),
-            targets: Vec::new(),
-            undone: Vec::new(),
-            forced: Vec::new(),
             locks: HashMap::new(),
             table,
             injector,
@@ -523,7 +463,8 @@ impl<'a> Gprs<'a> {
     /// schedules the body on a context. The segment before the body (none
     /// for a thread's first) names the kind and the opening operation; a
     /// lock's critical section runs under it before the body. The entry
-    /// carries `undo`, the inverse of the push or pop that opened it.
+    /// carries `undo`, the inverse of the push or pop that opened it, and
+    /// the thread's pending resume, the release that opened it.
     fn spawn_subthread(
         &mut self,
         th: usize,
@@ -610,6 +551,8 @@ impl<'a> Gprs<'a> {
         };
         let rec = SimRec {
             body,
+            resumed: self.threads[th].resume.take(),
+            arrived: None,
             consumers: Vec::new(),
             undo,
         };
@@ -622,14 +565,12 @@ impl<'a> Gprs<'a> {
             // when the open failed the run.
             let _ = self.rol.add_resource(stid, ResourceId::Lock(m));
         }
-        self.by_thread[th].push_back(stid);
         let t = &mut self.threads[th];
         t.current_st = Some(stid);
         t.request_at = end;
     }
 
-    /// Marks `th`'s current sub-thread completed and retires what it can;
-    /// a retiring sub-thread leaves its thread's window.
+    /// Marks `th`'s current sub-thread completed and retires what it can.
     fn complete_current(&mut self, th: usize) {
         if let Some(prev) = self.threads[th].current_st.take() {
             let reason = retire::complete(&mut self.rol, prev);
@@ -640,125 +581,16 @@ impl<'a> Gprs<'a> {
             &mut self.ledger,
             |rec| rec.body.ctx,
             |rec, accesses| race_facts(self.w, rec, accesses),
-            |entry| {
-                // Retirement is in total order, so it takes the thread's oldest.
-                let oldest = self.by_thread[entry.rec.body.thread].pop_front();
-                debug_assert_eq!(oldest, Some(entry.id()), "by_thread out of sync");
-                None
-            },
+            |_| None,
         );
         self.fail_on(reason);
         self.res.rol_peak = self.res.rol_peak.max(self.rol.peak_occupancy());
     }
 
-    /// The record of in-window sub-thread `id`.
-    fn rec(&self, id: SubThreadId) -> &SimRec {
-        &self.rol.get(id).expect("in-window sub-thread").rec
-    }
-
-    /// Segment index of thread `th`'s arrival for release `gen` of `b`.
-    fn nth_arrival_ix(&self, th: usize, b: BarrierId, gen: u64) -> usize {
-        let mut seen = 0u64;
-        for (i, s) in self.w.threads[th].segments.iter().enumerate() {
-            if matches!(s.op, SimOp::Barrier { barrier } if barrier == b) {
-                if seen == gen {
-                    return i;
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("a recorded release implies the arrival exists in the trace")
-    }
-
-    /// Closes the squash set in place and derives per-thread rewind targets
-    /// into `self.targets` and the undone releases into `self.undone`.
-    ///
-    /// Three closure rules iterate to a fixed point:
-    /// - each affected thread rewinds to its *oldest* squashed sub-thread,
-    ///   and everything at or past that re-entry point is re-executed, so it
-    ///   is swept into the squash set (nothing may retire twice);
-    /// - consumers of a squashed producer's items are squashed (their pops
-    ///   are undone by returning the item to the channel front);
-    /// - a rewind that crosses an already-consumed barrier arrival undoes
-    ///   that release (and every later one): all participants are forced
-    ///   back to their own arrival so the barrier re-synchronizes.
-    ///
-    /// Starts from the affected set the walk planned, `squash` (ascending).
-    fn plan_recovery(&mut self, squash: &mut Vec<SubThreadId>) {
-        let mut targets = std::mem::take(&mut self.targets);
-        let mut undone = std::mem::take(&mut self.undone);
-        let mut forced = std::mem::take(&mut self.forced);
-        targets.clear();
-        undone.clear();
-        loop {
-            let mut changed = false;
-            // Oldest squashed sub-thread per thread decides the rewind.
-            for &sid in squash.iter() {
-                let body = &self.rec(sid).body;
-                changed |= set_target(&mut targets, body.thread, body.rewind());
-            }
-            // Everything the rewind re-executes must be squashed: each
-            // target sweeps its own thread's in-window sub-threads.
-            for &(th, tgt) in &targets {
-                for &sid in &self.by_thread[th] {
-                    let body = &self.rec(sid).body;
-                    debug_assert_eq!(body.thread, th, "by_thread out of sync");
-                    if body.seg_ix >= tgt.reexec_start() && squash_in(squash, sid) {
-                        changed = true;
-                    }
-                }
-            }
-            // Consumers of squashed producers are squashed too; a consumer
-            // is younger than its producer, so this pass reaches its own.
-            let mut i = 0;
-            while let Some(&sid) = squash.get(i) {
-                for &c in &self.rec(sid).consumers {
-                    changed |= self.rol.contains(c) && squash_in(squash, c);
-                }
-                i += 1;
-            }
-            // Crossing a consumed arrival undoes its (and every later)
-            // release of that barrier for all participants.
-            for &(th, tgt) in &targets {
-                let to = self.threads[th].op_ix;
-                let segs = &self.w.threads[th].segments;
-                for (a, s) in segs.iter().enumerate().take(to).skip(tgt.op_ix()) {
-                    let SimOp::Barrier { barrier } = s.op else { continue };
-                    let first = arrival_gen(self.w, th, a, barrier);
-                    let released = self.roster.barriers().get(&barrier).map_or(0, |bar| bar.gen);
-                    for g in first..released {
-                        let Err(at) = undone.binary_search(&(barrier, g)) else {
-                            continue;
-                        };
-                        undone.insert(at, (barrier, g));
-                        changed = true;
-                        for m in 0..self.w.threads.len() {
-                            let participates = self.w.threads[m]
-                                .segments
-                                .iter()
-                                .any(|s| matches!(s.op, SimOp::Barrier { barrier: b } if b == barrier));
-                            if !participates {
-                                continue;
-                            }
-                            forced.push((m, Rewind::Op(self.nth_arrival_ix(m, barrier, g))));
-                        }
-                    }
-                }
-            }
-            for (m, r) in forced.drain(..) {
-                set_target(&mut targets, m, r);
-            }
-            if !changed {
-                break;
-            }
-        }
-        (self.targets, self.undone, self.forced) = (targets, undone, forced);
-    }
-
-    /// Runs the session the walk began: squashes the closed affected set out
-    /// of the reorder list, undoes its channel effects and barrier releases
-    /// and rewinds the victimized threads. An error names the sub-thread
-    /// that left the reorder list (or its thread's window) mid-walk, or the
+    /// Runs the session the walk began: squashes the affected set out of
+    /// the reorder list, undoes its channel effects, re-arms the squashed
+    /// threads and takes back the releases their arrivals fed. An error
+    /// names the sub-thread that left the reorder list mid-walk, or the
     /// thread the roster could not bring back into the rotation.
     fn recover(
         &mut self,
@@ -766,50 +598,58 @@ impl<'a> Gprs<'a> {
         culprit: SubThreadId,
         report: u64,
     ) -> Result<(), String> {
-        let scope = rex.plan(&self.rol, &self.ledger, self.cfg.recovery);
-        let scope = scope.map_err(|e| e.to_string())?;
-        self.plan_recovery(&mut scope.ids);
-        let culprit_th = self.rec(culprit).body.thread;
+        rex.plan(&self.rol, &self.ledger, self.cfg.recovery).map_err(|e| e.to_string())?;
+        let culprit_th = self.rol.get(culprit).map(|e| e.thread());
         // The entries leave the reorder list entirely, youngest first —
         // their re-executions are fresh grants that re-enter retirement in
         // total order. Each one's channel effect is undone in that order.
         let squashed = rex.squash_out(&mut self.rol, &mut self.ledger, |r| r.body.ctx);
         squashed.map_err(|e| e.to_string())?;
-        for (_, sid, SimRec { body, undo, .. }) in rex.removed() {
+        for (_, _, SimRec { body, undo, .. }) in rex.removed() {
             self.res.redo_cycles += report.min(body.end).saturating_sub(body.start);
             if let Some(inverse) = undo.take() {
                 self.table.undo(inverse).map_err(|e| e.to_string())?;
             }
-            let window = &mut self.by_thread[body.thread];
-            let at = window.binary_search(sid).map_err(|_| format!("unknown sub-thread {sid}"))?;
-            window.remove(at);
         }
-        // Retract undone barrier releases; every participant was forced
-        // back to its own arrival, so the barrier re-synchronizes.
-        for &(b, g) in &self.undone {
-            self.roster.unrelease(b, g);
-        }
-        // Rewind the victimized threads in thread order (the order they
-        // re-register in): they re-request at the report time plus the
-        // restore wait (the culprit's thread additionally pays the REX
-        // pause + state-reinstatement cost, once).
-        for &(th, tgt) in &self.targets {
+        // Re-arm each squashed thread at its oldest squashed sub-thread, in
+        // thread order (the order they re-register in): it re-requests at
+        // the report time plus the restore wait (the culprit's thread
+        // additionally pays the REX pause + state-reinstatement cost).
+        for (thread, SimRec { body, resumed, .. }) in rex.restarts(&self.ledger) {
             let restore = self.cfg.costs.restore_wait
-                + if th == culprit_th {
+                + if Some(thread) == culprit_th {
                     self.cfg.costs.gprs_restore
                 } else {
                     0
                 };
-            let t = &mut self.threads[th];
-            t.current_st = None;
-            t.started &= tgt != Rewind::Initial;
-            t.op_ix = tgt.op_ix();
-            t.resume_barrier = matches!(tgt, Rewind::Resume(..));
+            let t = &mut self.threads[body.thread];
+            (t.current_st, t.resume) = (None, resumed);
+            t.started = body.kind != SubThreadKind::Initial;
+            t.op_ix = match body.kind {
+                SubThreadKind::Initial => 0,
+                SubThreadKind::BarrierContinuation => body.seg_ix,
+                // Re-request the op that opened it.
+                _ => body.seg_ix - 1,
+            };
             t.request_at = report + restore;
             self.res.redo_cycles += restore;
-            let thread = self.w.threads[th].thread;
             self.roster.revive(&mut self.enforcer, thread)?;
-            self.ledger.restarted(thread);
+        }
+        // Take back each release a removed arrival fed: every participant
+        // it freed that is not re-executing its arrival waits again.
+        for &(b, gen) in rex.arrivals() {
+            let threads = &mut self.threads;
+            let reason = self.roster.take_back(&mut self.enforcer, b, gen, |t| {
+                let Some(t) = threads.get_mut(t.raw() as usize) else { return false };
+                let again = t.resume.is_some_and(|(rb, g)| rb == b && g >= gen);
+                if again {
+                    t.resume = None;
+                }
+                again
+            });
+            if let Some(why) = reason {
+                return Err(why);
+            }
         }
         Ok(())
     }
@@ -824,15 +664,23 @@ impl<'a> Gprs<'a> {
             return true;
         };
         let mut pending = std::mem::take(&mut self.pending);
+        let mut lost = None;
         while let Some(raise) = inj.peek_next() {
             if raise.saturating_add(latency) > now {
                 break;
             }
-            pending.push(inj.next_before(raise + 1).expect("peeked arrival"));
+            let Some(e) = inj.next_before(raise + 1) else {
+                lost = Some(raise);
+                break;
+            };
+            pending.push(e);
             if pending.len() > 2_000_000 {
                 // Divergence guard (see the free engine).
                 return false;
             }
+        }
+        if let Some(raise) = lost {
+            self.fail_on(Some(format!("injector: the exception peeked at cycle {raise} was not drawn")));
         }
         let mut within_cap = true;
         for e in pending.drain(..) {
@@ -934,7 +782,7 @@ impl<'a> Gprs<'a> {
             // (`None`) the body a thread starts or a release resumes at.
             let t = &self.threads[th];
             let op_ix = t.op_ix;
-            let op = (t.started && !t.resume_barrier).then(|| self.w.threads[th].segments[op_ix].op);
+            let op = (t.started && t.resume.is_none()).then(|| self.w.threads[th].segments[op_ix].op);
             if let Some(SimOp::Pop { chan }) = op {
                 match self.table.poll(ResourceId::Channel(chan)) {
                     Ok(Poll::Pass) => {
@@ -975,12 +823,19 @@ impl<'a> Gprs<'a> {
             self.res.ordering_wait_cycles += now - req;
             self.token_time = now;
             let Some(op) = op else {
-                let t = &mut self.threads[th];
-                t.started = true;
-                t.resume_barrier = false;
+                self.threads[th].started = true;
                 self.spawn_subthread(th, stid, now, op_ix, None);
                 continue;
             };
+            if let SimOp::Barrier { barrier } = op {
+                // The ender carries the generation its arrival forms: the
+                // race detector's close clock, and the release a squash of
+                // it takes back.
+                let forming = self.roster.barriers().get(&barrier).map(|bar| (barrier, bar.gen + 1));
+                if let Some(rec) = self.threads[th].current_st.and_then(|p| self.rol.rec_mut(p)) {
+                    rec.arrived = forming;
+                }
+            }
             self.complete_current(th);
 
             match op {
@@ -1020,9 +875,9 @@ impl<'a> Gprs<'a> {
                     self.fail_on(reason);
                     if let Some(Arrival { full: true, .. }) = arrival {
                         let threads = &mut self.threads;
-                        let reason = self.roster.release(&mut self.enforcer, barrier, |w, _| {
+                        let reason = self.roster.release(&mut self.enforcer, barrier, |w, gen| {
                             if let Some(t) = threads.get_mut(w.raw() as usize) {
-                                t.resume_barrier = true;
+                                t.resume = Some((barrier, gen));
                                 t.request_at = now;
                             }
                         });
@@ -1087,15 +942,6 @@ impl<'a> Gprs<'a> {
     }
 }
 
-/// Adds `id` to the ascending squash set; `true` if it was not there.
-fn squash_in(squash: &mut Vec<SubThreadId>, id: SubThreadId) -> bool {
-    let Err(at) = squash.binary_search(&id) else {
-        return false;
-    };
-    squash.insert(at, id);
-    true
-}
-
 /// What the race detector needs to know about a retiring sub-thread
 /// beyond its reorder-list entry: trace-level structure translated into
 /// acquire/release edges, and the plain accesses its body performs, in
@@ -1124,47 +970,16 @@ fn race_facts<'f>(
             _ => None,
         },
         SubThreadKind::BarrierContinuation => {
-            let arrival = body.seg_ix - 1;
-            let SimOp::Barrier { barrier } = segs[arrival].op else {
-                unreachable!("a continuation follows its arrival op")
-            };
-            let gen = arrival_gen(w, body.thread, arrival, barrier);
-            Some(OpenEdge::BarrierResume { barrier, gen })
+            rec.resumed.map(|(barrier, gen)| OpenEdge::BarrierResume { barrier, gen })
         }
         // Lock and atomic acquire edges come from the entry's aliases.
-        _ => None,
-    };
-    let arrival = match segs[body.seg_ix].op {
-        SimOp::Barrier { barrier } => {
-            Some((barrier, arrival_gen(w, body.thread, body.seg_ix, barrier)))
-        }
         _ => None,
     };
     RetireFacts {
         open,
         accesses,
-        arrival,
+        arrival: rec.arrived,
     }
-}
-
-/// Which release of barrier `b` the arrival at segment `arrival_ix` of
-/// thread `th` belongs to (each participant arrives once per release).
-fn arrival_gen(w: &Workload, th: usize, arrival_ix: usize, b: BarrierId) -> u64 {
-    w.threads[th].segments[..arrival_ix]
-        .iter()
-        .filter(|s| matches!(s.op, SimOp::Barrier { barrier } if barrier == b))
-        .count() as u64
-}
-
-/// Sets thread `th`'s rewind to `r` unless it already re-enters no later;
-/// `true` if it changed. `targets` stays ascending by thread.
-fn set_target(targets: &mut Vec<(usize, Rewind)>, th: usize, r: Rewind) -> bool {
-    match targets.binary_search_by_key(&th, |&(t, _)| t) {
-        Ok(at) if r.precedes(targets[at].1) => targets[at].1 = r,
-        Ok(_) => return false,
-        Err(at) => targets.insert(at, (th, r)),
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1502,19 +1317,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn barrier_release_undo_converges() {
-        // Threads 0-2 iterate atomic+barrier rounds with schedule weight 3,
-        // so each token cycle completes a whole barrier generation; thread 3
-        // (weight 1) opens one long atomic body that stays in flight across
-        // several *released* generations, blocking retirement the whole
-        // while. An exception in the long body taints the shared atomic
-        // alias, squashing threads 0 and 1 back past a consumed arrival —
-        // recovery must undo the crossed release and force thread 2
-        // (untainted, so not otherwise rewound) back to its own arrival.
-        // Without the release undo, threads 0 and 1 would re-arrive at a
-        // generation thread 2 has already passed and the run would deadlock
-        // into a DNC.
+    /// Threads 0-2 iterate atomic+barrier rounds with schedule weight 3, so
+    /// each token cycle completes a whole barrier generation; thread 3
+    /// (weight 1) opens one long atomic body, sharing threads 0 and 1's
+    /// atomic, that stays in flight across several *released* generations,
+    /// blocking retirement the whole while.
+    fn straggler_bar() -> Workload {
         let a = gprs_core::ids::AtomicId::new(0);
         let c = gprs_core::ids::AtomicId::new(1);
         let b = BarrierId::new(0);
@@ -1542,7 +1350,18 @@ mod tests {
                 Segment::new(100_000, SimOp::End),
             ],
         ));
-        let w = Workload::new("straggler-bar", threads);
+        Workload::new("straggler-bar", threads)
+    }
+
+    #[test]
+    fn barrier_release_undo_converges() {
+        // An exception in the long body taints the shared atomic alias,
+        // squashing threads 0 and 1 back past a consumed arrival: recovery
+        // must take the release back and re-park thread 2 (untainted, so
+        // not restarted) until they re-arrive. Without the take-back,
+        // threads 0 and 1 would re-arrive at a generation thread 2 has
+        // already passed and the run would deadlock into a DNC.
+        let w = straggler_bar();
         let clean = run_gprs(&w, &GprsSimConfig::weighted(4));
         assert!(clean.completed);
         let mut squashed_total = 0;
@@ -1563,6 +1382,31 @@ mod tests {
             assert_eq!(f.telemetry.retired_count, clean.telemetry.retired_count);
         }
         assert!(squashed_total > 0, "injection must actually squash work");
+    }
+
+    /// A detection latency of many segments reports an exception on a
+    /// straggler-bar arrival only after its release freed the other
+    /// participants, and the drain runs before some of them opened their
+    /// continuations. The squash takes the release back: those must wait
+    /// again for the squashed participant's re-arrival instead of running
+    /// ahead into a generation it never joins, and the run must retire
+    /// what the clean run retires.
+    #[test]
+    fn a_taken_back_release_reparks_participants_that_had_not_resumed() {
+        let w = straggler_bar();
+        let clean = run_gprs(&w, &GprsSimConfig::weighted(4));
+        assert!(clean.completed);
+        for seed in [2u64, 5, 9, 11] {
+            let inj = InjectorConfig::paper(500.0, 4, CYCLES_PER_SEC)
+                .with_seed(seed)
+                .with_detection_latency(1_000_000);
+            let cfg = GprsSimConfig::weighted(4).with_exceptions(inj);
+            let f = run_gprs(&w, &cfg.with_time_cap(secs_to_cycles(600.0)));
+            assert!(f.completed, "seed {seed}: {f}");
+            assert!(f.squashed > 0, "seed {seed}: the injection squashed nothing");
+            assert_eq!(f.telemetry.retired_hash, clean.telemetry.retired_hash, "seed {seed}");
+            assert_eq!(f.telemetry.retired_count, clean.telemetry.retired_count, "seed {seed}");
+        }
     }
 
     #[test]

@@ -16,13 +16,13 @@
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-CEIL_A=4711
-CEIL_B=6715
+CEIL_A=4559
+CEIL_B=6563
 # Engine file -> its unwrap/expect ceiling.
 declare -A CEIL_EXPECT=(
   [crates/runtime/src/engine.rs]=0
   [crates/runtime/src/cpr.rs]=13
-  [crates/sim/src/gprs.rs]=2
+  [crates/sim/src/gprs.rs]=0
 )
 
 SET_A=(
